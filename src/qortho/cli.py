@@ -8,16 +8,19 @@ Four subcommands:
     qortho table   tabulate expansion or connection coefficients as CSV
 
 Exit codes: 0 = pass, 1 = a check verified false, 2 = invalid input
-(hypothesis violation or malformed arguments).  Complex parameters are
-entered as two flags (--alpha-re / --alpha-im, imaginary part defaulting
-to 0).  Reports serialize to JSON or RFC-4180 CSV with complex values split
-into _re/_im fields.
+(hypothesis violation, malformed arguments, or a flag the command does not
+read).  ``verify`` takes the flags of the chosen identity's parameter schema
+in :data:`qortho.verify.REGISTRY`, plus the quadrature and truncation flags
+its checker reads.  Complex parameters are entered as two flags (--alpha-re /
+--alpha-im, imaginary part defaulting to 0).  Reports serialize to JSON or
+RFC-4180 CSV with complex values split into _re/_im fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -41,10 +44,11 @@ from .qfun import (
 )
 from .quad import QuadratureSpec
 from .verify import (
+    REGISTRY,
     IdentityId,
+    ParamKind,
     SweepSpec,
     VerificationReport,
-    _CHECKERS,
     run_sweep,
 )
 
@@ -52,28 +56,69 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 
-_COMPLEX_PARAMS = ("alpha", "beta", "gamma", "delta", "a", "b", "c", "d", "s", "t", "x", "y", "z")
-
 CSV_FIELDS = (
     "identity", "inputs", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
     "abs_residual", "rel_residual", "tolerance", "passed", "flags",
 )
 
+# The complex parameters a composite schema kind is spelled with.
+_COMPONENTS = {
+    ParamKind.PARAMSET: ("alpha", "beta", "gamma", "delta"),
+    ParamKind.REDUCED: ("a", "b"),
+}
+_PARAMSET = ("p", ParamKind.PARAMSET)
+_Q = ("q", ParamKind.FLOAT)
+_N = ("n", ParamKind.INT)
+_THETA = ("theta", ParamKind.FLOAT)
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q", type=float, help="base q (real, |q| < 1)")
-    for name in _COMPLEX_PARAMS:
-        parser.add_argument(f"--{name}-re", type=float, default=None)
-        parser.add_argument(f"--{name}-im", type=float, default=0.0)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--theta", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--nodes", type=int, default=256)
-    parser.add_argument("--max-nodes", type=int, default=8192)
-    parser.add_argument("--max-terms", type=int, default=10000)
-    parser.add_argument("--rel-tol", type=float, default=1e-14,
-                        help="truncation tolerance for products and series")
+# Tuning arguments a function may take -> (the class built from their flags,
+# flag dest -> type).  A flag left unset keeps the class default.
+_TUNING = {
+    "qspec": (QuadratureSpec, {"nodes": int, "max_nodes": int}),
+    "policy": (TruncationPolicy, {"max_terms": int, "rel_tol": float}),
+}
+_POLICY_FLAGS = _TUNING["policy"][1]
+
+# eval functions called as f(parameters..., q[, policy]).  qpoch and
+# phi_series have their own branches.
+_EVAL = {
+    "big_c": (big_c_eval, (_N, _THETA, _PARAMSET)),
+    "phi": (phi_eval, (_N, ("x", ParamKind.COMPLEX), ("y", ParamKind.COMPLEX), _PARAMSET)),
+    "ultra": (cq_ultraspherical, (_N, _THETA, ("beta", ParamKind.COMPLEX))),
+    "weight": (weight_omega, (_THETA, _PARAMSET)),
+    "h": (h_norm, (_N, ("a", ParamKind.COMPLEX))),
+}
+
+_HELP = {
+    "q": "base q (real, |q| < 1)",
+    "tol": "tolerance override",
+    "rel_tol": "truncation tolerance for products and series",
+    "n_max": "degree cap",
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _dests(name: str, kind: ParamKind) -> dict[str, type]:
+    """Flag destination -> type, for the flags that spell one parameter."""
+    if kind is ParamKind.INT:
+        return {name: int}
+    if kind is ParamKind.FLOAT:
+        return {name: float}
+    parts = _COMPONENTS.get(kind, (name,))
+    return {f"{part}_{half}": float for part in parts for half in ("re", "im")}
+
+
+def _add_flags(parser: argparse.ArgumentParser, params, tuning: dict[str, type]) -> None:
+    """Add each flag of ``params`` ((name, kind) pairs) and ``tuning`` once;
+    every one defaults to None, meaning unset."""
+    dests: dict[str, type] = {}
+    for name, kind in params:
+        dests |= _dests(name, kind)
+    for dest, type_ in (dests | tuning).items():
+        parser.add_argument(_flag(dest), type=type_, help=_HELP.get(dest))
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -86,14 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qortho",
         description="Evaluate and numerically verify q-orthogonal function identities.",
     )
+    # No abbreviated flags: "--m" must not silently stand for "--max-terms".
     sub = parser.add_subparsers(dest="command", required=True)
+    identities = [i.value for i in IdentityId]
 
-    p_eval = sub.add_parser("eval", help="evaluate one function")
+    p_eval = sub.add_parser("eval", help="evaluate one function", allow_abbrev=False)
     p_eval.add_argument(
         "function",
         choices=("big_c", "phi", "ultra", "weight", "h", "qpoch", "phi_series"),
     )
-    _add_param_flags(p_eval)
+    _add_flags(
+        p_eval,
+        (_Q, *(param for _, params in _EVAL.values() for param in params),
+         ("a", ParamKind.COMPLEX), ("z", ParamKind.COMPLEX)),
+        _POLICY_FLAGS,
+    )
     p_eval.add_argument("--inf", action="store_true", help="qpoch: infinite product")
     p_eval.add_argument("--num", action="append", default=[],
                         help="phi_series numerator parameter RE[,IM] (repeatable)")
@@ -101,59 +153,56 @@ def build_parser() -> argparse.ArgumentParser:
                         help="phi_series denominator parameter RE[,IM] (repeatable)")
     _add_output_flags(p_eval)
 
-    p_verify = sub.add_parser("verify", help="run one identity check")
-    p_verify.add_argument("--identity", required=True,
-                          choices=[i.value for i in IdentityId])
-    _add_param_flags(p_verify)
+    p_verify = sub.add_parser("verify", help="run one identity check", allow_abbrev=False)
+    p_verify.add_argument("--identity", required=True, choices=identities)
+    _add_flags(
+        p_verify,
+        [param for record in REGISTRY.values() for param in record.params],
+        {"tol": float} | _TUNING["qspec"][1] | _POLICY_FLAGS,
+    )
     _add_output_flags(p_verify)
 
-    p_sweep = sub.add_parser("sweep", help="run a seeded randomized sweep")
-    p_sweep.add_argument("--identity", required=True,
-                         choices=[i.value for i in IdentityId])
+    p_sweep = sub.add_parser("sweep", help="run a seeded randomized sweep", allow_abbrev=False)
+    p_sweep.add_argument("--identity", required=True, choices=identities)
     p_sweep.add_argument("--draws", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--m-max", type=int, default=6)
     p_sweep.add_argument("--n-max", type=int, default=6)
-    _add_param_flags(p_sweep)
+    _add_flags(p_sweep, (), {"tol": float})
     _add_output_flags(p_sweep)
 
-    p_table = sub.add_parser("table", help="tabulate coefficients as CSV")
+    p_table = sub.add_parser("table", help="tabulate coefficients as CSV", allow_abbrev=False)
     p_table.add_argument("what", choices=("big_c", "connection", "ultra"))
-    _add_param_flags(p_table)
-    p_table.add_argument("--n-max", type=int, default=None, help="degree cap")
+    _add_flags(
+        p_table,
+        (_Q, ("m", ParamKind.INT), _PARAMSET, ("r", ParamKind.REDUCED)),
+        {"n_max": int},
+    )
     p_table.add_argument("--out", default=None)
 
     return parser
 
 
-def _get_complex(args, name: str):
-    re = getattr(args, f"{name.replace('-', '_')}_re")
-    if re is None:
-        return None
-    return complex(re, getattr(args, f"{name.replace('-', '_')}_im"))
-
-
-def _require(value, flag: str):
-    if value is None:
+def _arg(args, name: str, kind: ParamKind = ParamKind.COMPLEX, required: bool = True):
+    """One parameter from its flags, or None when it is optional and unset.
+    Raises DomainError naming the first missing required flag."""
+    if kind in _COMPONENTS:
+        parts = [_arg(args, part) for part in _COMPONENTS[kind]]
+        return ParamSet4(*parts) if kind is ParamKind.PARAMSET else ReducedParams(*parts)
+    if kind is ParamKind.COMPLEX:
+        re, im = getattr(args, f"{name}_re"), getattr(args, f"{name}_im")
+        value = None if re is None else complex(re, 0.0 if im is None else im)
+        flag = _flag(f"{name}_re")
+    else:
+        value, flag = getattr(args, name), _flag(name)
+    if value is None and required:
         raise DomainError(f"missing required flag {flag}")
     return value
 
 
-def _paramset(args) -> ParamSet4:
-    return ParamSet4(
-        _require(_get_complex(args, "alpha"), "--alpha-re"),
-        _require(_get_complex(args, "beta"), "--beta-re"),
-        _require(_get_complex(args, "gamma"), "--gamma-re"),
-        _require(_get_complex(args, "delta"), "--delta-re"),
-    )
-
-
-def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
-
-
-def _qspec(args) -> QuadratureSpec:
-    return QuadratureSpec(nodes=args.nodes, max_nodes=args.max_nodes)
+def _configured(cls, args, flags: dict[str, type]):
+    """``cls`` built from the given ones of ``flags``, defaults elsewhere."""
+    return cls(**{dest: getattr(args, dest) for dest in flags if getattr(args, dest) is not None})
 
 
 def _parse_listed_complex(raw: str) -> complex:
@@ -207,52 +256,28 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 
 def _cmd_eval(args) -> int:
-    policy = _policy(args)
-    q = _require(args.q, "--q")
+    policy = _configured(TruncationPolicy, args, _POLICY_FLAGS)
+    q = _arg(args, *_Q)
     metadata = {"rel_tol": policy.rel_tol, "max_terms": policy.max_terms}
     fn = args.function
 
-    if fn == "big_c":
-        value = big_c_eval(
-            _require(args.n, "--n"), _require(args.theta, "--theta"),
-            _paramset(args), q,
-        )
-    elif fn == "phi":
-        value = phi_eval(
-            _require(args.n, "--n"),
-            _require(_get_complex(args, "x"), "--x-re"),
-            _require(_get_complex(args, "y"), "--y-re"),
-            _paramset(args), q,
-        )
-    elif fn == "ultra":
-        value = cq_ultraspherical(
-            _require(args.n, "--n"), _require(args.theta, "--theta"),
-            _require(_get_complex(args, "beta"), "--beta-re"), q,
-        )
-    elif fn == "weight":
-        value = weight_omega(
-            _require(args.theta, "--theta"), _paramset(args), q, policy
-        )
-    elif fn == "h":
-        value = h_norm(
-            _require(args.n, "--n"),
-            _require(_get_complex(args, "a"), "--a-re"), q, policy,
-        )
+    if fn in _EVAL:
+        func, params = _EVAL[fn]
+        tail = (policy,) if "policy" in inspect.signature(func).parameters else ()
+        value = func(*(_arg(args, *param) for param in params), q, *tail)
     elif fn == "qpoch":
-        a = _require(_get_complex(args, "a"), "--a-re")
+        a = _arg(args, "a")
         if args.inf:
             value = qpoch_infinite(a, q, policy)
         else:
-            value = qpoch_finite(a, q, _require(args.n, "--n"))
-    elif fn == "phi_series":
+            value = qpoch_finite(a, q, _arg(args, *_N))
+    else:  # phi_series
         nums = tuple(_parse_listed_complex(v) for v in args.num)
         dens = tuple(_parse_listed_complex(v) for v in args.den)
-        z = _require(_get_complex(args, "z"), "--z-re")
+        z = _arg(args, "z")
         value = phi_series(PhiSpec(nums, dens, QBase.coerce(q), z), policy)
         metadata["numerators"] = len(nums)
         metadata["denominators"] = len(dens)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown function {fn}")
 
     record = {
         "function": fn,
@@ -269,73 +294,29 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _checker_kwargs(identity: IdentityId, args) -> dict:
-    """Assemble explicit checker arguments from CLI flags, validating the
-    identity's hypotheses (ParamSet4 / ReducedParams constructors and the
-    checkers themselves raise DomainError naming the violated bound)."""
-    policy = _policy(args)
-    qspec = _qspec(args)
-    q = _require(args.q, "--q")
-    tol = args.tol
-    if identity == IdentityId.THM_1_1:
-        return {"p": _paramset(args), "q": q, "m": _require(args.m, "--m"),
-                "n": _require(args.n, "--n"), "qspec": qspec, "policy": policy,
-                "tolerance": tol}
-    if identity == IdentityId.THM_1_2:
-        return {"p": _paramset(args), "s": _require(_get_complex(args, "s"), "--s-re"),
-                "t": _require(_get_complex(args, "t"), "--t-re"), "q": q,
-                "qspec": qspec, "policy": policy, "tolerance": tol}
-    if identity == IdentityId.THM_1_3:
-        return {"r": ReducedParams(_require(_get_complex(args, "a"), "--a-re"),
-                                   _require(_get_complex(args, "b"), "--b-re")),
-                "gamma": _require(_get_complex(args, "gamma"), "--gamma-re"),
-                "delta": _require(_get_complex(args, "delta"), "--delta-re"),
-                "q": q, "m": _require(args.m, "--m"), "n": _require(args.n, "--n"),
-                "qspec": qspec, "policy": policy, "tolerance": tol}
-    if identity == IdentityId.PROP_3_1:
-        return {"r": ReducedParams(_require(_get_complex(args, "a"), "--a-re"),
-                                   _require(_get_complex(args, "b"), "--b-re")),
-                "gamma": _require(_get_complex(args, "gamma"), "--gamma-re"),
-                "delta": _require(_get_complex(args, "delta"), "--delta-re"),
-                "q": q, "m": _require(args.m, "--m"), "policy": policy,
-                "tolerance": tol}
-    if identity == IdentityId.PROP_2_1_2:
-        return {"p": _paramset(args), "q": q, "n": _require(args.n, "--n"),
-                "theta": args.theta if args.theta is not None else 0.0,
-                "tolerance": tol}
-    if identity == IdentityId.PROP_2_1_3:
-        kwargs = {"p": _paramset(args), "q": q, "tolerance": tol}
-        if args.n is not None:
-            kwargs["n"] = args.n
-        return kwargs
-    if identity == IdentityId.PROP_2_2:
-        return {"p": _paramset(args), "q": q, "tolerance": tol}
-    if identity == IdentityId.PROP_2_4:
-        return {"p": _paramset(args), "q": q, "n": _require(args.n, "--n"),
-                "x": _require(_get_complex(args, "x"), "--x-re"),
-                "y": _require(_get_complex(args, "y"), "--y-re"),
-                "policy": policy, "tolerance": tol}
-    if identity == IdentityId.ROGERS_6W5:
-        return {"a": _require(_get_complex(args, "a"), "--a-re"),
-                "b": _require(_get_complex(args, "b"), "--b-re"),
-                "c": _require(_get_complex(args, "c"), "--c-re"),
-                "d": _require(_get_complex(args, "d"), "--d-re"),
-                "q": q, "policy": policy, "tolerance": tol}
-    if identity == IdentityId.QBINOMIAL:
-        return {"a": _require(_get_complex(args, "a"), "--a-re"),
-                "z": _require(_get_complex(args, "z"), "--z-re"),
-                "q": q, "policy": policy, "tolerance": tol}
-    if identity == IdentityId.ULTRA_ORTHO:
-        return {"beta": _require(_get_complex(args, "beta"), "--beta-re"), "q": q,
-                "m": _require(args.m, "--m"), "n": _require(args.n, "--n"),
-                "qspec": qspec, "policy": policy, "tolerance": tol}
-    raise DomainError(f"unknown identity {identity}")
-
-
 def _cmd_verify(args) -> int:
-    identity = IdentityId(args.identity)
-    kwargs = _checker_kwargs(identity, args)
-    report = _CHECKERS[identity](**kwargs)
+    """Check one identity with the arguments its schema names.  A schema
+    parameter left unset takes the checker's default if it has one; a flag
+    that the identity does not read is invalid input."""
+    record = REGISTRY[IdentityId(args.identity)]
+    checker = record.checker
+    accepted = inspect.signature(checker).parameters
+    read = {"command", "identity", "format", "out", "tol"}
+    kwargs = {}
+    for name, (cls, flags) in _TUNING.items():
+        if name in accepted:
+            read |= flags.keys()
+            kwargs[name] = _configured(cls, args, flags)
+    for name, kind in record.params:
+        read |= _dests(name, kind).keys()
+        value = _arg(args, name, kind, required=accepted[name].default is inspect.Parameter.empty)
+        if value is not None:
+            kwargs[name] = value
+    unread = [_flag(dest) for dest, value in vars(args).items()
+              if value is not None and dest not in read]
+    if unread:
+        raise DomainError(f"{record.id.value} does not read {', '.join(unread)}")
+    report = checker(**kwargs, tolerance=args.tol)
     if args.format == "csv":
         _emit(_reports_csv([report]), args.out)
     else:
@@ -369,15 +350,9 @@ def _cmd_sweep(args) -> int:
     if all_passed:
         return EXIT_PASS
     first_bad = next(i for i, r in enumerate(reports) if not r.passed)
-    print(
-        f"draw {first_bad} failed: inputs {json.dumps(_json_safe(_flat(reports[first_bad])))}",
-        file=sys.stderr,
-    )
+    inputs = reports[first_bad].to_record()["inputs"]
+    print(f"draw {first_bad} failed: inputs {json.dumps(_json_safe(inputs))}", file=sys.stderr)
     return EXIT_FAIL
-
-
-def _flat(report: VerificationReport) -> dict:
-    return report.to_record()["inputs"]
 
 
 # ---------------------------------------------------------------------------
@@ -386,33 +361,21 @@ def _flat(report: VerificationReport) -> dict:
 
 
 def _cmd_table(args) -> int:
-    q = _require(args.q, "--q")
-    rows: list[tuple[int, int, float, float]] = []
-    if args.what == "big_c":
-        n_max = _require(args.n_max, "--n-max")
-        p = _paramset(args)
-        for n in range(n_max + 1):
-            coefs = big_c_coeffs(n, p, q)
-            for k, ck in enumerate(coefs):
-                rows.append((n, k, ck.real, ck.imag))
-    elif args.what == "connection":
-        m = _require(args.m, "--m")
-        r = ReducedParams(
-            _require(_get_complex(args, "a"), "--a-re"),
-            _require(_get_complex(args, "b"), "--b-re"),
-        )
-        gamma = _require(_get_complex(args, "gamma"), "--gamma-re")
-        delta = _require(_get_complex(args, "delta"), "--delta-re")
-        coefs = connection_coeffs(m, r, gamma * delta, q)
-        for k, ck in enumerate(coefs):
-            rows.append((m, k, ck.real, ck.imag))
+    q = _arg(args, *_Q)
+    if args.what == "connection":
+        m = _arg(args, "m", ParamKind.INT)
+        r = _arg(args, "r", ParamKind.REDUCED)
+        by_degree = {m: connection_coeffs(m, r, _arg(args, "gamma") * _arg(args, "delta"), q)}
+    elif args.what == "big_c":
+        n_max = _arg(args, "n_max", ParamKind.INT)
+        p = _arg(args, *_PARAMSET)
+        by_degree = {n: big_c_coeffs(n, p, q) for n in range(n_max + 1)}
     else:  # ultra
-        n_max = _require(args.n_max, "--n-max")
-        beta = _require(_get_complex(args, "beta"), "--beta-re")
-        for n in range(n_max + 1):
-            w = expansion_weights(n, complex(beta), complex(beta), QBase.coerce(q))
-            for k, wk in enumerate(w):
-                rows.append((n, k, wk.real, wk.imag))
+        n_max = _arg(args, "n_max", ParamKind.INT)
+        beta = complex(_arg(args, "beta"))
+        by_degree = {n: expansion_weights(n, beta, beta, QBase.coerce(q))
+                     for n in range(n_max + 1)}
+    rows = [(n, k, c.real, c.imag) for n, coefs in by_degree.items() for k, c in enumerate(coefs)]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -437,10 +400,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sweep(args)
         if args.command == "table":
             return _cmd_table(args)
-    except QOrthoError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (QOrthoError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_INVALID  # pragma: no cover - unreachable

@@ -19,14 +19,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-from .errors import DivergentSeries, DomainError, NearSingular, TruncationExceeded
+from .errors import DivergentSeries, DomainError, NearSingular
 from .qcore import (
     DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
     QBase,
     TruncationPolicy,
     qpoch_infinite,
-    tail_start,
+    settled_sum,
 )
 
 # |b q^m - 1| below this means a denominator parameter of the forbidden form
@@ -90,51 +90,41 @@ class PhiSpec:
 def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Sum the series by the term-ratio recurrence.
 
-    Stops once |T_k| < rel_tol * |partial sum| for 3 consecutive k (q-series
-    terms can interleave near-zeros, so one small term is not enough), or when
-    a numerator factor vanishes and the series terminates exactly.  Raises
+    Stops by :func:`qortho.qcore.settled_sum`, or when a numerator factor
+    vanishes and the series terminates exactly.  Raises
     :class:`DivergentSeries` if terms grow for max(20, r) consecutive k.
     """
     q = spec.q.q
     growth_cap = max(20, len(spec.denominators))
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    small_streak = 0
-    growth_streak = 0
-    qk = 1.0 + 0.0j  # q^{k-1} while building term k
-    for k in range(1, policy.max_terms + 1):
-        ratio = spec.z
-        terminated = False
-        for a in spec.numerators:
-            factor = 1.0 - a * qk
-            if abs(factor) < 1e-15:
-                terminated = True
-                break
-            ratio *= factor
-        if terminated:
-            return total
-        ratio /= 1.0 - q ** k
-        for b in spec.denominators:
-            ratio /= 1.0 - b * qk
-        prev = abs(term)
-        term *= ratio
-        total += term
-        if abs(term) < policy.rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-        if abs(term) > prev:
-            growth_streak += 1
-            if growth_streak >= growth_cap:
-                raise DivergentSeries(
-                    f"terms grew for {growth_streak} consecutive indices at k={k}"
-                )
-        else:
-            growth_streak = 0
-        qk *= q
-    raise TruncationExceeded(f"series did not settle within {policy.max_terms} terms")
+
+    def terms():  # k = 1, 2, ...
+        term = 1.0 + 0.0j
+        growth_streak = 0
+        qk = 1.0 + 0.0j  # q^{k-1} while building term k
+        for k in range(1, policy.max_terms + 1):
+            ratio = spec.z
+            for a in spec.numerators:
+                factor = 1.0 - a * qk
+                if abs(factor) < 1e-15:
+                    return
+                ratio *= factor
+            ratio /= 1.0 - q ** k
+            for b in spec.denominators:
+                ratio /= 1.0 - b * qk
+            prev = abs(term)
+            term *= ratio
+            yield term
+            if abs(term) > prev:
+                growth_streak += 1
+                if growth_streak >= growth_cap:
+                    raise DivergentSeries(
+                        f"terms grew for {growth_streak} consecutive indices at k={k}"
+                    )
+            else:
+                growth_streak = 0
+            qk *= q
+
+    return settled_sum(terms(), policy, "series", total=1.0 + 0.0j)
 
 
 def very_well_poised(a1, rest, q, z, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -195,5 +185,4 @@ __all__ = [
     "very_well_poised",
     "rogers_6w5_rhs",
     "qbinomial_product_ratio",
-    "tail_start",
 ]

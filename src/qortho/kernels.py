@@ -3,31 +3,19 @@
 Two operations dominate every integral check: evaluating a Laurent-type sum
 sum_k c_k e^{i(2k-n)theta} over all quadrature nodes, and evaluating truncated
 products prod_c prod_{k<K} (1 - w_c q^k) with node-dependent arguments
-w_c = coef_c * e^{i s_c theta}.  Both exist in a numba-compiled version and a
-pure-numpy version.
-
-Backend selection happens once at import time: set QORTHO_NUMBA=0 (or "false",
-"no", "off") to force the numpy path.  Both implementations stay importable so
-the benchmark script can time them side by side; ``BACKEND`` names the one the
-public aliases point at.
-
-Run ``python benchmarks/bench_kernels.py`` to compare the two paths.
+w_c = coef_c * e^{i s_c theta}.  Both are plain numpy; ``BACKEND`` names the
+implementation for reports and benchmarks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("QORTHO_NUMBA", "1").strip().lower()
-    return flag not in {"0", "false", "no", "off"}
+BACKEND = "numpy"
 
 
-def poch_product_many_numpy(coefs, exps, q, kmax, thetas):
-    """prod_c (coef_c e^{i exps_c theta}; q)_kmax at each theta (numpy path)."""
+def poch_product_many(coefs, exps, q, kmax, thetas):
+    """prod_c (coef_c e^{i exps_c theta}; q)_kmax at each theta."""
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.ones(thetas.shape[0], dtype=np.complex128)
     z = np.exp(1j * thetas)
@@ -42,84 +30,9 @@ def poch_product_many_numpy(coefs, exps, q, kmax, thetas):
     return out
 
 
-def laurent_eval_numpy(coefs, n, thetas):
-    """sum_k coefs[k] e^{i(2k-n)theta} at each theta (numpy path)."""
+def laurent_eval(coefs, n, thetas):
+    """sum_k coefs[k] e^{i(2k-n)theta} at each theta."""
     thetas = np.asarray(thetas, dtype=np.float64)
     coefs = np.asarray(coefs, dtype=np.complex128)
     harmonics = 2 * np.arange(coefs.shape[0]) - n
     return np.exp(1j * np.outer(thetas, harmonics)) @ coefs
-
-
-_HAVE_NUMBA = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _poch_product_many_jit(coefs, exps, q, kmax, thetas):
-        out = np.empty(thetas.shape[0], dtype=np.complex128)
-        for j in range(thetas.shape[0]):
-            z = np.exp(1j * thetas[j])
-            acc = 1.0 + 0.0j
-            for c in range(coefs.shape[0]):
-                e = exps[c]
-                phase = 1.0 + 0.0j
-                if e > 0:
-                    for _ in range(e):
-                        phase *= z
-                elif e < 0:
-                    for _ in range(-e):
-                        phase /= z
-                w = coefs[c] * phase
-                prod = 1.0 + 0.0j
-                for _ in range(kmax):
-                    prod *= 1.0 - w
-                    w *= q
-                acc *= prod
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _laurent_eval_jit(coefs, n, thetas):
-        out = np.empty(thetas.shape[0], dtype=np.complex128)
-        for j in range(thetas.shape[0]):
-            step = np.exp(2j * thetas[j])
-            phase = np.exp(-1j * n * thetas[j])
-            s = 0.0 + 0.0j
-            for k in range(coefs.shape[0]):
-                s += coefs[k] * phase
-                phase *= step
-            out[j] = s
-        return out
-
-    def poch_product_many_numba(coefs, exps, q, kmax, thetas):
-        """prod_c (coef_c e^{i exps_c theta}; q)_kmax at each theta (numba path)."""
-        return _poch_product_many_jit(
-            np.ascontiguousarray(coefs, dtype=np.complex128),
-            np.ascontiguousarray(exps, dtype=np.int64),
-            complex(q),
-            int(kmax),
-            np.ascontiguousarray(thetas, dtype=np.float64),
-        )
-
-    def laurent_eval_numba(coefs, n, thetas):
-        """sum_k coefs[k] e^{i(2k-n)theta} at each theta (numba path)."""
-        return _laurent_eval_jit(
-            np.ascontiguousarray(coefs, dtype=np.complex128),
-            int(n),
-            np.ascontiguousarray(thetas, dtype=np.float64),
-        )
-
-    poch_product_many = poch_product_many_numba
-    laurent_eval = laurent_eval_numba
-    BACKEND = "numba"
-else:
-    poch_product_many = poch_product_many_numpy
-    laurent_eval = laurent_eval_numpy
-    BACKEND = "numpy"

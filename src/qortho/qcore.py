@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DomainError, TruncationExceeded
 
@@ -115,20 +116,37 @@ def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     return prod
 
 
-def min_factor_abs(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """min_k |1 - a q^k| over the truncation range of (a;q)_oo.
-
-    Used by quotient formulas to detect near-singular denominator symbols
-    before dividing.
-    """
-    qb = QBase.coerce(q)
-    nterms = tail_start(a, qb, policy)
-    smallest = math.inf
-    w = complex(a)
-    for _ in range(nterms):
+def min_factor_abs(a, q, floor: float) -> float:
+    """min(1, min_k |1 - a q^k|) over the k with |a q^k| >= floor, to detect
+    near-singular denominator symbols before dividing.  With the moduli |a|
+    and |q| it bounds the factors of (a e^{i theta}; q)_oo over all theta."""
+    smallest = 1.0
+    w = a
+    while abs(w) >= floor:
         smallest = min(smallest, abs(1.0 - w))
-        w *= qb.q
-    return min(smallest, 1.0)
+        if q == 0:
+            break
+        w *= q
+    return smallest
+
+
+def settled_sum(terms: Iterable[complex], policy: TruncationPolicy, what: str,
+                total: complex = 0.0 + 0.0j) -> complex:
+    """Add ``terms`` to ``total`` until |term| <= rel_tol * |partial sum| for
+    3 consecutive terms (q-series terms can interleave near-zeros, so one
+    small term is not enough).  ``terms`` yields at most ``policy.max_terms``
+    terms; if it stops short, the sum terminated exactly.  Yielding them all
+    unsettled raises :class:`TruncationExceeded` naming ``what``."""
+    streak = 0
+    count = 0
+    for count, term in enumerate(terms, 1):
+        total += term
+        streak = streak + 1 if abs(term) <= policy.rel_tol * abs(total) else 0
+        if streak == 3:
+            return total
+    if count < policy.max_terms:
+        return total
+    raise TruncationExceeded(f"{what} did not settle within {policy.max_terms} terms")
 
 
 def qpoch_multi(values, q, n=INF, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

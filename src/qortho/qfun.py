@@ -42,6 +42,7 @@ from .qcore import (
     NEAR_SINGULAR_TOL,
     QBase,
     TruncationPolicy,
+    min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
     tail_start,
@@ -246,17 +247,11 @@ def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
     """min over theta and the truncation range of |1 - w q^k e^{+-2i theta}|
     for the two denominator symbols.  The exact minimum over theta of
     |1 - c e^{2i theta}| is |1 - |c||, so only moduli enter."""
-    qb = QBase.coerce(q)
-    qmag = abs(qb.q)
-    smallest = 1.0
-    for w in (abs(p.alpha / p.delta), abs(p.beta / p.gamma)):
-        k = 0
-        while w * qmag ** k >= policy.rel_tol:
-            smallest = min(smallest, abs(1.0 - w * qmag ** k))
-            k += 1
-            if qmag == 0.0:
-                break
-    return smallest
+    qmag = abs(QBase.coerce(q).q)
+    return min(
+        min_factor_abs(abs(w), qmag, policy.rel_tol)
+        for w in (p.alpha / p.delta, p.beta / p.gamma)
+    )
 
 
 def weight_omega(pt, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NearSingular, TruncationExceeded
+from .errors import DomainError, NearSingular
 from .qcore import (
     DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
@@ -38,6 +40,7 @@ from .qcore import (
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
+    settled_sum,
 )
 from .qfun import ParamSet4
 
@@ -139,31 +142,16 @@ def jackson_integral(
     lattice: QLattice,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """The lattice integral of f from a to b.
-
-    Each geometric sum stops once |term| < rel_tol * |partial sum| for 3
-    consecutive n (guards against interleaved near-zero terms)."""
+    """The lattice integral of f from a to b; each geometric sum stops by
+    :func:`qortho.qcore.settled_sum`."""
     q = lattice.q.q
 
     def one_side(endpoint: complex) -> complex:
         if endpoint == 0:
             return 0.0 + 0.0j
-        total = 0.0 + 0.0j
-        qn = 1.0 + 0.0j
-        small_streak = 0
-        for n in range(policy.max_terms):
-            term = qn * f(endpoint * qn)
-            total += term
-            if abs(term) <= policy.rel_tol * abs(total):
-                small_streak += 1
-                if small_streak >= 3 and n >= 2:
-                    return total
-            else:
-                small_streak = 0
-            qn *= q
-        raise TruncationExceeded(
-            f"lattice sum did not settle within {policy.max_terms} terms"
-        )
+        # 1, q, q^2, ... by repeated multiplication, max_terms of them
+        qns = accumulate(repeat(q, policy.max_terms - 1), mul, initial=1.0 + 0.0j)
+        return settled_sum((qn * f(endpoint * qn) for qn in qns), policy, "lattice sum")
 
     if lattice.a == lattice.b:
         return 0.0 + 0.0j
@@ -218,7 +206,7 @@ def phi_qintegral_repr(
         ra,  # ... at z = dy q^k
     ]
     for base in denominator_bases:
-        if min_factor_abs(base, qb, policy) < NEAR_SINGULAR_TOL:
+        if min_factor_abs(base, qb.q, policy.rel_tol) < NEAR_SINGULAR_TOL:
             raise NearSingular(
                 f"denominator symbol with base {base} has a factor within "
                 f"{NEAR_SINGULAR_TOL} of zero"

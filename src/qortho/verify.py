@@ -1,24 +1,16 @@
-"""Identity checkers and randomized parameter sweeps.
+"""Identity checkers, the identity registry and randomized parameter sweeps.
 
 Each checker computes a left-hand side by quadrature or series evaluation and
 a right-hand side from closed-form products, through deliberately independent
 code paths, then assembles an immutable :class:`VerificationReport`.  Numeric
-trouble (near-singular denominators, truncation caps, slow quadrature) is
-surfaced as report flags, never as exceptions escaping a checker.
+trouble (near-singular denominators, truncation caps, divergent series, slow
+quadrature) is surfaced as report flags, never as exceptions escaping a
+checker.
 
-Identity tags:
-
-    THM_1_1     full-period orthogonality of the four-parameter family
-    THM_1_2     seven-parameter product integral vs. single series
-    THM_1_3     half-period bi-orthogonality of the a- and b-families
-    PROP_2_1_2  Phi on the circle equals (q;q)_n times C_n
-    PROP_2_1_3  growth-root diagnostic approaches max(|gamma|, |delta|)
-    PROP_2_2    majorant series for the diagonal generating sum is Cauchy
-    PROP_2_4    lattice-integral representation reproduces Phi_n
-    PROP_3_1    connection expansion between the b- and a-families
-    ROGERS_6W5  very-well-poised six-parameter sum vs. closed product form
-    QBINOMIAL   binomial series vs. product ratio
-    ULTRA_ORTHO half-period orthogonality of the single-parameter family
+:data:`REGISTRY` describes each identity once: its default tolerance, sweep
+box, drawer and the parameter schema of its checker ``check_<identity>``.
+:func:`draw_params`, :func:`run_sweep` and the ``qortho verify`` flags all
+read it.  :class:`IdentityId` says in one line what each identity checks.
 """
 
 from __future__ import annotations
@@ -26,7 +18,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,8 +35,10 @@ from .qcore import (
     NEAR_SINGULAR_TOL,
     QBase,
     TruncationPolicy,
+    min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
+    settled_sum,
     tail_start,
 )
 from .hyper import PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_rhs, very_well_poised
@@ -71,40 +66,25 @@ from .quad import (
 from .qfun import phi_eval
 
 TWO_PI = 2.0 * math.pi
+NAN = complex("nan")
 
 
 class IdentityId(str, enum.Enum):
-    THM_1_1 = "THM_1_1"
-    THM_1_2 = "THM_1_2"
-    THM_1_3 = "THM_1_3"
-    PROP_2_1_2 = "PROP_2_1_2"
-    PROP_2_1_3 = "PROP_2_1_3"
-    PROP_2_2 = "PROP_2_2"
-    PROP_2_4 = "PROP_2_4"
-    PROP_3_1 = "PROP_3_1"
-    ROGERS_6W5 = "ROGERS_6W5"
-    QBINOMIAL = "QBINOMIAL"
-    ULTRA_ORTHO = "ULTRA_ORTHO"
+    THM_1_1 = "THM_1_1"  # full-period orthogonality of the four-parameter family
+    THM_1_2 = "THM_1_2"  # seven-parameter product integral vs. single series
+    THM_1_3 = "THM_1_3"  # half-period bi-orthogonality of the a- and b-families
+    PROP_2_1_2 = "PROP_2_1_2"  # Phi on the circle equals (q;q)_n times C_n
+    PROP_2_1_3 = "PROP_2_1_3"  # growth-root diagnostic approaches max(|gamma|, |delta|)
+    PROP_2_2 = "PROP_2_2"  # majorant series for the diagonal generating sum is Cauchy
+    PROP_2_4 = "PROP_2_4"  # lattice-integral representation reproduces Phi_n
+    PROP_3_1 = "PROP_3_1"  # connection expansion between the b- and a-families
+    ROGERS_6W5 = "ROGERS_6W5"  # very-well-poised six-parameter sum vs. closed product form
+    QBINOMIAL = "QBINOMIAL"  # binomial series vs. product ratio
+    ULTRA_ORTHO = "ULTRA_ORTHO"  # half-period orthogonality of the single-parameter family
 
-
-# Quadrature-vs-closed-form identities tolerate 1e-8 (double-precision products
-# lose roughly two digits over hundreds of factors); series-vs-product ones
-# hold tighter.
-DEFAULT_TOLERANCES: Mapping[IdentityId, float] = {
-    IdentityId.THM_1_1: 1e-8,
-    IdentityId.THM_1_2: 1e-8,
-    IdentityId.THM_1_3: 1e-8,
-    IdentityId.PROP_2_1_2: 1e-12,
-    IdentityId.PROP_2_1_3: 0.05,
-    IdentityId.PROP_2_2: 1e-10,
-    IdentityId.PROP_2_4: 1e-10,
-    IdentityId.PROP_3_1: 1e-9,
-    IdentityId.ROGERS_6W5: 1e-9,
-    IdentityId.QBINOMIAL: 1e-11,
-    IdentityId.ULTRA_ORTHO: 1e-8,
-}
 
 _FLAG_ORDER = ("NearSingular", "NoConvergence", "TruncationExceeded", "DivergentSeries")
+_NUMERIC_ERRORS = (NearSingular, TruncationExceeded, DivergentSeries)
 
 
 @dataclass(frozen=True)
@@ -133,11 +113,14 @@ class VerificationReport:
         inputs: Mapping[str, object],
         lhs: complex,
         rhs: complex,
-        tolerance: float,
+        tolerance: float | None,
         scale: float = 0.0,
         flags: Sequence[str] = (),
     ) -> "VerificationReport":
-        identity_id = IdentityId(identity_id).value
+        """``tolerance=None`` takes the identity's default from the registry."""
+        identity_id = IdentityId(identity_id)
+        if tolerance is None:
+            tolerance = REGISTRY[identity_id].tolerance
         flags = tuple(
             sorted(
                 set(flags),
@@ -157,7 +140,7 @@ class VerificationReport:
             else:
                 passed = abs_residual <= tolerance * scale
         return cls(
-            identity_id=identity_id,
+            identity_id=identity_id.value,
             inputs=dict(inputs),
             lhs=complex(lhs),
             rhs=complex(rhs),
@@ -237,13 +220,57 @@ def _paramset_inputs(p: ParamSet4, q: QBase) -> dict:
     }
 
 
-def residual_scale(lhs: complex, rhs: complex, extra: float = 0.0) -> float:
-    return max(abs(lhs), abs(rhs), extra, 1e-300)
+# ---------------------------------------------------------------------------
+# checkers, and the paths they share
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# individual checkers
-# ---------------------------------------------------------------------------
+def _evaluate(side: Callable[[], object], flags: list[str], failed: object = NAN):
+    """``side()``, or ``failed`` with the name of the numerical error it
+    raised added to ``flags``."""
+    try:
+        return side()
+    except _NUMERIC_ERRORS as exc:
+        flags.append(type(exc).__name__)
+        return failed
+
+
+def _check(identity_id, inputs, tolerance, lhs, rhs) -> VerificationReport:
+    """Report from ``lhs()`` and then ``rhs()``, two plain values."""
+    flags: list[str] = []
+    lhs_value = _evaluate(lhs, flags)
+    rhs_value = _evaluate(rhs, flags)
+    return VerificationReport.build(identity_id, inputs, lhs_value, rhs_value, tolerance,
+                                    flags=flags)
+
+
+def _circle_check(
+    identity_id, inputs, tolerance, weight: ParamSet4, qb: QBase, policy, qspec, interval,
+    integrand: Callable[[], Callable[[np.ndarray], np.ndarray]], rhs: Callable[[], complex],
+) -> VerificationReport:
+    """The path every circle identity shares: screen the denominator of the
+    weight of ``weight``, integrate ``integrand()`` over ``interval``, flag
+    slow quadrature, then evaluate ``rhs()``."""
+    if weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
+        return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance,
+                                        flags=["NearSingular"])
+    result = periodic_integral(integrand(), interval, qspec)
+    flags = [] if result.converged else ["NoConvergence"]
+    rhs_value = _evaluate(rhs, flags)
+    return VerificationReport.build(
+        identity_id, inputs, result.value, rhs_value, tolerance, scale=result.fscale, flags=flags
+    )
+
+
+def _laurent(n: int, p: ParamSet4, qb: QBase) -> Callable[[np.ndarray], np.ndarray]:
+    """C_n of the family ``p`` at an array of angles."""
+    coefs = big_c_coeffs(n, p, qb)
+    return lambda thetas: kernels.laurent_eval(coefs, n, thetas)
+
+
+def _weighted_pair(f_m, f_n, p: ParamSet4, qb: QBase, policy):
+    """The integrand f_m f_n omega, omega the weight of ``p``."""
+    return lambda thetas: f_m(thetas) * f_n(thetas) * weight_omega_many(thetas, p, qb, policy)
 
 
 def check_thm_1_1(
@@ -258,38 +285,11 @@ def check_thm_1_1(
     """Full-period orthogonality: quadrature of C_m C_n against the weight vs.
     the closed diagonal (zero off the diagonal)."""
     qb = QBase.coerce(q)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.THM_1_1] if tolerance is None else tolerance
-    inputs = _paramset_inputs(p, qb) | {"m": m, "n": n}
-    flags: list[str] = []
-    lhs = complex("nan")
-    rhs = complex("nan")
-    scale = 0.0
-
-    if weight_min_denominator(p, qb, policy) < NEAR_SINGULAR_TOL:
-        flags.append("NearSingular")
-    else:
-        cm = big_c_coeffs(m, p, qb)
-        cn = big_c_coeffs(n, p, qb)
-
-        def integrand(thetas: np.ndarray) -> np.ndarray:
-            return (
-                kernels.laurent_eval(cm, m, thetas)
-                * kernels.laurent_eval(cn, n, thetas)
-                * weight_omega_many(thetas, p, qb, policy)
-            )
-
-        result = periodic_integral(integrand, FULL_PERIOD, qspec)
-        lhs = result.value
-        scale = result.fscale
-        if not result.converged:
-            flags.append("NoConvergence")
-        try:
-            rhs = diag_rhs_thm11(n, p, qb, policy) if m == n else 0.0 + 0.0j
-        except NearSingular:
-            flags.append("NearSingular")
-
-    return VerificationReport.build(
-        IdentityId.THM_1_1, inputs, lhs, rhs, tolerance, scale=scale, flags=flags
+    return _circle_check(
+        IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
+        p, qb, policy, qspec, FULL_PERIOD,
+        lambda: _weighted_pair(_laurent(m, p, qb), _laurent(n, p, qb), p, qb, policy),
+        lambda: diag_rhs_thm11(n, p, qb, policy) if m == n else 0.0 + 0.0j,
     )
 
 
@@ -321,22 +321,14 @@ def check_thm_1_2(
     qb = QBase.coerce(q)
     s = complex(s)
     t = complex(t)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.THM_1_2] if tolerance is None else tolerance
     for name, value in _thm_1_2_hypothesis(p, s, t, qb).items():
         if value >= 1.0:
             raise DomainError(
                 f"hypothesis max(|q|, |alpha/gamma|, |beta/delta|, |gamma*s|, "
                 f"|gamma*t|, |delta*s|, |delta*t|) < 1 violated: {name} = {value:.6g}"
             )
-    inputs = _paramset_inputs(p, qb) | {"s": s, "t": t}
-    flags: list[str] = []
-    lhs = complex("nan")
-    rhs = complex("nan")
-    scale = 0.0
 
-    if weight_min_denominator(p, qb, policy) < NEAR_SINGULAR_TOL:
-        flags.append("NearSingular")
-    else:
+    def integrand():
         num_coefs = np.array(
             [p.alpha * t, p.beta * t, p.alpha * s, p.beta * s,
              p.gamma / p.delta, p.delta / p.gamma],
@@ -351,24 +343,15 @@ def check_thm_1_2(
         kmax = tail_start(
             max(np.max(np.abs(num_coefs)), np.max(np.abs(den_coefs))), qb, policy
         )
+        return lambda thetas: (
+            kernels.poch_product_many(num_coefs, exps, qb.q, kmax, thetas)
+            / kernels.poch_product_many(den_coefs, exps, qb.q, kmax, thetas)
+        )
 
-        def integrand(thetas: np.ndarray) -> np.ndarray:
-            num = kernels.poch_product_many(num_coefs, exps, qb.q, kmax, thetas)
-            den = kernels.poch_product_many(den_coefs, exps, qb.q, kmax, thetas)
-            return num / den
-
-        result = periodic_integral(integrand, FULL_PERIOD, qspec)
-        lhs = result.value
-        scale = result.fscale
-        if not result.converged:
-            flags.append("NoConvergence")
-        try:
-            rhs = thm_1_2_rhs_series(p, s, t, qb, policy)
-        except (NearSingular, TruncationExceeded) as exc:
-            flags.append(type(exc).__name__)
-
-    return VerificationReport.build(
-        IdentityId.THM_1_2, inputs, lhs, rhs, tolerance, scale=scale, flags=flags
+    return _circle_check(
+        IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
+        p, qb, policy, qspec, FULL_PERIOD,
+        integrand, lambda: thm_1_2_rhs_series(p, s, t, qb, policy),
     )
 
 
@@ -385,24 +368,18 @@ def thm_1_2_rhs_series(
         raise NearSingular("(q, ra*rb;q)_oo is near zero")
     prefactor = TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den
     arg = p.gd * s * t
-    total = 0.0 + 0.0j
-    poch_ratio = 1.0 + 0.0j  # (ra*rb;q)_n / (q;q)_n
-    argn = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
-    small_streak = 0
-    for n in range(policy.max_terms):
-        term = (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn)) * poch_ratio * argn
-        total += term
-        if abs(term) <= policy.rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                return prefactor * total
-        else:
-            small_streak = 0
-        poch_ratio *= (1.0 - ra * rb * qn) / (1.0 - qb.q * qn)
-        qn *= qb.q
-        argn *= arg
-    raise TruncationExceeded("diagonal series did not settle")
+
+    def terms():
+        poch_ratio = 1.0 + 0.0j  # (ra*rb;q)_n / (q;q)_n
+        argn = 1.0 + 0.0j
+        qn = 1.0 + 0.0j
+        for _ in range(policy.max_terms):
+            yield (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn)) * poch_ratio * argn
+            poch_ratio *= (1.0 - ra * rb * qn) / (1.0 - qb.q * qn)
+            qn *= qb.q
+            argn *= arg
+
+    return prefactor * settled_sum(terms(), policy, "diagonal series")
 
 
 def check_thm_1_3(
@@ -422,7 +399,6 @@ def check_thm_1_3(
     qb = QBase.coerce(q)
     gamma = complex(gamma)
     delta = complex(delta)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.THM_1_3] if tolerance is None else tolerance
     same_parity = (m - n) % 2 == 0
     if same_parity and m < n:
         raise DomainError(
@@ -440,36 +416,10 @@ def check_thm_1_3(
         "a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q,
         "m": m, "n": n,
     }
-    flags: list[str] = []
-    lhs = complex("nan")
-    rhs = complex("nan")
-    scale = 0.0
-
-    if weight_min_denominator(p_a, qb, policy) < NEAR_SINGULAR_TOL:
-        flags.append("NearSingular")
-    else:
-        cm = big_c_coeffs(m, p_b, qb)
-        cn = big_c_coeffs(n, p_a, qb)
-
-        def integrand(thetas: np.ndarray) -> np.ndarray:
-            return (
-                kernels.laurent_eval(cm, m, thetas)
-                * kernels.laurent_eval(cn, n, thetas)
-                * weight_omega_many(thetas, p_a, qb, policy)
-            )
-
-        result = periodic_integral(integrand, HALF_PERIOD, qspec)
-        lhs = result.value
-        scale = result.fscale
-        if not result.converged:
-            flags.append("NoConvergence")
-        try:
-            rhs = thm_1_3_rhs(r, gamma, delta, qb, m, n, policy)
-        except NearSingular:
-            flags.append("NearSingular")
-
-    return VerificationReport.build(
-        IdentityId.THM_1_3, inputs, lhs, rhs, tolerance, scale=scale, flags=flags
+    return _circle_check(
+        IdentityId.THM_1_3, inputs, tolerance, p_a, qb, policy, qspec, HALF_PERIOD,
+        lambda: _weighted_pair(_laurent(m, p_b, qb), _laurent(n, p_a, qb), p_a, qb, policy),
+        lambda: thm_1_3_rhs(r, gamma, delta, qb, m, n, policy),
     )
 
 
@@ -521,7 +471,6 @@ def check_prop_3_1(
     qb = QBase.coerce(q)
     gamma = complex(gamma)
     delta = complex(delta)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.PROP_3_1] if tolerance is None else tolerance
     if thetas is None:
         thetas = TWO_PI * np.arange(16) / 16
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -531,24 +480,18 @@ def check_prop_3_1(
         "a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q,
         "m": m, "thetas": thetas,
     }
-    flags: list[str] = []
-    lhs = complex("nan")
-    rhs = complex("nan")
-    scale = 0.0
-    try:
+
+    def sides():
         coeffs = connection_coeffs(m, r, gamma * delta, qb)
-        lhs_vals = kernels.laurent_eval(big_c_coeffs(m, p_b, qb), m, thetas)
+        lhs_vals = _laurent(m, p_b, qb)(thetas)
         rhs_vals = np.zeros_like(lhs_vals)
         for nn in range(m % 2, m + 1, 2):
-            rhs_vals += coeffs[nn] * kernels.laurent_eval(
-                big_c_coeffs(nn, p_a, qb), nn, thetas
-            )
+            rhs_vals += coeffs[nn] * _laurent(nn, p_a, qb)(thetas)
         worst = int(np.argmax(np.abs(lhs_vals - rhs_vals)))
-        lhs = complex(lhs_vals[worst])
-        rhs = complex(rhs_vals[worst])
-        scale = float(np.max(np.abs(lhs_vals)))
-    except (NearSingular, TruncationExceeded, DivergentSeries) as exc:
-        flags.append(type(exc).__name__)
+        return complex(lhs_vals[worst]), complex(rhs_vals[worst]), float(np.max(np.abs(lhs_vals)))
+
+    flags: list[str] = []
+    lhs, rhs, scale = _evaluate(sides, flags, failed=(NAN, NAN, 0.0))
     return VerificationReport.build(
         IdentityId.PROP_3_1, inputs, lhs, rhs, tolerance, scale=scale, flags=flags
     )
@@ -567,35 +510,16 @@ def check_ultra_ortho(
     (beta, beta, 1, 1) specialization of the weight; diagonal 1/h_n."""
     qb = QBase.coerce(q)
     beta = complex(beta)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.ULTRA_ORTHO] if tolerance is None else tolerance
     p = ParamSet4(beta, beta, 1.0, 1.0)
-    inputs = {"beta": beta, "q": qb.q, "m": m, "n": n}
-    flags: list[str] = []
-    lhs = complex("nan")
-    rhs = complex("nan")
-    scale = 0.0
-    if weight_min_denominator(p, qb, policy) < NEAR_SINGULAR_TOL:
-        flags.append("NearSingular")
-    else:
-
-        def integrand(thetas: np.ndarray) -> np.ndarray:
-            return (
-                cq_ultraspherical_many(m, thetas, beta, qb)
-                * cq_ultraspherical_many(n, thetas, beta, qb)
-                * weight_omega_many(thetas, p, qb, policy)
-            )
-
-        result = periodic_integral(integrand, HALF_PERIOD, qspec)
-        lhs = result.value
-        scale = result.fscale
-        if not result.converged:
-            flags.append("NoConvergence")
-        try:
-            rhs = 1.0 / h_norm(n, beta, qb, policy) if m == n else 0.0 + 0.0j
-        except NearSingular:
-            flags.append("NearSingular")
-    return VerificationReport.build(
-        IdentityId.ULTRA_ORTHO, inputs, lhs, rhs, tolerance, scale=scale, flags=flags
+    return _circle_check(
+        IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,
+        p, qb, policy, qspec, HALF_PERIOD,
+        lambda: _weighted_pair(
+            lambda thetas: cq_ultraspherical_many(m, thetas, beta, qb),
+            lambda thetas: cq_ultraspherical_many(n, thetas, beta, qb),
+            p, qb, policy,
+        ),
+        lambda: 1.0 / h_norm(n, beta, qb, policy) if m == n else 0.0 + 0.0j,
     )
 
 
@@ -603,17 +527,18 @@ def check_prop_2_1_2(
     p: ParamSet4,
     q,
     n: int,
-    theta: float,
+    theta: float = 0.0,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Phi at (e^{i theta}, e^{-i theta}) equals (q;q)_n C_n(e^{i theta})."""
     qb = QBase.coerce(q)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.PROP_2_1_2] if tolerance is None else tolerance
-    inputs = _paramset_inputs(p, qb) | {"n": n, "theta": float(theta)}
     x = complex(math.cos(theta), math.sin(theta))
-    lhs = phi_eval(n, x, x.conjugate(), p, qb)
-    rhs = qpoch_finite(qb.q, qb, n) * big_c_eval(n, theta, p, qb)
-    return VerificationReport.build(IdentityId.PROP_2_1_2, inputs, lhs, rhs, tolerance)
+    return _check(
+        IdentityId.PROP_2_1_2, _paramset_inputs(p, qb) | {"n": n, "theta": float(theta)},
+        tolerance,
+        lambda: phi_eval(n, x, x.conjugate(), p, qb),
+        lambda: qpoch_finite(qb.q, qb, n) * big_c_eval(n, theta, p, qb),
+    )
 
 
 def check_prop_2_1_3(
@@ -624,11 +549,11 @@ def check_prop_2_1_3(
 ) -> VerificationReport:
     """Growth-root diagnostic |C_n(1)|^{1/n} against max(|gamma|, |delta|)."""
     qb = QBase.coerce(q)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.PROP_2_1_3] if tolerance is None else tolerance
-    inputs = _paramset_inputs(p, qb) | {"n": n}
-    lhs = complex(growth_root(n, p, qb))
-    rhs = complex(max(abs(p.gamma), abs(p.delta)))
-    return VerificationReport.build(IdentityId.PROP_2_1_3, inputs, lhs, rhs, tolerance)
+    return _check(
+        IdentityId.PROP_2_1_3, _paramset_inputs(p, qb) | {"n": n}, tolerance,
+        lambda: complex(growth_root(n, p, qb)),
+        lambda: complex(max(abs(p.gamma), abs(p.delta))),
+    )
 
 
 def check_prop_2_2(
@@ -648,7 +573,6 @@ def check_prop_2_2(
     beyond ``partial_terms`` must stay below tolerance times the partial sum.
     The report's lhs is the tail, rhs is zero, scale is the partial sum."""
     qb = QBase.coerce(q)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.PROP_2_2] if tolerance is None else tolerance
     inputs = _paramset_inputs(p, qb) | {
         "k": k, "t_fraction": t_fraction, "partial_terms": partial_terms,
         "tail_terms": tail_terms,
@@ -692,17 +616,10 @@ def check_prop_2_4(
     qb = QBase.coerce(q)
     x = complex(x)
     y = complex(y)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.PROP_2_4] if tolerance is None else tolerance
-    inputs = _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y}
-    flags: list[str] = []
-    lhs = complex("nan")
-    try:
-        lhs = phi_qintegral_repr(n, x, y, p, qb, policy)
-    except (NearSingular, TruncationExceeded) as exc:
-        flags.append(type(exc).__name__)
-    rhs = phi_eval(n, x, y, p, qb)
-    return VerificationReport.build(
-        IdentityId.PROP_2_4, inputs, lhs, rhs, tolerance, flags=flags
+    return _check(
+        IdentityId.PROP_2_4, _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y}, tolerance,
+        lambda: phi_qintegral_repr(n, x, y, p, qb, policy),
+        lambda: phi_eval(n, x, y, p, qb),
     )
 
 
@@ -719,22 +636,11 @@ def check_rogers_6w5(
     product form."""
     qb = QBase.coerce(q)
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.ROGERS_6W5] if tolerance is None else tolerance
-    inputs = {"a": a, "b": b, "c": c, "d": d, "q": qb.q}
-    flags: list[str] = []
-    lhs = complex("nan")
-    rhs = complex("nan")
     z = a * qb.q / (b * c * d)
-    try:
-        lhs = very_well_poised(a, [b, c, d], qb, z, policy)
-    except (DivergentSeries, TruncationExceeded) as exc:
-        flags.append(type(exc).__name__)
-    try:
-        rhs = rogers_6w5_rhs(a, b, c, d, qb, policy)
-    except NearSingular:
-        flags.append("NearSingular")
-    return VerificationReport.build(
-        IdentityId.ROGERS_6W5, inputs, lhs, rhs, tolerance, flags=flags
+    return _check(
+        IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q}, tolerance,
+        lambda: very_well_poised(a, [b, c, d], qb, z, policy),
+        lambda: rogers_6w5_rhs(a, b, c, d, qb, policy),
     )
 
 
@@ -749,34 +655,23 @@ def check_qbinomial(
     qb = QBase.coerce(q)
     a = complex(a)
     z = complex(z)
-    tolerance = DEFAULT_TOLERANCES[IdentityId.QBINOMIAL] if tolerance is None else tolerance
-    inputs = {"a": a, "z": z, "q": qb.q}
-    flags: list[str] = []
-    lhs = complex("nan")
-    rhs = complex("nan")
-    try:
-        lhs = phi_series(PhiSpec((a,), (), qb, z), policy)
-    except (DivergentSeries, TruncationExceeded) as exc:
-        flags.append(type(exc).__name__)
-    try:
-        rhs = qbinomial_product_ratio(a, z, qb, policy)
-    except NearSingular:
-        flags.append("NearSingular")
-    return VerificationReport.build(
-        IdentityId.QBINOMIAL, inputs, lhs, rhs, tolerance, flags=flags
+    return _check(
+        IdentityId.QBINOMIAL, {"a": a, "z": z, "q": qb.q}, tolerance,
+        lambda: phi_series(PhiSpec((a,), (), qb, z), policy),
+        lambda: qbinomial_product_ratio(a, z, qb, policy),
     )
 
 
 # ---------------------------------------------------------------------------
-# randomized sweeps
+# the identity registry and randomized sweeps
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Seeded randomized sweep: ``box`` entries override the identity's
-    default parameter ranges (see DEFAULT_BOXES for the keys each identity
-    reads); degree draws are capped by m_max / n_max."""
+    default parameter ranges (see the ``box`` of each :data:`REGISTRY`
+    record for the keys it reads); degree draws are capped by m_max / n_max."""
 
     seed: int
     draws: int
@@ -789,69 +684,20 @@ class SweepSpec:
             raise DomainError("draws must be >= 0")
 
 
-# Default parameter boxes.  All default sweeps draw real parameters; q stays
-# within (0, 0.8].  Ranges were chosen so that every hypothesis of the target
-# identity holds with margin and the weight denominator moduli |alpha/delta|,
-# |beta/gamma| stay below 1 - WEIGHT_MARGIN.  The latter is not only a
-# conditioning concern: the full-period orthogonality genuinely fails once
-# those moduli cross 1 (the closed diagonal assumes the weight denominators
-# expand as geometric series on the circle), so draws are restricted to the
-# sub-box where the identity holds.
+# All default sweeps draw real parameters; q stays within (0, 0.8].  The boxes
+# were chosen so that every hypothesis of the target identity holds with
+# margin and the weight denominator moduli |alpha/delta|, |beta/gamma| stay
+# below 1 - WEIGHT_MARGIN.  The latter is not only a conditioning concern: the
+# full-period orthogonality genuinely fails once those moduli cross 1 (the
+# closed diagonal assumes the weight denominators expand as geometric series
+# on the circle), so draws are restricted to the sub-box where the identity
+# holds.
 WEIGHT_MARGIN = 0.08
-
-DEFAULT_BOXES: Mapping[IdentityId, Mapping[str, tuple[float, float]]] = {
-    IdentityId.THM_1_1: {
-        "q": (0.1, 0.7), "ratio": (0.05, 0.6), "scale": (0.5, 1.5),
-    },
-    IdentityId.THM_1_2: {
-        "q": (0.1, 0.7), "ratio": (0.05, 0.6), "scale": (0.5, 1.5),
-        "st_fraction": (0.1, 1.0),
-    },
-    IdentityId.THM_1_3: {
-        "q": (0.1, 0.7), "ab": (0.1, 0.6), "scale": (0.5, 1.5),
-    },
-    IdentityId.PROP_2_1_2: {
-        "q": (0.1, 0.7), "ratio": (0.05, 0.6), "scale": (0.5, 1.5),
-    },
-    IdentityId.PROP_2_1_3: {
-        "q": (0.1, 0.7), "ratio": (0.05, 0.6), "scale": (0.5, 1.5),
-    },
-    IdentityId.PROP_2_2: {
-        "q": (0.1, 0.7), "ratio": (0.05, 0.6), "scale": (0.5, 0.9),
-    },
-    IdentityId.PROP_2_4: {
-        "q": (0.1, 0.7), "ratio": (0.05, 0.5), "scale": (0.5, 1.2),
-        "xy": (0.4, 1.1),
-    },
-    IdentityId.PROP_3_1: {
-        "q": (0.1, 0.7), "ab": (0.1, 0.6), "scale": (0.5, 1.5),
-    },
-    IdentityId.ROGERS_6W5: {
-        "q": (0.2, 0.7), "bcd": (0.3, 0.8), "z": (0.05, 0.65),
-    },
-    IdentityId.QBINOMIAL: {
-        "q": (0.1, 0.8), "a": (-0.9, 0.9), "z": (-0.7, 0.7),
-    },
-    IdentityId.ULTRA_ORTHO: {
-        "q": (0.1, 0.7), "beta": (0.05, 0.7),
-    },
-}
 
 _MAX_REJECTS = 500
 
 
-def _chain_margin(wmod: float, qmod: float) -> float:
-    """min_k | w q^k - 1 | over k >= 0 for nonnegative moduli."""
-    margin = 1.0
-    while wmod > 1e-3:
-        margin = min(margin, abs(wmod - 1.0))
-        wmod *= qmod
-        if qmod == 0.0:
-            break
-    return margin
-
-
-def _weight_ok(p: ParamSet4, qmod: float) -> bool:
+def _weight_ok(p: ParamSet4) -> bool:
     """Weight denominator moduli below 1 with margin.  |w| <= 1 - margin
     keeps every factor |1 - w q^k e^{2i theta}| >= margin on the circle and
     keeps the parameters inside the identity's validity domain."""
@@ -861,156 +707,192 @@ def _weight_ok(p: ParamSet4, qmod: float) -> bool:
     )
 
 
+def _chain_clear(w: float, q: float) -> bool:
+    """Every |1 - |w| q^k| with |w| q^k >= 1e-3 is at least WEIGHT_MARGIN."""
+    return min_factor_abs(abs(w), q, 1e-3) >= WEIGHT_MARGIN
+
+
 def _uniform(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:
     lo, hi = lo_hi
     return float(rng.uniform(lo, hi))
 
 
-def _draw_paramset(rng, box, qval) -> ParamSet4:
+def _degrees(rng: np.random.Generator, spec: SweepSpec) -> dict:
+    return {"m": int(rng.integers(0, spec.m_max + 1)), "n": int(rng.integers(0, spec.n_max + 1))}
+
+
+def _draw_paramset(rng, box) -> ParamSet4:
     for _ in range(_MAX_REJECTS):
         gamma = _uniform(rng, box["scale"])
         delta = _uniform(rng, box["scale"])
         ra = _uniform(rng, box["ratio"])
         rb = _uniform(rng, box["ratio"])
         p = ParamSet4(ra * gamma, rb * delta, gamma, delta)
-        if _weight_ok(p, qval):
+        if _weight_ok(p):
             return p
     raise RuntimeError("could not draw a well-conditioned parameter set")
+
+
+# Drawers longer than one expression.  Each takes (rng, box, q, spec), q
+# already drawn, and returns checker arguments; values are drawn in the order
+# written.
+
+
+def _draw_thm_1_2(rng, box, q, spec) -> dict:
+    for _ in range(_MAX_REJECTS):
+        p = _draw_paramset(rng, box)
+        biggest = max(abs(p.gamma), abs(p.delta))
+        s = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
+        t = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
+        if max(_thm_1_2_hypothesis(p, s, t, QBase.coerce(q)).values()) <= 0.7:
+            return {"p": p, "s": s, "t": t, "q": q}
+    raise RuntimeError("could not draw an admissible seven-parameter set")
+
+
+def _draw_thm_1_3(rng, box, q, spec) -> dict:
+    for _ in range(_MAX_REJECTS):
+        a, b = _uniform(rng, box["ab"]), _uniform(rng, box["ab"])
+        gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
+        if (max(abs(a * gamma / delta), abs(a * delta / gamma)) < 1.0 - WEIGHT_MARGIN
+                and _weight_ok(ParamSet4.from_reduced(a, gamma, delta))):
+            m, n = _degrees(rng, spec).values()
+            if (m - n) % 2 == 0 and m < n:
+                m, n = n, m
+            return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta,
+                    "q": q, "m": m, "n": n}
+    raise RuntimeError("could not draw an admissible reduced parameter set")
+
+
+def _draw_prop_3_1(rng, box, q, spec) -> dict:
+    a = _uniform(rng, (max(box["ab"][0], 0.05), box["ab"][1]))
+    b = _uniform(rng, box["ab"])
+    gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
+    return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta,
+            "q": q, "m": int(rng.integers(0, spec.m_max + 1))}
+
+
+def _draw_prop_2_4(rng, box, q, spec) -> dict:
+    for _ in range(_MAX_REJECTS):
+        p = _draw_paramset(rng, box)
+        x, y = _uniform(rng, box["xy"]), _uniform(rng, box["xy"])
+        gx_over_dy = abs(p.gamma * x / (p.delta * y))
+        # endpoints must be distinct and the quotient clear of the q-chain
+        if (1.0 / 3.0 <= gx_over_dy <= 3.0 and _chain_clear(gx_over_dy, q)
+                and _chain_clear(1.0 / gx_over_dy, q)):
+            return {"p": p, "q": q, "n": int(rng.integers(0, spec.n_max + 1)), "x": x, "y": y}
+    raise RuntimeError("could not draw an admissible lattice configuration")
+
+
+def _draw_rogers_6w5(rng, box, q, spec) -> dict:
+    for _ in range(_MAX_REJECTS):
+        b, c, d = (_uniform(rng, box["bcd"]) for _ in range(3))
+        z = _uniform(rng, box["z"])
+        a = z * b * c * d / q
+        aq = a * q
+        if abs(a) < 0.9 and all(_chain_clear(w, q) for w in (aq / b, aq / c, aq / d, z)):
+            return {"a": a, "b": b, "c": c, "d": d, "q": q}
+    raise RuntimeError("could not draw an admissible six-parameter set")
+
+
+class ParamKind(enum.Enum):
+    """How one checker parameter is spelled: a ParamSet4 (alpha, beta, gamma,
+    delta), a ReducedParams pair (a, b), or one complex, int or float value."""
+
+    PARAMSET = "paramset"
+    REDUCED = "reduced"
+    COMPLEX = "complex"
+    INT = "int"
+    FLOAT = "float"
+
+
+@dataclass(frozen=True)
+class Identity:
+    """Everything the package states about one identity.  ``params`` is the
+    checker's schema: (name, kind) of each identity parameter; its other
+    arguments are tuning knobs.  ``draw(rng, box, q, spec)`` returns checker
+    arguments for one sweep draw from ``box``, this ``box`` with overrides."""
+
+    id: IdentityId
+    tolerance: float
+    box: Mapping[str, tuple[float, float]]
+    params: tuple[tuple[str, ParamKind], ...]
+    draw: Callable[..., dict]
+
+    @property
+    def checker(self) -> Callable[..., VerificationReport]:
+        """The module-level ``check_<id>`` function, looked up on each use so
+        that a rebound module attribute takes effect."""
+        return globals()[f"check_{self.id.value.lower()}"]
+
+
+_PARAMSET = ("p", ParamKind.PARAMSET)
+_REDUCED = ("r", ParamKind.REDUCED)
+_Q = ("q", ParamKind.FLOAT)
+_M = ("m", ParamKind.INT)
+_N = ("n", ParamKind.INT)
+
+
+def _complex(*names: str) -> tuple[tuple[str, ParamKind], ...]:
+    return tuple((name, ParamKind.COMPLEX) for name in names)
+
+
+_PARAM_BOX = {"q": (0.1, 0.7), "ratio": (0.05, 0.6), "scale": (0.5, 1.5)}
+_REDUCED_BOX = {"q": (0.1, 0.7), "ab": (0.1, 0.6), "scale": (0.5, 1.5)}
+
+# Quadrature-vs-closed-form identities tolerate 1e-8 (double-precision products
+# lose roughly two digits over hundreds of factors); series-vs-product ones
+# hold tighter.
+REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
+    Identity(IdentityId.THM_1_1, 1e-8, _PARAM_BOX, (_PARAMSET, _Q, _M, _N),
+             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
+                                        **_degrees(rng, spec)}),
+    Identity(IdentityId.THM_1_2, 1e-8, _PARAM_BOX | {"st_fraction": (0.1, 1.0)},
+             (_PARAMSET, *_complex("s", "t"), _Q), _draw_thm_1_2),
+    Identity(IdentityId.THM_1_3, 1e-8, _REDUCED_BOX,
+             (_REDUCED, *_complex("gamma", "delta"), _Q, _M, _N), _draw_thm_1_3),
+    Identity(IdentityId.PROP_2_1_2, 1e-12, _PARAM_BOX,
+             (_PARAMSET, _Q, _N, ("theta", ParamKind.FLOAT)),
+             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
+                                        "n": int(rng.integers(0, spec.n_max + 1)),
+                                        "theta": _uniform(rng, (0.0, TWO_PI))}),
+    Identity(IdentityId.PROP_2_1_3, 0.05, _PARAM_BOX, (_PARAMSET, _Q, _N),
+             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q}),
+    Identity(IdentityId.PROP_2_2, 1e-10, _PARAM_BOX | {"scale": (0.5, 0.9)},
+             (_PARAMSET, _Q, ("k", ParamKind.INT)),
+             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
+                                        "k": int(rng.integers(0, 4))}),
+    Identity(IdentityId.PROP_2_4, 1e-10,
+             {"q": (0.1, 0.7), "ratio": (0.05, 0.5), "scale": (0.5, 1.2), "xy": (0.4, 1.1)},
+             (_PARAMSET, _Q, _N, *_complex("x", "y")), _draw_prop_2_4),
+    Identity(IdentityId.PROP_3_1, 1e-9, _REDUCED_BOX,
+             (_REDUCED, *_complex("gamma", "delta"), _Q, _M), _draw_prop_3_1),
+    Identity(IdentityId.ROGERS_6W5, 1e-9, {"q": (0.2, 0.7), "bcd": (0.3, 0.8), "z": (0.05, 0.65)},
+             (*_complex("a", "b", "c", "d"), _Q), _draw_rogers_6w5),
+    Identity(IdentityId.QBINOMIAL, 1e-11, {"q": (0.1, 0.8), "a": (-0.9, 0.9), "z": (-0.7, 0.7)},
+             (*_complex("a", "z"), _Q),
+             lambda rng, box, q, spec: {"a": _uniform(rng, box["a"]),
+                                        "z": _uniform(rng, box["z"]), "q": q}),
+    Identity(IdentityId.ULTRA_ORTHO, 1e-8, {"q": (0.1, 0.7), "beta": (0.05, 0.7)},
+             (*_complex("beta"), _Q, _M, _N),
+             lambda rng, box, q, spec: {"beta": _uniform(rng, box["beta"]), "q": q,
+                                        **_degrees(rng, spec)}),
+)}
+
+# Read-only views of the registry, kept under their earlier public names.
+DEFAULT_TOLERANCES: Mapping[IdentityId, float] = MappingProxyType(
+    {i: record.tolerance for i, record in REGISTRY.items()}
+)
+DEFAULT_BOXES: Mapping[IdentityId, Mapping[str, tuple[float, float]]] = MappingProxyType(
+    {i: MappingProxyType(record.box) for i, record in REGISTRY.items()}
+)
 
 
 def draw_params(identity_id: IdentityId, rng: np.random.Generator, spec: SweepSpec) -> dict:
     """One deterministic parameter draw for the given identity; rejection
     sampling keeps weight denominators clear of the unit circle."""
-    identity_id = IdentityId(identity_id)
-    box = dict(DEFAULT_BOXES[identity_id]) | dict(spec.box)
-    qval = _uniform(rng, box["q"])
-
-    if identity_id == IdentityId.THM_1_1:
-        p = _draw_paramset(rng, box, qval)
-        m = int(rng.integers(0, spec.m_max + 1))
-        n = int(rng.integers(0, spec.n_max + 1))
-        return {"p": p, "q": qval, "m": m, "n": n}
-
-    if identity_id == IdentityId.THM_1_2:
-        for _ in range(_MAX_REJECTS):
-            p = _draw_paramset(rng, box, qval)
-            biggest = max(abs(p.gamma), abs(p.delta))
-            s = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
-            t = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
-            if max(_thm_1_2_hypothesis(p, s, t, QBase.coerce(qval)).values()) <= 0.7:
-                return {"p": p, "s": s, "t": t, "q": qval}
-        raise RuntimeError("could not draw an admissible seven-parameter set")
-
-    if identity_id == IdentityId.THM_1_3:
-        for _ in range(_MAX_REJECTS):
-            a = _uniform(rng, box["ab"])
-            b = _uniform(rng, box["ab"])
-            gamma = _uniform(rng, box["scale"])
-            delta = _uniform(rng, box["scale"])
-            if max(abs(a * gamma / delta), abs(a * delta / gamma)) >= 1.0 - WEIGHT_MARGIN:
-                continue
-            p_a = ParamSet4.from_reduced(a, gamma, delta)
-            if not _weight_ok(p_a, qval):
-                continue
-            m = int(rng.integers(0, spec.m_max + 1))
-            n = int(rng.integers(0, spec.n_max + 1))
-            if (m - n) % 2 == 0 and m < n:
-                m, n = n, m
-            return {
-                "r": ReducedParams(a, b), "gamma": gamma, "delta": delta,
-                "q": qval, "m": m, "n": n,
-            }
-        raise RuntimeError("could not draw an admissible reduced parameter set")
-
-    if identity_id == IdentityId.PROP_3_1:
-        a = _uniform(rng, (max(box["ab"][0], 0.05), box["ab"][1]))
-        b = _uniform(rng, box["ab"])
-        gamma = _uniform(rng, box["scale"])
-        delta = _uniform(rng, box["scale"])
-        m = int(rng.integers(0, spec.m_max + 1))
-        return {
-            "r": ReducedParams(a, b), "gamma": gamma, "delta": delta,
-            "q": qval, "m": m,
-        }
-
-    if identity_id == IdentityId.PROP_2_1_2:
-        p = _draw_paramset(rng, {"scale": box["scale"], "ratio": box["ratio"]}, qval)
-        n = int(rng.integers(0, spec.n_max + 1))
-        theta = float(rng.uniform(0.0, TWO_PI))
-        return {"p": p, "q": qval, "n": n, "theta": theta}
-
-    if identity_id == IdentityId.PROP_2_1_3:
-        p = _draw_paramset(rng, {"scale": box["scale"], "ratio": box["ratio"]}, qval)
-        return {"p": p, "q": qval}
-
-    if identity_id == IdentityId.PROP_2_2:
-        p = _draw_paramset(rng, {"scale": box["scale"], "ratio": box["ratio"]}, qval)
-        k = int(rng.integers(0, 4))
-        return {"p": p, "q": qval, "k": k}
-
-    if identity_id == IdentityId.PROP_2_4:
-        for _ in range(_MAX_REJECTS):
-            p = _draw_paramset(rng, {"scale": box["scale"], "ratio": box["ratio"]}, qval)
-            x = _uniform(rng, box["xy"])
-            y = _uniform(rng, box["xy"])
-            gx_over_dy = abs(p.gamma * x / (p.delta * y))
-            # endpoints must be distinct and the quotient clear of the q-chain
-            if not 1.0 / 3.0 <= gx_over_dy <= 3.0:
-                continue
-            if (
-                _chain_margin(gx_over_dy, qval) < WEIGHT_MARGIN
-                or _chain_margin(1.0 / gx_over_dy, qval) < WEIGHT_MARGIN
-            ):
-                continue
-            n = int(rng.integers(0, spec.n_max + 1))
-            return {"p": p, "q": qval, "n": n, "x": x, "y": y}
-        raise RuntimeError("could not draw an admissible lattice configuration")
-
-    if identity_id == IdentityId.ROGERS_6W5:
-        for _ in range(_MAX_REJECTS):
-            b = _uniform(rng, box["bcd"])
-            c = _uniform(rng, box["bcd"])
-            d = _uniform(rng, box["bcd"])
-            z = _uniform(rng, box["z"])
-            a = z * b * c * d / qval
-            if abs(a) >= 0.9:
-                continue
-            aq = a * qval
-            if any(
-                _chain_margin(abs(w), qval) < WEIGHT_MARGIN
-                for w in (aq / b, aq / c, aq / d, z)
-            ):
-                continue
-            return {"a": a, "b": b, "c": c, "d": d, "q": qval}
-        raise RuntimeError("could not draw an admissible six-parameter set")
-
-    if identity_id == IdentityId.QBINOMIAL:
-        a = _uniform(rng, box["a"])
-        z = _uniform(rng, box["z"])
-        return {"a": a, "z": z, "q": qval}
-
-    if identity_id == IdentityId.ULTRA_ORTHO:
-        beta = _uniform(rng, box["beta"])
-        m = int(rng.integers(0, spec.m_max + 1))
-        n = int(rng.integers(0, spec.n_max + 1))
-        return {"beta": beta, "q": qval, "m": m, "n": n}
-
-    raise DomainError(f"no drawer for identity {identity_id}")
-
-
-_CHECKERS = {
-    IdentityId.THM_1_1: check_thm_1_1,
-    IdentityId.THM_1_2: check_thm_1_2,
-    IdentityId.THM_1_3: check_thm_1_3,
-    IdentityId.PROP_2_1_2: check_prop_2_1_2,
-    IdentityId.PROP_2_1_3: check_prop_2_1_3,
-    IdentityId.PROP_2_2: check_prop_2_2,
-    IdentityId.PROP_2_4: check_prop_2_4,
-    IdentityId.PROP_3_1: check_prop_3_1,
-    IdentityId.ROGERS_6W5: check_rogers_6w5,
-    IdentityId.QBINOMIAL: check_qbinomial,
-    IdentityId.ULTRA_ORTHO: check_ultra_ortho,
-}
+    record = REGISTRY[IdentityId(identity_id)]
+    box = dict(record.box) | dict(spec.box)
+    return record.draw(rng, box, _uniform(rng, box["q"]), spec)
 
 
 def run_sweep(
@@ -1021,11 +903,10 @@ def run_sweep(
     """Run ``spec.draws`` seeded checks of one identity.  Deterministic given
     the seed; individual failures and flags land in the reports, the sweep
     itself never aborts mid-run."""
-    identity_id = IdentityId(identity_id)
+    record = REGISTRY[IdentityId(identity_id)]
     rng = np.random.default_rng(spec.seed)
-    checker = _CHECKERS[identity_id]
-    reports = []
-    for _ in range(spec.draws):
-        params = draw_params(identity_id, rng, spec)
-        reports.append(checker(**params, tolerance=tolerance))
-    return reports
+    checker = record.checker
+    return [
+        checker(**draw_params(record.id, rng, spec), tolerance=tolerance)
+        for _ in range(spec.draws)
+    ]

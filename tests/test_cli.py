@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from qortho import VerificationReport, qpoch_finite
 from qortho.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
+from qortho.verify import REGISTRY, IdentityId, ParamKind, SweepSpec, draw_params
 
 BOX = [
     "--alpha-re", "0.2", "--beta-re", "0.1",
@@ -116,6 +119,73 @@ class TestVerify:
         )
         assert code == EXIT_FAIL
         assert json.loads(out)["passed"] is False
+
+
+    def test_truncation_trouble_exits_1_not_2(self, capsys):
+        # valid input whose product side needs more factors than max_terms
+        code, out, _ = run_cli(
+            ["verify", "--identity", "QBINOMIAL", "--a-re", "0.5", "--z-re", "0.5",
+             "--q", "0.999"],
+            capsys,
+        )
+        assert code == EXIT_FAIL
+        assert "TruncationExceeded" in json.loads(out)["flags"]
+
+    def test_k_reaches_prop_2_2(self, capsys):
+        code, out, _ = run_cli(["verify", "--identity", "PROP_2_2", "--k", "2", *BOX], capsys)
+        assert code == EXIT_PASS
+        assert json.loads(out)["inputs"]["k"] == 2
+
+    @pytest.mark.parametrize("identity", list(IdentityId))
+    def test_every_schema_parameter_has_a_flag(self, identity, capsys):
+        # a sweep draw passed as flags gives the same report as the checker
+        record = REGISTRY[identity]
+        draw = draw_params(identity, np.random.default_rng(0), SweepSpec(seed=0, draws=1))
+        argv = ["verify", "--identity", identity.value]
+        for name, kind in record.params:
+            if name not in draw:
+                continue
+            value = draw[name]
+            if kind in (ParamKind.INT, ParamKind.FLOAT):
+                argv += [f"--{name}", repr(value)]
+                continue
+            if kind is ParamKind.PARAMSET:
+                parts = zip(("alpha", "beta", "gamma", "delta"),
+                            (value.alpha, value.beta, value.gamma, value.delta))
+            elif kind is ParamKind.REDUCED:
+                parts = (("a", value.a), ("b", value.b))
+            else:
+                parts = ((name, value),)
+            for flag, part in parts:
+                part = complex(part)
+                argv += [f"--{flag}-re", repr(part.real), f"--{flag}-im", repr(part.imag)]
+        code, out, _ = run_cli(argv, capsys)
+        report = record.checker(**draw)
+        assert code == (EXIT_PASS if report.passed else EXIT_FAIL)
+        assert json.loads(out) == json.loads(json.dumps(report.to_record()))
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--alpha-re", "5"],
+            ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--nodes", "16"],
+            ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1",
+             "--max-terms", "1"],
+            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--tol", "1", *BOX],
+            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--nodes", "64", *BOX],
+            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--max-nodes", "64", *BOX],
+            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--m", "1", *BOX],
+            ["verify", "--identity", "THM_1_1", "--m", "0", "--n", "1", "--k", "2", *BOX],
+            ["verify", "--identity", "PROP_2_2", "--nodes", "512", *BOX],
+            ["verify", "--identity", "PROP_2_1_2", "--n", "1", "--max-terms", "5", *BOX],
+        ],
+    )
+    def test_unread_flag_exits_2(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID
+        assert "--" in err
 
 
 class TestSweep:

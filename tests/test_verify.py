@@ -203,6 +203,16 @@ class TestSeriesCheckers:
         rep = check_prop_2_4(box_params, 0.5, 2, 1.0, 0.6)
         assert rep.passed and rep.rel_residual <= 1e-10
 
+    @pytest.mark.parametrize(
+        "check, args",
+        [(check_qbinomial, (0.5, 0.5, 0.999)), (check_rogers_6w5, (0.2, 0.5, 0.6, 0.7, 0.9999))],
+    )
+    def test_truncation_trouble_on_the_product_side_is_a_flag(self, check, args):
+        # (z;q)_oo at q this close to 1 needs more factors than max_terms
+        rep = check(*args)
+        assert not rep.passed
+        assert "TruncationExceeded" in rep.flags
+
 
 class TestSweep:
     def test_zero_draws(self):
