@@ -12,6 +12,7 @@ or wrapped in :class:`QBase`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -29,6 +30,16 @@ EXACT_ZERO_FACTOR = 1e-15
 NEAR_SINGULAR_TOL = 1e-12
 
 
+def finite_complex(name: str, value) -> complex:
+    """``value`` as a complex number; :class:`DomainError` unless it is
+    finite (NaN slips through every modulus bound, since comparisons with it
+    are false)."""
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name} must be finite, got {z!r}")
+    return z
+
+
 @dataclass(frozen=True)
 class QBase:
     """The base of all q-products. Construction requires |q| < 1 strictly."""
@@ -36,7 +47,7 @@ class QBase:
     q: complex
 
     def __post_init__(self) -> None:
-        if abs(self.q) >= 1.0:
+        if abs(finite_complex("q", self.q)) >= 1.0:
             raise DomainError(f"|q| must be < 1, got |q| = {abs(self.q):.6g}")
 
     @classmethod

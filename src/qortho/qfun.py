@@ -42,6 +42,7 @@ from .qcore import (
     NEAR_SINGULAR_TOL,
     QBase,
     TruncationPolicy,
+    finite_complex,
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
@@ -67,10 +68,8 @@ class ParamSet4:
     delta: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        object.__setattr__(self, "delta", complex(self.delta))
+        for name in ("alpha", "beta", "gamma", "delta"):
+            object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
         if self.gamma == 0 or self.delta == 0:
             raise DomainError("gamma and delta must be nonzero")
         if abs(self.ratio_a) > 1.0:
@@ -108,8 +107,8 @@ class ReducedParams:
     b: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
+        object.__setattr__(self, "a", finite_complex("a", self.a))
+        object.__setattr__(self, "b", finite_complex("b", self.b))
         if abs(self.a) >= 1.0 or abs(self.b) >= 1.0:
             raise DomainError(
                 f"|a| and |b| must be < 1, got |a|={abs(self.a):.6g}, "
@@ -380,7 +379,14 @@ def connection_coeffs(m: int, r: ReducedParams, gamma_delta, q) -> np.ndarray:
 
 def growth_root(n: int, p: ParamSet4, q) -> float:
     """|C_n(1)|^{1/n}, a single-probe diagnostic for the exponential growth
-    rate of the family at theta = 0; approaches max(|gamma|, |delta|)."""
+    rate of the family at theta = 0; approaches max(|gamma|, |delta|).
+
+    C_n(1) grows like M^n with M = max(|gamma|, |delta|) and overflows at
+    large n.  C_n is homogeneous of degree n in (alpha, beta, gamma, delta),
+    so it is evaluated for the quadruple divided by M and M is put back
+    outside the root."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    return abs(big_c_eval(n, 0.0, p, q)) ** (1.0 / n)
+    scale = max(abs(p.gamma), abs(p.delta))
+    unit = ParamSet4(p.alpha / scale, p.beta / scale, p.gamma / scale, p.delta / scale)
+    return scale * abs(big_c_eval(n, 0.0, unit, q)) ** (1.0 / n)

@@ -462,7 +462,6 @@ def check_prop_3_1(
     q,
     m: int,
     thetas: Sequence[float] | None = None,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Connection expansion: degree m of the b-family equals the parity-matched

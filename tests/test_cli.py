@@ -78,6 +78,14 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "|gamma*s|" in err and "< 1" in err
 
+    @pytest.mark.parametrize("flag", ["--q", "--alpha-re"])
+    def test_nan_input_exits_2(self, flag, capsys):
+        argv = ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", *BOX]
+        argv[argv.index(flag) + 1] = "nan"
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID
+        assert "invalid input" in err and "finite" in err
+
     def test_rogers_defaults(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--identity", "ROGERS_6W5", "--a-re", "0.2", "--b-re", "0.5",
@@ -180,6 +188,8 @@ class TestUnreadFlags:
             ["verify", "--identity", "THM_1_1", "--m", "0", "--n", "1", "--k", "2", *BOX],
             ["verify", "--identity", "PROP_2_2", "--nodes", "512", *BOX],
             ["verify", "--identity", "PROP_2_1_2", "--n", "1", "--max-terms", "5", *BOX],
+            ["verify", "--identity", "PROP_3_1", "--a-re", "0.3", "--b-re", "0.2",
+             "--gamma-re", "1", "--delta-re", "1", "--q", "0.5", "--m", "3", "--max-terms", "1"],
         ],
     )
     def test_unread_flag_exits_2(self, argv, capsys):

@@ -26,6 +26,12 @@ class TestQBase:
         with pytest.raises(DomainError):
             QBase(1.2 + 0.1j)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf"),
+                                   complex(0.5, float("nan"))])
+    def test_rejects_non_finite(self, q):
+        with pytest.raises(DomainError, match="finite"):
+            QBase(q)
+
     def test_accepts_complex_inside_disk(self):
         assert QBase(0.3 + 0.4j).q == 0.3 + 0.4j
 

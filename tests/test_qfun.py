@@ -53,6 +53,21 @@ class TestTypes:
         with pytest.raises(DomainError):
             ReducedParams(1.0, 0.2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("position", range(4))
+    def test_paramset_rejects_non_finite(self, bad, position):
+        values = [0.2, 0.1, 0.8, 0.9]
+        values[position] = bad
+        with pytest.raises(DomainError, match="finite"):
+            ParamSet4(*values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_reduced_params_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ReducedParams(bad, 0.2)
+        with pytest.raises(DomainError, match="finite"):
+            ReducedParams(0.2, bad)
+
     def test_evaluation_point_normalizes_and_derives(self):
         pt = EvaluationPoint(2 * math.pi + 0.5)
         assert pt.theta == pytest.approx(0.5)

@@ -194,6 +194,12 @@ class TestSeriesCheckers:
         rep = check_prop_2_1_3(p, 0.5)
         assert rep.passed and rep.rel_residual <= 0.05
 
+    def test_prop_2_1_3_at_large_degree(self):
+        # a degree where C_n(1) itself overflows: a finite lhs and a plain pass
+        rep = check_prop_2_1_3(ParamSet4(0.2, 0.1, 1.2, 1.1), 0.5, n=5000)
+        assert rep.passed and rep.flags == ()
+        assert rep.rel_residual < 1e-3
+
     def test_prop_2_2_tail(self, box_params):
         rep = check_prop_2_2(box_params, 0.5, k=3)
         assert rep.passed
