@@ -3,7 +3,9 @@
 Two operations dominate every integral check: evaluating a Laurent-type sum
 sum_k c_k e^{i(2k-n)theta} over all quadrature nodes, and evaluating truncated
 products prod_c prod_{k<K} (1 - w_c q^k) with node-dependent arguments
-w_c = coef_c * e^{i s_c theta}.  Both are plain numpy; ``BACKEND`` names the
+w_c = coef_c * e^{i s_c theta}.  A circle integrand is a product of the first
+times one quotient of two of the second at a shared depth K
+(``qfun.product_quotient``).  Both are plain numpy; ``BACKEND`` names the
 implementation for reports and benchmarks.
 
 The truncated product is formed one symbol at a time as broadcast blocks

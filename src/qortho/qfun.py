@@ -26,6 +26,11 @@ The weight against which the family is orthogonal over a full period is
 
     omega(theta) = ((gamma/delta) e^{2i theta}, (delta/gamma) e^{-2i theta}; q)_oo
                    / ((alpha/delta) e^{2i theta}, (beta/gamma) e^{-2i theta}; q)_oo.
+
+Every circle integrand is a product of C_n's times one quotient of truncated
+products, :func:`product_quotient` of the :func:`weight_symbols` after any
+extra symbols; the cosine family :func:`cq_ultraspherical` is C_n at
+(beta, beta, 1, 1).
 """
 
 from __future__ import annotations
@@ -190,6 +195,18 @@ def big_c_eval_many(n: int, thetas: np.ndarray, p: ParamSet4, q) -> np.ndarray:
     return kernels.laurent_eval(coefs, n, np.asarray(thetas, dtype=np.float64))
 
 
+def big_c_at_one(count: int, p: ParamSet4, q) -> np.ndarray:
+    """[C_0(1), ..., C_{count-1}(1)] as one convolution: C_n(1) =
+    sum_k A_k B_{n-k} with A_k = (ra;q)_k gamma^k / (q;q)_k and
+    B_j = (rb;q)_j delta^j / (q;q)_j."""
+    qb = QBase.coerce(q)
+    k = np.arange(count + 1)
+    pq = _poch_row(qb.q, qb.q, count)
+    row_a = _poch_row(p.ratio_a, qb.q, count) / pq * p.gamma ** k
+    row_b = _poch_row(p.ratio_b, qb.q, count) / pq * p.delta ** k
+    return np.convolve(row_a, row_b)[:count]
+
+
 def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
     """Phi_n(x, y) at general complex x, y: the (q;q)_n-scaled double sum in
     powers of (gamma x) and (delta y).  On the unit circle it reduces to
@@ -219,27 +236,22 @@ def cq_ultraspherical(n: int, theta: float, beta, q) -> complex:
     return complex(np.sum(w * np.cos(harmonics * float(theta))))
 
 
-def cq_ultraspherical_many(n: int, thetas: np.ndarray, beta, q) -> np.ndarray:
-    """Vectorized cosine-sum evaluation at an array of angles."""
+def weight_symbols(p: ParamSet4):
+    """(numerator coefficients, denominator coefficients, exponents) of the
+    weight quotient, in the form :func:`product_quotient` takes."""
+    return (p.gamma / p.delta, p.delta / p.gamma), (p.alpha / p.delta, p.beta / p.gamma), (2, -2)
+
+
+def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY):
+    """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_K
+    / prod_c (den_c e^{i exps_c theta}; q)_K over arrays of angles.  One depth
+    K, the tail start of the largest coefficient, serves every symbol."""
     qb = QBase.coerce(q)
-    w = expansion_weights(n, complex(beta), complex(beta), qb)
-    harmonics = n - 2 * np.arange(n + 1)
-    return np.cos(np.outer(np.asarray(thetas, dtype=np.float64), harmonics)) @ w
-
-
-def _weight_symbol_sets(p: ParamSet4):
-    """(numerator coefs/exps, denominator coefs/exps) of the weight quotient."""
-    num = np.array([p.gamma / p.delta, p.delta / p.gamma], dtype=np.complex128)
-    den = np.array([p.alpha / p.delta, p.beta / p.gamma], dtype=np.complex128)
-    exps = np.array([2, -2], dtype=np.int64)
-    return num, exps, den, exps
-
-
-def weight_kmax(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
-    """Truncation depth covering every symbol of the weight quotient."""
-    num, _, den, _ = _weight_symbol_sets(p)
-    biggest = max(np.max(np.abs(num)), np.max(np.abs(den)))
-    return tail_start(biggest, q, policy)
+    kmax = tail_start(max(map(abs, (*num, *den))), qb, policy)
+    return lambda thetas: (
+        kernels.poch_product_many(num, exps, qb.q, kmax, thetas)
+        / kernels.poch_product_many(den, exps, qb.q, kmax, thetas)
+    )
 
 
 def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -283,13 +295,7 @@ def weight_omega_many(
     that check is sharper than any node scan."""
     if weight_min_denominator(p, q, policy) < NEAR_SINGULAR_TOL:
         raise NearSingular("weight denominator can vanish on the circle")
-    qb = QBase.coerce(q)
-    kmax = weight_kmax(p, qb, policy)
-    num_c, num_e, den_c, den_e = _weight_symbol_sets(p)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    num = kernels.poch_product_many(num_c, num_e, qb.q, kmax, thetas)
-    den = kernels.poch_product_many(den_c, den_e, qb.q, kmax, thetas)
-    return num / den
+    return product_quotient(*weight_symbols(p), q, policy)(thetas)
 
 
 def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -319,6 +325,20 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     return num / den
 
 
+def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """2 pi (ra, rb; q)_oo / (q, ra*rb; q)_oo with ra = alpha/gamma,
+    rb = beta/delta: the factor in front of both closed diagonals
+    (:func:`diag_rhs_thm11` and the THM_1_2 series)."""
+    qb = QBase.coerce(q)
+    ra, rb = p.ratio_a, p.ratio_b
+    den_inf = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
+    if abs(den_inf) < NEAR_SINGULAR_TOL:
+        raise NearSingular(
+            f"(q, ra*rb; q)_oo magnitude {abs(den_inf):.3g} below {NEAR_SINGULAR_TOL}"
+        )
+    return TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
+
+
 def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Closed form of the diagonal full-period integral of C_n^2 against the
     weight:
@@ -332,12 +352,7 @@ def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
     if n < 0:
         raise DomainError("n must be a nonnegative integer")
     ra, rb = p.ratio_a, p.ratio_b
-    den_inf = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
-    if abs(den_inf) < NEAR_SINGULAR_TOL:
-        raise NearSingular(
-            f"(q, ra*rb; q)_oo magnitude {abs(den_inf):.3g} below {NEAR_SINGULAR_TOL}"
-        )
-    prefactor = TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
+    prefactor = diagonal_prefactor(p, qb, policy)
     qn = qb.q ** n
     poles = 1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn)
     return (

@@ -5,7 +5,9 @@ a right-hand side from closed-form products, through deliberately independent
 code paths, then assembles an immutable :class:`VerificationReport`.  Numeric
 trouble (near-singular denominators, truncation caps, divergent series, slow
 quadrature) is surfaced as report flags, never as exceptions escaping a
-checker.
+checker.  The four circle checkers hand their integrand to one path as data:
+C_n factors and extra product symbols; the weight is screened and the
+truncation depth chosen once per check.
 
 :data:`REGISTRY` describes each identity once: its default tolerance, sweep
 box, drawer and the parameter schema of its checker ``check_<identity>``.
@@ -16,7 +18,9 @@ read it.  :class:`IdentityId` says in one line what each identity checks.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -35,25 +39,28 @@ from .qcore import (
     NEAR_SINGULAR_TOL,
     QBase,
     TruncationPolicy,
+    finite_complex,
     min_factor_abs,
     qpoch_finite,
-    qpoch_infinite,
     settled_sum,
-    tail_start,
 )
 from .hyper import PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_rhs, very_well_poised
 from .qfun import (
     ParamSet4,
     ReducedParams,
+    big_c_at_one,
     big_c_coeffs,
     big_c_eval,
+    big_c_eval_many,
     connection_coeffs,
-    cq_ultraspherical_many,
     diag_rhs_thm11,
+    diagonal_prefactor,
     growth_root,
     h_norm,
+    phi_eval,
+    product_quotient,
     weight_min_denominator,
-    weight_omega_many,
+    weight_symbols,
 )
 from .quad import (
     DEFAULT_QUADRATURE,
@@ -63,7 +70,6 @@ from .quad import (
     periodic_integral,
     phi_qintegral_repr,
 )
-from .qfun import phi_eval
 
 TWO_PI = 2.0 * math.pi
 NAN = complex("nan")
@@ -246,31 +252,30 @@ def _check(identity_id, inputs, tolerance, lhs, rhs) -> VerificationReport:
 
 def _circle_check(
     identity_id, inputs, tolerance, weight: ParamSet4, qb: QBase, policy, qspec, interval,
-    integrand: Callable[[], Callable[[np.ndarray], np.ndarray]], rhs: Callable[[], complex],
+    laurent: Sequence[tuple[np.ndarray, int]], rhs: Callable[[], complex],
+    symbols: tuple[tuple, tuple, tuple] = ((), (), ()),
 ) -> VerificationReport:
-    """The path every circle identity shares: screen the denominator of the
-    weight of ``weight``, integrate ``integrand()`` over ``interval``, flag
-    slow quadrature, then evaluate ``rhs()``."""
+    """The path every circle identity shares: screen the weight of ``weight``
+    once, integrate over ``interval`` the C_n sums ``laurent`` ((coefficients,
+    degree) pairs) times one product quotient of the (numerators, denominators,
+    exponents) ``symbols`` and then the weight's; flag slow quadrature, then
+    evaluate ``rhs()``."""
     if weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
         return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance,
                                         flags=["NearSingular"])
-    result = periodic_integral(integrand(), interval, qspec)
+    num, den, exps = (extra + own for extra, own in zip(symbols, weight_symbols(weight)))
+    quotient = product_quotient(num, den, exps, qb, policy)
+
+    def integrand(thetas):
+        factors = [kernels.laurent_eval(coefs, n, thetas) for coefs, n in laurent]
+        return functools.reduce(operator.mul, factors + [quotient(thetas)])
+
+    result = periodic_integral(integrand, interval, qspec)
     flags = [] if result.converged else ["NoConvergence"]
     rhs_value = _evaluate(rhs, flags)
     return VerificationReport.build(
         identity_id, inputs, result.value, rhs_value, tolerance, scale=result.fscale, flags=flags
     )
-
-
-def _laurent(n: int, p: ParamSet4, qb: QBase) -> Callable[[np.ndarray], np.ndarray]:
-    """C_n of the family ``p`` at an array of angles."""
-    coefs = big_c_coeffs(n, p, qb)
-    return lambda thetas: kernels.laurent_eval(coefs, n, thetas)
-
-
-def _weighted_pair(f_m, f_n, p: ParamSet4, qb: QBase, policy):
-    """The integrand f_m f_n omega, omega the weight of ``p``."""
-    return lambda thetas: f_m(thetas) * f_n(thetas) * weight_omega_many(thetas, p, qb, policy)
 
 
 def check_thm_1_1(
@@ -288,7 +293,7 @@ def check_thm_1_1(
     return _circle_check(
         IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,
-        lambda: _weighted_pair(_laurent(m, p, qb), _laurent(n, p, qb), p, qb, policy),
+        [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
         lambda: diag_rhs_thm11(n, p, qb, policy) if m == n else 0.0 + 0.0j,
     )
 
@@ -319,39 +324,20 @@ def check_thm_1_2(
     integrand vs. the prefactor times a single geometric-type series in
     (gamma delta s t)^n."""
     qb = QBase.coerce(q)
-    s = complex(s)
-    t = complex(t)
+    s = finite_complex("s", s)
+    t = finite_complex("t", t)
     for name, value in _thm_1_2_hypothesis(p, s, t, qb).items():
         if value >= 1.0:
             raise DomainError(
                 f"hypothesis max(|q|, |alpha/gamma|, |beta/delta|, |gamma*s|, "
                 f"|gamma*t|, |delta*s|, |delta*t|) < 1 violated: {name} = {value:.6g}"
             )
-
-    def integrand():
-        num_coefs = np.array(
-            [p.alpha * t, p.beta * t, p.alpha * s, p.beta * s,
-             p.gamma / p.delta, p.delta / p.gamma],
-            dtype=np.complex128,
-        )
-        den_coefs = np.array(
-            [p.gamma * t, p.delta * t, p.gamma * s, p.delta * s,
-             p.alpha / p.delta, p.beta / p.gamma],
-            dtype=np.complex128,
-        )
-        exps = np.array([1, -1, 1, -1, 2, -2], dtype=np.int64)
-        kmax = tail_start(
-            max(np.max(np.abs(num_coefs)), np.max(np.abs(den_coefs))), qb, policy
-        )
-        return lambda thetas: (
-            kernels.poch_product_many(num_coefs, exps, qb.q, kmax, thetas)
-            / kernels.poch_product_many(den_coefs, exps, qb.q, kmax, thetas)
-        )
-
     return _circle_check(
         IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,
-        integrand, lambda: thm_1_2_rhs_series(p, s, t, qb, policy),
+        [], lambda: thm_1_2_rhs_series(p, s, t, qb, policy),
+        ((p.alpha * t, p.beta * t, p.alpha * s, p.beta * s),
+         (p.gamma * t, p.delta * t, p.gamma * s, p.delta * s), (1, -1, 1, -1)),
     )
 
 
@@ -363,10 +349,7 @@ def thm_1_2_rhs_series(
     |gd s t| < 1 makes the tail geometric."""
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
-    den = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
-    if abs(den) < NEAR_SINGULAR_TOL:
-        raise NearSingular("(q, ra*rb;q)_oo is near zero")
-    prefactor = TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den
+    prefactor = diagonal_prefactor(p, qb, policy)
     arg = p.gd * s * t
 
     def terms():
@@ -395,10 +378,12 @@ def check_thm_1_3(
 ) -> VerificationReport:
     """Half-period bi-orthogonality: degree m of the b-family against degree n
     of the a-family under the a-family weight.  Zero when m and n have
-    opposite parity; otherwise the closed form requires m >= n."""
+    opposite parity; otherwise the closed form requires m >= n, and a != 0."""
     qb = QBase.coerce(q)
-    gamma = complex(gamma)
-    delta = complex(delta)
+    gamma = finite_complex("gamma", gamma)
+    delta = finite_complex("delta", delta)
+    if r.a == 0:
+        raise DomainError("the closed form divides by a; a must be nonzero")
     same_parity = (m - n) % 2 == 0
     if same_parity and m < n:
         raise DomainError(
@@ -412,13 +397,10 @@ def check_thm_1_3(
             )
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
-    inputs = {
-        "a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q,
-        "m": m, "n": n,
-    }
+    inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}
     return _circle_check(
         IdentityId.THM_1_3, inputs, tolerance, p_a, qb, policy, qspec, HALF_PERIOD,
-        lambda: _weighted_pair(_laurent(m, p_b, qb), _laurent(n, p_a, qb), p_a, qb, policy),
+        [(big_c_coeffs(m, p_b, qb), m), (big_c_coeffs(n, p_a, qb), n)],
         lambda: thm_1_3_rhs(r, gamma, delta, qb, m, n, policy),
     )
 
@@ -427,32 +409,13 @@ def thm_1_3_rhs(
     r: ReducedParams, gamma, delta, q, m: int, n: int,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Closed form for m >= n, m = n (mod 2):
-
-        (gd)^n (1 - a q^n) (b/a;q)_j (b;q)_{(m+n)/2} (a gd)^j
-        / ((1 - a) h_n(a|q) (q;q)_j (a q;q)_{(m+n)/2}),   j = (m-n)/2;
-
-    zero for opposite parities."""
+    """Closed form for m >= n, m = n (mod 2): (gd)^n times the degree-n
+    connection coefficient of degree m (:func:`connection_coeffs`) over
+    h_n(a|q); zero for opposite parities."""
     if (m - n) % 2 != 0:
         return 0.0 + 0.0j
-    qb = QBase.coerce(q)
     gd = complex(gamma) * complex(delta)
-    j = (m - n) // 2
-    half_sum = (m + n) // 2
-    hn = h_norm(n, r.a, qb, policy)
-    return (
-        gd ** n
-        * (1.0 - r.a * qb.q ** n)
-        * qpoch_finite(r.b / r.a, qb, j)
-        * qpoch_finite(r.b, qb, half_sum)
-        * (r.a * gd) ** j
-        / (
-            (1.0 - r.a)
-            * hn
-            * qpoch_finite(qb.q, qb, j)
-            * qpoch_finite(r.a * qb.q, qb, half_sum)
-        )
-    )
+    return gd ** n * complex(connection_coeffs(m, r, gd, q)[n]) / h_norm(n, r.a, q, policy)
 
 
 def check_prop_3_1(
@@ -468,8 +431,8 @@ def check_prop_3_1(
     combination of a-family degrees n <= m.  The report carries the worst
     pointwise residual over the probe angles."""
     qb = QBase.coerce(q)
-    gamma = complex(gamma)
-    delta = complex(delta)
+    gamma = finite_complex("gamma", gamma)
+    delta = finite_complex("delta", delta)
     if thetas is None:
         thetas = TWO_PI * np.arange(16) / 16
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -482,10 +445,10 @@ def check_prop_3_1(
 
     def sides():
         coeffs = connection_coeffs(m, r, gamma * delta, qb)
-        lhs_vals = _laurent(m, p_b, qb)(thetas)
+        lhs_vals = big_c_eval_many(m, thetas, p_b, qb)
         rhs_vals = np.zeros_like(lhs_vals)
         for nn in range(m % 2, m + 1, 2):
-            rhs_vals += coeffs[nn] * _laurent(nn, p_a, qb)(thetas)
+            rhs_vals += coeffs[nn] * big_c_eval_many(nn, thetas, p_a, qb)
         worst = int(np.argmax(np.abs(lhs_vals - rhs_vals)))
         return complex(lhs_vals[worst]), complex(rhs_vals[worst]), float(np.max(np.abs(lhs_vals)))
 
@@ -508,16 +471,12 @@ def check_ultra_ortho(
     """Half-period orthogonality of the single-parameter family under the
     (beta, beta, 1, 1) specialization of the weight; diagonal 1/h_n."""
     qb = QBase.coerce(q)
-    beta = complex(beta)
+    beta = finite_complex("beta", beta)
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
         IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,
         p, qb, policy, qspec, HALF_PERIOD,
-        lambda: _weighted_pair(
-            lambda thetas: cq_ultraspherical_many(m, thetas, beta, qb),
-            lambda thetas: cq_ultraspherical_many(n, thetas, beta, qb),
-            p, qb, policy,
-        ),
+        [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
         lambda: 1.0 / h_norm(n, beta, qb, policy) if m == n else 0.0 + 0.0j,
     )
 
@@ -531,9 +490,10 @@ def check_prop_2_1_2(
 ) -> VerificationReport:
     """Phi at (e^{i theta}, e^{-i theta}) equals (q;q)_n C_n(e^{i theta})."""
     qb = QBase.coerce(q)
+    theta = finite_complex("theta", float(theta)).real
     x = complex(math.cos(theta), math.sin(theta))
     return _check(
-        IdentityId.PROP_2_1_2, _paramset_inputs(p, qb) | {"n": n, "theta": float(theta)},
+        IdentityId.PROP_2_1_2, _paramset_inputs(p, qb) | {"n": n, "theta": theta},
         tolerance,
         lambda: phi_eval(n, x, x.conjugate(), p, qb),
         lambda: qpoch_finite(qb.q, qb, n) * big_c_eval(n, theta, p, qb),
@@ -579,24 +539,15 @@ def check_prop_2_2(
     t_abs = t_fraction * min(1.0 / abs(p.gamma), 1.0 / abs(p.delta))
     ra_rb = p.ratio_a * p.ratio_b
 
-    c_at_one = [
-        abs(big_c_eval(nn, 0.0, p, qb))
-        for nn in range(partial_terms + tail_terms + k)
-    ]
-    partial = 0.0
-    tail = 0.0
-    poch_ratio = abs(
-        qpoch_finite(qb.q, qb, k) / qpoch_finite(ra_rb, qb, k)
-    )
+    c_at_one = np.abs(big_c_at_one(partial_terms + tail_terms + k, p, qb)).tolist()
+    poch_ratio = abs(qpoch_finite(qb.q, qb, k) / qpoch_finite(ra_rb, qb, k))
     tn = 1.0
+    terms = []
     for nn in range(partial_terms + tail_terms):
-        term = c_at_one[nn + k] * c_at_one[nn] * poch_ratio * tn
-        if nn < partial_terms:
-            partial += term
-        else:
-            tail += term
+        terms.append(c_at_one[nn + k] * c_at_one[nn] * poch_ratio * tn)
         poch_ratio *= abs((1.0 - qb.q ** (nn + k + 1)) / (1.0 - ra_rb * qb.q ** (nn + k)))
         tn *= t_abs
+    partial, tail = sum(terms[:partial_terms]), sum(terms[partial_terms:])
     return VerificationReport.build(
         IdentityId.PROP_2_2, inputs, complex(tail), 0.0 + 0.0j, tolerance, scale=partial
     )
@@ -613,8 +564,8 @@ def check_prop_2_4(
 ) -> VerificationReport:
     """Lattice-integral representation vs. the double-sum evaluation of Phi_n."""
     qb = QBase.coerce(q)
-    x = complex(x)
-    y = complex(y)
+    x = finite_complex("x", x)
+    y = finite_complex("y", y)
     return _check(
         IdentityId.PROP_2_4, _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y}, tolerance,
         lambda: phi_qintegral_repr(n, x, y, p, qb, policy),
@@ -634,7 +585,7 @@ def check_rogers_6w5(
     """Very-well-poised six-parameter sum at z = a q/(b c d) vs. its closed
     product form."""
     qb = QBase.coerce(q)
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
     z = a * qb.q / (b * c * d)
     return _check(
         IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q}, tolerance,
@@ -652,8 +603,8 @@ def check_qbinomial(
 ) -> VerificationReport:
     """Binomial series sum_n (a;q)_n z^n/(q;q)_n vs. (az;q)_oo/(z;q)_oo."""
     qb = QBase.coerce(q)
-    a = complex(a)
-    z = complex(z)
+    a = finite_complex("a", a)
+    z = finite_complex("z", z)
     return _check(
         IdentityId.QBINOMIAL, {"a": a, "z": z, "q": qb.q}, tolerance,
         lambda: phi_series(PhiSpec((a,), (), qb, z), policy),

@@ -86,6 +86,15 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "finite" in err
 
+    def test_thm_1_3_zero_a_exits_2(self, capsys):
+        code, _, err = run_cli(
+            ["verify", "--identity", "THM_1_3", "--a-re", "0", "--b-re", "0.3",
+             "--gamma-re", "1", "--delta-re", "1", "--q", "0.5", "--m", "2", "--n", "0"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "invalid input" in err and "a must be nonzero" in err
+
     def test_rogers_defaults(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--identity", "ROGERS_6W5", "--a-re", "0.2", "--b-re", "0.5",

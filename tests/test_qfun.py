@@ -24,7 +24,7 @@ from qortho import (
     qpoch_infinite,
     weight_omega,
 )
-from qortho.qfun import cq_ultraspherical_many
+from qortho.qfun import big_c_at_one, product_quotient, weight_symbols
 
 from oracles import c_series_oracle, phi_series_oracle, ultra_recurrence_oracle
 
@@ -188,11 +188,14 @@ class TestUltraspherical:
                 ultra_recurrence_oracle(n, theta, beta, q), rel=1e-12, abs=1e-12
             )
 
-    def test_vectorized_agrees(self):
-        thetas = np.linspace(0, math.pi, 9)
-        vals = cq_ultraspherical_many(4, thetas, 0.3, 0.5)
-        for theta, val in zip(thetas, vals):
-            assert val == pytest.approx(cq_ultraspherical(4, theta, 0.3, 0.5), rel=1e-13)
+    def test_big_c_of_beta_beta_one_one_agrees(self):
+        # C_n of (beta, beta, 1, 1) is the cosine sum; ULTRA_ORTHO integrates it
+        beta, q = 0.3, 0.5
+        thetas = np.linspace(0, 2 * math.pi, 13)
+        for n in (0, 1, 4, 7):
+            vals = big_c_eval_many(n, thetas, ParamSet4(beta, beta, 1.0, 1.0), q)
+            expected = [cq_ultraspherical(n, theta, beta, q) for theta in thetas]
+            assert np.allclose(vals, expected, rtol=1e-13, atol=1e-13)
 
 
 class TestWeight:
@@ -215,6 +218,23 @@ class TestWeight:
         tight = weight_omega(0.7, box_params, 0.5, TruncationPolicy(rel_tol=1e-16))
         assert loose == pytest.approx(tight, rel=1e-7)
         assert abs(tight) > 0
+
+    def test_product_quotient_of_the_weight_symbols_is_the_weight(self, box_params):
+        thetas = np.linspace(0, 2 * math.pi, 7)
+        vals = product_quotient(*weight_symbols(box_params), 0.5)(thetas)
+        for theta, val in zip(thetas, vals):
+            assert val == pytest.approx(weight_omega(theta, box_params, 0.5), rel=1e-13)
+
+    def test_product_quotient_with_extra_symbols(self, box_params):
+        # (c e^{i theta}; q)_oo / (d e^{i theta}; q)_oo ahead of the weight symbols
+        c, d, q = 0.7, 0.4 + 0.2j, 0.5
+        num, den, exps = weight_symbols(box_params)
+        quotient = product_quotient((c, *num), (d, *den), (1, *exps), q)
+        for theta in (0.0, 1.1, 4.0):
+            z = complex(math.cos(theta), math.sin(theta))
+            expected = (weight_omega(theta, box_params, q) * qpoch_infinite(c * z, q)
+                        / qpoch_infinite(d * z, q))
+            assert quotient(np.array([theta]))[0] == pytest.approx(expected, rel=1e-13)
 
     def test_near_singular_weight_detected(self):
         # alpha/delta = 1: the denominator symbol vanishes at theta = 0
@@ -309,6 +329,21 @@ class TestConnectionCoeffs:
     def test_wrong_parity_entries_vanish(self):
         out = connection_coeffs(5, ReducedParams(0.3, 0.5), 0.72, 0.5)
         assert np.allclose(out[0::2], 0.0, atol=0.0)
+
+
+class TestBigCAtOne:
+    @pytest.mark.parametrize("p", [
+        ParamSet4(0.2, 0.1, 0.8, 0.9),
+        ParamSet4(0.3 + 0.2j, -0.1, 1.2, 0.7 - 0.4j),
+    ])
+    def test_matches_pointwise_evaluation(self, p):
+        vals = big_c_at_one(40, p, 0.5)
+        assert vals.shape == (40,)
+        for n, val in enumerate(vals):
+            assert val == pytest.approx(big_c_eval(n, 0.0, p, 0.5), rel=1e-13)
+
+    def test_empty_row(self, box_params):
+        assert big_c_at_one(0, box_params, 0.5).shape == (0,)
 
 
 class TestGrowthRoot:

@@ -1,15 +1,18 @@
 """The identity registry: one record per identity, drawers that feed their
 checkers, read-only default views, and draws pinned against the RNG order."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qortho import ParamSet4, ReducedParams, SweepSpec
+from qortho import DomainError, ParamSet4, ReducedParams, SweepSpec
 from qortho.verify import (
     DEFAULT_BOXES,
     DEFAULT_TOLERANCES,
     REGISTRY,
     IdentityId,
+    ParamKind,
     draw_params,
 )
 
@@ -128,6 +131,23 @@ def test_drawer_output_is_accepted_by_its_checker(identity):
     report = record.checker(**draw)
     assert report.identity_id == identity.value
     assert report.tolerance == record.tolerance
+
+
+SCALAR_PARAMS = [
+    (identity, name)
+    for identity, record in REGISTRY.items()
+    for name, kind in record.params
+    if kind in (ParamKind.COMPLEX, ParamKind.FLOAT)
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("identity, name", SCALAR_PARAMS)
+def test_non_finite_scalar_parameter_is_a_domain_error(identity, name, bad):
+    draw = draw_params(identity, np.random.default_rng(0), SweepSpec(seed=0, draws=1))
+    draw[name] = bad
+    with pytest.raises(DomainError, match="finite"):
+        REGISTRY[identity].checker(**draw)
 
 
 def test_default_views_are_read_only_copies_of_the_registry():

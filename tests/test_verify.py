@@ -27,6 +27,7 @@ from qortho import (
     qpoch_infinite,
     run_sweep,
 )
+from qortho import qfun, verify
 from qortho.verify import IdentityId, thm_1_2_rhs_series, thm_1_3_rhs
 
 
@@ -135,6 +136,27 @@ class TestThm13:
         assert rep.passed
         assert rep.rhs == pytest.approx((gamma * delta) ** n / h_norm(n, a, q), rel=1e-12)
 
+    def test_closed_form_matches_the_displayed_product(self):
+        # (gd)^n (1 - a q^n) (b/a;q)_j (b;q)_{(m+n)/2} (a gd)^j
+        #   / ((1 - a) h_n(a|q) (q;q)_j (a q;q)_{(m+n)/2}),  j = (m-n)/2
+        a, b, gamma, delta, q = 0.3, 0.5, 0.9, 1.1, 0.5
+        gd = gamma * delta
+        for m, n in ((0, 0), (2, 0), (3, 1), (4, 4), (6, 2)):
+            j, half = (m - n) // 2, (m + n) // 2
+            expected = (
+                gd ** n * (1 - a * q ** n) * qpoch_finite(b / a, q, j)
+                * qpoch_finite(b, q, half) * (a * gd) ** j
+                / ((1 - a) * h_norm(n, a, q) * qpoch_finite(q, q, j)
+                   * qpoch_finite(a * q, q, half))
+            )
+            got = thm_1_3_rhs(ReducedParams(a, b), gamma, delta, q, m, n)
+            assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_zero_a_rejected(self):
+        # the closed form divides by a; a ZeroDivisionError used to escape
+        with pytest.raises(DomainError, match="a must be nonzero"):
+            check_thm_1_3(ReducedParams(0.0, 0.3), 1.0, 1.0, 0.5, 2, 0)
+
     def test_m_below_n_same_parity_rejected(self):
         with pytest.raises(DomainError):
             check_thm_1_3(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 0, 2)
@@ -174,6 +196,27 @@ class TestUltraOrtho:
             rep = check_ultra_ortho(0.0, 0.5, n, n)
             assert rep.passed
             assert rep.rhs == pytest.approx(1.0 / h_norm(n, 0.0, 0.5), rel=1e-13)
+
+
+class TestCircleIntegrand:
+    @pytest.mark.parametrize("check, args", [
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, 2)),
+        (check_thm_1_2, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.4, 0.5, 0.5)),
+        (check_thm_1_3, (ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 2, 0)),
+        (check_ultra_ortho, (0.3, 0.5, 2, 2)),
+    ])
+    def test_weight_is_screened_once_per_check(self, monkeypatch, check, args):
+        calls = []
+        screen = qfun.weight_min_denominator
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return screen(*a, **kw)
+
+        monkeypatch.setattr(verify, "weight_min_denominator", counted)
+        monkeypatch.setattr(qfun, "weight_min_denominator", counted)
+        assert check(*args).passed
+        assert len(calls) == 1
 
 
 class TestSeriesCheckers:
