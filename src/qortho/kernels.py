@@ -4,14 +4,17 @@ Two operations dominate every integral check: evaluating a Laurent-type sum
 sum_k c_k e^{i(2k-n)theta} over all quadrature nodes, and evaluating truncated
 products prod_c prod_{k<K} (1 - w_c q^k) with node-dependent arguments
 w_c = coef_c * e^{i s_c theta}.  A circle integrand is a product of the first
-times one quotient of two of the second at a shared depth K
-(``qfun.product_quotient``).  Both are plain numpy; ``BACKEND`` names the
-implementation for reports and benchmarks.
+times quotients of two of the second at a shared depth K
+(``qfun.product_quotient``).  The weight's symbols have s_c = +-2, so a
+circle check evaluates their quotient at only the first half of each
+quadrature grid (the second half repeats it); the Laurent sums and any
+s_c = +-1 symbols get the whole grid.  Both kernels are plain numpy;
+``BACKEND`` names the implementation for reports and benchmarks.
 
 The truncated product is formed one symbol at a time as broadcast blocks
 1 - q^k w_c(theta_j) over depths k and nodes j, reduced over k.  Depths are
 taken DEPTH_CHUNK rows at a time, so one complex min(K, DEPTH_CHUNK) x N
-block (at most 16 * 128 * N bytes, about 0.7 MB at K = 90, N = 512) is the
+block (at most 16 * 128 * N bytes, about 0.2 MB at K = 90, N = 128) is the
 working memory of a call, whatever the number of symbols and however deep
 the truncation gets near |q| = 1.  Stacking the symbols into one array
 would multiply that by their count.

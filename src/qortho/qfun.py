@@ -27,10 +27,10 @@ The weight against which the family is orthogonal over a full period is
     omega(theta) = ((gamma/delta) e^{2i theta}, (delta/gamma) e^{-2i theta}; q)_oo
                    / ((alpha/delta) e^{2i theta}, (beta/gamma) e^{-2i theta}; q)_oo.
 
-Every circle integrand is a product of C_n's times one quotient of truncated
-products, :func:`product_quotient` of the :func:`weight_symbols` after any
-extra symbols; the cosine family :func:`cq_ultraspherical` is C_n at
-(beta, beta, 1, 1).
+Every circle integrand is a product of C_n's times quotients of truncated
+products (:func:`product_quotient`): one of any extra symbols and one of the
+:func:`weight_symbols`, truncated at one shared depth.  The cosine family
+:func:`cq_ultraspherical` is C_n at (beta, beta, 1, 1).
 """
 
 from __future__ import annotations
@@ -242,12 +242,21 @@ def weight_symbols(p: ParamSet4):
     return (p.gamma / p.delta, p.delta / p.gamma), (p.alpha / p.delta, p.beta / p.gamma), (2, -2)
 
 
-def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
+    """The truncation depth K of a product quotient with coefficients
+    ``coefs``: the tail start of the largest one."""
+    return tail_start(max(map(abs, coefs)), q, policy)
+
+
+def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY,
+                     kmax: int | None = None):
     """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_K
     / prod_c (den_c e^{i exps_c theta}; q)_K over arrays of angles.  One depth
-    K, the tail start of the largest coefficient, serves every symbol."""
+    K serves every symbol: ``kmax``, by default the :func:`quotient_depth` of
+    these symbols."""
     qb = QBase.coerce(q)
-    kmax = tail_start(max(map(abs, (*num, *den))), qb, policy)
+    if kmax is None:
+        kmax = quotient_depth((*num, *den), qb, policy)
     return lambda thetas: (
         kernels.poch_product_many(num, exps, qb.q, kmax, thetas)
         / kernels.poch_product_many(den, exps, qb.q, kmax, thetas)
@@ -298,6 +307,22 @@ def weight_omega_many(
     return product_quotient(*weight_symbols(p), q, policy)(thetas)
 
 
+def _screen_denominator(symbols, qb: QBase, policy: TruncationPolicy, product: complex) -> None:
+    """Raise :class:`NearSingular` when some factor 1 - w q^k of a symbol
+    (name -> w) of the denominator ``product`` = prod_w (w;q)_oo is below
+    1e-12, or when the product is exactly 0.  Its magnitude alone says
+    nothing: at q = 0.95, (q;q)_oo is about 1e-13 with every factor >= 0.05."""
+    for name, w in symbols.items():
+        smallest = min_factor_abs(w, qb.q, policy.rel_tol)
+        if smallest < NEAR_SINGULAR_TOL:
+            raise NearSingular(
+                f"({name};q)_oo has a factor of magnitude {smallest:.3g}, "
+                f"below {NEAR_SINGULAR_TOL}"
+            )
+    if product == 0:
+        raise NearSingular(f"denominator ({', '.join(symbols)};q)_oo is exactly 0")
+
+
 def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Diagonal normalization of the single-parameter family:
 
@@ -311,10 +336,7 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     if abs(a) >= 1.0:
         raise DomainError(f"|a| must be < 1, got {abs(a):.6g}")
     den_inf = qpoch_infinite(a, qb, policy) * qpoch_infinite(a * qb.q, qb, policy)
-    if abs(den_inf) < NEAR_SINGULAR_TOL:
-        raise NearSingular(
-            f"(a;q)_oo (aq;q)_oo magnitude {abs(den_inf):.3g} below {NEAR_SINGULAR_TOL}"
-        )
+    _screen_denominator({"a": a, "aq": a * qb.q}, qb, policy, den_inf)
     num = (
         qpoch_infinite(qb.q, qb, policy)
         * qpoch_infinite(a * a, qb, policy)
@@ -332,10 +354,7 @@ def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLIC
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
     den_inf = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
-    if abs(den_inf) < NEAR_SINGULAR_TOL:
-        raise NearSingular(
-            f"(q, ra*rb; q)_oo magnitude {abs(den_inf):.3g} below {NEAR_SINGULAR_TOL}"
-        )
+    _screen_denominator({"q": qb.q, "ra*rb": ra * rb}, qb, policy, den_inf)
     return TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
 
 

@@ -6,7 +6,12 @@ Full-period integrals use the equispaced rule
 
 which for 2pi-periodic analytic integrands converges geometrically in N and
 is exact for trigonometric polynomials of degree < N.  Refinement doubles N,
-reusing previous evaluations, until successive values agree.
+reusing previous evaluations, until successive values agree.  It starts at
+64 nodes: the analytic integrands checked here settle by 128-256, and each
+doubling costs as much as everything before it.  N is even, so every grid
+handed to the integrand holds theta and theta + pi as its j-th and
+(j + N/2)-th angle; an integrand that is pi-periodic in part may evaluate
+that part on the first half and repeat it.
 
 Half-period integrals apply the same rule and halve the result.  That equals
 the plain [0, pi] integral whenever the integrand's odd circle harmonics
@@ -54,13 +59,15 @@ HALF_PERIOD = (0.0, math.pi)
 class QuadratureSpec:
     """Node counts and refinement rule for the periodic quadrature."""
 
-    nodes: int = 256
+    nodes: int = 64
     max_nodes: int = 8192
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.nodes < 16:
             raise DomainError("nodes must be >= 16")
+        if self.nodes % 2:
+            raise DomainError(f"nodes must be even, got {self.nodes}")
         if self.max_nodes < self.nodes:
             raise DomainError("max_nodes must be >= nodes")
         if not self.rel_tol > 0.0:
@@ -86,6 +93,10 @@ def periodic_integral(
     """Integrate a periodic analytic integrand over a full or half period.
 
     ``f`` must accept an ndarray of angles and return an ndarray of values.
+    Each array it gets has an even length N and holds theta_j + pi at index
+    j + N/2 for every j < N/2 (the start grid 2 pi j / N and each midpoint
+    grid 2 pi (j + 1/2) / N alike), so ``f`` may compute a pi-periodic factor
+    on the first half and repeat it.
     ``interval`` is ``FULL_PERIOD`` or ``HALF_PERIOD``; the half-period mode
     evaluates over the whole period and halves, see the module docstring.
     Never raises on slow convergence: the result carries ``converged=False``

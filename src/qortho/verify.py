@@ -7,7 +7,10 @@ trouble (near-singular denominators, truncation caps, divergent series, slow
 quadrature) is surfaced as report flags, never as exceptions escaping a
 checker.  The four circle checkers hand their integrand to one path as data:
 C_n factors and extra product symbols; the weight is screened and the
-truncation depth chosen once per check.
+truncation depth chosen once per check.  The weight depends on theta only
+through e^{2i theta}, so it is evaluated on the first half of each
+quadrature grid and repeated on the second, whose angles are the first's
+plus pi; the C_n factors and extra symbols are evaluated on the whole grid.
 
 :data:`REGISTRY` describes each identity once: its default tolerance, sweep
 box, drawer and the parameter schema of its checker ``check_<identity>``.
@@ -59,6 +62,7 @@ from .qfun import (
     h_norm,
     phi_eval,
     product_quotient,
+    quotient_depth,
     weight_min_denominator,
     weight_symbols,
 )
@@ -123,10 +127,13 @@ class VerificationReport:
         scale: float = 0.0,
         flags: Sequence[str] = (),
     ) -> "VerificationReport":
-        """``tolerance=None`` takes the identity's default from the registry."""
+        """``tolerance=None`` takes the identity's default from the registry;
+        any other must be positive and finite (:class:`DomainError`)."""
         identity_id = IdentityId(identity_id)
         if tolerance is None:
             tolerance = REGISTRY[identity_id].tolerance
+        elif not 0.0 < tolerance < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
         flags = tuple(
             sorted(
                 set(flags),
@@ -257,18 +264,28 @@ def _circle_check(
 ) -> VerificationReport:
     """The path every circle identity shares: screen the weight of ``weight``
     once, integrate over ``interval`` the C_n sums ``laurent`` ((coefficients,
-    degree) pairs) times one product quotient of the (numerators, denominators,
-    exponents) ``symbols`` and then the weight's; flag slow quadrature, then
-    evaluate ``rhs()``."""
+    degree) pairs) times the product quotient of the (numerators, denominators,
+    exponents) ``symbols`` and the weight's, both at the depth of all their
+    coefficients; flag slow quadrature, then evaluate ``rhs()``.
+
+    The weight, a function of e^{2i theta}, is evaluated on the first half of
+    each grid and repeated: :func:`periodic_integral` grids hold theta + pi
+    N/2 places after theta.  The C_n factors stay on the whole grid, so an
+    odd total degree still integrates to a quadrature value, not to 0 by
+    construction."""
     if weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
         return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance,
                                         flags=["NearSingular"])
-    num, den, exps = (extra + own for extra, own in zip(symbols, weight_symbols(weight)))
-    quotient = product_quotient(num, den, exps, qb, policy)
+    own = weight_symbols(weight)
+    kmax = quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]), qb, policy)
+    weight_quotient = product_quotient(*own, qb, policy, kmax)
+    quotients = [product_quotient(*symbols, qb, policy, kmax)] if symbols[0] else []
 
     def integrand(thetas):
         factors = [kernels.laurent_eval(coefs, n, thetas) for coefs, n in laurent]
-        return functools.reduce(operator.mul, factors + [quotient(thetas)])
+        factors += [quotient(thetas) for quotient in quotients]
+        factors.append(np.tile(weight_quotient(thetas[: thetas.shape[0] // 2]), 2))
+        return functools.reduce(operator.mul, factors)
 
     result = periodic_integral(integrand, interval, qspec)
     flags = [] if result.converged else ["NoConvergence"]
@@ -276,6 +293,15 @@ def _circle_check(
     return VerificationReport.build(
         identity_id, inputs, result.value, rhs_value, tolerance, scale=result.fscale, flags=flags
     )
+
+
+def _require_regular_weight(moduli: Mapping[str, float]) -> None:
+    """:class:`DomainError` unless each weight denominator modulus (name ->
+    value) is below 1; at 1 the weight has a pole on the circle, beyond it
+    the orthogonality relation no longer holds."""
+    for name, value in moduli.items():
+        if value >= 1.0:
+            raise DomainError(f"weight regularity needs {name} < 1, got {value:.6g}")
 
 
 def check_thm_1_1(
@@ -288,8 +314,11 @@ def check_thm_1_1(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Full-period orthogonality: quadrature of C_m C_n against the weight vs.
-    the closed diagonal (zero off the diagonal)."""
+    the closed diagonal (zero off the diagonal).  The weight's denominator
+    symbols need |alpha/delta| < 1 and |beta/gamma| < 1."""
     qb = QBase.coerce(q)
+    _require_regular_weight({"|alpha/delta|": abs(p.alpha / p.delta),
+                             "|beta/gamma|": abs(p.beta / p.gamma)})
     return _circle_check(
         IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,
@@ -389,12 +418,8 @@ def check_thm_1_3(
         raise DomainError(
             "the closed form's product indices (m-n)/2 require m >= n"
         )
-    for name, value in (("|a*gamma/delta|", abs(r.a * gamma / delta)),
-                        ("|a*delta/gamma|", abs(r.a * delta / gamma))):
-        if value >= 1.0:
-            raise DomainError(
-                f"weight regularity needs {name} < 1, got {value:.6g}"
-            )
+    _require_regular_weight({"|a*gamma/delta|": abs(r.a * gamma / delta),
+                             "|a*delta/gamma|": abs(r.a * delta / gamma)})
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}

@@ -86,6 +86,33 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "finite" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_invalid_tolerance_exits_2(self, tol, capsys):
+        code, _, err = run_cli(
+            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", "--tol", tol, *BOX],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "invalid input" in err and "tolerance" in err
+
+    def test_thm_1_1_outside_the_weight_domain_exits_2(self, capsys):
+        # |beta/gamma| = 1.11
+        code, _, err = run_cli(
+            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", "--alpha-re", "0.2",
+             "--beta-re", "0.999", "--gamma-re", "0.9", "--delta-re", "1.0", "--q", "0.5"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "|beta/gamma| < 1" in err
+
+    def test_odd_node_count_exits_2(self, capsys):
+        code, _, err = run_cli(
+            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", "--nodes", "17", *BOX],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "nodes must be even" in err
+
     def test_thm_1_3_zero_a_exits_2(self, capsys):
         code, _, err = run_cli(
             ["verify", "--identity", "THM_1_3", "--a-re", "0", "--b-re", "0.3",
@@ -226,6 +253,14 @@ class TestSweep:
         )
         assert code == EXIT_PASS
         assert json.loads(out)["reports"] == []
+
+    def test_invalid_tolerance_exits_2(self, capsys):
+        code, _, err = run_cli(
+            ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1", "--tol", "nan"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "tolerance" in err
 
     def test_same_seed_byte_identical_modulo_timestamp(self, capsys):
         argv = ["sweep", "--identity", "QBINOMIAL", "--draws", "5", "--seed", "9"]

@@ -24,7 +24,7 @@ from qortho import (
     qpoch_infinite,
     weight_omega,
 )
-from qortho.qfun import big_c_at_one, product_quotient, weight_symbols
+from qortho.qfun import big_c_at_one, diagonal_prefactor, product_quotient, weight_symbols
 
 from oracles import c_series_oracle, phi_series_oracle, ultra_recurrence_oracle
 
@@ -241,6 +241,38 @@ class TestWeight:
         p = ParamSet4(0.6, 0.1, 0.9, 0.6)
         with pytest.raises(NearSingular):
             weight_omega(0.0, p, 0.5)
+
+
+class TestDenominatorScreens:
+    def test_h_norm_at_q_near_one_is_the_product_formula(self):
+        # (a, aq;q)_oo is about 2.5e-17 here, every factor at least 0.5
+        a, q, n = 0.5 + 0j, 0.97 + 0j, 2
+        den_inf = qpoch_infinite(a, q) * qpoch_infinite(a * q, q)
+        assert abs(den_inf) < 1e-12
+        num = (qpoch_infinite(q, q) * qpoch_infinite(a * a, q) * qpoch_finite(q, q, n)
+               * (1 - a * q ** n))
+        den = 2 * math.pi * den_inf * qpoch_finite(a * a, q, n) * (1 - a)
+        assert h_norm(n, a, q) == num / den
+
+    def test_diagonal_prefactor_at_q_near_one_is_the_product_formula(self, box_params):
+        q, ra, rb = 0.95 + 0j, box_params.ratio_a, box_params.ratio_b
+        den_inf = qpoch_infinite(q, q) * qpoch_infinite(ra * rb, q)
+        assert abs(den_inf) < 1e-12
+        expected = 2 * math.pi * qpoch_infinite(ra, q) * qpoch_infinite(rb, q) / den_inf
+        assert diagonal_prefactor(box_params, q) == expected
+
+    def test_small_factor_is_flagged(self):
+        with pytest.raises(NearSingular, match=r"\(a;q\)_oo has a factor"):
+            h_norm(0, 1 - 1e-13, 0.5)
+        # alpha = gamma, beta = delta: ra*rb = 1 and (1;q)_oo = 0
+        with pytest.raises(NearSingular, match=r"\(ra\*rb;q\)_oo has a factor"):
+            diagonal_prefactor(ParamSet4(0.8, 0.9, 0.8, 0.9), 0.5)
+
+    def test_underflowed_product_is_flagged(self, box_params):
+        # (q;q)_oo at q = 0.999 is about e^-1645: 0 in double precision,
+        # although no factor is below 1e-12
+        with pytest.raises(NearSingular, match="exactly 0"):
+            diagonal_prefactor(box_params, 0.999, TruncationPolicy(max_terms=50000))
 
 
 class TestHNorm:

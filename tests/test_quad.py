@@ -29,6 +29,13 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             QuadratureSpec(nodes=256, max_nodes=128)
 
+    def test_odd_node_count_rejected(self):
+        with pytest.raises(DomainError, match="even"):
+            QuadratureSpec(nodes=17)
+
+    def test_doubling_starts_at_64_nodes(self):
+        assert QuadratureSpec().nodes == 64
+
 
 class TestPeriodicIntegral:
     def test_pure_harmonic_integrates_to_zero(self):
@@ -65,6 +72,21 @@ class TestPeriodicIntegral:
         f = lambda th: 1.0 / (1.0005 - np.cos(th))
         res = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=16, max_nodes=32))
         assert not res.converged
+
+    @pytest.mark.parametrize("start", [16, 64, 66])
+    def test_every_grid_pairs_theta_with_theta_plus_pi(self, start):
+        grids = []
+
+        def f(th):
+            grids.append(th)
+            return 1.0 / (1.0005 - np.cos(th)) + 0j  # too peaked to settle by 8x
+
+        periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=start, max_nodes=start * 8))
+        assert len(grids) == 4
+        for th in grids:
+            half = th.shape[0] // 2
+            assert th.shape[0] == 2 * half
+            assert np.max(np.abs(th[half:] - th[:half] - math.pi)) < 1e-14
 
     def test_spectral_accuracy_on_weight_integrand(self):
         # default box weight: nodes >= 128 already at the refinement plateau

@@ -27,7 +27,8 @@ from qortho import (
     qpoch_infinite,
     run_sweep,
 )
-from qortho import qfun, verify
+from qortho import kernels, qfun, verify
+from qortho.quad import periodic_integral
 from qortho.verify import IdentityId, thm_1_2_rhs_series, thm_1_3_rhs
 
 
@@ -48,6 +49,11 @@ class TestReportMechanics:
             "THM_1_1", {}, 1.0 + 0j, 1.0 + 0j, 1e-8, flags=["NearSingular"]
         )
         assert not rep.passed and rep.flags == ("NearSingular",)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-8])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            VerificationReport.build("THM_1_1", {}, 1.0 + 0j, 1.0 + 0j, tolerance)
 
     def test_record_round_trip(self, box_params):
         rep = check_thm_1_1(box_params, 0.5, 1, 1)
@@ -80,11 +86,35 @@ class TestThm11:
             assert rep.passed, (m, n, rep.rel_residual)
 
     def test_near_singular_weight_flagged(self):
-        # alpha/delta = 1 puts a weight zero on the circle
-        p = ParamSet4(0.6, 0.1, 0.9, 0.6)
+        # alpha/delta = 1 - 1e-13: in the domain, with a weight pole 1e-13
+        # from the circle
+        p = ParamSet4(0.6 * (1 - 1e-13), 0.1, 0.9, 0.6)
         rep = check_thm_1_1(p, 0.5, 0, 0)
         assert not rep.passed
         assert "NearSingular" in rep.flags
+
+    @pytest.mark.parametrize("p, name", [
+        (ParamSet4(0.6, 0.1, 0.9, 0.6), "alpha/delta"),  # a weight pole on the circle
+        (ParamSet4(0.2, 0.999, 0.9, 1.0), "beta/gamma"),  # |beta/gamma| = 1.11
+    ])
+    def test_weight_outside_its_domain_rejected(self, p, name):
+        with pytest.raises(DomainError, match=rf"\|{name}\| < 1"):
+            check_thm_1_1(p, 0.5, 1, 1)
+
+
+class TestFactorScreens:
+    # every denominator factor is >= 0.05 here, but the products
+    # (q;q)_oo and (a, aq;q)_oo fall below 1e-12 in magnitude near q = 1
+    @pytest.mark.parametrize("check, args", [
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.95, 2, 2)),
+        (check_thm_1_2, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.4, 0.5, 0.95)),
+        (check_ultra_ortho, (0.5, 0.97, 2, 2)),
+        (check_thm_1_3, (ReducedParams(0.5, 0.3), 0.9, 1.1, 0.97, 2, 2)),
+    ])
+    def test_small_denominator_products_are_not_flagged(self, check, args):
+        rep = check(*args)
+        assert rep.flags == ()
+        assert rep.passed, rep.rel_residual
 
 
 class TestThm12:
@@ -217,6 +247,87 @@ class TestCircleIntegrand:
         monkeypatch.setattr(qfun, "weight_min_denominator", counted)
         assert check(*args).passed
         assert len(calls) == 1
+
+    @staticmethod
+    def spy_grids(monkeypatch):
+        """Record the angle count of every kernel call and quadrature grid,
+        and every QuadResult, of the circle checks that follow."""
+        seen = {"poch": [], "laurent": [], "grid": [], "result": [], "kmax": set()}
+        poch, laurent = kernels.poch_product_many, kernels.laurent_eval
+
+        def spy_poch(coefs, exps, q, kmax, thetas):
+            seen["poch"].append((tuple(exps), len(thetas)))
+            seen["kmax"].add(kmax)
+            return poch(coefs, exps, q, kmax, thetas)
+
+        def spy_laurent(coefs, n, thetas):
+            seen["laurent"].append(len(thetas))
+            return laurent(coefs, n, thetas)
+
+        def spy_integral(f, interval, spec):
+            def counted(thetas):
+                seen["grid"].append(len(thetas))
+                return f(thetas)
+
+            result = periodic_integral(counted, interval, spec)
+            seen["result"].append(result)
+            return result
+
+        monkeypatch.setattr(kernels, "poch_product_many", spy_poch)
+        monkeypatch.setattr(kernels, "laurent_eval", spy_laurent)
+        monkeypatch.setattr(verify, "periodic_integral", spy_integral)
+        return seen
+
+    @pytest.mark.parametrize("check, args", [
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, 3)),
+        (check_thm_1_3, (ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 2, 0)),
+        (check_ultra_ortho, (0.3, 0.5, 2, 2)),
+    ])
+    def test_weight_is_evaluated_on_half_of_each_grid(self, monkeypatch, check, args):
+        seen = self.spy_grids(monkeypatch)
+        assert check(*args).passed
+        grids = seen["grid"]
+        assert len(grids) >= 2
+        # a numerator and a denominator call per grid, each on its first half
+        assert [n for _, n in seen["poch"]] == [n // 2 for n in grids for _ in range(2)]
+        assert {exps for exps, _ in seen["poch"]} == {(2, -2)}
+        # the C_n factors stay on the whole grid
+        assert seen["laurent"] == [n for n in grids for _ in range(2)]
+
+    def test_thm_1_2_extra_symbols_stay_on_the_whole_grid(self, monkeypatch):
+        seen = self.spy_grids(monkeypatch)
+        assert check_thm_1_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.4, 0.5, 0.5).passed
+        by_exps = {}
+        for exps, n in seen["poch"]:
+            by_exps.setdefault(exps, []).append(n)
+        grids = [n for n in seen["grid"] for _ in range(2)]
+        assert by_exps == {(1, -1, 1, -1): grids, (2, -2): [n // 2 for n in grids]}
+        assert len(seen["kmax"]) == 1  # one truncation depth for all symbols
+
+    def test_seed_0_draws_converge_by_256_nodes(self, monkeypatch):
+        seen = self.spy_grids(monkeypatch)
+        record = verify.REGISTRY[IdentityId.THM_1_1]
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            assert record.checker(**verify.draw_params(record.id, rng, SweepSpec(0, 3))).passed
+        assert [(r.converged, r.nodes <= 256) for r in seen["result"]] == [(True, True)] * 3
+
+    @pytest.mark.parametrize("identity", ["THM_1_1", "THM_1_3", "ULTRA_ORTHO"])
+    def test_high_degrees_agree_with_a_fixed_2048_node_rule(self, monkeypatch, identity):
+        # doubling from 64 nodes must not stop early on C_m C_n of degree up
+        # to 60: the default spec against 2048 nodes, no refinement
+        seen = self.spy_grids(monkeypatch)
+        record = verify.REGISTRY[IdentityId(identity)]
+        rng = np.random.default_rng(5)
+        spec = SweepSpec(5, 6, m_max=30, n_max=30)
+        draws = [verify.draw_params(record.id, rng, spec) for _ in range(6)]
+        fixed = QuadratureSpec(nodes=2048, max_nodes=2048)
+        for args in draws + [draws[0] | {"m": 30, "n": 30}]:
+            rep = record.checker(**args)
+            scale = max(abs(rep.lhs), abs(rep.rhs), seen["result"][-1].fscale)
+            exact = record.checker(**args, qspec=fixed)
+            assert rep.passed, (args, rep.rel_residual)
+            assert abs(rep.lhs - exact.lhs) <= 1e-12 * scale, args
 
 
 class TestSeriesCheckers:
