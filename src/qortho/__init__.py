@@ -16,29 +16,22 @@ from .errors import (
 )
 from .qcore import (
     DEFAULT_POLICY,
-    INF,
     QBase,
     TruncationPolicy,
-    qbinom,
     qpoch_finite,
     qpoch_infinite,
-    qpoch_multi,
 )
 from .hyper import PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_rhs, very_well_poised
 from .qfun import (
-    EvaluationPoint,
     ParamSet4,
     ReducedParams,
     big_c_coeffs,
-    big_c_eval,
     big_c_eval_many,
     connection_coeffs,
-    cq_ultraspherical,
     diag_rhs_thm11,
     growth_root,
     h_norm,
     phi_eval,
-    weight_omega,
     weight_omega_many,
 )
 from .quad import (
@@ -53,7 +46,6 @@ from .quad import (
     phi_qintegral_repr,
 )
 from .verify import (
-    DEFAULT_TOLERANCES,
     IdentityId,
     SweepSpec,
     VerificationReport,
@@ -78,22 +70,21 @@ __all__ = [
     # errors
     "QOrthoError", "DomainError", "TruncationExceeded", "DivergentSeries", "NearSingular",
     # core types and products
-    "QBase", "TruncationPolicy", "DEFAULT_POLICY", "INF",
-    "qpoch_finite", "qpoch_infinite", "qpoch_multi", "qbinom",
+    "QBase", "TruncationPolicy", "DEFAULT_POLICY",
+    "qpoch_finite", "qpoch_infinite",
     # series
     "PhiSpec", "phi_series", "very_well_poised", "rogers_6w5_rhs",
     "qbinomial_product_ratio",
     # the function family
-    "ParamSet4", "ReducedParams", "EvaluationPoint",
-    "big_c_coeffs", "big_c_eval", "big_c_eval_many", "phi_eval",
-    "cq_ultraspherical", "weight_omega", "weight_omega_many",
+    "ParamSet4", "ReducedParams",
+    "big_c_coeffs", "big_c_eval_many", "phi_eval", "weight_omega_many",
     "h_norm", "diag_rhs_thm11", "connection_coeffs", "growth_root",
     # integration
     "QuadratureSpec", "DEFAULT_QUADRATURE", "QuadResult", "QLattice",
     "FULL_PERIOD", "HALF_PERIOD",
     "periodic_integral", "jackson_integral", "phi_qintegral_repr",
     # verification
-    "IdentityId", "VerificationReport", "SweepSpec", "DEFAULT_TOLERANCES",
+    "IdentityId", "VerificationReport", "SweepSpec",
     "check_thm_1_1", "check_thm_1_2", "check_thm_1_3",
     "check_prop_2_1_2", "check_prop_2_1_3", "check_prop_2_2", "check_prop_2_4",
     "check_prop_3_1", "check_rogers_6w5", "check_qbinomial", "check_ultra_ortho",

@@ -29,18 +29,18 @@ from datetime import datetime, timezone
 
 from .errors import DomainError, QOrthoError
 from .hyper import PhiSpec, phi_series
+from .kernels import laurent_eval
 from .qcore import QBase, TruncationPolicy, qpoch_finite, qpoch_infinite
 from .qfun import (
     ParamSet4,
     ReducedParams,
     big_c_coeffs,
-    big_c_eval,
+    big_c_eval_many,
     connection_coeffs,
-    cq_ultraspherical,
     expansion_weights,
     h_norm,
     phi_eval,
-    weight_omega,
+    weight_omega_many,
 )
 from .quad import QuadratureSpec
 from .verify import (
@@ -79,13 +79,19 @@ _TUNING = {
 }
 _POLICY_FLAGS = _TUNING["policy"][1]
 
-# eval functions called as f(parameters..., q[, policy]).  qpoch and
-# phi_series have their own branches.
+# eval functions called as f(parameters..., q[, policy]); the array paths
+# evaluate a one-angle grid.  "ultra" sums the (beta, beta) expansion weights
+# directly, so any complex beta is admitted, not only |beta| <= 1 as in
+# ParamSet4.  qpoch and phi_series have their own branches.
 _EVAL = {
-    "big_c": (big_c_eval, (_N, _THETA, _PARAMSET)),
+    "big_c": (lambda n, theta, p, q: big_c_eval_many(n, [theta], p, q)[0],
+              (_N, _THETA, _PARAMSET)),
     "phi": (phi_eval, (_N, ("x", ParamKind.COMPLEX), ("y", ParamKind.COMPLEX), _PARAMSET)),
-    "ultra": (cq_ultraspherical, (_N, _THETA, ("beta", ParamKind.COMPLEX))),
-    "weight": (weight_omega, (_THETA, _PARAMSET)),
+    "ultra": (lambda n, theta, beta, q:
+              laurent_eval(expansion_weights(n, beta, beta, q), n, [theta])[0],
+              (_N, _THETA, ("beta", ParamKind.COMPLEX))),
+    "weight": (lambda theta, p, q, policy: weight_omega_many([theta], p, q, policy)[0],
+               (_THETA, _PARAMSET)),
     "h": (h_norm, (_N, ("a", ParamKind.COMPLEX))),
 }
 
@@ -264,7 +270,7 @@ def _cmd_eval(args) -> int:
     if fn in _EVAL:
         func, params = _EVAL[fn]
         tail = (policy,) if "policy" in inspect.signature(func).parameters else ()
-        value = func(*(_arg(args, *param) for param in params), q, *tail)
+        value = complex(func(*(_arg(args, *param) for param in params), q, *tail))
     elif fn == "qpoch":
         a = _arg(args, "a")
         if args.inf:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-from .errors import DivergentSeries, DomainError, NearSingular
+from .errors import DivergentSeries, DomainError
 from .qcore import (
     DEFAULT_POLICY,
-    NEAR_SINGULAR_TOL,
     QBase,
     TruncationPolicy,
     qpoch_infinite,
+    screen_denominator,
     settled_sum,
 )
 
@@ -158,14 +158,11 @@ def rogers_6w5_rhs(a, b, c, d, q, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     num = 1.0 + 0.0j
     for arg in (aq, aq / (b * c), aq / (b * d), aq / (c * d)):
         num *= qpoch_infinite(arg, qb, policy)
+    symbols = {"aq/b": aq / b, "aq/c": aq / c, "aq/d": aq / d, "aq/bcd": z}
     den = 1.0 + 0.0j
-    for arg in (aq / b, aq / c, aq / d, z):
+    for arg in symbols.values():
         den *= qpoch_infinite(arg, qb, policy)
-        if abs(den) < NEAR_SINGULAR_TOL:
-            raise NearSingular(
-                f"denominator product magnitude {abs(den):.3g} below "
-                f"{NEAR_SINGULAR_TOL}"
-            )
+    screen_denominator(symbols, qb, policy, den)
     return num / den
 
 
@@ -174,8 +171,7 @@ def qbinomial_product_ratio(a, z, q, policy: TruncationPolicy = DEFAULT_POLICY) 
     identity sum_n (a;q)_n z^n / (q;q)_n for |z| < 1."""
     qb = QBase.coerce(q)
     den = qpoch_infinite(z, qb, policy)
-    if abs(den) < NEAR_SINGULAR_TOL:
-        raise NearSingular(f"(z;q)_oo = {abs(den):.3g} is below {NEAR_SINGULAR_TOL}")
+    screen_denominator({"z": complex(z)}, qb, policy, den)
     return qpoch_infinite(complex(a) * complex(z), qb, policy) / den
 
 

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, TruncationExceeded
-
-INF = math.inf
+from .errors import DomainError, NearSingular, TruncationExceeded
 
 # A factor |1 - a q^k| below this is treated as an exact zero of the product;
 # downstream formulas divide by these symbols, so tiny factors must not leak
@@ -94,14 +92,20 @@ def qpoch_finite(a, q, n: int) -> complex:
 
 def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
     """Smallest k with |a| |q|^k < rel_tol, i.e. where the geometric tail of
-    (a;q)_oo can be dropped with relative error O(rel_tol / (1-|q|))."""
+    (a;q)_oo can be dropped with relative error O(rel_tol / (1-|q|)).
+    Raises :class:`TruncationExceeded` when k exceeds ``policy.max_terms``."""
     mag = abs(complex(a))
     if mag < policy.rel_tol:
         return 0
     qmag = abs(complex(q) if not isinstance(q, QBase) else q.q)
     if qmag == 0.0:
         return 1
-    return max(int(math.ceil(math.log(policy.rel_tol / mag) / math.log(qmag))), 0)
+    depth = max(int(math.ceil(math.log(policy.rel_tol / mag) / math.log(qmag))), 0)
+    if depth > policy.max_terms:
+        raise TruncationExceeded(
+            f"a product of |a| = {mag:.6g} needs {depth} factors, cap is {policy.max_terms}"
+        )
+    return depth
 
 
 def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -112,10 +116,6 @@ def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """
     qb = QBase.coerce(q)
     nterms = tail_start(a, qb, policy)
-    if nterms > policy.max_terms:
-        raise TruncationExceeded(
-            f"(a;q)_oo needs {nterms} factors, cap is {policy.max_terms}"
-        )
     prod = 1.0 + 0.0j
     w = complex(a)
     for _ in range(nterms):
@@ -141,6 +141,23 @@ def min_factor_abs(a, q, floor: float) -> float:
     return smallest
 
 
+def screen_denominator(symbols, qb: QBase, policy: TruncationPolicy, product: complex) -> None:
+    """Raise :class:`NearSingular` when some factor 1 - w q^k of a symbol
+    (name -> w) of the denominator ``product`` = prod_w (w;q)_oo is below
+    NEAR_SINGULAR_TOL, or when the product is exactly 0.  Its magnitude alone
+    says nothing: at q = 0.95, (q;q)_oo is about 1e-13 with every factor
+    >= 0.05."""
+    for name, w in symbols.items():
+        smallest = min_factor_abs(w, qb.q, policy.rel_tol)
+        if smallest < NEAR_SINGULAR_TOL:
+            raise NearSingular(
+                f"({name};q)_oo has a factor of magnitude {smallest:.3g}, "
+                f"below {NEAR_SINGULAR_TOL}"
+            )
+    if product == 0:
+        raise NearSingular(f"denominator ({', '.join(symbols)};q)_oo is exactly 0")
+
+
 def settled_sum(terms: Iterable[complex], policy: TruncationPolicy, what: str,
                 total: complex = 0.0 + 0.0j) -> complex:
     """Add ``terms`` to ``total`` until |term| <= rel_tol * |partial sum| for
@@ -158,27 +175,3 @@ def settled_sum(terms: Iterable[complex], policy: TruncationPolicy, what: str,
     if count < policy.max_terms:
         return total
     raise TruncationExceeded(f"{what} did not settle within {policy.max_terms} terms")
-
-
-def qpoch_multi(values, q, n=INF, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Product of (a;q)_n over each a in ``values``; n may be ``INF``."""
-    values = list(values)
-    if not values:
-        raise DomainError("qpoch_multi needs at least one argument symbol")
-    prod = 1.0 + 0.0j
-    for a in values:
-        if n is INF or n is None:
-            prod *= qpoch_infinite(a, q, policy)
-        else:
-            prod *= qpoch_finite(a, q, int(n))
-    return prod
-
-
-def qbinom(n: int, k: int, q) -> complex:
-    """Gaussian binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-    qb = QBase.coerce(q)
-    return qpoch_finite(qb.q, qb, n) / (
-        qpoch_finite(qb.q, qb, k) * qpoch_finite(qb.q, qb, n - k)
-    )

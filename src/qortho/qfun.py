@@ -29,8 +29,9 @@ The weight against which the family is orthogonal over a full period is
 
 Every circle integrand is a product of C_n's times quotients of truncated
 products (:func:`product_quotient`): one of any extra symbols and one of the
-:func:`weight_symbols`, truncated at one shared depth.  The cosine family
-:func:`cq_ultraspherical` is C_n at (beta, beta, 1, 1).
+:func:`weight_symbols`, truncated at one shared depth.  The single-parameter
+cosine family sum_k w_k cos((n-2k) theta), w = :func:`expansion_weights` at
+(beta, beta), is C_n at (beta, beta, 1, 1).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .qcore import (
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
+    screen_denominator,
     tail_start,
 )
 
@@ -121,31 +123,6 @@ class ReducedParams:
             )
 
 
-@dataclass(frozen=True)
-class EvaluationPoint:
-    """Angle theta with derived unit-circle coordinates x = e^{i theta},
-    y = e^{-i theta}; theta is normalized into [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-
-    @property
-    def x(self) -> complex:
-        return complex(math.cos(self.theta), math.sin(self.theta))
-
-    @property
-    def y(self) -> complex:
-        return complex(math.cos(self.theta), -math.sin(self.theta))
-
-    @classmethod
-    def coerce(cls, value) -> "EvaluationPoint":
-        if isinstance(value, EvaluationPoint):
-            return value
-        return cls(float(value))
-
-
 def _poch_row(a: complex, q: complex, n: int) -> np.ndarray:
     """[(a;q)_0, ..., (a;q)_n] by cumulative products."""
     out = np.empty(n + 1, dtype=np.complex128)
@@ -161,6 +138,8 @@ def expansion_weights(n: int, ra: complex, rb: complex, q) -> np.ndarray:
     """The n+1 coefficients (ra;q)_k (rb;q)_{n-k} / ((q;q)_k (q;q)_{n-k}),
     k = 0..n, shared by every double-sum evaluation."""
     qb = QBase.coerce(q)
+    if n < 0:
+        raise DomainError("n must be a nonnegative integer")
     pa = _poch_row(ra, qb.q, n)
     pb = _poch_row(rb, qb.q, n)
     pq = _poch_row(qb.q, qb.q, n)
@@ -170,23 +149,12 @@ def expansion_weights(n: int, ra: complex, rb: complex, q) -> np.ndarray:
 def big_c_coeffs(n: int, p: ParamSet4, q) -> np.ndarray:
     """Laurent coefficients c_k of C_n(e^{i theta}) = sum_k c_k e^{i(2k-n)theta}."""
     qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
     k = np.arange(n + 1)
     return (
         expansion_weights(n, p.ratio_a, p.ratio_b, qb)
         * p.gamma ** k
         * p.delta ** (n - k)
     )
-
-
-def big_c_eval(n: int, pt, p: ParamSet4, q) -> complex:
-    """C_n at the point e^{i theta}; ``pt`` may be an EvaluationPoint or a
-    bare angle in radians."""
-    theta = EvaluationPoint.coerce(pt).theta
-    coefs = big_c_coeffs(n, p, q)
-    harmonics = 2 * np.arange(n + 1) - n
-    return complex(np.sum(coefs * np.exp(1j * harmonics * theta)))
 
 
 def big_c_eval_many(n: int, thetas: np.ndarray, p: ParamSet4, q) -> np.ndarray:
@@ -212,28 +180,11 @@ def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
     powers of (gamma x) and (delta y).  On the unit circle it reduces to
     (q;q)_n * C_n."""
     qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
     k = np.arange(n + 1)
     gx = p.gamma * complex(x)
     dy = p.delta * complex(y)
     total = np.sum(expansion_weights(n, p.ratio_a, p.ratio_b, qb) * gx ** k * dy ** (n - k))
     return complex(qpoch_finite(qb.q, qb, n) * total)
-
-
-def cq_ultraspherical(n: int, theta: float, beta, q) -> complex:
-    """The single-parameter circle polynomial
-
-        sum_{k=0}^{n} (beta;q)_k (beta;q)_{n-k} / ((q;q)_k (q;q)_{n-k})
-                      * cos((n-2k) theta),
-
-    real-valued for real beta."""
-    qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    w = expansion_weights(n, complex(beta), complex(beta), qb)
-    harmonics = n - 2 * np.arange(n + 1)
-    return complex(np.sum(w * np.cos(harmonics * float(theta))))
 
 
 def weight_symbols(p: ParamSet4):
@@ -244,7 +195,8 @@ def weight_symbols(p: ParamSet4):
 
 def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
     """The truncation depth K of a product quotient with coefficients
-    ``coefs``: the tail start of the largest one."""
+    ``coefs``: the tail start of the largest one.  Raises
+    :class:`TruncationExceeded` when K exceeds ``policy.max_terms``."""
     return tail_start(max(map(abs, coefs)), q, policy)
 
 
@@ -274,26 +226,6 @@ def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
     )
 
 
-def weight_omega(pt, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The orthogonality weight at one angle, as the quotient of four infinite
-    products.  Raises :class:`NearSingular` when a denominator product drops
-    below 1e-12 in magnitude."""
-    theta = EvaluationPoint.coerce(pt).theta
-    qb = QBase.coerce(q)
-    e2 = complex(math.cos(2 * theta), math.sin(2 * theta))
-    num = qpoch_infinite(p.gamma / p.delta * e2, qb, policy) * qpoch_infinite(
-        p.delta / p.gamma / e2, qb, policy
-    )
-    den = qpoch_infinite(p.alpha / p.delta * e2, qb, policy) * qpoch_infinite(
-        p.beta / p.gamma / e2, qb, policy
-    )
-    if abs(den) < NEAR_SINGULAR_TOL:
-        raise NearSingular(
-            f"weight denominator magnitude {abs(den):.3g} below {NEAR_SINGULAR_TOL}"
-        )
-    return num / den
-
-
 def weight_omega_many(
     thetas: np.ndarray, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> np.ndarray:
@@ -305,22 +237,6 @@ def weight_omega_many(
     if weight_min_denominator(p, q, policy) < NEAR_SINGULAR_TOL:
         raise NearSingular("weight denominator can vanish on the circle")
     return product_quotient(*weight_symbols(p), q, policy)(thetas)
-
-
-def _screen_denominator(symbols, qb: QBase, policy: TruncationPolicy, product: complex) -> None:
-    """Raise :class:`NearSingular` when some factor 1 - w q^k of a symbol
-    (name -> w) of the denominator ``product`` = prod_w (w;q)_oo is below
-    1e-12, or when the product is exactly 0.  Its magnitude alone says
-    nothing: at q = 0.95, (q;q)_oo is about 1e-13 with every factor >= 0.05."""
-    for name, w in symbols.items():
-        smallest = min_factor_abs(w, qb.q, policy.rel_tol)
-        if smallest < NEAR_SINGULAR_TOL:
-            raise NearSingular(
-                f"({name};q)_oo has a factor of magnitude {smallest:.3g}, "
-                f"below {NEAR_SINGULAR_TOL}"
-            )
-    if product == 0:
-        raise NearSingular(f"denominator ({', '.join(symbols)};q)_oo is exactly 0")
 
 
 def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -336,7 +252,7 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     if abs(a) >= 1.0:
         raise DomainError(f"|a| must be < 1, got {abs(a):.6g}")
     den_inf = qpoch_infinite(a, qb, policy) * qpoch_infinite(a * qb.q, qb, policy)
-    _screen_denominator({"a": a, "aq": a * qb.q}, qb, policy, den_inf)
+    screen_denominator({"a": a, "aq": a * qb.q}, qb, policy, den_inf)
     num = (
         qpoch_infinite(qb.q, qb, policy)
         * qpoch_infinite(a * a, qb, policy)
@@ -354,7 +270,7 @@ def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLIC
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
     den_inf = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
-    _screen_denominator({"q": qb.q, "ra*rb": ra * rb}, qb, policy, den_inf)
+    screen_denominator({"q": qb.q, "ra*rb": ra * rb}, qb, policy, den_inf)
     return TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
 
 
@@ -423,4 +339,4 @@ def growth_root(n: int, p: ParamSet4, q) -> float:
         raise DomainError("n must be a positive integer")
     scale = max(abs(p.gamma), abs(p.delta))
     unit = ParamSet4(p.alpha / scale, p.beta / scale, p.gamma / scale, p.delta / scale)
-    return scale * abs(big_c_eval(n, 0.0, unit, q)) ** (1.0 / n)
+    return scale * abs(big_c_eval_many(n, [0.0], unit, q)[0]) ** (1.0 / n)

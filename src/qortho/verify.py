@@ -25,7 +25,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +52,6 @@ from .qfun import (
     ReducedParams,
     big_c_at_one,
     big_c_coeffs,
-    big_c_eval,
     big_c_eval_many,
     connection_coeffs,
     diag_rhs_thm11,
@@ -266,18 +264,24 @@ def _circle_check(
     once, integrate over ``interval`` the C_n sums ``laurent`` ((coefficients,
     degree) pairs) times the product quotient of the (numerators, denominators,
     exponents) ``symbols`` and the weight's, both at the depth of all their
-    coefficients; flag slow quadrature, then evaluate ``rhs()``.
+    coefficients; flag slow quadrature, then evaluate ``rhs()``.  A weight
+    pole on the circle or a depth beyond ``policy.max_terms`` is flagged
+    before any quadrature runs.
 
     The weight, a function of e^{2i theta}, is evaluated on the first half of
     each grid and repeated: :func:`periodic_integral` grids hold theta + pi
     N/2 places after theta.  The C_n factors stay on the whole grid, so an
     odd total degree still integrates to a quadrature value, not to 0 by
     construction."""
-    if weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
-        return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance,
-                                        flags=["NearSingular"])
     own = weight_symbols(weight)
-    kmax = quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]), qb, policy)
+    flags: list[str] = []
+    if weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
+        flags.append("NearSingular")
+    else:
+        kmax = _evaluate(lambda: quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]),
+                                                qb, policy), flags)
+    if flags:
+        return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance, flags=flags)
     weight_quotient = product_quotient(*own, qb, policy, kmax)
     quotients = [product_quotient(*symbols, qb, policy, kmax)] if symbols[0] else []
 
@@ -288,7 +292,8 @@ def _circle_check(
         return functools.reduce(operator.mul, factors)
 
     result = periodic_integral(integrand, interval, qspec)
-    flags = [] if result.converged else ["NoConvergence"]
+    if not result.converged:
+        flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
     return VerificationReport.build(
         identity_id, inputs, result.value, rhs_value, tolerance, scale=result.fscale, flags=flags
@@ -521,7 +526,7 @@ def check_prop_2_1_2(
         IdentityId.PROP_2_1_2, _paramset_inputs(p, qb) | {"n": n, "theta": theta},
         tolerance,
         lambda: phi_eval(n, x, x.conjugate(), p, qb),
-        lambda: qpoch_finite(qb.q, qb, n) * big_c_eval(n, theta, p, qb),
+        lambda: qpoch_finite(qb.q, qb, n) * complex(big_c_eval_many(n, [theta], p, qb)[0]),
     )
 
 
@@ -852,14 +857,6 @@ REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
              lambda rng, box, q, spec: {"beta": _uniform(rng, box["beta"]), "q": q,
                                         **_degrees(rng, spec)}),
 )}
-
-# Read-only views of the registry, kept under their earlier public names.
-DEFAULT_TOLERANCES: Mapping[IdentityId, float] = MappingProxyType(
-    {i: record.tolerance for i, record in REGISTRY.items()}
-)
-DEFAULT_BOXES: Mapping[IdentityId, Mapping[str, tuple[float, float]]] = MappingProxyType(
-    {i: MappingProxyType(record.box) for i, record in REGISTRY.items()}
-)
 
 
 def draw_params(identity_id: IdentityId, rng: np.random.Generator, spec: SweepSpec) -> dict:

@@ -6,7 +6,12 @@ multiplied out, then long division), and recurrences are iterated directly.
 They exist so that expected values are computed, never assumed.
 """
 
+import cmath
+
+import mpmath
 import numpy as np
+
+from qortho.qcore import DEFAULT_POLICY, qpoch_infinite
 
 
 def poch_poly(c, q, order, tol=1e-18):
@@ -82,3 +87,26 @@ def ultra_recurrence_oracle(n, theta, beta, q):
         )
         prev, cur = cur, nxt
     return cur
+
+
+def weight_oracle(theta, p, q, policy=DEFAULT_POLICY):
+    """The weight at one angle as the quotient of four scalar infinite
+    products, each truncated at its own depth; no denominator screen."""
+    e2 = cmath.exp(2j * theta)
+    num = qpoch_infinite(p.gamma / p.delta * e2, q, policy) * qpoch_infinite(
+        p.delta / p.gamma / e2, q, policy)
+    den = qpoch_infinite(p.alpha / p.delta * e2, q, policy) * qpoch_infinite(
+        p.beta / p.gamma / e2, q, policy)
+    return num / den
+
+
+def mp_qpoch(a, q):
+    """(a;q)_oo at the current mpmath precision by an explicit factor loop,
+    stopped once |a q^k| < 10^-dps (mpmath's qp does not converge near
+    q = 1)."""
+    eps = mpmath.mpf(10) ** -mpmath.mp.dps
+    prod = mpmath.mpf(1)
+    while abs(a) >= eps:
+        prod *= 1 - a
+        a *= q
+    return prod

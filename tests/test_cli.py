@@ -9,9 +9,11 @@ import pytest
 
 import numpy as np
 
-from qortho import VerificationReport, qpoch_finite
+from qortho import ParamSet4, VerificationReport, qpoch_finite
 from qortho.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
 from qortho.verify import REGISTRY, IdentityId, ParamKind, SweepSpec, draw_params
+
+from oracles import c_series_oracle, ultra_recurrence_oracle, weight_oracle
 
 BOX = [
     "--alpha-re", "0.2", "--beta-re", "0.1",
@@ -40,6 +42,53 @@ class TestEval:
         )
         assert code == EXIT_PASS
         assert json.loads(out)["value_re"] == pytest.approx(2.8)
+
+    def test_big_c_against_the_series_oracle(self, capsys):
+        code, out, _ = run_cli(["eval", "big_c", "--n", "3", "--theta", "0.3", *BOX], capsys)
+        assert code == EXIT_PASS
+        rec = json.loads(out)
+        expected = c_series_oracle(0.3, 0.2, 0.1, 0.8, 0.9, 0.5, 3)[3]
+        assert complex(rec["value_re"], rec["value_im"]) == pytest.approx(expected, rel=1e-13)
+
+    def test_ultra_beyond_unit_beta(self, capsys):
+        # |beta| > 1 is outside ParamSet4's domain but the cosine sum is defined
+        code, out, _ = run_cli(
+            ["eval", "ultra", "--n", "3", "--theta", "0.4", "--beta-re", "1.5", "--q", "0.5"],
+            capsys,
+        )
+        assert code == EXIT_PASS
+        rec = json.loads(out)
+        assert rec["value_re"] == pytest.approx(0.4414893510130313, rel=0, abs=1e-14)
+        assert rec["value_re"] == pytest.approx(
+            ultra_recurrence_oracle(3, 0.4, 1.5, 0.5).real, rel=1e-13)
+        assert abs(rec["value_im"]) < 1e-14
+
+    WEIGHT = ["--theta", "0", "--alpha-re", "0.81", "--beta-re", "0.1",
+              "--gamma-re", "0.9", "--delta-re", "0.95", "--q", "0.97"]
+
+    def test_weight_with_a_tiny_denominator_product(self, capsys):
+        # the denominator product is about 1e-19, every factor of it >= 0.147
+        code, out, _ = run_cli(["eval", "weight", *self.WEIGHT], capsys)
+        assert code == EXIT_PASS
+        rec = json.loads(out)
+        expected = weight_oracle(0.0, ParamSet4(0.81, 0.1, 0.9, 0.95), 0.97)
+        assert rec["value_re"] == pytest.approx(9.04e-30, rel=1e-3)
+        assert complex(rec["value_re"], rec["value_im"]) == pytest.approx(expected, rel=1e-12)
+
+    def test_weight_depth_beyond_max_terms_exits_2(self, capsys):
+        code, _, err = run_cli(["eval", "weight", "--max-terms", "5", *self.WEIGHT], capsys)
+        assert code == EXIT_INVALID
+        assert "cap is 5" in err
+
+    def test_weight_pole_on_the_circle_exits_2(self, capsys):
+        # alpha/delta = 1: a denominator factor vanishes at theta = 0
+        code, _, err = run_cli(
+            ["eval", "weight", "--theta", "1.0", "--alpha-re", "0.6", "--beta-re", "0.1",
+             "--gamma-re", "0.9", "--delta-re", "0.6", "--q", "0.5"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "vanish on the circle" in err
 
     def test_qpoch_vanishing_infinite_product(self, capsys):
         code, out, _ = run_cli(["eval", "qpoch", "--a-re", "1", "--q", "0.5", "--inf"], capsys)

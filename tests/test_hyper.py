@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,8 @@ from qortho import (
     rogers_6w5_rhs,
     very_well_poised,
 )
+
+from oracles import mp_qpoch
 
 
 class TestPhiSpec:
@@ -111,6 +114,18 @@ class TestRogers6W5:
         with pytest.raises(NearSingular):
             rogers_6w5_rhs(a, b, 1.5, 1.4, q)
 
+    def test_product_near_q_one_against_a_40_digit_loop(self):
+        # the denominator product is about 1e-20, every factor of it >= 0.08
+        with mpmath.workdps(40):
+            a, b, c, d, q = map(mpmath.mpf, (0.2, 0.5, 0.6, 0.7, 0.98))
+            aq = a * q
+            num = (mp_qpoch(aq, q) * mp_qpoch(aq / (b * c), q) * mp_qpoch(aq / (b * d), q)
+                   * mp_qpoch(aq / (c * d), q))
+            den = (mp_qpoch(aq / b, q) * mp_qpoch(aq / c, q) * mp_qpoch(aq / d, q)
+                   * mp_qpoch(aq / (b * c * d), q))
+            expected = complex(num / den)
+        assert rogers_6w5_rhs(0.2, 0.5, 0.6, 0.7, 0.98) == pytest.approx(expected, rel=1e-13)
+
     def test_spot_value_against_series(self):
         # admissible six-parameter set with z = aq/(bcd) = 10/21
         a, b, c, d, q = 0.2, 0.5, 0.6, 0.7, 0.5
@@ -162,3 +177,16 @@ class TestRogers6W5:
             rhs = rogers_6w5_rhs(a, b, c, d, q)
             assert abs(lhs / rhs - 1.0) <= 1e-9
             count += 1
+
+
+class TestQBinomialProductRatio:
+    def test_near_q_one_against_a_40_digit_loop(self):
+        # (0.5; 0.99)_oo is about 1e-19, every factor of it >= 0.5
+        with mpmath.workdps(40):
+            a, z, q = map(mpmath.mpf, (0.3, 0.5, 0.99))
+            expected = complex(mp_qpoch(a * z, q) / mp_qpoch(z, q))
+        assert qbinomial_product_ratio(0.3, 0.5, 0.99) == pytest.approx(expected, rel=1e-13)
+
+    def test_small_denominator_factor_is_flagged(self):
+        with pytest.raises(NearSingular, match=r"\(z;q\)_oo has a factor"):
+            qbinomial_product_ratio(0.3, 1 - 1e-13, 0.5)

