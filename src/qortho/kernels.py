@@ -11,13 +11,16 @@ quadrature grid (the second half repeats it); the Laurent sums and any
 s_c = +-1 symbols get the whole grid.  Both kernels are plain numpy;
 ``BACKEND`` names the implementation for reports and benchmarks.
 
-The truncated product is formed one symbol at a time as broadcast blocks
-1 - q^k w_c(theta_j) over depths k and nodes j, reduced over k.  Depths are
-taken DEPTH_CHUNK rows at a time, so one complex min(K, DEPTH_CHUNK) x N
-block (at most 16 * 128 * N bytes, about 0.2 MB at K = 90, N = 128) is the
-working memory of a call, whatever the number of symbols and however deep
-the truncation gets near |q| = 1.  Stacking the symbols into one array
-would multiply that by their count.
+The truncated product is formed for all S symbols at once, as broadcast
+blocks 1 - q^k w_c(theta_j) over depths k, symbols c and nodes j, reduced
+over k and then over c.  The grids are small (typically 2 symbols, depth
+10-80, 32-128 nodes), so the cost of a call is mostly its fixed numpy
+overhead, and one block per depth chunk keeps the number of numpy calls
+independent of S.  Depths are taken max(1, DEPTH_CHUNK // S) rows at a time,
+so one complex block of at most max(DEPTH_CHUNK, S) x N values (16 * 128 * N
+bytes, about 0.26 MB at N = 128, for S <= DEPTH_CHUNK) is the working memory
+of a call, whatever the number of symbols and however deep the truncation
+gets near |q| = 1.
 """
 
 from __future__ import annotations
@@ -26,27 +29,28 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Depth rows per broadcast block; bounds the working memory at
-# DEPTH_CHUNK x N complex values whatever kmax is.
+# Depth x symbol rows per broadcast block; bounds the working memory at
+# DEPTH_CHUNK x N complex values whatever kmax and the symbol count are.
 DEPTH_CHUNK = 128
 
 
 def poch_product_many(coefs, exps, q, kmax, thetas):
     """prod_c (coef_c e^{i exps_c theta}; q)_kmax at each theta."""
     thetas = np.asarray(thetas, dtype=np.float64)
+    coefs = np.asarray(coefs, dtype=np.complex128)
     out = np.ones(thetas.shape[0], dtype=np.complex128)
-    z = np.exp(1j * thetas)
+    w = np.exp(1j * np.multiply.outer(np.asarray(exps, dtype=np.float64), thetas))
+    w *= coefs[:, None]
     qpow = np.full(kmax, complex(q))
     qpow[:1] = 1.0
     np.cumprod(qpow, out=qpow)
-    block = np.empty((min(kmax, DEPTH_CHUNK), thetas.shape[0]), dtype=np.complex128)
-    for c in range(len(coefs)):
-        w = complex(coefs[c]) * z ** int(exps[c])
-        for start in range(0, kmax, DEPTH_CHUNK):
-            rows = block[: min(DEPTH_CHUNK, kmax - start)]
-            np.multiply.outer(qpow[start : start + DEPTH_CHUNK], w, out=rows)
-            np.subtract(1.0, rows, out=rows)
-            out *= rows.prod(axis=0)
+    chunk = max(1, DEPTH_CHUNK // max(coefs.shape[0], 1))
+    block = np.empty((min(kmax, chunk), *w.shape), dtype=np.complex128)
+    for start in range(0, kmax, chunk):
+        rows = block[: min(chunk, kmax - start)]
+        np.multiply.outer(qpow[start : start + chunk], w, out=rows)
+        np.subtract(1.0, rows, out=rows)
+        out *= rows.prod(axis=0).prod(axis=0)
     return out
 
 

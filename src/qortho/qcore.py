@@ -68,8 +68,8 @@ class TruncationPolicy:
     max_terms: int = 10000
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
 
@@ -135,7 +135,8 @@ def min_factor_abs(a, q, floor: float) -> float:
     w = a
     while abs(w) >= floor:
         smallest = min(smallest, abs(1.0 - w))
-        if q == 0:
+        # every later factor has |1 - w q^j| >= 1 - |w| >= smallest
+        if q == 0 or abs(w) <= 1.0 - smallest:
             break
         w *= q
     return smallest

@@ -8,9 +8,14 @@ which for 2pi-periodic analytic integrands converges geometrically in N and
 is exact for trigonometric polynomials of degree < N.  Refinement doubles N,
 reusing previous evaluations, until successive values agree.  It starts at
 64 nodes: the analytic integrands checked here settle by 128-256, and each
-doubling costs as much as everything before it.  N is even, so every grid
-handed to the integrand holds theta and theta + pi as its j-th and
-(j + N/2)-th angle; an integrand that is pi-periodic in part may evaluate
+doubling costs as much as everything before it.  The first two levels come
+from one integrand call on the 2N-point grid 2 pi j / 2N: its even nodes are
+the N-point start grid and its odd nodes that grid's midpoints, bit for bit,
+since the two differ only by scalings by powers of two (the nested rule of
+Trefethen & Weideman, SIAM Review 56, 2014).  Each later level evaluates
+only the midpoints of the grid so far.  Every grid handed to the integrand
+has an even length M and holds theta and theta + pi as its j-th and
+(j + M/2)-th angle; an integrand that is pi-periodic in part may evaluate
 that part on the first half and repeat it.
 
 Half-period integrals apply the same rule and halve the result.  That equals
@@ -70,8 +75,8 @@ class QuadratureSpec:
             raise DomainError(f"nodes must be even, got {self.nodes}")
         if self.max_nodes < self.nodes:
             raise DomainError("max_nodes must be >= nodes")
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -85,6 +90,26 @@ class QuadResult(NamedTuple):
     fscale: float  # max |f| over evaluated nodes times interval length
 
 
+def _level_values(f, spec: QuadratureSpec):
+    """The integrand's values level by level: the start grid of N =
+    ``spec.nodes`` angles, then the midpoints of each grid so far up to
+    ``spec.max_nodes``.  The first two levels come from one call on the
+    2N-point grid whenever N < max_nodes, so the node counts are those of
+    one call per level."""
+    n = spec.nodes
+    if n >= spec.max_nodes:
+        yield np.asarray(f(TWO_PI * np.arange(n) / n), dtype=np.complex128)
+        return
+    values = np.asarray(f(TWO_PI * np.arange(2 * n) / (2 * n)), dtype=np.complex128)
+    yield values[::2]
+    yield values[1::2]
+    n *= 2
+    while n < spec.max_nodes:
+        # midpoints of the current grid = the odd nodes of the doubled grid
+        yield np.asarray(f(TWO_PI * (np.arange(n) + 0.5) / n), dtype=np.complex128)
+        n *= 2
+
+
 def periodic_integral(
     f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
@@ -93,10 +118,12 @@ def periodic_integral(
     """Integrate a periodic analytic integrand over a full or half period.
 
     ``f`` must accept an ndarray of angles and return an ndarray of values.
-    Each array it gets has an even length N and holds theta_j + pi at index
-    j + N/2 for every j < N/2 (the start grid 2 pi j / N and each midpoint
-    grid 2 pi (j + 1/2) / N alike), so ``f`` may compute a pi-periodic factor
-    on the first half and repeat it.
+    Its first call gets the 2N-point grid 2 pi j / 2N, N = ``spec.nodes``,
+    which holds the start grid and its midpoints (only the N-point grid when
+    ``spec.max_nodes`` is N); each later call gets the midpoints of the grid
+    so far.  Each array it gets has an even length M and holds theta_j + pi
+    at index j + M/2 for every j < M/2, so ``f`` may compute a pi-periodic
+    factor on the first half and repeat it.
     ``interval`` is ``FULL_PERIOD`` or ``HALF_PERIOD``; the half-period mode
     evaluates over the whole period and halves, see the module docstring.
     Never raises on slow convergence: the result carries ``converged=False``
@@ -110,17 +137,16 @@ def periodic_integral(
         raise DomainError(f"interval must be FULL_PERIOD or HALF_PERIOD, got {interval}")
     length = TWO_PI * factor
 
+    levels = _level_values(f, spec)
+    values = next(levels)
     n = spec.nodes
-    values = np.asarray(f(TWO_PI * np.arange(n) / n), dtype=np.complex128)
     running_sum = values.sum()
     fmax = float(np.max(np.abs(values))) if values.size else 0.0
     estimate = factor * TWO_PI / n * running_sum
 
     converged = False
     est_error = math.inf
-    while n < spec.max_nodes:
-        # midpoints of the current grid = the odd nodes of the doubled grid
-        new_values = np.asarray(f(TWO_PI * (np.arange(n) + 0.5) / n), dtype=np.complex128)
+    for new_values in levels:
         running_sum += new_values.sum()
         fmax = max(fmax, float(np.max(np.abs(new_values))))
         n *= 2

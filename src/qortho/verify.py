@@ -288,7 +288,8 @@ def _circle_check(
     def integrand(thetas):
         factors = [kernels.laurent_eval(coefs, n, thetas) for coefs, n in laurent]
         factors += [quotient(thetas) for quotient in quotients]
-        factors.append(np.tile(weight_quotient(thetas[: thetas.shape[0] // 2]), 2))
+        half = weight_quotient(thetas[: thetas.shape[0] // 2])
+        factors.append(np.concatenate((half, half)))
         return functools.reduce(operator.mul, factors)
 
     result = periodic_integral(integrand, interval, qspec)

@@ -144,6 +144,16 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "tolerance" in err
 
+    @pytest.mark.parametrize("rel_tol", ["inf", "0"])
+    def test_invalid_truncation_tolerance_exits_2(self, rel_tol, capsys):
+        code, _, err = run_cli(
+            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", "--rel-tol", rel_tol,
+             *BOX],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "invalid input" in err and "rel_tol" in err
+
     def test_thm_1_1_outside_the_weight_domain_exits_2(self, capsys):
         # |beta/gamma| = 1.11
         code, _, err = run_cli(

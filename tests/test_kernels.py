@@ -2,6 +2,8 @@
 every workload shape the package uses, and the circle checkers built on them
 must keep the values they gave before the product kernel was vectorized."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,21 @@ def test_numpy_poch_matches_reference_on_edge_shapes(shape, rng):
     exps, q, kmax, count = EDGE_SHAPES[shape]
     coefs = random_coefs(rng, len(exps))
     assert_matches_reference(coefs, np.array(exps, dtype=np.int64), q, kmax, nodes(count))
+
+
+def test_working_memory_stays_within_two_depth_chunks(rng):
+    # six symbols at kmax > DEPTH_CHUNK: the block over depths and symbols
+    # holds at most DEPTH_CHUNK x N values, not one such block per symbol
+    exps = np.array([1, -1, 1, -1, 2, -2], dtype=np.int64)
+    thetas = nodes(4096)
+    coefs = random_coefs(rng, len(exps))
+    tracemalloc.start()
+    try:
+        kernels.poch_product_many(coefs, exps, 0.95, 700, thetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * kernels.DEPTH_CHUNK * thetas.shape[0] * 16
 
 
 def test_numpy_laurent_matches_direct(rng):

@@ -1,3 +1,7 @@
+import cmath
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +15,7 @@ from qortho import (
     qpoch_infinite,
 )
 from qortho.kernels import poch_product_many
-from qortho.qcore import tail_start
+from qortho.qcore import min_factor_abs, tail_start
 from qortho.qfun import expansion_weights
 
 # frozen reference: partial products of (0.5; 0.5)_oo until the tail bound
@@ -47,6 +51,53 @@ class TestPolicy:
             TruncationPolicy(rel_tol=0.0)
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
+
+    def test_infinite_rel_tol_rejected(self):
+        # every truncation would stop at once, and products would read 1
+        with pytest.raises(DomainError, match="finite"):
+            TruncationPolicy(rel_tol=math.inf)
+
+
+def full_scan_min_factor_abs(a, q, floor):
+    """min(1, min_k |1 - a q^k|) over every k with |a q^k| >= floor."""
+    smallest = 1.0
+    w = a
+    while abs(w) >= floor:
+        smallest = min(smallest, abs(1.0 - w))
+        if q == 0:
+            break
+        w *= q
+    return smallest
+
+
+class TestMinFactorAbs:
+    """The scan stops once |a q^k| <= 1 - smallest, after which no factor
+    can be smaller; the result must equal the full scan bit for bit."""
+
+    @staticmethod
+    def draw(rng, kind):
+        qmod = rng.uniform(0.0, 0.9)
+        if kind == "real":
+            return rng.uniform(0.0, 3.0), qmod
+        if kind == "negative":
+            return -rng.uniform(0.0, 3.0), rng.choice((qmod, -qmod))
+        if kind == "complex":
+            return (cmath.rect(rng.uniform(0.0, 3.0), rng.uniform(-math.pi, math.pi)),
+                    cmath.rect(qmod, rng.uniform(-math.pi, math.pi)))
+        # a = q^{-k}: an exactly (or nearly) vanishing factor at depth k
+        q = rng.choice((qmod, cmath.rect(qmod, rng.uniform(-math.pi, math.pi)))) or 0.5
+        return q ** -rng.randint(0, 12), q
+
+    @pytest.mark.parametrize("kind", ["real", "negative", "complex", "q_power"])
+    def test_matches_the_full_scan(self, kind):
+        rng = random.Random(f"min_factor_abs:{kind}")
+        for _ in range(1000):
+            a, q = self.draw(rng, kind)
+            for floor in (1e-14, 1e-10):
+                assert min_factor_abs(a, q, floor) == full_scan_min_factor_abs(a, q, floor)
+
+    def test_vanishing_factor_deep_in_the_chain(self):
+        assert min_factor_abs(0.5 ** -7, 0.5, 1e-14) == 0.0
 
 
 class TestQpochFinite:

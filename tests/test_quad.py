@@ -11,6 +11,7 @@ from qortho import (
     ParamSet4,
     QBase,
     QLattice,
+    QuadResult,
     QuadratureSpec,
     TruncationExceeded,
     TruncationPolicy,
@@ -20,6 +21,31 @@ from qortho import (
     phi_qintegral_repr,
     weight_omega_many,
 )
+
+
+def one_call_per_level_integral(f, interval, spec):
+    """The refinement loop with one integrand call per level: the start grid,
+    then the midpoints of each grid so far."""
+    factor = 1.0 if interval == FULL_PERIOD else 0.5
+    length = 2 * math.pi * factor
+    n = spec.nodes
+    values = f(2 * math.pi * np.arange(n) / n)
+    running_sum = values.sum()
+    fmax = float(np.max(np.abs(values)))
+    estimate = factor * 2 * math.pi / n * running_sum
+    converged, est_error = False, math.inf
+    while n < spec.max_nodes:
+        new_values = f(2 * math.pi * (np.arange(n) + 0.5) / n)
+        running_sum += new_values.sum()
+        fmax = max(fmax, float(np.max(np.abs(new_values))))
+        n *= 2
+        refined = factor * 2 * math.pi / n * running_sum
+        est_error = abs(refined - estimate)
+        estimate = refined
+        if est_error <= spec.rel_tol * max(abs(estimate), fmax * length):
+            converged = True
+            break
+    return QuadResult(complex(estimate), n, converged, est_error, fmax * length)
 
 
 class TestQuadratureSpec:
@@ -32,6 +58,11 @@ class TestQuadratureSpec:
     def test_odd_node_count_rejected(self):
         with pytest.raises(DomainError, match="even"):
             QuadratureSpec(nodes=17)
+
+    def test_infinite_rel_tol_rejected(self):
+        # any error estimate would pass as converged
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureSpec(rel_tol=math.inf)
 
     def test_doubling_starts_at_64_nodes(self):
         assert QuadratureSpec().nodes == 64
@@ -82,11 +113,37 @@ class TestPeriodicIntegral:
             return 1.0 / (1.0005 - np.cos(th)) + 0j  # too peaked to settle by 8x
 
         periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=start, max_nodes=start * 8))
-        assert len(grids) == 4
+        # the first call covers the first two levels on one 2N-point grid
+        assert [th.shape[0] for th in grids] == [2 * start, 2 * start, 4 * start]
         for th in grids:
             half = th.shape[0] // 2
             assert th.shape[0] == 2 * half
             assert np.max(np.abs(th[half:] - th[:half] - math.pi)) < 1e-14
+
+    def test_start_grid_alone_when_nodes_is_max_nodes(self):
+        grids = []
+
+        def f(th):
+            grids.append(th)
+            return np.cos(th) ** 2 + 0j
+
+        res = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=32, max_nodes=32))
+        assert [th.shape[0] for th in grids] == [32]
+        assert res.nodes == 32
+        assert res.value == pytest.approx(math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("interval", [FULL_PERIOD, HALF_PERIOD])
+    @pytest.mark.parametrize("start, max_nodes",
+                             [(16, 24), (16, 32), (16, 128), (64, 8192), (66, 528)])
+    @pytest.mark.parametrize("peak", [1.5, 1.05, 1.0005])
+    def test_matches_one_call_per_level(self, interval, start, max_nodes, peak):
+        f = lambda th: 1.0 / (peak - np.cos(th)) + np.exp(1j * th) / (peak + np.sin(th))
+        spec = QuadratureSpec(nodes=start, max_nodes=max_nodes, rel_tol=1e-12)
+        got = periodic_integral(f, interval, spec)
+        want = one_call_per_level_integral(f, interval, spec)
+        assert (got.nodes, got.converged, got.fscale) == (want.nodes, want.converged, want.fscale)
+        assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
+        assert abs(got.est_error - want.est_error) <= 1e-15 * want.fscale
 
     def test_spectral_accuracy_on_weight_integrand(self):
         # default box weight: nodes >= 128 already at the refinement plateau

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qortho import (
+    DEFAULT_QUADRATURE,
     DomainError,
     ParamSet4,
     QuadratureSpec,
@@ -290,12 +291,21 @@ class TestCircleIntegrand:
         seen = self.spy_grids(monkeypatch)
         assert check(*args).passed
         grids = seen["grid"]
-        assert len(grids) >= 2
+        # the first grid holds the first two quadrature levels
+        assert grids[0] == 2 * DEFAULT_QUADRATURE.nodes
         # a numerator and a denominator call per grid, each on its first half
         assert [n for _, n in seen["poch"]] == [n // 2 for n in grids for _ in range(2)]
         assert {exps for exps, _ in seen["poch"]} == {(2, -2)}
         # the C_n factors stay on the whole grid
         assert seen["laurent"] == [n for n in grids for _ in range(2)]
+
+    def test_check_settling_at_128_nodes_makes_one_integrand_call(self, monkeypatch):
+        seen = self.spy_grids(monkeypatch)
+        assert check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, 3).passed
+        assert seen["result"][0].nodes == 128
+        assert seen["grid"] == [128]
+        # the weight's numerator and denominator, each one block over 64 angles
+        assert [n for _, n in seen["poch"]] == [64, 64]
 
     @pytest.mark.parametrize("check, args", [
         (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.999, 2, 2)),
