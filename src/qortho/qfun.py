@@ -203,16 +203,16 @@ def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
 def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY,
                      kmax: int | None = None):
     """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_K
-    / prod_c (den_c e^{i exps_c theta}; q)_K over arrays of angles.  One depth
-    K serves every symbol: ``kmax``, by default the :func:`quotient_depth` of
-    these symbols."""
+    / prod_c (den_c e^{i exps_c theta}; q)_K over arrays of angles, one kernel
+    call per array.  One depth K serves every symbol: ``kmax``, by default the
+    :func:`quotient_depth` of these symbols."""
     qb = QBase.coerce(q)
     if kmax is None:
         kmax = quotient_depth((*num, *den), qb, policy)
-    return lambda thetas: (
-        kernels.poch_product_many(num, exps, qb.q, kmax, thetas)
-        / kernels.poch_product_many(den, exps, qb.q, kmax, thetas)
-    )
+    coefs = np.array((*num, *den), dtype=np.complex128)
+    all_exps = np.array((*exps, *exps), dtype=np.float64)
+    return lambda thetas: kernels.poch_product_many(coefs, all_exps, qb.q, kmax, thetas,
+                                                    len(num))
 
 
 def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -6,13 +6,14 @@ Full-period integrals use the equispaced rule
 
 which for 2pi-periodic analytic integrands converges geometrically in N and
 is exact for trigonometric polynomials of degree < N.  Refinement doubles N,
-reusing previous evaluations, until successive values agree.  It starts at
-64 nodes: the analytic integrands checked here settle by 128-256, and each
-doubling costs as much as everything before it.  The first two levels come
-from one integrand call on the 2N-point grid 2 pi j / 2N: its even nodes are
-the N-point start grid and its odd nodes that grid's midpoints, bit for bit,
-since the two differ only by scalings by powers of two (the nested rule of
-Trefethen & Weideman, SIAM Review 56, 2014).  Each later level evaluates
+reusing previous evaluations, until successive values agree or the doubled
+N would exceed the node cap.  It starts at 64 nodes: the analytic integrands
+checked here settle by 128-256, and each doubling costs as much as
+everything before it.  The first two levels come from one integrand call on
+the 2N-point grid 2 pi j / 2N: its even nodes are the N-point start grid and
+its odd nodes that grid's midpoints, bit for bit, since the two differ only
+by scalings by powers of two (the nested rule of Trefethen & Weideman,
+SIAM Review 56, 2014).  Each later level evaluates
 only the midpoints of the grid so far.  Every grid handed to the integrand
 has an even length M and holds theta and theta + pi as its j-th and
 (j + M/2)-th angle; an integrand that is pi-periodic in part may evaluate
@@ -92,19 +93,19 @@ class QuadResult(NamedTuple):
 
 def _level_values(f, spec: QuadratureSpec):
     """The integrand's values level by level: the start grid of N =
-    ``spec.nodes`` angles, then the midpoints of each grid so far up to
-    ``spec.max_nodes``.  The first two levels come from one call on the
-    2N-point grid whenever N < max_nodes, so the node counts are those of
-    one call per level."""
+    ``spec.nodes`` angles, then the midpoints of each grid so far while the
+    doubled grid holds at most ``spec.max_nodes`` angles.  The first two
+    levels come from one call on the 2N-point grid whenever 2N <= max_nodes,
+    so the node counts are those of one call per level."""
     n = spec.nodes
-    if n >= spec.max_nodes:
+    if 2 * n > spec.max_nodes:
         yield np.asarray(f(TWO_PI * np.arange(n) / n), dtype=np.complex128)
         return
     values = np.asarray(f(TWO_PI * np.arange(2 * n) / (2 * n)), dtype=np.complex128)
     yield values[::2]
     yield values[1::2]
     n *= 2
-    while n < spec.max_nodes:
+    while 2 * n <= spec.max_nodes:
         # midpoints of the current grid = the odd nodes of the doubled grid
         yield np.asarray(f(TWO_PI * (np.arange(n) + 0.5) / n), dtype=np.complex128)
         n *= 2
@@ -120,14 +121,16 @@ def periodic_integral(
     ``f`` must accept an ndarray of angles and return an ndarray of values.
     Its first call gets the 2N-point grid 2 pi j / 2N, N = ``spec.nodes``,
     which holds the start grid and its midpoints (only the N-point grid when
-    ``spec.max_nodes`` is N); each later call gets the midpoints of the grid
-    so far.  Each array it gets has an even length M and holds theta_j + pi
-    at index j + M/2 for every j < M/2, so ``f`` may compute a pi-periodic
-    factor on the first half and repeat it.
+    ``spec.max_nodes`` is below 2N); each later call gets the midpoints of
+    the grid so far, and no call takes the node count past
+    ``spec.max_nodes``.  Each array it gets has an even length M and holds
+    theta_j + pi at index j + M/2 for every j < M/2, so ``f`` may compute a
+    pi-periodic factor on the first half and repeat it.
     ``interval`` is ``FULL_PERIOD`` or ``HALF_PERIOD``; the half-period mode
     evaluates over the whole period and halves, see the module docstring.
     Never raises on slow convergence: the result carries ``converged=False``
-    when ``max_nodes`` is reached with residual above ``rel_tol``.
+    when no further doubling fits in ``max_nodes`` and the residual is still
+    above ``rel_tol``.
     """
     if interval == FULL_PERIOD:
         factor = 1.0

@@ -6,11 +6,12 @@ code paths, then assembles an immutable :class:`VerificationReport`.  Numeric
 trouble (near-singular denominators, truncation caps, divergent series, slow
 quadrature) is surfaced as report flags, never as exceptions escaping a
 checker.  The four circle checkers hand their integrand to one path as data:
-C_n factors and extra product symbols; the weight is screened and the
-truncation depth chosen once per check.  The weight depends on theta only
-through e^{2i theta}, so it is evaluated on the first half of each
-quadrature grid and repeated on the second, whose angles are the first's
-plus pi; the C_n factors and extra symbols are evaluated on the whole grid.
+C_n factors and extra product symbols; the weight is screened, the
+truncation depth chosen and the C_n factors multiplied into one Laurent
+polynomial once per check.  The weight depends on theta only through
+e^{2i theta}, so it is evaluated on the first half of each quadrature grid
+and repeated on the second, whose angles are the first's plus pi; the C_n
+product and extra symbols are evaluated on the whole grid.
 
 :data:`REGISTRY` describes each identity once: its default tolerance, sweep
 box, drawer and the parameter schema of its checker ``check_<identity>``.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -261,16 +261,20 @@ def _circle_check(
     symbols: tuple[tuple, tuple, tuple] = ((), (), ()),
 ) -> VerificationReport:
     """The path every circle identity shares: screen the weight of ``weight``
-    once, integrate over ``interval`` the C_n sums ``laurent`` ((coefficients,
-    degree) pairs) times the product quotient of the (numerators, denominators,
-    exponents) ``symbols`` and the weight's, both at the depth of all their
-    coefficients; flag slow quadrature, then evaluate ``rhs()``.  A weight
-    pole on the circle or a depth beyond ``policy.max_terms`` is flagged
-    before any quadrature runs.
+    once, integrate over ``interval`` the product of the C_n sums ``laurent``
+    ((coefficients, degree) pairs) times the product quotient of the
+    (numerators, denominators, exponents) ``symbols`` and the weight's, both
+    at the depth of all their coefficients; flag slow quadrature, then
+    evaluate ``rhs()``.  A weight pole on the circle or a depth beyond
+    ``policy.max_terms`` is flagged before any quadrature runs.  The C_n sums
+    are multiplied once per check into one Laurent polynomial (the
+    convolution of their coefficients, degree the sum of theirs), so each
+    integrand call makes one Laurent evaluation and one kernel call per
+    quotient.
 
     The weight, a function of e^{2i theta}, is evaluated on the first half of
     each grid and repeated: :func:`periodic_integral` grids hold theta + pi
-    N/2 places after theta.  The C_n factors stay on the whole grid, so an
+    N/2 places after theta.  The C_n product stays on the whole grid, so an
     odd total degree still integrates to a quadrature value, not to 0 by
     construction."""
     own = weight_symbols(weight)
@@ -283,14 +287,19 @@ def _circle_check(
     if flags:
         return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance, flags=flags)
     weight_quotient = product_quotient(*own, qb, policy, kmax)
-    quotients = [product_quotient(*symbols, qb, policy, kmax)] if symbols[0] else []
+    quotient = product_quotient(*symbols, qb, policy, kmax) if symbols[0] else None
+    if laurent:
+        coefs = functools.reduce(np.convolve, (c for c, _ in laurent))
+        degree = sum(n for _, n in laurent)
 
     def integrand(thetas):
-        factors = [kernels.laurent_eval(coefs, n, thetas) for coefs, n in laurent]
-        factors += [quotient(thetas) for quotient in quotients]
         half = weight_quotient(thetas[: thetas.shape[0] // 2])
-        factors.append(np.concatenate((half, half)))
-        return functools.reduce(operator.mul, factors)
+        values = np.concatenate((half, half))
+        if laurent:
+            values *= kernels.laurent_eval(coefs, degree, thetas)
+        if quotient is not None:
+            values *= quotient(thetas)
+        return values
 
     result = periodic_integral(integrand, interval, qspec)
     if not result.converged:
@@ -460,13 +469,16 @@ def check_prop_3_1(
 ) -> VerificationReport:
     """Connection expansion: degree m of the b-family equals the parity-matched
     combination of a-family degrees n <= m.  The report carries the worst
-    pointwise residual over the probe angles."""
+    pointwise residual over the probe angles, which must be finite and at
+    least one."""
     qb = QBase.coerce(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
     if thetas is None:
         thetas = TWO_PI * np.arange(16) / 16
     thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 1 or thetas.shape[0] == 0 or not np.all(np.isfinite(thetas)):
+        raise DomainError(f"thetas must be a nonempty list of finite angles, got {thetas!r}")
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
     inputs = {
@@ -561,8 +573,15 @@ def check_prop_2_2(
         sum_n C_{n+k}(1) C_n(1) |(q;q)_{n+k} / (ra*rb;q)_{n+k}| |t|^n
 
     beyond ``partial_terms`` must stay below tolerance times the partial sum.
-    The report's lhs is the tail, rhs is zero, scale is the partial sum."""
+    The report's lhs is the tail, rhs is zero, scale is the partial sum.
+    Needs 0 < t_fraction < 1 and at least one partial and one tail term."""
     qb = QBase.coerce(q)
+    if not 0.0 < t_fraction < 1.0:
+        raise DomainError(f"t_fraction must lie in (0, 1), got {t_fraction!r}")
+    if partial_terms < 1 or tail_terms < 1:
+        raise DomainError(
+            f"partial_terms and tail_terms must be >= 1, got {partial_terms} and {tail_terms}"
+        )
     inputs = _paramset_inputs(p, qb) | {
         "k": k, "t_fraction": t_fraction, "partial_terms": partial_terms,
         "tail_terms": tail_terms,

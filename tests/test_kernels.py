@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qortho import SweepSpec, kernels
+from qortho import ParamSet4, SweepSpec, big_c_coeffs, kernels
 from qortho.verify import REGISTRY, IdentityId, draw_params
 
 
@@ -67,19 +67,35 @@ def test_numpy_poch_matches_reference_on_edge_shapes(shape, rng):
     assert_matches_reference(coefs, np.array(exps, dtype=np.int64), q, kmax, nodes(count))
 
 
+@pytest.mark.parametrize("shape", list(EDGE_SHAPES))
+def test_split_quotient_matches_ratio_of_reference_products(shape, rng):
+    # numerator and denominator symbols share the shape's exponents, as the
+    # weight's do; the denominators are kept off zero on the circle
+    exps, q, kmax, count = EDGE_SHAPES[shape]
+    num, den = random_coefs(rng, len(exps)), random_coefs(rng, len(exps))
+    thetas = nodes(count)
+    got = kernels.poch_product_many(np.concatenate((num, den)), np.array(exps * 2), q, kmax,
+                                    thetas, len(exps))
+    want = (reference_poch_product(num, exps, q, kmax, thetas)
+            / reference_poch_product(den, exps, q, kmax, thetas))
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
 def test_working_memory_stays_within_two_depth_chunks(rng):
     # six symbols at kmax > DEPTH_CHUNK: the block over depths and symbols
-    # holds at most DEPTH_CHUNK x N values, not one such block per symbol
+    # holds at most DEPTH_CHUNK x N values, not one such block per symbol,
+    # for a product and for a quotient alike
     exps = np.array([1, -1, 1, -1, 2, -2], dtype=np.int64)
     thetas = nodes(4096)
     coefs = random_coefs(rng, len(exps))
-    tracemalloc.start()
-    try:
-        kernels.poch_product_many(coefs, exps, 0.95, 700, thetas)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * kernels.DEPTH_CHUNK * thetas.shape[0] * 16
+    for split in (None, 3):
+        tracemalloc.start()
+        try:
+            kernels.poch_product_many(coefs, exps, 0.95, 700, thetas, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * kernels.DEPTH_CHUNK * thetas.shape[0] * 16
 
 
 def test_numpy_laurent_matches_direct(rng):
@@ -90,6 +106,34 @@ def test_numpy_laurent_matches_direct(rng):
         [sum(c * np.exp(1j * (2 * k - 8) * t) for k, c in enumerate(coefs)) for t in thetas]
     )
     assert np.max(np.abs(got - direct)) < 1e-12
+
+
+def direct_laurent(coefs, n, thetas):
+    return sum(c * np.exp(1j * (2 * k - n) * thetas) for k, c in enumerate(coefs))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 30, 60])
+@pytest.mark.parametrize("count", [16, 128, 8192])
+def test_laurent_powers_from_two_exponentials_match_the_direct_sum(rng, degree, count):
+    # the powers e^{i(2k-n) theta} come from one running product over k,
+    # whose rounding grows with k; degree 60 is C_30 C_30
+    coefs = random_coefs(rng, degree + 1)
+    thetas = nodes(count)
+    got = kernels.laurent_eval(coefs, degree, thetas)
+    assert np.max(np.abs(got - direct_laurent(coefs, degree, thetas))) < 1e-13 * np.sum(
+        np.abs(coefs))
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (2, 3), (6, 6), (30, 29)])
+def test_convolved_laurent_coefficients_give_the_product(m, n):
+    # the circle checks multiply C_m and C_n into one Laurent polynomial
+    p = ParamSet4(0.2, 0.1, 0.8, 0.9)
+    a, b = big_c_coeffs(m, p, 0.5), big_c_coeffs(n, p, 0.5)
+    thetas = nodes(256)
+    product = kernels.laurent_eval(a, m, thetas) * kernels.laurent_eval(b, n, thetas)
+    got = kernels.laurent_eval(np.convolve(a, b), m + n, thetas)
+    scale = np.sum(np.abs(a)) * np.sum(np.abs(b))
+    assert np.max(np.abs(got - product)) < 1e-13 * scale
 
 
 # Report lhs of the first three draws at seed 0 of each circle identity, as

@@ -34,7 +34,7 @@ def one_call_per_level_integral(f, interval, spec):
     fmax = float(np.max(np.abs(values)))
     estimate = factor * 2 * math.pi / n * running_sum
     converged, est_error = False, math.inf
-    while n < spec.max_nodes:
+    while 2 * n <= spec.max_nodes:
         new_values = f(2 * math.pi * (np.arange(n) + 0.5) / n)
         running_sum += new_values.sum()
         fmax = max(fmax, float(np.max(np.abs(new_values))))
@@ -104,6 +104,26 @@ class TestPeriodicIntegral:
         res = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=16, max_nodes=32))
         assert not res.converged
 
+    @pytest.mark.parametrize("start, max_nodes, counts", [
+        (16, 24, [16]),
+        (16, 63, [32]),
+        (16, 64, [32, 32]),
+        (64, 8192, [128, 128, 256, 512, 1024, 2048, 4096]),
+    ])
+    def test_no_grid_takes_the_node_count_past_max_nodes(self, start, max_nodes, counts):
+        grids = []
+
+        def f(th):
+            grids.append(th.shape[0])
+            return 1.0 / (1.0005 - np.cos(th)) + 0j
+
+        # a tolerance no estimate meets, so the rule refines as far as it may
+        spec = QuadratureSpec(nodes=start, max_nodes=max_nodes, rel_tol=1e-300)
+        res = periodic_integral(f, FULL_PERIOD, spec)
+        assert grids == counts
+        assert res.nodes == sum(counts) <= max_nodes
+        assert not res.converged
+
     @pytest.mark.parametrize("start", [16, 64, 66])
     def test_every_grid_pairs_theta_with_theta_plus_pi(self, start):
         grids = []
@@ -143,7 +163,9 @@ class TestPeriodicIntegral:
         want = one_call_per_level_integral(f, interval, spec)
         assert (got.nodes, got.converged, got.fscale) == (want.nodes, want.converged, want.fscale)
         assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
-        assert abs(got.est_error - want.est_error) <= 1e-15 * want.fscale
+        # inf when the start grid alone fits in max_nodes
+        assert (got.est_error == want.est_error
+                or abs(got.est_error - want.est_error) <= 1e-15 * want.fscale)
 
     def test_spectral_accuracy_on_weight_integrand(self):
         # default box weight: nodes >= 128 already at the refinement plateau

@@ -214,6 +214,15 @@ class TestProp31:
         rep = check_prop_3_1(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 3)
         assert rep.passed and rep.rel_residual <= 1e-9
 
+    def test_no_probe_angle_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="thetas"):
+            check_prop_3_1(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 3, thetas=[])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probe_angle_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="thetas"):
+            check_prop_3_1(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 3, thetas=[0.1, bad])
+
 
 class TestUltraOrtho:
     def test_off_diagonal(self):
@@ -256,16 +265,18 @@ class TestCircleIntegrand:
     def spy_grids(monkeypatch):
         """Record the angle count of every kernel call and quadrature grid,
         and every QuadResult, of the circle checks that follow."""
-        seen = {"poch": [], "laurent": [], "grid": [], "result": [], "kmax": set()}
+        seen = {"poch": [], "laurent": [], "grid": [], "result": [], "kmax": set(),
+                "split": set()}
         poch, laurent = kernels.poch_product_many, kernels.laurent_eval
 
-        def spy_poch(coefs, exps, q, kmax, thetas):
+        def spy_poch(coefs, exps, q, kmax, thetas, split=None):
             seen["poch"].append((tuple(exps), len(thetas)))
             seen["kmax"].add(kmax)
-            return poch(coefs, exps, q, kmax, thetas)
+            seen["split"].add(split)
+            return poch(coefs, exps, q, kmax, thetas, split)
 
         def spy_laurent(coefs, n, thetas):
-            seen["laurent"].append(len(thetas))
+            seen["laurent"].append((n, len(thetas)))
             return laurent(coefs, n, thetas)
 
         def spy_integral(f, interval, spec):
@@ -293,19 +304,33 @@ class TestCircleIntegrand:
         grids = seen["grid"]
         # the first grid holds the first two quadrature levels
         assert grids[0] == 2 * DEFAULT_QUADRATURE.nodes
-        # a numerator and a denominator call per grid, each on its first half
-        assert [n for _, n in seen["poch"]] == [n // 2 for n in grids for _ in range(2)]
-        assert {exps for exps, _ in seen["poch"]} == {(2, -2)}
-        # the C_n factors stay on the whole grid
-        assert seen["laurent"] == [n for n in grids for _ in range(2)]
+        # one quotient call per grid, numerator and denominator together,
+        # on the first half of the grid
+        assert [n for _, n in seen["poch"]] == [n // 2 for n in grids]
+        assert {exps for exps, _ in seen["poch"]} == {(2, -2, 2, -2)}
+        assert seen["split"] == {2}
+        # C_m C_n is one Laurent sum of degree m + n on the whole grid
+        m, n = args[-2:]
+        assert seen["laurent"] == [(m + n, size) for size in grids]
 
     def test_check_settling_at_128_nodes_makes_one_integrand_call(self, monkeypatch):
         seen = self.spy_grids(monkeypatch)
         assert check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, 3).passed
         assert seen["result"][0].nodes == 128
         assert seen["grid"] == [128]
-        # the weight's numerator and denominator, each one block over 64 angles
-        assert [n for _, n in seen["poch"]] == [64, 64]
+        # one kernel call for the weight quotient over 64 angles, one Laurent
+        # evaluation of C_2 C_3 over all 128
+        assert [n for _, n in seen["poch"]] == [64]
+        assert seen["laurent"] == [(5, 128)]
+
+    def test_node_cap_below_twice_the_start_grid_is_kept(self, monkeypatch):
+        seen = self.spy_grids(monkeypatch)
+        rep = check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, 3,
+                            QuadratureSpec(nodes=16, max_nodes=24))
+        # the 16-node start grid alone: a doubling would need 32 nodes
+        assert seen["grid"] == [16]
+        assert seen["result"][0].nodes == 16
+        assert rep.flags == ("NoConvergence",)
 
     @pytest.mark.parametrize("check, args", [
         (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.999, 2, 2)),
@@ -338,8 +363,11 @@ class TestCircleIntegrand:
         by_exps = {}
         for exps, n in seen["poch"]:
             by_exps.setdefault(exps, []).append(n)
-        grids = [n for n in seen["grid"] for _ in range(2)]
-        assert by_exps == {(1, -1, 1, -1): grids, (2, -2): [n // 2 for n in grids]}
+        grids = seen["grid"]
+        assert by_exps == {(1, -1, 1, -1, 1, -1, 1, -1): grids,
+                           (2, -2, 2, -2): [n // 2 for n in grids]}
+        assert seen["split"] == {4, 2}
+        assert seen["laurent"] == []
         assert len(seen["kmax"]) == 1  # one truncation depth for all symbols
 
     def test_seed_0_draws_converge_by_256_nodes(self, monkeypatch):
@@ -396,6 +424,16 @@ class TestSeriesCheckers:
         rep = check_prop_2_2(box_params, 0.5, k=3)
         assert rep.passed
         assert rep.abs_residual <= 1e-10 * rep.inputs.get("partial_terms", 1e300)
+
+    @pytest.mark.parametrize("t_fraction", [math.nan, 0.0, 1.0, 1.5, -0.5])
+    def test_prop_2_2_t_fraction_outside_the_unit_interval(self, box_params, t_fraction):
+        with pytest.raises(DomainError, match="t_fraction"):
+            check_prop_2_2(box_params, 0.5, t_fraction=t_fraction)
+
+    @pytest.mark.parametrize("terms", [{"partial_terms": 0}, {"tail_terms": 0}])
+    def test_prop_2_2_needs_partial_and_tail_terms(self, box_params, terms):
+        with pytest.raises(DomainError, match="tail_terms"):
+            check_prop_2_2(box_params, 0.5, **terms)
 
     def test_prop_2_4(self, box_params):
         rep = check_prop_2_4(box_params, 0.5, 2, 1.0, 0.6)
