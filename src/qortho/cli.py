@@ -29,20 +29,15 @@ from datetime import datetime, timezone
 
 from .errors import DomainError, QOrthoError
 from .hyper import PhiSpec, phi_series
-from .kernels import laurent_eval
-from .qcore import QBase, TruncationPolicy, qpoch_finite, qpoch_infinite
-from .qfun import (
+from .qcore import (
     ParamSet4,
+    QBase,
+    QuadratureSpec,
     ReducedParams,
-    big_c_coeffs,
-    big_c_eval_many,
-    connection_coeffs,
-    expansion_weights,
-    h_norm,
-    phi_eval,
-    weight_omega_many,
+    TruncationPolicy,
+    qpoch_finite,
+    qpoch_infinite,
 )
-from .quad import QuadratureSpec
 from .verify import (
     REGISTRY,
     IdentityId,
@@ -79,20 +74,23 @@ _TUNING = {
 }
 _POLICY_FLAGS = _TUNING["policy"][1]
 
-# eval functions called as f(parameters..., q[, policy]); the array paths
-# evaluate a one-angle grid.  "ultra" sums the (beta, beta) expansion weights
-# directly, so any complex beta is admitted, not only |beta| <= 1 as in
-# ParamSet4.  qpoch and phi_series have their own branches.
+# eval functions f(qfun, kernels, parameters..., q[, policy]), handed the
+# numpy-backed modules, which only they need; the array paths evaluate a
+# one-angle grid.  "ultra" sums the (beta, beta) expansion weights directly, so
+# any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.  qpoch
+# and phi_series have their own branches.
 _EVAL = {
-    "big_c": (lambda n, theta, p, q: big_c_eval_many(n, [theta], p, q)[0],
+    "big_c": (lambda qfun, _, n, theta, p, q: qfun.big_c_eval_many(n, [theta], p, q)[0],
               (_N, _THETA, _PARAMSET)),
-    "phi": (phi_eval, (_N, ("x", ParamKind.COMPLEX), ("y", ParamKind.COMPLEX), _PARAMSET)),
-    "ultra": (lambda n, theta, beta, q:
-              laurent_eval(expansion_weights(n, beta, beta, q), n, [theta])[0],
+    "phi": (lambda qfun, _, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
+            (_N, ("x", ParamKind.COMPLEX), ("y", ParamKind.COMPLEX), _PARAMSET)),
+    "ultra": (lambda qfun, kernels, n, theta, beta, q:
+              kernels.laurent_eval(qfun.expansion_weights(n, beta, beta, q), n, [theta])[0],
               (_N, _THETA, ("beta", ParamKind.COMPLEX))),
-    "weight": (lambda theta, p, q, policy: weight_omega_many([theta], p, q, policy)[0],
-               (_THETA, _PARAMSET)),
-    "h": (h_norm, (_N, ("a", ParamKind.COMPLEX))),
+    "weight": (lambda qfun, _, theta, p, q, policy:
+               qfun.weight_omega_many([theta], p, q, policy)[0], (_THETA, _PARAMSET)),
+    "h": (lambda qfun, _, n, a, q, policy: qfun.h_norm(n, a, q, policy),
+          (_N, ("a", ParamKind.COMPLEX))),
 }
 
 _HELP = {
@@ -268,9 +266,11 @@ def _cmd_eval(args) -> int:
     fn = args.function
 
     if fn in _EVAL:
+        from . import kernels, qfun
+
         func, params = _EVAL[fn]
         tail = (policy,) if "policy" in inspect.signature(func).parameters else ()
-        value = complex(func(*(_arg(args, *param) for param in params), q, *tail))
+        value = complex(func(qfun, kernels, *(_arg(args, *param) for param in params), q, *tail))
     elif fn == "qpoch":
         a = _arg(args, "a")
         if args.inf:
@@ -367,6 +367,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .qfun import big_c_coeffs, connection_coeffs, expansion_weights
+
     q = _arg(args, *_Q)
     if args.what == "connection":
         m = _arg(args, "m", ParamKind.INT)

@@ -1,4 +1,4 @@
-"""Scalar q-product arithmetic.
+"""Scalar q-product arithmetic, and the parameter types of the package.
 
 Everything in this module is built from the shifted factorial
 
@@ -7,7 +7,9 @@ Everything in this module is built from the shifted factorial
 together with its infinite extension (a;q)_oo = prod_{k>=0} (1 - a q^k),
 which converges for |q| < 1 because the factors approach 1 geometrically.
 All functions accept complex scalars; ``q`` may be passed as a plain number
-or wrapped in :class:`QBase`.
+or wrapped in :class:`QBase`.  The parameter types (:class:`ParamSet4`,
+:class:`ReducedParams`, :class:`QuadratureSpec`) live here too, so that the
+series checks and the command line can use them without importing numpy.
 """
 
 from __future__ import annotations
@@ -77,6 +79,96 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
+@dataclass(frozen=True)
+class ParamSet4:
+    """The quadruple (alpha, beta, gamma, delta) with gamma, delta != 0 and
+    |alpha/gamma| <= 1, |beta/delta| <= 1.
+
+    The boundary ratio 1 (alpha = gamma, beta = delta, where the generating
+    quotient collapses to 1) is admitted for pointwise evaluation; the
+    orthogonality checkers need the strict inequality and their sweep boxes
+    stay inside it with margin."""
+
+    alpha: complex
+    beta: complex
+    gamma: complex
+    delta: complex
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "delta"):
+            object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
+        if self.gamma == 0 or self.delta == 0:
+            raise DomainError("gamma and delta must be nonzero")
+        if abs(self.ratio_a) > 1.0:
+            raise DomainError(
+                f"|alpha/gamma| must be <= 1, got {abs(self.ratio_a):.6g}"
+            )
+        if abs(self.ratio_b) > 1.0:
+            raise DomainError(f"|beta/delta| must be <= 1, got {abs(self.ratio_b):.6g}")
+
+    @property
+    def ratio_a(self) -> complex:
+        return self.alpha / self.gamma
+
+    @property
+    def ratio_b(self) -> complex:
+        return self.beta / self.delta
+
+    @property
+    def gd(self) -> complex:
+        """The product gamma*delta, the only combination entering diagonals."""
+        return self.gamma * self.delta
+
+    @classmethod
+    def from_reduced(cls, a, gamma, delta) -> "ParamSet4":
+        """The reduced family alpha = a*gamma, beta = a*delta."""
+        return cls(complex(a) * complex(gamma), complex(a) * complex(delta),
+                   complex(gamma), complex(delta))
+
+
+@dataclass(frozen=True)
+class ReducedParams:
+    """Reduction parameters (a, b) of the two-family identities; |a|, |b| < 1."""
+
+    a: complex
+    b: complex
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", finite_complex("a", self.a))
+        object.__setattr__(self, "b", finite_complex("b", self.b))
+        if abs(self.a) >= 1.0 or abs(self.b) >= 1.0:
+            raise DomainError(
+                f"|a| and |b| must be < 1, got |a|={abs(self.a):.6g}, "
+                f"|b|={abs(self.b):.6g}"
+            )
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Node counts and refinement rule for the periodic quadrature."""
+
+    nodes: int = 64
+    max_nodes: int = 8192
+    rel_tol: float = 1e-10
+
+    def __post_init__(self) -> None:
+        if self.nodes < 16:
+            raise DomainError("nodes must be >= 16")
+        if self.nodes % 2:
+            raise DomainError(f"nodes must be even, got {self.nodes}")
+        if self.max_nodes < self.nodes:
+            raise DomainError("max_nodes must be >= nodes")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+
+
+DEFAULT_QUADRATURE = QuadratureSpec()
+
+TWO_PI = 2.0 * math.pi
+FULL_PERIOD = (0.0, TWO_PI)
+HALF_PERIOD = (0.0, math.pi)
+
+
 def qpoch_finite(a, q, n: int) -> complex:
     """Finite product (a;q)_n. Total for any complex a and n >= 0."""
     qb = QBase.coerce(q)
@@ -115,15 +207,22 @@ def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     so quotient formulas can detect the singular symbols downstream.
     """
     qb = QBase.coerce(q)
+    q = qb.q
     nterms = tail_start(a, qb, policy)
     prod = 1.0 + 0.0j
     w = complex(a)
-    for _ in range(nterms):
+    k = 0
+    # once |w| <= 1/2, every factor 1 - w has modulus >= 1/2: |w| only falls
+    while k < nterms and abs(w) > 0.5:
         factor = 1.0 - w
         if abs(factor) < EXACT_ZERO_FACTOR:
             return 0.0 + 0.0j
         prod *= factor
-        w *= qb.q
+        w *= q
+        k += 1
+    for _ in range(k, nterms):
+        prod *= 1.0 - w
+        w *= q
     return prod
 
 

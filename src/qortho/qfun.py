@@ -36,91 +36,24 @@ cosine family sum_k w_k cos((n-2k) theta), w = :func:`expansion_weights` at
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .errors import DomainError, NearSingular
-from .qcore import (
+from .qcore import (  # ParamSet4 and ReducedParams are re-exported from here
     DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
+    TWO_PI,
+    ParamSet4,
     QBase,
+    ReducedParams,
     TruncationPolicy,
-    finite_complex,
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
     screen_denominator,
     tail_start,
 )
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ParamSet4:
-    """The quadruple (alpha, beta, gamma, delta) with gamma, delta != 0 and
-    |alpha/gamma| <= 1, |beta/delta| <= 1.
-
-    The boundary ratio 1 (alpha = gamma, beta = delta, where the generating
-    quotient collapses to 1) is admitted for pointwise evaluation; the
-    orthogonality checkers need the strict inequality and their sweep boxes
-    stay inside it with margin."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
-        if self.gamma == 0 or self.delta == 0:
-            raise DomainError("gamma and delta must be nonzero")
-        if abs(self.ratio_a) > 1.0:
-            raise DomainError(
-                f"|alpha/gamma| must be <= 1, got {abs(self.ratio_a):.6g}"
-            )
-        if abs(self.ratio_b) > 1.0:
-            raise DomainError(f"|beta/delta| must be <= 1, got {abs(self.ratio_b):.6g}")
-
-    @property
-    def ratio_a(self) -> complex:
-        return self.alpha / self.gamma
-
-    @property
-    def ratio_b(self) -> complex:
-        return self.beta / self.delta
-
-    @property
-    def gd(self) -> complex:
-        """The product gamma*delta, the only combination entering diagonals."""
-        return self.gamma * self.delta
-
-    @classmethod
-    def from_reduced(cls, a, gamma, delta) -> "ParamSet4":
-        """The reduced family alpha = a*gamma, beta = a*delta."""
-        return cls(complex(a) * complex(gamma), complex(a) * complex(delta),
-                   complex(gamma), complex(delta))
-
-
-@dataclass(frozen=True)
-class ReducedParams:
-    """Reduction parameters (a, b) of the two-family identities; |a|, |b| < 1."""
-
-    a: complex
-    b: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", finite_complex("a", self.a))
-        object.__setattr__(self, "b", finite_complex("b", self.b))
-        if abs(self.a) >= 1.0 or abs(self.b) >= 1.0:
-            raise DomainError(
-                f"|a| and |b| must be < 1, got |a|={abs(self.a):.6g}, "
-                f"|b|={abs(self.b):.6g}"
-            )
 
 
 def _poch_row(a: complex, q: complex, n: int) -> np.ndarray:

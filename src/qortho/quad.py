@@ -43,45 +43,22 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NearSingular
-from .qcore import (
+from .qcore import (  # the quadrature types are re-exported from here
     DEFAULT_POLICY,
+    DEFAULT_QUADRATURE,
+    FULL_PERIOD,
+    HALF_PERIOD,
     NEAR_SINGULAR_TOL,
+    TWO_PI,
+    ParamSet4,
     QBase,
+    QuadratureSpec,
     TruncationPolicy,
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
     settled_sum,
 )
-from .qfun import ParamSet4
-
-TWO_PI = 2.0 * math.pi
-
-FULL_PERIOD = (0.0, TWO_PI)
-HALF_PERIOD = (0.0, math.pi)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts and refinement rule for the periodic quadrature."""
-
-    nodes: int = 64
-    max_nodes: int = 8192
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.nodes < 16:
-            raise DomainError("nodes must be >= 16")
-        if self.nodes % 2:
-            raise DomainError(f"nodes must be even, got {self.nodes}")
-        if self.max_nodes < self.nodes:
-            raise DomainError("max_nodes must be >= nodes")
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
 
 class QuadResult(NamedTuple):
     value: complex

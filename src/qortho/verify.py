@@ -24,22 +24,22 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from . import kernels
-from .errors import (
-    DivergentSeries,
-    DomainError,
-    NearSingular,
-    TruncationExceeded,
-)
+from .errors import DivergentSeries, DomainError, NearSingular, TruncationExceeded
 from .qcore import (
     DEFAULT_POLICY,
+    DEFAULT_QUADRATURE,
+    FULL_PERIOD,
+    HALF_PERIOD,
     NEAR_SINGULAR_TOL,
+    TWO_PI,
+    ParamSet4,
     QBase,
+    QuadratureSpec,
+    ReducedParams,
     TruncationPolicy,
     finite_complex,
     min_factor_abs,
@@ -47,34 +47,40 @@ from .qcore import (
     settled_sum,
 )
 from .hyper import PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_rhs, very_well_poised
-from .qfun import (
-    ParamSet4,
-    ReducedParams,
-    big_c_at_one,
-    big_c_coeffs,
-    big_c_eval_many,
-    connection_coeffs,
-    diag_rhs_thm11,
-    diagonal_prefactor,
-    growth_root,
-    h_norm,
-    phi_eval,
-    product_quotient,
-    quotient_depth,
-    weight_min_denominator,
-    weight_symbols,
-)
-from .quad import (
-    DEFAULT_QUADRATURE,
-    FULL_PERIOD,
-    HALF_PERIOD,
-    QuadratureSpec,
-    periodic_integral,
-    phi_qintegral_repr,
-)
 
-TWO_PI = 2.0 * math.pi
+# What this module takes from the numpy-backed modules, by module, besides
+# numpy itself (as ``np``) and ``kernels``.  None of it is imported with this
+# module: the registry, the reports and the series checks run without numpy,
+# whose import takes longer than a series check.  _numeric() binds it all here
+# on the first check that needs it; asked for from outside (to patch one, say),
+# a name loads on that access (PEP 562).
+_NUMERIC = {
+    "qfun": ("big_c_at_one", "big_c_coeffs", "big_c_eval_many", "connection_coeffs",
+             "diag_rhs_thm11", "diagonal_prefactor", "growth_root", "h_norm", "phi_eval",
+             "product_quotient", "quotient_depth", "weight_min_denominator", "weight_symbols"),
+    "quad": ("periodic_integral", "phi_qintegral_repr"),
+}
 NAN = complex("nan")
+
+
+def _numeric() -> None:
+    """Bind ``np``, ``kernels`` and the names of :data:`_NUMERIC` here, once."""
+    if "np" in globals():
+        return
+    import numpy
+    from . import kernels, qfun, quad
+
+    modules = {"qfun": qfun, "quad": quad}
+    globals().update({name: getattr(modules[module], name)
+                      for module, names in _NUMERIC.items() for name in names})
+    globals().update(kernels=kernels, np=numpy)
+
+
+def __getattr__(name: str):
+    if name not in ("np", "kernels") and not any(name in names for names in _NUMERIC.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _numeric()
+    return globals()[name]
 
 
 class IdentityId(str, enum.Enum):
@@ -164,17 +170,13 @@ class VerificationReport:
 
     def to_record(self) -> dict:
         """Flat record with complex values split into _re/_im fields."""
-        rec: dict = {"identity": self.identity_id, "inputs": _flatten_inputs(self.inputs)}
-        rec["lhs_re"] = self.lhs.real
-        rec["lhs_im"] = self.lhs.imag
-        rec["rhs_re"] = self.rhs.real
-        rec["rhs_im"] = self.rhs.imag
-        rec["abs_residual"] = self.abs_residual
-        rec["rel_residual"] = self.rel_residual
-        rec["tolerance"] = self.tolerance
-        rec["passed"] = self.passed
-        rec["flags"] = list(self.flags)
-        return rec
+        return {
+            "identity": self.identity_id, "inputs": _flatten_inputs(self.inputs),
+            "lhs_re": self.lhs.real, "lhs_im": self.lhs.imag,
+            "rhs_re": self.rhs.real, "rhs_im": self.rhs.imag,
+            "abs_residual": self.abs_residual, "rel_residual": self.rel_residual,
+            "tolerance": self.tolerance, "passed": self.passed, "flags": list(self.flags),
+        }
 
     @classmethod
     def from_record(cls, rec: Mapping[str, object]) -> "VerificationReport":
@@ -192,16 +194,17 @@ class VerificationReport:
 
 
 def _flatten_inputs(inputs: Mapping[str, object]) -> dict:
+    numpy = sys.modules.get("numpy")  # no value is a numpy one unless it is loaded
     flat: dict = {}
     for key, value in inputs.items():
         if isinstance(value, complex):
             flat[f"{key}_re"] = value.real
             flat[f"{key}_im"] = value.imag
-        elif isinstance(value, (list, tuple, np.ndarray)):
+        elif isinstance(value, (list, tuple)) or numpy and isinstance(value, numpy.ndarray):
             flat[key] = [float(v) for v in value]
-        elif isinstance(value, (np.integer,)):
+        elif numpy and isinstance(value, numpy.integer):
             flat[key] = int(value)
-        elif isinstance(value, (np.floating,)):
+        elif numpy and isinstance(value, numpy.floating):
             flat[key] = float(value)
         else:
             flat[key] = value
@@ -331,6 +334,7 @@ def check_thm_1_1(
     """Full-period orthogonality: quadrature of C_m C_n against the weight vs.
     the closed diagonal (zero off the diagonal).  The weight's denominator
     symbols need |alpha/delta| < 1 and |beta/gamma| < 1."""
+    _numeric()
     qb = QBase.coerce(q)
     _require_regular_weight({"|alpha/delta|": abs(p.alpha / p.delta),
                              "|beta/gamma|": abs(p.beta / p.gamma)})
@@ -367,6 +371,7 @@ def check_thm_1_2(
     """Seven-parameter product integral: quadrature of the 12-product
     integrand vs. the prefactor times a single geometric-type series in
     (gamma delta s t)^n."""
+    _numeric()
     qb = QBase.coerce(q)
     s = finite_complex("s", s)
     t = finite_complex("t", t)
@@ -391,6 +396,7 @@ def thm_1_2_rhs_series(
     """2 pi (ra, rb;q)_oo / (q, ra*rb;q)_oo times
     sum_n (1/(1-ra q^n) + 1/(1-rb q^n)) (ra*rb;q)_n / (q;q)_n (gd s t)^n;
     |gd s t| < 1 makes the tail geometric."""
+    _numeric()
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
     prefactor = diagonal_prefactor(p, qb, policy)
@@ -423,6 +429,7 @@ def check_thm_1_3(
     """Half-period bi-orthogonality: degree m of the b-family against degree n
     of the a-family under the a-family weight.  Zero when m and n have
     opposite parity; otherwise the closed form requires m >= n, and a != 0."""
+    _numeric()
     qb = QBase.coerce(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
@@ -452,6 +459,7 @@ def thm_1_3_rhs(
     """Closed form for m >= n, m = n (mod 2): (gd)^n times the degree-n
     connection coefficient of degree m (:func:`connection_coeffs`) over
     h_n(a|q); zero for opposite parities."""
+    _numeric()
     if (m - n) % 2 != 0:
         return 0.0 + 0.0j
     gd = complex(gamma) * complex(delta)
@@ -471,6 +479,7 @@ def check_prop_3_1(
     combination of a-family degrees n <= m.  The report carries the worst
     pointwise residual over the probe angles, which must be finite and at
     least one."""
+    _numeric()
     qb = QBase.coerce(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
@@ -513,6 +522,7 @@ def check_ultra_ortho(
 ) -> VerificationReport:
     """Half-period orthogonality of the single-parameter family under the
     (beta, beta, 1, 1) specialization of the weight; diagonal 1/h_n."""
+    _numeric()
     qb = QBase.coerce(q)
     beta = finite_complex("beta", beta)
     p = ParamSet4(beta, beta, 1.0, 1.0)
@@ -532,6 +542,7 @@ def check_prop_2_1_2(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Phi at (e^{i theta}, e^{-i theta}) equals (q;q)_n C_n(e^{i theta})."""
+    _numeric()
     qb = QBase.coerce(q)
     theta = finite_complex("theta", float(theta)).real
     x = complex(math.cos(theta), math.sin(theta))
@@ -550,6 +561,7 @@ def check_prop_2_1_3(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Growth-root diagnostic |C_n(1)|^{1/n} against max(|gamma|, |delta|)."""
+    _numeric()
     qb = QBase.coerce(q)
     return _check(
         IdentityId.PROP_2_1_3, _paramset_inputs(p, qb) | {"n": n}, tolerance,
@@ -574,8 +586,12 @@ def check_prop_2_2(
 
     beyond ``partial_terms`` must stay below tolerance times the partial sum.
     The report's lhs is the tail, rhs is zero, scale is the partial sum.
-    Needs 0 < t_fraction < 1 and at least one partial and one tail term."""
+    Needs k >= 0, 0 < t_fraction < 1 and at least one partial and one tail
+    term."""
+    _numeric()
     qb = QBase.coerce(q)
+    if k < 0:
+        raise DomainError(f"k must be a nonnegative integer, got {k}")
     if not 0.0 < t_fraction < 1.0:
         raise DomainError(f"t_fraction must lie in (0, 1), got {t_fraction!r}")
     if partial_terms < 1 or tail_terms < 1:
@@ -613,6 +629,7 @@ def check_prop_2_4(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Lattice-integral representation vs. the double-sum evaluation of Phi_n."""
+    _numeric()
     qb = QBase.coerce(q)
     x = finite_complex("x", x)
     y = finite_complex("y", y)
@@ -636,6 +653,8 @@ def check_rogers_6w5(
     product form."""
     qb = QBase.coerce(q)
     a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
+    if 0 in (b, c, d):
+        raise DomainError(f"z = a q/(b c d) needs b, c, d nonzero, got {b}, {c}, {d}")
     z = a * qb.q / (b * c * d)
     return _check(
         IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q}, tolerance,
@@ -895,6 +914,7 @@ def run_sweep(
     """Run ``spec.draws`` seeded checks of one identity.  Deterministic given
     the seed; individual failures and flags land in the reports, the sweep
     itself never aborts mid-run."""
+    _numeric()
     record = REGISTRY[IdentityId(identity_id)]
     rng = np.random.default_rng(spec.seed)
     checker = record.checker

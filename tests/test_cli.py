@@ -387,6 +387,19 @@ class TestExitCodeContract:
         assert code == EXIT_INVALID
         assert "|q|" in err
 
+    @pytest.mark.parametrize("bcd", [("0", "0.6", "0.7"), ("0.5", "0", "0.7"),
+                                     ("0.5", "0.6", "0")])
+    def test_rogers_with_a_zero_denominator_parameter_is_input_error(self, bcd, capsys):
+        b, c, d = bcd
+        code, out, err = run_cli(
+            ["verify", "--identity", "ROGERS_6W5", "--a-re", "0.1", "--b-re", b,
+             "--c-re", c, "--d-re", d, "--q", "0.5"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "nonzero" in err and "Traceback" not in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qortho.cli", "eval", "ultra", "--n", "1",

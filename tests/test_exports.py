@@ -1,6 +1,9 @@
 """The package's public names: each listed once, each defined."""
 
+import pytest
+
 import qortho
+from qortho import qcore, qfun, quad, verify
 
 
 def test_all_has_no_duplicates():
@@ -16,3 +19,36 @@ def test_star_import_binds_every_entry():
     namespace: dict = {}
     exec("from qortho import *", namespace)
     assert set(qortho.__all__) <= namespace.keys()
+
+
+def test_dir_lists_every_entry():
+    assert set(qortho.__all__) <= set(dir(qortho))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(qortho, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(verify, "no_such_name")
+
+
+def test_a_lazy_name_is_bound_in_the_package_once_resolved():
+    assert qortho.h_norm is qfun.h_norm
+    assert vars(qortho)["h_norm"] is qfun.h_norm
+    assert qortho.periodic_integral is quad.periodic_integral
+
+
+@pytest.mark.parametrize("name", ["ParamSet4", "ReducedParams"])
+def test_moved_parameter_types_keep_their_qfun_path(name):
+    assert getattr(qfun, name) is getattr(qcore, name) is getattr(qortho, name)
+
+
+@pytest.mark.parametrize("name", ["QuadratureSpec", "DEFAULT_QUADRATURE", "FULL_PERIOD",
+                                  "HALF_PERIOD"])
+def test_moved_quadrature_types_keep_their_quad_path(name):
+    assert getattr(quad, name) is getattr(qcore, name) is getattr(qortho, name)
+
+
+def test_verify_numeric_names_resolve_from_outside():
+    assert verify.periodic_integral is quad.periodic_integral
+    assert verify.weight_min_denominator is qfun.weight_min_denominator

@@ -152,6 +152,50 @@ class TestQpochInfinite:
         assert whole == pytest.approx(split, rel=1e-13, abs=1e-250)
 
 
+def qpoch_infinite_every_factor_screened(a, q, policy=TruncationPolicy()):
+    """The product loop that tests every factor for an exact zero."""
+    qb = QBase.coerce(q)
+    prod = 1.0 + 0.0j
+    w = complex(a)
+    for _ in range(tail_start(a, qb, policy)):
+        factor = 1.0 - w
+        if abs(factor) < 1e-15:
+            return 0.0 + 0.0j
+        prod *= factor
+        w *= qb.q
+    return prod
+
+
+class TestQpochInfiniteShortcut:
+    """Factors with |w| <= 1/2 skip the zero test; the arithmetic is the same,
+    so the products must be equal bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(20261018)
+        for _ in range(400):
+            q = rng.choice([rng.uniform(-0.95, 0.95),
+                            cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))])
+            a = cmath.rect(rng.choice([rng.uniform(0.0, 3.0), rng.uniform(0.45, 0.55)]),
+                           rng.uniform(-math.pi, math.pi))
+            yield a, q
+            yield a.real, abs(q)
+        for q in (0.5, 0.3, -0.7, 0.6j, 0.9):
+            for k in range(6):
+                yield q ** -k, q  # a factor vanishes exactly
+                yield 0.5 * q ** -k, q  # w reaches |w| = 1/2 after k factors
+            yield 50.0, q
+        half = 0.5
+        for a in (half, math.nextafter(half, 1.0), math.nextafter(half, 0.0), -half, 0.5j):
+            yield a, 0.5
+
+    def test_bit_identical_to_screening_every_factor(self):
+        for a, q in self.cases():
+            expected = qpoch_infinite_every_factor_screened(a, q)
+            # repr tells -0.0 from 0.0 and prints every digit
+            assert repr(qpoch_infinite(a, q)) == repr(expected), (a, q)
+
+
 class TestQpochMulti:
     """Products of several symbols go through the array kernel; at theta = 0
     with exponent 0 each symbol is the plain (a;q)_K."""

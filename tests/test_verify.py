@@ -64,6 +64,27 @@ class TestReportMechanics:
         again = VerificationReport.from_record(rep.to_record())
         assert again == rep
 
+    def test_flattened_inputs_are_those_of_the_numpy_bound_version(self):
+        # the records written while verify imported numpy at load time
+        inputs = {"c": 1 + 2j, "npc": np.complex128(0.5 - 1j), "i": np.int64(3),
+                  "f": np.float64(0.25), "arr": np.array([0.0, 1.5]), "lst": [1, 2.5],
+                  "tup": (0.75,), "n": 4, "x": 0.5, "tag": "k"}
+        flat = verify._flatten_inputs(inputs)
+        assert flat == {"c_re": 1.0, "c_im": 2.0, "npc_re": 0.5, "npc_im": -1.0, "i": 3,
+                        "f": 0.25, "arr": [0.0, 1.5], "lst": [1.0, 2.5], "tup": [0.75],
+                        "n": 4, "x": 0.5, "tag": "k"}
+        assert {key: type(value) for key, value in flat.items()} == {
+            "c_re": float, "c_im": float, "npc_re": np.float64, "npc_im": np.float64,
+            "i": int, "f": float, "arr": list, "lst": list, "tup": list, "n": int,
+            "x": float, "tag": str}
+        assert {type(v) for key in ("arr", "lst", "tup") for v in flat[key]} == {float}
+
+    def test_prop_3_1_record_lists_the_angles_as_floats(self):
+        rec = check_prop_3_1(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 3).to_record()
+        assert rec["inputs"]["thetas"] == [2.0 * math.pi * j / 16 for j in range(16)]
+        assert {type(t) for t in rec["inputs"]["thetas"]} == {float}
+        assert rec["inputs"]["m"] == 3 and type(rec["inputs"]["m"]) is int
+
     def test_reports_are_immutable(self, box_params):
         rep = check_thm_1_1(box_params, 0.5, 0, 0)
         with pytest.raises(AttributeError):
@@ -434,6 +455,16 @@ class TestSeriesCheckers:
     def test_prop_2_2_needs_partial_and_tail_terms(self, box_params, terms):
         with pytest.raises(DomainError, match="tail_terms"):
             check_prop_2_2(box_params, 0.5, **terms)
+
+    def test_prop_2_2_negative_k_is_named(self, box_params):
+        with pytest.raises(DomainError, match="^k must be a nonnegative integer"):
+            check_prop_2_2(box_params, 0.5, k=-1)
+
+    @pytest.mark.parametrize("bcd", [(0.0, 0.6, 0.7), (0.5, 0.0, 0.7), (0.5, 0.6, 0j)])
+    def test_rogers_with_a_zero_denominator_parameter_is_out_of_domain(self, bcd):
+        # z = a q/(b c d) would divide by zero
+        with pytest.raises(DomainError, match="nonzero"):
+            check_rogers_6w5(0.1, *bcd, 0.5)
 
     def test_prop_2_4(self, box_params):
         rep = check_prop_2_4(box_params, 0.5, 2, 1.0, 0.6)
