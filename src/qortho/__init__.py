@@ -21,7 +21,7 @@ _EXPORTS = {
     # core types and products
     "qcore": ("QBase", "TruncationPolicy", "DEFAULT_POLICY", "qpoch_finite", "qpoch_infinite",
               "ParamSet4", "ReducedParams", "QuadratureSpec", "DEFAULT_QUADRATURE",
-              "FULL_PERIOD", "HALF_PERIOD"),
+              "FULL_PERIOD", "HALF_PERIOD", "big_c_coeffs", "connection_coeffs"),
     # series
     "hyper": ("PhiSpec", "phi_series", "very_well_poised", "rogers_6w5_rhs",
               "qbinomial_product_ratio"),
@@ -32,8 +32,8 @@ _EXPORTS = {
                "check_prop_3_1", "check_rogers_6w5", "check_qbinomial", "check_ultra_ortho",
                "run_sweep"),
     # the function family
-    "qfun": ("big_c_coeffs", "big_c_eval_many", "phi_eval", "weight_omega_many",
-             "h_norm", "diag_rhs_thm11", "connection_coeffs", "growth_root"),
+    "qfun": ("big_c_eval_many", "phi_eval", "weight_omega_many", "h_norm", "diag_rhs_thm11",
+             "growth_root"),
     # integration
     "quad": ("QuadResult", "QLattice", "periodic_integral", "jackson_integral",
              "phi_qintegral_repr"),

@@ -35,6 +35,11 @@ from .qcore import (
     QuadratureSpec,
     ReducedParams,
     TruncationPolicy,
+    as_degree,
+    big_c_coeffs,
+    connection_coeffs,
+    expansion_weights,
+    finite_complex,
     qpoch_finite,
     qpoch_infinite,
 )
@@ -189,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _arg(args, name: str, kind: ParamKind = ParamKind.COMPLEX, required: bool = True):
     """One parameter from its flags, or None when it is optional and unset.
-    Raises DomainError naming the first missing required flag."""
+    Raises DomainError naming a missing required flag or a non-finite value."""
     if kind in _COMPONENTS:
         parts = [_arg(args, part) for part in _COMPONENTS[kind]]
         return ParamSet4(*parts) if kind is ParamKind.PARAMSET else ReducedParams(*parts)
@@ -201,7 +206,10 @@ def _arg(args, name: str, kind: ParamKind = ParamKind.COMPLEX, required: bool = 
         value, flag = getattr(args, name), _flag(name)
     if value is None and required:
         raise DomainError(f"missing required flag {flag}")
-    return value
+    if value is None or kind is ParamKind.INT:
+        return value
+    value = finite_complex(name, value)
+    return value if kind is ParamKind.COMPLEX else value.real
 
 
 def _configured(cls, args, flags: dict[str, type]):
@@ -211,11 +219,9 @@ def _configured(cls, args, flags: dict[str, type]):
 
 def _parse_listed_complex(raw: str) -> complex:
     parts = raw.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise DomainError(f"cannot parse complex parameter {raw!r}, expected RE[,IM]")
+    if len(parts) not in (1, 2):
+        raise DomainError(f"cannot parse complex parameter {raw!r}, expected RE[,IM]")
+    return finite_complex(f"parameter {raw!r}", complex(*map(float, parts)))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -367,20 +373,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .qfun import big_c_coeffs, connection_coeffs, expansion_weights
-
     q = _arg(args, *_Q)
     if args.what == "connection":
         m = _arg(args, "m", ParamKind.INT)
         r = _arg(args, "r", ParamKind.REDUCED)
         by_degree = {m: connection_coeffs(m, r, _arg(args, "gamma") * _arg(args, "delta"), q)}
     elif args.what == "big_c":
-        n_max = _arg(args, "n_max", ParamKind.INT)
+        n_max = as_degree("n_max", _arg(args, "n_max", ParamKind.INT))
         p = _arg(args, *_PARAMSET)
         by_degree = {n: big_c_coeffs(n, p, q) for n in range(n_max + 1)}
     else:  # ultra
-        n_max = _arg(args, "n_max", ParamKind.INT)
-        beta = complex(_arg(args, "beta"))
+        n_max = as_degree("n_max", _arg(args, "n_max", ParamKind.INT))
+        beta = _arg(args, "beta")
         by_degree = {n: expansion_weights(n, beta, beta, QBase.coerce(q))
                      for n in range(n_max + 1)}
     rows = [(n, k, c.real, c.imag) for n, coefs in by_degree.items() for k, c in enumerate(coefs)]

@@ -8,15 +8,19 @@ together with its infinite extension (a;q)_oo = prod_{k>=0} (1 - a q^k),
 which converges for |q| < 1 because the factors approach 1 geometrically.
 All functions accept complex scalars; ``q`` may be passed as a plain number
 or wrapped in :class:`QBase`.  The parameter types (:class:`ParamSet4`,
-:class:`ReducedParams`, :class:`QuadratureSpec`) live here too, so that the
-series checks and the command line can use them without importing numpy.
+:class:`ReducedParams`, :class:`QuadratureSpec`) and the coefficient rows of
+the function family (:func:`expansion_weights`, :func:`big_c_coeffs`,
+:func:`connection_coeffs`, as lists of complex) live here too, so that the
+series checks, PROP_3_1 and the command line run without importing numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable
 
 from .errors import DomainError, NearSingular, TruncationExceeded
@@ -38,6 +42,19 @@ def finite_complex(name: str, value) -> complex:
     if not cmath.isfinite(z):
         raise DomainError(f"{name} must be finite, got {z!r}")
     return z
+
+
+def as_degree(name: str, value, positive: bool = False) -> int:
+    """``value`` as an int; :class:`DomainError` unless ``operator.index``
+    takes it (so 2.0 does not) and it is >= 0, or >= 1 when ``positive``."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < int(positive):
+        kind = "positive" if positive else "nonnegative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -169,17 +186,19 @@ FULL_PERIOD = (0.0, TWO_PI)
 HALF_PERIOD = (0.0, math.pi)
 
 
-def qpoch_finite(a, q, n: int) -> complex:
-    """Finite product (a;q)_n. Total for any complex a and n >= 0."""
-    qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    prod = 1.0 + 0.0j
+def _poch_row(a: complex, q: complex, n: int) -> list[complex]:
+    """[(a;q)_0, ..., (a;q)_n] by cumulative products."""
+    out = [1.0 + 0.0j]
     w = complex(a)
     for _ in range(n):
-        prod *= 1.0 - w
-        w *= qb.q
-    return prod
+        out.append(out[-1] * (1.0 - w))
+        w *= q
+    return out
+
+
+def qpoch_finite(a, q, n: int) -> complex:
+    """Finite product (a;q)_n. Total for any complex a and n >= 0."""
+    return _poch_row(a, QBase.coerce(q).q, as_degree("n", n))[-1]
 
 
 def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
@@ -275,3 +294,51 @@ def settled_sum(terms: Iterable[complex], policy: TruncationPolicy, what: str,
     if count < policy.max_terms:
         return total
     raise TruncationExceeded(f"{what} did not settle within {policy.max_terms} terms")
+
+
+
+def expansion_weights(n: int, ra: complex, rb: complex, q) -> list[complex]:
+    """The n+1 coefficients (ra;q)_k (rb;q)_{n-k} / ((q;q)_k (q;q)_{n-k}),
+    k = 0..n, shared by every double-sum evaluation."""
+    qb = QBase.coerce(q)
+    n = as_degree("n", n)
+    pa = _poch_row(ra, qb.q, n)
+    pb = _poch_row(rb, qb.q, n)
+    pq = _poch_row(qb.q, qb.q, n)
+    return [pa[k] / pq[k] * (pb[n - k] / pq[n - k]) for k in range(n + 1)]
+
+
+def big_c_coeffs(n: int, p: ParamSet4, q) -> list[complex]:
+    """Laurent coefficients c_k of C_n(e^{i theta}) = sum_k c_k e^{i(2k-n)theta},
+    with running products for powers (they overflow to inf; ``**`` raises)."""
+    weights = expansion_weights(n, p.ratio_a, p.ratio_b, q)
+    gamma_k = list(accumulate(repeat(p.gamma, n), operator.mul, initial=1.0 + 0.0j))
+    delta_k = list(accumulate(repeat(p.delta, n), operator.mul, initial=1.0 + 0.0j))
+    return [w * gamma_k[k] * delta_k[n - k] for k, w in enumerate(weights)]
+
+
+def connection_coeffs(m: int, r: ReducedParams, gamma_delta, q) -> list[complex]:
+    """Coefficients linking degree m of the b-family to degrees n <= m of the
+    a-family (both at the same gamma, delta):
+
+        coeff_n = (1 - a q^n) (b/a;q)_j (b;q)_{(m+n)/2} (a gamma delta)^j
+                  / ((q;q)_j (a;q)_{(m+n)/2 + 1}),    j = (m-n)/2,
+
+    for n = m, m-2, ...; entries of the opposite parity are zero."""
+    if r.a == 0:
+        raise DomainError("connection coefficients need a != 0")
+    m = as_degree("m", m)
+    qb = QBase.coerce(q)
+    gd = complex(gamma_delta)
+    out = [0.0 + 0.0j] * (m + 1)
+    for n in range(m % 2, m + 1, 2):
+        j = (m - n) // 2
+        half_sum = (m + n) // 2
+        out[n] = (
+            (1.0 - r.a * qb.q ** n)
+            * qpoch_finite(r.b / r.a, qb, j)
+            * qpoch_finite(r.b, qb, half_sum)
+            / (qpoch_finite(qb.q, qb, j) * qpoch_finite(r.a, qb, half_sum + 1))
+            * (r.a * gd) ** j
+        )
+    return out

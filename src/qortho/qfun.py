@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NearSingular
-from .qcore import (  # ParamSet4 and ReducedParams are re-exported from here
+from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re-exported
     DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
     TWO_PI,
@@ -48,46 +48,17 @@ from .qcore import (  # ParamSet4 and ReducedParams are re-exported from here
     QBase,
     ReducedParams,
     TruncationPolicy,
+    _poch_row,
+    as_degree,
+    big_c_coeffs,
+    connection_coeffs,
+    expansion_weights,
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
     screen_denominator,
     tail_start,
 )
-
-
-def _poch_row(a: complex, q: complex, n: int) -> np.ndarray:
-    """[(a;q)_0, ..., (a;q)_n] by cumulative products."""
-    out = np.empty(n + 1, dtype=np.complex128)
-    out[0] = 1.0
-    w = complex(a)
-    for k in range(1, n + 1):
-        out[k] = out[k - 1] * (1.0 - w)
-        w *= q
-    return out
-
-
-def expansion_weights(n: int, ra: complex, rb: complex, q) -> np.ndarray:
-    """The n+1 coefficients (ra;q)_k (rb;q)_{n-k} / ((q;q)_k (q;q)_{n-k}),
-    k = 0..n, shared by every double-sum evaluation."""
-    qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    pa = _poch_row(ra, qb.q, n)
-    pb = _poch_row(rb, qb.q, n)
-    pq = _poch_row(qb.q, qb.q, n)
-    return (pa / pq) * (pb / pq)[::-1]
-
-
-def big_c_coeffs(n: int, p: ParamSet4, q) -> np.ndarray:
-    """Laurent coefficients c_k of C_n(e^{i theta}) = sum_k c_k e^{i(2k-n)theta}."""
-    qb = QBase.coerce(q)
-    k = np.arange(n + 1)
-    return (
-        expansion_weights(n, p.ratio_a, p.ratio_b, qb)
-        * p.gamma ** k
-        * p.delta ** (n - k)
-    )
 
 
 def big_c_eval_many(n: int, thetas: np.ndarray, p: ParamSet4, q) -> np.ndarray:
@@ -102,9 +73,9 @@ def big_c_at_one(count: int, p: ParamSet4, q) -> np.ndarray:
     B_j = (rb;q)_j delta^j / (q;q)_j."""
     qb = QBase.coerce(q)
     k = np.arange(count + 1)
-    pq = _poch_row(qb.q, qb.q, count)
-    row_a = _poch_row(p.ratio_a, qb.q, count) / pq * p.gamma ** k
-    row_b = _poch_row(p.ratio_b, qb.q, count) / pq * p.delta ** k
+    pq = np.array(_poch_row(qb.q, qb.q, count))
+    row_a = np.array(_poch_row(p.ratio_a, qb.q, count)) / pq * p.gamma ** k
+    row_b = np.array(_poch_row(p.ratio_b, qb.q, count)) / pq * p.delta ** k
     return np.convolve(row_a, row_b)[:count]
 
 
@@ -116,7 +87,8 @@ def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
     k = np.arange(n + 1)
     gx = p.gamma * complex(x)
     dy = p.delta * complex(y)
-    total = np.sum(expansion_weights(n, p.ratio_a, p.ratio_b, qb) * gx ** k * dy ** (n - k))
+    total = np.sum(np.array(expansion_weights(n, p.ratio_a, p.ratio_b, qb)) * gx ** k
+                   * dy ** (n - k))
     return complex(qpoch_finite(qb.q, qb, n) * total)
 
 
@@ -180,8 +152,7 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """
     a = complex(a)
     qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    n = as_degree("n", n)
     if abs(a) >= 1.0:
         raise DomainError(f"|a| must be < 1, got {abs(a):.6g}")
     den_inf = qpoch_infinite(a, qb, policy) * qpoch_infinite(a * qb.q, qb, policy)
@@ -217,8 +188,7 @@ def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
 
     with ra = alpha/gamma, rb = beta/delta."""
     qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    n = as_degree("n", n)
     ra, rb = p.ratio_a, p.ratio_b
     prefactor = diagonal_prefactor(p, qb, policy)
     qn = qb.q ** n
@@ -232,34 +202,6 @@ def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
     )
 
 
-def connection_coeffs(m: int, r: ReducedParams, gamma_delta, q) -> np.ndarray:
-    """Coefficients linking degree m of the b-family to degrees n <= m of the
-    a-family (both at the same gamma, delta):
-
-        coeff_n = (1 - a q^n) (b/a;q)_j (b;q)_{(m+n)/2} (a gamma delta)^j
-                  / ((q;q)_j (a;q)_{(m+n)/2 + 1}),    j = (m-n)/2,
-
-    for n = m, m-2, ...; entries of the opposite parity are zero."""
-    if r.a == 0:
-        raise DomainError("connection coefficients need a != 0")
-    if m < 0:
-        raise DomainError("m must be a nonnegative integer")
-    qb = QBase.coerce(q)
-    gd = complex(gamma_delta)
-    out = np.zeros(m + 1, dtype=np.complex128)
-    for n in range(m % 2, m + 1, 2):
-        j = (m - n) // 2
-        half_sum = (m + n) // 2
-        out[n] = (
-            (1.0 - r.a * qb.q ** n)
-            * qpoch_finite(r.b / r.a, qb, j)
-            * qpoch_finite(r.b, qb, half_sum)
-            / (qpoch_finite(qb.q, qb, j) * qpoch_finite(r.a, qb, half_sum + 1))
-            * (r.a * gd) ** j
-        )
-    return out
-
-
 def growth_root(n: int, p: ParamSet4, q) -> float:
     """|C_n(1)|^{1/n}, a single-probe diagnostic for the exponential growth
     rate of the family at theta = 0; approaches max(|gamma|, |delta|).
@@ -268,8 +210,7 @@ def growth_root(n: int, p: ParamSet4, q) -> float:
     large n.  C_n is homogeneous of degree n in (alpha, beta, gamma, delta),
     so it is evaluated for the quadruple divided by M and M is put back
     outside the root."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = as_degree("n", n, positive=True)
     scale = max(abs(p.gamma), abs(p.delta))
     unit = ParamSet4(p.alpha / scale, p.beta / scale, p.gamma / scale, p.delta / scale)
     return scale * abs(big_c_eval_many(n, [0.0], unit, q)[0]) ** (1.0 / n)

@@ -54,6 +54,7 @@ from .qcore import (  # the quadrature types are re-exported from here
     QBase,
     QuadratureSpec,
     TruncationPolicy,
+    as_degree,
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
@@ -196,8 +197,7 @@ def phi_qintegral_repr(
     denominator symbol has a factor within 1e-12 of zero.
     """
     qb = QBase.coerce(q)
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    n = as_degree("n", n)
     x = complex(x)
     y = complex(y)
     gx = p.gamma * x

@@ -41,6 +41,9 @@ from .qcore import (
     QuadratureSpec,
     ReducedParams,
     TruncationPolicy,
+    as_degree,
+    big_c_coeffs,
+    connection_coeffs,
     finite_complex,
     min_factor_abs,
     qpoch_finite,
@@ -50,14 +53,14 @@ from .hyper import PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_rhs,
 
 # What this module takes from the numpy-backed modules, by module, besides
 # numpy itself (as ``np``) and ``kernels``.  None of it is imported with this
-# module: the registry, the reports and the series checks run without numpy,
-# whose import takes longer than a series check.  _numeric() binds it all here
+# module: the registry, the reports, the series checks and PROP_3_1 run without
+# numpy, whose import takes longer than any of those checks.  _numeric() binds it all here
 # on the first check that needs it; asked for from outside (to patch one, say),
 # a name loads on that access (PEP 562).
 _NUMERIC = {
-    "qfun": ("big_c_at_one", "big_c_coeffs", "big_c_eval_many", "connection_coeffs",
-             "diag_rhs_thm11", "diagonal_prefactor", "growth_root", "h_norm", "phi_eval",
-             "product_quotient", "quotient_depth", "weight_min_denominator", "weight_symbols"),
+    "qfun": ("big_c_at_one", "big_c_eval_many", "diag_rhs_thm11", "diagonal_prefactor",
+             "growth_root", "h_norm", "phi_eval", "product_quotient", "quotient_depth",
+             "weight_min_denominator", "weight_symbols"),
     "quad": ("periodic_integral", "phi_qintegral_repr"),
 }
 NAN = complex("nan")
@@ -91,7 +94,7 @@ class IdentityId(str, enum.Enum):
     PROP_2_1_3 = "PROP_2_1_3"  # growth-root diagnostic approaches max(|gamma|, |delta|)
     PROP_2_2 = "PROP_2_2"  # majorant series for the diagonal generating sum is Cauchy
     PROP_2_4 = "PROP_2_4"  # lattice-integral representation reproduces Phi_n
-    PROP_3_1 = "PROP_3_1"  # connection expansion between the b- and a-families
+    PROP_3_1 = "PROP_3_1"  # connection expansion between the b- and a-families, per coefficient
     ROGERS_6W5 = "ROGERS_6W5"  # very-well-poised six-parameter sum vs. closed product form
     QBINOMIAL = "QBINOMIAL"  # binomial series vs. product ratio
     ULTRA_ORTHO = "ULTRA_ORTHO"  # half-period orthogonality of the single-parameter family
@@ -200,8 +203,6 @@ def _flatten_inputs(inputs: Mapping[str, object]) -> dict:
         if isinstance(value, complex):
             flat[f"{key}_re"] = value.real
             flat[f"{key}_im"] = value.imag
-        elif isinstance(value, (list, tuple)) or numpy and isinstance(value, numpy.ndarray):
-            flat[key] = [float(v) for v in value]
         elif numpy and isinstance(value, numpy.integer):
             flat[key] = int(value)
         elif numpy and isinstance(value, numpy.floating):
@@ -239,14 +240,14 @@ def _paramset_inputs(p: ParamSet4, q: QBase) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(side: Callable[[], object], flags: list[str], failed: object = NAN):
-    """``side()``, or ``failed`` with the name of the numerical error it
-    raised added to ``flags``."""
+def _evaluate(side: Callable[[], object], flags: list[str]):
+    """``side()``, or NaN with the name of the numerical error it raised
+    added to ``flags``."""
     try:
         return side()
     except _NUMERIC_ERRORS as exc:
         flags.append(type(exc).__name__)
-        return failed
+        return NAN
 
 
 def _check(identity_id, inputs, tolerance, lhs, rhs) -> VerificationReport:
@@ -472,43 +473,30 @@ def check_prop_3_1(
     delta,
     q,
     m: int,
-    thetas: Sequence[float] | None = None,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Connection expansion: degree m of the b-family equals the parity-matched
-    combination of a-family degrees n <= m.  The report carries the worst
-    pointwise residual over the probe angles, which must be finite and at
-    least one."""
-    _numeric()
+    combination of a-family degrees n <= m.  Both sides are Laurent
+    polynomials of degree m, compared coefficient by coefficient: the
+    coefficients of C_n shift by (m - n)/2 into those of degree m.  The report
+    carries both sides at the worst coefficient, against the largest
+    coefficient of the b-family side."""
     qb = QBase.coerce(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
-    if thetas is None:
-        thetas = TWO_PI * np.arange(16) / 16
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 1 or thetas.shape[0] == 0 or not np.all(np.isfinite(thetas)):
-        raise DomainError(f"thetas must be a nonempty list of finite angles, got {thetas!r}")
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
-    inputs = {
-        "a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q,
-        "m": m, "thetas": thetas,
-    }
-
-    def sides():
-        coeffs = connection_coeffs(m, r, gamma * delta, qb)
-        lhs_vals = big_c_eval_many(m, thetas, p_b, qb)
-        rhs_vals = np.zeros_like(lhs_vals)
-        for nn in range(m % 2, m + 1, 2):
-            rhs_vals += coeffs[nn] * big_c_eval_many(nn, thetas, p_a, qb)
-        worst = int(np.argmax(np.abs(lhs_vals - rhs_vals)))
-        return complex(lhs_vals[worst]), complex(rhs_vals[worst]), float(np.max(np.abs(lhs_vals)))
-
-    flags: list[str] = []
-    lhs, rhs, scale = _evaluate(sides, flags, failed=(NAN, NAN, 0.0))
-    return VerificationReport.build(
-        IdentityId.PROP_3_1, inputs, lhs, rhs, tolerance, scale=scale, flags=flags
-    )
+    inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m}
+    coeffs = connection_coeffs(m, r, gamma * delta, qb)
+    lhs = big_c_coeffs(m, p_b, qb)
+    rhs = [0.0 + 0.0j] * len(lhs)
+    for nn in range(m % 2, m + 1, 2):
+        shift = (m - nn) // 2
+        for k, c in enumerate(big_c_coeffs(nn, p_a, qb)):
+            rhs[k + shift] += coeffs[nn] * c
+    worst = max(range(len(lhs)), key=lambda k: abs(lhs[k] - rhs[k]))
+    return VerificationReport.build(IdentityId.PROP_3_1, inputs, lhs[worst], rhs[worst],
+                                    tolerance, scale=max(map(abs, lhs)))
 
 
 def check_ultra_ortho(
@@ -590,8 +578,7 @@ def check_prop_2_2(
     term."""
     _numeric()
     qb = QBase.coerce(q)
-    if k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k}")
+    as_degree("k", k)
     if not 0.0 < t_fraction < 1.0:
         raise DomainError(f"t_fraction must lie in (0, 1), got {t_fraction!r}")
     if partial_terms < 1 or tail_terms < 1:
@@ -699,8 +686,8 @@ class SweepSpec:
     n_max: int = 6
 
     def __post_init__(self) -> None:
-        if self.draws < 0:
-            raise DomainError("draws must be >= 0")
+        for name in ("draws", "m_max", "n_max"):
+            as_degree(name, getattr(self, name))
 
 
 # All default sweeps draw real parameters; q stays within (0, 0.8].  The boxes

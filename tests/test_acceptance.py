@@ -16,10 +16,12 @@ from qortho import (
     ParamSet4,
     ReducedParams,
     SweepSpec,
+    big_c_coeffs,
     check_prop_2_1_3,
     check_thm_1_1,
     check_thm_1_3,
     check_ultra_ortho,
+    connection_coeffs,
     diag_rhs_thm11,
     h_norm,
     qpoch_finite,
@@ -181,14 +183,25 @@ def test_criterion_09_growth_root():
 
 
 def test_criterion_10_connection_expansion():
+    # all m+1 Laurent coefficients of degree m of the b-family against the
+    # shifted coefficients of the a-family degrees, recomputed here
     reports = run_sweep(IdentityId.PROP_3_1, SweepSpec(seed=SEED, draws=10, m_max=6))
-    worst = max(r.rel_residual for r in reports)
-    ok = all(r.passed for r in reports) and all(
-        len(r.inputs["thetas"]) == 16 for r in reports
-    )
+    worst = 0.0
+    for rep in reports:
+        i = rep.inputs
+        m, r = i["m"], ReducedParams(i["a"], i["b"])
+        lhs = np.array(big_c_coeffs(m, ParamSet4.from_reduced(r.b, i["gamma"], i["delta"]),
+                                    i["q"]))
+        rhs = np.zeros(m + 1, dtype=complex)
+        coeffs = connection_coeffs(m, r, i["gamma"] * i["delta"], i["q"])
+        for n in range(m % 2, m + 1, 2):
+            shift = (m - n) // 2
+            rhs[shift:shift + n + 1] += coeffs[n] * np.array(
+                big_c_coeffs(n, ParamSet4.from_reduced(r.a, i["gamma"], i["delta"]), i["q"]))
+        worst = max(worst, np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
+    ok = all(r.passed for r in reports)
     report_line(10, ok and worst <= 1e-9,
-                f"10 draws m <= 6, 16 angles, max pointwise rel <= 1e-9 "
-                f"(worst {worst:.2e})")
+                f"10 draws m <= 6, all m+1 coefficients agree to 1e-9 (worst {worst:.2e})")
 
 
 def test_criterion_11_single_parameter_orthogonality():

@@ -400,6 +400,30 @@ class TestExitCodeContract:
         assert out == ""
         assert "nonzero" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "big_c", "--n", "2", "--theta", "nan", *BOX],
+        ["eval", "ultra", "--n", "2", "--theta", "nan", "--beta-re", "0.3", "--q", "0.5"],
+        ["eval", "weight", "--theta", "nan", *BOX],
+        ["eval", "phi", "--n", "2", "--x-re", "nan", "--y-re", "1", *BOX],
+        ["eval", "h", "--n", "1", "--a-re", "nan", "--q", "0.5"],
+        ["eval", "qpoch", "--n", "1", "--a-re", "nan", "--q", "0.5"],
+        ["eval", "phi_series", "--num", "0.3,nan", "--z-re", "0.4", "--q", "0.5"],
+        ["table", "ultra", "--n-max", "2", "--beta-re", "nan", "--q", "0.5"],
+    ])
+    def test_a_non_finite_number_flag_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--m-max", "-1"],
+        ["table", "big_c", "--n-max", "-1", *BOX],
+    ])
+    def test_a_negative_degree_cap_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert "_max must be a nonnegative integer" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qortho.cli", "eval", "ultra", "--n", "1",

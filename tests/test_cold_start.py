@@ -1,10 +1,11 @@
 """A fresh ``qortho`` process that needs no numpy never imports it.
 
-Importing numpy takes longer than a series check, so the pure-series
-commands (``verify`` of ROGERS_6W5 and QBINOMIAL, ``eval qpoch`` and
-``eval phi_series``) must start without it.  The test modules import numpy
-themselves, so every check here runs a new interpreter under
-``-X importtime``, which lists each module it imports on stderr.
+Importing numpy takes longer than a series check, so the commands built on
+``qcore`` and ``hyper`` alone (``verify`` of ROGERS_6W5, QBINOMIAL and
+PROP_3_1, ``eval qpoch``, ``eval phi_series`` and ``table``) must start
+without it.  The test modules import numpy themselves, so every check here
+runs a new interpreter under ``-X importtime``, which lists each module it
+imports on stderr.
 """
 
 import json
@@ -16,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import qortho
-from qortho import PhiSpec, check_qbinomial, check_rogers_6w5, phi_series, qpoch_infinite
+from qortho import (PhiSpec, ReducedParams, check_prop_3_1, check_qbinomial, check_rogers_6w5,
+                    phi_series, qpoch_infinite)
+from qortho.cli import main
 
 SRC = str(Path(qortho.__file__).resolve().parents[1])
 
@@ -48,6 +51,9 @@ def cli(*argv: str):
       "--d-re", "0.7", "--q", "0.5"], lambda: check_rogers_6w5(0.1, 0.5, 0.6, 0.7, 0.5)),
     (["--identity", "QBINOMIAL", "--a-re", "0.3", "--z-re", "-0.4", "--q", "0.5"],
      lambda: check_qbinomial(0.3, -0.4, 0.5)),
+    (["--identity", "PROP_3_1", "--a-re", "0.3", "--b-re", "0.2", "--gamma-re", "0.9",
+      "--delta-re", "1.1", "--q", "0.5", "--m", "3"],
+     lambda: check_prop_3_1(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 3)),
 ])
 def test_series_verify_runs_without_numpy(argv, report):
     proc, modules = cli("verify", *argv)
@@ -69,10 +75,27 @@ def test_series_eval_runs_without_numpy(argv, value):
     assert complex(rec["value_re"], rec["value_im"]) == value()
 
 
+@pytest.mark.parametrize("argv", [
+    ["big_c", "--n-max", "3", "--alpha-re", "0.2", "--beta-re", "0.1", "--gamma-re", "0.8",
+     "--delta-re", "0.9", "--q", "0.5"],
+    ["connection", "--m", "4", "--a-re", "0.3", "--b-re", "0.5", "--gamma-re", "0.9",
+     "--delta-re", "1.1", "--q", "0.5"],
+    ["ultra", "--n-max", "3", "--beta-re", "0.3", "--q", "0.5"],
+])
+def test_table_runs_without_numpy(argv, tmp_path):
+    proc, modules = cli("table", *argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert numpy_modules(modules) == []
+    out = tmp_path / "table.csv"
+    assert main(["table", *argv, "--out", str(out)]) == 0
+    assert proc.stdout == out.read_text()
+
+
 def test_a_numeric_check_still_loads_numpy():
-    # PROP_3_1 evaluates C_n on arrays; the import log must show numpy then
-    proc, modules = cli("verify", "--identity", "PROP_3_1", "--a-re", "0.3", "--b-re", "0.2",
-                        "--gamma-re", "0.9", "--delta-re", "1.1", "--q", "0.5", "--m", "3")
+    # THM_1_1 integrates over the circle; the import log must show numpy then
+    proc, modules = cli("verify", "--identity", "THM_1_1", "--alpha-re", "0.2", "--beta-re",
+                        "0.1", "--gamma-re", "0.8", "--delta-re", "0.9", "--q", "0.5",
+                        "--m", "1", "--n", "1")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "numpy" in numpy_modules(modules)
 

@@ -43,6 +43,12 @@ def test_moved_parameter_types_keep_their_qfun_path(name):
     assert getattr(qfun, name) is getattr(qcore, name) is getattr(qortho, name)
 
 
+@pytest.mark.parametrize("name", ["expansion_weights", "big_c_coeffs", "connection_coeffs"])
+def test_moved_coefficient_builders_keep_their_qfun_path(name):
+    assert getattr(qfun, name) is getattr(qcore, name)
+    assert name not in qortho.__all__ or getattr(qortho, name) is getattr(qcore, name)
+
+
 @pytest.mark.parametrize("name", ["QuadratureSpec", "DEFAULT_QUADRATURE", "FULL_PERIOD",
                                   "HALF_PERIOD"])
 def test_moved_quadrature_types_keep_their_quad_path(name):

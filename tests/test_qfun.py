@@ -347,7 +347,7 @@ class TestDiagRhs:
 class TestConnectionCoeffs:
     def test_degree_zero(self):
         out = connection_coeffs(0, ReducedParams(0.3, 0.5), 0.72, 0.5)
-        assert out.shape == (1,)
+        assert len(out) == 1
         assert out[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_identity_connection(self):

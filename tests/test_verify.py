@@ -14,6 +14,8 @@ from qortho import (
     SweepSpec,
     TruncationPolicy,
     VerificationReport,
+    big_c_coeffs,
+    big_c_eval_many,
     check_prop_2_1_2,
     check_prop_2_1_3,
     check_prop_2_2,
@@ -25,6 +27,7 @@ from qortho import (
     check_thm_1_2,
     check_thm_1_3,
     check_ultra_ortho,
+    connection_coeffs,
     diag_rhs_thm11,
     h_norm,
     qpoch_finite,
@@ -67,22 +70,18 @@ class TestReportMechanics:
     def test_flattened_inputs_are_those_of_the_numpy_bound_version(self):
         # the records written while verify imported numpy at load time
         inputs = {"c": 1 + 2j, "npc": np.complex128(0.5 - 1j), "i": np.int64(3),
-                  "f": np.float64(0.25), "arr": np.array([0.0, 1.5]), "lst": [1, 2.5],
-                  "tup": (0.75,), "n": 4, "x": 0.5, "tag": "k"}
+                  "f": np.float64(0.25), "n": 4, "x": 0.5, "tag": "k"}
         flat = verify._flatten_inputs(inputs)
         assert flat == {"c_re": 1.0, "c_im": 2.0, "npc_re": 0.5, "npc_im": -1.0, "i": 3,
-                        "f": 0.25, "arr": [0.0, 1.5], "lst": [1.0, 2.5], "tup": [0.75],
-                        "n": 4, "x": 0.5, "tag": "k"}
+                        "f": 0.25, "n": 4, "x": 0.5, "tag": "k"}
         assert {key: type(value) for key, value in flat.items()} == {
             "c_re": float, "c_im": float, "npc_re": np.float64, "npc_im": np.float64,
-            "i": int, "f": float, "arr": list, "lst": list, "tup": list, "n": int,
-            "x": float, "tag": str}
-        assert {type(v) for key in ("arr", "lst", "tup") for v in flat[key]} == {float}
+            "i": int, "f": float, "n": int, "x": float, "tag": str}
 
-    def test_prop_3_1_record_lists_the_angles_as_floats(self):
+    def test_prop_3_1_record_holds_the_degree_and_no_angles(self):
         rec = check_prop_3_1(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 3).to_record()
-        assert rec["inputs"]["thetas"] == [2.0 * math.pi * j / 16 for j in range(16)]
-        assert {type(t) for t in rec["inputs"]["thetas"]} == {float}
+        assert set(rec["inputs"]) == {"a_re", "a_im", "b_re", "b_im", "gamma_re", "gamma_im",
+                                      "delta_re", "delta_im", "q_re", "q_im", "m"}
         assert rec["inputs"]["m"] == 3 and type(rec["inputs"]["m"]) is int
 
     def test_reports_are_immutable(self, box_params):
@@ -235,14 +234,57 @@ class TestProp31:
         rep = check_prop_3_1(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 3)
         assert rep.passed and rep.rel_residual <= 1e-9
 
-    def test_no_probe_angle_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="thetas"):
-            check_prop_3_1(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 3, thetas=[])
+    def test_a_coefficient_error_that_vanishes_at_16_angles_fails(self, monkeypatch):
+        # eps (z^8 - 1) in z = e^{2i theta}, added to degree 8 of the b-family,
+        # is 2i eps sin(8 theta): zero at every angle 2 pi j / 16
+        r, gamma, delta, q = ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5
+        p_b = ParamSet4.from_reduced(r.b, gamma, delta)
+        build = verify.big_c_coeffs
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_probe_angle_is_a_domain_error(self, bad):
-        with pytest.raises(DomainError, match="thetas"):
-            check_prop_3_1(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 3, thetas=[0.1, bad])
+        def perturbed(n, p, q):
+            coefs = build(n, p, q)
+            if p == p_b:
+                coefs[0] -= 1.0
+                coefs[-1] += 1.0
+            return coefs
+
+        thetas = 2 * math.pi * np.arange(16) / 16
+        assert np.max(np.abs(kernels.laurent_eval([-1.0, *[0.0] * 7, 1.0], 8, thetas))) < 1e-13
+        assert check_prop_3_1(r, gamma, delta, q, 8).passed
+        monkeypatch.setattr(verify, "big_c_coeffs", perturbed)
+        rep = check_prop_3_1(r, gamma, delta, q, 8)
+        assert not rep.passed
+        assert rep.abs_residual == pytest.approx(1.0)
+
+    def test_coefficients_bound_both_sides_at_random_angles(self):
+        # complex parameters; the sides at any angle differ by at most the
+        # sum of the m+1 coefficient residuals, each at most the reported one
+        r = ReducedParams(0.3 + 0.2j, -0.4 + 0.1j)
+        gamma, delta, q = 0.9 - 0.3j, 1.1 + 0.2j, 0.5 + 0.1j
+        p_a, p_b = (ParamSet4.from_reduced(x, gamma, delta) for x in (r.a, r.b))
+        thetas = np.random.default_rng(31).uniform(0.0, 2 * math.pi, 9)
+        for m in range(31):
+            rep = check_prop_3_1(r, gamma, delta, q, m)
+            coeffs = connection_coeffs(m, r, gamma * delta, q)
+            lhs = big_c_eval_many(m, thetas, p_b, q)
+            rhs = sum(coeffs[n] * big_c_eval_many(n, thetas, p_a, q)
+                      for n in range(m % 2, m + 1, 2))
+            size = np.sum(np.abs(big_c_coeffs(m, p_b, q)))
+            assert rep.passed, (m, rep.rel_residual)
+            assert np.max(np.abs(lhs - rhs)) <= (m + 1) * rep.abs_residual + 1e-13 * size, m
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_prop_3_1(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 2.5),
+        lambda: check_ultra_ortho(0.3, 0.5, 2.0, 2),
+        lambda: check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1, 1.0),
+        lambda: check_prop_2_1_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1.5),
+        lambda: check_prop_2_1_3(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 0),
+        lambda: check_prop_2_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, k=1.0),
+        lambda: check_prop_2_4(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2.0, 1.0, 0.6),
+    ])
+    def test_a_degree_that_is_not_a_nonnegative_integer_is_a_domain_error(self, check):
+        with pytest.raises(DomainError, match="must be a (nonnegative|positive) integer"):
+            check()
 
 
 class TestUltraOrtho:
@@ -505,3 +547,8 @@ class TestSweep:
     def test_negative_draws_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(seed=0, draws=-1)
+
+    @pytest.mark.parametrize("cap", [{"m_max": -1}, {"n_max": 2.0}])
+    def test_degree_caps_must_be_nonnegative_integers(self, cap):
+        with pytest.raises(DomainError, match="_max must be a nonnegative integer"):
+            SweepSpec(seed=0, draws=2, **cap)
