@@ -296,15 +296,14 @@ def settled_sum(terms: Iterable[complex], policy: TruncationPolicy, what: str,
     raise TruncationExceeded(f"{what} did not settle within {policy.max_terms} terms")
 
 
-
 def expansion_weights(n: int, ra: complex, rb: complex, q) -> list[complex]:
     """The n+1 coefficients (ra;q)_k (rb;q)_{n-k} / ((q;q)_k (q;q)_{n-k}),
-    k = 0..n, shared by every double-sum evaluation."""
+    k = 0..n; NaN where (q;q)_k or (q;q)_{n-k} underflows to 0 (q near 1)."""
     qb = QBase.coerce(q)
     n = as_degree("n", n)
     pa = _poch_row(ra, qb.q, n)
     pb = _poch_row(rb, qb.q, n)
-    pq = _poch_row(qb.q, qb.q, n)
+    pq = [x or cmath.nan for x in _poch_row(qb.q, qb.q, n)]
     return [pa[k] / pq[k] * (pb[n - k] / pq[n - k]) for k in range(n + 1)]
 
 

@@ -261,7 +261,7 @@ def _check(identity_id, inputs, tolerance, lhs, rhs) -> VerificationReport:
 
 def _circle_check(
     identity_id, inputs, tolerance, weight: ParamSet4, qb: QBase, policy, qspec, interval,
-    laurent: Sequence[tuple[np.ndarray, int]], rhs: Callable[[], complex],
+    laurent: Sequence[tuple[Sequence[complex], int]], rhs: Callable[[], complex],
     symbols: tuple[tuple, tuple, tuple] = ((), (), ()),
 ) -> VerificationReport:
     """The path every circle identity shares: screen the weight of ``weight``
@@ -464,7 +464,7 @@ def thm_1_3_rhs(
     if (m - n) % 2 != 0:
         return 0.0 + 0.0j
     gd = complex(gamma) * complex(delta)
-    return gd ** n * complex(connection_coeffs(m, r, gd, q)[n]) / h_norm(n, r.a, q, policy)
+    return gd ** n * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q, policy)
 
 
 def check_prop_3_1(
@@ -479,8 +479,8 @@ def check_prop_3_1(
     combination of a-family degrees n <= m.  Both sides are Laurent
     polynomials of degree m, compared coefficient by coefficient: the
     coefficients of C_n shift by (m - n)/2 into those of degree m.  The report
-    carries both sides at the worst coefficient, against the largest
-    coefficient of the b-family side."""
+    carries both sides at the worst coefficient (a NaN residual counts as the
+    worst), against the largest coefficient of the b-family side."""
     qb = QBase.coerce(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
@@ -494,7 +494,7 @@ def check_prop_3_1(
         shift = (m - nn) // 2
         for k, c in enumerate(big_c_coeffs(nn, p_a, qb)):
             rhs[k + shift] += coeffs[nn] * c
-    worst = max(range(len(lhs)), key=lambda k: abs(lhs[k] - rhs[k]))
+    worst = max(range(len(lhs)), key=lambda k: (math.isnan(d := abs(lhs[k] - rhs[k])), d))
     return VerificationReport.build(IdentityId.PROP_3_1, inputs, lhs[worst], rhs[worst],
                                     tolerance, scale=max(map(abs, lhs)))
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -354,6 +355,15 @@ class TestTable:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         assert float(rows[0]["coefficient_re"]) == pytest.approx(1.0)
+
+    def test_an_underflowed_q_pochhammer_prints_nan(self, capsys):
+        # (q;q)_k underflows to 0 from k = 143 at q = 0.9999
+        code, out, _ = run_cli(["table", "big_c", "--n-max", "150", *BOX[:-2], "--q", "0.9999"],
+                               capsys)
+        assert code == EXIT_PASS
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 151 * 152 // 2
+        assert math.isnan(float(rows[-1]["coefficient_re"]))
 
     def test_ultra_coefficients_match_explicit_quotients(self, capsys):
         beta, q = 0.3, 0.5

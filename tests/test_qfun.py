@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -342,6 +343,18 @@ class TestDiagRhs:
                 * qpoch_finite(0.02, q, n) / qpoch_finite(q, q, n)
             )
             assert val == pytest.approx(expected, rel=1e-13)
+
+
+class TestExpansionWeights:
+    def test_an_underflowed_q_pochhammer_gives_nan_weights(self):
+        # (q;q)_k underflows to 0 from k = 143 at q = 0.9999
+        n, q = 150, 0.9999
+        zero = [k for k in range(n + 1) if qpoch_finite(q, q, k) == 0]
+        assert zero == list(range(143, n + 1))
+        weights = expansion_weights(n, 0.3, 0.2, q)
+        assert len(weights) == n + 1
+        assert all(cmath.isnan(weights[k]) for k in range(n + 1) if k in zero or n - k in zero)
+        assert weights[n // 2] == math.inf  # 1 / (q;q)_75^2 is about 1e382
 
 
 class TestConnectionCoeffs:

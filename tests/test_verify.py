@@ -256,6 +256,13 @@ class TestProp31:
         assert not rep.passed
         assert rep.abs_residual == pytest.approx(1.0)
 
+    def test_a_nan_coefficient_fails_wherever_it_sits(self):
+        # gamma^4 overflows to inf, so coefficient 4 of both sides is NaN
+        # while coefficients 0-3 are finite and agree
+        rep = check_prop_3_1(ReducedParams(0.3, 0.2), 1e100, 1e-100, 0.5, 4)
+        assert not rep.passed
+        assert math.isnan(rep.abs_residual)
+
     def test_coefficients_bound_both_sides_at_random_angles(self):
         # complex parameters; the sides at any angle differ by at most the
         # sum of the m+1 coefficient residuals, each at most the reported one
