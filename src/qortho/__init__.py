@@ -35,8 +35,7 @@ _EXPORTS = {
     "qfun": ("big_c_eval_many", "phi_eval", "weight_omega_many", "h_norm", "diag_rhs_thm11",
              "growth_root"),
     # integration
-    "quad": ("QuadResult", "QLattice", "periodic_integral", "jackson_integral",
-             "phi_qintegral_repr"),
+    "quad": ("QuadResult", "periodic_integral", "phi_qintegral_repr"),
 }
 _LAZY = {name: module for module in ("qfun", "quad") for name in _EXPORTS[module]}
 

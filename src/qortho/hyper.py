@@ -90,24 +90,23 @@ class PhiSpec:
 def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Sum the series by the term-ratio recurrence.
 
-    Stops by :func:`qortho.qcore.settled_sum`, or when a numerator factor
-    vanishes and the series terminates exactly.  Raises
+    Stops by :func:`qortho.qcore.settled_sum`, or after term
+    ``spec.terminates_at`` of a terminating series.  Raises
     :class:`DivergentSeries` if terms grow for max(20, r) consecutive k.
     """
     q = spec.q.q
     growth_cap = max(20, len(spec.denominators))
+    stop = spec.terminates_at
+    last = policy.max_terms if stop is None else min(stop, policy.max_terms)
 
     def terms():  # k = 1, 2, ...
         term = 1.0 + 0.0j
         growth_streak = 0
         qk = 1.0 + 0.0j  # q^{k-1} while building term k
-        for k in range(1, policy.max_terms + 1):
+        for k in range(1, last + 1):
             ratio = spec.z
             for a in spec.numerators:
-                factor = 1.0 - a * qk
-                if abs(factor) < 1e-15:
-                    return
-                ratio *= factor
+                ratio *= 1.0 - a * qk
             ratio /= 1.0 - q ** k
             for b in spec.denominators:
                 ratio /= 1.0 - b * qk

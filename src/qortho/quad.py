@@ -27,17 +27,16 @@ what keeps the convergence geometric.
 
 The lattice integral from a to b is the pair of geometric sums
 
-    (1-q) b sum_{n>=0} q^n f(b q^n)  -  (1-q) a sum_{n>=0} q^n f(a q^n),
+    (1-q) b sum_{k>=0} q^k f(b q^k)  -  (1-q) a sum_{k>=0} q^k f(a q^k),
 
-applied verbatim for complex endpoints.
+applied verbatim for complex endpoints.  For the integrand of
+:func:`phi_qintegral_repr` each sum is one term-ratio recurrence per
+endpoint (see :func:`_lattice_side`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -141,39 +140,34 @@ def periodic_integral(
     return QuadResult(complex(estimate), n, converged, est_error, fmax * length)
 
 
-@dataclass(frozen=True)
-class QLattice:
-    """Endpoints of a geometric lattice {b q^n} u {a q^n} accumulating at 0."""
+def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QBase,
+                  policy: TruncationPolicy) -> complex:
+    """sum_k q^k f(e q^k) for the integrand
 
-    a: complex
-    b: complex
-    q: QBase
+        f(z) = (q z/e, q z/o; q)_oo z^n / (u z/e, v z/e; q)_oo
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "q", QBase.coerce(self.q))
+    on the lattice of endpoint e, o the other endpoint.  At z = e q^k each
+    symbol is a fixed infinite product over a finite one, so with w = q e/o
 
+        q^k f(e q^k) = K e^n t_k,   K = (q, w; q)_oo / (u, v; q)_oo,
+        t_0 = 1,   t_{k+1} / t_k = q^{n+1} (1 - u q^k)(1 - v q^k)
+                                   / ((1 - q^{k+1})(1 - w q^k)),
 
-def jackson_integral(
-    f: Callable[[complex], complex],
-    lattice: QLattice,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """The lattice integral of f from a to b; each geometric sum stops by
-    :func:`qortho.qcore.settled_sum`."""
-    q = lattice.q.q
+    and the t_k sum stops by :func:`qortho.qcore.settled_sum`."""
+    q = qb.q
+    w = q * e / o
+    ratio = q ** (n + 1)
 
-    def one_side(endpoint: complex) -> complex:
-        if endpoint == 0:
-            return 0.0 + 0.0j
-        # 1, q, q^2, ... by repeated multiplication, max_terms of them
-        qns = accumulate(repeat(q, policy.max_terms - 1), mul, initial=1.0 + 0.0j)
-        return settled_sum((qn * f(endpoint * qn) for qn in qns), policy, "lattice sum")
+    def terms():
+        t = qk = 1.0 + 0.0j
+        for _ in range(policy.max_terms):
+            yield t
+            t *= ratio * (1.0 - u * qk) * (1.0 - v * qk) / ((1.0 - q * qk) * (1.0 - w * qk))
+            qk *= q
 
-    if lattice.a == lattice.b:
-        return 0.0 + 0.0j
-    return (1.0 - q) * (lattice.b * one_side(lattice.b) - lattice.a * one_side(lattice.a))
+    k_e = qpoch_infinite(q, qb, policy) * qpoch_infinite(w, qb, policy) / (
+        qpoch_infinite(u, qb, policy) * qpoch_infinite(v, qb, policy))
+    return k_e * e ** n * settled_sum(terms(), policy, "lattice sum")
 
 
 def phi_qintegral_repr(
@@ -202,12 +196,16 @@ def phi_qintegral_repr(
     y = complex(y)
     gx = p.gamma * x
     dy = p.delta * y
+    if gx == 0:
+        raise DomainError("gamma * x must be nonzero")
     if dy == 0:
         raise DomainError("delta * y must be nonzero")
     if abs(gx - dy) <= 1e-12 * max(abs(gx), abs(dy), 1.0):
         raise NearSingular("gamma*x = delta*y makes the representation singular")
 
     ra, rb = p.ratio_a, p.ratio_b
+    by_gx = p.beta * y / gx
+    ax_dy = p.alpha * x / dy
     # Symbols that sit in a denominator anywhere: the prefactor's infinite
     # products and, across all lattice nodes z in {gx q^k} u {dy q^k}, the
     # integrand's (beta z/(gamma delta x); q)_oo and (alpha z/(gamma delta y); q)_oo
@@ -218,8 +216,8 @@ def phi_qintegral_repr(
         gx / dy,
         qb.q * dy / gx,
         rb,  # beta z/(gamma delta x) at z = gx q^k
-        p.beta * y / (p.gamma * x),  # ... at z = dy q^k
-        p.alpha * x / (p.delta * y),  # alpha z/(gamma delta y) at z = gx q^k
+        by_gx,  # ... at z = dy q^k
+        ax_dy,  # alpha z/(gamma delta y) at z = gx q^k
         ra,  # ... at z = dy q^k
     ]
     for base in denominator_bases:
@@ -230,7 +228,7 @@ def phi_qintegral_repr(
             )
 
     prefactor_num = qpoch_finite(ra * rb, qb, n)
-    for arg in (ra, rb, p.beta * y / (p.gamma * x), p.alpha * x / (p.delta * y)):
+    for arg in (ra, rb, by_gx, ax_dy):
         prefactor_num *= qpoch_infinite(arg, qb, policy)
     prefactor_den = (1.0 - qb.q) * dy
     for arg in (qb.q, ra * rb, gx / dy, qb.q * dy / gx):
@@ -238,19 +236,10 @@ def phi_qintegral_repr(
     if abs(prefactor_den) < NEAR_SINGULAR_TOL:
         raise NearSingular("prefactor denominator product is near zero")
 
-    gdx = p.gamma * p.delta * x
-    gdy = p.gamma * p.delta * y
-
-    def integrand(z: complex) -> complex:
-        num = qpoch_infinite(qb.q * z / gx, qb, policy) * qpoch_infinite(
-            qb.q * z / dy, qb, policy
-        )
-        den = qpoch_infinite(p.beta * z / gdx, qb, policy) * qpoch_infinite(
-            p.alpha * z / gdy, qb, policy
-        )
-        return num / den * z ** n
-
-    integral = jackson_integral(integrand, QLattice(gx, dy, qb), policy)
+    # the integrand's denominator symbols are (u z/e, v z/e; q)_oo with
+    # u = beta e/(gamma delta x) and v = alpha e/(gamma delta y) at endpoint e
+    integral = (1.0 - qb.q) * (dy * _lattice_side(dy, gx, by_gx, ra, n, qb, policy)
+                               - gx * _lattice_side(gx, dy, rb, ax_dy, n, qb, policy))
     return prefactor_num / prefactor_den * integral
 
 
@@ -261,7 +250,5 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "QuadResult",
     "periodic_integral",
-    "QLattice",
-    "jackson_integral",
     "phi_qintegral_repr",
 ]

@@ -509,10 +509,12 @@ def check_ultra_ortho(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Half-period orthogonality of the single-parameter family under the
-    (beta, beta, 1, 1) specialization of the weight; diagonal 1/h_n."""
+    (beta, beta, 1, 1) specialization of the weight, which needs |beta| < 1;
+    diagonal 1/h_n."""
     _numeric()
     qb = QBase.coerce(q)
     beta = finite_complex("beta", beta)
+    _require_regular_weight({"|beta|": abs(beta)})
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
         IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,

@@ -7,11 +7,13 @@ They exist so that expected values are computed, never assumed.
 """
 
 import cmath
+from itertools import accumulate, repeat
+from operator import mul
 
 import mpmath
 import numpy as np
 
-from qortho.qcore import DEFAULT_POLICY, qpoch_infinite
+from qortho.qcore import DEFAULT_POLICY, QBase, qpoch_finite, qpoch_infinite, settled_sum
 
 
 def poch_poly(c, q, order, tol=1e-18):
@@ -110,3 +112,40 @@ def mp_qpoch(a, q):
         prod *= 1 - a
         a *= q
     return prod
+
+
+def lattice_repr_oracle(n, x, y, p, q, policy=DEFAULT_POLICY):
+    """The lattice representation of Phi_n node by node: the integrand
+
+        (q z/(gamma x), q z/(delta y); q)_oo z^n
+        / (beta z/(gamma delta x), alpha z/(gamma delta y); q)_oo
+
+    from four scalar infinite products at every node z = e q^k, each
+    one-sided sum sum_k q^k f(e q^k) stopped by ``settled_sum``; no screen.
+    Returns the value and |prefactor| (1-q) max(|dy S(dy)|, |gx S(gx)|), the
+    size of the two one-sided terms that cancel in it."""
+    qb = QBase.coerce(q)
+    q, x, y = qb.q, complex(x), complex(y)
+    gx, dy = p.gamma * x, p.delta * y
+    ra, rb = p.ratio_a, p.ratio_b
+    num = qpoch_finite(ra * rb, qb, n)
+    for arg in (ra, rb, p.beta * y / gx, p.alpha * x / dy):
+        num *= qpoch_infinite(arg, qb, policy)
+    den = (1.0 - q) * dy
+    for arg in (q, ra * rb, gx / dy, q * dy / gx):
+        den *= qpoch_infinite(arg, qb, policy)
+    gdx, gdy = p.gamma * p.delta * x, p.gamma * p.delta * y
+
+    def f(z):
+        upper = qpoch_infinite(q * z / gx, qb, policy) * qpoch_infinite(q * z / dy, qb, policy)
+        lower = qpoch_infinite(p.beta * z / gdx, qb, policy) * qpoch_infinite(
+            p.alpha * z / gdy, qb, policy)
+        return upper / lower * z ** n
+
+    def side(e):  # e S(e)
+        qks = accumulate(repeat(q, policy.max_terms - 1), mul, initial=1.0 + 0.0j)
+        return e * settled_sum((qk * f(e * qk) for qk in qks), policy, "lattice sum")
+
+    outer, inner = side(dy), side(gx)
+    value = num / den * ((1.0 - q) * (outer - inner))
+    return value, abs(num / den * (1.0 - q)) * max(abs(outer), abs(inner))

@@ -182,6 +182,24 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "a must be nonzero" in err
 
+    def test_prop_2_4_zero_x_exits_2(self, capsys):
+        code, _, err = run_cli(
+            ["verify", "--identity", "PROP_2_4", "--n", "3", "--x-re", "0", "--y-re", "0.9",
+             *BOX],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "invalid input" in err and "gamma * x must be nonzero" in err
+
+    def test_ultra_ortho_unit_beta_exits_2(self, capsys):
+        code, _, err = run_cli(
+            ["verify", "--identity", "ULTRA_ORTHO", "--beta-re", "1", "--q", "0.5",
+             "--m", "2", "--n", "2"],
+            capsys,
+        )
+        assert code == EXIT_INVALID
+        assert "|beta| < 1" in err
+
     def test_rogers_defaults(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--identity", "ROGERS_6W5", "--a-re", "0.2", "--b-re", "0.5",

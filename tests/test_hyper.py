@@ -57,6 +57,21 @@ class TestPhiSeries:
             expected += num / den * z ** k
         assert phi_series(spec) == pytest.approx(expected, rel=1e-13)
 
+    def test_a_series_that_terminates_to_within_1e_12_stops_there(self):
+        # a = q^-2 (1 + 1e-13) counts as terminating, which waives |z| < 1, so
+        # the sum must stop after term 2 before the terms grow;
+        # (q^-2 z; q)_2 = (1 - 8)(1 - 4) at z = 2
+        q = 0.5
+        spec = PhiSpec((q ** -2 * (1 + 1e-13),), (), QBase(q), 2.0)
+        assert spec.terminates_at == 2
+        assert phi_series(spec) == pytest.approx(21.0, rel=1e-11)
+
+    def test_growth_heuristic_still_fires_before_a_late_termination(self):
+        # terminates at k = 30, but terms grow for the first 20
+        spec = PhiSpec((0.9 ** -30,), (), QBase(0.9), 0.5)
+        with pytest.raises(DivergentSeries, match="k=20"):
+            phi_series(spec)
+
     def test_qbinomial_identity_spot(self):
         # single numerator, no denominators: equals (a z;q)_oo / (z;q)_oo
         a, q, z = 0.3, 0.5, 0.4

@@ -9,18 +9,18 @@ from qortho import (
     HALF_PERIOD,
     NearSingular,
     ParamSet4,
-    QBase,
-    QLattice,
     QuadResult,
     QuadratureSpec,
     TruncationExceeded,
     TruncationPolicy,
-    jackson_integral,
     periodic_integral,
     phi_eval,
     phi_qintegral_repr,
     weight_omega_many,
 )
+from qortho.verify import IdentityId, SweepSpec, draw_params
+
+from oracles import lattice_repr_oracle
 
 
 def one_call_per_level_integral(f, interval, spec):
@@ -177,44 +177,6 @@ class TestPeriodicIntegral:
         assert small.converged and big.converged
 
 
-class TestJacksonIntegral:
-    def test_constant_from_zero(self):
-        lat = QLattice(0.0, 0.7, QBase(0.5))
-        val = jackson_integral(lambda z: 1.0 + 0j, lat)
-        assert val == pytest.approx(0.7, rel=1e-13)
-
-    def test_linear_integrand(self):
-        # f(z) = z on [0, 1]: (1-q) sum q^{2n} = 1/(1+q) = 2/3 at q = 1/2
-        lat = QLattice(0.0, 1.0, QBase(0.5))
-        val = jackson_integral(lambda z: z, lat)
-        assert val == pytest.approx(2.0 / 3.0, rel=1e-13)
-
-    def test_equal_endpoints_cancel(self):
-        lat = QLattice(0.8, 0.8, QBase(0.5))
-        assert jackson_integral(lambda z: np.exp(z) / (1 + z), lat) == 0.0
-
-    def test_linearity(self):
-        lat = QLattice(0.3, 0.9, QBase(0.6))
-        f = lambda z: z ** 2
-        g = lambda z: 1.0 / (1.0 + z)
-        c = 1.7 - 0.3j
-        lhs = jackson_integral(lambda z: c * f(z) + g(z), lat)
-        rhs = c * jackson_integral(f, lat) + jackson_integral(g, lat)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
-
-    def test_complex_endpoints(self):
-        # f(z) = z with complex endpoints: exact value (b^2 - a^2)/(1 + q)
-        a, b, q = 0.2 + 0.1j, 0.8 - 0.4j, 0.5
-        lat = QLattice(a, b, QBase(q))
-        val = jackson_integral(lambda z: z, lat)
-        assert val == pytest.approx((b * b - a * a) / (1 + q), rel=1e-12)
-
-    def test_truncation_cap(self):
-        lat = QLattice(0.0, 1.0, QBase(0.99))
-        with pytest.raises(TruncationExceeded):
-            jackson_integral(lambda z: 1.0, lat, TruncationPolicy(max_terms=20))
-
-
 class TestPhiQIntegralRepr:
     def test_spot_value_matches_double_sum(self):
         p = ParamSet4(0.2, 0.1, 0.8, 0.9)
@@ -243,6 +205,29 @@ class TestPhiQIntegralRepr:
             rhs = phi_eval(n, x, y, p, q)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
             count += 1
+
+    @pytest.mark.parametrize("seed, n_max, rotate", [(1, 6, False), (2, 10, False), (3, 6, True)])
+    def test_matches_the_node_by_node_sum_on_sweep_draws(self, seed, n_max, rotate):
+        # the one-sided sums cancel each other, so the error is measured
+        # against the larger of them, not against the value; ``rotate`` turns
+        # x and y by random phases
+        rng = np.random.default_rng(seed)
+        spec = SweepSpec(seed=seed, draws=120, n_max=n_max)
+        for _ in range(spec.draws):
+            d = draw_params(IdentityId.PROP_2_4, rng, spec)
+            x, y = d["x"], d["y"]
+            if rotate:
+                x, y = (v * np.exp(1j * rng.uniform(0.0, 2 * math.pi)) for v in (x, y))
+            want, scale = lattice_repr_oracle(d["n"], x, y, d["p"], d["q"])
+            got = phi_qintegral_repr(d["n"], x, y, d["p"], d["q"])
+            assert abs(got - want) <= 1e-12 * scale, (d, x, y)
+
+    def test_a_lattice_sum_beyond_max_terms_is_truncation(self):
+        # every product fits in 48 factors at q = 0.5, the n = 0 sums do not
+        p = ParamSet4(0.2, 0.1, 0.8, 0.9)
+        with pytest.raises(TruncationExceeded, match="lattice sum"):
+            phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=48))
+        phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=51))
 
     def test_coincident_endpoints_rejected(self):
         # gamma x = delta y zeroes a prefactor denominator symbol

@@ -310,6 +310,12 @@ class TestUltraOrtho:
             assert rep.passed
             assert rep.rhs == pytest.approx(1.0 / h_norm(n, 0.0, 0.5), rel=1e-13)
 
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1j])
+    def test_unit_beta_is_outside_the_weight_domain(self, beta):
+        # |beta| = 1 puts a pole of the weight on the circle
+        with pytest.raises(DomainError, match="\\|beta\\| < 1"):
+            check_ultra_ortho(beta, 0.5, 2, 2)
+
 
 class TestCircleIntegrand:
     @pytest.mark.parametrize("check, args", [
@@ -518,6 +524,11 @@ class TestSeriesCheckers:
     def test_prop_2_4(self, box_params):
         rep = check_prop_2_4(box_params, 0.5, 2, 1.0, 0.6)
         assert rep.passed and rep.rel_residual <= 1e-10
+
+    def test_prop_2_4_with_zero_gamma_x_is_out_of_domain(self):
+        # the screen's base q delta y/(gamma x) would divide by zero
+        with pytest.raises(DomainError, match="gamma \\* x must be nonzero"):
+            check_prop_2_4(ParamSet4(0.08, 0.18, 0.8, 0.9), 0.5, 3, 0.0, 0.9)
 
     @pytest.mark.parametrize(
         "check, args",
