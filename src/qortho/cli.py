@@ -19,13 +19,10 @@ RFC-4180 CSV with complex values split into _re/_im fields.
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
 import io
 import json
 import math
 import sys
-from datetime import datetime, timezone
 
 from .errors import DomainError, QOrthoError
 from .hyper import PhiSpec, phi_series
@@ -212,6 +209,17 @@ def _arg(args, name: str, kind: ParamKind = ParamKind.COMPLEX, required: bool = 
     return value if kind is ParamKind.COMPLEX else value.real
 
 
+def _parameters(func) -> dict[str, bool]:
+    """Positional parameter name -> whether it has a default, for the Python
+    function ``func`` or the one it wraps (``__wrapped__``, which
+    ``functools.wraps`` sets), as ``inspect.signature`` reads them."""
+    while hasattr(func, "__wrapped__"):
+        func = func.__wrapped__
+    names = func.__code__.co_varnames[:func.__code__.co_argcount]
+    first_default = len(names) - len(func.__defaults__ or ())
+    return {name: i >= first_default for i, name in enumerate(names)}
+
+
 def _configured(cls, args, flags: dict[str, type]):
     """``cls`` built from the given ones of ``flags``, defaults elsewhere."""
     return cls(**{dest: getattr(args, dest) for dest in flags if getattr(args, dest) is not None})
@@ -249,6 +257,8 @@ def _report_json(report: VerificationReport) -> str:
 
 
 def _reports_csv(reports: list[VerificationReport]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, quoting=csv.QUOTE_MINIMAL)
     writer.writeheader()
@@ -275,7 +285,7 @@ def _cmd_eval(args) -> int:
         from . import kernels, qfun
 
         func, params = _EVAL[fn]
-        tail = (policy,) if "policy" in inspect.signature(func).parameters else ()
+        tail = (policy,) if "policy" in _parameters(func) else ()
         value = complex(func(qfun, kernels, *(_arg(args, *param) for param in params), q, *tail))
     elif fn == "qpoch":
         a = _arg(args, "a")
@@ -312,7 +322,7 @@ def _cmd_verify(args) -> int:
     that the identity does not read is invalid input."""
     record = REGISTRY[IdentityId(args.identity)]
     checker = record.checker
-    accepted = inspect.signature(checker).parameters
+    accepted = _parameters(checker)
     read = {"command", "identity", "format", "out", "tol"}
     kwargs = {}
     for name, (cls, flags) in _TUNING.items():
@@ -321,7 +331,7 @@ def _cmd_verify(args) -> int:
             kwargs[name] = _configured(cls, args, flags)
     for name, kind in record.params:
         read |= _dests(name, kind).keys()
-        value = _arg(args, name, kind, required=accepted[name].default is inspect.Parameter.empty)
+        value = _arg(args, name, kind, required=not accepted[name])
         if value is not None:
             kwargs[name] = value
     unread = [_flag(dest) for dest, value in vars(args).items()
@@ -342,6 +352,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from datetime import datetime, timezone
+
     identity = IdentityId(args.identity)
     spec = SweepSpec(seed=args.seed, draws=args.draws, m_max=args.m_max, n_max=args.n_max)
     reports = run_sweep(identity, spec, tolerance=args.tol)
@@ -373,6 +385,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    import csv
+
     q = _arg(args, *_Q)
     if args.what == "connection":
         m = _arg(args, "m", ParamKind.INT)

@@ -17,12 +17,12 @@ the closed product form implemented in :func:`rogers_6w5_rhs`.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 
 from .errors import DivergentSeries, DomainError
 from .qcore import (
     DEFAULT_POLICY,
     QBase,
+    Record,
     TruncationPolicy,
     qpoch_infinite,
     screen_denominator,
@@ -51,24 +51,21 @@ def _poch_zero_index(value: complex, q: complex, tol: float) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(Record):
     """Parameter set for one series evaluation: numerators a_1..a_{r+1},
-    denominators b_1..b_r, base q, argument z."""
+    denominators b_1..b_r, base q, argument z.  ``terminates_at`` is not an
+    argument: it is the index m of the first numerator of the form q^{-m}
+    (the series ends at term m), or None."""
 
-    numerators: tuple
-    denominators: tuple
-    q: QBase
-    z: complex
-    terminates_at: int | None = field(init=False, default=None)
+    _fields = ("numerators", "denominators", "q", "z", "terminates_at")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerators", tuple(complex(a) for a in self.numerators))
-        object.__setattr__(self, "denominators", tuple(complex(b) for b in self.denominators))
-        object.__setattr__(self, "q", QBase.coerce(self.q))
-        object.__setattr__(self, "z", complex(self.z))
-        for b in self.denominators:
-            m = _poch_zero_index(b, self.q.q, _FORBIDDEN_PARAM_TOL)
+    def __init__(self, numerators: tuple, denominators: tuple, q: QBase, z: complex) -> None:
+        numerators = tuple(complex(a) for a in numerators)
+        denominators = tuple(complex(b) for b in denominators)
+        q = QBase.coerce(q)
+        z = complex(z)
+        for b in denominators:
+            m = _poch_zero_index(b, q.q, _FORBIDDEN_PARAM_TOL)
             if m is not None:
                 raise DomainError(
                     f"denominator parameter {b} is q^-{m} to within "
@@ -76,15 +73,15 @@ class PhiSpec:
                 )
         stops = [
             m
-            for a in self.numerators
-            if (m := _poch_zero_index(a, self.q.q, _FORBIDDEN_PARAM_TOL)) is not None
+            for a in numerators
+            if (m := _poch_zero_index(a, q.q, _FORBIDDEN_PARAM_TOL)) is not None
         ]
-        if stops:
-            object.__setattr__(self, "terminates_at", min(stops))
-        elif abs(self.z) >= 1.0:
+        if not stops and abs(z) >= 1.0:
             raise DomainError(
-                f"non-terminating series needs |z| < 1, got |z| = {abs(self.z):.6g}"
+                f"non-terminating series needs |z| < 1, got |z| = {abs(z):.6g}"
             )
+        self._set(numerators=numerators, denominators=denominators, q=q, z=z,
+                  terminates_at=min(stops) if stops else None)
 
 
 def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

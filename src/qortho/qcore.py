@@ -8,7 +8,8 @@ together with its infinite extension (a;q)_oo = prod_{k>=0} (1 - a q^k),
 which converges for |q| < 1 because the factors approach 1 geometrically.
 All functions accept complex scalars; ``q`` may be passed as a plain number
 or wrapped in :class:`QBase`.  The parameter types (:class:`ParamSet4`,
-:class:`ReducedParams`, :class:`QuadratureSpec`) and the coefficient rows of
+:class:`ReducedParams`, :class:`QuadratureSpec`), :class:`Record`, the base of
+the package's immutable records, and the coefficient rows of
 the function family (:func:`expansion_weights`, :func:`big_c_coeffs`,
 :func:`connection_coeffs`, as lists of complex) live here too, so that the
 series checks, PROP_3_1 and the command line run without importing numpy.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterable
 
@@ -44,6 +44,12 @@ def finite_complex(name: str, value) -> complex:
     return z
 
 
+def int_power(z: complex, n: int) -> complex:
+    """z^n for an int n >= 0, as a running product: it overflows to inf,
+    where ``**`` on a complex raises :class:`OverflowError`."""
+    return math.prod(repeat(z, n), start=1.0 + 0.0j)
+
+
 def as_degree(name: str, value, positive: bool = False) -> int:
     """``value`` as an int; :class:`DomainError` unless ``operator.index``
     takes it (so 2.0 does not) and it is >= 0, or >= 1 when ``positive``."""
@@ -57,15 +63,50 @@ def as_degree(name: str, value, positive: bool = False) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class QBase:
+class Record:
+    """Base of the package's immutable records.  A subclass names its fields
+    in ``_fields`` and sets each once, in ``__init__``, through :meth:`_set`.
+    Equality, hash and repr are those of a frozen dataclass: equality and hash
+    of the tuple of field values (equality only within one class), repr
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    :class:`AttributeError`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QBase(Record):
     """The base of all q-products. Construction requires |q| < 1 strictly."""
 
-    q: complex
+    _fields = ("q",)
 
-    def __post_init__(self) -> None:
-        if abs(finite_complex("q", self.q)) >= 1.0:
-            raise DomainError(f"|q| must be < 1, got |q| = {abs(self.q):.6g}")
+    def __init__(self, q: complex) -> None:
+        if abs(finite_complex("q", q)) >= 1.0:
+            raise DomainError(f"|q| must be < 1, got |q| = {abs(q):.6g}")
+        self._set(q=q)
 
     @classmethod
     def coerce(cls, q) -> "QBase":
@@ -74,8 +115,7 @@ class QBase:
         return cls(complex(q))
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(Record):
     """Controls truncation of infinite products and series.
 
     ``rel_tol`` bounds the relative size of the first neglected factor or
@@ -83,21 +123,18 @@ class TruncationPolicy:
     :class:`TruncationExceeded`.
     """
 
-    rel_tol: float = 1e-14
-    max_terms: int = 10000
+    _fields = ("rel_tol", "max_terms")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+    def __init__(self, rel_tol: float = 1e-14, max_terms: int = 10000) -> None:
+        if not 0.0 < rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+        self._set(rel_tol=rel_tol, max_terms=as_degree("max_terms", max_terms, positive=True))
 
 
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class ParamSet4:
+class ParamSet4(Record):
     """The quadruple (alpha, beta, gamma, delta) with gamma, delta != 0 and
     |alpha/gamma| <= 1, |beta/delta| <= 1.
 
@@ -106,22 +143,20 @@ class ParamSet4:
     orthogonality checkers need the strict inequality and their sweep boxes
     stay inside it with margin."""
 
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
+    _fields = ("alpha", "beta", "gamma", "delta")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
-        if self.gamma == 0 or self.delta == 0:
+    def __init__(self, alpha: complex, beta: complex, gamma: complex, delta: complex) -> None:
+        alpha = finite_complex("alpha", alpha)
+        beta = finite_complex("beta", beta)
+        gamma = finite_complex("gamma", gamma)
+        delta = finite_complex("delta", delta)
+        if gamma == 0 or delta == 0:
             raise DomainError("gamma and delta must be nonzero")
-        if abs(self.ratio_a) > 1.0:
-            raise DomainError(
-                f"|alpha/gamma| must be <= 1, got {abs(self.ratio_a):.6g}"
-            )
-        if abs(self.ratio_b) > 1.0:
-            raise DomainError(f"|beta/delta| must be <= 1, got {abs(self.ratio_b):.6g}")
+        if abs(alpha / gamma) > 1.0:
+            raise DomainError(f"|alpha/gamma| must be <= 1, got {abs(alpha / gamma):.6g}")
+        if abs(beta / delta) > 1.0:
+            raise DomainError(f"|beta/delta| must be <= 1, got {abs(beta / delta):.6g}")
+        self._set(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 
     @property
     def ratio_a(self) -> complex:
@@ -143,40 +178,38 @@ class ParamSet4:
                    complex(gamma), complex(delta))
 
 
-@dataclass(frozen=True)
-class ReducedParams:
+class ReducedParams(Record):
     """Reduction parameters (a, b) of the two-family identities; |a|, |b| < 1."""
 
-    a: complex
-    b: complex
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", finite_complex("a", self.a))
-        object.__setattr__(self, "b", finite_complex("b", self.b))
-        if abs(self.a) >= 1.0 or abs(self.b) >= 1.0:
+    def __init__(self, a: complex, b: complex) -> None:
+        a = finite_complex("a", a)
+        b = finite_complex("b", b)
+        if abs(a) >= 1.0 or abs(b) >= 1.0:
             raise DomainError(
-                f"|a| and |b| must be < 1, got |a|={abs(self.a):.6g}, "
-                f"|b|={abs(self.b):.6g}"
+                f"|a| and |b| must be < 1, got |a|={abs(a):.6g}, |b|={abs(b):.6g}"
             )
+        self._set(a=a, b=b)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Node counts and refinement rule for the periodic quadrature."""
 
-    nodes: int = 64
-    max_nodes: int = 8192
-    rel_tol: float = 1e-10
+    _fields = ("nodes", "max_nodes", "rel_tol")
 
-    def __post_init__(self) -> None:
-        if self.nodes < 16:
+    def __init__(self, nodes: int = 64, max_nodes: int = 8192, rel_tol: float = 1e-10) -> None:
+        nodes = as_degree("nodes", nodes)
+        max_nodes = as_degree("max_nodes", max_nodes)
+        if nodes < 16:
             raise DomainError("nodes must be >= 16")
-        if self.nodes % 2:
-            raise DomainError(f"nodes must be even, got {self.nodes}")
-        if self.max_nodes < self.nodes:
+        if nodes % 2:
+            raise DomainError(f"nodes must be even, got {nodes}")
+        if max_nodes < nodes:
             raise DomainError("max_nodes must be >= nodes")
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        if not 0.0 < rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+        self._set(nodes=nodes, max_nodes=max_nodes, rel_tol=rel_tol)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -338,6 +371,6 @@ def connection_coeffs(m: int, r: ReducedParams, gamma_delta, q) -> list[complex]
             * qpoch_finite(r.b / r.a, qb, j)
             * qpoch_finite(r.b, qb, half_sum)
             / (qpoch_finite(qb.q, qb, j) * qpoch_finite(r.a, qb, half_sum + 1))
-            * (r.a * gd) ** j
+            * int_power(r.a * gd, j)
         )
     return out

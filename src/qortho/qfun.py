@@ -53,6 +53,7 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     big_c_coeffs,
     connection_coeffs,
     expansion_weights,
+    int_power,
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
@@ -197,7 +198,7 @@ def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
         prefactor
         * poles
         * qpoch_finite(ra * rb, qb, n)
-        * p.gd ** n
+        * int_power(p.gd, n)
         / qpoch_finite(qb.q, qb, n)
     )
 

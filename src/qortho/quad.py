@@ -54,6 +54,7 @@ from .qcore import (  # the quadrature types are re-exported from here
     QuadratureSpec,
     TruncationPolicy,
     as_degree,
+    int_power,
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
@@ -167,7 +168,7 @@ def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QB
 
     k_e = qpoch_infinite(q, qb, policy) * qpoch_infinite(w, qb, policy) / (
         qpoch_infinite(u, qb, policy) * qpoch_infinite(v, qb, policy))
-    return k_e * e ** n * settled_sum(terms(), policy, "lattice sum")
+    return k_e * int_power(e, n) * settled_sum(terms(), policy, "lattice sum")
 
 
 def phi_qintegral_repr(

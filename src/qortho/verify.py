@@ -25,7 +25,6 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import DivergentSeries, DomainError, NearSingular, TruncationExceeded
@@ -39,12 +38,14 @@ from .qcore import (
     ParamSet4,
     QBase,
     QuadratureSpec,
+    Record,
     ReducedParams,
     TruncationPolicy,
     as_degree,
     big_c_coeffs,
     connection_coeffs,
     finite_complex,
+    int_power,
     min_factor_abs,
     qpoch_finite,
     settled_sum,
@@ -104,8 +105,7 @@ _FLAG_ORDER = ("NearSingular", "NoConvergence", "TruncationExceeded", "Divergent
 _NUMERIC_ERRORS = (NearSingular, TruncationExceeded, DivergentSeries)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """One identity check: inputs, both sides, residuals, verdict.
 
     ``passed`` is true iff the flags are empty and the residual criterion
@@ -113,15 +113,15 @@ class VerificationReport:
     absolute residual <= tolerance * scale (so expected-zero sides are judged
     against the problem's magnitude, not against zero)."""
 
-    identity_id: str
-    inputs: Mapping[str, object]
-    lhs: complex
-    rhs: complex
-    abs_residual: float
-    rel_residual: float
-    tolerance: float
-    passed: bool
-    flags: tuple[str, ...] = field(default_factory=tuple)
+    _fields = ("identity_id", "inputs", "lhs", "rhs", "abs_residual", "rel_residual",
+               "tolerance", "passed", "flags")
+
+    def __init__(self, identity_id: str, inputs: Mapping[str, object], lhs: complex,
+                 rhs: complex, abs_residual: float, rel_residual: float, tolerance: float,
+                 passed: bool, flags: tuple[str, ...] = ()) -> None:
+        self._set(identity_id=identity_id, inputs=inputs, lhs=lhs, rhs=rhs,
+                  abs_residual=abs_residual, rel_residual=rel_residual, tolerance=tolerance,
+                  passed=passed, flags=flags)
 
     @classmethod
     def build(
@@ -464,7 +464,7 @@ def thm_1_3_rhs(
     if (m - n) % 2 != 0:
         return 0.0 + 0.0j
     gd = complex(gamma) * complex(delta)
-    return gd ** n * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q, policy)
+    return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q, policy)
 
 
 def check_prop_3_1(
@@ -675,21 +675,19 @@ def check_qbinomial(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """Seeded randomized sweep: ``box`` entries override the identity's
     default parameter ranges (see the ``box`` of each :data:`REGISTRY`
-    record for the keys it reads); degree draws are capped by m_max / n_max."""
+    record for the keys it reads; None is a new empty box); degree draws are
+    capped by m_max / n_max."""
 
-    seed: int
-    draws: int
-    box: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    m_max: int = 6
-    n_max: int = 6
+    _fields = ("seed", "draws", "box", "m_max", "n_max")
 
-    def __post_init__(self) -> None:
-        for name in ("draws", "m_max", "n_max"):
-            as_degree(name, getattr(self, name))
+    def __init__(self, seed: int, draws: int,
+                 box: Mapping[str, tuple[float, float]] | None = None,
+                 m_max: int = 6, n_max: int = 6) -> None:
+        self._set(seed=seed, draws=as_degree("draws", draws), box={} if box is None else box,
+                  m_max=as_degree("m_max", m_max), n_max=as_degree("n_max", n_max))
 
 
 # All default sweeps draw real parameters; q stays within (0, 0.8].  The boxes
@@ -813,18 +811,17 @@ class ParamKind(enum.Enum):
     FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """Everything the package states about one identity.  ``params`` is the
     checker's schema: (name, kind) of each identity parameter; its other
     arguments are tuning knobs.  ``draw(rng, box, q, spec)`` returns checker
     arguments for one sweep draw from ``box``, this ``box`` with overrides."""
 
-    id: IdentityId
-    tolerance: float
-    box: Mapping[str, tuple[float, float]]
-    params: tuple[tuple[str, ParamKind], ...]
-    draw: Callable[..., dict]
+    _fields = ("id", "tolerance", "box", "params", "draw")
+
+    def __init__(self, id: IdentityId, tolerance: float, box: Mapping[str, tuple[float, float]],
+                 params: tuple[tuple[str, ParamKind], ...], draw: Callable[..., dict]) -> None:
+        self._set(id=id, tolerance=tolerance, box=box, params=params, draw=draw)
 
     @property
     def checker(self) -> Callable[..., VerificationReport]:

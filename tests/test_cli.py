@@ -374,6 +374,19 @@ class TestTable:
         assert len(rows) == 1
         assert float(rows[0]["coefficient_re"]) == pytest.approx(1.0)
 
+    def test_an_overflowing_connection_coefficient_prints_inf(self, capsys):
+        # (a gamma delta)^j overflows; ``**`` raised OverflowError and exited 1
+        code, out, _ = run_cli(
+            ["table", "connection", "--q", ".5", "--m", "4", "--a-re", ".3", "--b-re", ".2",
+             "--gamma-re", "1e100", "--delta-re", "1e100"],
+            capsys,
+        )
+        assert code == EXIT_PASS
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["k"] for row in rows] == ["0", "1", "2", "3", "4"]
+        assert float(rows[0]["coefficient_re"]) == math.inf
+        assert math.isfinite(float(rows[4]["coefficient_re"]))
+
     def test_an_underflowed_q_pochhammer_prints_nan(self, capsys):
         # (q;q)_k underflows to 0 from k = 143 at q = 0.9999
         code, out, _ = run_cli(["table", "big_c", "--n-max", "150", *BOX[:-2], "--q", "0.9999"],

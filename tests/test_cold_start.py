@@ -1,25 +1,34 @@
-"""A fresh ``qortho`` process that needs no numpy never imports it.
+"""A fresh ``qortho`` process imports only what its command needs.
 
 Importing numpy takes longer than a series check, so the commands built on
 ``qcore`` and ``hyper`` alone (``verify`` of ROGERS_6W5, QBINOMIAL and
 PROP_3_1, ``eval qpoch``, ``eval phi_series`` and ``table``) must start
-without it.  The test modules import numpy themselves, so every check here
+without it.  A cold ``verify`` of those identities imports none of
+``dataclasses``, ``inspect``, ``csv`` or ``datetime`` either: the records are
+plain classes, and the CLI reads checker signatures from their code objects
+and imports ``csv`` and ``datetime`` in the handlers that write CSV or a
+timestamp.  The test modules import numpy themselves, so every check here
 runs a new interpreter under ``-X importtime``, which lists each module it
 imports on stderr.
 """
 
+import csv
+import functools
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 import qortho
-from qortho import (PhiSpec, ReducedParams, check_prop_3_1, check_qbinomial, check_rogers_6w5,
-                    phi_series, qpoch_infinite)
-from qortho.cli import main
+from qortho import (PhiSpec, ReducedParams, SweepSpec, check_prop_3_1, check_qbinomial,
+                    check_rogers_6w5, phi_series, qpoch_infinite, run_sweep, verify)
+from qortho.cli import _parameters, main
 
 SRC = str(Path(qortho.__file__).resolve().parents[1])
 
@@ -38,6 +47,19 @@ def run_python(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
 
 def numpy_modules(modules: set[str]) -> list[str]:
     return sorted(m for m in modules if m == "numpy" or m.startswith("numpy."))
+
+
+@functools.cache
+def interpreter_modules() -> frozenset[str]:
+    """The modules a bare interpreter imports at start-up (``site`` and what
+    it loads), which no qortho command can avoid."""
+    proc, modules = run_python(["-c", "pass"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return frozenset(modules)
+
+
+# Standard modules a cold series ``verify`` has no use for.
+UNUSED_BY_VERIFY = {"dataclasses", "inspect", "csv", "datetime"}
 
 
 def cli(*argv: str):
@@ -59,7 +81,30 @@ def test_series_verify_runs_without_numpy(argv, report):
     proc, modules = cli("verify", *argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert numpy_modules(modules) == []
+    assert sorted(UNUSED_BY_VERIFY & (modules - interpreter_modules())) == []
     assert json.loads(proc.stdout) == json.loads(json.dumps(report().to_record()))
+
+
+def test_cold_verify_writes_csv(tmp_path):
+    argv = ["verify", "--identity", "QBINOMIAL", "--a-re", "0.3", "--z-re", "-0.4", "--q", "0.5",
+            "--format", "csv"]
+    proc, modules = cli(*argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "csv" in modules and numpy_modules(modules) == []
+    out = tmp_path / "report.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert proc.stdout == out.read_text()
+    (row,) = csv.DictReader(io.StringIO(proc.stdout))
+    assert row["identity"] == "QBINOMIAL" and row["passed"] == "True"
+
+
+def test_cold_sweep_stamps_its_output():
+    proc, modules = cli("sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "4")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    payload = json.loads(proc.stdout)
+    assert datetime.fromisoformat(payload["generated_at"]).tzinfo is not None
+    expected = run_sweep("QBINOMIAL", SweepSpec(seed=4, draws=3))
+    assert payload["reports"] == json.loads(json.dumps([r.to_record() for r in expected]))
 
 
 @pytest.mark.parametrize("argv, value", [
@@ -110,3 +155,67 @@ def test_package_import_defers_numpy_until_a_numeric_name_is_used():
             "assert 'numpy' in sys.modules\n")
     proc, _ = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def signature_reading(func) -> dict[str, bool]:
+    """What ``inspect.signature`` says: parameter name -> has a default."""
+    return {name: param.default is not inspect.Parameter.empty
+            for name, param in inspect.signature(func).parameters.items()}
+
+
+def wrapped(func):
+    @functools.wraps(func)
+    def traced(*args, **kwargs):
+        return func(*args, **kwargs)
+
+    return traced
+
+
+@pytest.mark.parametrize("identity", list(verify.IdentityId))
+def test_checker_parameters_are_read_as_inspect_reads_them(identity):
+    checker = verify.REGISTRY[identity].checker
+    assert _parameters(checker) == signature_reading(checker)
+    assert _parameters(wrapped(wrapped(checker))) == signature_reading(checker)
+
+
+def test_parameters_of_functions_with_and_without_defaults():
+    def func(a, b, c=1, *args, **kwargs):
+        pass
+
+    assert _parameters(func) == {"a": False, "b": False, "c": True}
+    assert _parameters(lambda: None) == {}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # PROP_2_1_3's n has a default, so --n is optional
+    (["--identity", "PROP_2_1_3", "--alpha-re", "0.2", "--beta-re", "0.1", "--gamma-re", "0.8",
+      "--delta-re", "0.9", "--q", "0.5"], 0, ""),
+    # ROGERS_6W5 takes a policy but no quadrature spec
+    (["--identity", "ROGERS_6W5", "--a-re", "0.1", "--b-re", "0.5", "--c-re", "0.6",
+      "--d-re", "0.7", "--q", "0.5", "--max-terms", "500"], 0, ""),
+    (["--identity", "ROGERS_6W5", "--a-re", "0.1", "--b-re", "0.5", "--c-re", "0.6",
+      "--d-re", "0.7", "--q", "0.5", "--nodes", "32"], 2, "does not read --nodes"),
+    (["--identity", "ROGERS_6W5", "--a-re", "0.1", "--b-re", "0.5", "--c-re", "0.6",
+      "--q", "0.5"], 2, "missing required flag --d-re"),
+    # PROP_3_1 takes neither
+    (["--identity", "PROP_3_1", "--a-re", "0.3", "--b-re", "0.2", "--gamma-re", "0.9",
+      "--delta-re", "1.1", "--q", "0.5", "--m", "3", "--max-terms", "500"], 2,
+     "does not read --max-terms"),
+    (["--identity", "THM_1_1", "--alpha-re", "0.2", "--beta-re", "0.1", "--gamma-re", "0.8",
+      "--delta-re", "0.9", "--q", "0.5", "--m", "1", "--n", "1", "--nodes", "32",
+      "--max-terms", "500"], 0, ""),
+])
+def test_verify_through_a_wrapped_checker_reads_the_same_flags(monkeypatch, capsys, argv, code,
+                                                                message):
+    # a tracer that wraps every checker with functools.wraps must not change
+    # which flags verify requires, reads or rejects
+    results = []
+    for wrap in (False, True):
+        if wrap:
+            record = verify.REGISTRY[verify.IdentityId(argv[1])]
+            monkeypatch.setattr(verify, f"check_{argv[1].lower()}", wrapped(record.checker))
+        results.append((main(["verify", *argv]), capsys.readouterr()))
+    for got, captured in results:
+        assert got == code
+        assert message in captured.err
+    assert results[0][1].out == results[1][1].out

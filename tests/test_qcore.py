@@ -52,6 +52,12 @@ class TestPolicy:
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
 
+    @pytest.mark.parametrize("max_terms", [2.5, 10.0, "10", None])
+    def test_non_integral_max_terms_rejected(self, max_terms):
+        # range(max_terms) would raise TypeError inside a check
+        with pytest.raises(DomainError, match="max_terms must be a positive integer"):
+            TruncationPolicy(max_terms=max_terms)
+
     def test_infinite_rel_tol_rejected(self):
         # every truncation would stop at once, and products would read 1
         with pytest.raises(DomainError, match="finite"):

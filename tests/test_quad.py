@@ -55,6 +55,12 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             QuadratureSpec(nodes=256, max_nodes=128)
 
+    @pytest.mark.parametrize("counts", [{"nodes": 64.0}, {"max_nodes": 8192.5},
+                                        {"max_nodes": None}])
+    def test_non_integral_node_counts_rejected(self, counts):
+        with pytest.raises(DomainError, match="must be a nonnegative integer"):
+            QuadratureSpec(**counts)
+
     def test_odd_node_count_rejected(self):
         with pytest.raises(DomainError, match="even"):
             QuadratureSpec(nodes=17)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 import warnings
@@ -539,6 +540,25 @@ class TestSeriesCheckers:
         rep = check(*args)
         assert not rep.passed
         assert "TruncationExceeded" in rep.flags
+
+
+# Checks whose powers of large parameters overflow, and whether numpy warns on
+# the way (pytest turns its RuntimeWarnings into errors).
+OVERFLOWING_POWERS = [
+    (check_prop_3_1, (ReducedParams(0.3, 0.2), 1e100, 1e100, 0.5, 4), False),
+    (check_prop_2_4, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 3, 1e120, 1.2e120), True),
+    (check_thm_1_3, (ReducedParams(0.3, 0.2), 1e150, 1e150, 0.5, 4, 2), False),
+    (check_thm_1_1, (ParamSet4(1e101, 1e101, 1e102, 1e102), 0.5, 3, 3), True),
+]
+
+
+@pytest.mark.parametrize("check, args, warns", OVERFLOWING_POWERS)
+def test_an_overflowing_power_fails_the_report(check, args, warns):
+    # a power formed with ``**`` on a complex raised OverflowError here
+    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+        rep = check(*args)
+    assert not rep.passed
+    assert not all(map(math.isfinite, (rep.lhs.real, rep.lhs.imag, rep.rhs.real, rep.rhs.imag)))
 
 
 class TestSweep:
