@@ -9,11 +9,13 @@ Four subcommands:
 
 Exit codes: 0 = pass, 1 = a check verified false, 2 = invalid input
 (hypothesis violation, malformed arguments, or a flag the command does not
-read).  ``verify`` takes the flags of the chosen identity's parameter schema
-in :data:`qortho.verify.REGISTRY`, plus the quadrature and truncation flags
-its checker reads.  Complex parameters are entered as two flags (--alpha-re /
---alpha-im, imaginary part defaulting to 0).  Reports serialize to JSON or
-RFC-4180 CSV with complex values split into _re/_im fields.
+read).  ``verify`` takes the flags of the chosen identity's parameters, the
+positional parameters of its checker other than ``qspec``, ``policy`` and
+``tolerance``, plus the quadrature and truncation flags the checker reads.
+:data:`_SPELLING` says how each parameter name is spelled as flags; complex
+parameters are entered as two flags (--alpha-re / --alpha-im, imaginary part
+defaulting to 0).  Reports serialize to JSON or RFC-4180 CSV with complex
+values split into _re/_im fields.
 """
 
 from __future__ import annotations
@@ -40,14 +42,7 @@ from .qcore import (
     qpoch_finite,
     qpoch_infinite,
 )
-from .verify import (
-    REGISTRY,
-    IdentityId,
-    ParamKind,
-    SweepSpec,
-    VerificationReport,
-    run_sweep,
-)
+from .verify import REGISTRY, IdentityId, SweepSpec, VerificationReport, run_sweep
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -58,15 +53,15 @@ CSV_FIELDS = (
     "abs_residual", "rel_residual", "tolerance", "passed", "flags",
 )
 
-# The complex parameters a composite schema kind is spelled with.
-_COMPONENTS = {
-    ParamKind.PARAMSET: ("alpha", "beta", "gamma", "delta"),
-    ParamKind.REDUCED: ("a", "b"),
+# How each parameter name is spelled as flags: a record built from the complex
+# parameters named, or one int or float flag --NAME.  Any other name is one
+# complex value, --NAME-re and --NAME-im.
+_SPELLING = {
+    "p": (ParamSet4, ("alpha", "beta", "gamma", "delta")),
+    "r": (ReducedParams, ("a", "b")),
+    "q": float, "theta": float,
+    "m": int, "n": int, "k": int, "n_max": int,
 }
-_PARAMSET = ("p", ParamKind.PARAMSET)
-_Q = ("q", ParamKind.FLOAT)
-_N = ("n", ParamKind.INT)
-_THETA = ("theta", ParamKind.FLOAT)
 
 # Tuning arguments a function may take -> (the class built from their flags,
 # flag dest -> type).  A flag left unset keeps the class default.
@@ -75,24 +70,22 @@ _TUNING = {
     "policy": (TruncationPolicy, {"max_terms": int, "rel_tol": float}),
 }
 _POLICY_FLAGS = _TUNING["policy"][1]
+# Positional parameters that are not spelled as flags.
+_UNSPELLED = {"qfun", "kernels", *_TUNING, "tolerance"}
 
-# eval functions f(qfun, kernels, parameters..., q[, policy]), handed the
+# eval functions f(qfun, kernels, parameters...[, policy]), handed the
 # numpy-backed modules, which only they need; the array paths evaluate a
 # one-angle grid.  "ultra" sums the (beta, beta) expansion weights directly, so
 # any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.  qpoch
 # and phi_series have their own branches.
 _EVAL = {
-    "big_c": (lambda qfun, _, n, theta, p, q: qfun.big_c_eval_many(n, [theta], p, q)[0],
-              (_N, _THETA, _PARAMSET)),
-    "phi": (lambda qfun, _, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
-            (_N, ("x", ParamKind.COMPLEX), ("y", ParamKind.COMPLEX), _PARAMSET)),
-    "ultra": (lambda qfun, kernels, n, theta, beta, q:
-              kernels.laurent_eval(qfun.expansion_weights(n, beta, beta, q), n, [theta])[0],
-              (_N, _THETA, ("beta", ParamKind.COMPLEX))),
-    "weight": (lambda qfun, _, theta, p, q, policy:
-               qfun.weight_omega_many([theta], p, q, policy)[0], (_THETA, _PARAMSET)),
-    "h": (lambda qfun, _, n, a, q, policy: qfun.h_norm(n, a, q, policy),
-          (_N, ("a", ParamKind.COMPLEX))),
+    "big_c": lambda qfun, kernels, n, theta, p, q: qfun.big_c_eval_many(n, [theta], p, q)[0],
+    "phi": lambda qfun, kernels, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
+    "ultra": lambda qfun, kernels, n, theta, beta, q:
+        kernels.laurent_eval(qfun.expansion_weights(n, beta, beta, q), n, [theta])[0],
+    "weight": lambda qfun, kernels, theta, p, q, policy:
+        qfun.weight_omega_many([theta], p, q, policy)[0],
+    "h": lambda qfun, kernels, n, a, q, policy: qfun.h_norm(n, a, q, policy),
 }
 
 _HELP = {
@@ -107,22 +100,21 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _dests(name: str, kind: ParamKind) -> dict[str, type]:
+def _dests(name: str) -> dict[str, type]:
     """Flag destination -> type, for the flags that spell one parameter."""
-    if kind is ParamKind.INT:
-        return {name: int}
-    if kind is ParamKind.FLOAT:
-        return {name: float}
-    parts = _COMPONENTS.get(kind, (name,))
+    spelling = _SPELLING.get(name)
+    if spelling in (int, float):
+        return {name: spelling}
+    parts = spelling[1] if spelling else (name,)
     return {f"{part}_{half}": float for part in parts for half in ("re", "im")}
 
 
-def _add_flags(parser: argparse.ArgumentParser, params, tuning: dict[str, type]) -> None:
-    """Add each flag of ``params`` ((name, kind) pairs) and ``tuning`` once;
+def _add_flags(parser: argparse.ArgumentParser, names, tuning: dict[str, type]) -> None:
+    """Add each flag of the parameters ``names`` and of ``tuning`` once;
     every one defaults to None, meaning unset."""
     dests: dict[str, type] = {}
-    for name, kind in params:
-        dests |= _dests(name, kind)
+    for name in names:
+        dests |= _dests(name)
     for dest, type_ in (dests | tuning).items():
         parser.add_argument(_flag(dest), type=type_, help=_HELP.get(dest))
 
@@ -147,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("big_c", "phi", "ultra", "weight", "h", "qpoch", "phi_series"),
     )
     _add_flags(
-        p_eval,
-        (_Q, *(param for _, params in _EVAL.values() for param in params),
-         ("a", ParamKind.COMPLEX), ("z", ParamKind.COMPLEX)),
+        p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)), "a", "z"),
         _POLICY_FLAGS,
     )
     p_eval.add_argument("--inf", action="store_true", help="qpoch: infinite product")
@@ -162,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run one identity check", allow_abbrev=False)
     p_verify.add_argument("--identity", required=True, choices=identities)
     _add_flags(
-        p_verify,
-        [param for record in REGISTRY.values() for param in record.params],
+        p_verify, [name for record in REGISTRY.values() for name in _spelled(record.checker)],
         {"tol": float} | _TUNING["qspec"][1] | _POLICY_FLAGS,
     )
     _add_output_flags(p_verify)
@@ -179,23 +168,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="tabulate coefficients as CSV", allow_abbrev=False)
     p_table.add_argument("what", choices=("big_c", "connection", "ultra"))
-    _add_flags(
-        p_table,
-        (_Q, ("m", ParamKind.INT), _PARAMSET, ("r", ParamKind.REDUCED)),
-        {"n_max": int},
-    )
+    _add_flags(p_table, ("q", "m", "p", "r", "n_max"), {})
     p_table.add_argument("--out", default=None)
 
     return parser
 
 
-def _arg(args, name: str, kind: ParamKind = ParamKind.COMPLEX, required: bool = True):
+def _arg(args, name: str, required: bool = True):
     """One parameter from its flags, or None when it is optional and unset.
     Raises DomainError naming a missing required flag or a non-finite value."""
-    if kind in _COMPONENTS:
-        parts = [_arg(args, part) for part in _COMPONENTS[kind]]
-        return ParamSet4(*parts) if kind is ParamKind.PARAMSET else ReducedParams(*parts)
-    if kind is ParamKind.COMPLEX:
+    spelling = _SPELLING.get(name)
+    if isinstance(spelling, tuple):
+        cls, parts = spelling
+        return cls(*(_arg(args, part) for part in parts))
+    if spelling is None:
         re, im = getattr(args, f"{name}_re"), getattr(args, f"{name}_im")
         value = None if re is None else complex(re, 0.0 if im is None else im)
         flag = _flag(f"{name}_re")
@@ -203,10 +189,10 @@ def _arg(args, name: str, kind: ParamKind = ParamKind.COMPLEX, required: bool = 
         value, flag = getattr(args, name), _flag(name)
     if value is None and required:
         raise DomainError(f"missing required flag {flag}")
-    if value is None or kind is ParamKind.INT:
+    if value is None or spelling is int:
         return value
     value = finite_complex(name, value)
-    return value if kind is ParamKind.COMPLEX else value.real
+    return value if spelling is None else value.real
 
 
 def _parameters(func) -> dict[str, bool]:
@@ -218,6 +204,12 @@ def _parameters(func) -> dict[str, bool]:
     names = func.__code__.co_varnames[:func.__code__.co_argcount]
     first_default = len(names) - len(func.__defaults__ or ())
     return {name: i >= first_default for i, name in enumerate(names)}
+
+
+def _spelled(func) -> dict[str, bool]:
+    """The entries of :func:`_parameters` that are spelled as flags."""
+    return {name: has_default for name, has_default in _parameters(func).items()
+            if name not in _UNSPELLED}
 
 
 def _configured(cls, args, flags: dict[str, type]):
@@ -277,22 +269,24 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 def _cmd_eval(args) -> int:
     policy = _configured(TruncationPolicy, args, _POLICY_FLAGS)
-    q = _arg(args, *_Q)
+    q = _arg(args, "q")
     metadata = {"rel_tol": policy.rel_tol, "max_terms": policy.max_terms}
     fn = args.function
 
     if fn in _EVAL:
         from . import kernels, qfun
 
-        func, params = _EVAL[fn]
-        tail = (policy,) if "policy" in _parameters(func) else ()
-        value = complex(func(qfun, kernels, *(_arg(args, *param) for param in params), q, *tail))
+        func = _EVAL[fn]
+        kwargs = {name: _arg(args, name) for name in _spelled(func)}
+        if "policy" in _parameters(func):
+            kwargs["policy"] = policy
+        value = complex(func(qfun, kernels, **kwargs))
     elif fn == "qpoch":
         a = _arg(args, "a")
         if args.inf:
             value = qpoch_infinite(a, q, policy)
         else:
-            value = qpoch_finite(a, q, _arg(args, *_N))
+            value = qpoch_finite(a, q, _arg(args, "n"))
     else:  # phi_series
         nums = tuple(_parse_listed_complex(v) for v in args.num)
         dens = tuple(_parse_listed_complex(v) for v in args.den)
@@ -317,9 +311,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Check one identity with the arguments its schema names.  A schema
-    parameter left unset takes the checker's default if it has one; a flag
-    that the identity does not read is invalid input."""
+    """Check one identity with the arguments its checker names.  A parameter
+    left unset takes the checker's default if it has one; a flag that the
+    identity does not read is invalid input."""
     record = REGISTRY[IdentityId(args.identity)]
     checker = record.checker
     accepted = _parameters(checker)
@@ -329,9 +323,9 @@ def _cmd_verify(args) -> int:
         if name in accepted:
             read |= flags.keys()
             kwargs[name] = _configured(cls, args, flags)
-    for name, kind in record.params:
-        read |= _dests(name, kind).keys()
-        value = _arg(args, name, kind, required=not accepted[name])
+    for name, has_default in _spelled(checker).items():
+        read |= _dests(name).keys()
+        value = _arg(args, name, required=not has_default)
         if value is not None:
             kwargs[name] = value
     unread = [_flag(dest) for dest, value in vars(args).items()
@@ -387,17 +381,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_table(args) -> int:
     import csv
 
-    q = _arg(args, *_Q)
+    q = _arg(args, "q")
     if args.what == "connection":
-        m = _arg(args, "m", ParamKind.INT)
-        r = _arg(args, "r", ParamKind.REDUCED)
+        m = _arg(args, "m")
+        r = _arg(args, "r")
         by_degree = {m: connection_coeffs(m, r, _arg(args, "gamma") * _arg(args, "delta"), q)}
     elif args.what == "big_c":
-        n_max = as_degree("n_max", _arg(args, "n_max", ParamKind.INT))
-        p = _arg(args, *_PARAMSET)
+        n_max = as_degree("n_max", _arg(args, "n_max"))
+        p = _arg(args, "p")
         by_degree = {n: big_c_coeffs(n, p, q) for n in range(n_max + 1)}
     else:  # ultra
-        n_max = as_degree("n_max", _arg(args, "n_max", ParamKind.INT))
+        n_max = as_degree("n_max", _arg(args, "n_max"))
         beta = _arg(args, "beta")
         by_degree = {n: expansion_weights(n, beta, beta, QBase.coerce(q))
                      for n in range(n_max + 1)}

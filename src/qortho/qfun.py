@@ -36,6 +36,9 @@ cosine family sum_k w_k cos((n-2k) theta), w = :func:`expansion_weights` at
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate, repeat
+
 import numpy as np
 
 from . import kernels
@@ -82,15 +85,14 @@ def big_c_at_one(count: int, p: ParamSet4, q) -> np.ndarray:
 
 def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
     """Phi_n(x, y) at general complex x, y: the (q;q)_n-scaled double sum in
-    powers of (gamma x) and (delta y).  On the unit circle it reduces to
-    (q;q)_n * C_n."""
+    powers of (gamma x) and (delta y), formed as running products (they
+    overflow to inf).  On the unit circle it reduces to (q;q)_n * C_n."""
     qb = QBase.coerce(q)
-    k = np.arange(n + 1)
-    gx = p.gamma * complex(x)
-    dy = p.delta * complex(y)
-    total = np.sum(np.array(expansion_weights(n, p.ratio_a, p.ratio_b, qb)) * gx ** k
-                   * dy ** (n - k))
-    return complex(qpoch_finite(qb.q, qb, n) * total)
+    weights = expansion_weights(n, p.ratio_a, p.ratio_b, qb)
+    gx_k = list(accumulate(repeat(p.gamma * complex(x), n), operator.mul, initial=1.0 + 0.0j))
+    dy_k = list(accumulate(repeat(p.delta * complex(y), n), operator.mul, initial=1.0 + 0.0j))
+    total = sum(w * gx_k[k] * dy_k[n - k] for k, w in enumerate(weights))
+    return qpoch_finite(qb.q, qb, n) * total
 
 
 def weight_symbols(p: ParamSet4):

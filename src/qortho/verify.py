@@ -14,9 +14,11 @@ and repeated on the second, whose angles are the first's plus pi; the C_n
 product and extra symbols are evaluated on the whole grid.
 
 :data:`REGISTRY` describes each identity once: its default tolerance, sweep
-box, drawer and the parameter schema of its checker ``check_<identity>``.
-:func:`draw_params`, :func:`run_sweep` and the ``qortho verify`` flags all
-read it.  :class:`IdentityId` says in one line what each identity checks.
+box and drawer; :func:`draw_params` and :func:`run_sweep` read it.  The
+identity's parameters are those of its checker ``check_<identity>``: its
+positional parameters other than ``qspec``, ``policy`` and ``tolerance``,
+from which ``qortho verify`` builds its flags.  :class:`IdentityId` says in
+one line what each identity checks.
 """
 
 from __future__ import annotations
@@ -305,7 +307,8 @@ def _circle_check(
             values *= quotient(thetas)
         return values
 
-    result = periodic_integral(integrand, interval, qspec)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
+        result = periodic_integral(integrand, interval, qspec)
     if not result.converged:
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
@@ -564,6 +567,7 @@ def check_prop_2_2(
     p: ParamSet4,
     q,
     k: int = 0,
+    *,
     t_fraction: float = 0.9,
     partial_terms: int = 200,
     tail_terms: int = 100,
@@ -594,7 +598,8 @@ def check_prop_2_2(
     t_abs = t_fraction * min(1.0 / abs(p.gamma), 1.0 / abs(p.delta))
     ra_rb = p.ratio_a * p.ratio_b
 
-    c_at_one = np.abs(big_c_at_one(partial_terms + tail_terms + k, p, qb)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
+        c_at_one = np.abs(big_c_at_one(partial_terms + tail_terms + k, p, qb)).tolist()
     poch_ratio = abs(qpoch_finite(qb.q, qb, k) / qpoch_finite(ra_rb, qb, k))
     tn = 1.0
     terms = []
@@ -759,8 +764,7 @@ def _draw_thm_1_3(rng, box, q, spec) -> dict:
     for _ in range(_MAX_REJECTS):
         a, b = _uniform(rng, box["ab"]), _uniform(rng, box["ab"])
         gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
-        if (max(abs(a * gamma / delta), abs(a * delta / gamma)) < 1.0 - WEIGHT_MARGIN
-                and _weight_ok(ParamSet4.from_reduced(a, gamma, delta))):
+        if _weight_ok(ParamSet4.from_reduced(a, gamma, delta)):
             m, n = _degrees(rng, spec).values()
             if (m - n) % 2 == 0 and m < n:
                 m, n = n, m
@@ -800,45 +804,24 @@ def _draw_rogers_6w5(rng, box, q, spec) -> dict:
     raise RuntimeError("could not draw an admissible six-parameter set")
 
 
-class ParamKind(enum.Enum):
-    """How one checker parameter is spelled: a ParamSet4 (alpha, beta, gamma,
-    delta), a ReducedParams pair (a, b), or one complex, int or float value."""
-
-    PARAMSET = "paramset"
-    REDUCED = "reduced"
-    COMPLEX = "complex"
-    INT = "int"
-    FLOAT = "float"
-
-
 class Identity(Record):
-    """Everything the package states about one identity.  ``params`` is the
-    checker's schema: (name, kind) of each identity parameter; its other
-    arguments are tuning knobs.  ``draw(rng, box, q, spec)`` returns checker
-    arguments for one sweep draw from ``box``, this ``box`` with overrides."""
+    """Everything the package states about one identity besides its checker,
+    whose positional parameters (other than ``qspec``, ``policy`` and
+    ``tolerance``) are the identity's parameters.  ``draw(rng, box, q, spec)``
+    returns checker arguments for one sweep draw from ``box``, this ``box``
+    with overrides."""
 
-    _fields = ("id", "tolerance", "box", "params", "draw")
+    _fields = ("id", "tolerance", "box", "draw")
 
     def __init__(self, id: IdentityId, tolerance: float, box: Mapping[str, tuple[float, float]],
-                 params: tuple[tuple[str, ParamKind], ...], draw: Callable[..., dict]) -> None:
-        self._set(id=id, tolerance=tolerance, box=box, params=params, draw=draw)
+                 draw: Callable[..., dict]) -> None:
+        self._set(id=id, tolerance=tolerance, box=box, draw=draw)
 
     @property
     def checker(self) -> Callable[..., VerificationReport]:
         """The module-level ``check_<id>`` function, looked up on each use so
         that a rebound module attribute takes effect."""
         return globals()[f"check_{self.id.value.lower()}"]
-
-
-_PARAMSET = ("p", ParamKind.PARAMSET)
-_REDUCED = ("r", ParamKind.REDUCED)
-_Q = ("q", ParamKind.FLOAT)
-_M = ("m", ParamKind.INT)
-_N = ("n", ParamKind.INT)
-
-
-def _complex(*names: str) -> tuple[tuple[str, ParamKind], ...]:
-    return tuple((name, ParamKind.COMPLEX) for name in names)
 
 
 _PARAM_BOX = {"q": (0.1, 0.7), "ratio": (0.05, 0.6), "scale": (0.5, 1.5)}
@@ -848,37 +831,30 @@ _REDUCED_BOX = {"q": (0.1, 0.7), "ab": (0.1, 0.6), "scale": (0.5, 1.5)}
 # lose roughly two digits over hundreds of factors); series-vs-product ones
 # hold tighter.
 REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
-    Identity(IdentityId.THM_1_1, 1e-8, _PARAM_BOX, (_PARAMSET, _Q, _M, _N),
+    Identity(IdentityId.THM_1_1, 1e-8, _PARAM_BOX,
              lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
                                         **_degrees(rng, spec)}),
-    Identity(IdentityId.THM_1_2, 1e-8, _PARAM_BOX | {"st_fraction": (0.1, 1.0)},
-             (_PARAMSET, *_complex("s", "t"), _Q), _draw_thm_1_2),
-    Identity(IdentityId.THM_1_3, 1e-8, _REDUCED_BOX,
-             (_REDUCED, *_complex("gamma", "delta"), _Q, _M, _N), _draw_thm_1_3),
+    Identity(IdentityId.THM_1_2, 1e-8, _PARAM_BOX | {"st_fraction": (0.1, 1.0)}, _draw_thm_1_2),
+    Identity(IdentityId.THM_1_3, 1e-8, _REDUCED_BOX, _draw_thm_1_3),
     Identity(IdentityId.PROP_2_1_2, 1e-12, _PARAM_BOX,
-             (_PARAMSET, _Q, _N, ("theta", ParamKind.FLOAT)),
              lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
                                         "n": int(rng.integers(0, spec.n_max + 1)),
                                         "theta": _uniform(rng, (0.0, TWO_PI))}),
-    Identity(IdentityId.PROP_2_1_3, 0.05, _PARAM_BOX, (_PARAMSET, _Q, _N),
+    Identity(IdentityId.PROP_2_1_3, 0.05, _PARAM_BOX,
              lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q}),
     Identity(IdentityId.PROP_2_2, 1e-10, _PARAM_BOX | {"scale": (0.5, 0.9)},
-             (_PARAMSET, _Q, ("k", ParamKind.INT)),
              lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
                                         "k": int(rng.integers(0, 4))}),
     Identity(IdentityId.PROP_2_4, 1e-10,
              {"q": (0.1, 0.7), "ratio": (0.05, 0.5), "scale": (0.5, 1.2), "xy": (0.4, 1.1)},
-             (_PARAMSET, _Q, _N, *_complex("x", "y")), _draw_prop_2_4),
-    Identity(IdentityId.PROP_3_1, 1e-9, _REDUCED_BOX,
-             (_REDUCED, *_complex("gamma", "delta"), _Q, _M), _draw_prop_3_1),
+             _draw_prop_2_4),
+    Identity(IdentityId.PROP_3_1, 1e-9, _REDUCED_BOX, _draw_prop_3_1),
     Identity(IdentityId.ROGERS_6W5, 1e-9, {"q": (0.2, 0.7), "bcd": (0.3, 0.8), "z": (0.05, 0.65)},
-             (*_complex("a", "b", "c", "d"), _Q), _draw_rogers_6w5),
+             _draw_rogers_6w5),
     Identity(IdentityId.QBINOMIAL, 1e-11, {"q": (0.1, 0.8), "a": (-0.9, 0.9), "z": (-0.7, 0.7)},
-             (*_complex("a", "z"), _Q),
              lambda rng, box, q, spec: {"a": _uniform(rng, box["a"]),
                                         "z": _uniform(rng, box["z"]), "q": q}),
     Identity(IdentityId.ULTRA_ORTHO, 1e-8, {"q": (0.1, 0.7), "beta": (0.05, 0.7)},
-             (*_complex("beta"), _Q, _M, _N),
              lambda rng, box, q, spec: {"beta": _uniform(rng, box["beta"]), "q": q,
                                         **_degrees(rng, spec)}),
 )}

@@ -11,8 +11,8 @@ import pytest
 import numpy as np
 
 from qortho import ParamSet4, VerificationReport, qpoch_finite
-from qortho.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
-from qortho.verify import REGISTRY, IdentityId, ParamKind, SweepSpec, draw_params
+from qortho.cli import _SPELLING, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _spelled, build_parser, main
+from qortho.verify import REGISTRY, IdentityId, SweepSpec, draw_params
 
 from oracles import c_series_oracle, ultra_recurrence_oracle, weight_oracle
 
@@ -264,20 +264,18 @@ class TestVerify:
         record = REGISTRY[identity]
         draw = draw_params(identity, np.random.default_rng(0), SweepSpec(seed=0, draws=1))
         argv = ["verify", "--identity", identity.value]
-        for name, kind in record.params:
+        for name in _spelled(record.checker):
             if name not in draw:
                 continue
             value = draw[name]
-            if kind in (ParamKind.INT, ParamKind.FLOAT):
+            spelling = _SPELLING.get(name)
+            if spelling in (int, float):
                 argv += [f"--{name}", repr(value)]
                 continue
-            if kind is ParamKind.PARAMSET:
-                parts = zip(("alpha", "beta", "gamma", "delta"),
-                            (value.alpha, value.beta, value.gamma, value.delta))
-            elif kind is ParamKind.REDUCED:
-                parts = (("a", value.a), ("b", value.b))
-            else:
+            if spelling is None:
                 parts = ((name, value),)
+            else:
+                parts = ((part, getattr(value, part)) for part in spelling[1])
             for flag, part in parts:
                 part = complex(part)
                 argv += [f"--{flag}-re", repr(part.real), f"--{flag}-im", repr(part.imag)]
@@ -285,6 +283,41 @@ class TestVerify:
         report = record.checker(**draw)
         assert code == (EXIT_PASS if report.passed else EXIT_FAIL)
         assert json.loads(out) == json.loads(json.dumps(report.to_record()))
+
+    def test_t_fraction_is_not_a_flag(self, capsys):
+        # PROP_2_2's keyword-only tuning arguments are not identity parameters
+        code, _, err = run_cli(
+            ["verify", "--identity", "PROP_2_2", "--t-fraction", "0.5", *BOX], capsys)
+        assert code == EXIT_INVALID
+        assert "--t-fraction" in err
+
+
+# Every option string of each subcommand, in help order.
+OPTION_STRINGS = {
+    "eval": ["-h", "--help", "--q", "--n", "--theta", "--alpha-re", "--alpha-im", "--beta-re",
+             "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--x-re",
+             "--x-im", "--y-re", "--y-im", "--a-re", "--a-im", "--z-re", "--z-im",
+             "--max-terms", "--rel-tol", "--inf", "--num", "--den", "--format", "--out"],
+    "verify": ["-h", "--help", "--identity", "--alpha-re", "--alpha-im", "--beta-re",
+               "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--q",
+               "--m", "--n", "--s-re", "--s-im", "--t-re", "--t-im", "--a-re", "--a-im",
+               "--b-re", "--b-im", "--theta", "--k", "--x-re", "--x-im", "--y-re", "--y-im",
+               "--c-re", "--c-im", "--d-re", "--d-im", "--z-re", "--z-im", "--tol", "--nodes",
+               "--max-nodes", "--max-terms", "--rel-tol", "--format", "--out"],
+    "sweep": ["-h", "--help", "--identity", "--draws", "--seed", "--m-max", "--n-max", "--tol",
+              "--format", "--out"],
+    "table": ["-h", "--help", "--q", "--m", "--alpha-re", "--alpha-im", "--beta-re",
+              "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--a-re",
+              "--a-im", "--b-re", "--b-im", "--n-max", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", OPTION_STRINGS)
+def test_option_strings_are_pinned(command):
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    actions = subparsers[command]._actions
+    assert [flag for action in actions for flag in action.option_strings] == \
+        OPTION_STRINGS[command]
 
 
 class TestUnreadFlags:

@@ -158,9 +158,11 @@ def test_package_import_defers_numpy_until_a_numeric_name_is_used():
 
 
 def signature_reading(func) -> dict[str, bool]:
-    """What ``inspect.signature`` says: parameter name -> has a default."""
+    """What ``inspect.signature`` says of the positional-or-keyword
+    parameters: name -> has a default."""
     return {name: param.default is not inspect.Parameter.empty
-            for name, param in inspect.signature(func).parameters.items()}
+            for name, param in inspect.signature(func).parameters.items()
+            if param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD}
 
 
 def wrapped(func):
@@ -179,7 +181,7 @@ def test_checker_parameters_are_read_as_inspect_reads_them(identity):
 
 
 def test_parameters_of_functions_with_and_without_defaults():
-    def func(a, b, c=1, *args, **kwargs):
+    def func(a, b, c=1, *args, d, e=2, **kwargs):
         pass
 
     assert _parameters(func) == {"a": False, "b": False, "c": True}

@@ -5,7 +5,7 @@ import pytest
 
 from qortho import (DomainError, ParamSet4, PhiSpec, QBase, QuadratureSpec, ReducedParams,
                     SweepSpec, TruncationPolicy, VerificationReport)
-from qortho.verify import REGISTRY, Identity, IdentityId, ParamKind
+from qortho.verify import REGISTRY, Identity, IdentityId
 
 
 def _draw(rng, box, q, spec):
@@ -50,12 +50,11 @@ CASES = {
         lambda: SweepSpec(1, 2, {}, 6, 6), lambda: SweepSpec(seed=1, draws=2),
         (1, 2, {}, 6, 6), "SweepSpec(seed=1, draws=2, box={}, m_max=6, n_max=6)"),
     "Identity": (
-        lambda: Identity(IdentityId.QBINOMIAL, 1e-11, {}, (("a", ParamKind.COMPLEX),), _draw),
-        lambda: Identity(draw=_draw, params=(("a", ParamKind.COMPLEX),), box={},
-                         tolerance=1e-11, id=IdentityId.QBINOMIAL),
-        (IdentityId.QBINOMIAL, 1e-11, {}, (("a", ParamKind.COMPLEX),), _draw),
+        lambda: Identity(IdentityId.QBINOMIAL, 1e-11, {}, _draw),
+        lambda: Identity(draw=_draw, box={}, tolerance=1e-11, id=IdentityId.QBINOMIAL),
+        (IdentityId.QBINOMIAL, 1e-11, {}, _draw),
         "Identity(id=<IdentityId.QBINOMIAL: 'QBINOMIAL'>, tolerance=1e-11, box={}, "
-        f"params=(('a', <ParamKind.COMPLEX: 'complex'>),), draw={_draw!r})"),
+        f"draw={_draw!r})"),
 }
 FIELDS = {
     "QBase": ("q",),
@@ -67,7 +66,7 @@ FIELDS = {
     "VerificationReport": ("identity_id", "inputs", "lhs", "rhs", "abs_residual",
                            "rel_residual", "tolerance", "passed", "flags"),
     "SweepSpec": ("seed", "draws", "box", "m_max", "n_max"),
-    "Identity": ("id", "tolerance", "box", "params", "draw"),
+    "Identity": ("id", "tolerance", "box", "draw"),
 }
 # Records with a dict field, which makes them unhashable.
 UNHASHABLE = {"VerificationReport", "SweepSpec", "Identity"}

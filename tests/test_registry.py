@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from qortho import DomainError, ParamSet4, ReducedParams, SweepSpec
-from qortho.verify import (
-    REGISTRY,
-    IdentityId,
-    ParamKind,
-    draw_params,
-)
+from qortho.cli import _SPELLING, _spelled
+from qortho.verify import REGISTRY, IdentityId, draw_params
 
 # The first three draws at seed 0 for every identity: the keyword names, then
 # each draw's values in that order, with a ParamSet4 spread into alpha, beta,
@@ -125,7 +121,7 @@ def test_every_identity_has_exactly_one_record():
 def test_drawer_output_is_accepted_by_its_checker(identity):
     record = REGISTRY[identity]
     draw = draw_params(identity, np.random.default_rng(0), SweepSpec(seed=0, draws=1))
-    assert set(draw) <= {name for name, _ in record.params}
+    assert set(draw) <= set(_spelled(record.checker))
     report = record.checker(**draw)
     assert report.identity_id == identity.value
     assert report.tolerance == record.tolerance
@@ -134,8 +130,8 @@ def test_drawer_output_is_accepted_by_its_checker(identity):
 SCALAR_PARAMS = [
     (identity, name)
     for identity, record in REGISTRY.items()
-    for name, kind in record.params
-    if kind in (ParamKind.COMPLEX, ParamKind.FLOAT)
+    for name in _spelled(record.checker)
+    if _SPELLING.get(name, complex) in (complex, float)
 ]
 
 
