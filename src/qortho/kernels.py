@@ -1,11 +1,11 @@
 """Array kernels for the quadrature hot loops.
 
 Two operations dominate every integral check: evaluating a Laurent-type sum
-sum_k c_k e^{i(2k-n)theta} over all quadrature nodes, and evaluating truncated
-products prod_c prod_{k<K} (1 - w_c q^k) with node-dependent arguments
+sum_k c_k e^{i(2k-n)theta} over all quadrature nodes, and evaluating infinite
+products prod_c (w_c; q)_oo with node-dependent arguments
 w_c = coef_c * e^{i s_c theta}, or a quotient of two such products.  A circle
 integrand is one Laurent sum (the C_n factors multiplied into one
-polynomial) times quotients of truncated products at a shared depth K
+polynomial) times quotients of such products at a shared head depth K
 (``qfun.product_quotient``), each quotient one call with ``split``.  The
 weight's symbols have s_c = +-2, so a circle check evaluates their quotient
 at only the first half of each quadrature grid (the second half repeats it);
@@ -19,47 +19,60 @@ matrix of multiplications rather than of exponentials.  Its rounding grows
 with the power k and with n theta, and stays within 1e-13 of the sum of
 |c_k| at degree 60 on grids of up to 8192 angles.
 
-The truncated product is formed for all S symbols at once (numerators and
+Each infinite product is its K head factors 1 - w_c q^k, k < K, times the
+two factors 1 - r+- w_c q^K that :func:`~qortho.qcore.closing_factors` puts
+in place of the rest, as :func:`~qortho.qcore.qpoch_infinite` forms it.
+So the q-power rows of a call are 1, q, ..., q^(K-1), r+ q^K, r- q^K:
+K + 2 rows of one kind, and the closing pair costs two rows and no array
+operation of its own.  The product is formed for all S symbols at once (numerators and
 denominators together when the call forms a quotient), as broadcast blocks
-1 - q^k w_c(theta_j) over depths k, symbols c and nodes j, reduced over k
-into one running product per symbol; the symbols are multiplied together,
+1 - p_k w_c(theta_j) over the rows p_k, symbols c and nodes j, reduced over
+k into one running product per symbol; the symbols are multiplied together,
 and a quotient divided, only at the end.  The grids are small (typically 4
-symbols, depth 10-80, 32-128 nodes), so the cost of a call is mostly its
+symbols, head depth 5-40, 32-128 nodes), so the cost of a call is mostly its
 fixed numpy overhead and its factor count, and one block per depth chunk
-keeps the number of numpy calls independent of S.  Depths are taken
-max(1, DEPTH_CHUNK // S) rows at a time, so one complex block of at most
+keeps the number of numpy calls independent of S.  The K + 2 rows are taken
+max(1, DEPTH_CHUNK // S) at a time, so one complex block of at most
 max(DEPTH_CHUNK, S) x N values (16 * 128 * N bytes, about 0.26 MB at
 N = 128, for S <= DEPTH_CHUNK) is the working memory of a call, whatever the
-number of symbols and however deep the truncation gets near |q| = 1.
+number of symbols and however deep the head gets near |q| = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .qcore import closing_factors
+
 BACKEND = "numpy"
 
 # Depth x symbol rows per broadcast block; bounds the working memory at
-# DEPTH_CHUNK x N complex values whatever kmax and the symbol count are.
+# DEPTH_CHUNK x N complex values whatever the depth and symbol count are.
 DEPTH_CHUNK = 128
 
 
 def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
-    """prod_c (coef_c e^{i exps_c theta}; q)_kmax at each theta; with
-    ``split``, the product of the first ``split`` symbols over the product of
-    the rest."""
+    """prod_c (coef_c e^{i exps_c theta}; q)_oo at each theta, as ``kmax``
+    head factors closed by the :func:`~qortho.qcore.closing_factors` pair
+    (``kmax`` from :func:`~qortho.qcore.tail_start` of the largest |coef_c|);
+    with ``split``, the product of the first ``split`` symbols over the
+    product of the rest."""
     thetas = np.asarray(thetas, dtype=np.float64)
     coefs = np.asarray(coefs, dtype=np.complex128)
     w = np.exp(1j * np.multiply.outer(np.asarray(exps, dtype=np.float64), thetas))
     w *= coefs[:, None]
-    qpow = np.full(kmax, complex(q))
+    depth = kmax + 2
+    qpow = np.full(depth, complex(q))
     qpow[:1] = 1.0
     np.cumprod(qpow, out=qpow)
+    plus, minus = closing_factors(q)
+    qpow[kmax + 1] = qpow[kmax] * minus
+    qpow[kmax] *= plus
     chunk = max(1, DEPTH_CHUNK // max(coefs.shape[0], 1))
-    block = np.empty((min(kmax, chunk), *w.shape), dtype=np.complex128)
+    block = np.empty((min(depth, chunk), *w.shape), dtype=np.complex128)
     per_symbol = np.ones(w.shape, dtype=np.complex128)
-    for start in range(0, kmax, chunk):
-        rows = block[: min(chunk, kmax - start)]
+    for start in range(0, depth, chunk):
+        rows = block[: min(chunk, depth - start)]
         np.multiply.outer(qpow[start : start + chunk], w, out=rows)
         np.subtract(1.0, rows, out=rows)
         per_symbol *= rows.prod(axis=0)

@@ -118,9 +118,10 @@ class QBase(Record):
 class TruncationPolicy(Record):
     """Controls truncation of infinite products and series.
 
-    ``rel_tol`` bounds the relative size of the first neglected factor or
-    term; ``max_terms`` caps how many are ever taken before giving up with
-    :class:`TruncationExceeded`.
+    ``rel_tol`` bounds the relative truncation error of an infinite product
+    (see :func:`tail_start`) and the relative size of the terms that end a
+    series; ``max_terms`` caps how many factors or terms are ever taken
+    before giving up with :class:`TruncationExceeded`.
     """
 
     _fields = ("rel_tol", "max_terms")
@@ -234,17 +235,37 @@ def qpoch_finite(a, q, n: int) -> complex:
     return _poch_row(a, QBase.coerce(q).q, as_degree("n", n))[-1]
 
 
+def closing_factors(q) -> tuple[complex, complex]:
+    """The pair (r+, r-) with
+
+        prod_{k>=0} (1 - y q^k) = (1 - r+ y)(1 - r- y) + O(|y/(1-q)|^3),
+
+    which closes a product whose remaining factors have |y| small.  By
+    Euler, log prod_{k>=0} (1 - y q^k) = -sum_{j>=1} y^j / (j (1 - q^j))
+    (Gasper & Rahman, *Basic Hypergeometric Series*, section 1.3); to second
+    order in s = y/(1-q) that is 1 - s + (q/(1+q)) s^2, whose two linear
+    factors have r+- = (1 +- sqrt((1-3q)/(1+q))) / (2 (1-q)), complex for
+    q > 1/3.  At q = 0 the pair is (1, 0) and the product exact."""
+    q = complex(q)
+    root = cmath.sqrt((1.0 - 3.0 * q) / (1.0 + q))
+    half = 0.5 / (1.0 - q)
+    return (1.0 + root) * half, (1.0 - root) * half
+
+
 def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
-    """Smallest k with |a| |q|^k < rel_tol, i.e. where the geometric tail of
-    (a;q)_oo can be dropped with relative error O(rel_tol / (1-|q|)).
-    Raises :class:`TruncationExceeded` when k exceeds ``policy.max_terms``."""
+    """Smallest K with |a| |q|^K <= (1-|q|) rel_tol^(1/3): the head depth of
+    (a;q)_oo.  The factors from K on are replaced by the two
+    :func:`closing_factors` of y = a q^K, which leaves a relative error
+    O(|y/(1-q)|^3), of the order of rel_tol.  Raises
+    :class:`TruncationExceeded` when K exceeds ``policy.max_terms``."""
     mag = abs(complex(a))
-    if mag < policy.rel_tol:
-        return 0
     qmag = abs(complex(q) if not isinstance(q, QBase) else q.q)
+    bound = (1.0 - qmag) * policy.rel_tol ** (1.0 / 3.0)
+    if mag <= bound:
+        return 0
     if qmag == 0.0:
         return 1
-    depth = max(int(math.ceil(math.log(policy.rel_tol / mag) / math.log(qmag))), 0)
+    depth = max(int(math.ceil(math.log(bound / mag) / math.log(qmag))), 0)
     if depth > policy.max_terms:
         raise TruncationExceeded(
             f"a product of |a| = {mag:.6g} needs {depth} factors, cap is {policy.max_terms}"
@@ -253,7 +274,9 @@ def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
 
 
 def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Infinite product (a;q)_oo, truncated by ``policy``.
+    """Infinite product (a;q)_oo: the :func:`tail_start` factors 1 - a q^k,
+    then the two :func:`closing_factors` of the rest, so that ``policy``'s
+    rel_tol bounds the relative truncation error.
 
     Returns exactly 0 when some factor vanishes to within 1e-15 (a = q^-k),
     so quotient formulas can detect the singular symbols downstream.
@@ -275,7 +298,8 @@ def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     for _ in range(k, nterms):
         prod *= 1.0 - w
         w *= q
-    return prod
+    plus, minus = closing_factors(q)
+    return prod * (1.0 - plus * w) * (1.0 - minus * w)
 
 
 def min_factor_abs(a, q, floor: float) -> float:

@@ -27,9 +27,9 @@ The weight against which the family is orthogonal over a full period is
     omega(theta) = ((gamma/delta) e^{2i theta}, (delta/gamma) e^{-2i theta}; q)_oo
                    / ((alpha/delta) e^{2i theta}, (beta/gamma) e^{-2i theta}; q)_oo.
 
-Every circle integrand is a product of C_n's times quotients of truncated
+Every circle integrand is a product of C_n's times quotients of infinite
 products (:func:`product_quotient`): one of any extra symbols and one of the
-:func:`weight_symbols`, truncated at one shared depth.  The single-parameter
+:func:`weight_symbols`, at one shared head depth.  The single-parameter
 cosine family sum_k w_k cos((n-2k) theta), w = :func:`expansion_weights` at
 (beta, beta), is C_n at (beta, beta, 1, 1).
 """
@@ -102,18 +102,18 @@ def weight_symbols(p: ParamSet4):
 
 
 def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
-    """The truncation depth K of a product quotient with coefficients
-    ``coefs``: the tail start of the largest one.  Raises
+    """The head depth K of a product quotient with coefficients ``coefs``:
+    the :func:`tail_start` of the largest one.  Raises
     :class:`TruncationExceeded` when K exceeds ``policy.max_terms``."""
     return tail_start(max(map(abs, coefs)), q, policy)
 
 
 def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY,
                      kmax: int | None = None):
-    """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_K
-    / prod_c (den_c e^{i exps_c theta}; q)_K over arrays of angles, one kernel
-    call per array.  One depth K serves every symbol: ``kmax``, by default the
-    :func:`quotient_depth` of these symbols."""
+    """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_oo
+    / prod_c (den_c e^{i exps_c theta}; q)_oo over arrays of angles, one
+    kernel call per array.  One head depth K serves every symbol: ``kmax``,
+    by default the :func:`quotient_depth` of these symbols."""
     qb = QBase.coerce(q)
     if kmax is None:
         kmax = quotient_depth((*num, *den), qb, policy)

@@ -6,14 +6,14 @@ Full-period integrals use the equispaced rule
 
 which for 2pi-periodic analytic integrands converges geometrically in N and
 is exact for trigonometric polynomials of degree < N.  Refinement doubles N,
-reusing previous evaluations, until successive values agree or the doubled
-N would exceed the node cap.  It starts at 64 nodes: the analytic integrands
-checked here settle by 128-256, and each doubling costs as much as
-everything before it.  The first two levels come from one integrand call on
-the 2N-point grid 2 pi j / 2N: its even nodes are the N-point start grid and
-its odd nodes that grid's midpoints, bit for bit, since the two differ only
-by scalings by powers of two (the nested rule of Trefethen & Weideman,
-SIAM Review 56, 2014).  Each later level evaluates
+reusing previous evaluations, until successive values agree, the doubled N
+would exceed the node cap, or the values stop being finite.  It starts at 64
+nodes: the analytic integrands checked here settle by 128-256, and each
+doubling costs as much as everything before it.  The first two levels come
+from one integrand call on the 2N-point grid 2 pi j / 2N: its even nodes are
+the N-point start grid and its odd nodes that grid's midpoints, bit for bit,
+since the two differ only by scalings by powers of two (the nested rule of
+Trefethen & Weideman, SIAM Review 56, 2014).  Each later level evaluates
 only the midpoints of the grid so far.  Every grid handed to the integrand
 has an even length M and holds theta and theta + pi as its j-th and
 (j + M/2)-th angle; an integrand that is pi-periodic in part may evaluate
@@ -36,6 +36,7 @@ endpoint (see :func:`_lattice_side`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, NamedTuple
 
@@ -108,7 +109,8 @@ def periodic_integral(
     evaluates over the whole period and halves, see the module docstring.
     Never raises on slow convergence: the result carries ``converged=False``
     when no further doubling fits in ``max_nodes`` and the residual is still
-    above ``rel_tol``.
+    above ``rel_tol``, or when a level's values are not all finite, which
+    ends the refinement there.
     """
     if interval == FULL_PERIOD:
         factor = 1.0
@@ -132,6 +134,9 @@ def periodic_integral(
         fmax = max(fmax, float(np.max(np.abs(new_values))))
         n *= 2
         refined = factor * TWO_PI / n * running_sum
+        if not cmath.isfinite(refined):
+            estimate = refined
+            break  # an overflowing integrand: no finer grid settles it
         est_error = abs(refined - estimate)
         estimate = refined
         scale = max(abs(estimate), fmax * length)

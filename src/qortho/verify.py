@@ -23,6 +23,7 @@ one line what each identity checks.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -270,8 +271,9 @@ def _circle_check(
     once, integrate over ``interval`` the product of the C_n sums ``laurent``
     ((coefficients, degree) pairs) times the product quotient of the
     (numerators, denominators, exponents) ``symbols`` and the weight's, both
-    at the depth of all their coefficients; flag slow quadrature, then
-    evaluate ``rhs()``.  A weight pole on the circle or a depth beyond
+    at the depth of all their coefficients; flag slow quadrature of a
+    finite integral (an overflow fails the report unflagged), then evaluate
+    ``rhs()``.  A weight pole on the circle or a depth beyond
     ``policy.max_terms`` is flagged before any quadrature runs.  The C_n sums
     are multiplied once per check into one Laurent polynomial (the
     convolution of their coefficients, degree the sum of theirs), so each
@@ -309,7 +311,7 @@ def _circle_check(
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
         result = periodic_integral(integrand, interval, qspec)
-    if not result.converged:
+    if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
     return VerificationReport.build(

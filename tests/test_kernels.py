@@ -1,30 +1,53 @@
-"""The numpy kernels must agree to rounding with direct loop references on
-every workload shape the package uses, and the circle checkers built on them
-must keep the values they gave before the product kernel was vectorized."""
+"""The numpy kernels must agree to rounding with direct references (loops
+over every factor of the infinite products, in double precision or at 20
+digits) on every workload shape the package uses, and the circle checkers
+built on them must keep the values they gave before the product kernel was
+vectorized."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
+from oracles import mp_qpoch
 from qortho import ParamSet4, SweepSpec, big_c_coeffs, kernels
+from qortho.qfun import quotient_depth
 from qortho.verify import REGISTRY, IdentityId, draw_params
 
 
-def reference_poch_product(coefs, exps, q, kmax, thetas):
+def loop_qpoch(a, q):
+    """(a;q)_oo in double precision, every factor with |a q^k| >= 1e-18."""
+    acc, w = 1.0 + 0.0j, complex(a)
+    while abs(w) >= 1e-18:
+        acc *= 1.0 - w
+        w *= q
+    return acc
+
+
+def mp20_qpoch(a, q):
+    """(a;q)_oo at 20 digits."""
+    with mpmath.workdps(20):
+        return complex(mp_qpoch(mpmath.mpc(a), mpmath.mpc(q)))
+
+
+def reference_poch_product(coefs, exps, q, thetas, qpoch=loop_qpoch):
+    """prod_c (coef_c e^{i exps_c theta}; q)_oo by ``qpoch`` per symbol and
+    node."""
     out = np.empty(len(thetas), dtype=np.complex128)
     for j, theta in enumerate(thetas):
         acc = 1.0 + 0.0j
         for c, e in zip(coefs, exps):
-            w = complex(c) * complex(np.exp(1j * int(e) * theta))
-            for k in range(kmax):
-                acc *= 1.0 - w * complex(q) ** k
+            acc *= qpoch(complex(c) * complex(np.exp(1j * int(e) * theta)), complex(q))
         out[j] = acc
     return out
 
 
-def random_coefs(rng, size):
-    return rng.uniform(-0.9, 0.9, size=size) + 1j * rng.uniform(-0.3, 0.3, size=size)
+def random_coefs(rng, size, largest=None):
+    """Coefficients of moduli below 0.95; with ``largest``, scaled so that the
+    largest modulus is ``largest``."""
+    coefs = rng.uniform(-0.9, 0.9, size=size) + 1j * rng.uniform(-0.3, 0.3, size=size)
+    return coefs if largest is None else coefs * (largest / np.max(np.abs(coefs)))
 
 
 def nodes(count):
@@ -34,50 +57,59 @@ def nodes(count):
 @pytest.fixture
 def workload(rng):
     exps = np.array([1, -1, 2, -2, 0], dtype=np.int64)
-    return random_coefs(rng, 5), exps, 0.55 + 0.0j, 40, nodes(64)
+    return random_coefs(rng, 5), exps, 0.55 + 0.0j, nodes(64)
 
 
-def assert_matches_reference(coefs, exps, q, kmax, thetas):
-    got = kernels.poch_product_many(coefs, exps, q, kmax, thetas)
-    ref = reference_poch_product(coefs, exps, q, kmax, thetas)
+def assert_matches_reference(coefs, exps, q, thetas, qpoch=loop_qpoch):
+    got = kernels.poch_product_many(coefs, exps, q, quotient_depth(coefs, q), thetas)
+    ref = reference_poch_product(coefs, exps, q, thetas, qpoch)
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
     return got, ref
 
 
 def test_numpy_poch_matches_reference(workload):
-    got, ref = assert_matches_reference(*workload)
+    got, ref = assert_matches_reference(*workload, qpoch=mp20_qpoch)
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
-# name: (exps, q, kmax, node count)
+# name: (exps, q, largest |coef|, node count, head depth); the shallow
+# shapes, where the closing pair carries the whole tail, are checked against
+# 20-digit products, the deep ones against double-precision loops
 EDGE_SHAPES = {
-    "depth_zero": ([1, -1, 0], 0.5, 0, 16),
-    "depth_one": ([1, -1, 2, -2, 0], 0.55, 1, 64),
-    "depth_ninety": ([2, -2], 0.7, 90, 256),
-    "thm_1_2_six_symbols": ([1, -1, 1, -1, 2, -2], 0.6, 90, 512),
-    "complex_q": ([1, -1, 2, -2, 0], 0.4 + 0.35j, 50, 128),
-    "depth_beyond_one_chunk": ([1, -1, 2], 0.95, 700, 64),  # kmax > kernels.DEPTH_CHUNK
+    "depth_zero": ([1, -1, 0], 0.5, 1e-5, 16, 0),
+    "depth_one": ([1, -1, 2, -2, 0], 0.55, 1.5e-5, 64, 1),
+    "depth_ninety": ([2, -2], 0.868, 0.9, 256, 90),
+    "thm_1_2_six_symbols": ([1, -1, 1, -1, 2, -2], 0.6, 0.95, 512, 23),
+    "complex_q": ([1, -1, 2, -2, 0], 0.4 + 0.35j, 0.95, 128, 19),
+    "depth_beyond_one_chunk": ([1, -1, 2], 0.95, 0.95, 64, 267),  # > kernels.DEPTH_CHUNK
 }
+
+
+def edge_shape(shape):
+    exps, q, largest, count, head = EDGE_SHAPES[shape]
+    return exps, q, largest, nodes(count), head, mp20_qpoch if head <= 1 else loop_qpoch
 
 
 @pytest.mark.parametrize("shape", list(EDGE_SHAPES))
 def test_numpy_poch_matches_reference_on_edge_shapes(shape, rng):
-    exps, q, kmax, count = EDGE_SHAPES[shape]
-    coefs = random_coefs(rng, len(exps))
-    assert_matches_reference(coefs, np.array(exps, dtype=np.int64), q, kmax, nodes(count))
+    exps, q, largest, thetas, head, qpoch = edge_shape(shape)
+    coefs = random_coefs(rng, len(exps), largest)
+    assert quotient_depth(coefs, q) == head
+    assert_matches_reference(coefs, np.array(exps, dtype=np.int64), q, thetas, qpoch)
 
 
 @pytest.mark.parametrize("shape", list(EDGE_SHAPES))
 def test_split_quotient_matches_ratio_of_reference_products(shape, rng):
     # numerator and denominator symbols share the shape's exponents, as the
     # weight's do; the denominators are kept off zero on the circle
-    exps, q, kmax, count = EDGE_SHAPES[shape]
-    num, den = random_coefs(rng, len(exps)), random_coefs(rng, len(exps))
-    thetas = nodes(count)
-    got = kernels.poch_product_many(np.concatenate((num, den)), np.array(exps * 2), q, kmax,
-                                    thetas, len(exps))
-    want = (reference_poch_product(num, exps, q, kmax, thetas)
-            / reference_poch_product(den, exps, q, kmax, thetas))
+    exps, q, largest, thetas, head, qpoch = edge_shape(shape)
+    num = random_coefs(rng, len(exps), largest)
+    den = random_coefs(rng, len(exps), largest)
+    both = np.concatenate((num, den))
+    assert quotient_depth(both, q) == head
+    got = kernels.poch_product_many(both, np.array(exps * 2), q, head, thetas, len(exps))
+    want = (reference_poch_product(num, exps, q, thetas, qpoch)
+            / reference_poch_product(den, exps, q, thetas, qpoch))
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 

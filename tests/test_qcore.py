@@ -1,11 +1,14 @@
 import cmath
+import functools
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mp_qpoch
 from qortho import (
     DomainError,
     QBase,
@@ -15,7 +18,7 @@ from qortho import (
     qpoch_infinite,
 )
 from qortho.kernels import poch_product_many
-from qortho.qcore import min_factor_abs, tail_start
+from qortho.qcore import closing_factors, min_factor_abs, tail_start
 from qortho.qfun import expansion_weights
 
 # frozen reference: partial products of (0.5; 0.5)_oo until the tail bound
@@ -159,7 +162,8 @@ class TestQpochInfinite:
 
 
 def qpoch_infinite_every_factor_screened(a, q, policy=TruncationPolicy()):
-    """The product loop that tests every factor for an exact zero."""
+    """The product loop that tests every factor of the head for an exact
+    zero, closed by the same pair as ``qpoch_infinite``."""
     qb = QBase.coerce(q)
     prod = 1.0 + 0.0j
     w = complex(a)
@@ -169,7 +173,8 @@ def qpoch_infinite_every_factor_screened(a, q, policy=TruncationPolicy()):
             return 0.0 + 0.0j
         prod *= factor
         w *= qb.q
-    return prod
+    plus, minus = closing_factors(qb.q)
+    return prod * (1.0 - plus * w) * (1.0 - minus * w)
 
 
 class TestQpochInfiniteShortcut:
@@ -202,9 +207,48 @@ class TestQpochInfiniteShortcut:
             assert repr(qpoch_infinite(a, q)) == repr(expected), (a, q)
 
 
+@functools.lru_cache(maxsize=None)
+def forty_digit_draws():
+    """(a, q, (a;q)_oo at 40 digits) for 16 draws of |a| <= 3 per q, real
+    and complex q with |q| <= 0.9, each with |(a;q)_oo| >= 1e-3."""
+    rng = random.Random("forty digits")
+    draws = []
+    for q in (0.3, 0.5, 0.7, -0.7, 0.6j, cmath.rect(0.7, 2.0), 0.9, cmath.rect(0.9, -1.0)):
+        kept = 0
+        while kept < 16:
+            a = cmath.rect(rng.uniform(0.0, 3.0), rng.uniform(-math.pi, math.pi))
+            with mpmath.workdps(40):
+                ref = complex(mp_qpoch(mpmath.mpc(a), mpmath.mpc(q)))
+            if abs(ref) >= 1e-3:
+                draws.append((a, q, ref))
+                kept += 1
+    return draws
+
+
+class TestFortyDigitReference:
+    """The closing pair leaves a truncation error below rounding: against
+    40-digit products, 1e-14 relative for |q| <= 0.7 and 2e-14 at 0.9."""
+
+    @staticmethod
+    def assert_close(product):
+        for a, q, ref in forty_digit_draws():
+            bound = 1e-14 if abs(q) <= 0.7 else 2e-14
+            assert abs(product(a, q) - ref) <= bound * abs(ref), (a, q)
+
+    def test_scalar_product(self):
+        self.assert_close(qpoch_infinite)
+
+    def test_kernel_product(self):
+        self.assert_close(lambda a, q: poch_product_many([a], [0], q, tail_start(a, q), [0.0])[0])
+
+    def test_head_depth_is_pinned(self):
+        # |a| |q|^K <= (1 - |q|) rel_tol^(1/3) first at K = 37
+        assert tail_start(3, 0.7) == 37
+
+
 class TestQpochMulti:
     """Products of several symbols go through the array kernel; at theta = 0
-    with exponent 0 each symbol is the plain (a;q)_K."""
+    with exponent 0 each symbol is the plain (a;q)_oo."""
 
     @staticmethod
     def product(values, q, kmax):
@@ -213,8 +257,8 @@ class TestQpochMulti:
     def test_zeros(self):
         assert self.product([0.0, 0.0], 0.5, 60) == 1.0
 
-    def test_single_entry_reduces_to_finite(self):
-        assert self.product([0.3], 0.5, 4) == qpoch_finite(0.3, 0.5, 4)
+    def test_single_entry_is_the_scalar_product(self):
+        assert self.product([0.3], 0.5, tail_start(0.3, 0.5)) == qpoch_infinite(0.3, 0.5)
 
     def test_square_of_single_oracle(self):
         val = self.product([0.5, 0.5], 0.5, tail_start(0.5, 0.5))

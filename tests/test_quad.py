@@ -130,6 +130,29 @@ class TestPeriodicIntegral:
         assert res.nodes == sum(counts) <= max_nodes
         assert not res.converged
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad_call, counts", [(0, [128]), (2, [128, 128, 256])])
+    def test_refinement_stops_at_the_first_level_that_is_not_finite(self, bad, bad_call,
+                                                                     counts):
+        # no finer grid settles an overflow: refining would double up to
+        # max_nodes on NaN, and inf against an infinite scale reads as converged
+        grids = []
+
+        def f(th):
+            values = 1.0 / (1.0005 - np.cos(th)) + 0j
+            if len(grids) == bad_call:
+                values[3] = bad
+            grids.append(th.shape[0])
+            return values
+
+        spec = QuadratureSpec(nodes=64, max_nodes=8192, rel_tol=1e-300)
+        with np.errstate(invalid="ignore"):  # inf times the estimate's 0 imaginary part
+            res = periodic_integral(f, FULL_PERIOD, spec)
+        assert grids == counts
+        assert res.nodes == sum(counts)
+        assert not res.converged
+        assert not np.isfinite(res.value)
+
     @pytest.mark.parametrize("start", [16, 64, 66])
     def test_every_grid_pairs_theta_with_theta_plus_pi(self, start):
         grids = []

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 import warnings
@@ -418,7 +419,8 @@ class TestCircleIntegrand:
     ])
     def test_depth_beyond_max_terms_is_flagged_before_quadrature(self, monkeypatch, check,
                                                                  args):
-        # about 32000 factors per symbol at q = 0.999, against a cap of 10000
+        # 17600-17900 head factors for the largest symbol at q = 0.999, against a
+        # cap of 10000
         def no_quadrature(*_):
             raise AssertionError("quadrature ran")
 
@@ -567,6 +569,17 @@ def test_an_overflowing_power_fails_the_report_without_a_warning(check, args):
     assert caught == []
     assert not rep.passed
     assert not all(map(math.isfinite, (rep.lhs.real, rep.lhs.imag, rep.rhs.real, rep.rhs.imag)))
+
+
+def test_an_overflowing_circle_integrand_fails_unflagged_after_one_grid(monkeypatch):
+    # a failed report means the identity failed numerically, not that the
+    # quadrature was slow, so an overflow is not flagged NoConvergence
+    seen = TestCircleIntegrand.spy_grids(monkeypatch)
+    rep = check_thm_1_1(ParamSet4(1e19, 1e19, 1e20, 1e20), 0.5, 20, 20)
+    assert seen["grid"] == [128]
+    assert rep.flags == ()
+    assert not rep.passed
+    assert not cmath.isfinite(rep.lhs)
 
 
 class TestSweep:
