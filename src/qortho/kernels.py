@@ -19,6 +19,12 @@ matrix of multiplications rather than of exponentials.  Its rounding grows
 with the power k and with n theta, and stays within 1e-13 of the sum of
 |c_k| at degree 60 on grids of up to 8192 angles.
 
+What depends only on the angles is built once per process by
+:func:`angle_table`: the phase rows e^{i s_c theta} of a product call, the
+power matrix of a Laurent sum, and :mod:`~qortho.quad`'s grids.  A table's
+key holds its angles' bytes, and it is built by the operations each call
+used to run, so every value is the same bit for bit.
+
 Each infinite product is its K head factors 1 - w_c q^k, k < K, times the
 two factors 1 - r+- w_c q^K that :func:`~qortho.qcore.closing_factors` puts
 in place of the rest, as :func:`~qortho.qcore.qpoch_infinite` forms it.
@@ -31,14 +37,19 @@ k into one running product per symbol; the symbols are multiplied together,
 and a quotient divided, only at the end.  The grids are small (typically 4
 symbols, head depth 5-40, 32-128 nodes), so the cost of a call is mostly its
 fixed numpy overhead and its factor count, and one block per depth chunk
-keeps the number of numpy calls independent of S.  The K + 2 rows are taken
-max(1, DEPTH_CHUNK // S) at a time, so one complex block of at most
+keeps the number of numpy calls independent of S; a head that fits in one
+chunk, as it does at the usual depths, is one block.  The K + 2 rows are
+taken max(1, DEPTH_CHUNK // S) at a time, so one complex block of at most
 max(DEPTH_CHUNK, S) x N values (16 * 128 * N bytes, about 0.26 MB at
 N = 128, for S <= DEPTH_CHUNK) is the working memory of a call, whatever the
-number of symbols and however deep the head gets near |q| = 1.
+number of symbols and however deep the head gets near |q| = 1.  The tables
+add at most TABLE_BYTES (4 MiB) per process, whatever the grids; the circle
+checks at degrees up to 6 hold about 1 MB.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -50,6 +61,40 @@ BACKEND = "numpy"
 # DEPTH_CHUNK x N complex values whatever the depth and symbol count are.
 DEPTH_CHUNK = 128
 
+# Bytes that all angle tables (phase rows, Laurent power matrices and
+# quadrature grids) hold together, each counted with its key and headers.
+TABLE_BYTES = 1 << 22
+
+_tables: dict = {}
+_held = 0
+
+
+def angle_table(key, build):
+    """The read-only array ``build()`` for the hashable ``key``, built on the
+    first call and kept while all tables fit in :data:`TABLE_BYTES` (a new
+    one evicts the oldest); one that alone exceeds the bound is built
+    afresh on every call and not kept."""
+    global _held
+    entry = _tables.get(key)
+    if entry is not None:
+        return entry[0]
+    table = build()
+    size = sys.getsizeof(table) + sum(map(sys.getsizeof, key))
+    if size <= TABLE_BYTES:
+        table.flags.writeable = False
+        while _held + size > TABLE_BYTES:
+            _held -= _tables.pop(next(iter(_tables)))[1]
+        _tables[key] = table, size
+        _held += size
+    return table
+
+
+def clear_tables() -> None:
+    """Drop every angle table."""
+    global _held
+    _tables.clear()
+    _held = 0
+
 
 def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
     """prod_c (coef_c e^{i exps_c theta}; q)_oo at each theta, as ``kmax``
@@ -59,8 +104,10 @@ def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
     product of the rest."""
     thetas = np.asarray(thetas, dtype=np.float64)
     coefs = np.asarray(coefs, dtype=np.complex128)
-    w = np.exp(1j * np.multiply.outer(np.asarray(exps, dtype=np.float64), thetas))
-    w *= coefs[:, None]
+    exps = np.asarray(exps, dtype=np.float64)
+    phases = angle_table(("phase", thetas.shape, thetas.tobytes(), exps.tobytes()),
+                         lambda: np.exp(1j * np.multiply.outer(exps, thetas)))
+    w = phases * coefs[:, None]
     depth = kmax + 2
     qpow = np.full(depth, complex(q))
     qpow[:1] = 1.0
@@ -70,23 +117,32 @@ def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
     qpow[kmax] *= plus
     chunk = max(1, DEPTH_CHUNK // max(coefs.shape[0], 1))
     block = np.empty((min(depth, chunk), *w.shape), dtype=np.complex128)
-    per_symbol = np.ones(w.shape, dtype=np.complex128)
     for start in range(0, depth, chunk):
         rows = block[: min(chunk, depth - start)]
         np.multiply.outer(qpow[start : start + chunk], w, out=rows)
         np.subtract(1.0, rows, out=rows)
-        per_symbol *= rows.prod(axis=0)
+        if start == 0:
+            per_symbol = rows.prod(axis=0)
+        else:
+            per_symbol *= rows.prod(axis=0)
     if split is None:
         return per_symbol.prod(axis=0)
     return per_symbol[:split].prod(axis=0) / per_symbol[split:].prod(axis=0)
+
+
+def _laurent_powers(thetas, n, count):
+    """The matrix of e^{i(2k-n)theta_j}, j over the angles and k < count."""
+    powers = np.empty((thetas.shape[0], count), dtype=np.complex128)
+    powers[:, 0] = np.exp(-1j * n * thetas)
+    powers[:, 1:] = np.exp(2j * thetas)[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    return powers
 
 
 def laurent_eval(coefs, n, thetas):
     """sum_k coefs[k] e^{i(2k-n)theta} at each theta."""
     thetas = np.asarray(thetas, dtype=np.float64)
     coefs = np.asarray(coefs, dtype=np.complex128)
-    powers = np.empty((thetas.shape[0], coefs.shape[0]), dtype=np.complex128)
-    powers[:, 0] = np.exp(-1j * n * thetas)
-    powers[:, 1:] = np.exp(2j * thetas)[:, None]
-    np.cumprod(powers, axis=1, out=powers)
+    powers = angle_table(("laurent", thetas.shape, thetas.tobytes(), n, coefs.shape[0]),
+                         lambda: _laurent_powers(thetas, n, coefs.shape[0]))
     return powers @ coefs

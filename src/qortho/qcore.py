@@ -18,6 +18,7 @@ series checks, PROP_3_1 and the command line run without importing numpy.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from itertools import accumulate, repeat
@@ -235,6 +236,7 @@ def qpoch_finite(a, q, n: int) -> complex:
     return _poch_row(a, QBase.coerce(q).q, as_degree("n", n))[-1]
 
 
+@functools.lru_cache(maxsize=256)
 def closing_factors(q) -> tuple[complex, complex]:
     """The pair (r+, r-) with
 
@@ -245,7 +247,8 @@ def closing_factors(q) -> tuple[complex, complex]:
     (Gasper & Rahman, *Basic Hypergeometric Series*, section 1.3); to second
     order in s = y/(1-q) that is 1 - s + (q/(1+q)) s^2, whose two linear
     factors have r+- = (1 +- sqrt((1-3q)/(1+q))) / (2 (1-q)), complex for
-    q > 1/3.  At q = 0 the pair is (1, 0) and the product exact."""
+    q > 1/3.  At q = 0 the pair is (1, 0) and the product exact.  Memoised
+    per q, for the 256 latest values: every product with one q shares it."""
     q = complex(q)
     root = cmath.sqrt((1.0 - 3.0 * q) / (1.0 + q))
     half = 0.5 / (1.0 - q)

@@ -17,7 +17,8 @@ Trefethen & Weideman, SIAM Review 56, 2014).  Each later level evaluates
 only the midpoints of the grid so far.  Every grid handed to the integrand
 has an even length M and holds theta and theta + pi as its j-th and
 (j + M/2)-th angle; an integrand that is pi-periodic in part may evaluate
-that part on the first half and repeat it.
+that part on the first half and repeat it.  The grids are read-only
+arrays built once per process (:func:`qortho.kernels.angle_table`).
 
 Half-period integrals apply the same rule and halve the result.  That equals
 the plain [0, pi] integral whenever the integrand's odd circle harmonics
@@ -43,6 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NearSingular
+from .kernels import angle_table
 from .qcore import (  # the quadrature types are re-exported from here
     DEFAULT_POLICY,
     DEFAULT_QUADRATURE,
@@ -78,16 +80,23 @@ def _level_values(f, spec: QuadratureSpec):
     so the node counts are those of one call per level."""
     n = spec.nodes
     if 2 * n > spec.max_nodes:
-        yield np.asarray(f(TWO_PI * np.arange(n) / n), dtype=np.complex128)
+        yield np.asarray(f(_grid(n, False)), dtype=np.complex128)
         return
-    values = np.asarray(f(TWO_PI * np.arange(2 * n) / (2 * n)), dtype=np.complex128)
+    values = np.asarray(f(_grid(2 * n, False)), dtype=np.complex128)
     yield values[::2]
     yield values[1::2]
     n *= 2
     while 2 * n <= spec.max_nodes:
         # midpoints of the current grid = the odd nodes of the doubled grid
-        yield np.asarray(f(TWO_PI * (np.arange(n) + 0.5) / n), dtype=np.complex128)
+        yield np.asarray(f(_grid(n, True)), dtype=np.complex128)
         n *= 2
+
+
+def _grid(n: int, midpoints: bool) -> np.ndarray:
+    """The angles 2 pi j / n, or with ``midpoints`` 2 pi (j + 1/2) / n,
+    j < n, as a read-only :func:`~qortho.kernels.angle_table`."""
+    offset = 0.5 if midpoints else 0.0
+    return angle_table(("grid", n, midpoints), lambda: TWO_PI * (np.arange(n) + offset) / n)
 
 
 def periodic_integral(
@@ -102,9 +111,9 @@ def periodic_integral(
     which holds the start grid and its midpoints (only the N-point grid when
     ``spec.max_nodes`` is below 2N); each later call gets the midpoints of
     the grid so far, and no call takes the node count past
-    ``spec.max_nodes``.  Each array it gets has an even length M and holds
-    theta_j + pi at index j + M/2 for every j < M/2, so ``f`` may compute a
-    pi-periodic factor on the first half and repeat it.
+    ``spec.max_nodes``.  Each array it gets is read-only, has an even
+    length M and holds theta_j + pi at index j + M/2 for every j < M/2, so
+    ``f`` may compute a pi-periodic factor on the first half and repeat it.
     ``interval`` is ``FULL_PERIOD`` or ``HALF_PERIOD``; the half-period mode
     evaluates over the whole period and halves, see the module docstring.
     Never raises on slow convergence: the result carries ``converged=False``
@@ -123,14 +132,16 @@ def periodic_integral(
     levels = _level_values(f, spec)
     values = next(levels)
     n = spec.nodes
-    running_sum = values.sum()
+    # Python complex arithmetic from here on: an inf sum times the real
+    # weight gives numpy's value without its warning for the 0 * inf
+    running_sum = complex(values.sum())
     fmax = float(np.max(np.abs(values))) if values.size else 0.0
     estimate = factor * TWO_PI / n * running_sum
 
     converged = False
     est_error = math.inf
     for new_values in levels:
-        running_sum += new_values.sum()
+        running_sum += complex(new_values.sum())
         fmax = max(fmax, float(np.max(np.abs(new_values))))
         n *= 2
         refined = factor * TWO_PI / n * running_sum

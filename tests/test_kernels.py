@@ -2,8 +2,10 @@
 over every factor of the infinite products, in double precision or at 20
 digits) on every workload shape the package uses, and the circle checkers
 built on them must keep the values they gave before the product kernel was
-vectorized."""
+vectorized.  Their angle tables must give the values of the formulas they
+memoise bit for bit, and hold at most ``TABLE_BYTES``."""
 
+import sys
 import tracemalloc
 
 import mpmath
@@ -11,9 +13,10 @@ import numpy as np
 import pytest
 
 from oracles import mp_qpoch
-from qortho import ParamSet4, SweepSpec, big_c_coeffs, kernels
+from qortho import ParamSet4, SweepSpec, big_c_coeffs, kernels, quad
+from qortho.qcore import closing_factors
 from qortho.qfun import quotient_depth
-from qortho.verify import REGISTRY, IdentityId, draw_params
+from qortho.verify import REGISTRY, IdentityId, draw_params, run_sweep
 
 
 def loop_qpoch(a, q):
@@ -205,3 +208,109 @@ def test_circle_lhs_of_first_draws_are_pinned(identity):
         report = record.checker(**draw_params(record.id, rng, spec))
         assert report.passed
         assert abs(report.lhs - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+def uncached_poch(coefs, exps, q, kmax, thetas, split=None):
+    """``poch_product_many`` without tables: the phases from ``exp`` on
+    every call, one running product over depth chunks."""
+    w = np.exp(1j * np.multiply.outer(np.asarray(exps, dtype=np.float64), thetas))
+    w *= np.asarray(coefs, dtype=np.complex128)[:, None]
+    qpow = np.cumprod(np.r_[1.0, np.full(kmax + 1, complex(q))])
+    plus, minus = closing_factors(q)
+    qpow[kmax + 1] = qpow[kmax] * minus
+    qpow[kmax] *= plus
+    chunk = max(1, kernels.DEPTH_CHUNK // len(coefs))
+    per_symbol = np.ones(w.shape, dtype=np.complex128)
+    for start in range(0, kmax + 2, chunk):
+        per_symbol *= (1.0 - np.multiply.outer(qpow[start : start + chunk], w)).prod(axis=0)
+    if split is None:
+        return per_symbol.prod(axis=0)
+    return per_symbol[:split].prod(axis=0) / per_symbol[split:].prod(axis=0)
+
+
+def uncached_laurent(coefs, n, thetas):
+    """``laurent_eval`` without tables: the power matrix built on every
+    call."""
+    powers = np.empty((len(thetas), len(coefs)), dtype=np.complex128)
+    powers[:, 0] = np.exp(-1j * n * thetas)
+    powers[:, 1:] = np.exp(2j * thetas)[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    return powers @ np.asarray(coefs, dtype=np.complex128)
+
+
+# the quad grids as the circle checks see them, and arrays no grid is
+ANGLE_ARRAYS = {
+    "grid_128": lambda: quad._grid(128, False),
+    "grid_128_first_half": lambda: quad._grid(128, False)[:64],
+    "midpoints_256": lambda: quad._grid(256, True),
+    "single_angle": lambda: np.array([0.7]),
+    "non_contiguous": lambda: nodes(96)[1::3],
+    "signed_zeros": lambda: np.array([-0.0, 0.0, 1.5, -0.0]),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("angles", list(ANGLE_ARRAYS))
+@pytest.mark.parametrize("kmax, split", [(0, None), (12, 2), (300, 3)])
+def test_warm_product_tables_give_the_uncached_values_bit_for_bit(angles, kmax, split, rng):
+    # kmax 300 takes more than one depth chunk
+    thetas = ANGLE_ARRAYS[angles]()
+    coefs = random_coefs(rng, 4)
+    exps = np.array([2.0, -2.0, 1.0, -1.0])
+    want = uncached_poch(coefs, exps, 0.6 + 0.1j, kmax, thetas, split)
+    kernels.clear_tables()
+    for _ in range(2):  # cold, then warm
+        got = kernels.poch_product_many(coefs, exps, 0.6 + 0.1j, kmax, thetas, split)
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("angles", list(ANGLE_ARRAYS))
+@pytest.mark.parametrize("degree", [0, 12])
+def test_warm_power_tables_give_the_uncached_values_bit_for_bit(angles, degree, rng):
+    thetas = ANGLE_ARRAYS[angles]()
+    coefs = random_coefs(rng, degree + 1)
+    kernels.clear_tables()
+    for _ in range(2):
+        assert same_bits(kernels.laurent_eval(coefs, degree, thetas),
+                         uncached_laurent(coefs, degree, thetas))
+
+
+def test_a_returned_table_is_read_only():
+    table = kernels.angle_table(("test", "read-only"), lambda: np.zeros(3))
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    assert kernels.angle_table(("test", "read-only"), lambda: np.ones(3)) is table
+    with pytest.raises(ValueError):
+        quad._grid(64, False)[0] = 1.0
+
+
+def test_the_tables_hold_at_most_table_bytes():
+    # 24 distinct grids of 8192 angles, each with a 1.7 MB power matrix, and
+    # a degree-60 matrix (8 MB) that alone exceeds the bound and is not kept
+    kernels.clear_tables()
+    coefs = np.ones(13)
+    for shift in range(24):
+        thetas = nodes(8192) + shift * 1e-3
+        kernels.laurent_eval(coefs, 12, thetas)
+        held = [table for table, _ in kernels._tables.values()]
+        assert sum(map(sys.getsizeof, held)) <= kernels._held <= kernels.TABLE_BYTES
+    assert 0 < len(held) < 24
+    kept = len(kernels._tables)
+    big = random_coefs(np.random.default_rng(0), 61)
+    got = kernels.laurent_eval(big, 60, thetas)
+    assert len(kernels._tables) == kept
+    assert same_bits(got, uncached_laurent(big, 60, thetas))
+
+
+@pytest.mark.parametrize("identity", list(PINNED_LHS))
+def test_sweep_records_are_the_same_with_cleared_and_with_warm_tables(identity):
+    def records():
+        return [r.to_record() for r in run_sweep(identity, SweepSpec(seed=1, draws=20))]
+
+    kernels.clear_tables()
+    closing_factors.cache_clear()
+    cold = records()
+    assert records() == cold
