@@ -226,9 +226,17 @@ def _parse_listed_complex(raw: str) -> complex:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (``qortho verify ... | head``): what
+            # is left goes to the null device, so the flush at exit succeeds
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

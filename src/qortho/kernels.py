@@ -30,7 +30,9 @@ two factors 1 - r+- w_c q^K that :func:`~qortho.qcore.closing_factors` puts
 in place of the rest, as :func:`~qortho.qcore.qpoch_infinite` forms it.
 So the q-power rows of a call are 1, q, ..., q^(K-1), r+ q^K, r- q^K:
 K + 2 rows of one kind, and the closing pair costs two rows and no array
-operation of its own.  The product is formed for all S symbols at once (numerators and
+operation of its own.  The rows are built once per (q, K) and kept,
+read-only, for the 16 latest pairs (under 1 KB each at the usual depths).
+The product is formed for all S symbols at once (numerators and
 denominators together when the call forms a quotient), as broadcast blocks
 1 - p_k w_c(theta_j) over the rows p_k, symbols c and nodes j, reduced over
 k into one running product per symbol; the symbols are multiplied together,
@@ -49,6 +51,7 @@ checks at degrees up to 6 hold about 1 MB.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import numpy as np
@@ -90,10 +93,27 @@ def angle_table(key, build):
 
 
 def clear_tables() -> None:
-    """Drop every angle table."""
+    """Drop every angle table and the memoised q-power rows."""
     global _held
     _tables.clear()
     _held = 0
+    _power_rows.cache_clear()
+
+
+@functools.lru_cache(maxsize=16)
+def _power_rows(q: complex, kmax: int) -> np.ndarray:
+    """The read-only q-power rows 1, q, ..., q^(kmax-1), r+ q^kmax,
+    r- q^kmax of a product call.  Memoised per (q, kmax) for the 16 latest
+    pairs, as :func:`~qortho.qcore.closing_factors` is per q: a circle check
+    makes every kernel call of all its grids with one pair."""
+    qpow = np.full(kmax + 2, q)
+    qpow[:1] = 1.0
+    np.cumprod(qpow, out=qpow)
+    plus, minus = closing_factors(q)
+    qpow[kmax + 1] = qpow[kmax] * minus
+    qpow[kmax] *= plus
+    qpow.flags.writeable = False
+    return qpow
 
 
 def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
@@ -109,12 +129,7 @@ def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
                          lambda: np.exp(1j * np.multiply.outer(exps, thetas)))
     w = phases * coefs[:, None]
     depth = kmax + 2
-    qpow = np.full(depth, complex(q))
-    qpow[:1] = 1.0
-    np.cumprod(qpow, out=qpow)
-    plus, minus = closing_factors(q)
-    qpow[kmax + 1] = qpow[kmax] * minus
-    qpow[kmax] *= plus
+    qpow = _power_rows(complex(q), kmax)
     chunk = max(1, DEPTH_CHUNK // max(coefs.shape[0], 1))
     block = np.empty((min(depth, chunk), *w.shape), dtype=np.complex128)
     for start in range(0, depth, chunk):

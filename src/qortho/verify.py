@@ -278,7 +278,8 @@ def _circle_check(
     are multiplied once per check into one Laurent polynomial (the
     convolution of their coefficients, degree the sum of theirs), so each
     integrand call makes one Laurent evaluation and one kernel call per
-    quotient.
+    quotient.  The weight's two denominator symbols, those inside the
+    circle, are the rule's pole pair (:func:`periodic_integral`).
 
     The weight, a function of e^{2i theta}, is evaluated on the first half of
     each grid and repeated: :func:`periodic_integral` grids hold theta + pi
@@ -309,8 +310,11 @@ def _circle_check(
             values *= quotient(thetas)
         return values
 
+    # the k = 0 factors of the weight's denominator hold the poles nearest
+    # the circle; THM_1_2 admits a symbol outside it, whose poles lie inside
+    poles = tuple(c if abs(c) < 1.0 else 0.0 for c in own[1])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        result = periodic_integral(integrand, interval, qspec)
+        result = periodic_integral(integrand, interval, qspec, poles=poles)
     if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)

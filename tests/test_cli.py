@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -506,3 +507,20 @@ class TestExitCodeContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value_re"] == pytest.approx(2.8)
+
+    def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(self):
+        # ``qortho verify ... | head -c 200``: here the reading end is closed
+        # before the process starts, so its first write meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qortho.cli", "verify", "--identity", "ROGERS_6W5",
+                 "--a-re", "0.2", "--b-re", "0.5", "--c-re", "0.6", "--d-re", "0.7",
+                 "--q", "0.5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_PASS

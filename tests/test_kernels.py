@@ -210,15 +210,22 @@ def test_circle_lhs_of_first_draws_are_pinned(identity):
         assert abs(report.lhs - want) <= 1e-13 * max(abs(want), 1.0)
 
 
+def uncached_rows(q, kmax):
+    """The q-power rows 1, q, ..., q^(kmax-1), r+ q^kmax, r- q^kmax, built
+    afresh."""
+    qpow = np.cumprod(np.r_[1.0, np.full(kmax + 1, complex(q))])
+    plus, minus = closing_factors(q)
+    qpow[kmax + 1] = qpow[kmax] * minus
+    qpow[kmax] *= plus
+    return qpow
+
+
 def uncached_poch(coefs, exps, q, kmax, thetas, split=None):
     """``poch_product_many`` without tables: the phases from ``exp`` on
     every call, one running product over depth chunks."""
     w = np.exp(1j * np.multiply.outer(np.asarray(exps, dtype=np.float64), thetas))
     w *= np.asarray(coefs, dtype=np.complex128)[:, None]
-    qpow = np.cumprod(np.r_[1.0, np.full(kmax + 1, complex(q))])
-    plus, minus = closing_factors(q)
-    qpow[kmax + 1] = qpow[kmax] * minus
-    qpow[kmax] *= plus
+    qpow = uncached_rows(q, kmax)
     chunk = max(1, kernels.DEPTH_CHUNK // len(coefs))
     per_symbol = np.ones(w.shape, dtype=np.complex128)
     for start in range(0, kmax + 2, chunk):
@@ -276,6 +283,24 @@ def test_warm_power_tables_give_the_uncached_values_bit_for_bit(angles, degree, 
     for _ in range(2):
         assert same_bits(kernels.laurent_eval(coefs, degree, thetas),
                          uncached_laurent(coefs, degree, thetas))
+
+
+@pytest.mark.parametrize("kmax", [0, 12, 300])
+def test_memoised_power_rows_are_the_fresh_rows_bit_for_bit(kmax, rng):
+    # 0.5 and 0.5 + 0j compare equal and share one memo entry
+    thetas = nodes(64)
+    coefs = random_coefs(rng, 4)
+    exps = np.array([2.0, -2.0, 1.0, -1.0])
+    kernels.clear_tables()
+    for q in (0.5, 0.5 + 0j, 0.6 + 0.1j, 0.6 + 0.1j):
+        rows = kernels._power_rows(complex(q), kmax)
+        assert same_bits(rows, uncached_rows(q, kmax))
+        assert not rows.flags.writeable
+        assert same_bits(kernels.poch_product_many(coefs, exps, q, kmax, thetas, 2),
+                         uncached_poch(coefs, exps, q, kmax, thetas, 2))
+    assert kernels._power_rows(0.5 + 0j, kmax) is kernels._power_rows(0.5, kmax)
+    kernels.clear_tables()
+    assert kernels._power_rows.cache_info().currsize == 0
 
 
 def test_a_returned_table_is_read_only():

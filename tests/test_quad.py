@@ -188,6 +188,7 @@ class TestPeriodicIntegral:
         f = lambda th: 1.0 / (peak - np.cos(th)) + np.exp(1j * th) / (peak + np.sin(th))
         spec = QuadratureSpec(nodes=start, max_nodes=max_nodes, rel_tol=1e-12)
         got = periodic_integral(f, interval, spec)
+        assert periodic_integral(f, interval, spec, poles=(0.0, 0.0)) == got
         want = one_call_per_level_integral(f, interval, spec)
         assert (got.nodes, got.converged, got.fscale) == (want.nodes, want.converged, want.fscale)
         assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
@@ -203,6 +204,60 @@ class TestPeriodicIntegral:
         big = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=512, max_nodes=8192))
         assert small.value == pytest.approx(big.value, rel=1e-10)
         assert small.converged and big.converged
+
+
+def pole_pair_integrand(coefs, poles):
+    """f = g r with g = sum_k coefs[k] e^{i (k - d) theta}, d = the degree,
+    and r = 1/((1 - a e^{2i theta})(1 - b e^{-2i theta})); and its exact
+    integral over the period, 2 pi sum_m g_{-2m} r_m with r_m = a^m/(1 - ab)
+    for m >= 0 and b^{-m}/(1 - ab) for m < 0."""
+    a, b = poles
+    degree = (len(coefs) - 1) // 2
+    ks = np.arange(-degree, degree + 1)
+
+    def f(th):
+        z = np.exp(2j * th)
+        return np.exp(1j * np.multiply.outer(th, ks)) @ coefs / ((1 - a * z) * (1 - b / z))
+
+    exact = 2 * math.pi * sum(coefs[degree - 2 * m] * (a ** m if m >= 0 else b ** -m)
+                              for m in range(-(degree // 2), degree // 2 + 1)) / (1 - a * b)
+    return f, exact
+
+
+class TestPoleCorrectedRule:
+    POLES = [(0.95, 0.95), (0.95 * np.exp(0.7j), 0.95 * np.exp(-1.3j)), (0.95, 0.0),
+             (0.0, -0.95j)]
+
+    @pytest.mark.parametrize("poles", POLES)
+    @pytest.mark.parametrize("nodes, degree", [(64, 31), (66, 32), (18, 8)])
+    def test_exact_for_a_polynomial_of_degree_below_half_the_grid_times_r(
+            self, poles, nodes, degree, rng):
+        # 66 and 18 are 2 mod 4, where sigma = z^ceil(n/4) is not +-1 on the grid
+        coefs = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
+        f, exact = pole_pair_integrand(coefs, poles)
+        one_grid = QuadratureSpec(nodes=nodes, max_nodes=nodes)
+        got = periodic_integral(f, FULL_PERIOD, one_grid, poles=poles)
+        assert abs(got.value - exact) <= 1e-14 * got.fscale
+        # the plain rule on that grid is far off, and settles only by 1024 nodes
+        plain = periodic_integral(f, FULL_PERIOD, one_grid)
+        assert abs(plain.value - exact) > 1e-4 * plain.fscale
+        assert periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=nodes)).nodes >= 1024
+        refined = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=nodes), poles=poles)
+        assert refined.converged and refined.nodes == 2 * nodes
+        assert abs(refined.value - exact) <= 1e-14 * refined.fscale
+
+    def test_half_period_halves_the_corrected_rule(self, rng):
+        coefs = rng.normal(size=41) + 0j
+        f, exact = pole_pair_integrand(coefs, (0.9, 0.8))
+        got = periodic_integral(f, HALF_PERIOD, poles=(0.9, 0.8))
+        assert got.nodes == 128
+        assert abs(got.value - exact / 2) <= 1e-14 * got.fscale
+
+    @pytest.mark.parametrize("poles", [(1.0, 0.0), (0.0, -1j), (0.6, 1.2), (math.nan, 0.0)])
+    def test_poles_on_or_outside_the_circle_rejected(self, poles):
+        with pytest.raises(DomainError, match="inside the unit circle"):
+            periodic_integral(lambda th: np.ones_like(th, dtype=complex), FULL_PERIOD,
+                              poles=poles)
 
 
 class TestPhiQIntegralRepr:

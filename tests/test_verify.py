@@ -341,9 +341,9 @@ class TestCircleIntegrand:
     @staticmethod
     def spy_grids(monkeypatch):
         """Record the angle count of every kernel call and quadrature grid,
-        and every QuadResult, of the circle checks that follow."""
-        seen = {"poch": [], "laurent": [], "grid": [], "result": [], "kmax": set(),
-                "split": set()}
+        and every QuadResult and pole pair, of the circle checks that follow."""
+        seen = {"poch": [], "laurent": [], "grid": [], "result": [], "poles": [],
+                "kmax": set(), "split": set()}
         poch, laurent = kernels.poch_product_many, kernels.laurent_eval
 
         def spy_poch(coefs, exps, q, kmax, thetas, split=None):
@@ -356,12 +356,13 @@ class TestCircleIntegrand:
             seen["laurent"].append((n, len(thetas)))
             return laurent(coefs, n, thetas)
 
-        def spy_integral(f, interval, spec):
+        def spy_integral(f, interval, spec, *, poles):
             def counted(thetas):
                 seen["grid"].append(len(thetas))
                 return f(thetas)
 
-            result = periodic_integral(counted, interval, spec)
+            seen["poles"].append(poles)
+            result = periodic_integral(counted, interval, spec, poles=poles)
             seen["result"].append(result)
             return result
 
@@ -447,6 +448,43 @@ class TestCircleIntegrand:
         assert seen["split"] == {4, 2}
         assert seen["laurent"] == []
         assert len(seen["kmax"]) == 1  # one truncation depth for all symbols
+
+    @pytest.mark.parametrize("check, args, poles", [
+        (check_thm_1_1, (ParamSet4(0.92, 0.3, 1.0, 1.0), 0.3, 3, 3), (0.92, 0.3)),
+        (check_thm_1_3, (ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 2, 0), (0.3 * 0.9 / 1.1,
+                                                                          0.3 * 1.1 / 0.9)),
+        (check_ultra_ortho, (0.3, 0.5, 2, 2), (0.3, 0.3)),
+    ])
+    def test_the_weight_denominator_symbols_are_the_rule_s_poles(self, monkeypatch, check,
+                                                                  args, poles):
+        seen = self.spy_grids(monkeypatch)
+        assert check(*args).passed
+        assert seen["poles"] == [pytest.approx(poles, rel=1e-15)]
+
+    def test_a_weight_symbol_outside_the_circle_is_not_a_pole(self, monkeypatch):
+        # THM_1_2 does not bound |alpha/delta|; at 1.8 the poles of that
+        # symbol's factor lie inside the circle, where the rule's series for
+        # the pole pair does not hold
+        seen = self.spy_grids(monkeypatch)
+        check_thm_1_2(ParamSet4(0.9, 0.05, 1.0, 0.5), 0.5, 0.4, 0.5)
+        assert seen["poles"] == [pytest.approx((0.0, 0.05), rel=1e-15)]
+
+    def test_a_weight_pole_near_the_circle_settles_at_128_nodes(self, monkeypatch):
+        # |alpha/delta| = 0.92: the plain rule converges like 0.92^(n/2)
+        p = ParamSet4(0.92, 0.3, 1.0, 1.0)
+        seen = self.spy_grids(monkeypatch)
+        corrected = check_thm_1_1(p, 0.3, 3, 3)
+        assert corrected.passed
+        assert seen["result"][0].nodes == 128
+
+        def plain(f, interval, spec, *, poles):
+            seen["result"].append(periodic_integral(f, interval, spec))
+            return seen["result"][-1]
+
+        monkeypatch.setattr(verify, "periodic_integral", plain)
+        assert check_thm_1_1(p, 0.3, 3, 3).passed
+        assert seen["result"][1].nodes >= 1024
+        assert abs(corrected.lhs - seen["result"][1].value) <= 1e-13 * abs(corrected.rhs)
 
     def test_seed_0_draws_converge_by_256_nodes(self, monkeypatch):
         seen = self.spy_grids(monkeypatch)
