@@ -21,9 +21,10 @@ with the power k and with n theta, and stays within 1e-13 of the sum of
 
 What depends only on the angles is built once per process by
 :func:`angle_table`: the phase rows e^{i s_c theta} of a product call, the
-power matrix of a Laurent sum, and :mod:`~qortho.quad`'s grids.  A table's
-key holds its angles' bytes, and it is built by the operations each call
-used to run, so every value is the same bit for bit.
+power matrix of a Laurent sum, and :mod:`~qortho.quad`'s grids and moment
+tables.  The key of a kernel table holds its angles' bytes (a quad table's,
+its node count), and it is built by the operations each call used to run,
+so every value is the same bit for bit.
 
 Each infinite product is its K head factors 1 - w_c q^k, k < K, times the
 two factors 1 - r+- w_c q^K that :func:`~qortho.qcore.closing_factors` puts
@@ -46,7 +47,7 @@ max(DEPTH_CHUNK, S) x N values (16 * 128 * N bytes, about 0.26 MB at
 N = 128, for S <= DEPTH_CHUNK) is the working memory of a call, whatever the
 number of symbols and however deep the head gets near |q| = 1.  The tables
 add at most TABLE_BYTES (4 MiB) per process, whatever the grids; the circle
-checks at degrees up to 6 hold about 1 MB.
+checks at degrees up to 6 hold about 0.5 MB.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ BACKEND = "numpy"
 # DEPTH_CHUNK x N complex values whatever the depth and symbol count are.
 DEPTH_CHUNK = 128
 
-# Bytes that all angle tables (phase rows, Laurent power matrices and
-# quadrature grids) hold together, each counted with its key and headers.
+# Bytes that all angle tables (phase rows, Laurent power matrices, quadrature
+# grids and moment tables) hold together, each counted with its key and headers.
 TABLE_BYTES = 1 << 22
 
 _tables: dict = {}

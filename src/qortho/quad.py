@@ -42,14 +42,11 @@ sigma = z^e at the nodes
 When g is a trigonometric polynomial of degree < N/2, g r~ has degree < N,
 which the rule integrates exactly, and g (r - r~) has no constant term, so
 the corrected rule is exact; in general its error follows the singularities
-of g, not the pole pair.  When 4 divides N, sigma = (-1)^j and B, B^ are
-A, sum sigma f z.  These sums are moments of f, one matrix product of each
-call's values with a table of columns per grid.  On a doubled grid sigma is
-+1 at the nodes so far and -1 at the new midpoints, so the running sums of
-f, f z and f / z over the nodes so far and over the midpoints give each
-later level: three columns per midpoint call, ten for the first call.
-Without poles (a = b = 0) the correction is zero and the rule the plain
-one.
+of g, not the pole pair.  These five sums are moments of f: the values of
+the nodes evaluated so far are kept in the order of the grid, and level N
+multiplies those of its N nodes by one read-only N x 5 table of the columns
+1, sigma, sigma/z, 1/sigma, z/sigma, built once per N.  Without poles
+(a = b = 0) the correction is zero and the rule the plain one.
 
 Half-period integrals apply the same rule and halve the result.  That equals
 the plain [0, pi] integral whenever the integrand's odd circle harmonics
@@ -110,40 +107,19 @@ def _grid(n: int, midpoints: bool) -> np.ndarray:
     return angle_table(("grid", n, midpoints), lambda: TWO_PI * (np.arange(n) + offset) / n)
 
 
-def _moment_columns(thetas: np.ndarray) -> np.ndarray:
-    """The columns 1, z, 1/z at z = e^{2i theta}."""
-    z = np.exp(2j * thetas)
-    return np.stack((np.ones_like(z), z, z.conj()), axis=1)
-
-
-def _start_table(count: int, n: int) -> np.ndarray:
-    """The moment columns of the first integrand call, on ``count`` = n or
-    2n angles 2 pi j / count.  Columns 0-6 sum over the n-point grid (the
-    even angles when count = 2n): 1, z, 1/z, sigma, sigma/z, 1/sigma,
-    z/sigma with sigma = z^e, e = ceil(n/4), which is (-1)^j times
-    e^{i (2e - n/2) theta}, so exactly (-1)^j when 4 divides n.  When
-    count = 2n, columns 7-9 sum 1, z, 1/z over the odd angles, the
-    midpoints of the n-point grid."""
+def _moment_table(n: int) -> np.ndarray:
+    """The n x 5 columns 1, sigma, sigma/z, 1/sigma, z/sigma at the angles
+    2 pi j / n, with z = e^{2i theta} and sigma = z^e, e = ceil(n/4).  The
+    angle 2e theta_j is taken as the grid angle of index 2ej mod n, so sigma
+    does not lose the digits of e theta."""
     def build():
-        table = np.zeros((count, 10 if count > n else 7), dtype=np.complex128)
         thetas = _grid(n, False)
-        e = -(-n // 4)
-        sigma = np.where(np.arange(n) % 2, -1.0, 1.0) * np.exp(1j * (2 * e - n // 2) * thetas)
-        columns = _moment_columns(thetas)
-        start = table[:: count // n]
-        start[:, :3] = columns
-        start[:, 3:5] = sigma[:, None] * columns[:, (0, 2)]
-        start[:, 5:7] = sigma.conj()[:, None] * columns[:, (0, 1)]
-        if count > n:
-            table[1::2, 7:] = _moment_columns(_grid(n, True))
-        return table
+        z = np.exp(2j * thetas)
+        sigma = np.exp(1j * thetas[2 * -(-n // 4) * np.arange(n) % n])
+        return np.stack((np.ones_like(z), sigma, sigma / z, sigma.conj(), z * sigma.conj()),
+                        axis=1)
 
-    return angle_table(("start moments", count, n), build)
-
-
-def _midpoint_table(n: int) -> np.ndarray:
-    """The columns 1, z, 1/z at the midpoints of the n-point grid."""
-    return angle_table(("midpoint moments", n), lambda: _moment_columns(_grid(n, True)))
+    return angle_table(("moments", n), build)
 
 
 def periodic_integral(
@@ -176,8 +152,10 @@ def periodic_integral(
 
     Never raises on slow convergence: the result carries ``converged=False``
     when no further doubling fits in ``max_nodes`` and the residual is still
-    above ``rel_tol``, or when a level's values are not all finite, which
-    ends the refinement there.
+    above ``rel_tol``.  A call that returns a value that is not finite, or
+    a level whose sum is not, ends the refinement: the result is then the
+    plain sum over every node evaluated, with ``converged=False`` and
+    ``est_error`` infinite.
     """
     if interval == FULL_PERIOD:
         factor = 1.0
@@ -190,54 +168,42 @@ def periodic_integral(
         raise DomainError(f"poles must lie inside the unit circle, got {poles}")
     length = TWO_PI * factor
 
-    # Python complex arithmetic on the moments: an inf sum times the real
-    # weight gives numpy's value without its warning for the 0 * inf
-    def rule(n, s0, sigma, sigma_over_z, over_sigma, z_over_sigma):
+    def rule(n):
+        """The corrected n-point rule on every (len(values) / n)-th value."""
+        s0, sigma, sigma_over_z, over_sigma, z_over_sigma = (
+            values[:: values.shape[0] // n] @ _moment_table(n)).tolist()
         e = -(-n // 4)
         tail = (a ** e * (sigma - b * sigma_over_z)
                 + b ** e * (over_sigma - a * z_over_sigma)) / (1.0 - a * b)
         return factor * TWO_PI / n * (s0 - tail)
 
+    # the values of the nodes so far, in the order of the grid 2 pi j / len(values)
     n = spec.nodes
-    count = 2 * n if 2 * n <= spec.max_nodes else n
-    values = np.asarray(f(_grid(count, False)), dtype=np.complex128)
+    values = np.asarray(f(_grid(2 * n if 2 * n <= spec.max_nodes else n, False)),
+                        dtype=np.complex128)
     fmax = float(abs(values).max())
-    if not math.isfinite(fmax):  # an overflowing integrand: no finer grid settles it
-        return QuadResult(factor * TWO_PI / count * complex(values.sum()), count, False,
-                          math.inf, fmax * length)
-    # finite values only: the tables' zeros would turn an inf into a NaN
-    s0, s1, s2, *moments = (values @ _start_table(count, n)).tolist()
-    estimate = rule(n, s0, *moments[:4])
-    mid = moments[4:]  # the midpoint sums of 1, z, 1/z; none without a doubling
-
-    converged = False
-    est_error = math.inf
-    while mid:
-        m0, m1, m2 = mid
-        n *= 2
-        # sigma = z^(n/4) is +1 at the nodes so far and -1 at the midpoints
-        a0, a1, a2 = s0 - m0, s1 - m1, s2 - m2
-        s0, s1, s2 = s0 + m0, s1 + m1, s2 + m2
-        refined = rule(n, s0, a0, a2, a0, a1)
-        if not cmath.isfinite(refined):
-            estimate = refined
+    estimate, est_error, converged = None, math.inf, False
+    while math.isfinite(fmax):
+        refined = rule(n)
+        if not cmath.isfinite(refined):  # finite values whose sums overflow
             break
-        est_error = abs(refined - estimate)
+        if estimate is not None:
+            est_error = abs(refined - estimate)
+            converged = est_error <= spec.rel_tol * max(abs(refined), fmax * length)
         estimate = refined
-        if est_error <= spec.rel_tol * max(abs(estimate), fmax * length):
-            converged = True
-            break
-        if 2 * n > spec.max_nodes:
-            break
-        values = np.asarray(f(_grid(n, True)), dtype=np.complex128)
-        top = float(abs(values).max())
-        fmax = max(fmax, top)
-        if not math.isfinite(top):
-            n *= 2
-            estimate = factor * TWO_PI / n * (s0 + complex(values.sum()))
-            break
-        mid = (values @ _midpoint_table(n)).tolist()
-    return QuadResult(complex(estimate), n, converged, est_error, fmax * length)
+        if converged or 2 * n > spec.max_nodes:
+            return QuadResult(complex(estimate), n, converged, est_error, fmax * length)
+        if values.shape[0] == n:
+            mid = np.asarray(f(_grid(n, True)), dtype=np.complex128)
+            fmax = max(float(abs(mid).max()), fmax)  # a NaN first stays NaN
+            merged = np.empty(2 * n, dtype=np.complex128)
+            merged[::2], merged[1::2] = values, mid
+            values = merged
+        n *= 2
+    # an overflowing integrand: no finer grid settles it
+    count = values.shape[0]
+    return QuadResult(factor * TWO_PI / count * complex(values.sum()), count, False, math.inf,
+                      fmax * length)
 
 
 def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QBase,

@@ -278,8 +278,8 @@ def _circle_check(
     are multiplied once per check into one Laurent polynomial (the
     convolution of their coefficients, degree the sum of theirs), so each
     integrand call makes one Laurent evaluation and one kernel call per
-    quotient.  The weight's two denominator symbols, those inside the
-    circle, are the rule's pole pair (:func:`periodic_integral`).
+    quotient.  The weight's two denominator symbols, inside the circle for
+    every caller, are the rule's pole pair (:func:`periodic_integral`).
 
     The weight, a function of e^{2i theta}, is evaluated on the first half of
     each grid and repeated: :func:`periodic_integral` grids hold theta + pi
@@ -310,11 +310,9 @@ def _circle_check(
             values *= quotient(thetas)
         return values
 
-    # the k = 0 factors of the weight's denominator hold the poles nearest
-    # the circle; THM_1_2 admits a symbol outside it, whose poles lie inside
-    poles = tuple(c if abs(c) < 1.0 else 0.0 for c in own[1])
+    # the k = 0 factors of the weight's denominator hold the poles nearest the circle
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        result = periodic_integral(integrand, interval, qspec, poles=poles)
+        result = periodic_integral(integrand, interval, qspec, poles=own[1])
     if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
@@ -380,7 +378,8 @@ def check_thm_1_2(
 ) -> VerificationReport:
     """Seven-parameter product integral: quadrature of the 12-product
     integrand vs. the prefactor times a single geometric-type series in
-    (gamma delta s t)^n."""
+    (gamma delta s t)^n.  The weight's denominator symbols need
+    |alpha/delta| < 1 and |beta/gamma| < 1, as for :func:`check_thm_1_1`."""
     _numeric()
     qb = QBase.coerce(q)
     s = finite_complex("s", s)
@@ -391,6 +390,8 @@ def check_thm_1_2(
                 f"hypothesis max(|q|, |alpha/gamma|, |beta/delta|, |gamma*s|, "
                 f"|gamma*t|, |delta*s|, |delta*t|) < 1 violated: {name} = {value:.6g}"
             )
+    _require_regular_weight({"|alpha/delta|": abs(p.alpha / p.delta),
+                             "|beta/gamma|": abs(p.beta / p.gamma)})
     return _circle_check(
         IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,

@@ -18,6 +18,7 @@ from qortho import (
     phi_qintegral_repr,
     weight_omega_many,
 )
+from qortho.quad import _grid, _moment_table
 from qortho.verify import IdentityId, SweepSpec, draw_params
 
 from oracles import lattice_repr_oracle
@@ -149,7 +150,23 @@ class TestPeriodicIntegral:
         res = periodic_integral(f, FULL_PERIOD, spec)
         assert grids == counts
         assert res.nodes == sum(counts)
-        assert not res.converged
+        assert not res.converged and res.est_error == math.inf
+        assert not np.isfinite(res.value)
+
+    def test_a_level_whose_sums_overflow_ends_the_refinement(self):
+        # every value is finite, but their sum is not: no finer grid helps
+        grids = []
+
+        def f(th):
+            grids.append(th.shape[0])
+            return np.full(th.shape, 1e308 + 0j)
+
+        spec = QuadratureSpec(nodes=64, max_nodes=8192, rel_tol=1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = periodic_integral(f, FULL_PERIOD, spec)
+        assert grids == [128]
+        assert res.nodes == 128
+        assert not res.converged and res.est_error == math.inf
         assert not np.isfinite(res.value)
 
     @pytest.mark.parametrize("start", [16, 64, 66])
@@ -252,6 +269,32 @@ class TestPoleCorrectedRule:
         got = periodic_integral(f, HALF_PERIOD, poles=(0.9, 0.8))
         assert got.nodes == 128
         assert abs(got.value - exact / 2) <= 1e-14 * got.fscale
+
+    @pytest.mark.parametrize("n", [16, 18, 64, 66])
+    def test_moment_table_holds_the_five_columns_of_the_grid(self, n):
+        table = _moment_table(n)
+        assert table.shape == (n, 5) and not table.flags.writeable
+        z = np.exp(2j * _grid(n, False))
+        sigma = z ** -(-n // 4)
+        want = np.stack((np.ones(n), sigma, sigma / z, 1 / sigma, z / sigma), axis=1)
+        assert np.max(np.abs(table - want)) <= 1e-13
+        assert _moment_table(n) is table
+
+    def test_a_refined_level_is_the_one_grid_rule_on_its_nodes(self):
+        # 32 + 32 nodes in the first call and 64 midpoints later give the
+        # 128-node grid, and level 128 reads them in its order
+        poles = (0.9, 0.8)
+
+        def f(th):
+            z = np.exp(2j * th)
+            return np.exp(np.cos(3 * th) + 0.5j * np.sin(th)) / ((1 - 0.9 * z) * (1 - 0.8 / z))
+
+        refined = periodic_integral(
+            f, FULL_PERIOD, QuadratureSpec(nodes=32, max_nodes=128, rel_tol=1e-300), poles=poles)
+        one_grid = periodic_integral(
+            f, FULL_PERIOD, QuadratureSpec(nodes=128, max_nodes=128), poles=poles)
+        assert (refined.nodes, refined.converged) == (128, False)
+        assert refined.value == one_grid.value
 
     @pytest.mark.parametrize("poles", [(1.0, 0.0), (0.0, -1j), (0.6, 1.2), (math.nan, 0.0)])
     def test_poles_on_or_outside_the_circle_rejected(self, poles):
