@@ -7,14 +7,16 @@ and numerically verifies the orthogonality, product-integral and expansion
 identities they satisfy, with controlled truncation and quadrature error.
 """
 
+import importlib
+
 from . import errors, hyper, qcore, verify
 
 __version__ = "0.1.0"
 
-# The public names, by the module that defines them.  Those of qfun and quad,
-# which import numpy, are imported on first use (PEP 562), so that
-# ``import qortho`` and the series checks do not load numpy; the others are
-# bound here.
+# The public names, by the module that defines them.  Those of qfun and quad
+# are bound on first use (PEP 562), each importing only its own module: quad
+# loads numpy, and qfun, though numpy-free, would cost every cold process its
+# compile time.  The others are bound here.
 _EXPORTS = {
     "errors": ("QOrthoError", "DomainError", "TruncationExceeded", "DivergentSeries",
                "NearSingular"),
@@ -32,10 +34,10 @@ _EXPORTS = {
                "check_prop_3_1", "check_rogers_6w5", "check_qbinomial", "check_ultra_ortho",
                "run_sweep"),
     # the function family
-    "qfun": ("big_c_eval_many", "phi_eval", "weight_omega_many", "h_norm", "diag_rhs_thm11",
-             "growth_root"),
-    # integration
-    "quad": ("QuadResult", "periodic_integral", "phi_qintegral_repr"),
+    "qfun": ("laurent_at", "phi_eval", "weight_omega_many", "h_norm", "diag_rhs_thm11",
+             "growth_root", "phi_qintegral_repr"),
+    # the circle rule
+    "quad": ("QuadResult", "periodic_integral"),
 }
 _LAZY = {name: module for module in ("qfun", "quad") for name in _EXPORTS[module]}
 
@@ -49,9 +51,8 @@ __all__ = ["__version__", *(name for names in _EXPORTS.values() for name in name
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import qfun, quad
-
-    value = globals()[name] = getattr({"qfun": qfun, "quad": quad}[_LAZY[name]], name)
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = getattr(module, name)
     return value
 
 

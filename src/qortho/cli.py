@@ -71,21 +71,20 @@ _TUNING = {
 }
 _POLICY_FLAGS = _TUNING["policy"][1]
 # Positional parameters that are not spelled as flags.
-_UNSPELLED = {"qfun", "kernels", *_TUNING, "tolerance"}
+_UNSPELLED = {"qfun", *_TUNING, "tolerance"}
 
-# eval functions f(qfun, kernels, parameters...[, policy]), handed the
-# numpy-backed modules, which only they need; the array paths evaluate a
+# eval functions f(qfun, parameters...[, policy]), handed the function family,
+# which only they need; of them only "weight" loads numpy, to evaluate a
 # one-angle grid.  "ultra" sums the (beta, beta) expansion weights directly, so
 # any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.  qpoch
 # and phi_series have their own branches.
 _EVAL = {
-    "big_c": lambda qfun, kernels, n, theta, p, q: qfun.big_c_eval_many(n, [theta], p, q)[0],
-    "phi": lambda qfun, kernels, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
-    "ultra": lambda qfun, kernels, n, theta, beta, q:
-        kernels.laurent_eval(qfun.expansion_weights(n, beta, beta, q), n, [theta])[0],
-    "weight": lambda qfun, kernels, theta, p, q, policy:
-        qfun.weight_omega_many([theta], p, q, policy)[0],
-    "h": lambda qfun, kernels, n, a, q, policy: qfun.h_norm(n, a, q, policy),
+    "big_c": lambda qfun, n, theta, p, q: qfun.laurent_at(big_c_coeffs(n, p, q), n, theta),
+    "phi": lambda qfun, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
+    "ultra": lambda qfun, n, theta, beta, q:
+        qfun.laurent_at(expansion_weights(n, beta, beta, q), n, theta),
+    "weight": lambda qfun, theta, p, q, policy: qfun.weight_omega_many([theta], p, q, policy)[0],
+    "h": lambda qfun, n, a, q, policy: qfun.h_norm(n, a, q, policy),
 }
 
 _HELP = {
@@ -282,13 +281,13 @@ def _cmd_eval(args) -> int:
     fn = args.function
 
     if fn in _EVAL:
-        from . import kernels, qfun
+        from . import qfun
 
         func = _EVAL[fn]
         kwargs = {name: _arg(args, name) for name in _spelled(func)}
         if "policy" in _parameters(func):
             kwargs["policy"] = policy
-        value = complex(func(qfun, kernels, **kwargs))
+        value = complex(func(qfun, **kwargs))
     elif fn == "qpoch":
         a = _arg(args, "a")
         if args.inf:

@@ -1,4 +1,5 @@
-"""Array kernels for the quadrature hot loops.
+"""Array kernels for the quadrature hot loops: with :mod:`~qortho.quad`, the
+package's only numpy code; the function family :mod:`~qortho.qfun` has none.
 
 Two operations dominate every integral check: evaluating a Laurent-type sum
 sum_k c_k e^{i(2k-n)theta} over all quadrature nodes, and evaluating infinite
@@ -6,12 +7,12 @@ products prod_c (w_c; q)_oo with node-dependent arguments
 w_c = coef_c * e^{i s_c theta}, or a quotient of two such products.  A circle
 integrand is one Laurent sum (the C_n factors multiplied into one
 polynomial) times quotients of such products at a shared head depth K
-(``qfun.product_quotient``), each quotient one call with ``split``.  The
+(:func:`product_quotient`), each quotient one call with ``split``.  The
 weight's symbols have s_c = +-2, so a circle check evaluates their quotient
 at only the first half of each quadrature grid (the second half repeats it);
 the Laurent sum and any s_c = +-1 symbols get the whole grid.  Both kernels
 are plain numpy; ``BACKEND`` names the implementation for reports and
-benchmarks.
+benchmarks.  PROP_2_2 sums all C_n(1) from one convolution, :func:`big_c_at_one`.
 
 The Laurent powers e^{i(2k-n)theta} come from two exponentials per grid,
 e^{-in theta} and e^{2i theta}, and one running product over k: an N x (n+1)
@@ -57,7 +58,8 @@ import sys
 
 import numpy as np
 
-from .qcore import closing_factors
+from .qcore import (DEFAULT_POLICY, ParamSet4, QBase, TruncationPolicy, _poch_row,
+                    closing_factors, quotient_depth)
 
 BACKEND = "numpy"
 
@@ -162,3 +164,30 @@ def laurent_eval(coefs, n, thetas):
     powers = angle_table(("laurent", thetas.shape, thetas.tobytes(), n, coefs.shape[0]),
                          lambda: _laurent_powers(thetas, n, coefs.shape[0]))
     return powers @ coefs
+
+
+def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY,
+                     kmax: int | None = None):
+    """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_oo
+    / prod_c (den_c e^{i exps_c theta}; q)_oo over arrays of angles, one
+    :func:`poch_product_many` call per array.  One head depth K serves every
+    symbol: ``kmax``, by default the
+    :func:`~qortho.qcore.quotient_depth` of these symbols."""
+    qb = QBase.coerce(q)
+    if kmax is None:
+        kmax = quotient_depth((*num, *den), qb, policy)
+    coefs = np.array((*num, *den), dtype=np.complex128)
+    all_exps = np.array((*exps, *exps), dtype=np.float64)
+    return lambda thetas: poch_product_many(coefs, all_exps, qb.q, kmax, thetas, len(num))
+
+
+def big_c_at_one(count: int, p: ParamSet4, q) -> np.ndarray:
+    """[C_0(1), ..., C_{count-1}(1)] as one convolution: C_n(1) =
+    sum_k A_k B_{n-k} with A_k = (ra;q)_k gamma^k / (q;q)_k and
+    B_j = (rb;q)_j delta^j / (q;q)_j."""
+    qb = QBase.coerce(q)
+    k = np.arange(count + 1)
+    pq = np.array(_poch_row(qb.q, qb.q, count))
+    row_a = np.array(_poch_row(p.ratio_a, qb.q, count)) / pq * p.gamma ** k
+    row_b = np.array(_poch_row(p.ratio_b, qb.q, count)) / pq * p.delta ** k
+    return np.convolve(row_a, row_b)[:count]

@@ -260,7 +260,8 @@ def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
     (a;q)_oo.  The factors from K on are replaced by the two
     :func:`closing_factors` of y = a q^K, which leaves a relative error
     O(|y/(1-q)|^3), of the order of rel_tol.  Raises
-    :class:`TruncationExceeded` when K exceeds ``policy.max_terms``."""
+    :class:`TruncationExceeded` when K exceeds ``policy.max_terms``, and
+    when |a| is infinite or NaN."""
     mag = abs(complex(a))
     qmag = abs(complex(q) if not isinstance(q, QBase) else q.q)
     bound = (1.0 - qmag) * policy.rel_tol ** (1.0 / 3.0)
@@ -268,12 +269,22 @@ def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
         return 0
     if qmag == 0.0:
         return 1
-    depth = max(int(math.ceil(math.log(bound / mag) / math.log(qmag))), 0)
-    if depth > policy.max_terms:
+    ratio = bound / mag
+    # the ratio underflows for |a| beyond about 1e300; then take it in logs
+    log_ratio = math.log(ratio) if ratio > 0.0 else math.log(bound) - math.log(mag)
+    depth = log_ratio / math.log(qmag)
+    if not depth <= policy.max_terms:  # also an infinite or NaN |a|
+        needed = math.ceil(depth) if math.isfinite(depth) else depth
         raise TruncationExceeded(
-            f"a product of |a| = {mag:.6g} needs {depth} factors, cap is {policy.max_terms}"
+            f"a product of |a| = {mag:.6g} needs {needed} factors, cap is {policy.max_terms}"
         )
-    return depth
+    return max(math.ceil(depth), 0)
+
+
+def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
+    """The head depth K of a product quotient with coefficients ``coefs``:
+    the :func:`tail_start` of the largest one, and its errors."""
+    return tail_start(max(map(abs, coefs)), q, policy)
 
 
 def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -311,7 +322,7 @@ def min_factor_abs(a, q, floor: float) -> float:
     and |q| it bounds the factors of (a e^{i theta}; q)_oo over all theta."""
     smallest = 1.0
     w = a
-    while abs(w) >= floor:
+    while floor <= abs(w) < math.inf:  # an infinite a has no finite factor
         smallest = min(smallest, abs(1.0 - w))
         # every later factor has |1 - w q^j| >= 1 - |w| >= smallest
         if q == 0 or abs(w) <= 1.0 - smallest:

@@ -28,20 +28,30 @@ The weight against which the family is orthogonal over a full period is
                    / ((alpha/delta) e^{2i theta}, (beta/gamma) e^{-2i theta}; q)_oo.
 
 Every circle integrand is a product of C_n's times quotients of infinite
-products (:func:`product_quotient`): one of any extra symbols and one of the
-:func:`weight_symbols`, at one shared head depth.  The single-parameter
-cosine family sum_k w_k cos((n-2k) theta), w = :func:`expansion_weights` at
-(beta, beta), is C_n at (beta, beta, 1, 1).
+products (:func:`~qortho.kernels.product_quotient`): one of any extra
+symbols and one of the :func:`weight_symbols`, at one shared head depth.  The
+single-parameter cosine family sum_k w_k cos((n-2k) theta),
+w = :func:`expansion_weights` at (beta, beta), is C_n at (beta, beta, 1, 1).
+One value of any of them is :func:`laurent_at` of its coefficients.
+
+The lattice integral from a to b is the pair of geometric sums
+
+    (1-q) b sum_{k>=0} q^k f(b q^k)  -  (1-q) a sum_{k>=0} q^k f(a q^k),
+
+applied verbatim for complex endpoints.  For the integrand of
+:func:`phi_qintegral_repr` each sum is one term-ratio recurrence per
+endpoint (see :func:`_lattice_side`).
+
+This module imports no numpy: the array paths live in
+:mod:`~qortho.kernels`, which :func:`weight_omega_many` imports when called.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 from itertools import accumulate, repeat
 
-import numpy as np
-
-from . import kernels
 from .errors import DomainError, NearSingular
 from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re-exported
     DEFAULT_POLICY,
@@ -51,7 +61,6 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     QBase,
     ReducedParams,
     TruncationPolicy,
-    _poch_row,
     as_degree,
     big_c_coeffs,
     connection_coeffs,
@@ -61,26 +70,23 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     qpoch_finite,
     qpoch_infinite,
     screen_denominator,
-    tail_start,
+    settled_sum,
 )
 
 
-def big_c_eval_many(n: int, thetas: np.ndarray, p: ParamSet4, q) -> np.ndarray:
-    """C_n at an array of angles (kernel-backed)."""
-    coefs = big_c_coeffs(n, p, q)
-    return kernels.laurent_eval(coefs, n, np.asarray(thetas, dtype=np.float64))
-
-
-def big_c_at_one(count: int, p: ParamSet4, q) -> np.ndarray:
-    """[C_0(1), ..., C_{count-1}(1)] as one convolution: C_n(1) =
-    sum_k A_k B_{n-k} with A_k = (ra;q)_k gamma^k / (q;q)_k and
-    B_j = (rb;q)_j delta^j / (q;q)_j."""
-    qb = QBase.coerce(q)
-    k = np.arange(count + 1)
-    pq = np.array(_poch_row(qb.q, qb.q, count))
-    row_a = np.array(_poch_row(p.ratio_a, qb.q, count)) / pq * p.gamma ** k
-    row_b = np.array(_poch_row(p.ratio_b, qb.q, count)) / pq * p.delta ** k
-    return np.convolve(row_a, row_b)[:count]
+def laurent_at(coefs, n: int, theta) -> complex:
+    """sum_k coefs[k] e^{i(2k-n)theta} at the one angle ``theta``: C_n there
+    for the coefficients :func:`big_c_coeffs`.  The phases are a running
+    product from e^{-in theta} by e^{2i theta}, as
+    :func:`~qortho.kernels.laurent_eval` forms them on arrays."""
+    theta = float(theta)
+    step = cmath.exp(2j * theta)
+    phase = cmath.exp(-1j * n * theta)
+    total = 0.0 + 0.0j
+    for c in coefs:
+        total += c * phase
+        phase *= step
+    return total
 
 
 def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
@@ -97,30 +103,9 @@ def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
 
 def weight_symbols(p: ParamSet4):
     """(numerator coefficients, denominator coefficients, exponents) of the
-    weight quotient, in the form :func:`product_quotient` takes."""
+    weight quotient, in the form :func:`~qortho.kernels.product_quotient`
+    takes."""
     return (p.gamma / p.delta, p.delta / p.gamma), (p.alpha / p.delta, p.beta / p.gamma), (2, -2)
-
-
-def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
-    """The head depth K of a product quotient with coefficients ``coefs``:
-    the :func:`tail_start` of the largest one.  Raises
-    :class:`TruncationExceeded` when K exceeds ``policy.max_terms``."""
-    return tail_start(max(map(abs, coefs)), q, policy)
-
-
-def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY,
-                     kmax: int | None = None):
-    """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_oo
-    / prod_c (den_c e^{i exps_c theta}; q)_oo over arrays of angles, one
-    kernel call per array.  One head depth K serves every symbol: ``kmax``,
-    by default the :func:`quotient_depth` of these symbols."""
-    qb = QBase.coerce(q)
-    if kmax is None:
-        kmax = quotient_depth((*num, *den), qb, policy)
-    coefs = np.array((*num, *den), dtype=np.complex128)
-    all_exps = np.array((*exps, *exps), dtype=np.float64)
-    return lambda thetas: kernels.poch_product_many(coefs, all_exps, qb.q, kmax, thetas,
-                                                    len(num))
 
 
 def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -134,17 +119,17 @@ def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
     )
 
 
-def weight_omega_many(
-    thetas: np.ndarray, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY
-) -> np.ndarray:
-    """Weight values at an array of angles (kernel-backed).
+def weight_omega_many(thetas, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Weight values at an array of angles (kernel-backed: this loads numpy).
 
     The denominator is screened analytically first: a symbol with
     min_k |1 - |w| q^k| below 1e-12 can vanish somewhere on the circle, and
     that check is sharper than any node scan."""
+    from . import kernels
+
     if weight_min_denominator(p, q, policy) < NEAR_SINGULAR_TOL:
         raise NearSingular("weight denominator can vanish on the circle")
-    return product_quotient(*weight_symbols(p), q, policy)(thetas)
+    return kernels.product_quotient(*weight_symbols(p), q, policy)(thetas)
 
 
 def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -216,4 +201,107 @@ def growth_root(n: int, p: ParamSet4, q) -> float:
     n = as_degree("n", n, positive=True)
     scale = max(abs(p.gamma), abs(p.delta))
     unit = ParamSet4(p.alpha / scale, p.beta / scale, p.gamma / scale, p.delta / scale)
-    return scale * abs(big_c_eval_many(n, [0.0], unit, q)[0]) ** (1.0 / n)
+    return scale * abs(laurent_at(big_c_coeffs(n, unit, q), n, 0.0)) ** (1.0 / n)
+
+
+def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QBase,
+                  policy: TruncationPolicy) -> complex:
+    """sum_k q^k f(e q^k) for the integrand
+
+        f(z) = (q z/e, q z/o; q)_oo z^n / (u z/e, v z/e; q)_oo
+
+    on the lattice of endpoint e, o the other endpoint.  At z = e q^k each
+    symbol is a fixed infinite product over a finite one, so with w = q e/o
+
+        q^k f(e q^k) = K e^n t_k,   K = (q, w; q)_oo / (u, v; q)_oo,
+        t_0 = 1,   t_{k+1} / t_k = q^{n+1} (1 - u q^k)(1 - v q^k)
+                                   / ((1 - q^{k+1})(1 - w q^k)),
+
+    and the t_k sum stops by :func:`qortho.qcore.settled_sum`."""
+    q = qb.q
+    w = q * e / o
+    ratio = q ** (n + 1)
+
+    def terms():
+        t = qk = 1.0 + 0.0j
+        for _ in range(policy.max_terms):
+            yield t
+            t *= ratio * (1.0 - u * qk) * (1.0 - v * qk) / ((1.0 - q * qk) * (1.0 - w * qk))
+            qk *= q
+
+    k_e = qpoch_infinite(q, qb, policy) * qpoch_infinite(w, qb, policy) / (
+        qpoch_infinite(u, qb, policy) * qpoch_infinite(v, qb, policy))
+    return k_e * int_power(e, n) * settled_sum(terms(), policy, "lattice sum")
+
+
+def phi_qintegral_repr(
+    n: int,
+    x,
+    y,
+    p: ParamSet4,
+    q,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> complex:
+    """Lattice-integral representation of Phi_n(x, y):
+
+        (ra*rb;q)_n (ra, rb, beta y/(gamma x), alpha x/(delta y); q)_oo
+        / ((1-q) delta y (q, ra*rb, gamma x/(delta y), q delta y/(gamma x); q)_oo)
+        * integral_{gamma x}^{delta y}
+              (q z/(gamma x), q z/(delta y); q)_oo z^n
+              / ((beta z/(gamma delta x), alpha z/(gamma delta y); q)_oo)  d_q z,
+
+    with ra = alpha/gamma, rb = beta/delta.  Must agree with
+    :func:`phi_eval`; raises :class:`NearSingular` when any
+    denominator symbol has a factor within 1e-12 of zero.
+    """
+    qb = QBase.coerce(q)
+    n = as_degree("n", n)
+    x = complex(x)
+    y = complex(y)
+    gx = p.gamma * x
+    dy = p.delta * y
+    if gx == 0:
+        raise DomainError("gamma * x must be nonzero")
+    if dy == 0:
+        raise DomainError("delta * y must be nonzero")
+    if abs(gx - dy) <= 1e-12 * max(abs(gx), abs(dy), 1.0):
+        raise NearSingular("gamma*x = delta*y makes the representation singular")
+
+    ra, rb = p.ratio_a, p.ratio_b
+    by_gx = p.beta * y / gx
+    ax_dy = p.alpha * x / dy
+    # Symbols that sit in a denominator anywhere: the prefactor's infinite
+    # products and, across all lattice nodes z in {gx q^k} u {dy q^k}, the
+    # integrand's (beta z/(gamma delta x); q)_oo and (alpha z/(gamma delta y); q)_oo
+    # chains reduce to the four bases below.
+    denominator_bases = [
+        qb.q,
+        ra * rb,
+        gx / dy,
+        qb.q * dy / gx,
+        rb,  # beta z/(gamma delta x) at z = gx q^k
+        by_gx,  # ... at z = dy q^k
+        ax_dy,  # alpha z/(gamma delta y) at z = gx q^k
+        ra,  # ... at z = dy q^k
+    ]
+    for base in denominator_bases:
+        if min_factor_abs(base, qb.q, policy.rel_tol) < NEAR_SINGULAR_TOL:
+            raise NearSingular(
+                f"denominator symbol with base {base} has a factor within "
+                f"{NEAR_SINGULAR_TOL} of zero"
+            )
+
+    prefactor_num = qpoch_finite(ra * rb, qb, n)
+    for arg in (ra, rb, by_gx, ax_dy):
+        prefactor_num *= qpoch_infinite(arg, qb, policy)
+    prefactor_den = (1.0 - qb.q) * dy
+    for arg in (qb.q, ra * rb, gx / dy, qb.q * dy / gx):
+        prefactor_den *= qpoch_infinite(arg, qb, policy)
+    if abs(prefactor_den) < NEAR_SINGULAR_TOL:
+        raise NearSingular("prefactor denominator product is near zero")
+
+    # the integrand's denominator symbols are (u z/e, v z/e; q)_oo with
+    # u = beta e/(gamma delta x) and v = alpha e/(gamma delta y) at endpoint e
+    integral = (1.0 - qb.q) * (dy * _lattice_side(dy, gx, by_gx, ra, n, qb, policy)
+                               - gx * _lattice_side(gx, dy, rb, ax_dy, n, qb, policy))
+    return prefactor_num / prefactor_den * integral

@@ -1,4 +1,4 @@
-"""Numerical integration.
+"""The circle rule: numerical integration over a full or half period.
 
 Full-period integrals use the equispaced rule
 
@@ -54,13 +54,8 @@ cancel (in particular for every even integrand); all half-period identities
 checked by this package are of that form, and the halved full-period rule is
 what keeps the convergence geometric.
 
-The lattice integral from a to b is the pair of geometric sums
-
-    (1-q) b sum_{k>=0} q^k f(b q^k)  -  (1-q) a sum_{k>=0} q^k f(a q^k),
-
-applied verbatim for complex endpoints.  For the integrand of
-:func:`phi_qintegral_repr` each sum is one term-ratio recurrence per
-endpoint (see :func:`_lattice_side`).
+With :mod:`~qortho.kernels`, this is the package's only numpy code; the
+lattice integral of PROP_2_4 needs no array and lives in :mod:`~qortho.qfun`.
 """
 
 from __future__ import annotations
@@ -71,26 +66,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NearSingular
+from .errors import DomainError
 from .kernels import angle_table
 from .qcore import (  # the quadrature types are re-exported from here
-    DEFAULT_POLICY,
     DEFAULT_QUADRATURE,
     FULL_PERIOD,
     HALF_PERIOD,
-    NEAR_SINGULAR_TOL,
     TWO_PI,
-    ParamSet4,
-    QBase,
     QuadratureSpec,
-    TruncationPolicy,
-    as_degree,
-    int_power,
-    min_factor_abs,
-    qpoch_finite,
-    qpoch_infinite,
-    settled_sum,
 )
+
 
 class QuadResult(NamedTuple):
     value: complex
@@ -206,115 +191,5 @@ def periodic_integral(
                       fmax * length)
 
 
-def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QBase,
-                  policy: TruncationPolicy) -> complex:
-    """sum_k q^k f(e q^k) for the integrand
-
-        f(z) = (q z/e, q z/o; q)_oo z^n / (u z/e, v z/e; q)_oo
-
-    on the lattice of endpoint e, o the other endpoint.  At z = e q^k each
-    symbol is a fixed infinite product over a finite one, so with w = q e/o
-
-        q^k f(e q^k) = K e^n t_k,   K = (q, w; q)_oo / (u, v; q)_oo,
-        t_0 = 1,   t_{k+1} / t_k = q^{n+1} (1 - u q^k)(1 - v q^k)
-                                   / ((1 - q^{k+1})(1 - w q^k)),
-
-    and the t_k sum stops by :func:`qortho.qcore.settled_sum`."""
-    q = qb.q
-    w = q * e / o
-    ratio = q ** (n + 1)
-
-    def terms():
-        t = qk = 1.0 + 0.0j
-        for _ in range(policy.max_terms):
-            yield t
-            t *= ratio * (1.0 - u * qk) * (1.0 - v * qk) / ((1.0 - q * qk) * (1.0 - w * qk))
-            qk *= q
-
-    k_e = qpoch_infinite(q, qb, policy) * qpoch_infinite(w, qb, policy) / (
-        qpoch_infinite(u, qb, policy) * qpoch_infinite(v, qb, policy))
-    return k_e * int_power(e, n) * settled_sum(terms(), policy, "lattice sum")
-
-
-def phi_qintegral_repr(
-    n: int,
-    x,
-    y,
-    p: ParamSet4,
-    q,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Lattice-integral representation of Phi_n(x, y):
-
-        (ra*rb;q)_n (ra, rb, beta y/(gamma x), alpha x/(delta y); q)_oo
-        / ((1-q) delta y (q, ra*rb, gamma x/(delta y), q delta y/(gamma x); q)_oo)
-        * integral_{gamma x}^{delta y}
-              (q z/(gamma x), q z/(delta y); q)_oo z^n
-              / ((beta z/(gamma delta x), alpha z/(gamma delta y); q)_oo)  d_q z,
-
-    with ra = alpha/gamma, rb = beta/delta.  Must agree with
-    :func:`qortho.qfun.phi_eval`; raises :class:`NearSingular` when any
-    denominator symbol has a factor within 1e-12 of zero.
-    """
-    qb = QBase.coerce(q)
-    n = as_degree("n", n)
-    x = complex(x)
-    y = complex(y)
-    gx = p.gamma * x
-    dy = p.delta * y
-    if gx == 0:
-        raise DomainError("gamma * x must be nonzero")
-    if dy == 0:
-        raise DomainError("delta * y must be nonzero")
-    if abs(gx - dy) <= 1e-12 * max(abs(gx), abs(dy), 1.0):
-        raise NearSingular("gamma*x = delta*y makes the representation singular")
-
-    ra, rb = p.ratio_a, p.ratio_b
-    by_gx = p.beta * y / gx
-    ax_dy = p.alpha * x / dy
-    # Symbols that sit in a denominator anywhere: the prefactor's infinite
-    # products and, across all lattice nodes z in {gx q^k} u {dy q^k}, the
-    # integrand's (beta z/(gamma delta x); q)_oo and (alpha z/(gamma delta y); q)_oo
-    # chains reduce to the four bases below.
-    denominator_bases = [
-        qb.q,
-        ra * rb,
-        gx / dy,
-        qb.q * dy / gx,
-        rb,  # beta z/(gamma delta x) at z = gx q^k
-        by_gx,  # ... at z = dy q^k
-        ax_dy,  # alpha z/(gamma delta y) at z = gx q^k
-        ra,  # ... at z = dy q^k
-    ]
-    for base in denominator_bases:
-        if min_factor_abs(base, qb.q, policy.rel_tol) < NEAR_SINGULAR_TOL:
-            raise NearSingular(
-                f"denominator symbol with base {base} has a factor within "
-                f"{NEAR_SINGULAR_TOL} of zero"
-            )
-
-    prefactor_num = qpoch_finite(ra * rb, qb, n)
-    for arg in (ra, rb, by_gx, ax_dy):
-        prefactor_num *= qpoch_infinite(arg, qb, policy)
-    prefactor_den = (1.0 - qb.q) * dy
-    for arg in (qb.q, ra * rb, gx / dy, qb.q * dy / gx):
-        prefactor_den *= qpoch_infinite(arg, qb, policy)
-    if abs(prefactor_den) < NEAR_SINGULAR_TOL:
-        raise NearSingular("prefactor denominator product is near zero")
-
-    # the integrand's denominator symbols are (u z/e, v z/e; q)_oo with
-    # u = beta e/(gamma delta x) and v = alpha e/(gamma delta y) at endpoint e
-    integral = (1.0 - qb.q) * (dy * _lattice_side(dy, gx, by_gx, ra, n, qb, policy)
-                               - gx * _lattice_side(gx, dy, rb, ax_dy, n, qb, policy))
-    return prefactor_num / prefactor_den * integral
-
-
-__all__ = [
-    "FULL_PERIOD",
-    "HALF_PERIOD",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
-    "QuadResult",
-    "periodic_integral",
-    "phi_qintegral_repr",
-]
+__all__ = ["FULL_PERIOD", "HALF_PERIOD", "QuadratureSpec", "DEFAULT_QUADRATURE", "QuadResult",
+           "periodic_integral"]

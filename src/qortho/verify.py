@@ -19,6 +19,12 @@ identity's parameters are those of its checker ``check_<identity>``: its
 positional parameters other than ``qspec``, ``policy`` and ``tolerance``,
 from which ``qortho verify`` builds its flags.  :class:`IdentityId` says in
 one line what each identity checks.
+
+Importing this module loads no numpy, and neither do the checks off the
+circle.  The modules the others call are bound as globals on first use:
+``qfun`` by :func:`_family`, and with it ``np``, ``kernels`` and ``quad`` by
+:func:`_numeric`.  A check calls ``qfun.h_norm(...)``, so a function patched
+in its own module is the one it calls.
 """
 
 from __future__ import annotations
@@ -51,43 +57,29 @@ from .qcore import (
     int_power,
     min_factor_abs,
     qpoch_finite,
+    quotient_depth,
     settled_sum,
 )
 from .hyper import PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_rhs, very_well_poised
 
-# What this module takes from the numpy-backed modules, by module, besides
-# numpy itself (as ``np``) and ``kernels``.  None of it is imported with this
-# module: the registry, the reports, the series checks and PROP_3_1 run without
-# numpy, whose import takes longer than any of those checks.  _numeric() binds it all here
-# on the first check that needs it; asked for from outside (to patch one, say),
-# a name loads on that access (PEP 562).
-_NUMERIC = {
-    "qfun": ("big_c_at_one", "big_c_eval_many", "diag_rhs_thm11", "diagonal_prefactor",
-             "growth_root", "h_norm", "phi_eval", "product_quotient", "quotient_depth",
-             "weight_min_denominator", "weight_symbols"),
-    "quad": ("periodic_integral", "phi_qintegral_repr"),
-}
 NAN = complex("nan")
 
 
+def _family() -> None:
+    """Bind the module ``qfun`` here, once; it imports no numpy."""
+    global qfun
+    if "qfun" not in globals():
+        from . import qfun
+
+
 def _numeric() -> None:
-    """Bind ``np``, ``kernels`` and the names of :data:`_NUMERIC` here, once."""
-    if "np" in globals():
-        return
-    import numpy
-    from . import kernels, qfun, quad
-
-    modules = {"qfun": qfun, "quad": quad}
-    globals().update({name: getattr(modules[module], name)
-                      for module, names in _NUMERIC.items() for name in names})
-    globals().update(kernels=kernels, np=numpy)
-
-
-def __getattr__(name: str):
-    if name not in ("np", "kernels") and not any(name in names for names in _NUMERIC.values()):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _numeric()
-    return globals()[name]
+    """Bind ``qfun`` and the numpy-backed ``np``, ``kernels`` and ``quad``
+    here, once."""
+    global np, kernels, quad
+    _family()
+    if "quad" not in globals():
+        import numpy as np
+        from . import kernels, quad
 
 
 class IdentityId(str, enum.Enum):
@@ -279,24 +271,25 @@ def _circle_check(
     convolution of their coefficients, degree the sum of theirs), so each
     integrand call makes one Laurent evaluation and one kernel call per
     quotient.  The weight's two denominator symbols, inside the circle for
-    every caller, are the rule's pole pair (:func:`periodic_integral`).
+    every caller, are the rule's pole pair (:func:`~qortho.quad.periodic_integral`).
 
     The weight, a function of e^{2i theta}, is evaluated on the first half of
-    each grid and repeated: :func:`periodic_integral` grids hold theta + pi
+    each grid and repeated: :func:`~qortho.quad.periodic_integral` grids hold theta + pi
     N/2 places after theta.  The C_n product stays on the whole grid, so an
     odd total degree still integrates to a quadrature value, not to 0 by
     construction."""
-    own = weight_symbols(weight)
+    _numeric()
+    own = qfun.weight_symbols(weight)
     flags: list[str] = []
-    if weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
+    if qfun.weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
         flags.append("NearSingular")
     else:
         kmax = _evaluate(lambda: quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]),
                                                 qb, policy), flags)
     if flags:
         return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance, flags=flags)
-    weight_quotient = product_quotient(*own, qb, policy, kmax)
-    quotient = product_quotient(*symbols, qb, policy, kmax) if symbols[0] else None
+    weight_quotient = kernels.product_quotient(*own, qb, policy, kmax)
+    quotient = kernels.product_quotient(*symbols, qb, policy, kmax) if symbols[0] else None
     if laurent:
         coefs = functools.reduce(np.convolve, (c for c, _ in laurent))
         degree = sum(n for _, n in laurent)
@@ -312,7 +305,7 @@ def _circle_check(
 
     # the k = 0 factors of the weight's denominator hold the poles nearest the circle
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        result = periodic_integral(integrand, interval, qspec, poles=own[1])
+        result = quad.periodic_integral(integrand, interval, qspec, poles=own[1])
     if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
@@ -342,7 +335,6 @@ def check_thm_1_1(
     """Full-period orthogonality: quadrature of C_m C_n against the weight vs.
     the closed diagonal (zero off the diagonal).  The weight's denominator
     symbols need |alpha/delta| < 1 and |beta/gamma| < 1."""
-    _numeric()
     qb = QBase.coerce(q)
     _require_regular_weight({"|alpha/delta|": abs(p.alpha / p.delta),
                              "|beta/gamma|": abs(p.beta / p.gamma)})
@@ -350,7 +342,7 @@ def check_thm_1_1(
         IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,
         [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
-        lambda: diag_rhs_thm11(n, p, qb, policy) if m == n else 0.0 + 0.0j,
+        lambda: qfun.diag_rhs_thm11(n, p, qb, policy) if m == n else 0.0 + 0.0j,
     )
 
 
@@ -380,7 +372,6 @@ def check_thm_1_2(
     integrand vs. the prefactor times a single geometric-type series in
     (gamma delta s t)^n.  The weight's denominator symbols need
     |alpha/delta| < 1 and |beta/gamma| < 1, as for :func:`check_thm_1_1`."""
-    _numeric()
     qb = QBase.coerce(q)
     s = finite_complex("s", s)
     t = finite_complex("t", t)
@@ -407,10 +398,10 @@ def thm_1_2_rhs_series(
     """2 pi (ra, rb;q)_oo / (q, ra*rb;q)_oo times
     sum_n (1/(1-ra q^n) + 1/(1-rb q^n)) (ra*rb;q)_n / (q;q)_n (gd s t)^n;
     |gd s t| < 1 makes the tail geometric."""
-    _numeric()
+    _family()
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
-    prefactor = diagonal_prefactor(p, qb, policy)
+    prefactor = qfun.diagonal_prefactor(p, qb, policy)
     arg = p.gd * s * t
 
     def terms():
@@ -440,7 +431,6 @@ def check_thm_1_3(
     """Half-period bi-orthogonality: degree m of the b-family against degree n
     of the a-family under the a-family weight.  Zero when m and n have
     opposite parity; otherwise the closed form requires m >= n, and a != 0."""
-    _numeric()
     qb = QBase.coerce(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
@@ -451,10 +441,10 @@ def check_thm_1_3(
         raise DomainError(
             "the closed form's product indices (m-n)/2 require m >= n"
         )
+    p_a = ParamSet4.from_reduced(r.a, gamma, delta)  # gamma, delta != 0
+    p_b = ParamSet4.from_reduced(r.b, gamma, delta)
     _require_regular_weight({"|a*gamma/delta|": abs(r.a * gamma / delta),
                              "|a*delta/gamma|": abs(r.a * delta / gamma)})
-    p_a = ParamSet4.from_reduced(r.a, gamma, delta)
-    p_b = ParamSet4.from_reduced(r.b, gamma, delta)
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}
     return _circle_check(
         IdentityId.THM_1_3, inputs, tolerance, p_a, qb, policy, qspec, HALF_PERIOD,
@@ -470,11 +460,11 @@ def thm_1_3_rhs(
     """Closed form for m >= n, m = n (mod 2): (gd)^n times the degree-n
     connection coefficient of degree m (:func:`connection_coeffs`) over
     h_n(a|q); zero for opposite parities."""
-    _numeric()
+    _family()
     if (m - n) % 2 != 0:
         return 0.0 + 0.0j
     gd = complex(gamma) * complex(delta)
-    return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q, policy)
+    return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / qfun.h_norm(n, r.a, q, policy)
 
 
 def check_prop_3_1(
@@ -521,7 +511,6 @@ def check_ultra_ortho(
     """Half-period orthogonality of the single-parameter family under the
     (beta, beta, 1, 1) specialization of the weight, which needs |beta| < 1;
     diagonal 1/h_n."""
-    _numeric()
     qb = QBase.coerce(q)
     beta = finite_complex("beta", beta)
     _require_regular_weight({"|beta|": abs(beta)})
@@ -530,7 +519,7 @@ def check_ultra_ortho(
         IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,
         p, qb, policy, qspec, HALF_PERIOD,
         [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
-        lambda: 1.0 / h_norm(n, beta, qb, policy) if m == n else 0.0 + 0.0j,
+        lambda: 1.0 / qfun.h_norm(n, beta, qb, policy) if m == n else 0.0 + 0.0j,
     )
 
 
@@ -541,16 +530,20 @@ def check_prop_2_1_2(
     theta: float = 0.0,
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """Phi at (e^{i theta}, e^{-i theta}) equals (q;q)_n C_n(e^{i theta})."""
-    _numeric()
+    """Phi at (e^{i theta}, e^{-i theta}) equals (q;q)_n C_n(e^{i theta}),
+    for a real angle theta."""
+    _family()
     qb = QBase.coerce(q)
-    theta = finite_complex("theta", float(theta)).real
+    theta = finite_complex("theta", theta)
+    if theta.imag:
+        raise DomainError(f"theta must be real, got {theta!r}")
+    theta = theta.real
     x = complex(math.cos(theta), math.sin(theta))
     return _check(
         IdentityId.PROP_2_1_2, _paramset_inputs(p, qb) | {"n": n, "theta": theta},
         tolerance,
-        lambda: phi_eval(n, x, x.conjugate(), p, qb),
-        lambda: qpoch_finite(qb.q, qb, n) * complex(big_c_eval_many(n, [theta], p, qb)[0]),
+        lambda: qfun.phi_eval(n, x, x.conjugate(), p, qb),
+        lambda: qpoch_finite(qb.q, qb, n) * qfun.laurent_at(big_c_coeffs(n, p, qb), n, theta),
     )
 
 
@@ -561,11 +554,11 @@ def check_prop_2_1_3(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Growth-root diagnostic |C_n(1)|^{1/n} against max(|gamma|, |delta|)."""
-    _numeric()
+    _family()
     qb = QBase.coerce(q)
     return _check(
         IdentityId.PROP_2_1_3, _paramset_inputs(p, qb) | {"n": n}, tolerance,
-        lambda: complex(growth_root(n, p, qb)),
+        lambda: complex(qfun.growth_root(n, p, qb)),
         lambda: complex(max(abs(p.gamma), abs(p.delta))),
     )
 
@@ -587,26 +580,27 @@ def check_prop_2_2(
 
     beyond ``partial_terms`` must stay below tolerance times the partial sum.
     The report's lhs is the tail, rhs is zero, scale is the partial sum.
-    Needs k >= 0, 0 < t_fraction < 1 and at least one partial and one tail
-    term."""
+    Needs k >= 0, 0 < t_fraction < 1, ra*rb != 1 (else (ra*rb;q)_{n+k}
+    vanishes) and at least one partial and one tail term."""
     _numeric()
     qb = QBase.coerce(q)
     as_degree("k", k)
     if not 0.0 < t_fraction < 1.0:
         raise DomainError(f"t_fraction must lie in (0, 1), got {t_fraction!r}")
-    if partial_terms < 1 or tail_terms < 1:
-        raise DomainError(
-            f"partial_terms and tail_terms must be >= 1, got {partial_terms} and {tail_terms}"
-        )
+    ra_rb = p.ratio_a * p.ratio_b
+    if ra_rb == 1.0:
+        raise DomainError("ra*rb = (alpha/gamma)(beta/delta) must not be 1")
+    partial_terms, tail_terms = (as_degree("each of partial_terms and tail_terms", terms,
+                                           positive=True)
+                                 for terms in (partial_terms, tail_terms))
     inputs = _paramset_inputs(p, qb) | {
         "k": k, "t_fraction": t_fraction, "partial_terms": partial_terms,
         "tail_terms": tail_terms,
     }
     t_abs = t_fraction * min(1.0 / abs(p.gamma), 1.0 / abs(p.delta))
-    ra_rb = p.ratio_a * p.ratio_b
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        c_at_one = np.abs(big_c_at_one(partial_terms + tail_terms + k, p, qb)).tolist()
+        c_at_one = np.abs(kernels.big_c_at_one(partial_terms + tail_terms + k, p, qb)).tolist()
     poch_ratio = abs(qpoch_finite(qb.q, qb, k) / qpoch_finite(ra_rb, qb, k))
     tn = 1.0
     terms = []
@@ -630,14 +624,14 @@ def check_prop_2_4(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Lattice-integral representation vs. the double-sum evaluation of Phi_n."""
-    _numeric()
+    _family()
     qb = QBase.coerce(q)
     x = finite_complex("x", x)
     y = finite_complex("y", y)
     return _check(
         IdentityId.PROP_2_4, _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y}, tolerance,
-        lambda: phi_qintegral_repr(n, x, y, p, qb, policy),
-        lambda: phi_eval(n, x, y, p, qb),
+        lambda: qfun.phi_qintegral_repr(n, x, y, p, qb, policy),
+        lambda: qfun.phi_eval(n, x, y, p, qb),
     )
 
 
@@ -654,8 +648,10 @@ def check_rogers_6w5(
     product form."""
     qb = QBase.coerce(q)
     a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
-    if 0 in (b, c, d):
-        raise DomainError(f"z = a q/(b c d) needs b, c, d nonzero, got {b}, {c}, {d}")
+    # the closed form divides by each of these products (0 also when one underflows)
+    if 0 in (b * c, b * d, c * d, b * c * d):
+        raise DomainError(f"z = a q/(b c d) needs b, c, d and their products nonzero, "
+                          f"got {b}, {c}, {d}")
     z = a * qb.q / (b * c * d)
     return _check(
         IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q}, tolerance,

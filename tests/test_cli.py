@@ -82,6 +82,16 @@ class TestEval:
         assert code == EXIT_INVALID
         assert "cap is 5" in err
 
+    def test_weight_with_an_overflowing_symbol_exits_2(self):
+        # alpha/delta = 1e300 / 1e-300 overflows to inf: the screen must end
+        # and the depth be refused, in a process that cannot hang the suite
+        argv = ["eval", "weight", "--theta", "0", "--alpha-re", "1e300", "--beta-re", "0",
+                "--gamma-re", "1e300", "--delta-re", "1e-300", "--q", "0.5"]
+        proc = subprocess.run([sys.executable, "-m", "qortho.cli", *argv], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == EXIT_INVALID
+        assert "a product of |a| = inf" in proc.stderr
+
     def test_weight_pole_on_the_circle_exits_2(self, capsys):
         # alpha/delta = 1: a denominator factor vanishes at theta = 0
         code, _, err = run_cli(

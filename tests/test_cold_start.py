@@ -1,9 +1,11 @@
 """A fresh ``qortho`` process imports only what its command needs.
 
 Importing numpy takes longer than a series check, so the commands built on
-``qcore`` and ``hyper`` alone (``verify`` of ROGERS_6W5, QBINOMIAL and
-PROP_3_1, ``eval qpoch``, ``eval phi_series`` and ``table``) must start
-without it.  A cold ``verify`` of those identities imports none of
+``qcore``, ``hyper`` and the function family ``qfun`` (``verify`` of
+ROGERS_6W5, QBINOMIAL, PROP_3_1, PROP_2_1_2, PROP_2_1_3 and PROP_2_4, every
+``eval`` but ``weight``, and ``table``) must start without it; only the
+circle rule (``quad``) and the array kernels (``kernels``) load it.  A cold
+``verify`` of ROGERS_6W5, QBINOMIAL and PROP_3_1 imports none of
 ``dataclasses``, ``inspect``, ``csv`` or ``datetime`` either: the records are
 plain classes, and the CLI reads checker signatures from their code objects
 and imports ``csv`` and ``datetime`` in the handlers that write CSV or a
@@ -26,9 +28,12 @@ from pathlib import Path
 import pytest
 
 import qortho
-from qortho import (PhiSpec, ReducedParams, SweepSpec, check_prop_3_1, check_qbinomial,
-                    check_rogers_6w5, phi_series, qpoch_infinite, run_sweep, verify)
+from qortho import (ParamSet4, PhiSpec, ReducedParams, SweepSpec, check_prop_2_1_2,
+                    check_prop_2_1_3, check_prop_2_4, check_prop_3_1, check_qbinomial,
+                    check_rogers_6w5, h_norm, laurent_at, phi_eval, phi_series,
+                    qpoch_infinite, run_sweep, verify)
 from qortho.cli import _parameters, main
+from qortho.qcore import big_c_coeffs, expansion_weights
 
 SRC = str(Path(qortho.__file__).resolve().parents[1])
 
@@ -136,6 +141,51 @@ def test_table_runs_without_numpy(argv, tmp_path):
     assert proc.stdout == out.read_text()
 
 
+BOX = ["--alpha-re", "0.2", "--beta-re", "0.1", "--gamma-re", "0.8", "--delta-re", "0.9",
+       "--q", "0.5"]
+P = ParamSet4(0.2, 0.1, 0.8, 0.9)
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["--identity", "PROP_2_4", *BOX, "--n", "3", "--x-re", "0.7", "--y-re", "0.9"],
+     lambda: check_prop_2_4(P, 0.5, 3, 0.7, 0.9)),
+    (["--identity", "PROP_2_1_2", *BOX, "--n", "5", "--theta", "1.2"],
+     lambda: check_prop_2_1_2(P, 0.5, 5, 1.2)),
+    (["--identity", "PROP_2_1_3", *BOX], lambda: check_prop_2_1_3(P, 0.5)),
+])
+def test_checks_off_the_circle_verify_without_numpy(argv, report):
+    # the function family is numpy-free; only the circle rule needs arrays
+    proc, modules = cli("verify", *argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "qortho.qfun" in modules
+    assert numpy_modules(modules) == []
+    assert json.loads(proc.stdout) == json.loads(json.dumps(report().to_record()))
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["big_c", "--n", "3", "--theta", "0.3", *BOX],
+     lambda: laurent_at(big_c_coeffs(3, P, 0.5), 3, 0.3)),
+    (["phi", "--n", "3", "--x-re", "0.7", "--y-re", "0.9", *BOX],
+     lambda: phi_eval(3, 0.7, 0.9, P, 0.5)),
+    (["ultra", "--n", "3", "--theta", "0.4", "--beta-re", "0.3", "--q", "0.5"],
+     lambda: laurent_at(expansion_weights(3, 0.3, 0.3, 0.5), 3, 0.4)),
+    (["h", "--n", "2", "--a-re", "0.3", "--q", "0.5"], lambda: h_norm(2, 0.3, 0.5)),
+])
+def test_family_eval_runs_without_numpy(argv, value):
+    proc, modules = cli("eval", *argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert numpy_modules(modules) == []
+    rec = json.loads(proc.stdout)
+    assert complex(rec["value_re"], rec["value_im"]) == value()
+
+
+def test_eval_weight_still_loads_numpy():
+    # the weight is evaluated by the array kernels, on a one-angle grid
+    proc, modules = cli("eval", "weight", "--theta", "0.7", *BOX)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "numpy" in numpy_modules(modules)
+
+
 def test_a_numeric_check_still_loads_numpy():
     # THM_1_1 integrates over the circle; the import log must show numpy then
     proc, modules = cli("verify", "--identity", "THM_1_1", "--alpha-re", "0.2", "--beta-re",
@@ -151,7 +201,9 @@ def test_package_import_defers_numpy_until_a_numeric_name_is_used():
             "assert 'numpy' not in sys.modules\n"
             "assert {'h_norm', 'periodic_integral'} <= set(dir(qortho))\n"
             "assert 'numpy' not in sys.modules\n"
-            "assert verify.periodic_integral is qortho.periodic_integral\n"
+            "assert qortho.h_norm is sys.modules['qortho.qfun'].h_norm\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert qortho.periodic_integral is sys.modules['qortho.quad'].periodic_integral\n"
             "assert 'numpy' in sys.modules\n")
     proc, _ = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -3,7 +3,7 @@
 import pytest
 
 import qortho
-from qortho import qcore, qfun, quad, verify
+from qortho import ParamSet4, kernels, qcore, qfun, quad, verify
 
 
 def test_all_has_no_duplicates():
@@ -55,6 +55,10 @@ def test_moved_quadrature_types_keep_their_quad_path(name):
     assert getattr(quad, name) is getattr(qcore, name) is getattr(qortho, name)
 
 
-def test_verify_numeric_names_resolve_from_outside():
-    assert verify.periodic_integral is quad.periodic_integral
-    assert verify.weight_min_denominator is qfun.weight_min_denominator
+def test_verify_binds_the_modules_it_calls():
+    # a check calls qfun, kernels and quad through the modules themselves, so
+    # a function patched where it is defined is the one it calls
+    assert verify.check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1, 1).passed
+    assert (verify.qfun, verify.kernels, verify.quad) == (qfun, kernels, quad)
+    for name in ("periodic_integral", "weight_min_denominator", "product_quotient"):
+        assert not hasattr(verify, name)

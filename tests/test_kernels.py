@@ -14,8 +14,7 @@ import pytest
 
 from oracles import mp_qpoch
 from qortho import ParamSet4, SweepSpec, big_c_coeffs, kernels, quad
-from qortho.qcore import closing_factors
-from qortho.qfun import quotient_depth
+from qortho.qcore import closing_factors, quotient_depth
 from qortho.verify import REGISTRY, IdentityId, draw_params, run_sweep
 
 

@@ -108,6 +108,11 @@ class TestMinFactorAbs:
     def test_vanishing_factor_deep_in_the_chain(self):
         assert min_factor_abs(0.5 ** -7, 0.5, 1e-14) == 0.0
 
+    def test_an_infinite_argument_ends_the_scan(self):
+        # inf * q stays inf, so a scan that only waits for |a q^k| < floor
+        # never ends; every factor is infinite, none near zero
+        assert min_factor_abs(math.inf, 0.5, 1e-14) == 1.0
+
 
 class TestQpochFinite:
     def test_empty_product(self):
@@ -254,6 +259,19 @@ class TestFortyDigitReference:
     def test_head_depth_is_pinned(self):
         # |a| |q|^K <= (1 - |q|) rel_tol^(1/3) first at K = 37
         assert tail_start(3, 0.7) == 37
+
+    @pytest.mark.parametrize("a", [math.inf, complex(math.inf, math.nan), math.nan])
+    def test_a_product_of_an_infinite_or_nan_argument_exceeds_every_cap(self, a):
+        # an overflowed symbol is a truncation flag, not a ValueError from log(0)
+        with pytest.raises(TruncationExceeded, match="cap is 10000"):
+            tail_start(a, 0.5)
+
+    def test_a_depth_whose_ratio_underflows_is_taken_in_logs(self):
+        # (1 - |q|) rel_tol^(1/3) / |a| = 5e-101 / 1e300 underflows to 0
+        policy = TruncationPolicy(rel_tol=1e-300)
+        bound = 0.5 * 1e-100
+        expected = math.ceil((math.log(bound) - math.log(1e300)) / math.log(0.5))
+        assert tail_start(1e300, 0.5, policy) == expected == 1330
 
 
 class TestQpochMulti:

@@ -12,37 +12,31 @@ from qortho import (
     ReducedParams,
     TruncationPolicy,
     big_c_coeffs,
-    big_c_eval_many,
     connection_coeffs,
     diag_rhs_thm11,
     growth_root,
     h_norm,
+    laurent_at,
     phi_eval,
     qpoch_finite,
     qpoch_infinite,
     weight_omega_many,
 )
-from qortho.kernels import laurent_eval
-from qortho.qfun import (
-    big_c_at_one,
-    diagonal_prefactor,
-    expansion_weights,
-    product_quotient,
-    weight_symbols,
-)
+from qortho.kernels import big_c_at_one, laurent_eval, product_quotient
+from qortho.qfun import diagonal_prefactor, expansion_weights, weight_symbols
 
 from oracles import c_series_oracle, phi_series_oracle, ultra_recurrence_oracle, weight_oracle
 
 
 def big_c_at(n, theta, p, q):
-    """C_n at one angle, through the array path."""
-    return big_c_eval_many(n, [theta], p, q)[0]
+    """C_n at one angle, as ``qortho eval big_c`` computes it."""
+    return laurent_at(big_c_coeffs(n, p, q), n, theta)
 
 
 def ultra_at(n, theta, beta, q):
     """The single-parameter circle polynomial at one angle, as
     ``qortho eval ultra`` computes it."""
-    return laurent_eval(expansion_weights(n, beta, beta, q), n, [theta])[0]
+    return laurent_at(expansion_weights(n, beta, beta, q), n, theta)
 
 
 def weight_at(theta, p, q, policy=TruncationPolicy()):
@@ -122,7 +116,7 @@ class TestBigC:
         # every entry of a 17-angle grid against the pointwise series oracle
         p = box_params
         thetas = np.linspace(0.0, 2 * math.pi, 17)
-        vals = big_c_eval_many(3, thetas, p, 0.5)
+        vals = laurent_eval(big_c_coeffs(3, p, 0.5), 3, thetas)
         for theta, val in zip(thetas, vals):
             expected = c_series_oracle(theta, p.alpha, p.beta, p.gamma, p.delta, 0.5, 3)[3]
             assert val == pytest.approx(expected, rel=1e-12)
@@ -209,7 +203,7 @@ class TestUltraspherical:
         beta, q = 0.3, 0.5
         thetas = np.linspace(0, 2 * math.pi, 13)
         for n in (0, 1, 4, 7):
-            vals = big_c_eval_many(n, thetas, ParamSet4(beta, beta, 1.0, 1.0), q)
+            vals = laurent_eval(big_c_coeffs(n, ParamSet4(beta, beta, 1.0, 1.0), q), n, thetas)
             expected = [ultra_recurrence_oracle(n, theta, beta, q) for theta in thetas]
             assert np.allclose(vals, expected, rtol=1e-13, atol=1e-13)
 

@@ -16,7 +16,6 @@ from qortho import (
     TruncationPolicy,
     VerificationReport,
     big_c_coeffs,
-    big_c_eval_many,
     check_prop_2_1_2,
     check_prop_2_1_3,
     check_prop_2_2,
@@ -35,7 +34,7 @@ from qortho import (
     qpoch_infinite,
     run_sweep,
 )
-from qortho import kernels, qfun, verify
+from qortho import kernels, qfun, quad, verify
 from qortho.quad import periodic_integral
 from qortho.verify import IdentityId, thm_1_2_rhs_series, thm_1_3_rhs
 
@@ -274,8 +273,8 @@ class TestProp31:
         for m in range(31):
             rep = check_prop_3_1(r, gamma, delta, q, m)
             coeffs = connection_coeffs(m, r, gamma * delta, q)
-            lhs = big_c_eval_many(m, thetas, p_b, q)
-            rhs = sum(coeffs[n] * big_c_eval_many(n, thetas, p_a, q)
+            lhs = kernels.laurent_eval(big_c_coeffs(m, p_b, q), m, thetas)
+            rhs = sum(coeffs[n] * kernels.laurent_eval(big_c_coeffs(n, p_a, q), n, thetas)
                       for n in range(m % 2, m + 1, 2))
             size = np.sum(np.abs(big_c_coeffs(m, p_b, q)))
             assert rep.passed, (m, rep.rel_residual)
@@ -293,6 +292,42 @@ class TestProp31:
     def test_a_degree_that_is_not_a_nonnegative_integer_is_a_domain_error(self, check):
         with pytest.raises(DomainError, match="must be a (nonnegative|positive) integer"):
             check()
+
+
+class TestOnlyDomainErrorEscapes:
+    """Input a closed form cannot take is a DomainError; an overflow on the
+    way is a report flag.  Each case once raised another exception."""
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda: check_prop_2_1_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 3, 1j),
+         "theta must be real"),
+        (lambda: check_prop_2_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 0, partial_terms=1.5),
+         "must be a positive integer, got 1.5"),
+        (lambda: check_prop_2_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 0, tail_terms=2.5),
+         "must be a positive integer, got 2.5"),
+    ])
+    def test_a_malformed_argument_is_a_domain_error_not_a_type_error(self, check, message):
+        with pytest.raises(DomainError, match=message):
+            check()
+
+    @pytest.mark.parametrize("check, message", [
+        # gamma = 0: the weight moduli would divide by it
+        (lambda: check_thm_1_3(ReducedParams(0.5, 0.0), 0.0, 1.0, 0.5, 0, 0),
+         "gamma and delta must be nonzero"),
+        # c d = 0.4 * 5e-324 underflows to 0, and the closed form divides by it
+        (lambda: check_rogers_6w5(0.25, 0.3, 0.4, 5e-324, 0.4), "products nonzero"),
+        # ra*rb = 1: (ra*rb; q)_{n+k} vanishes in the majorant's denominator
+        (lambda: check_prop_2_2(ParamSet4(0.9, 0.8, 0.9, 0.8), 0.5, 1), "must not be 1"),
+    ])
+    def test_an_input_the_closed_form_divides_by_zero_on_is_a_domain_error(self, check,
+                                                                           message):
+        with pytest.raises(DomainError, match=message):
+            check()
+
+    def test_an_overflowing_lattice_endpoint_ratio_is_a_truncation_flag(self):
+        # gamma x = 5e-324 makes q delta y / (gamma x) infinite
+        rep = check_prop_2_4(ParamSet4(0.0, 0.0, 1.0, 1.0), 0.5, 0, 5e-324, 1.0)
+        assert rep.flags == ("TruncationExceeded",) and not rep.passed
 
 
 class TestUltraOrtho:
@@ -333,7 +368,6 @@ class TestCircleIntegrand:
             calls.append(a)
             return screen(*a, **kw)
 
-        monkeypatch.setattr(verify, "weight_min_denominator", counted)
         monkeypatch.setattr(qfun, "weight_min_denominator", counted)
         assert check(*args).passed
         assert len(calls) == 1
@@ -368,7 +402,7 @@ class TestCircleIntegrand:
 
         monkeypatch.setattr(kernels, "poch_product_many", spy_poch)
         monkeypatch.setattr(kernels, "laurent_eval", spy_laurent)
-        monkeypatch.setattr(verify, "periodic_integral", spy_integral)
+        monkeypatch.setattr(quad, "periodic_integral", spy_integral)
         return seen
 
     @pytest.mark.parametrize("check, args", [
@@ -425,7 +459,7 @@ class TestCircleIntegrand:
         def no_quadrature(*_):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(verify, "periodic_integral", no_quadrature)
+        monkeypatch.setattr(quad, "periodic_integral", no_quadrature)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             start = time.perf_counter()
@@ -472,7 +506,7 @@ class TestCircleIntegrand:
         def no_quadrature(*_, **__):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(verify, "periodic_integral", no_quadrature)
+        monkeypatch.setattr(quad, "periodic_integral", no_quadrature)
         with pytest.raises(DomainError, match=rf"\|{name}\| < 1"):
             check_thm_1_2(p, s, t, q)
 
@@ -499,7 +533,7 @@ class TestCircleIntegrand:
             seen["result"].append(periodic_integral(f, interval, spec))
             return seen["result"][-1]
 
-        monkeypatch.setattr(verify, "periodic_integral", plain)
+        monkeypatch.setattr(quad, "periodic_integral", plain)
         assert check_thm_1_1(p, 0.3, 3, 3).passed
         assert seen["result"][1].nodes >= 1024
         assert abs(corrected.lhs - seen["result"][1].value) <= 1e-13 * abs(corrected.rhs)
