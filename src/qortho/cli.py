@@ -53,12 +53,11 @@ CSV_FIELDS = (
     "abs_residual", "rel_residual", "tolerance", "passed", "flags",
 )
 
-# How each parameter name is spelled as flags: a record built from the complex
-# parameters named, or one int or float flag --NAME.  Any other name is one
-# complex value, --NAME-re and --NAME-im.
+# How each parameter name is spelled as flags: a record built from its complex
+# fields, or one int or float flag --NAME.  Any other name is one complex
+# value, --NAME-re and --NAME-im.
 _SPELLING = {
-    "p": (ParamSet4, ("alpha", "beta", "gamma", "delta")),
-    "r": (ReducedParams, ("a", "b")),
+    "p": (ParamSet4, ParamSet4._fields), "r": (ReducedParams, ReducedParams._fields),
     "q": float, "theta": float,
     "m": int, "n": int, "k": int, "n_max": int,
 }

@@ -137,9 +137,20 @@ def very_well_poised(a1, rest, q, z, policy: TruncationPolicy = DEFAULT_POLICY) 
     return phi_series(PhiSpec(tuple(nums), tuple(dens), qb, z), policy)
 
 
+def rogers_6w5_argument(a, b, c, d, q: complex) -> complex:
+    """z = a q/(b c d), where :func:`rogers_6w5_rhs` holds: it divides by b c, b d,
+    c d and b c d (0 also when one underflows) and needs |z| < 1 (:class:`DomainError`)."""
+    if 0 in (b * c, b * d, c * d, b * c * d):
+        raise DomainError(f"aq/(bcd) needs b, c, d and their products nonzero, got {b}, {c}, {d}")
+    z = a * q / (b * c * d)
+    if abs(z) >= 1.0:
+        raise DomainError(f"need |a q / (b c d)| < 1, got {abs(z):.6g}")
+    return z
+
+
 def rogers_6w5_rhs(a, b, c, d, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Closed product form of the six-parameter very-well-poised sum at
-    argument z = a q / (b c d):
+    argument z = a q / (b c d) (:func:`rogers_6w5_argument`):
 
         (aq, aq/bc, aq/bd, aq/cd; q)_oo
         -------------------------------------
@@ -147,10 +158,8 @@ def rogers_6w5_rhs(a, b, c, d, q, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     qb = QBase.coerce(q)
+    z = rogers_6w5_argument(a, b, c, d, qb.q)
     aq = a * qb.q
-    z = aq / (b * c * d)
-    if abs(z) >= 1.0:
-        raise DomainError(f"need |a q / (b c d)| < 1, got {abs(z):.6g}")
     num = 1.0 + 0.0j
     for arg in (aq, aq / (b * c), aq / (b * d), aq / (c * d)):
         num *= qpoch_infinite(arg, qb, policy)
@@ -175,6 +184,7 @@ __all__ = [
     "PhiSpec",
     "phi_series",
     "very_well_poised",
+    "rogers_6w5_argument",
     "rogers_6w5_rhs",
     "qbinomial_product_ratio",
 ]

@@ -270,26 +270,18 @@ def phi_qintegral_repr(
     ra, rb = p.ratio_a, p.ratio_b
     by_gx = p.beta * y / gx
     ax_dy = p.alpha * x / dy
-    # Symbols that sit in a denominator anywhere: the prefactor's infinite
+    # Symbols that sit in a denominator anywhere: the prefactor's four infinite
     # products and, across all lattice nodes z in {gx q^k} u {dy q^k}, the
     # integrand's (beta z/(gamma delta x); q)_oo and (alpha z/(gamma delta y); q)_oo
-    # chains reduce to the four bases below.
-    denominator_bases = [
-        qb.q,
-        ra * rb,
-        gx / dy,
-        qb.q * dy / gx,
-        rb,  # beta z/(gamma delta x) at z = gx q^k
-        by_gx,  # ... at z = dy q^k
-        ax_dy,  # alpha z/(gamma delta y) at z = gx q^k
-        ra,  # ... at z = dy q^k
-    ]
-    for base in denominator_bases:
-        if min_factor_abs(base, qb.q, policy.rel_tol) < NEAR_SINGULAR_TOL:
-            raise NearSingular(
-                f"denominator symbol with base {base} has a factor within "
-                f"{NEAR_SINGULAR_TOL} of zero"
-            )
+    # chains, which reduce to the last four.  Screened before any product is
+    # formed, so the product passed is 1.
+    screen_denominator({
+        "q": qb.q, "ra*rb": ra * rb, "gx/dy": gx / dy, "q*dy/gx": qb.q * dy / gx,
+        "rb": rb,  # beta z/(gamma delta x) at z = gx q^k
+        "beta*y/gx": by_gx,  # ... at z = dy q^k
+        "alpha*x/dy": ax_dy,  # alpha z/(gamma delta y) at z = gx q^k
+        "ra": ra,  # ... at z = dy q^k
+    }, qb, policy, 1.0)
 
     prefactor_num = qpoch_finite(ra * rb, qb, n)
     for arg in (ra, rb, by_gx, ax_dy):

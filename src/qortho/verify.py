@@ -60,7 +60,8 @@ from .qcore import (
     quotient_depth,
     settled_sum,
 )
-from .hyper import PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_rhs, very_well_poised
+from .hyper import (PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_argument,
+                    rogers_6w5_rhs, very_well_poised)
 
 NAN = complex("nan")
 
@@ -221,13 +222,7 @@ def _unflatten_inputs(flat: Mapping[str, object]) -> dict:
 
 
 def _paramset_inputs(p: ParamSet4, q: QBase) -> dict:
-    return {
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "gamma": p.gamma,
-        "delta": p.delta,
-        "q": q.q,
-    }
+    return dict(zip(p._fields, p._values()), q=q.q)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +309,17 @@ def _circle_check(
     )
 
 
-def _require_regular_weight(moduli: Mapping[str, float]) -> None:
-    """:class:`DomainError` unless each weight denominator modulus (name ->
-    value) is below 1; at 1 the weight has a pole on the circle, beyond it
-    the orthogonality relation no longer holds."""
+def _require(moduli: Mapping[str, float]) -> None:
+    """:class:`DomainError` naming the first of an identity's ``moduli`` (its
+    ``_<identity>_moduli``, which its drawer passes to :func:`_admits`) not below 1."""
     for name, value in moduli.items():
         if value >= 1.0:
-            raise DomainError(f"weight regularity needs {name} < 1, got {value:.6g}")
+            raise DomainError(f"the hypothesis {name} < 1 fails: {name} = {value:.6g}")
+
+
+def _weight_moduli(p: ParamSet4) -> dict[str, float]:
+    """The weight's moduli: at 1 it has a pole on the circle, beyond it no orthogonality."""
+    return {"|alpha/delta|": abs(p.alpha / p.delta), "|beta/gamma|": abs(p.beta / p.gamma)}
 
 
 def check_thm_1_1(
@@ -336,8 +335,7 @@ def check_thm_1_1(
     the closed diagonal (zero off the diagonal).  The weight's denominator
     symbols need |alpha/delta| < 1 and |beta/gamma| < 1."""
     qb = QBase.coerce(q)
-    _require_regular_weight({"|alpha/delta|": abs(p.alpha / p.delta),
-                             "|beta/gamma|": abs(p.beta / p.gamma)})
+    _require(_weight_moduli(p))
     return _circle_check(
         IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,
@@ -346,8 +344,8 @@ def check_thm_1_1(
     )
 
 
-def _thm_1_2_hypothesis(p: ParamSet4, s: complex, t: complex, q: QBase) -> dict[str, float]:
-    """The seven moduli that must all be < 1."""
+def _thm_1_2_moduli(p: ParamSet4, s: complex, t: complex, q: QBase) -> dict[str, float]:
+    """The seven moduli of the q-beta integral's hypothesis."""
     return {
         "|q|": abs(q.q),
         "|alpha/gamma|": abs(p.ratio_a),
@@ -375,14 +373,7 @@ def check_thm_1_2(
     qb = QBase.coerce(q)
     s = finite_complex("s", s)
     t = finite_complex("t", t)
-    for name, value in _thm_1_2_hypothesis(p, s, t, qb).items():
-        if value >= 1.0:
-            raise DomainError(
-                f"hypothesis max(|q|, |alpha/gamma|, |beta/delta|, |gamma*s|, "
-                f"|gamma*t|, |delta*s|, |delta*t|) < 1 violated: {name} = {value:.6g}"
-            )
-    _require_regular_weight({"|alpha/delta|": abs(p.alpha / p.delta),
-                             "|beta/gamma|": abs(p.beta / p.gamma)})
+    _require(_thm_1_2_moduli(p, s, t, qb) | _weight_moduli(p))
     return _circle_check(
         IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,
@@ -417,6 +408,11 @@ def thm_1_2_rhs_series(
     return prefactor * settled_sum(terms(), policy, "diagonal series")
 
 
+def _thm_1_3_moduli(a, gamma, delta) -> dict[str, float]:
+    """:func:`_weight_moduli` of the a-family, alpha = a gamma, beta = a delta."""
+    return {"|a*gamma/delta|": abs(a * gamma / delta), "|a*delta/gamma|": abs(a * delta / gamma)}
+
+
 def check_thm_1_3(
     r: ReducedParams,
     gamma,
@@ -436,15 +432,11 @@ def check_thm_1_3(
     delta = finite_complex("delta", delta)
     if r.a == 0:
         raise DomainError("the closed form divides by a; a must be nonzero")
-    same_parity = (m - n) % 2 == 0
-    if same_parity and m < n:
-        raise DomainError(
-            "the closed form's product indices (m-n)/2 require m >= n"
-        )
+    if (m - n) % 2 == 0 and m < n:
+        raise DomainError("the closed form's product indices (m-n)/2 require m >= n")
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)  # gamma, delta != 0
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
-    _require_regular_weight({"|a*gamma/delta|": abs(r.a * gamma / delta),
-                             "|a*delta/gamma|": abs(r.a * delta / gamma)})
+    _require(_thm_1_3_moduli(r.a, gamma, delta))
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}
     return _circle_check(
         IdentityId.THM_1_3, inputs, tolerance, p_a, qb, policy, qspec, HALF_PERIOD,
@@ -499,6 +491,11 @@ def check_prop_3_1(
                                     tolerance, scale=max(map(abs, lhs)))
 
 
+def _ultra_ortho_moduli(beta) -> dict[str, float]:
+    """:func:`_weight_moduli` at (beta, beta, 1, 1), both |beta|."""
+    return {"|beta|": abs(beta)}
+
+
 def check_ultra_ortho(
     beta,
     q,
@@ -513,7 +510,7 @@ def check_ultra_ortho(
     diagonal 1/h_n."""
     qb = QBase.coerce(q)
     beta = finite_complex("beta", beta)
-    _require_regular_weight({"|beta|": abs(beta)})
+    _require(_ultra_ortho_moduli(beta))
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
         IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,
@@ -648,11 +645,7 @@ def check_rogers_6w5(
     product form."""
     qb = QBase.coerce(q)
     a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
-    # the closed form divides by each of these products (0 also when one underflows)
-    if 0 in (b * c, b * d, c * d, b * c * d):
-        raise DomainError(f"z = a q/(b c d) needs b, c, d and their products nonzero, "
-                          f"got {b}, {c}, {d}")
-    z = a * qb.q / (b * c * d)
+    z = rogers_6w5_argument(a, b, c, d, qb.q)
     return _check(
         IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q}, tolerance,
         lambda: very_well_poised(a, [b, c, d], qb, z, policy),
@@ -698,27 +691,19 @@ class SweepSpec(Record):
                   m_max=as_degree("m_max", m_max), n_max=as_degree("n_max", n_max))
 
 
-# All default sweeps draw real parameters; q stays within (0, 0.8].  The boxes
-# were chosen so that every hypothesis of the target identity holds with
-# margin and the weight denominator moduli |alpha/delta|, |beta/gamma| stay
-# below 1 - WEIGHT_MARGIN.  The latter is not only a conditioning concern: the
-# full-period orthogonality genuinely fails once those moduli cross 1 (the
-# closed diagonal assumes the weight denominators expand as geometric series
-# on the circle), so draws are restricted to the sub-box where the identity
-# holds.
+# All default sweeps draw real parameters; q stays within (0, 0.8].  A drawer
+# admits the moduli its checker requires below 1 up to a bound: 0.7 for
+# THM_1_2's seven, 1 - WEIGHT_MARGIN for the weight's, which keeps each factor
+# |1 - w q^k e^{2i theta}| >= WEIGHT_MARGIN on the circle; beyond 1 the
+# orthogonality relations fail.  Its other tests are conditioning margins.
 WEIGHT_MARGIN = 0.08
 
 _MAX_REJECTS = 500
 
 
-def _weight_ok(p: ParamSet4) -> bool:
-    """Weight denominator moduli below 1 with margin.  |w| <= 1 - margin
-    keeps every factor |1 - w q^k e^{2i theta}| >= margin on the circle and
-    keeps the parameters inside the identity's validity domain."""
-    return (
-        abs(p.alpha / p.delta) <= 1.0 - WEIGHT_MARGIN
-        and abs(p.beta / p.gamma) <= 1.0 - WEIGHT_MARGIN
-    )
+def _admits(moduli: Mapping[str, float], bound: float = 1.0 - WEIGHT_MARGIN) -> bool:
+    """Whether a drawer accepts: every modulus (name -> value) <= ``bound``."""
+    return all(value <= bound for value in moduli.values())
 
 
 def _chain_clear(w: float, q: float) -> bool:
@@ -727,8 +712,7 @@ def _chain_clear(w: float, q: float) -> bool:
 
 
 def _uniform(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:
-    lo, hi = lo_hi
-    return float(rng.uniform(lo, hi))
+    return float(rng.uniform(*lo_hi))
 
 
 def _degrees(rng: np.random.Generator, spec: SweepSpec) -> dict:
@@ -736,13 +720,12 @@ def _degrees(rng: np.random.Generator, spec: SweepSpec) -> dict:
 
 
 def _draw_paramset(rng, box) -> ParamSet4:
+    """Real parameters from ``scale`` and ``ratio``, until :func:`_admits` the weight's."""
     for _ in range(_MAX_REJECTS):
-        gamma = _uniform(rng, box["scale"])
-        delta = _uniform(rng, box["scale"])
-        ra = _uniform(rng, box["ratio"])
-        rb = _uniform(rng, box["ratio"])
+        gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
+        ra, rb = _uniform(rng, box["ratio"]), _uniform(rng, box["ratio"])
         p = ParamSet4(ra * gamma, rb * delta, gamma, delta)
-        if _weight_ok(p):
+        if _admits(_weight_moduli(p)):
             return p
     raise RuntimeError("could not draw a well-conditioned parameter set")
 
@@ -758,7 +741,7 @@ def _draw_thm_1_2(rng, box, q, spec) -> dict:
         biggest = max(abs(p.gamma), abs(p.delta))
         s = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
         t = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
-        if max(_thm_1_2_hypothesis(p, s, t, QBase.coerce(q)).values()) <= 0.7:
+        if _admits(_thm_1_2_moduli(p, s, t, QBase.coerce(q)), 0.7):
             return {"p": p, "s": s, "t": t, "q": q}
     raise RuntimeError("could not draw an admissible seven-parameter set")
 
@@ -767,7 +750,7 @@ def _draw_thm_1_3(rng, box, q, spec) -> dict:
     for _ in range(_MAX_REJECTS):
         a, b = _uniform(rng, box["ab"]), _uniform(rng, box["ab"])
         gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
-        if _weight_ok(ParamSet4.from_reduced(a, gamma, delta)):
+        if _admits(_thm_1_3_moduli(a, gamma, delta)):
             m, n = _degrees(rng, spec).values()
             if (m - n) % 2 == 0 and m < n:
                 m, n = n, m
@@ -799,12 +782,20 @@ def _draw_prop_2_4(rng, box, q, spec) -> dict:
 def _draw_rogers_6w5(rng, box, q, spec) -> dict:
     for _ in range(_MAX_REJECTS):
         b, c, d = (_uniform(rng, box["bcd"]) for _ in range(3))
-        z = _uniform(rng, box["z"])
-        a = z * b * c * d / q
+        a = _uniform(rng, box["z"]) * b * c * d / q
+        z = rogers_6w5_argument(a, b, c, d, q)
         aq = a * q
         if abs(a) < 0.9 and all(_chain_clear(w, q) for w in (aq / b, aq / c, aq / d, z)):
             return {"a": a, "b": b, "c": c, "d": d, "q": q}
     raise RuntimeError("could not draw an admissible six-parameter set")
+
+
+def _draw_ultra_ortho(rng, box, q, spec) -> dict:
+    for _ in range(_MAX_REJECTS):
+        beta = _uniform(rng, box["beta"])
+        if _admits(_ultra_ortho_moduli(beta)):
+            return {"beta": beta, "q": q, **_degrees(rng, spec)}
+    raise RuntimeError("could not draw an admissible beta")
 
 
 class Identity(Record):
@@ -858,14 +849,13 @@ REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
              lambda rng, box, q, spec: {"a": _uniform(rng, box["a"]),
                                         "z": _uniform(rng, box["z"]), "q": q}),
     Identity(IdentityId.ULTRA_ORTHO, 1e-8, {"q": (0.1, 0.7), "beta": (0.05, 0.7)},
-             lambda rng, box, q, spec: {"beta": _uniform(rng, box["beta"]), "q": q,
-                                        **_degrees(rng, spec)}),
+             _draw_ultra_ortho),
 )}
 
 
 def draw_params(identity_id: IdentityId, rng: np.random.Generator, spec: SweepSpec) -> dict:
-    """One deterministic parameter draw for the given identity; rejection
-    sampling keeps weight denominators clear of the unit circle."""
+    """One deterministic parameter draw for the given identity from its box with
+    ``spec.box`` overrides, redrawn until its moduli (:func:`_admits`) and margins hold."""
     record = REGISTRY[IdentityId(identity_id)]
     box = dict(record.box) | dict(spec.box)
     return record.draw(rng, box, _uniform(rng, box["q"]), spec)

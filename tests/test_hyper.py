@@ -153,6 +153,11 @@ class TestRogers6W5:
         with pytest.raises(DomainError):
             rogers_6w5_rhs(0.2, 0.3, 0.4, 0.5, 0.5)  # |aq/bcd| = 5/3
 
+    def test_an_underflowing_product_is_a_domain_error(self):
+        # c d = 0.4 * 5e-324 underflows to 0, and the closed form divides by it
+        with pytest.raises(DomainError, match="products nonzero"):
+            rogers_6w5_rhs(0.25, 0.3, 0.4, 5e-324, 0.4)
+
     def test_substitution_consistency(self):
         # choosing d = aq/(b c z0) turns aq/(bd) into c*z0 symbolically; the
         # closed form evaluated directly must equal the substituted product

@@ -1,14 +1,26 @@
 """The identity registry: one record per identity, drawers that feed their
 checkers, and draws pinned against the RNG order."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from qortho import DomainError, ParamSet4, ReducedParams, SweepSpec
+from qortho import DomainError, ParamSet4, QBase, ReducedParams, SweepSpec
 from qortho.cli import _SPELLING, _spelled
-from qortho.verify import REGISTRY, IdentityId, draw_params
+from qortho.hyper import rogers_6w5_argument
+from qortho.verify import (
+    REGISTRY,
+    WEIGHT_MARGIN,
+    IdentityId,
+    _require,
+    _thm_1_2_moduli,
+    _thm_1_3_moduli,
+    _ultra_ortho_moduli,
+    _weight_moduli,
+    draw_params,
+)
 
 # The first three draws at seed 0 for every identity: the keyword names, then
 # each draw's values in that order, with a ParamSet4 spread into alpha, beta,
@@ -152,3 +164,74 @@ def test_first_draws_at_seed_zero_are_pinned(identity):
     draws = [draw_params(identity, rng, spec) for _ in range(3)]
     assert all(tuple(draw) == keys for draw in draws)
     assert [_flat_values(draw) for draw in draws] == expected
+
+
+# SHA-256 of repr of the first 2000 draws at seeds 1 and 2 for every identity.
+PINNED_DIGESTS = {
+    "THM_1_1": ("63f46e6fcbb2ee5d1bb807139cd235da729978ab133165423740c2cc9f34073f",
+                "16383aa81d9993a9abc06778ccdc44c38f8c8f3b3fb17bcf164a1ec563c398d6"),
+    "THM_1_2": ("f1832c3948ccfce4b1fb395e176f502f3986d5ab03bcd24fdab6bdb3e40dca72",
+                "b69fee3c96e5dad3799fb9720fb9e1bf5c96c08e8a6a29868b990cad6d32b67c"),
+    "THM_1_3": ("d33f928bbbd851cf47812053c19f3aa54a4a5d2d110b03320ca2850d7f05ba48",
+                "9b79f249b863efd4afee4be6ed02df0d26f862894e7b5733f79f564028e71113"),
+    "PROP_2_1_2": ("1d353b076ee1172db962d8821e58e2eab08d494ac2bf2972ee372f845b96d1e8",
+                   "9d1098c2434cfae4bbf5304f36c7907c5b407c16032e27dc2d9e272fd3e24bd9"),
+    "PROP_2_1_3": ("b31f22c304fbb21189fc59c9939866248abfc3da83d2a9400d79fdc59e8f9f78",
+                   "4173c3550663e960cdd7cb926dd6873b29d63f36d736799b23632661495cafa9"),
+    "PROP_2_2": ("ab6fd2bde8c9396aa1a113a185875bae67c6a396c94093db17a4228420d2bcac",
+                 "87a8bd4fad1fd725a4ebd171bbc8e375ac9f67a942397c8f5b45a96b8f35cdc9"),
+    "PROP_2_4": ("6e92f09339e2bce7ed6e8f3561fb1f7dfb5bec4467cca4703f7f13ef4ef062b5",
+                 "9d0c2fb4f9fd28907942caa62fb1261075b89f021ab0cc542d938525b2a90c8b"),
+    "PROP_3_1": ("c097671129855f9f53eeb91340a8f418b7ce0b50bb9c67a7670bf49e84cf4b7e",
+                 "eba53290d246af6e5c9638f6d4770432172a46b531230a6ee57e4a0eac71daf1"),
+    "ROGERS_6W5": ("7d3e1cfe1d0c5f194bb7cbbd41f39ed08e623a553889729d9e4d6f98374939c6",
+                   "41f1c12dedbafc121e67a0ac3b1b4f3620dec2e4de7e34f999cca74272d17701"),
+    "QBINOMIAL": ("4414a9814c1a18fad897c2d44fe59a872488a35c0e527a87a6041ddc46291705",
+                  "d9bd3b8aa14b394096b2cf4dfb999f1eca5423a7ec86e494e7a3bce4acd2bb01"),
+    "ULTRA_ORTHO": ("217c73e525cf4d90184fcc897743f2241679dcb9dee1fbaa8a07a1714174065c",
+                    "9a073b51d4d529a95cc5eccd98f8d81d94e95bd65ddfb088b8be037863494677"),
+}
+
+
+@pytest.mark.parametrize("identity", list(IdentityId))
+def test_first_2000_draws_at_seeds_one_and_two_are_pinned(identity):
+    for seed, expected in zip((1, 2), PINNED_DIGESTS[identity.value]):
+        rng = np.random.default_rng(seed)
+        spec = SweepSpec(seed=seed, draws=2000)
+        draws = [draw_params(identity, rng, spec) for _ in range(2000)]
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == expected, seed
+
+
+_WEIGHT_BOUND = 1.0 - WEIGHT_MARGIN
+
+# Each identity with modulus hypotheses: (moduli, the bound its drawer admits
+# them at) pairs for one draw.
+DOMAINS = {
+    IdentityId.THM_1_1: lambda d: [(_weight_moduli(d["p"]), _WEIGHT_BOUND)],
+    IdentityId.THM_1_2: lambda d: [
+        (_thm_1_2_moduli(d["p"], d["s"], d["t"], QBase(d["q"])), 0.7),
+        (_weight_moduli(d["p"]), _WEIGHT_BOUND),
+    ],
+    IdentityId.THM_1_3: lambda d: [
+        (_thm_1_3_moduli(d["r"].a, d["gamma"], d["delta"]), _WEIGHT_BOUND),
+    ],
+    IdentityId.ULTRA_ORTHO: lambda d: [(_ultra_ortho_moduli(d["beta"]), _WEIGHT_BOUND)],
+    # z is drawn from the box, and the closed form's domain check must pass on it
+    IdentityId.ROGERS_6W5: lambda d: [
+        ({"|z|": abs(rogers_6w5_argument(d["a"], d["b"], d["c"], d["d"], d["q"]))},
+         REGISTRY[IdentityId.ROGERS_6W5].box["z"][1]),
+    ],
+}
+
+
+@pytest.mark.parametrize("identity", list(DOMAINS))
+def test_every_draw_lies_in_its_checkers_domain_within_the_drawers_bound(identity):
+    for seed in (1, 2):
+        for cap in (6, 30):
+            rng = np.random.default_rng(seed)
+            spec = SweepSpec(seed=seed, draws=2000, m_max=cap, n_max=cap)
+            for _ in range(2000):
+                draw = draw_params(identity, rng, spec)
+                for moduli, bound in DOMAINS[identity](draw):
+                    assert max(moduli.values()) <= bound, (seed, cap, draw, moduli)
+                    _require(moduli)
