@@ -86,6 +86,15 @@ _EVAL = {
     "h": lambda qfun, n, a, q, policy: qfun.h_norm(n, a, q, policy),
 }
 
+# table functions f(parameters...) -> {degree: coefficients}.
+_TABLE = {
+    "big_c": lambda q, n_max, p: {n: big_c_coeffs(n, p, q)
+                                  for n in range(as_degree("n_max", n_max) + 1)},
+    "connection": lambda q, m, r, gamma, delta: {m: connection_coeffs(m, r, gamma * delta, q)},
+    "ultra": lambda q, n_max, beta: {n: expansion_weights(n, beta, beta, QBase.coerce(q))
+                                     for n in range(as_degree("n_max", n_max) + 1)},
+}
+
 _HELP = {
     "q": "base q (real, |q| < 1)",
     "tol": "tolerance override",
@@ -165,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_sweep)
 
     p_table = sub.add_parser("table", help="tabulate coefficients as CSV", allow_abbrev=False)
-    p_table.add_argument("what", choices=("big_c", "connection", "ultra"))
+    p_table.add_argument("what", choices=tuple(_TABLE))
     _add_flags(p_table, ("q", "m", "p", "r", "n_max"), {})
     p_table.add_argument("--out", default=None)
 
@@ -213,6 +222,24 @@ def _spelled(func) -> dict[str, bool]:
 def _configured(cls, args, flags: dict[str, type]):
     """``cls`` built from the given ones of ``flags``, defaults elsewhere."""
     return cls(**{dest: getattr(args, dest) for dest in flags if getattr(args, dest) is not None})
+
+
+def _kwargs(func, args) -> tuple[dict, set[str]]:
+    """The keyword arguments of ``func`` from the flags, and the flag
+    destinations read: its :data:`_TUNING` records, and its spelled
+    parameters, one with a default omitted when its flags are unset."""
+    kwargs, read = {}, set()
+    accepted = _parameters(func)
+    for name, (cls, flags) in _TUNING.items():
+        if name in accepted:
+            read |= flags.keys()
+            kwargs[name] = _configured(cls, args, flags)
+    for name, has_default in _spelled(func).items():
+        read |= _dests(name).keys()
+        value = _arg(args, name, required=not has_default)
+        if value is not None:
+            kwargs[name] = value
+    return kwargs, read
 
 
 def _parse_listed_complex(raw: str) -> complex:
@@ -282,11 +309,7 @@ def _cmd_eval(args) -> int:
     if fn in _EVAL:
         from . import qfun
 
-        func = _EVAL[fn]
-        kwargs = {name: _arg(args, name) for name in _spelled(func)}
-        if "policy" in _parameters(func):
-            kwargs["policy"] = policy
-        value = complex(func(qfun, **kwargs))
+        value = complex(_EVAL[fn](qfun, **_kwargs(_EVAL[fn], args)[0]))
     elif fn == "qpoch":
         a = _arg(args, "a")
         if args.inf:
@@ -322,18 +345,8 @@ def _cmd_verify(args) -> int:
     identity does not read is invalid input."""
     record = REGISTRY[IdentityId(args.identity)]
     checker = record.checker
-    accepted = _parameters(checker)
-    read = {"command", "identity", "format", "out", "tol"}
-    kwargs = {}
-    for name, (cls, flags) in _TUNING.items():
-        if name in accepted:
-            read |= flags.keys()
-            kwargs[name] = _configured(cls, args, flags)
-    for name, has_default in _spelled(checker).items():
-        read |= _dests(name).keys()
-        value = _arg(args, name, required=not has_default)
-        if value is not None:
-            kwargs[name] = value
+    kwargs, read = _kwargs(checker, args)
+    read |= {"command", "identity", "format", "out", "tol"}
     unread = [_flag(dest) for dest, value in vars(args).items()
               if value is not None and dest not in read]
     if unread:
@@ -387,20 +400,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_table(args) -> int:
     import csv
 
-    q = _arg(args, "q")
-    if args.what == "connection":
-        m = _arg(args, "m")
-        r = _arg(args, "r")
-        by_degree = {m: connection_coeffs(m, r, _arg(args, "gamma") * _arg(args, "delta"), q)}
-    elif args.what == "big_c":
-        n_max = as_degree("n_max", _arg(args, "n_max"))
-        p = _arg(args, "p")
-        by_degree = {n: big_c_coeffs(n, p, q) for n in range(n_max + 1)}
-    else:  # ultra
-        n_max = as_degree("n_max", _arg(args, "n_max"))
-        beta = _arg(args, "beta")
-        by_degree = {n: expansion_weights(n, beta, beta, QBase.coerce(q))
-                     for n in range(n_max + 1)}
+    by_degree = _TABLE[args.what](**_kwargs(_TABLE[args.what], args)[0])
     rows = [(n, k, c.real, c.imag) for n, coefs in by_degree.items() for k, c in enumerate(coefs)]
 
     buf = io.StringIO()

@@ -21,6 +21,7 @@ import cmath
 from .errors import DivergentSeries, DomainError
 from .qcore import (
     DEFAULT_POLICY,
+    NEAR_SINGULAR_TOL,
     QBase,
     Record,
     TruncationPolicy,
@@ -28,11 +29,6 @@ from .qcore import (
     screen_denominator,
     settled_sum,
 )
-
-# |b q^m - 1| below this means a denominator parameter of the forbidden form
-# q^{-m}, which would zero a (b;q)_k factor.
-_FORBIDDEN_PARAM_TOL = 1e-12
-
 
 def _poch_zero_index(value: complex, q: complex, tol: float) -> int | None:
     """Index m >= 0 with value * q^m ~= 1, or None. Detects parameters of the
@@ -65,16 +61,16 @@ class PhiSpec(Record):
         q = QBase.coerce(q)
         z = complex(z)
         for b in denominators:
-            m = _poch_zero_index(b, q.q, _FORBIDDEN_PARAM_TOL)
+            m = _poch_zero_index(b, q.q, NEAR_SINGULAR_TOL)
             if m is not None:
                 raise DomainError(
                     f"denominator parameter {b} is q^-{m} to within "
-                    f"{_FORBIDDEN_PARAM_TOL}; it would zero a product factor"
+                    f"{NEAR_SINGULAR_TOL}; it would zero a product factor"
                 )
         stops = [
             m
             for a in numerators
-            if (m := _poch_zero_index(a, q.q, _FORBIDDEN_PARAM_TOL)) is not None
+            if (m := _poch_zero_index(a, q.q, NEAR_SINGULAR_TOL)) is not None
         ]
         if not stops and abs(z) >= 1.0:
             raise DomainError(

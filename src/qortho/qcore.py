@@ -31,7 +31,8 @@ from .errors import DomainError, NearSingular, TruncationExceeded
 # rounding noise into quotients.
 EXACT_ZERO_FACTOR = 1e-15
 
-# Magnitude below which a denominator product counts as singular.
+# Magnitude below which a denominator product counts as singular, and how close
+# to 1 a series parameter times q^m must come to count as a (w;q)_k factor's zero.
 NEAR_SINGULAR_TOL = 1e-12
 
 

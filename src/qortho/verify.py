@@ -179,14 +179,17 @@ class VerificationReport(Record):
 
     @classmethod
     def from_record(cls, rec: Mapping[str, object]) -> "VerificationReport":
+        """The report of :meth:`to_record`'s ``rec``, or of the JSON the CLI
+        writes, where every non-finite number is null: a null reads back as NaN."""
+        num = {key: math.nan if value is None else value for key, value in rec.items()}
         return cls(
             identity_id=str(rec["identity"]),
             inputs=_unflatten_inputs(rec["inputs"]),
-            lhs=complex(rec["lhs_re"], rec["lhs_im"]),
-            rhs=complex(rec["rhs_re"], rec["rhs_im"]),
-            abs_residual=float(rec["abs_residual"]),
-            rel_residual=float(rec["rel_residual"]),
-            tolerance=float(rec["tolerance"]),
+            lhs=complex(num["lhs_re"], num["lhs_im"]),
+            rhs=complex(num["rhs_re"], num["rhs_im"]),
+            abs_residual=float(num["abs_residual"]),
+            rel_residual=float(num["rel_residual"]),
+            tolerance=float(num["tolerance"]),
             passed=bool(rec["passed"]),
             flags=tuple(rec["flags"]),
         )
@@ -560,14 +563,14 @@ def check_prop_2_1_3(
     )
 
 
+# PROP_2_2's majorant, fixed, and recorded in each of its reports' inputs.
+PROP_2_2_MAJORANT = {"t_fraction": 0.9, "partial_terms": 200, "tail_terms": 100}
+
+
 def check_prop_2_2(
     p: ParamSet4,
     q,
     k: int = 0,
-    *,
-    t_fraction: float = 0.9,
-    partial_terms: int = 200,
-    tail_terms: int = 100,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Majorant Cauchy check for the diagonal generating sum: with
@@ -575,25 +578,18 @@ def check_prop_2_2(
 
         sum_n C_{n+k}(1) C_n(1) |(q;q)_{n+k} / (ra*rb;q)_{n+k}| |t|^n
 
-    beyond ``partial_terms`` must stay below tolerance times the partial sum.
-    The report's lhs is the tail, rhs is zero, scale is the partial sum.
-    Needs k >= 0, 0 < t_fraction < 1, ra*rb != 1 (else (ra*rb;q)_{n+k}
-    vanishes) and at least one partial and one tail term."""
+    (its tail_terms terms beyond the first partial_terms, all three values
+    those of :data:`PROP_2_2_MAJORANT`) must stay below tolerance times the
+    partial sum.  The report's lhs is the tail, rhs is zero, scale is the
+    partial sum.  Needs k >= 0 and ra*rb != 1 (else (ra*rb;q)_{n+k} vanishes)."""
     _numeric()
     qb = QBase.coerce(q)
     as_degree("k", k)
-    if not 0.0 < t_fraction < 1.0:
-        raise DomainError(f"t_fraction must lie in (0, 1), got {t_fraction!r}")
     ra_rb = p.ratio_a * p.ratio_b
     if ra_rb == 1.0:
         raise DomainError("ra*rb = (alpha/gamma)(beta/delta) must not be 1")
-    partial_terms, tail_terms = (as_degree("each of partial_terms and tail_terms", terms,
-                                           positive=True)
-                                 for terms in (partial_terms, tail_terms))
-    inputs = _paramset_inputs(p, qb) | {
-        "k": k, "t_fraction": t_fraction, "partial_terms": partial_terms,
-        "tail_terms": tail_terms,
-    }
+    t_fraction, partial_terms, tail_terms = PROP_2_2_MAJORANT.values()
+    inputs = _paramset_inputs(p, qb) | {"k": k} | PROP_2_2_MAJORANT
     t_abs = t_fraction * min(1.0 / abs(p.gamma), 1.0 / abs(p.delta))
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
@@ -725,38 +721,34 @@ def _draw_paramset(rng, box) -> ParamSet4:
         gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
         ra, rb = _uniform(rng, box["ratio"]), _uniform(rng, box["ratio"])
         p = ParamSet4(ra * gamma, rb * delta, gamma, delta)
-        if _admits(_weight_moduli(p)):
+        if _admits(weight := _weight_moduli(p)):
             return p
-    raise RuntimeError("could not draw a well-conditioned parameter set")
+    raise DomainError(f"no draw from scale {box['scale']} and ratio {box['ratio']} has "
+                      f"{' and '.join(weight)} <= {1.0 - WEIGHT_MARGIN:g}")
 
 
 # Drawers longer than one expression.  Each takes (rng, box, q, spec), q
-# already drawn, and returns checker arguments; values are drawn in the order
-# written.
+# already drawn, and returns checker arguments, or None to reject the
+# attempt; values are drawn in the order written.
 
 
-def _draw_thm_1_2(rng, box, q, spec) -> dict:
-    for _ in range(_MAX_REJECTS):
-        p = _draw_paramset(rng, box)
-        biggest = max(abs(p.gamma), abs(p.delta))
-        s = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
-        t = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
-        if _admits(_thm_1_2_moduli(p, s, t, QBase.coerce(q)), 0.7):
-            return {"p": p, "s": s, "t": t, "q": q}
-    raise RuntimeError("could not draw an admissible seven-parameter set")
+def _draw_thm_1_2(rng, box, q, spec) -> dict | None:
+    p = _draw_paramset(rng, box)
+    biggest = max(abs(p.gamma), abs(p.delta))
+    s = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
+    t = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
+    if _admits(_thm_1_2_moduli(p, s, t, QBase.coerce(q)), 0.7):
+        return {"p": p, "s": s, "t": t, "q": q}
 
 
-def _draw_thm_1_3(rng, box, q, spec) -> dict:
-    for _ in range(_MAX_REJECTS):
-        a, b = _uniform(rng, box["ab"]), _uniform(rng, box["ab"])
-        gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
-        if _admits(_thm_1_3_moduli(a, gamma, delta)):
-            m, n = _degrees(rng, spec).values()
-            if (m - n) % 2 == 0 and m < n:
-                m, n = n, m
-            return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta,
-                    "q": q, "m": m, "n": n}
-    raise RuntimeError("could not draw an admissible reduced parameter set")
+def _draw_thm_1_3(rng, box, q, spec) -> dict | None:
+    a, b = _uniform(rng, box["ab"]), _uniform(rng, box["ab"])
+    gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
+    if _admits(_thm_1_3_moduli(a, gamma, delta)):
+        m, n = _degrees(rng, spec).values()
+        if (m - n) % 2 == 0 and m < n:
+            m, n = n, m
+        return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta, "q": q, "m": m, "n": n}
 
 
 def _draw_prop_3_1(rng, box, q, spec) -> dict:
@@ -767,35 +759,29 @@ def _draw_prop_3_1(rng, box, q, spec) -> dict:
             "q": q, "m": int(rng.integers(0, spec.m_max + 1))}
 
 
-def _draw_prop_2_4(rng, box, q, spec) -> dict:
-    for _ in range(_MAX_REJECTS):
-        p = _draw_paramset(rng, box)
-        x, y = _uniform(rng, box["xy"]), _uniform(rng, box["xy"])
-        gx_over_dy = abs(p.gamma * x / (p.delta * y))
-        # endpoints must be distinct and the quotient clear of the q-chain
-        if (1.0 / 3.0 <= gx_over_dy <= 3.0 and _chain_clear(gx_over_dy, q)
-                and _chain_clear(1.0 / gx_over_dy, q)):
-            return {"p": p, "q": q, "n": int(rng.integers(0, spec.n_max + 1)), "x": x, "y": y}
-    raise RuntimeError("could not draw an admissible lattice configuration")
+def _draw_prop_2_4(rng, box, q, spec) -> dict | None:
+    p = _draw_paramset(rng, box)
+    x, y = _uniform(rng, box["xy"]), _uniform(rng, box["xy"])
+    gx_over_dy = abs(p.gamma * x / (p.delta * y))
+    # endpoints must be distinct and the quotient clear of the q-chain
+    if (1.0 / 3.0 <= gx_over_dy <= 3.0 and _chain_clear(gx_over_dy, q)
+            and _chain_clear(1.0 / gx_over_dy, q)):
+        return {"p": p, "q": q, "n": int(rng.integers(0, spec.n_max + 1)), "x": x, "y": y}
 
 
-def _draw_rogers_6w5(rng, box, q, spec) -> dict:
-    for _ in range(_MAX_REJECTS):
-        b, c, d = (_uniform(rng, box["bcd"]) for _ in range(3))
-        a = _uniform(rng, box["z"]) * b * c * d / q
-        z = rogers_6w5_argument(a, b, c, d, q)
-        aq = a * q
-        if abs(a) < 0.9 and all(_chain_clear(w, q) for w in (aq / b, aq / c, aq / d, z)):
-            return {"a": a, "b": b, "c": c, "d": d, "q": q}
-    raise RuntimeError("could not draw an admissible six-parameter set")
+def _draw_rogers_6w5(rng, box, q, spec) -> dict | None:
+    b, c, d = (_uniform(rng, box["bcd"]) for _ in range(3))
+    a = _uniform(rng, box["z"]) * b * c * d / q
+    z = rogers_6w5_argument(a, b, c, d, q)
+    aq = a * q
+    if abs(a) < 0.9 and all(_chain_clear(w, q) for w in (aq / b, aq / c, aq / d, z)):
+        return {"a": a, "b": b, "c": c, "d": d, "q": q}
 
 
-def _draw_ultra_ortho(rng, box, q, spec) -> dict:
-    for _ in range(_MAX_REJECTS):
-        beta = _uniform(rng, box["beta"])
-        if _admits(_ultra_ortho_moduli(beta)):
-            return {"beta": beta, "q": q, **_degrees(rng, spec)}
-    raise RuntimeError("could not draw an admissible beta")
+def _draw_ultra_ortho(rng, box, q, spec) -> dict | None:
+    beta = _uniform(rng, box["beta"])
+    if _admits(_ultra_ortho_moduli(beta)):
+        return {"beta": beta, "q": q, **_degrees(rng, spec)}
 
 
 class Identity(Record):
@@ -803,7 +789,7 @@ class Identity(Record):
     whose positional parameters (other than ``qspec``, ``policy`` and
     ``tolerance``) are the identity's parameters.  ``draw(rng, box, q, spec)``
     returns checker arguments for one sweep draw from ``box``, this ``box``
-    with overrides."""
+    with overrides, or None to reject the attempt."""
 
     _fields = ("id", "tolerance", "box", "draw")
 
@@ -855,10 +841,17 @@ REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
 
 def draw_params(identity_id: IdentityId, rng: np.random.Generator, spec: SweepSpec) -> dict:
     """One deterministic parameter draw for the given identity from its box with
-    ``spec.box`` overrides, redrawn until its moduli (:func:`_admits`) and margins hold."""
+    ``spec.box`` overrides: q, then its drawer's attempts until one is admitted
+    (:func:`_admits` its moduli, and its margins hold); :class:`DomainError`
+    naming the identity and the box if none of ``_MAX_REJECTS`` is."""
     record = REGISTRY[IdentityId(identity_id)]
     box = dict(record.box) | dict(spec.box)
-    return record.draw(rng, box, _uniform(rng, box["q"]), spec)
+    q = _uniform(rng, box["q"])
+    for _ in range(_MAX_REJECTS):
+        if (params := record.draw(rng, box, q, spec)) is not None:
+            return params
+    raise DomainError(f"no {record.id.value} draw from the box {box} is admissible "
+                      f"in {_MAX_REJECTS} attempts")
 
 
 def run_sweep(
@@ -867,8 +860,9 @@ def run_sweep(
     tolerance: float | None = None,
 ) -> list[VerificationReport]:
     """Run ``spec.draws`` seeded checks of one identity.  Deterministic given
-    the seed; individual failures and flags land in the reports, the sweep
-    itself never aborts mid-run."""
+    the seed; individual failures and flags land in the reports.  The sweep
+    aborts only with the :class:`DomainError` of :func:`draw_params`, for a
+    box that holds no admissible draw."""
     _numeric()
     record = REGISTRY[IdentityId(identity_id)]
     rng = np.random.default_rng(spec.seed)

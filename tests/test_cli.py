@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import json
@@ -106,6 +107,18 @@ class TestEval:
         code, out, _ = run_cli(["eval", "qpoch", "--a-re", "1", "--q", "0.5", "--inf"], capsys)
         assert code == EXIT_PASS
         assert json.loads(out)["value_re"] == 0.0
+
+    def test_qpoch_finite_product(self, capsys):
+        code, out, _ = run_cli(["eval", "qpoch", "--a-re", "0.5", "--n", "3", "--q", "0.5"],
+                               capsys)
+        assert code == EXIT_PASS
+        assert json.loads(out)["value_re"] == pytest.approx(0.5 * 0.75 * 0.875, rel=1e-15)
+
+    def test_a_malformed_listed_parameter_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "phi_series", "--num", "1,2,3", "--q", "0.5", "--z-re", "0.4"], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert "cannot parse complex parameter '1,2,3'" in err
 
     def test_phi_series_product_ratio(self, capsys):
         code, out, _ = run_cli(
@@ -227,6 +240,16 @@ class TestVerify:
         assert code == EXIT_PASS
         rep = VerificationReport.from_record(json.loads(out))
         assert rep.passed and rep.identity_id == "THM_1_1"
+
+    def test_a_flagged_json_report_reads_back(self, capsys):
+        # the CLI writes the flagged report's NaN sides and infinite residuals as null
+        code, out, _ = run_cli(
+            ["verify", "--identity", "THM_1_1", "--m", "2", "--n", "2", "--max-terms", "3",
+             *BOX], capsys)
+        assert code == EXIT_FAIL
+        rep = VerificationReport.from_record(json.loads(out))
+        assert rep.passed is False and rep.flags == ("TruncationExceeded",)
+        assert cmath.isnan(rep.lhs) and math.isnan(rep.abs_residual)
 
     def test_csv_format_parses_back(self, capsys):
         code, out, _ = run_cli(
@@ -375,6 +398,23 @@ class TestSweep:
         )
         assert code == EXIT_PASS
         assert json.loads(out)["reports"] == []
+
+    def test_csv_format_has_one_row_per_draw(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1",
+             "--format", "csv"], capsys)
+        assert code == EXIT_PASS
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["identity"] for row in rows] == ["QBINOMIAL"] * 3
+        assert all(row["passed"] == "True" for row in rows)
+
+    def test_a_failing_sweep_exits_1_naming_its_first_failing_draw(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1",
+             "--tol", "1e-300"], capsys)
+        assert code == EXIT_FAIL
+        assert json.loads(out)["all_passed"] is False
+        assert err.startswith("draw 0 failed: inputs {")
 
     def test_invalid_tolerance_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import mp_qpoch
 from qortho import (
     DomainError,
+    ParamSet4,
     QBase,
     TruncationExceeded,
     TruncationPolicy,
@@ -46,6 +47,11 @@ class TestQBase:
         qb = QBase(0.5)
         assert QBase.coerce(qb) is qb
         assert QBase.coerce(0.5) == qb
+
+
+def test_a_param_set_with_beta_over_delta_beyond_1_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"\|beta/delta\| must be <= 1, got 1.5"):
+        ParamSet4(0.2, 1.5, 1.0, 1.0)
 
 
 class TestPolicy:

@@ -129,6 +129,12 @@ def test_every_identity_has_exactly_one_record():
         assert record.id is identity
 
 
+def test_every_checker_parameter_is_positional():
+    # so that each one is a parameter of the identity, spelled as verify flags
+    for record in REGISTRY.values():
+        assert record.checker.__code__.co_kwonlyargcount == 0, record.id
+
+
 @pytest.mark.parametrize("identity", list(IdentityId))
 def test_drawer_output_is_accepted_by_its_checker(identity):
     record = REGISTRY[identity]

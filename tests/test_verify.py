@@ -301,10 +301,6 @@ class TestOnlyDomainErrorEscapes:
     @pytest.mark.parametrize("check, message", [
         (lambda: check_prop_2_1_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 3, 1j),
          "theta must be real"),
-        (lambda: check_prop_2_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 0, partial_terms=1.5),
-         "must be a positive integer, got 1.5"),
-        (lambda: check_prop_2_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 0, tail_terms=2.5),
-         "must be a positive integer, got 2.5"),
     ])
     def test_a_malformed_argument_is_a_domain_error_not_a_type_error(self, check, message):
         with pytest.raises(DomainError, match=message):
@@ -593,20 +589,10 @@ class TestSeriesCheckers:
         assert rep.passed
         assert rep.abs_residual <= 1e-10 * rep.inputs.get("partial_terms", 1e300)
 
-    @pytest.mark.parametrize("t_fraction", [math.nan, 0.0, 1.0, 1.5, -0.5])
-    def test_prop_2_2_t_fraction_outside_the_unit_interval(self, box_params, t_fraction):
-        with pytest.raises(DomainError, match="t_fraction"):
-            check_prop_2_2(box_params, 0.5, t_fraction=t_fraction)
-
-    def test_prop_2_2_tuning_arguments_are_keyword_only(self, box_params):
-        # so they are not identity parameters, and not verify flags
-        with pytest.raises(TypeError):
-            check_prop_2_2(box_params, 0.5, 0, 0.9)
-
-    @pytest.mark.parametrize("terms", [{"partial_terms": 0}, {"tail_terms": 0}])
-    def test_prop_2_2_needs_partial_and_tail_terms(self, box_params, terms):
-        with pytest.raises(DomainError, match="tail_terms"):
-            check_prop_2_2(box_params, 0.5, **terms)
+    def test_prop_2_2_reports_its_fixed_majorant(self, box_params):
+        rep = check_prop_2_2(box_params, 0.5, 1)
+        assert {key: rep.inputs[key] for key in ("t_fraction", "partial_terms", "tail_terms")} \
+            == {"t_fraction": 0.9, "partial_terms": 200, "tail_terms": 100}
 
     def test_prop_2_2_negative_k_is_named(self, box_params):
         with pytest.raises(DomainError, match="^k must be a nonnegative integer"):
@@ -701,3 +687,14 @@ class TestSweep:
     def test_degree_caps_must_be_nonnegative_integers(self, cap):
         with pytest.raises(DomainError, match="_max must be a nonnegative integer"):
             SweepSpec(seed=0, draws=2, **cap)
+
+    @pytest.mark.parametrize("identity, box, message", [
+        # every |beta| lies beyond the drawer's bound 1 - WEIGHT_MARGIN
+        ("ULTRA_ORTHO", {"beta": (1.0, 1.5)}, r"no ULTRA_ORTHO draw from the box .*'beta'"),
+        # scale 1 makes |alpha/delta| the ratio, above 0.92 throughout
+        ("THM_1_1", {"ratio": (0.95, 1.0), "scale": (1.0, 1.0)},
+         r"\|alpha/delta\| and \|beta/gamma\| <= 0.92"),
+    ])
+    def test_a_box_with_no_admissible_draw_is_a_domain_error(self, identity, box, message):
+        with pytest.raises(DomainError, match=message):
+            run_sweep(identity, SweepSpec(seed=1, draws=2, box=box))
