@@ -149,10 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)), "a", "z"),
         _POLICY_FLAGS,
     )
-    p_eval.add_argument("--inf", action="store_true", help="qpoch: infinite product")
-    p_eval.add_argument("--num", action="append", default=[],
+    p_eval.add_argument("--inf", action="store_true", default=None,
+                        help="qpoch: infinite product")
+    p_eval.add_argument("--num", action="append",
                         help="phi_series numerator parameter RE[,IM] (repeatable)")
-    p_eval.add_argument("--den", action="append", default=[],
+    p_eval.add_argument("--den", action="append",
                         help="phi_series denominator parameter RE[,IM] (repeatable)")
     _add_output_flags(p_eval)
 
@@ -242,6 +243,16 @@ def _kwargs(func, args) -> tuple[dict, set[str]]:
     return kwargs, read
 
 
+def _reject_unread(args, read: set[str], what: str) -> None:
+    """:class:`DomainError` naming every set flag (one not None) whose
+    destination is not in ``read`` and does not choose or format the work."""
+    read = read | {"command", "identity", "function", "what", "format", "out", "tol"}
+    unread = [_flag(dest) for dest, value in vars(args).items()
+              if value is not None and dest not in read]
+    if unread:
+        raise DomainError(f"{what} does not read {', '.join(unread)}")
+
+
 def _parse_listed_complex(raw: str) -> complex:
     parts = raw.split(",")
     if len(parts) not in (1, 2):
@@ -302,25 +313,27 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 def _cmd_eval(args) -> int:
     policy = _configured(TruncationPolicy, args, _POLICY_FLAGS)
-    q = _arg(args, "q")
     metadata = {"rel_tol": policy.rel_tol, "max_terms": policy.max_terms}
     fn = args.function
 
     if fn in _EVAL:
         from . import qfun
 
-        value = complex(_EVAL[fn](qfun, **_kwargs(_EVAL[fn], args)[0]))
+        kwargs, read = _kwargs(_EVAL[fn], args)
+        _reject_unread(args, read, f"eval {fn}")
+        value = complex(_EVAL[fn](qfun, **kwargs))
     elif fn == "qpoch":
-        a = _arg(args, "a")
-        if args.inf:
-            value = qpoch_infinite(a, q, policy)
-        else:
-            value = qpoch_finite(a, q, _arg(args, "n"))
+        _reject_unread(args, {"q", "a_re", "a_im", "inf",
+                              *(_POLICY_FLAGS if args.inf else ("n",))}, "eval qpoch")
+        a, q = _arg(args, "a"), _arg(args, "q")
+        value = qpoch_infinite(a, q, policy) if args.inf else qpoch_finite(a, q, _arg(args, "n"))
     else:  # phi_series
-        nums = tuple(_parse_listed_complex(v) for v in args.num)
-        dens = tuple(_parse_listed_complex(v) for v in args.den)
+        _reject_unread(args, {"q", "z_re", "z_im", "num", "den", *_POLICY_FLAGS},
+                       "eval phi_series")
+        nums = tuple(_parse_listed_complex(v) for v in args.num or ())
+        dens = tuple(_parse_listed_complex(v) for v in args.den or ())
         z = _arg(args, "z")
-        value = phi_series(PhiSpec(nums, dens, QBase.coerce(q), z), policy)
+        value = phi_series(PhiSpec(nums, dens, QBase.coerce(_arg(args, "q")), z), policy)
         metadata["numerators"] = len(nums)
         metadata["denominators"] = len(dens)
 
@@ -346,11 +359,7 @@ def _cmd_verify(args) -> int:
     record = REGISTRY[IdentityId(args.identity)]
     checker = record.checker
     kwargs, read = _kwargs(checker, args)
-    read |= {"command", "identity", "format", "out", "tol"}
-    unread = [_flag(dest) for dest, value in vars(args).items()
-              if value is not None and dest not in read]
-    if unread:
-        raise DomainError(f"{record.id.value} does not read {', '.join(unread)}")
+    _reject_unread(args, read, record.id.value)
     report = checker(**kwargs, tolerance=args.tol)
     if args.format == "csv":
         _emit(_reports_csv([report]), args.out)
@@ -400,7 +409,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_table(args) -> int:
     import csv
 
-    by_degree = _TABLE[args.what](**_kwargs(_TABLE[args.what], args)[0])
+    kwargs, read = _kwargs(_TABLE[args.what], args)
+    _reject_unread(args, read, f"table {args.what}")
+    by_degree = _TABLE[args.what](**kwargs)
     rows = [(n, k, c.real, c.imag) for n, coefs in by_degree.items() for k, c in enumerate(coefs)]
 
     buf = io.StringIO()

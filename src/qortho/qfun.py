@@ -1,4 +1,4 @@
-"""The four-parameter q-orthogonal function family and its companions.
+"""The four-parameter q-orthogonal family, its companions and the closed sides of its identities.
 
 Two generating functions define everything here.  With x = e^{i theta},
 y = e^{-i theta} on the unit circle,
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 from .errors import DomainError, NearSingular
 from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re-exported
@@ -158,7 +158,7 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
 def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """2 pi (ra, rb; q)_oo / (q, ra*rb; q)_oo with ra = alpha/gamma,
     rb = beta/delta: the factor in front of both closed diagonals
-    (:func:`diag_rhs_thm11` and the THM_1_2 series)."""
+    (:func:`diag_rhs_thm11` and :func:`thm_1_2_rhs_series`)."""
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
     den_inf = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
@@ -166,28 +166,56 @@ def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLIC
     return TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
 
 
+def diagonal_terms(p: ParamSet4, qb: QBase, x: complex):
+    """The terms (1/(1 - ra q^n) + 1/(1 - rb q^n)) (ra*rb; q)_n x^n / (q;q)_n,
+    n = 0, 1, ..., without end, each factor a running product; at
+    x = gamma delta, :func:`diagonal_prefactor` times term n is
+    :func:`diag_rhs_thm11`."""
+    ra, rb = p.ratio_a, p.ratio_b
+    poch_ratio = xn = qn = 1.0 + 0.0j  # (ra*rb;q)_n / (q;q)_n, x^n, q^n
+    while True:
+        yield (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn)) * poch_ratio * xn
+        poch_ratio *= (1.0 - ra * rb * qn) / (1.0 - qb.q * qn)
+        qn *= qb.q
+        xn *= x
+
+
 def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Closed form of the diagonal full-period integral of C_n^2 against the
     weight:
 
-        2 pi (ra, rb; q)_oo / (q, ra*rb; q)_oo
-        * (1/(1 - ra q^n) + 1/(1 - rb q^n))
-        * (ra*rb; q)_n (gamma delta)^n / (q;q)_n,
+        h_n = 2 pi (ra, rb; q)_oo / (q, ra*rb; q)_oo
+              * (1/(1 - ra q^n) + 1/(1 - rb q^n))
+              * (ra*rb; q)_n (gamma delta)^n / (q;q)_n,
 
-    with ra = alpha/gamma, rb = beta/delta."""
+    with ra = alpha/gamma, rb = beta/delta: :func:`diagonal_prefactor` times
+    term n of :func:`diagonal_terms` at x = gamma delta."""
     qb = QBase.coerce(q)
     n = as_degree("n", n)
-    ra, rb = p.ratio_a, p.ratio_b
-    prefactor = diagonal_prefactor(p, qb, policy)
-    qn = qb.q ** n
-    poles = 1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn)
-    return (
-        prefactor
-        * poles
-        * qpoch_finite(ra * rb, qb, n)
-        * int_power(p.gd, n)
-        / qpoch_finite(qb.q, qb, n)
-    )
+    return diagonal_prefactor(p, qb, policy) * next(islice(diagonal_terms(p, qb, p.gd), n, None))
+
+
+def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q,
+                       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """THM_1_2's right-hand side, the generating series sum_n h_n (s t)^n of
+    THM_1_1's closed diagonal h_n (:func:`diag_rhs_thm11`):
+    :func:`diagonal_prefactor` times the sum of :func:`diagonal_terms` at
+    x = gamma delta s t, stopped by :func:`~qortho.qcore.settled_sum`;
+    |gamma delta s t| < 1 makes the tail geometric."""
+    qb = QBase.coerce(q)
+    terms = islice(diagonal_terms(p, qb, p.gd * s * t), policy.max_terms)
+    return diagonal_prefactor(p, qb, policy) * settled_sum(terms, policy, "diagonal series")
+
+
+def thm_1_3_rhs(r: ReducedParams, gamma, delta, q, m: int, n: int,
+                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """THM_1_3's closed form for m >= n, m = n (mod 2): (gamma delta)^n times
+    the degree-n connection coefficient of degree m (:func:`connection_coeffs`)
+    over :func:`h_norm` h_n(a|q); zero for opposite parities."""
+    if (m - n) % 2 != 0:
+        return 0.0 + 0.0j
+    gd = complex(gamma) * complex(delta)
+    return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q, policy)
 
 
 def growth_root(n: int, p: ParamSet4, q) -> float:

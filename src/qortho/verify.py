@@ -54,11 +54,9 @@ from .qcore import (
     big_c_coeffs,
     connection_coeffs,
     finite_complex,
-    int_power,
     min_factor_abs,
     qpoch_finite,
     quotient_depth,
-    settled_sum,
 )
 from .hyper import (PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_argument,
                     rogers_6w5_rhs, very_well_poised)
@@ -370,9 +368,10 @@ def check_thm_1_2(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Seven-parameter product integral: quadrature of the 12-product
-    integrand vs. the prefactor times a single geometric-type series in
-    (gamma delta s t)^n.  The weight's denominator symbols need
-    |alpha/delta| < 1 and |beta/gamma| < 1, as for :func:`check_thm_1_1`."""
+    integrand, whose extra products generate the C_m t^m and C_n s^n, vs.
+    sum_n h_n (s t)^n over THM_1_1's closed diagonal h_n.  The weight's
+    denominator symbols need |alpha/delta| < 1 and |beta/gamma| < 1, as for
+    :func:`check_thm_1_1`."""
     qb = QBase.coerce(q)
     s = finite_complex("s", s)
     t = finite_complex("t", t)
@@ -380,35 +379,10 @@ def check_thm_1_2(
     return _circle_check(
         IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
         p, qb, policy, qspec, FULL_PERIOD,
-        [], lambda: thm_1_2_rhs_series(p, s, t, qb, policy),
+        [], lambda: qfun.thm_1_2_rhs_series(p, s, t, qb, policy),
         ((p.alpha * t, p.beta * t, p.alpha * s, p.beta * s),
          (p.gamma * t, p.delta * t, p.gamma * s, p.delta * s), (1, -1, 1, -1)),
     )
-
-
-def thm_1_2_rhs_series(
-    p: ParamSet4, s: complex, t: complex, q, policy: TruncationPolicy = DEFAULT_POLICY
-) -> complex:
-    """2 pi (ra, rb;q)_oo / (q, ra*rb;q)_oo times
-    sum_n (1/(1-ra q^n) + 1/(1-rb q^n)) (ra*rb;q)_n / (q;q)_n (gd s t)^n;
-    |gd s t| < 1 makes the tail geometric."""
-    _family()
-    qb = QBase.coerce(q)
-    ra, rb = p.ratio_a, p.ratio_b
-    prefactor = qfun.diagonal_prefactor(p, qb, policy)
-    arg = p.gd * s * t
-
-    def terms():
-        poch_ratio = 1.0 + 0.0j  # (ra*rb;q)_n / (q;q)_n
-        argn = 1.0 + 0.0j
-        qn = 1.0 + 0.0j
-        for _ in range(policy.max_terms):
-            yield (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn)) * poch_ratio * argn
-            poch_ratio *= (1.0 - ra * rb * qn) / (1.0 - qb.q * qn)
-            qn *= qb.q
-            argn *= arg
-
-    return prefactor * settled_sum(terms(), policy, "diagonal series")
 
 
 def _thm_1_3_moduli(a, gamma, delta) -> dict[str, float]:
@@ -444,22 +418,8 @@ def check_thm_1_3(
     return _circle_check(
         IdentityId.THM_1_3, inputs, tolerance, p_a, qb, policy, qspec, HALF_PERIOD,
         [(big_c_coeffs(m, p_b, qb), m), (big_c_coeffs(n, p_a, qb), n)],
-        lambda: thm_1_3_rhs(r, gamma, delta, qb, m, n, policy),
+        lambda: qfun.thm_1_3_rhs(r, gamma, delta, qb, m, n, policy),
     )
-
-
-def thm_1_3_rhs(
-    r: ReducedParams, gamma, delta, q, m: int, n: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Closed form for m >= n, m = n (mod 2): (gd)^n times the degree-n
-    connection coefficient of degree m (:func:`connection_coeffs`) over
-    h_n(a|q); zero for opposite parities."""
-    _family()
-    if (m - n) % 2 != 0:
-        return 0.0 + 0.0j
-    gd = complex(gamma) * complex(delta)
-    return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / qfun.h_norm(n, r.a, q, policy)
 
 
 def check_prop_3_1(

@@ -114,6 +114,28 @@ def mp_qpoch(a, q):
     return prod
 
 
+def mp_diag_rhs(n_max, p, q):
+    """THM_1_1's closed diagonals h_0..h_{n_max} at the current mpmath
+    precision, each the product form
+
+        2 pi (ra, rb; q)_oo / (q, ra*rb; q)_oo * (1/(1 - ra q^n) + 1/(1 - rb q^n))
+        * (ra*rb; q)_n (gamma delta)^n / (q;q)_n,
+
+    ra = alpha/gamma, rb = beta/delta, its finite products and powers built
+    up one factor per degree."""
+    alpha, beta, gamma, delta = (mpmath.mpc(complex(v)) for v in p._values())
+    q = mpmath.mpc(complex(q))
+    ra, rb = alpha / gamma, beta / delta
+    prefactor = (2 * mpmath.pi * mp_qpoch(ra, q) * mp_qpoch(rb, q)
+                 / (mp_qpoch(q, q) * mp_qpoch(ra * rb, q)))
+    out, poch_ratio = [], mpmath.mpf(1)  # (ra*rb;q)_n (gamma delta)^n / (q;q)_n
+    for n in range(n_max + 1):
+        qn = q ** n
+        out.append(prefactor * (1 / (1 - ra * qn) + 1 / (1 - rb * qn)) * poch_ratio)
+        poch_ratio *= (1 - ra * rb * qn) * gamma * delta / (1 - q * qn)
+    return out
+
+
 def lattice_repr_oracle(n, x, y, p, q, policy=DEFAULT_POLICY):
     """The lattice representation of Phi_n node by node: the integrand
 

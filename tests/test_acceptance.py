@@ -28,7 +28,8 @@ from qortho import (
     qpoch_infinite,
     run_sweep,
 )
-from qortho.verify import IdentityId, draw_params, thm_1_2_rhs_series
+from qortho.qfun import thm_1_2_rhs_series
+from qortho.verify import IdentityId, draw_params
 
 SEED = 20260809
 

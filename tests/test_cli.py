@@ -371,6 +371,10 @@ class TestUnreadFlags:
             ["verify", "--identity", "PROP_2_1_2", "--n", "1", "--max-terms", "5", *BOX],
             ["verify", "--identity", "PROP_3_1", "--a-re", "0.3", "--b-re", "0.2",
              "--gamma-re", "1", "--delta-re", "1", "--q", "0.5", "--m", "3", "--max-terms", "1"],
+            # flags of another eval or table function
+            ["table", "big_c", "--n-max", "1", *BOX, "--m", "7", "--a-re", "3"],
+            ["eval", "big_c", "--n", "1", "--theta", "0", *BOX, "--x-re", "9", "--z-re", "4"],
+            ["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--inf", "--n", "3", "--theta", "1"],
         ],
     )
     def test_unread_flag_exits_2(self, argv, capsys):

@@ -34,6 +34,7 @@ from qortho import (ParamSet4, PhiSpec, ReducedParams, SweepSpec, check_prop_2_1
                     qpoch_infinite, run_sweep, verify)
 from qortho.cli import _parameters, main
 from qortho.qcore import big_c_coeffs, expansion_weights
+from qortho.qfun import thm_1_2_rhs_series, thm_1_3_rhs
 
 SRC = str(Path(qortho.__file__).resolve().parents[1])
 
@@ -177,6 +178,21 @@ def test_family_eval_runs_without_numpy(argv, value):
     assert numpy_modules(modules) == []
     rec = json.loads(proc.stdout)
     assert complex(rec["value_re"], rec["value_im"]) == value()
+
+
+def test_closed_sides_of_the_circle_identities_run_without_numpy():
+    # THM_1_2's series and THM_1_3's closed form live in the family module
+    code = ("from qortho import ParamSet4, ReducedParams\n"
+            "from qortho.qfun import thm_1_2_rhs_series, thm_1_3_rhs\n"
+            "print(repr(thm_1_2_rhs_series(ParamSet4(0.3, 0.2, 0.9, 1.1), 0.5, 0.4, 0.6)))\n"
+            "print(repr(thm_1_3_rhs(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 4, 2)))\n")
+    proc, modules = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "qortho.qfun" in modules
+    assert numpy_modules(modules) == []
+    assert proc.stdout.split() == [
+        repr(thm_1_2_rhs_series(ParamSet4(0.3, 0.2, 0.9, 1.1), 0.5, 0.4, 0.6)),
+        repr(thm_1_3_rhs(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 4, 2))]
 
 
 def test_eval_weight_still_loads_numpy():

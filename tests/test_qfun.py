@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from qortho import (
     ParamSet4,
     QBase,
     ReducedParams,
+    SweepSpec,
     TruncationPolicy,
     big_c_coeffs,
     connection_coeffs,
@@ -23,9 +25,11 @@ from qortho import (
     weight_omega_many,
 )
 from qortho.kernels import big_c_at_one, laurent_eval, product_quotient
-from qortho.qfun import diagonal_prefactor, expansion_weights, weight_symbols
+from qortho.qfun import diagonal_prefactor, expansion_weights, thm_1_2_rhs_series, weight_symbols
+from qortho.verify import IdentityId, draw_params
 
-from oracles import c_series_oracle, phi_series_oracle, ultra_recurrence_oracle, weight_oracle
+from oracles import (c_series_oracle, mp_diag_rhs, phi_series_oracle, ultra_recurrence_oracle,
+                     weight_oracle)
 
 
 def big_c_at(n, theta, p, q):
@@ -322,6 +326,29 @@ class TestDiagRhs:
             assert diag_rhs_thm11(n, scaled, 0.5) == pytest.approx(
                 base * c ** (2 * n), rel=1e-12
             )
+
+    def test_within_1e_14_of_the_40_digit_product_form(self):
+        # the running products of diagonal_terms against products multiplied
+        # out at 40 digits, over default-box draws at degrees up to 30
+        rng, spec = np.random.default_rng(2025), SweepSpec(seed=0, draws=1)
+        worst = 0.0
+        for _ in range(200):
+            params = draw_params(IdentityId.THM_1_1, rng, spec)
+            p, q = params["p"], params["q"]
+            with mpmath.workdps(40):
+                expected = [complex(h) for h in mp_diag_rhs(30, p, q)]
+            for n, h in enumerate(expected):
+                worst = max(worst, abs(diag_rhs_thm11(n, p, q) - h) / abs(h))
+        assert worst < 1e-14
+
+    def test_thm_1_2_series_is_the_generating_series_of_the_diagonal(self):
+        # sum_n h_n (s t)^n; |gamma delta s t| <= 0.49, so 80 terms reach 1e-24
+        rng, spec = np.random.default_rng(2026), SweepSpec(seed=0, draws=1)
+        for _ in range(20):
+            params = draw_params(IdentityId.THM_1_2, rng, spec)
+            p, s, t, q = (params[name] for name in ("p", "s", "t", "q"))
+            expected = sum(diag_rhs_thm11(n, p, q) * (s * t) ** n for n in range(80))
+            assert thm_1_2_rhs_series(p, s, t, q) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_five_parameter_specialization(self):
         # gamma = delta = 1: the (gamma delta)^n factor drops out

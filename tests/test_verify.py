@@ -35,8 +35,9 @@ from qortho import (
     run_sweep,
 )
 from qortho import kernels, qfun, quad, verify
+from qortho.qfun import thm_1_2_rhs_series, thm_1_3_rhs
 from qortho.quad import periodic_integral
-from qortho.verify import IdentityId, thm_1_2_rhs_series, thm_1_3_rhs
+from qortho.verify import IdentityId
 
 
 class TestReportMechanics:
