@@ -98,7 +98,7 @@ _TABLE = {
 _HELP = {
     "q": "base q (real, |q| < 1)",
     "tol": "tolerance override",
-    "rel_tol": "truncation tolerance for products and series",
+    "rel_tol": "truncation tolerance for infinite products",
     "n_max": "degree cap",
 }
 
@@ -312,24 +312,25 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 
 def _cmd_eval(args) -> int:
-    policy = _configured(TruncationPolicy, args, _POLICY_FLAGS)
-    metadata = {"rel_tol": policy.rel_tol, "max_terms": policy.max_terms}
     fn = args.function
+    if fn in _EVAL:
+        kwargs, read = _kwargs(_EVAL[fn], args)
+    elif fn == "qpoch":
+        read = {"q", "a_re", "a_im", "inf", *(_POLICY_FLAGS if args.inf else ("n",))}
+    else:  # phi_series, whose stop reads no rel_tol
+        read = {"q", "z_re", "z_im", "num", "den", "max_terms"}
+    _reject_unread(args, read, f"eval {fn}")
+    policy = _configured(TruncationPolicy, args, _POLICY_FLAGS)
+    metadata = {dest: getattr(policy, dest) for dest in _POLICY_FLAGS if dest in read}
 
     if fn in _EVAL:
         from . import qfun
 
-        kwargs, read = _kwargs(_EVAL[fn], args)
-        _reject_unread(args, read, f"eval {fn}")
         value = complex(_EVAL[fn](qfun, **kwargs))
     elif fn == "qpoch":
-        _reject_unread(args, {"q", "a_re", "a_im", "inf",
-                              *(_POLICY_FLAGS if args.inf else ("n",))}, "eval qpoch")
         a, q = _arg(args, "a"), _arg(args, "q")
         value = qpoch_infinite(a, q, policy) if args.inf else qpoch_finite(a, q, _arg(args, "n"))
-    else:  # phi_series
-        _reject_unread(args, {"q", "z_re", "z_im", "num", "den", *_POLICY_FLAGS},
-                       "eval phi_series")
+    else:
         nums = tuple(_parse_listed_complex(v) for v in args.num or ())
         dens = tuple(_parse_listed_complex(v) for v in args.den or ())
         z = _arg(args, "z")

@@ -8,6 +8,9 @@ summed here through the consecutive-term ratio
 
     T_{k+1}/T_k = z * prod_i (1 - a_i q^k) / [(1 - q^{k+1}) prod_j (1 - b_j q^k)].
 
+:func:`phi_series`, the package's one series loop (Gasper & Rahman, *Basic
+Hypergeometric Series*, section 1.2), stops on a proven tail bound.
+
 The very-well-poised variant W fixes the first three numerator parameters to
 (a_1, q*sqrt(a_1), -q*sqrt(a_1)) against denominators (sqrt(a_1), -sqrt(a_1),
 q a_1 / a_i, ...); the six-parameter case with argument z = a q/(b c d) has
@@ -17,8 +20,9 @@ the closed product form implemented in :func:`rogers_6w5_rhs`.
 from __future__ import annotations
 
 import cmath
+import math
 
-from .errors import DivergentSeries, DomainError
+from .errors import DivergentSeries, DomainError, TruncationExceeded
 from .qcore import (
     DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
@@ -27,8 +31,11 @@ from .qcore import (
     TruncationPolicy,
     qpoch_infinite,
     screen_denominator,
-    settled_sum,
 )
+
+# Unit roundoff of double precision: the series tail bound, relative to the sum.
+UNIT_ROUNDOFF = 2.0 ** -53
+
 
 def _poch_zero_index(value: complex, q: complex, tol: float) -> int | None:
     """Index m >= 0 with value * q^m ~= 1, or None. Detects parameters of the
@@ -80,43 +87,66 @@ class PhiSpec(Record):
                   terminates_at=min(stops) if stops else None)
 
 
-def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Sum the series by the term-ratio recurrence.
+def _ratio_majorant(spec: PhiSpec, qk_mag: float) -> float:
+    """rho_k = |z| prod_i (1 + |a_i| |q|^k) / ((1 - |q|^{k+1}) prod_j (1 - |b_j| |q|^k))
+    at qk_mag = |q|^k, or inf while some |b_j| |q|^k >= 1."""
+    rho = abs(spec.z) / (1.0 - qk_mag * abs(spec.q.q))
+    for a in spec.numerators:
+        rho *= 1.0 + abs(a) * qk_mag
+    for b in spec.denominators:
+        slack = 1.0 - abs(b) * qk_mag
+        if slack <= 0.0:
+            return math.inf
+        rho /= slack
+    return rho
 
-    Stops by :func:`qortho.qcore.settled_sum`, or after term
-    ``spec.terminates_at`` of a terminating series.  Raises
-    :class:`DivergentSeries` if terms grow for max(20, r) consecutive k.
+
+def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Sum the series by the term-ratio recurrence, to a proven tail bound.
+
+    Each factor of rho_k (:func:`_ratio_majorant`) falls with k, so rho_k
+    bounds every term ratio from index k on, and the sum S stops after the
+    first term t_k with rho_k < 1 and |t_k| rho_k / (1 - rho_k) <= 2^-53 |S|.
+    rho_k >= |z|, so it is formed only where |t_k| |z| / (1 - |z|) <= 2^-53 |S|.
+    A terminating series stops after term ``spec.terminates_at`` at the
+    latest.  Raises :class:`DivergentSeries` if terms grow for max(20, r)
+    consecutive k, and :class:`TruncationExceeded` if the bound is not met by
+    term ``policy.max_terms``; ``policy.rel_tol`` is not read.
     """
     q = spec.q.q
     growth_cap = max(20, len(spec.denominators))
     stop = spec.terminates_at
     last = policy.max_terms if stop is None else min(stop, policy.max_terms)
-
-    def terms():  # k = 1, 2, ...
-        term = 1.0 + 0.0j
-        growth_streak = 0
-        qk = 1.0 + 0.0j  # q^{k-1} while building term k
-        for k in range(1, last + 1):
-            ratio = spec.z
-            for a in spec.numerators:
-                ratio *= 1.0 - a * qk
-            ratio /= 1.0 - q ** k
-            for b in spec.denominators:
-                ratio /= 1.0 - b * qk
-            prev = abs(term)
-            term *= ratio
-            yield term
-            if abs(term) > prev:
-                growth_streak += 1
-                if growth_streak >= growth_cap:
-                    raise DivergentSeries(
-                        f"terms grew for {growth_streak} consecutive indices at k={k}"
-                    )
-            else:
-                growth_streak = 0
-            qk *= q
-
-    return settled_sum(terms(), policy, "series", total=1.0 + 0.0j)
+    term = total = qk = 1.0 + 0.0j  # t_k, the sum to t_k, q^k; k = 0
+    mag = 1.0  # |t_k|
+    zmag = abs(spec.z)
+    gate = zmag / (1.0 - zmag) if zmag < 1.0 else math.inf
+    growth_streak = 0
+    for k in range(1, last + 1):
+        ratio = spec.z
+        for a in spec.numerators:
+            ratio *= 1.0 - a * qk
+        for b in spec.denominators:
+            ratio /= 1.0 - b * qk
+        qk *= q
+        term *= ratio / (1.0 - qk)
+        total += term
+        prev, mag = mag, abs(term)
+        if mag > prev:
+            growth_streak += 1
+            if growth_streak >= growth_cap:
+                raise DivergentSeries(
+                    f"terms grew for {growth_streak} consecutive indices at k={k}"
+                )
+        else:
+            growth_streak = 0
+        if mag * gate <= UNIT_ROUNDOFF * abs(total):
+            rho = _ratio_majorant(spec, abs(qk))
+            if rho < 1.0 and mag * rho <= (1.0 - rho) * UNIT_ROUNDOFF * abs(total):
+                return total
+    if last == stop:
+        return total
+    raise TruncationExceeded(f"series did not meet its tail bound within {last} terms")
 
 
 def very_well_poised(a1, rest, q, z, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

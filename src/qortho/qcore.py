@@ -22,7 +22,6 @@ import functools
 import math
 import operator
 from itertools import accumulate, repeat
-from typing import Iterable
 
 from .errors import DomainError, NearSingular, TruncationExceeded
 
@@ -121,9 +120,10 @@ class TruncationPolicy(Record):
     """Controls truncation of infinite products and series.
 
     ``rel_tol`` bounds the relative truncation error of an infinite product
-    (see :func:`tail_start`) and the relative size of the terms that end a
-    series; ``max_terms`` caps how many factors or terms are ever taken
-    before giving up with :class:`TruncationExceeded`.
+    (see :func:`tail_start`); a series stops on its own proven tail bound
+    (:func:`qortho.hyper.phi_series`), which does not read it.
+    ``max_terms`` caps how many factors or terms are ever taken before
+    giving up with :class:`TruncationExceeded`.
     """
 
     _fields = ("rel_tol", "max_terms")
@@ -347,25 +347,6 @@ def screen_denominator(symbols, qb: QBase, policy: TruncationPolicy, product: co
             )
     if product == 0:
         raise NearSingular(f"denominator ({', '.join(symbols)};q)_oo is exactly 0")
-
-
-def settled_sum(terms: Iterable[complex], policy: TruncationPolicy, what: str,
-                total: complex = 0.0 + 0.0j) -> complex:
-    """Add ``terms`` to ``total`` until |term| <= rel_tol * |partial sum| for
-    3 consecutive terms (q-series terms can interleave near-zeros, so one
-    small term is not enough).  ``terms`` yields at most ``policy.max_terms``
-    terms; if it stops short, the sum terminated exactly.  Yielding them all
-    unsettled raises :class:`TruncationExceeded` naming ``what``."""
-    streak = 0
-    count = 0
-    for count, term in enumerate(terms, 1):
-        total += term
-        streak = streak + 1 if abs(term) <= policy.rel_tol * abs(total) else 0
-        if streak == 3:
-            return total
-    if count < policy.max_terms:
-        return total
-    raise TruncationExceeded(f"{what} did not settle within {policy.max_terms} terms")
 
 
 def expansion_weights(n: int, ra: complex, rb: complex, q) -> list[complex]:

@@ -39,8 +39,8 @@ The lattice integral from a to b is the pair of geometric sums
     (1-q) b sum_{k>=0} q^k f(b q^k)  -  (1-q) a sum_{k>=0} q^k f(a q^k),
 
 applied verbatim for complex endpoints.  For the integrand of
-:func:`phi_qintegral_repr` each sum is one term-ratio recurrence per
-endpoint (see :func:`_lattice_side`).
+:func:`phi_qintegral_repr` each sum is a constant times one 2phi1 per
+endpoint (see :func:`_lattice_side`), summed by :func:`~qortho.hyper.phi_series`.
 
 This module imports no numpy: the array paths live in
 :mod:`~qortho.kernels`, which :func:`weight_omega_many` imports when called.
@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import cmath
 import operator
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 
 from .errors import DomainError, NearSingular
+from .hyper import PhiSpec, phi_series
 from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re-exported
     DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
@@ -70,7 +71,6 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     qpoch_finite,
     qpoch_infinite,
     screen_denominator,
-    settled_sum,
 )
 
 
@@ -166,20 +166,6 @@ def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLIC
     return TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
 
 
-def diagonal_terms(p: ParamSet4, qb: QBase, x: complex):
-    """The terms (1/(1 - ra q^n) + 1/(1 - rb q^n)) (ra*rb; q)_n x^n / (q;q)_n,
-    n = 0, 1, ..., without end, each factor a running product; at
-    x = gamma delta, :func:`diagonal_prefactor` times term n is
-    :func:`diag_rhs_thm11`."""
-    ra, rb = p.ratio_a, p.ratio_b
-    poch_ratio = xn = qn = 1.0 + 0.0j  # (ra*rb;q)_n / (q;q)_n, x^n, q^n
-    while True:
-        yield (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn)) * poch_ratio * xn
-        poch_ratio *= (1.0 - ra * rb * qn) / (1.0 - qb.q * qn)
-        qn *= qb.q
-        xn *= x
-
-
 def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Closed form of the diagonal full-period integral of C_n^2 against the
     weight:
@@ -189,22 +175,29 @@ def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
               * (ra*rb; q)_n (gamma delta)^n / (q;q)_n,
 
     with ra = alpha/gamma, rb = beta/delta: :func:`diagonal_prefactor` times
-    term n of :func:`diagonal_terms` at x = gamma delta."""
+    one closed term."""
     qb = QBase.coerce(q)
     n = as_degree("n", n)
-    return diagonal_prefactor(p, qb, policy) * next(islice(diagonal_terms(p, qb, p.gd), n, None))
+    ra, rb = p.ratio_a, p.ratio_b
+    qn = qb.q ** n
+    return (diagonal_prefactor(p, qb, policy) * (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn))
+            * qpoch_finite(ra * rb, qb, n) / qpoch_finite(qb.q, qb, n) * int_power(p.gd, n))
 
 
 def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """THM_1_2's right-hand side, the generating series sum_n h_n (s t)^n of
-    THM_1_1's closed diagonal h_n (:func:`diag_rhs_thm11`):
-    :func:`diagonal_prefactor` times the sum of :func:`diagonal_terms` at
-    x = gamma delta s t, stopped by :func:`~qortho.qcore.settled_sum`;
-    |gamma delta s t| < 1 makes the tail geometric."""
+    THM_1_1's closed diagonal h_n (:func:`diag_rhs_thm11`).  With c = (ra + rb)/2,
+    1/(1 - ra q^n) + 1/(1 - rb q^n) = 2 (1 - c q^n) / ((1 - ra q^n)(1 - rb q^n)),
+    1 - c q^n = (1 - c) (cq;q)_n / (c;q)_n and 1/(1 - r q^n) = (r;q)_n / ((1 - r) (rq;q)_n),
+    so it is :func:`diagonal_prefactor` times
+    2 (1 - c) / ((1 - ra)(1 - rb)) 4phi3(ra*rb, ra, rb, cq; ra q, rb q, c; q, gamma delta s t)."""
     qb = QBase.coerce(q)
-    terms = islice(diagonal_terms(p, qb, p.gd * s * t), policy.max_terms)
-    return diagonal_prefactor(p, qb, policy) * settled_sum(terms, policy, "diagonal series")
+    ra, rb = p.ratio_a, p.ratio_b
+    c = 0.5 * (ra + rb)
+    spec = PhiSpec((ra * rb, ra, rb, c * qb.q), (ra * qb.q, rb * qb.q, c), qb, p.gd * s * t)
+    return (diagonal_prefactor(p, qb, policy) * (2.0 * (1.0 - c) / ((1.0 - ra) * (1.0 - rb)))
+            * phi_series(spec, policy))
 
 
 def thm_1_3_rhs(r: ReducedParams, gamma, delta, q, m: int, n: int,
@@ -241,25 +234,15 @@ def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QB
     on the lattice of endpoint e, o the other endpoint.  At z = e q^k each
     symbol is a fixed infinite product over a finite one, so with w = q e/o
 
-        q^k f(e q^k) = K e^n t_k,   K = (q, w; q)_oo / (u, v; q)_oo,
-        t_0 = 1,   t_{k+1} / t_k = q^{n+1} (1 - u q^k)(1 - v q^k)
-                                   / ((1 - q^{k+1})(1 - w q^k)),
+        sum_k q^k f(e q^k) = K e^n 2phi1(u, v; w; q, q^{n+1}),
+        K = (q, w; q)_oo / (u, v; q)_oo,
 
-    and the t_k sum stops by :func:`qortho.qcore.settled_sum`."""
+    the 2phi1 summed by :func:`~qortho.hyper.phi_series`."""
     q = qb.q
     w = q * e / o
-    ratio = q ** (n + 1)
-
-    def terms():
-        t = qk = 1.0 + 0.0j
-        for _ in range(policy.max_terms):
-            yield t
-            t *= ratio * (1.0 - u * qk) * (1.0 - v * qk) / ((1.0 - q * qk) * (1.0 - w * qk))
-            qk *= q
-
     k_e = qpoch_infinite(q, qb, policy) * qpoch_infinite(w, qb, policy) / (
         qpoch_infinite(u, qb, policy) * qpoch_infinite(v, qb, policy))
-    return k_e * int_power(e, n) * settled_sum(terms(), policy, "lattice sum")
+    return k_e * int_power(e, n) * phi_series(PhiSpec((u, v), (w,), qb, q ** (n + 1)), policy)
 
 
 def phi_qintegral_repr(

@@ -50,9 +50,10 @@ multiplies those of its N nodes by one read-only N x 5 table of the columns
 
 Half-period integrals apply the same rule and halve the result.  That equals
 the plain [0, pi] integral whenever the integrand's odd circle harmonics
-cancel (in particular for every even integrand); all half-period identities
-checked by this package are of that form, and the halved full-period rule is
-what keeps the convergence geometric.
+cancel, which THM_1_3's do not at odd m + n and gamma != delta: there the
+halved value is 0 by f(theta + pi) = -f(theta) alone, and
+check_thm_1_3(ReducedParams(0.3, 0.5), 0.7, 1.2, 0.4, 3, 2) passes with a lhs
+near 1e-15 while the [0, pi] integral of its integrand is about 0.2476i.
 
 With :mod:`~qortho.kernels`, this is the package's only numpy code; the
 lattice integral of PROP_2_4 needs no array and lives in :mod:`~qortho.qfun`.

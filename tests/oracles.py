@@ -7,13 +7,14 @@ They exist so that expected values are computed, never assumed.
 """
 
 import cmath
+import math
 from itertools import accumulate, repeat
 from operator import mul
 
 import mpmath
 import numpy as np
 
-from qortho.qcore import DEFAULT_POLICY, QBase, qpoch_finite, qpoch_infinite, settled_sum
+from qortho.qcore import DEFAULT_POLICY, QBase, qpoch_finite, qpoch_infinite
 
 
 def poch_poly(c, q, order, tol=1e-18):
@@ -136,6 +137,59 @@ def mp_diag_rhs(n_max, p, q):
     return out
 
 
+def mp_thm_1_2_rhs(p, s, t, q):
+    """THM_1_2's right side at the current mpmath precision: the generating
+    series sum_n h_n (s t)^n of :func:`mp_diag_rhs`, cut where
+    |gamma delta s t|^n < 10^-(dps + 10); the other factors of h_n stay
+    bounded in n."""
+    x = abs(complex(p.gamma * p.delta * s * t))
+    n_max = math.ceil((mpmath.mp.dps + 10) * math.log(10) / -math.log(x)) if x else 0
+    st = mpmath.mpc(complex(s)) * mpmath.mpc(complex(t))
+    return mpmath.fsum(h * st ** n for n, h in enumerate(mp_diag_rhs(n_max, p, q)))
+
+
+def mp_phi_terms(numerators, denominators, q, z, count):
+    """The first ``count`` terms (a_1, ...; q)_k z^k / ((q, b_1, ...; q)_k)
+    of a basic hypergeometric series at the current mpmath precision, each
+    factor of the term ratio multiplied out."""
+    numerators = [mpmath.mpmathify(a) for a in numerators]
+    denominators = [mpmath.mpmathify(b) for b in denominators]
+    q, z = mpmath.mpmathify(q), mpmath.mpmathify(z)
+    terms, term, qk = [], mpmath.mpf(1), mpmath.mpf(1)
+    for _ in range(count):
+        terms.append(term)
+        for a in numerators:
+            term *= 1 - a * qk
+        for b in denominators:
+            term /= 1 - b * qk
+        term *= z / (1 - q * qk)
+        qk *= q
+    return terms
+
+
+def mp_very_well_poised_6w5(a, b, c, d, q, z):
+    """The very-well-poised 6phi5 sum
+
+        sum_k (1 - a q^{2k}) / (1 - a) (a, b, c, d; q)_k
+              / (q, aq/b, aq/c, aq/d; q)_k z^k
+
+    at the current mpmath precision (real arguments stay real), from its own
+    term ratio, not the library's expanded parameter list; stopped after
+    three terms in a row below 10^-(dps + 3) of the partial sum."""
+    a, b, c, d, q, z = map(mpmath.mpmathify, (a, b, c, d, q, z))
+    eps = mpmath.mpf(10) ** -(mpmath.mp.dps + 3)
+    aq_b, aq_c, aq_d = a * q / b, a * q / c, a * q / d
+    poch, qk, total, small = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), 0
+    while small < 3:
+        term = (1 - a * qk * qk) / (1 - a) * poch
+        total += term
+        small = small + 1 if abs(term) <= eps * abs(total) else 0
+        poch *= ((1 - a * qk) * (1 - b * qk) * (1 - c * qk) * (1 - d * qk) * z
+                 / ((1 - q * qk) * (1 - aq_b * qk) * (1 - aq_c * qk) * (1 - aq_d * qk)))
+        qk *= q
+    return total
+
+
 def lattice_repr_oracle(n, x, y, p, q, policy=DEFAULT_POLICY):
     """The lattice representation of Phi_n node by node: the integrand
 
@@ -143,7 +197,8 @@ def lattice_repr_oracle(n, x, y, p, q, policy=DEFAULT_POLICY):
         / (beta z/(gamma delta x), alpha z/(gamma delta y); q)_oo
 
     from four scalar infinite products at every node z = e q^k, each
-    one-sided sum sum_k q^k f(e q^k) stopped by ``settled_sum``; no screen.
+    one-sided sum sum_k q^k f(e q^k) stopped after five terms in a row
+    below 1e-20 of the partial sum, far below double precision; no screen.
     Returns the value and |prefactor| (1-q) max(|dy S(dy)|, |gx S(gx)|), the
     size of the two one-sided terms that cancel in it."""
     qb = QBase.coerce(q)
@@ -165,8 +220,14 @@ def lattice_repr_oracle(n, x, y, p, q, policy=DEFAULT_POLICY):
         return upper / lower * z ** n
 
     def side(e):  # e S(e)
-        qks = accumulate(repeat(q, policy.max_terms - 1), mul, initial=1.0 + 0.0j)
-        return e * settled_sum((qk * f(e * qk) for qk in qks), policy, "lattice sum")
+        total, small = 0.0, 0
+        for qk in accumulate(repeat(q, 100000), mul, initial=1.0 + 0.0j):
+            term = qk * f(e * qk)
+            total += term
+            small = small + 1 if abs(term) <= 1e-20 * abs(total) else 0
+            if small == 5:
+                return e * total
+        raise RuntimeError("lattice sum did not settle")
 
     outer, inner = side(dy), side(gx)
     value = num / den * ((1.0 - q) * (outer - inner))

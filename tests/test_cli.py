@@ -382,6 +382,31 @@ class TestUnreadFlags:
         assert code == EXIT_INVALID
         assert "--" in err
 
+    def test_a_series_stop_reads_no_rel_tol(self, capsys):
+        code, out, err = run_cli(["eval", "phi_series", "--num", "0.3", "--q", "0.5",
+                                  "--z-re", "0.4", "--rel-tol", "1e-10"], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert "eval phi_series does not read --rel-tol" in err
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["big_c", "--n", "1", "--theta", "0", *BOX], {}),
+    (["phi", "--n", "1", "--x-re", "0.7", "--y-re", "0.9", *BOX], {}),
+    (["ultra", "--n", "1", "--theta", "0", "--beta-re", "0.3", "--q", "0.5"], {}),
+    (["qpoch", "--a-re", "0.5", "--n", "3", "--q", "0.5"], {}),
+    (["qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], {"rel_tol": 1e-14, "max_terms": 10000}),
+    (["h", "--n", "1", "--a-re", "0.3", "--q", "0.5", "--rel-tol", "1e-12"],
+     {"rel_tol": 1e-12, "max_terms": 10000}),
+    (["weight", "--theta", "0.3", *BOX, "--max-terms", "500"],
+     {"rel_tol": 1e-14, "max_terms": 500}),
+    (["phi_series", "--num", "0.3", "--q", "0.5", "--z-re", "0.4", "--max-terms", "80"],
+     {"max_terms": 80, "numerators": 1, "denominators": 0}),
+])
+def test_eval_metadata_holds_the_policy_fields_read(argv, fields, capsys):
+    code, out, _ = run_cli(["eval", *argv], capsys)
+    assert code == EXIT_PASS
+    assert json.loads(out)["metadata"] == fields
+
 
 class TestSweep:
     def test_draws_records_and_exit_zero(self, capsys, tmp_path):

@@ -8,6 +8,8 @@ from qortho import (
     NearSingular,
     PhiSpec,
     QBase,
+    SweepSpec,
+    TruncationExceeded,
     TruncationPolicy,
     phi_series,
     qbinomial_product_ratio,
@@ -16,7 +18,10 @@ from qortho import (
     very_well_poised,
 )
 
-from oracles import mp_qpoch
+from qortho.hyper import rogers_6w5_argument
+from qortho.verify import IdentityId, draw_params
+
+from oracles import mp_phi_terms, mp_qpoch, mp_very_well_poised_6w5
 
 
 class TestPhiSpec:
@@ -88,13 +93,48 @@ class TestPhiSeries:
             rhs = qbinomial_product_ratio(a, z, q)
             assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
-    def test_stopping_rule_is_cauchy(self):
-        # extending the sum 10 more terms changes it by < 10 * rel_tol
+    def test_the_stop_reads_no_rel_tol(self):
+        # the stop is a proven tail bound at 2^-53, so the product tolerance
+        # rel_tol leaves the sum exactly as it is
         a, q, z = 0.7, 0.8, 0.6
-        policy = TruncationPolicy(rel_tol=1e-12)
-        total = phi_series(PhiSpec((a,), (), QBase(q), z), policy)
+        total = phi_series(PhiSpec((a,), (), QBase(q), z), TruncationPolicy(rel_tol=1e-12))
         extended = phi_series(PhiSpec((a,), (), QBase(q), z), TruncationPolicy(rel_tol=1e-15))
-        assert abs(total - extended) <= 10 * policy.rel_tol * abs(extended)
+        assert total == extended
+
+    @pytest.mark.parametrize("nums, dens, q", [
+        ((0.4,), (), 0.6), ((0.3, 0.5), (0.2,), 0.7), ((0.9,), (), 0.9), ((0.5, 0.8), (0.95,), 0.5),
+    ])
+    def test_the_true_tail_after_the_stop_is_within_the_bound(self, nums, dens, q):
+        # every term is positive at z = 0.65, so the terms after the stop are
+        # the whole truncation error; the stop is the least max_terms that
+        # does not raise
+        spec = PhiSpec(nums, dens, QBase(q), 0.65)
+
+        def stops_within(max_terms):
+            try:
+                phi_series(spec, TruncationPolicy(max_terms=max_terms))
+            except TruncationExceeded:
+                return False
+            return True
+
+        stop = next(k for k in range(1, 1000) if stops_within(k))
+        with mpmath.workdps(40):
+            terms = mp_phi_terms(nums, dens, q, 0.65, 400)
+            assert terms[-1] < mpmath.mpf(10) ** -60
+            total = mpmath.fsum(terms)
+            tail = mpmath.fsum(terms[stop + 1:])
+        assert 0 < tail <= 2.0 ** -53 * total
+        assert phi_series(spec) == pytest.approx(float(total), rel=4 * 2.0 ** -53)
+
+    def test_a_small_term_before_a_near_zero_denominator_factor_does_not_stop_it(self):
+        # 1 - b q^10 = -1e-11: t_9 and t_10 are below 1e-16, then t_11 jumps
+        # to 6e-11; rho_k is infinite while |b| |q|^k >= 1, so no stop comes
+        # before it
+        q, b, z = 0.5, 2.0 ** 10 * (1 + 1e-11), 0.0145
+        with mpmath.workdps(40):
+            expected = float(mpmath.fsum(mp_phi_terms((0.9 * b,), (b,), q, z, 80)))
+        got = phi_series(PhiSpec((0.9 * b,), (b,), QBase(q), z))
+        assert got == pytest.approx(expected, rel=1e-15)
 
     def test_divergence_detection(self):
         # huge numerator parameter keeps the term ratio above 1 for many k
@@ -121,6 +161,20 @@ class TestVeryWellPoised:
 
 
 class TestRogers6W5:
+    def test_series_side_within_1_5e_15_of_a_40_digit_sum(self):
+        # 500 seed-1 default-box draws, the box of the cli_cold benchmark;
+        # the three-small-terms stop this replaced was 7.7e-15 off at worst
+        rng, spec = np.random.default_rng(1), SweepSpec(seed=1, draws=500)
+        worst = 0.0
+        for _ in range(spec.draws):
+            a, b, c, d, q = draw_params(IdentityId.ROGERS_6W5, rng, spec).values()
+            z = rogers_6w5_argument(a, b, c, d, q)
+            with mpmath.workdps(40):
+                expected = mp_very_well_poised_6w5(a, b, c, d, q, z)
+                got = very_well_poised(a, [b, c, d], q, z)
+                worst = max(worst, float(abs(got - expected) / abs(expected)))
+        assert worst <= 1.5e-15
+
     def test_near_singular_denominator(self):
         # aq/b = 1 exactly zeroes a denominator product; c, d keep |z| < 1
         q = 0.5

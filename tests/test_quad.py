@@ -349,11 +349,12 @@ class TestPhiQIntegralRepr:
             assert abs(got - want) <= 1e-12 * scale, (d, x, y)
 
     def test_a_lattice_sum_beyond_max_terms_is_truncation(self):
-        # every product fits in 48 factors at q = 0.5, the n = 0 sums do not
+        # every product fits in 48 factors at q = 0.5, the n = 0 sums do not:
+        # their terms fall by about 1/2 a step, so the 2^-53 tail bound needs 54
         p = ParamSet4(0.2, 0.1, 0.8, 0.9)
-        with pytest.raises(TruncationExceeded, match="lattice sum"):
+        with pytest.raises(TruncationExceeded, match="tail bound"):
             phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=48))
-        phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=51))
+        phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=54))
 
     def test_coincident_endpoints_rejected(self):
         # gamma x = delta y zeroes a prefactor denominator symbol
