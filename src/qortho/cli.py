@@ -312,32 +312,31 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 
 def _cmd_eval(args) -> int:
-    fn = args.function
-    if fn in _EVAL:
-        kwargs, read = _kwargs(_EVAL[fn], args)
-    elif fn == "qpoch":
-        read = {"q", "a_re", "a_im", "inf", *(_POLICY_FLAGS if args.inf else ("n",))}
-    else:  # phi_series, whose stop reads no rel_tol
-        read = {"q", "z_re", "z_im", "num", "den", "max_terms"}
-    _reject_unread(args, read, f"eval {fn}")
     policy = _configured(TruncationPolicy, args, _POLICY_FLAGS)
-    metadata = {dest: getattr(policy, dest) for dest in _POLICY_FLAGS if dest in read}
+    fn = args.function
+    counts = {}
 
     if fn in _EVAL:
         from . import qfun
 
+        kwargs, read = _kwargs(_EVAL[fn], args)
+        _reject_unread(args, read, f"eval {fn}")
         value = complex(_EVAL[fn](qfun, **kwargs))
     elif fn == "qpoch":
+        read = {"q", "a_re", "a_im", "inf", *(_POLICY_FLAGS if args.inf else ("n",))}
+        _reject_unread(args, read, "eval qpoch")
         a, q = _arg(args, "a"), _arg(args, "q")
         value = qpoch_infinite(a, q, policy) if args.inf else qpoch_finite(a, q, _arg(args, "n"))
-    else:
+    else:  # phi_series, whose stop reads no rel_tol
+        read = {"q", "z_re", "z_im", "num", "den", "max_terms"}
+        _reject_unread(args, read, "eval phi_series")
         nums = tuple(_parse_listed_complex(v) for v in args.num or ())
         dens = tuple(_parse_listed_complex(v) for v in args.den or ())
         z = _arg(args, "z")
         value = phi_series(PhiSpec(nums, dens, QBase.coerce(_arg(args, "q")), z), policy)
-        metadata["numerators"] = len(nums)
-        metadata["denominators"] = len(dens)
+        counts = {"numerators": len(nums), "denominators": len(dens)}
 
+    metadata = {dest: getattr(policy, dest) for dest in _POLICY_FLAGS if dest in read} | counts
     record = {
         "function": fn,
         "value_re": value.real,

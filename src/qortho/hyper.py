@@ -101,7 +101,8 @@ def _ratio_majorant(spec: PhiSpec, qk_mag: float) -> float:
     return rho
 
 
-def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY, *,
+               growth_test: bool = True) -> complex:
     """Sum the series by the term-ratio recurrence, to a proven tail bound.
 
     Each factor of rho_k (:func:`_ratio_majorant`) falls with k, so rho_k
@@ -109,12 +110,14 @@ def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> comp
     first term t_k with rho_k < 1 and |t_k| rho_k / (1 - rho_k) <= 2^-53 |S|.
     rho_k >= |z|, so it is formed only where |t_k| |z| / (1 - |z|) <= 2^-53 |S|.
     A terminating series stops after term ``spec.terminates_at`` at the
-    latest.  Raises :class:`DivergentSeries` if terms grow for max(20, r)
-    consecutive k, and :class:`TruncationExceeded` if the bound is not met by
-    term ``policy.max_terms``; ``policy.rel_tol`` is not read.
+    latest.  Raises :class:`TruncationExceeded` if the bound is not met by
+    term ``policy.max_terms``; ``policy.rel_tol`` is not read.  With
+    ``growth_test``, terms that grow for max(20, r) consecutive k raise
+    :class:`DivergentSeries`, a heuristic: a convergent series near |z| = 1
+    and q = 1 rises that long, its early ratios carrying 1/(1 - q^{k+1}).
     """
     q = spec.q.q
-    growth_cap = max(20, len(spec.denominators))
+    growth_cap = max(20, len(spec.denominators)) if growth_test else math.inf
     stop = spec.terminates_at
     last = policy.max_terms if stop is None else min(stop, policy.max_terms)
     term = total = qk = 1.0 + 0.0j  # t_k, the sum to t_k, q^k; k = 0

@@ -190,14 +190,14 @@ def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q,
     THM_1_1's closed diagonal h_n (:func:`diag_rhs_thm11`).  With c = (ra + rb)/2,
     1/(1 - ra q^n) + 1/(1 - rb q^n) = 2 (1 - c q^n) / ((1 - ra q^n)(1 - rb q^n)),
     1 - c q^n = (1 - c) (cq;q)_n / (c;q)_n and 1/(1 - r q^n) = (r;q)_n / ((1 - r) (rq;q)_n),
-    so it is :func:`diagonal_prefactor` times
+    so, summed without a growth test, it is :func:`diagonal_prefactor` times
     2 (1 - c) / ((1 - ra)(1 - rb)) 4phi3(ra*rb, ra, rb, cq; ra q, rb q, c; q, gamma delta s t)."""
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
     c = 0.5 * (ra + rb)
     spec = PhiSpec((ra * rb, ra, rb, c * qb.q), (ra * qb.q, rb * qb.q, c), qb, p.gd * s * t)
     return (diagonal_prefactor(p, qb, policy) * (2.0 * (1.0 - c) / ((1.0 - ra) * (1.0 - rb)))
-            * phi_series(spec, policy))
+            * phi_series(spec, policy, growth_test=False))
 
 
 def thm_1_3_rhs(r: ReducedParams, gamma, delta, q, m: int, n: int,
@@ -237,12 +237,13 @@ def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QB
         sum_k q^k f(e q^k) = K e^n 2phi1(u, v; w; q, q^{n+1}),
         K = (q, w; q)_oo / (u, v; q)_oo,
 
-    the 2phi1 summed by :func:`~qortho.hyper.phi_series`."""
+    the 2phi1 summed by :func:`~qortho.hyper.phi_series` without a growth test."""
     q = qb.q
     w = q * e / o
     k_e = qpoch_infinite(q, qb, policy) * qpoch_infinite(w, qb, policy) / (
         qpoch_infinite(u, qb, policy) * qpoch_infinite(v, qb, policy))
-    return k_e * int_power(e, n) * phi_series(PhiSpec((u, v), (w,), qb, q ** (n + 1)), policy)
+    spec = PhiSpec((u, v), (w,), qb, q ** (n + 1))
+    return k_e * int_power(e, n) * phi_series(spec, policy, growth_test=False)
 
 
 def phi_qintegral_repr(

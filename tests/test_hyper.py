@@ -142,6 +142,18 @@ class TestPhiSeries:
         with pytest.raises(DivergentSeries):
             phi_series(spec, TruncationPolicy(max_terms=100000))
 
+    def test_without_the_growth_test_a_convergent_rise_is_summed(self):
+        # sum z^k / (q;q)_k = 1/(z;q)_oo; its ratio z/(1 - q^{k+1}) stays
+        # above 1 for k = 0..27, which the growth test takes for divergence;
+        # the running product's rounding leaves 2.2e-15
+        q, z = 0.9, 0.95
+        spec = PhiSpec((0.0,), (), QBase(q), z)
+        with pytest.raises(DivergentSeries, match="k=20"):
+            phi_series(spec)
+        with mpmath.workdps(40):
+            expected = float(1 / mp_qpoch(mpmath.mpf(z), mpmath.mpf(q)))
+        assert phi_series(spec, growth_test=False) == pytest.approx(expected, rel=1e-14)
+
 
 class TestVeryWellPoised:
     def test_z_zero(self):

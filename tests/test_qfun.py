@@ -362,6 +362,15 @@ class TestDiagRhs:
             worst = max(worst, abs(thm_1_2_rhs_series(p, s, t, q) - expected) / abs(expected))
         assert worst <= 4e-15
 
+    def test_thm_1_2_series_that_rises_before_it_falls_is_summed(self):
+        # inside THM_1_2's hypotheses, gamma delta s t = 0.95 at q = 0.9: the
+        # 4phi3's terms rise for 28 indices, from the 1/(1 - q^{k+1}) of its
+        # early ratios, and the series has no growth test; measured 3.3e-16
+        p, s, t, q = ParamSet4(0.1, 0.1, 1.0, 1.0), 0.975, 0.975, 0.9
+        with mpmath.workdps(40):
+            expected = complex(mp_thm_1_2_rhs(p, s, t, q))
+        assert abs(thm_1_2_rhs_series(p, s, t, q) - expected) <= 2e-15 * abs(expected)
+
     def test_five_parameter_specialization(self):
         # gamma = delta = 1: the (gamma delta)^n factor drops out
         p = ParamSet4(0.2, 0.1, 1.0, 1.0)

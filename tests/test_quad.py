@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from qortho import (
 from qortho.quad import _grid, _moment_table
 from qortho.verify import IdentityId, SweepSpec, draw_params
 
-from oracles import lattice_repr_oracle
+from oracles import lattice_repr_oracle, mp_phi_terms
 
 
 def one_call_per_level_integral(f, interval, spec):
@@ -349,12 +350,37 @@ class TestPhiQIntegralRepr:
             assert abs(got - want) <= 1e-12 * scale, (d, x, y)
 
     def test_a_lattice_sum_beyond_max_terms_is_truncation(self):
-        # every product fits in 48 factors at q = 0.5, the n = 0 sums do not:
-        # their terms fall by about 1/2 a step, so the 2^-53 tail bound needs 54
+        # every product fits in 48 factors at q = 0.5, the n = 0 sums do not;
+        # the sums stop at t_54, the first term after which the true tail is
+        # within 2^-53 (next test), so 53 raises too
         p = ParamSet4(0.2, 0.1, 0.8, 0.9)
-        with pytest.raises(TruncationExceeded, match="tail bound"):
-            phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=48))
+        for cap in (48, 53):
+            with pytest.raises(TruncationExceeded, match="tail bound"):
+                phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=cap))
         phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=54))
+
+    def test_no_2_53_stop_of_those_lattice_sums_comes_before_t_54(self):
+        # each one-sided sum is K e^n 2phi1(u, v; w; q, q^{n+1}), u and v the
+        # integrand's denominator symbols at z = e, w = q e/o; its terms fall
+        # by about 1/2 a step, so after t_53 (max_terms = 53) the true tail
+        # is still above 2^-53 of the sum, and after t_54 it is not
+        alpha, beta, gamma, delta, x, y, q = 0.2, 0.1, 0.8, 0.9, 1.0, 0.6, 0.5
+        gx, dy, gd = gamma * x, delta * y, gamma * delta
+        for e, o in ((gx, dy), (dy, gx)):
+            with mpmath.workdps(40):
+                terms = mp_phi_terms((beta * e / (gd * x), alpha * e / (gd * y)),
+                                     (q * e / o,), q, q, 200)
+                bound = 2.0 ** -53 * mpmath.fsum(terms)
+                assert mpmath.fsum(terms[54:]) > bound
+                assert mpmath.fsum(terms[55:]) <= bound
+
+    def test_a_lattice_sum_that_rises_before_it_falls_is_summed(self):
+        # q = 0.95: the dy side's terms rise for 32 indices, the gx side's
+        # for 24, from the 1/(1 - q^{k+1}) of their early ratios; the sums
+        # have no growth test, and Phi_0 = 1
+        p = ParamSet4(0.2, 0.1, 0.8, 0.9)
+        got = phi_qintegral_repr(0, -1.0, 0.6, p, 0.95)
+        assert abs(got - phi_eval(0, -1.0, 0.6, p, 0.95)) <= 1e-14
 
     def test_coincident_endpoints_rejected(self):
         # gamma x = delta y zeroes a prefactor denominator symbol
