@@ -7,16 +7,14 @@ and numerically verifies the orthogonality, product-integral and expansion
 identities they satisfy, with controlled truncation and quadrature error.
 """
 
-import importlib
-
-from . import errors, hyper, qcore, verify
-
 __version__ = "0.1.0"
 
-# The public names, by the module that defines them.  Those of qfun and quad
-# are bound on first use (PEP 562), each importing only its own module: quad
-# loads numpy, and qfun, though numpy-free, would cost every cold process its
-# compile time.  The others are bound here.
+# The public names, by the module that defines them.  The package imports
+# none of these modules: `__getattr__` (PEP 562) binds each name, and each
+# module named here, on first use by importing only the defining module, the
+# package's one way to defer a module, as a function elsewhere imports what it
+# calls where it calls it.  So `import qortho` costs no numpy (`quad`) and no
+# compile time of a module the process never uses.
 _EXPORTS = {
     "errors": ("QOrthoError", "DomainError", "TruncationExceeded", "DivergentSeries",
                "NearSingular"),
@@ -39,22 +37,20 @@ _EXPORTS = {
     # the circle rule
     "quad": ("QuadResult", "periodic_integral"),
 }
-_LAZY = {name: module for module in ("qfun", "quad") for name in _EXPORTS[module]}
-
-for _module in ("errors", "qcore", "hyper", "verify"):
-    globals().update({name: getattr(globals()[_module], name) for name in _EXPORTS[_module]})
-del _module
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 
 __all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
-    value = globals()[name] = getattr(module, name)
+    # the __import__ built-in, as an import statement calls it: `-X importtime`
+    # lists its imports, and not those of importlib.import_module
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
+    value = globals()[name] = module if name in _EXPORTS else getattr(module, name)
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _LAZY.keys())
+    return sorted(globals().keys() | _HOME.keys())

@@ -21,9 +21,10 @@ from which ``qortho verify`` builds its flags.  :class:`IdentityId` says in
 one line what each identity checks.
 
 Importing this module loads no numpy, and neither do the checks off the
-circle.  The modules the others call are bound as globals on first use:
-``qfun`` by :func:`_family`, and with it ``np``, ``kernels`` and ``quad`` by
-:func:`_numeric`.  A check calls ``qfun.h_norm(...)``, so a function patched
+circle.  A function imports the modules it calls where it calls them:
+``qfun`` in each checker that takes a side from it, and numpy, ``kernels``
+and ``quad`` in :func:`_circle_check`, :func:`check_prop_2_2` and
+:func:`run_sweep`.  A check calls ``qfun.h_norm(...)``, so a function patched
 in its own module is the one it calls.
 """
 
@@ -62,23 +63,6 @@ from .hyper import (PhiSpec, phi_series, qbinomial_product_ratio, rogers_6w5_arg
                     rogers_6w5_rhs, very_well_poised)
 
 NAN = complex("nan")
-
-
-def _family() -> None:
-    """Bind the module ``qfun`` here, once; it imports no numpy."""
-    global qfun
-    if "qfun" not in globals():
-        from . import qfun
-
-
-def _numeric() -> None:
-    """Bind ``qfun`` and the numpy-backed ``np``, ``kernels`` and ``quad``
-    here, once."""
-    global np, kernels, quad
-    _family()
-    if "quad" not in globals():
-        import numpy as np
-        from . import kernels, quad
 
 
 class IdentityId(str, enum.Enum):
@@ -274,7 +258,9 @@ def _circle_check(
     N/2 places after theta.  The C_n product stays on the whole grid, so an
     odd total degree still integrates to a quadrature value, not to 0 by
     construction."""
-    _numeric()
+    import numpy as np
+    from . import kernels, qfun, quad
+
     own = qfun.weight_symbols(weight)
     flags: list[str] = []
     if qfun.weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
@@ -335,6 +321,8 @@ def check_thm_1_1(
     """Full-period orthogonality: quadrature of C_m C_n against the weight vs.
     the closed diagonal (zero off the diagonal).  The weight's denominator
     symbols need |alpha/delta| < 1 and |beta/gamma| < 1."""
+    from . import qfun
+
     qb = QBase.coerce(q)
     _require(_weight_moduli(p))
     return _circle_check(
@@ -372,6 +360,8 @@ def check_thm_1_2(
     sum_n h_n (s t)^n over THM_1_1's closed diagonal h_n.  The weight's
     denominator symbols need |alpha/delta| < 1 and |beta/gamma| < 1, as for
     :func:`check_thm_1_1`."""
+    from . import qfun
+
     qb = QBase.coerce(q)
     s = finite_complex("s", s)
     t = finite_complex("t", t)
@@ -404,6 +394,8 @@ def check_thm_1_3(
     """Half-period bi-orthogonality: degree m of the b-family against degree n
     of the a-family under the a-family weight.  Zero when m and n have
     opposite parity; otherwise the closed form requires m >= n, and a != 0."""
+    from . import qfun
+
     qb = QBase.coerce(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
@@ -471,6 +463,8 @@ def check_ultra_ortho(
     """Half-period orthogonality of the single-parameter family under the
     (beta, beta, 1, 1) specialization of the weight, which needs |beta| < 1;
     diagonal 1/h_n."""
+    from . import qfun
+
     qb = QBase.coerce(q)
     beta = finite_complex("beta", beta)
     _require(_ultra_ortho_moduli(beta))
@@ -492,7 +486,8 @@ def check_prop_2_1_2(
 ) -> VerificationReport:
     """Phi at (e^{i theta}, e^{-i theta}) equals (q;q)_n C_n(e^{i theta}),
     for a real angle theta."""
-    _family()
+    from . import qfun
+
     qb = QBase.coerce(q)
     theta = finite_complex("theta", theta)
     if theta.imag:
@@ -514,7 +509,8 @@ def check_prop_2_1_3(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Growth-root diagnostic |C_n(1)|^{1/n} against max(|gamma|, |delta|)."""
-    _family()
+    from . import qfun
+
     qb = QBase.coerce(q)
     return _check(
         IdentityId.PROP_2_1_3, _paramset_inputs(p, qb) | {"n": n}, tolerance,
@@ -542,7 +538,9 @@ def check_prop_2_2(
     those of :data:`PROP_2_2_MAJORANT`) must stay below tolerance times the
     partial sum.  The report's lhs is the tail, rhs is zero, scale is the
     partial sum.  Needs k >= 0 and ra*rb != 1 (else (ra*rb;q)_{n+k} vanishes)."""
-    _numeric()
+    import numpy as np
+    from . import kernels
+
     qb = QBase.coerce(q)
     as_degree("k", k)
     ra_rb = p.ratio_a * p.ratio_b
@@ -577,7 +575,8 @@ def check_prop_2_4(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Lattice-integral representation vs. the double-sum evaluation of Phi_n."""
-    _family()
+    from . import qfun
+
     qb = QBase.coerce(q)
     x = finite_complex("x", x)
     y = finite_complex("y", y)
@@ -823,7 +822,8 @@ def run_sweep(
     the seed; individual failures and flags land in the reports.  The sweep
     aborts only with the :class:`DomainError` of :func:`draw_params`, for a
     box that holds no admissible draw."""
-    _numeric()
+    import numpy as np
+
     record = REGISTRY[IdentityId(identity_id)]
     rng = np.random.default_rng(spec.seed)
     checker = record.checker

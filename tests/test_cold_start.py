@@ -9,9 +9,10 @@ circle rule (``quad``) and the array kernels (``kernels``) load it.  A cold
 ``dataclasses``, ``inspect``, ``csv`` or ``datetime`` either: the records are
 plain classes, and the CLI reads checker signatures from their code objects
 and imports ``csv`` and ``datetime`` in the handlers that write CSV or a
-timestamp.  The test modules import numpy themselves, so every check here
-runs a new interpreter under ``-X importtime``, which lists each module it
-imports on stderr.
+timestamp.  ``import qortho`` imports no other ``qortho`` module, and a
+submodule imports only the modules it uses.  The test modules import numpy
+themselves, so every check here runs a new interpreter under
+``-X importtime``, which lists each module it imports on stderr.
 """
 
 import csv
@@ -223,6 +224,32 @@ def test_package_import_defers_numpy_until_a_numeric_name_is_used():
             "assert 'numpy' in sys.modules\n")
     proc, _ = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def qortho_modules(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m == "qortho" or m.startswith("qortho."))
+
+
+@pytest.mark.parametrize("code, imported", [
+    # the package binds every public name on first use
+    ("import qortho", ["qortho"]),
+    ("import qortho.qcore", ["qortho", "qortho.errors", "qortho.qcore"]),
+    # what a benchmark's set-up imports: the kernels need no checker or series
+    ("import numpy, qortho.kernels", ["qortho", "qortho.errors", "qortho.kernels", "qortho.qcore"]),
+])
+def test_an_import_loads_only_the_modules_it_names(code, imported):
+    proc, modules = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert qortho_modules(modules) == imported
+
+
+def test_the_registry_resolves_after_a_bare_package_import():
+    # README names qortho.verify.REGISTRY; the package binds verify on first use
+    code = "import qortho\nprint(len(qortho.verify.REGISTRY))\n"
+    proc, modules = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "qortho.verify" in modules and numpy_modules(modules) == []
+    assert int(proc.stdout) == len(verify.IdentityId)
 
 
 def signature_reading(func) -> dict[str, bool]:
