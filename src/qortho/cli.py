@@ -8,14 +8,15 @@ Four subcommands:
     qortho table   tabulate expansion or connection coefficients as CSV
 
 Exit codes: 0 = pass, 1 = a check verified false, 2 = invalid input
-(hypothesis violation, malformed arguments, or a flag the command does not
-read).  ``verify`` takes the flags of the chosen identity's parameters, the
-positional parameters of its checker other than ``qspec``, ``policy`` and
-``tolerance``, plus the quadrature and truncation flags the checker reads.
-:data:`_SPELLING` says how each parameter name is spelled as flags; complex
-parameters are entered as two flags (--alpha-re / --alpha-im, imaginary part
-defaulting to 0).  Reports serialize to JSON or RFC-4180 CSV with complex
-values split into _re/_im fields.
+(hypothesis violation, malformed arguments, a flag the command does not
+read, or an ``--out`` path that cannot be written).  ``verify`` takes the
+flags of the chosen identity's parameters, the positional parameters of its
+checker other than ``qspec``, ``policy`` and ``tolerance``, plus the
+quadrature and truncation flags the checker reads.  :data:`_SPELLING` says
+how each parameter name is spelled as flags; complex parameters are entered
+as two flags (--alpha-re / --alpha-im, imaginary part defaulting to 0).
+Reports serialize to JSON or RFC-4180 CSV with complex values split into
+_re/_im fields.
 """
 
 from __future__ import annotations
@@ -126,8 +127,10 @@ def _add_flags(parser: argparse.ArgumentParser, names, tuning: dict[str, type]) 
         parser.add_argument(_flag(dest), type=type_, help=_HELP.get(dest))
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_output_flags(parser: argparse.ArgumentParser, formats: bool) -> None:
+    """``--out``, and ``--format`` for a command that writes JSON or CSV."""
+    if formats:
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -155,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="phi_series numerator parameter RE[,IM] (repeatable)")
     p_eval.add_argument("--den", action="append",
                         help="phi_series denominator parameter RE[,IM] (repeatable)")
-    _add_output_flags(p_eval)
+    _add_output_flags(p_eval, formats=False)
 
     p_verify = sub.add_parser("verify", help="run one identity check", allow_abbrev=False)
     p_verify.add_argument("--identity", required=True, choices=identities)
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_verify, [name for record in REGISTRY.values() for name in _spelled(record.checker)],
         {"tol": float} | _TUNING["qspec"][1] | _POLICY_FLAGS,
     )
-    _add_output_flags(p_verify)
+    _add_output_flags(p_verify, formats=True)
 
     p_sweep = sub.add_parser("sweep", help="run a seeded randomized sweep", allow_abbrev=False)
     p_sweep.add_argument("--identity", required=True, choices=identities)
@@ -172,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m-max", type=int, default=6)
     p_sweep.add_argument("--n-max", type=int, default=6)
     _add_flags(p_sweep, (), {"tol": float})
-    _add_output_flags(p_sweep)
+    _add_output_flags(p_sweep, formats=True)
 
     p_table = sub.add_parser("table", help="tabulate coefficients as CSV", allow_abbrev=False)
     p_table.add_argument("what", choices=tuple(_TABLE))
     _add_flags(p_table, ("q", "m", "p", "r", "n_max"), {})
-    p_table.add_argument("--out", default=None)
+    _add_output_flags(p_table, formats=False)
 
     return parser
 
@@ -274,8 +277,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, no permission, a full disk
+            raise DomainError(f"cannot write --out {out_path}: {exc.strerror}") from exc
 
 
 def _json_safe(value):

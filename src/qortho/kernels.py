@@ -21,19 +21,22 @@ with the power k and with n theta, and stays within 1e-13 of the sum of
 |c_k| at degree 60 on grids of up to 8192 angles.
 
 What depends only on the angles is built once per process by
-:func:`angle_table`: the phase rows e^{i s_c theta} of a product call, the
-power matrix of a Laurent sum, and :mod:`~qortho.quad`'s grids and moment
-tables.  The key of a kernel table holds its angles' bytes (a quad table's,
-its node count), and it is built by the operations each call used to run,
-so every value is the same bit for bit.
+:func:`angle_table`, the package's only cache: the phase rows
+e^{i s_c theta} of a product call, the power matrix of a Laurent sum, and
+:mod:`~qortho.quad`'s grids and moment tables.  The key of a kernel table
+holds its angles' bytes (a quad table's, its node count), and it is built
+by the operations each call used to run, so every value is the same bit
+for bit.
 
 Each infinite product is its K head factors 1 - w_c q^k, k < K, times the
 two factors 1 - r+- w_c q^K that :func:`~qortho.qcore.closing_factors` puts
 in place of the rest, as :func:`~qortho.qcore.qpoch_infinite` forms it.
 So the q-power rows of a call are 1, q, ..., q^(K-1), r+ q^K, r- q^K:
 K + 2 rows of one kind, and the closing pair costs two rows and no array
-operation of its own.  The rows are built once per (q, K) and kept,
-read-only, for the 16 latest pairs (under 1 KB each at the usual depths).
+operation of its own.  :func:`~qortho.qcore._head_rows` builds them on
+every call as one running product (about 4 us at K = 20, 0.2 ms at
+K = 1540, on a 2-vCPU x86-64 host): each check draws its own q, so a kept
+row would serve only the calls of one check.
 The product is formed for all S symbols at once (numerators and
 denominators together when the call forms a quotient), as broadcast blocks
 1 - p_k w_c(theta_j) over the rows p_k, symbols c and nodes j, reduced over
@@ -53,13 +56,12 @@ checks at degrees up to 6 hold about 0.5 MB.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import numpy as np
 
-from .qcore import (DEFAULT_POLICY, ParamSet4, QBase, TruncationPolicy, _poch_row,
-                    closing_factors, quotient_depth)
+from .qcore import (DEFAULT_POLICY, ParamSet4, QBase, TruncationPolicy, _head_rows,
+                    _poch_row, quotient_depth)
 
 BACKEND = "numpy"
 
@@ -96,32 +98,16 @@ def angle_table(key, build):
 
 
 def clear_tables() -> None:
-    """Drop every angle table and the memoised q-power rows."""
+    """Drop every angle table."""
     global _held
     _tables.clear()
     _held = 0
-    _power_rows.cache_clear()
-
-
-@functools.lru_cache(maxsize=16)
-def _power_rows(q: complex, kmax: int) -> np.ndarray:
-    """The read-only q-power rows 1, q, ..., q^(kmax-1), r+ q^kmax,
-    r- q^kmax of a product call.  Memoised per (q, kmax) for the 16 latest
-    pairs, as :func:`~qortho.qcore.closing_factors` is per q: a circle check
-    makes every kernel call of all its grids with one pair."""
-    qpow = np.full(kmax + 2, q)
-    qpow[:1] = 1.0
-    np.cumprod(qpow, out=qpow)
-    plus, minus = closing_factors(q)
-    qpow[kmax + 1] = qpow[kmax] * minus
-    qpow[kmax] *= plus
-    qpow.flags.writeable = False
-    return qpow
 
 
 def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
     """prod_c (coef_c e^{i exps_c theta}; q)_oo at each theta, as ``kmax``
-    head factors closed by the :func:`~qortho.qcore.closing_factors` pair
+    head factors closed by the :func:`~qortho.qcore.closing_factors` pair, one
+    factor per row of :func:`~qortho.qcore._head_rows`
     (``kmax`` from :func:`~qortho.qcore.tail_start` of the largest |coef_c|);
     with ``split``, the product of the first ``split`` symbols over the
     product of the rest."""
@@ -132,7 +118,7 @@ def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
                          lambda: np.exp(1j * np.multiply.outer(exps, thetas)))
     w = phases * coefs[:, None]
     depth = kmax + 2
-    qpow = _power_rows(complex(q), kmax)
+    qpow = np.array(_head_rows(complex(q), kmax))
     chunk = max(1, DEPTH_CHUNK // max(coefs.shape[0], 1))
     block = np.empty((min(depth, chunk), *w.shape), dtype=np.complex128)
     for start in range(0, depth, chunk):

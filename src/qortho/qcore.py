@@ -18,7 +18,6 @@ series checks, PROP_3_1 and the command line run without importing numpy.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from itertools import accumulate, repeat
@@ -237,7 +236,6 @@ def qpoch_finite(a, q, n: int) -> complex:
     return _poch_row(a, QBase.coerce(q).q, as_degree("n", n))[-1]
 
 
-@functools.lru_cache(maxsize=256)
 def closing_factors(q) -> tuple[complex, complex]:
     """The pair (r+, r-) with
 
@@ -248,12 +246,22 @@ def closing_factors(q) -> tuple[complex, complex]:
     (Gasper & Rahman, *Basic Hypergeometric Series*, section 1.3); to second
     order in s = y/(1-q) that is 1 - s + (q/(1+q)) s^2, whose two linear
     factors have r+- = (1 +- sqrt((1-3q)/(1+q))) / (2 (1-q)), complex for
-    q > 1/3.  At q = 0 the pair is (1, 0) and the product exact.  Memoised
-    per q, for the 256 latest values: every product with one q shares it."""
+    q > 1/3.  At q = 0 the pair is (1, 0) and the product exact."""
     q = complex(q)
     root = cmath.sqrt((1.0 - 3.0 * q) / (1.0 + q))
     half = 0.5 / (1.0 - q)
     return (1.0 + root) * half, (1.0 - root) * half
+
+
+def _head_rows(q: complex, kmax: int) -> list[complex]:
+    """The kmax + 2 rows p_k of a product whose head has kmax factors:
+    1, q, ..., q^(kmax-1) as one running product, then r+ q^kmax and
+    r- q^kmax, the :func:`closing_factors` pair in place of the factors from
+    kmax on, so that prod_k (1 - p_k w) is (w;q)_oo as :func:`qpoch_infinite`
+    forms it."""
+    rows = list(accumulate(repeat(q, kmax), operator.mul, initial=1.0 + 0.0j))
+    plus, minus = closing_factors(q)
+    return [*rows[:-1], rows[-1] * plus, rows[-1] * minus]
 
 
 def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:

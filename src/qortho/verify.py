@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 import sys
 from typing import Callable, Mapping, Sequence
@@ -240,8 +239,8 @@ def _circle_check(
     symbols: tuple[tuple, tuple, tuple] = ((), (), ()),
 ) -> VerificationReport:
     """The path every circle identity shares: screen the weight of ``weight``
-    once, integrate over ``interval`` the product of the C_n sums ``laurent``
-    ((coefficients, degree) pairs) times the product quotient of the
+    once, integrate over ``interval`` C_m C_n, from the (coefficients, degree)
+    pairs ``laurent`` holds (none for THM_1_2), times the product quotient of the
     (numerators, denominators, exponents) ``symbols`` and the weight's, both
     at the depth of all their coefficients; flag slow quadrature of a
     finite integral (an overflow fails the report unflagged), then evaluate
@@ -273,8 +272,8 @@ def _circle_check(
     weight_quotient = kernels.product_quotient(*own, qb, policy, kmax)
     quotient = kernels.product_quotient(*symbols, qb, policy, kmax) if symbols[0] else None
     if laurent:
-        coefs = functools.reduce(np.convolve, (c for c, _ in laurent))
-        degree = sum(n for _, n in laurent)
+        (c_m, m), (c_n, n) = laurent
+        coefs, degree = np.convolve(c_m, c_n), m + n
 
     def integrand(thetas):
         half = weight_quotient(thetas[: thetas.shape[0] // 2])

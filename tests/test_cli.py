@@ -331,7 +331,7 @@ OPTION_STRINGS = {
     "eval": ["-h", "--help", "--q", "--n", "--theta", "--alpha-re", "--alpha-im", "--beta-re",
              "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--x-re",
              "--x-im", "--y-re", "--y-im", "--a-re", "--a-im", "--z-re", "--z-im",
-             "--max-terms", "--rel-tol", "--inf", "--num", "--den", "--format", "--out"],
+             "--max-terms", "--rel-tol", "--inf", "--num", "--den", "--out"],
     "verify": ["-h", "--help", "--identity", "--alpha-re", "--alpha-im", "--beta-re",
                "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--q",
                "--m", "--n", "--s-re", "--s-im", "--t-re", "--t-im", "--a-re", "--a-im",
@@ -577,6 +577,27 @@ class TestExitCodeContract:
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_INVALID and out == ""
         assert "_max must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--identity", "QBINOMIAL", "--a-re", "0.5", "--z-re", "0.5", "--q", "0.5"],
+        ["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--n", "3"],
+        ["sweep", "--identity", "ROGERS_6W5", "--draws", "1", "--seed", "1"],
+        ["table", "ultra", "--n-max", "2", "--beta-re", "0.3", "--q", "0.5"],
+    ])
+    def test_out_into_a_missing_directory_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert code == EXIT_INVALID and stdout == ""
+        assert err.startswith("invalid input: ") and str(out) in err
+        assert "Traceback" not in err
+
+    def test_eval_takes_no_format_flag(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--n", "3", "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_INVALID and out == ""
+        assert "--format" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import mp_qpoch
 from qortho import ParamSet4, SweepSpec, big_c_coeffs, kernels, quad
-from qortho.qcore import closing_factors, quotient_depth
+from qortho.qcore import _head_rows, closing_factors, quotient_depth
 from qortho.verify import REGISTRY, IdentityId, draw_params, run_sweep
 
 
@@ -210,8 +210,8 @@ def test_circle_lhs_of_first_draws_are_pinned(identity):
 
 
 def uncached_rows(q, kmax):
-    """The q-power rows 1, q, ..., q^(kmax-1), r+ q^kmax, r- q^kmax, built
-    afresh."""
+    """The q-power rows 1, q, ..., q^(kmax-1), r+ q^kmax, r- q^kmax as a
+    numpy cumulative product, the reference for ``_head_rows``."""
     qpow = np.cumprod(np.r_[1.0, np.full(kmax + 1, complex(q))])
     plus, minus = closing_factors(q)
     qpow[kmax + 1] = qpow[kmax] * minus
@@ -284,22 +284,15 @@ def test_warm_power_tables_give_the_uncached_values_bit_for_bit(angles, degree, 
                          uncached_laurent(coefs, degree, thetas))
 
 
+@pytest.mark.parametrize("q", [0.5, 0.5 + 0j, -0.0, 0.6 + 0.1j, -0.7, 0.95])
 @pytest.mark.parametrize("kmax", [0, 12, 300])
-def test_memoised_power_rows_are_the_fresh_rows_bit_for_bit(kmax, rng):
-    # 0.5 and 0.5 + 0j compare equal and share one memo entry
-    thetas = nodes(64)
+def test_head_rows_are_the_numpy_rows_bit_for_bit(q, kmax, rng):
+    # q = -0.0: the Python running product keeps numpy's signed zeros
+    assert same_bits(np.array(_head_rows(complex(q), kmax)), uncached_rows(q, kmax))
     coefs = random_coefs(rng, 4)
     exps = np.array([2.0, -2.0, 1.0, -1.0])
-    kernels.clear_tables()
-    for q in (0.5, 0.5 + 0j, 0.6 + 0.1j, 0.6 + 0.1j):
-        rows = kernels._power_rows(complex(q), kmax)
-        assert same_bits(rows, uncached_rows(q, kmax))
-        assert not rows.flags.writeable
-        assert same_bits(kernels.poch_product_many(coefs, exps, q, kmax, thetas, 2),
-                         uncached_poch(coefs, exps, q, kmax, thetas, 2))
-    assert kernels._power_rows(0.5 + 0j, kmax) is kernels._power_rows(0.5, kmax)
-    kernels.clear_tables()
-    assert kernels._power_rows.cache_info().currsize == 0
+    assert same_bits(kernels.poch_product_many(coefs, exps, q, kmax, nodes(64), 2),
+                     uncached_poch(coefs, exps, q, kmax, nodes(64), 2))
 
 
 def test_a_returned_table_is_read_only():
@@ -335,6 +328,5 @@ def test_sweep_records_are_the_same_with_cleared_and_with_warm_tables(identity):
         return [r.to_record() for r in run_sweep(identity, SweepSpec(seed=1, draws=20))]
 
     kernels.clear_tables()
-    closing_factors.cache_clear()
     cold = records()
     assert records() == cold

@@ -188,16 +188,6 @@ def qpoch_infinite_every_factor_screened(a, q, policy=TruncationPolicy()):
     return prod * (1.0 - plus * w) * (1.0 - minus * w)
 
 
-@pytest.mark.parametrize("equal_qs", [(0.5, 0.5 + 0j, 0.5 - 0j), (0.0, -0.0, -0.0 - 0.0j),
-                                      (0.3 - 0.6j, complex(0.3, -0.6)), (0.9, 0.9 + 0j)])
-def test_memoised_closing_factors_are_the_fresh_pair_bit_for_bit(equal_qs):
-    # q values that compare equal share one memo entry, so each must give
-    # the pair computed afresh for it, signed zeros included
-    closing_factors.cache_clear()
-    for q in equal_qs:
-        assert repr(closing_factors(q)) == repr(closing_factors.__wrapped__(q))
-
-
 class TestQpochInfiniteShortcut:
     """Factors with |w| <= 1/2 skip the zero test; the arithmetic is the same,
     so the products must be equal bit for bit."""
