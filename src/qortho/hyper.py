@@ -9,7 +9,10 @@ summed here through the consecutive-term ratio
     T_{k+1}/T_k = z * prod_i (1 - a_i q^k) / [(1 - q^{k+1}) prod_j (1 - b_j q^k)].
 
 :func:`phi_series`, the package's one series loop (Gasper & Rahman, *Basic
-Hypergeometric Series*, section 1.2), stops on a proven tail bound.
+Hypergeometric Series*, section 1.2), stops on a proven tail bound.  A
+numerator q^{-m} ends the series at term m and a denominator q^{-m} is
+refused; :class:`PhiSpec` finds both with :func:`~qortho.qcore.min_factor_abs`,
+the package's one q-chain scan.
 
 The very-well-poised variant W fixes the first three numerator parameters to
 (a_1, q*sqrt(a_1), -q*sqrt(a_1)) against denominators (sqrt(a_1), -sqrt(a_1),
@@ -29,6 +32,7 @@ from .qcore import (
     QBase,
     Record,
     TruncationPolicy,
+    min_factor_abs,
     qpoch_infinite,
     screen_denominator,
 )
@@ -37,28 +41,15 @@ from .qcore import (
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _poch_zero_index(value: complex, q: complex, tol: float) -> int | None:
-    """Index m >= 0 with value * q^m ~= 1, or None. Detects parameters of the
-    form q^{-m}, which make (value;q)_k vanish for k > m."""
-    w = complex(value)
-    qmag = abs(q)
-    m = 0
-    # |w q^m| decays geometrically; once below 1 - tol no later factor can hit 1.
-    while abs(w) >= 1.0 - tol:
-        if abs(w - 1.0) < tol:
-            return m
-        if qmag == 0.0:
-            break
-        w *= q
-        m += 1
-    return None
-
-
 class PhiSpec(Record):
     """Parameter set for one series evaluation: numerators a_1..a_{r+1},
     denominators b_1..b_r, base q, argument z.  ``terminates_at`` is not an
     argument: it is the index m of the first numerator of the form q^{-m}
-    (the series ends at term m), or None."""
+    (the series ends at term m), or None.  Both q^{-m} tests are the scan
+    :func:`~qortho.qcore.min_factor_abs` over |w q^k| >= 1 - NEAR_SINGULAR_TOL:
+    a parameter is q^{-m} when its gap is below NEAR_SINGULAR_TOL, and m is
+    where the gap occurs.  For |q| >= 1 - 2 NEAR_SINGULAR_TOL two factors can
+    both lie that close to 0, and m is then the closer one, not the first."""
 
     _fields = ("numerators", "denominators", "q", "z", "terminates_at")
 
@@ -67,18 +58,16 @@ class PhiSpec(Record):
         denominators = tuple(complex(b) for b in denominators)
         q = QBase.coerce(q)
         z = complex(z)
+        floor = 1.0 - NEAR_SINGULAR_TOL
         for b in denominators:
-            m = _poch_zero_index(b, q.q, NEAR_SINGULAR_TOL)
-            if m is not None:
+            gap, m = min_factor_abs(b, q.q, floor)
+            if gap < NEAR_SINGULAR_TOL:
                 raise DomainError(
                     f"denominator parameter {b} is q^-{m} to within "
                     f"{NEAR_SINGULAR_TOL}; it would zero a product factor"
                 )
-        stops = [
-            m
-            for a in numerators
-            if (m := _poch_zero_index(a, q.q, NEAR_SINGULAR_TOL)) is not None
-        ]
+        stops = [m for gap, m in (min_factor_abs(a, q.q, floor) for a in numerators)
+                 if gap < NEAR_SINGULAR_TOL]
         if not stops and abs(z) >= 1.0:
             raise DomainError(
                 f"non-terminating series needs |z| < 1, got |z| = {abs(z):.6g}"

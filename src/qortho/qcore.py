@@ -301,43 +301,45 @@ def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     then the two :func:`closing_factors` of the rest, so that ``policy``'s
     rel_tol bounds the relative truncation error.
 
-    Returns exactly 0 when some factor vanishes to within 1e-15 (a = q^-k),
-    so quotient formulas can detect the singular symbols downstream.
+    Returns exactly 0 when :func:`min_factor_abs` finds a factor within
+    EXACT_ZERO_FACTOR (1e-15) of 0 (a = q^-k), so quotient formulas can
+    detect the singular symbols downstream; only factors with |a q^k| >= 1/2
+    can be that small.  :class:`TruncationExceeded` comes first.
     """
     qb = QBase.coerce(q)
     q = qb.q
     nterms = tail_start(a, qb, policy)
-    prod = 1.0 + 0.0j
     w = complex(a)
-    k = 0
-    # once |w| <= 1/2, every factor 1 - w has modulus >= 1/2: |w| only falls
-    while k < nterms and abs(w) > 0.5:
-        factor = 1.0 - w
-        if abs(factor) < EXACT_ZERO_FACTOR:
-            return 0.0 + 0.0j
-        prod *= factor
-        w *= q
-        k += 1
-    for _ in range(k, nterms):
+    if min_factor_abs(w, q, 0.5)[0] < EXACT_ZERO_FACTOR:
+        return 0.0 + 0.0j
+    prod = 1.0 + 0.0j
+    for _ in range(nterms):
         prod *= 1.0 - w
         w *= q
     plus, minus = closing_factors(q)
     return prod * (1.0 - plus * w) * (1.0 - minus * w)
 
 
-def min_factor_abs(a, q, floor: float) -> float:
-    """min(1, min_k |1 - a q^k|) over the k with |a q^k| >= floor, to detect
-    near-singular denominator symbols before dividing.  With the moduli |a|
-    and |q| it bounds the factors of (a e^{i theta}; q)_oo over all theta."""
-    smallest = 1.0
+def min_factor_abs(a, q, floor: float) -> tuple[float, int | None]:
+    """The package's one q-chain scan: (gap, k), gap = min(1, min_k |1 - a q^k|)
+    over the k with |a q^k| >= floor, k the first index of that minimum, or
+    None when no factor is below 1.  It finds a product's exact zero, a
+    near-singular denominator and a q^-m that ends a series.  With the moduli
+    |a| and |q| it bounds the factors of (a e^{i theta}; q)_oo over all
+    theta.  An infinite or NaN |a q^k| ends the scan."""
+    smallest, where = 1.0, None
     w = a
+    k = 0
     while floor <= abs(w) < math.inf:  # an infinite a has no finite factor
-        smallest = min(smallest, abs(1.0 - w))
+        gap = abs(1.0 - w)
+        if gap < smallest:
+            smallest, where = gap, k
         # every later factor has |1 - w q^j| >= 1 - |w| >= smallest
         if q == 0 or abs(w) <= 1.0 - smallest:
             break
         w *= q
-    return smallest
+        k += 1
+    return smallest, where
 
 
 def screen_denominator(symbols, qb: QBase, policy: TruncationPolicy, product: complex) -> None:
@@ -347,7 +349,7 @@ def screen_denominator(symbols, qb: QBase, policy: TruncationPolicy, product: co
     says nothing: at q = 0.95, (q;q)_oo is about 1e-13 with every factor
     >= 0.05."""
     for name, w in symbols.items():
-        smallest = min_factor_abs(w, qb.q, policy.rel_tol)
+        smallest, _ = min_factor_abs(w, qb.q, policy.rel_tol)
         if smallest < NEAR_SINGULAR_TOL:
             raise NearSingular(
                 f"({name};q)_oo has a factor of magnitude {smallest:.3g}, "

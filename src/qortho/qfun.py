@@ -114,7 +114,7 @@ def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
     |1 - c e^{2i theta}| is |1 - |c||, so only moduli enter."""
     qmag = abs(QBase.coerce(q).q)
     return min(
-        min_factor_abs(abs(w), qmag, policy.rel_tol)
+        min_factor_abs(abs(w), qmag, policy.rel_tol)[0]
         for w in (p.alpha / p.delta, p.beta / p.gamma)
     )
 

@@ -662,7 +662,7 @@ def _admits(moduli: Mapping[str, float], bound: float = 1.0 - WEIGHT_MARGIN) -> 
 
 def _chain_clear(w: float, q: float) -> bool:
     """Every |1 - |w| q^k| with |w| q^k >= 1e-3 is at least WEIGHT_MARGIN."""
-    return min_factor_abs(abs(w), q, 1e-3) >= WEIGHT_MARGIN
+    return min_factor_abs(abs(w), q, 1e-3)[0] >= WEIGHT_MARGIN
 
 
 def _uniform(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:

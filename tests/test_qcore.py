@@ -74,20 +74,25 @@ class TestPolicy:
 
 
 def full_scan_min_factor_abs(a, q, floor):
-    """min(1, min_k |1 - a q^k|) over every k with |a q^k| >= floor."""
-    smallest = 1.0
+    """(min(1, min_k |1 - a q^k|), the first k of that minimum or None) over
+    every k with |a q^k| >= floor."""
+    smallest, where = 1.0, None
     w = a
+    k = 0
     while abs(w) >= floor:
-        smallest = min(smallest, abs(1.0 - w))
+        if abs(1.0 - w) < smallest:
+            smallest, where = abs(1.0 - w), k
         if q == 0:
             break
         w *= q
-    return smallest
+        k += 1
+    return smallest, where
 
 
 class TestMinFactorAbs:
     """The scan stops once |a q^k| <= 1 - smallest, after which no factor
-    can be smaller; the result must equal the full scan bit for bit."""
+    can be smaller; the gap and its first index must equal the full scan's,
+    the gap bit for bit."""
 
     @staticmethod
     def draw(rng, kind):
@@ -112,12 +117,12 @@ class TestMinFactorAbs:
                 assert min_factor_abs(a, q, floor) == full_scan_min_factor_abs(a, q, floor)
 
     def test_vanishing_factor_deep_in_the_chain(self):
-        assert min_factor_abs(0.5 ** -7, 0.5, 1e-14) == 0.0
+        assert min_factor_abs(0.5 ** -7, 0.5, 1e-14) == (0.0, 7)
 
     def test_an_infinite_argument_ends_the_scan(self):
         # inf * q stays inf, so a scan that only waits for |a q^k| < floor
         # never ends; every factor is infinite, none near zero
-        assert min_factor_abs(math.inf, 0.5, 1e-14) == 1.0
+        assert min_factor_abs(math.inf, 0.5, 1e-14) == (1.0, None)
 
 
 class TestQpochFinite:
@@ -189,8 +194,9 @@ def qpoch_infinite_every_factor_screened(a, q, policy=TruncationPolicy()):
 
 
 class TestQpochInfiniteShortcut:
-    """Factors with |w| <= 1/2 skip the zero test; the arithmetic is the same,
-    so the products must be equal bit for bit."""
+    """Only the factors with |w| >= 1/2 are scanned for a zero (by
+    ``min_factor_abs``); the arithmetic is the same, so the products must be
+    equal bit for bit."""
 
     @staticmethod
     def cases():
