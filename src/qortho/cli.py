@@ -67,7 +67,7 @@ _SPELLING = {
 # flag dest -> type).  A flag left unset keeps the class default.
 _TUNING = {
     "qspec": (QuadratureSpec, {"nodes": int, "max_nodes": int}),
-    "policy": (TruncationPolicy, {"max_terms": int, "rel_tol": float}),
+    "policy": (TruncationPolicy, {"max_terms": int}),
 }
 _POLICY_FLAGS = _TUNING["policy"][1]
 # Positional parameters that are not spelled as flags.
@@ -99,7 +99,6 @@ _TABLE = {
 _HELP = {
     "q": "base q (real, |q| < 1)",
     "tol": "tolerance override",
-    "rel_tol": "truncation tolerance for infinite products",
     "n_max": "degree cap",
 }
 
@@ -333,8 +332,8 @@ def _cmd_eval(args) -> int:
         _reject_unread(args, read, "eval qpoch")
         a, q = _arg(args, "a"), _arg(args, "q")
         value = qpoch_infinite(a, q, policy) if args.inf else qpoch_finite(a, q, _arg(args, "n"))
-    else:  # phi_series, whose stop reads no rel_tol
-        read = {"q", "z_re", "z_im", "num", "den", "max_terms"}
+    else:  # phi_series
+        read = {"q", "z_re", "z_im", "num", "den", *_POLICY_FLAGS}
         _reject_unread(args, read, "eval phi_series")
         nums = tuple(_parse_listed_complex(v) for v in args.num or ())
         dens = tuple(_parse_listed_complex(v) for v in args.den or ())

@@ -100,10 +100,10 @@ def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY, *,
     rho_k >= |z|, so it is formed only where |t_k| |z| / (1 - |z|) <= 2^-53 |S|.
     A terminating series stops after term ``spec.terminates_at`` at the
     latest.  Raises :class:`TruncationExceeded` if the bound is not met by
-    term ``policy.max_terms``; ``policy.rel_tol`` is not read.  With
-    ``growth_test``, terms that grow for max(20, r) consecutive k raise
-    :class:`DivergentSeries`, a heuristic: a convergent series near |z| = 1
-    and q = 1 rises that long, its early ratios carrying 1/(1 - q^{k+1}).
+    term ``policy.max_terms``.  With ``growth_test``, terms that grow for
+    max(20, r) consecutive k raise :class:`DivergentSeries`, a heuristic: a
+    convergent series near |z| = 1 and q = 1 rises that long, its early
+    ratios carrying 1/(1 - q^{k+1}).
     """
     q = spec.q.q
     growth_cap = max(20, len(spec.denominators)) if growth_test else math.inf
@@ -185,7 +185,7 @@ def rogers_6w5_rhs(a, b, c, d, q, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     den = 1.0 + 0.0j
     for arg in symbols.values():
         den *= qpoch_infinite(arg, qb, policy)
-    screen_denominator(symbols, qb, policy, den)
+    screen_denominator(symbols, qb, den)
     return num / den
 
 
@@ -194,7 +194,7 @@ def qbinomial_product_ratio(a, z, q, policy: TruncationPolicy = DEFAULT_POLICY) 
     identity sum_n (a;q)_n z^n / (q;q)_n for |z| < 1."""
     qb = QBase.coerce(q)
     den = qpoch_infinite(z, qb, policy)
-    screen_denominator({"z": complex(z)}, qb, policy, den)
+    screen_denominator({"z": complex(z)}, qb, den)
     return qpoch_infinite(complex(a) * complex(z), qb, policy) / den
 
 

@@ -33,6 +33,11 @@ EXACT_ZERO_FACTOR = 1e-15
 # to 1 a series parameter times q^m must come to count as a (w;q)_k factor's zero.
 NEAR_SINGULAR_TOL = 1e-12
 
+# The relative truncation error of an infinite product (:func:`tail_start`), within
+# the rounding of its head factors; also the |w q^k| floor of the denominator screens.
+PRODUCT_TOL = 1e-14
+_TAIL_BOUND = PRODUCT_TOL ** (1.0 / 3.0)
+
 
 def finite_complex(name: str, value) -> complex:
     """``value`` as a complex number; :class:`DomainError` unless it is
@@ -116,21 +121,15 @@ class QBase(Record):
 
 
 class TruncationPolicy(Record):
-    """Controls truncation of infinite products and series.
+    """``max_terms`` caps the factors of an infinite product, whose depth
+    PRODUCT_TOL fixes (:func:`tail_start`), and the terms of a series, which
+    stops on a proven tail bound (:func:`qortho.hyper.phi_series`).  Beyond
+    it, :class:`TruncationExceeded` is raised."""
 
-    ``rel_tol`` bounds the relative truncation error of an infinite product
-    (see :func:`tail_start`); a series stops on its own proven tail bound
-    (:func:`qortho.hyper.phi_series`), which does not read it.
-    ``max_terms`` caps how many factors or terms are ever taken before
-    giving up with :class:`TruncationExceeded`.
-    """
+    _fields = ("max_terms",)
 
-    _fields = ("rel_tol", "max_terms")
-
-    def __init__(self, rel_tol: float = 1e-14, max_terms: int = 10000) -> None:
-        if not 0.0 < rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-        self._set(rel_tol=rel_tol, max_terms=as_degree("max_terms", max_terms, positive=True))
+    def __init__(self, max_terms: int = 10000) -> None:
+        self._set(max_terms=as_degree("max_terms", max_terms, positive=True))
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -265,15 +264,15 @@ def _head_rows(q: complex, kmax: int) -> list[complex]:
 
 
 def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
-    """Smallest K with |a| |q|^K <= (1-|q|) rel_tol^(1/3): the head depth of
-    (a;q)_oo.  The factors from K on are replaced by the two
+    """Smallest K with |a| |q|^K <= (1-|q|) PRODUCT_TOL^(1/3): the head depth
+    of (a;q)_oo.  The factors from K on are replaced by the two
     :func:`closing_factors` of y = a q^K, which leaves a relative error
-    O(|y/(1-q)|^3), of the order of rel_tol.  Raises
+    O(|y/(1-q)|^3), of the order of PRODUCT_TOL.  Raises
     :class:`TruncationExceeded` when K exceeds ``policy.max_terms``, and
     when |a| is infinite or NaN."""
     mag = abs(complex(a))
     qmag = abs(complex(q) if not isinstance(q, QBase) else q.q)
-    bound = (1.0 - qmag) * policy.rel_tol ** (1.0 / 3.0)
+    bound = (1.0 - qmag) * _TAIL_BOUND
     if mag <= bound:
         return 0
     if qmag == 0.0:
@@ -298,8 +297,8 @@ def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
 
 def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Infinite product (a;q)_oo: the :func:`tail_start` factors 1 - a q^k,
-    then the two :func:`closing_factors` of the rest, so that ``policy``'s
-    rel_tol bounds the relative truncation error.
+    then the two :func:`closing_factors` of the rest, which leave a relative
+    truncation error of the order of PRODUCT_TOL.
 
     Returns exactly 0 when :func:`min_factor_abs` finds a factor within
     EXACT_ZERO_FACTOR (1e-15) of 0 (a = q^-k), so quotient formulas can
@@ -342,14 +341,14 @@ def min_factor_abs(a, q, floor: float) -> tuple[float, int | None]:
     return smallest, where
 
 
-def screen_denominator(symbols, qb: QBase, policy: TruncationPolicy, product: complex) -> None:
+def screen_denominator(symbols, qb: QBase, product: complex) -> None:
     """Raise :class:`NearSingular` when some factor 1 - w q^k of a symbol
-    (name -> w) of the denominator ``product`` = prod_w (w;q)_oo is below
-    NEAR_SINGULAR_TOL, or when the product is exactly 0.  Its magnitude alone
-    says nothing: at q = 0.95, (q;q)_oo is about 1e-13 with every factor
-    >= 0.05."""
+    (name -> w) of the denominator ``product`` = prod_w (w;q)_oo with
+    |w q^k| >= PRODUCT_TOL is below NEAR_SINGULAR_TOL, or when the product is
+    exactly 0.  Its magnitude alone says nothing: at q = 0.95, (q;q)_oo is
+    about 1e-13 with every factor >= 0.05."""
     for name, w in symbols.items():
-        smallest, _ = min_factor_abs(w, qb.q, policy.rel_tol)
+        smallest, _ = min_factor_abs(w, qb.q, PRODUCT_TOL)
         if smallest < NEAR_SINGULAR_TOL:
             raise NearSingular(
                 f"({name};q)_oo has a factor of magnitude {smallest:.3g}, "

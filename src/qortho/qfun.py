@@ -57,6 +57,7 @@ from .hyper import PhiSpec, phi_series
 from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re-exported
     DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
+    PRODUCT_TOL,
     TWO_PI,
     ParamSet4,
     QBase,
@@ -108,13 +109,13 @@ def weight_symbols(p: ParamSet4):
     return (p.gamma / p.delta, p.delta / p.gamma), (p.alpha / p.delta, p.beta / p.gamma), (2, -2)
 
 
-def weight_min_denominator(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """min over theta and the truncation range of |1 - w q^k e^{+-2i theta}|
+def weight_min_denominator(p: ParamSet4, q) -> float:
+    """min over theta and k (|w q^k| >= PRODUCT_TOL) of |1 - w q^k e^{+-2i theta}|
     for the two denominator symbols.  The exact minimum over theta of
     |1 - c e^{2i theta}| is |1 - |c||, so only moduli enter."""
     qmag = abs(QBase.coerce(q).q)
     return min(
-        min_factor_abs(abs(w), qmag, policy.rel_tol)[0]
+        min_factor_abs(abs(w), qmag, PRODUCT_TOL)[0]
         for w in (p.alpha / p.delta, p.beta / p.gamma)
     )
 
@@ -127,7 +128,7 @@ def weight_omega_many(thetas, p: ParamSet4, q, policy: TruncationPolicy = DEFAUL
     that check is sharper than any node scan."""
     from . import kernels
 
-    if weight_min_denominator(p, q, policy) < NEAR_SINGULAR_TOL:
+    if weight_min_denominator(p, q) < NEAR_SINGULAR_TOL:
         raise NearSingular("weight denominator can vanish on the circle")
     return kernels.product_quotient(*weight_symbols(p), q, policy)(thetas)
 
@@ -144,7 +145,7 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     if abs(a) >= 1.0:
         raise DomainError(f"|a| must be < 1, got {abs(a):.6g}")
     den_inf = qpoch_infinite(a, qb, policy) * qpoch_infinite(a * qb.q, qb, policy)
-    screen_denominator({"a": a, "aq": a * qb.q}, qb, policy, den_inf)
+    screen_denominator({"a": a, "aq": a * qb.q}, qb, den_inf)
     num = (
         qpoch_infinite(qb.q, qb, policy)
         * qpoch_infinite(a * a, qb, policy)
@@ -162,7 +163,7 @@ def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLIC
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
     den_inf = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
-    screen_denominator({"q": qb.q, "ra*rb": ra * rb}, qb, policy, den_inf)
+    screen_denominator({"q": qb.q, "ra*rb": ra * rb}, qb, den_inf)
     return TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
 
 
@@ -293,7 +294,7 @@ def phi_qintegral_repr(
         "beta*y/gx": by_gx,  # ... at z = dy q^k
         "alpha*x/dy": ax_dy,  # alpha z/(gamma delta y) at z = gx q^k
         "ra": ra,  # ... at z = dy q^k
-    }, qb, policy, 1.0)
+    }, qb, 1.0)
 
     prefactor_num = qpoch_finite(ra * rb, qb, n)
     for arg in (ra, rb, by_gx, ax_dy):

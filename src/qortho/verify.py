@@ -262,7 +262,7 @@ def _circle_check(
 
     own = qfun.weight_symbols(weight)
     flags: list[str] = []
-    if qfun.weight_min_denominator(weight, qb, policy) < NEAR_SINGULAR_TOL:
+    if qfun.weight_min_denominator(weight, qb) < NEAR_SINGULAR_TOL:
         flags.append("NearSingular")
     else:
         kmax = _evaluate(lambda: quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]),

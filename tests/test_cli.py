@@ -169,16 +169,6 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "tolerance" in err
 
-    @pytest.mark.parametrize("rel_tol", ["inf", "0"])
-    def test_invalid_truncation_tolerance_exits_2(self, rel_tol, capsys):
-        code, _, err = run_cli(
-            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", "--rel-tol", rel_tol,
-             *BOX],
-            capsys,
-        )
-        assert code == EXIT_INVALID
-        assert "invalid input" in err and "rel_tol" in err
-
     def test_thm_1_1_outside_the_weight_domain_exits_2(self, capsys):
         # |beta/gamma| = 1.11
         code, _, err = run_cli(
@@ -331,13 +321,13 @@ OPTION_STRINGS = {
     "eval": ["-h", "--help", "--q", "--n", "--theta", "--alpha-re", "--alpha-im", "--beta-re",
              "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--x-re",
              "--x-im", "--y-re", "--y-im", "--a-re", "--a-im", "--z-re", "--z-im",
-             "--max-terms", "--rel-tol", "--inf", "--num", "--den", "--out"],
+             "--max-terms", "--inf", "--num", "--den", "--out"],
     "verify": ["-h", "--help", "--identity", "--alpha-re", "--alpha-im", "--beta-re",
                "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--q",
                "--m", "--n", "--s-re", "--s-im", "--t-re", "--t-im", "--a-re", "--a-im",
                "--b-re", "--b-im", "--theta", "--k", "--x-re", "--x-im", "--y-re", "--y-im",
                "--c-re", "--c-im", "--d-re", "--d-im", "--z-re", "--z-im", "--tol", "--nodes",
-               "--max-nodes", "--max-terms", "--rel-tol", "--format", "--out"],
+               "--max-nodes", "--max-terms", "--format", "--out"],
     "sweep": ["-h", "--help", "--identity", "--draws", "--seed", "--m-max", "--n-max", "--tol",
               "--format", "--out"],
     "table": ["-h", "--help", "--q", "--m", "--alpha-re", "--alpha-im", "--beta-re",
@@ -382,30 +372,37 @@ class TestUnreadFlags:
         assert code == EXIT_INVALID
         assert "--" in err
 
-    def test_a_series_stop_reads_no_rel_tol(self, capsys):
-        code, out, err = run_cli(["eval", "phi_series", "--num", "0.3", "--q", "0.5",
-                                  "--z-re", "0.4", "--rel-tol", "1e-10"], capsys)
-        assert code == EXIT_INVALID and out == ""
-        assert "eval phi_series does not read --rel-tol" in err
 
-
-@pytest.mark.parametrize("argv, fields", [
+EVAL_METADATA = [
     (["big_c", "--n", "1", "--theta", "0", *BOX], {}),
     (["phi", "--n", "1", "--x-re", "0.7", "--y-re", "0.9", *BOX], {}),
     (["ultra", "--n", "1", "--theta", "0", "--beta-re", "0.3", "--q", "0.5"], {}),
     (["qpoch", "--a-re", "0.5", "--n", "3", "--q", "0.5"], {}),
-    (["qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], {"rel_tol": 1e-14, "max_terms": 10000}),
-    (["h", "--n", "1", "--a-re", "0.3", "--q", "0.5", "--rel-tol", "1e-12"],
-     {"rel_tol": 1e-12, "max_terms": 10000}),
-    (["weight", "--theta", "0.3", *BOX, "--max-terms", "500"],
-     {"rel_tol": 1e-14, "max_terms": 500}),
+    (["qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], {"max_terms": 10000}),
+    (["h", "--n", "1", "--a-re", "0.3", "--q", "0.5", "--max-terms", "500"], {"max_terms": 500}),
+    (["weight", "--theta", "0.3", *BOX, "--max-terms", "500"], {"max_terms": 500}),
     (["phi_series", "--num", "0.3", "--q", "0.5", "--z-re", "0.4", "--max-terms", "80"],
      {"max_terms": 80, "numerators": 1, "denominators": 0}),
-])
+]
+
+
+@pytest.mark.parametrize("argv, fields", EVAL_METADATA)
 def test_eval_metadata_holds_the_policy_fields_read(argv, fields, capsys):
     code, out, _ = run_cli(["eval", *argv], capsys)
     assert code == EXIT_PASS
     assert json.loads(out)["metadata"] == fields
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", *BOX],
+    *(["eval", *argv] for argv, _ in EVAL_METADATA),
+])
+def test_rel_tol_is_not_a_flag(argv, capsys):
+    # a product's depth is fixed (qcore.PRODUCT_TOL), so no command takes a
+    # truncation tolerance: verify and every eval function reject --rel-tol
+    code, out, err = run_cli([*argv, "--rel-tol", "1e-10"], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert "unrecognized arguments: --rel-tol 1e-10" in err and "Traceback" not in err
 
 
 class TestSweep:

@@ -93,14 +93,6 @@ class TestPhiSeries:
             rhs = qbinomial_product_ratio(a, z, q)
             assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
-    def test_the_stop_reads_no_rel_tol(self):
-        # the stop is a proven tail bound at 2^-53, so the product tolerance
-        # rel_tol leaves the sum exactly as it is
-        a, q, z = 0.7, 0.8, 0.6
-        total = phi_series(PhiSpec((a,), (), QBase(q), z), TruncationPolicy(rel_tol=1e-12))
-        extended = phi_series(PhiSpec((a,), (), QBase(q), z), TruncationPolicy(rel_tol=1e-15))
-        assert total == extended
-
     @pytest.mark.parametrize("nums, dens, q", [
         ((0.4,), (), 0.6), ((0.3, 0.5), (0.2,), 0.7), ((0.9,), (), 0.9), ((0.5, 0.8), (0.95,), 0.5),
     ])

@@ -19,7 +19,7 @@ from qortho import (
     qpoch_infinite,
 )
 from qortho.kernels import poch_product_many
-from qortho.qcore import closing_factors, min_factor_abs, tail_start
+from qortho.qcore import PRODUCT_TOL, closing_factors, min_factor_abs, tail_start
 from qortho.qfun import expansion_weights
 
 # frozen reference: partial products of (0.5; 0.5)_oo until the tail bound
@@ -57,8 +57,6 @@ def test_a_param_set_with_beta_over_delta_beyond_1_is_a_domain_error():
 class TestPolicy:
     def test_invariants(self):
         with pytest.raises(DomainError):
-            TruncationPolicy(rel_tol=0.0)
-        with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
 
     @pytest.mark.parametrize("max_terms", [2.5, 10.0, "10", None])
@@ -66,11 +64,6 @@ class TestPolicy:
         # range(max_terms) would raise TypeError inside a check
         with pytest.raises(DomainError, match="max_terms must be a positive integer"):
             TruncationPolicy(max_terms=max_terms)
-
-    def test_infinite_rel_tol_rejected(self):
-        # every truncation would stop at once, and products would read 1
-        with pytest.raises(DomainError, match="finite"):
-            TruncationPolicy(rel_tol=math.inf)
 
 
 def full_scan_min_factor_abs(a, q, floor):
@@ -259,7 +252,7 @@ class TestFortyDigitReference:
         self.assert_close(lambda a, q: poch_product_many([a], [0], q, tail_start(a, q), [0.0])[0])
 
     def test_head_depth_is_pinned(self):
-        # |a| |q|^K <= (1 - |q|) rel_tol^(1/3) first at K = 37
+        # |a| |q|^K <= (1 - |q|) PRODUCT_TOL^(1/3) first at K = 37
         assert tail_start(3, 0.7) == 37
 
     @pytest.mark.parametrize("a", [math.inf, complex(math.inf, math.nan), math.nan])
@@ -269,11 +262,15 @@ class TestFortyDigitReference:
             tail_start(a, 0.5)
 
     def test_a_depth_whose_ratio_underflows_is_taken_in_logs(self):
-        # (1 - |q|) rel_tol^(1/3) / |a| = 5e-101 / 1e300 underflows to 0
-        policy = TruncationPolicy(rel_tol=1e-300)
-        bound = 0.5 * 1e-100
-        expected = math.ceil((math.log(bound) - math.log(1e300)) / math.log(0.5))
-        assert tail_start(1e300, 0.5, policy) == expected == 1330
+        # (1 - |q|) PRODUCT_TOL^(1/3) / |a| = 2.4e-21 / 1e308 underflows to 0:
+        # log(0) would raise ValueError, where the depth is a truncation flag
+        q = 1.0 - 2.0 ** -53
+        bound = 2.0 ** -53 * PRODUCT_TOL ** (1.0 / 3.0)
+        assert bound / 1e308 == 0.0
+        expected = math.ceil((math.log(bound) - math.log(1e308)) / math.log(q))
+        assert expected == 6815553177416389632
+        with pytest.raises(TruncationExceeded, match=f"needs {expected} factors, cap is 10000"):
+            tail_start(1e308, q)
 
 
 class TestQpochMulti:

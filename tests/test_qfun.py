@@ -43,8 +43,8 @@ def ultra_at(n, theta, beta, q):
     return laurent_at(expansion_weights(n, beta, beta, q), n, theta)
 
 
-def weight_at(theta, p, q, policy=TruncationPolicy()):
-    return weight_omega_many([theta], p, q, policy)[0]
+def weight_at(theta, p, q):
+    return weight_omega_many([theta], p, q)[0]
 
 
 def random_paramset(rng, ratio_hi=0.6, scale=(0.5, 1.5)):
@@ -226,12 +226,6 @@ class TestWeight:
         lhs = weight_at(2 * math.pi - theta, box_params, 0.5)
         rhs = weight_at(theta, swapped, 0.5)
         assert lhs == pytest.approx(rhs, rel=1e-13)
-
-    def test_doubled_truncation_depth_oracle(self, box_params):
-        loose = weight_at(0.7, box_params, 0.5, TruncationPolicy(rel_tol=1e-8))
-        tight = weight_at(0.7, box_params, 0.5, TruncationPolicy(rel_tol=1e-16))
-        assert loose == pytest.approx(tight, rel=1e-7)
-        assert abs(tight) > 0
 
     def test_product_quotient_of_the_weight_symbols_is_the_weight(self, box_params):
         thetas = np.linspace(0, 2 * math.pi, 7)

@@ -17,8 +17,8 @@ def _draw(rng, box, q, spec):
 CASES = {
     "QBase": (lambda: QBase(0.5), lambda: QBase(q=0.5), (0.5,), "QBase(q=0.5)"),
     "TruncationPolicy": (
-        lambda: TruncationPolicy(1e-14, 10000), lambda: TruncationPolicy(),
-        (1e-14, 10000), "TruncationPolicy(rel_tol=1e-14, max_terms=10000)"),
+        lambda: TruncationPolicy(10000), lambda: TruncationPolicy(max_terms=10000),
+        (10000,), "TruncationPolicy(max_terms=10000)"),
     "ParamSet4": (
         lambda: ParamSet4(0.2, 0.1, 0.8, 0.9),
         lambda: ParamSet4(delta=0.9, gamma=0.8, beta=0.1, alpha=0.2),
@@ -58,7 +58,7 @@ CASES = {
 }
 FIELDS = {
     "QBase": ("q",),
-    "TruncationPolicy": ("rel_tol", "max_terms"),
+    "TruncationPolicy": ("max_terms",),
     "ParamSet4": ("alpha", "beta", "gamma", "delta"),
     "ReducedParams": ("a", "b"),
     "QuadratureSpec": ("nodes", "max_nodes", "rel_tol"),
