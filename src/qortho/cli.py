@@ -11,8 +11,8 @@ Exit codes: 0 = pass, 1 = a check verified false, 2 = invalid input
 (hypothesis violation, malformed arguments, a flag the command does not
 read, or an ``--out`` path that cannot be written).  ``verify`` takes the
 flags of the chosen identity's parameters, the positional parameters of its
-checker other than ``qspec``, ``policy`` and ``tolerance``, plus the
-quadrature and truncation flags the checker reads.  :data:`_SPELLING` says
+checker other than ``tolerance``; no command takes a quadrature or truncation
+flag, since every check runs at one numerical setting.  :data:`_SPELLING` says
 how each parameter name is spelled as flags; complex parameters are entered
 as two flags (--alpha-re / --alpha-im, imaginary part defaulting to 0).
 Reports serialize to JSON or RFC-4180 CSV with complex values split into
@@ -32,9 +32,7 @@ from .hyper import PhiSpec, phi_series
 from .qcore import (
     ParamSet4,
     QBase,
-    QuadratureSpec,
     ReducedParams,
-    TruncationPolicy,
     as_degree,
     big_c_coeffs,
     connection_coeffs,
@@ -63,17 +61,10 @@ _SPELLING = {
     "m": int, "n": int, "k": int, "n_max": int,
 }
 
-# Tuning arguments a function may take -> (the class built from their flags,
-# flag dest -> type).  A flag left unset keeps the class default.
-_TUNING = {
-    "qspec": (QuadratureSpec, {"nodes": int, "max_nodes": int}),
-    "policy": (TruncationPolicy, {"max_terms": int}),
-}
-_POLICY_FLAGS = _TUNING["policy"][1]
 # Positional parameters that are not spelled as flags.
-_UNSPELLED = {"qfun", *_TUNING, "tolerance"}
+_UNSPELLED = {"qfun", "tolerance"}
 
-# eval functions f(qfun, parameters...[, policy]), handed the function family,
+# eval functions f(qfun, parameters...), handed the function family,
 # which only they need; of them only "weight" loads numpy, to evaluate a
 # one-angle grid.  "ultra" sums the (beta, beta) expansion weights directly, so
 # any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.  qpoch
@@ -83,8 +74,8 @@ _EVAL = {
     "phi": lambda qfun, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
     "ultra": lambda qfun, n, theta, beta, q:
         qfun.laurent_at(expansion_weights(n, beta, beta, q), n, theta),
-    "weight": lambda qfun, theta, p, q, policy: qfun.weight_omega_many([theta], p, q, policy)[0],
-    "h": lambda qfun, n, a, q, policy: qfun.h_norm(n, a, q, policy),
+    "weight": lambda qfun, theta, p, q: qfun.weight_omega_many([theta], p, q)[0],
+    "h": lambda qfun, n, a, q: qfun.h_norm(n, a, q),
 }
 
 # table functions f(parameters...) -> {degree: coefficients}.
@@ -116,13 +107,13 @@ def _dests(name: str) -> dict[str, type]:
     return {f"{part}_{half}": float for part in parts for half in ("re", "im")}
 
 
-def _add_flags(parser: argparse.ArgumentParser, names, tuning: dict[str, type]) -> None:
-    """Add each flag of the parameters ``names`` and of ``tuning`` once;
+def _add_flags(parser: argparse.ArgumentParser, names, extra: dict[str, type]) -> None:
+    """Add each flag of the parameters ``names`` and of ``extra`` once;
     every one defaults to None, meaning unset."""
     dests: dict[str, type] = {}
     for name in names:
         dests |= _dests(name)
-    for dest, type_ in (dests | tuning).items():
+    for dest, type_ in (dests | extra).items():
         parser.add_argument(_flag(dest), type=type_, help=_HELP.get(dest))
 
 
@@ -138,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qortho",
         description="Evaluate and numerically verify q-orthogonal function identities.",
     )
-    # No abbreviated flags: "--m" must not silently stand for "--max-terms".
+    # No abbreviated flags: "--m" must not silently stand for "--m-max".
     sub = parser.add_subparsers(dest="command", required=True)
     identities = [i.value for i in IdentityId]
 
@@ -148,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("big_c", "phi", "ultra", "weight", "h", "qpoch", "phi_series"),
     )
     _add_flags(
-        p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)), "a", "z"),
-        _POLICY_FLAGS,
+        p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)), "a", "z"), {}
     )
     p_eval.add_argument("--inf", action="store_true", default=None,
                         help="qpoch: infinite product")
@@ -163,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--identity", required=True, choices=identities)
     _add_flags(
         p_verify, [name for record in REGISTRY.values() for name in _spelled(record.checker)],
-        {"tol": float} | _TUNING["qspec"][1] | _POLICY_FLAGS,
+        {"tol": float},
     )
     _add_output_flags(p_verify, formats=True)
 
@@ -222,21 +212,11 @@ def _spelled(func) -> dict[str, bool]:
             if name not in _UNSPELLED}
 
 
-def _configured(cls, args, flags: dict[str, type]):
-    """``cls`` built from the given ones of ``flags``, defaults elsewhere."""
-    return cls(**{dest: getattr(args, dest) for dest in flags if getattr(args, dest) is not None})
-
-
 def _kwargs(func, args) -> tuple[dict, set[str]]:
     """The keyword arguments of ``func`` from the flags, and the flag
-    destinations read: its :data:`_TUNING` records, and its spelled
-    parameters, one with a default omitted when its flags are unset."""
+    destinations read: those of its spelled parameters, one with a default
+    omitted when its flags are unset."""
     kwargs, read = {}, set()
-    accepted = _parameters(func)
-    for name, (cls, flags) in _TUNING.items():
-        if name in accepted:
-            read |= flags.keys()
-            kwargs[name] = _configured(cls, args, flags)
     for name, has_default in _spelled(func).items():
         read |= _dests(name).keys()
         value = _arg(args, name, required=not has_default)
@@ -317,9 +297,8 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 
 def _cmd_eval(args) -> int:
-    policy = _configured(TruncationPolicy, args, _POLICY_FLAGS)
     fn = args.function
-    counts = {}
+    metadata = {}
 
     if fn in _EVAL:
         from . import qfun
@@ -328,20 +307,18 @@ def _cmd_eval(args) -> int:
         _reject_unread(args, read, f"eval {fn}")
         value = complex(_EVAL[fn](qfun, **kwargs))
     elif fn == "qpoch":
-        read = {"q", "a_re", "a_im", "inf", *(_POLICY_FLAGS if args.inf else ("n",))}
-        _reject_unread(args, read, "eval qpoch")
+        _reject_unread(args, {"q", "a_re", "a_im", "inf", *(() if args.inf else ("n",))},
+                       "eval qpoch")
         a, q = _arg(args, "a"), _arg(args, "q")
-        value = qpoch_infinite(a, q, policy) if args.inf else qpoch_finite(a, q, _arg(args, "n"))
+        value = qpoch_infinite(a, q) if args.inf else qpoch_finite(a, q, _arg(args, "n"))
     else:  # phi_series
-        read = {"q", "z_re", "z_im", "num", "den", *_POLICY_FLAGS}
-        _reject_unread(args, read, "eval phi_series")
+        _reject_unread(args, {"q", "z_re", "z_im", "num", "den"}, "eval phi_series")
         nums = tuple(_parse_listed_complex(v) for v in args.num or ())
         dens = tuple(_parse_listed_complex(v) for v in args.den or ())
         z = _arg(args, "z")
-        value = phi_series(PhiSpec(nums, dens, QBase.coerce(_arg(args, "q")), z), policy)
-        counts = {"numerators": len(nums), "denominators": len(dens)}
+        value = phi_series(PhiSpec(nums, dens, QBase.coerce(_arg(args, "q")), z))
+        metadata = {"numerators": len(nums), "denominators": len(dens)}
 
-    metadata = {dest: getattr(policy, dest) for dest in _POLICY_FLAGS if dest in read} | counts
     record = {
         "function": fn,
         "value_re": value.real,

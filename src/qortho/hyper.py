@@ -25,13 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import qcore
 from .errors import DivergentSeries, DomainError, TruncationExceeded
 from .qcore import (
-    DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
     QBase,
     Record,
-    TruncationPolicy,
     min_factor_abs,
     qpoch_infinite,
     screen_denominator,
@@ -90,8 +89,7 @@ def _ratio_majorant(spec: PhiSpec, qk_mag: float) -> float:
     return rho
 
 
-def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY, *,
-               growth_test: bool = True) -> complex:
+def phi_series(spec: PhiSpec, *, growth_test: bool = True) -> complex:
     """Sum the series by the term-ratio recurrence, to a proven tail bound.
 
     Each factor of rho_k (:func:`_ratio_majorant`) falls with k, so rho_k
@@ -100,7 +98,7 @@ def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY, *,
     rho_k >= |z|, so it is formed only where |t_k| |z| / (1 - |z|) <= 2^-53 |S|.
     A terminating series stops after term ``spec.terminates_at`` at the
     latest.  Raises :class:`TruncationExceeded` if the bound is not met by
-    term ``policy.max_terms``.  With ``growth_test``, terms that grow for
+    term :data:`~qortho.qcore.MAX_TERMS`.  With ``growth_test``, terms that grow for
     max(20, r) consecutive k raise :class:`DivergentSeries`, a heuristic: a
     convergent series near |z| = 1 and q = 1 rises that long, its early
     ratios carrying 1/(1 - q^{k+1}).
@@ -108,7 +106,7 @@ def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY, *,
     q = spec.q.q
     growth_cap = max(20, len(spec.denominators)) if growth_test else math.inf
     stop = spec.terminates_at
-    last = policy.max_terms if stop is None else min(stop, policy.max_terms)
+    last = qcore.MAX_TERMS if stop is None else min(stop, qcore.MAX_TERMS)
     term = total = qk = 1.0 + 0.0j  # t_k, the sum to t_k, q^k; k = 0
     mag = 1.0  # |t_k|
     zmag = abs(spec.z)
@@ -141,7 +139,7 @@ def phi_series(spec: PhiSpec, policy: TruncationPolicy = DEFAULT_POLICY, *,
     raise TruncationExceeded(f"series did not meet its tail bound within {last} terms")
 
 
-def very_well_poised(a1, rest, q, z, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def very_well_poised(a1, rest, q, z) -> complex:
     """Evaluate the very-well-poised series by expanding it to its plain
     parameter list and summing.  The principal square root of a1 is used; the
     value does not depend on the branch because both signs of sqrt(a1) appear
@@ -152,7 +150,7 @@ def very_well_poised(a1, rest, q, z, policy: TruncationPolicy = DEFAULT_POLICY) 
     root = cmath.sqrt(a1)
     nums = [a1, qb.q * root, -qb.q * root, *rest]
     dens = [root, -root, *(qb.q * a1 / a for a in rest)]
-    return phi_series(PhiSpec(tuple(nums), tuple(dens), qb, z), policy)
+    return phi_series(PhiSpec(tuple(nums), tuple(dens), qb, z))
 
 
 def rogers_6w5_argument(a, b, c, d, q: complex) -> complex:
@@ -166,7 +164,7 @@ def rogers_6w5_argument(a, b, c, d, q: complex) -> complex:
     return z
 
 
-def rogers_6w5_rhs(a, b, c, d, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def rogers_6w5_rhs(a, b, c, d, q) -> complex:
     """Closed product form of the six-parameter very-well-poised sum at
     argument z = a q / (b c d) (:func:`rogers_6w5_argument`):
 
@@ -180,22 +178,22 @@ def rogers_6w5_rhs(a, b, c, d, q, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     aq = a * qb.q
     num = 1.0 + 0.0j
     for arg in (aq, aq / (b * c), aq / (b * d), aq / (c * d)):
-        num *= qpoch_infinite(arg, qb, policy)
+        num *= qpoch_infinite(arg, qb)
     symbols = {"aq/b": aq / b, "aq/c": aq / c, "aq/d": aq / d, "aq/bcd": z}
     den = 1.0 + 0.0j
     for arg in symbols.values():
-        den *= qpoch_infinite(arg, qb, policy)
+        den *= qpoch_infinite(arg, qb)
     screen_denominator(symbols, qb, den)
     return num / den
 
 
-def qbinomial_product_ratio(a, z, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qbinomial_product_ratio(a, z, q) -> complex:
     """(a z; q)_oo / (z; q)_oo, the product side of the binomial-series
     identity sum_n (a;q)_n z^n / (q;q)_n for |z| < 1."""
     qb = QBase.coerce(q)
-    den = qpoch_infinite(z, qb, policy)
+    den = qpoch_infinite(z, qb)
     screen_denominator({"z": complex(z)}, qb, den)
-    return qpoch_infinite(complex(a) * complex(z), qb, policy) / den
+    return qpoch_infinite(complex(a) * complex(z), qb) / den
 
 
 __all__ = [

@@ -65,8 +65,7 @@ import sys
 
 import numpy as np
 
-from .qcore import (DEFAULT_POLICY, ParamSet4, QBase, TruncationPolicy, _head_rows,
-                    _poch_row, quotient_depth)
+from .qcore import ParamSet4, QBase, _head_rows, _poch_row, quotient_depth
 
 BACKEND = "numpy"
 
@@ -157,8 +156,7 @@ def laurent_eval(coefs, n, thetas):
     return powers @ coefs
 
 
-def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLICY,
-                     kmax: int | None = None):
+def product_quotient(num, den, exps, q, kmax: int | None = None):
     """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_oo
     / prod_c (den_c e^{i exps_c theta}; q)_oo over arrays of angles, one
     :func:`poch_product_many` call per array.  One head depth K serves every
@@ -166,7 +164,7 @@ def product_quotient(num, den, exps, q, policy: TruncationPolicy = DEFAULT_POLIC
     :func:`~qortho.qcore.quotient_depth` of these symbols."""
     qb = QBase.coerce(q)
     if kmax is None:
-        kmax = quotient_depth((*num, *den), qb, policy)
+        kmax = quotient_depth((*num, *den), qb)
     coefs = np.array((*num, *den), dtype=np.complex128)
     all_exps = np.array((*exps, *exps), dtype=np.float64)
     return lambda thetas: poch_product_many(coefs, all_exps, qb.q, kmax, thetas, len(num))

@@ -8,11 +8,16 @@ together with its infinite extension (a;q)_oo = prod_{k>=0} (1 - a q^k),
 which converges for |q| < 1 because the factors approach 1 geometrically.
 All functions accept complex scalars; ``q`` may be passed as a plain number
 or wrapped in :class:`QBase`.  The parameter types (:class:`ParamSet4`,
-:class:`ReducedParams`, :class:`QuadratureSpec`), :class:`Record`, the base of
-the package's immutable records, and the coefficient rows of
+:class:`ReducedParams`), :class:`Record`, the base of the package's immutable
+records, and the coefficient rows of
 the function family (:func:`expansion_weights`, :func:`big_c_coeffs`,
 :func:`connection_coeffs`, as lists of complex) live here too, so that the
 series checks, PROP_3_1 and the command line run without importing numpy.
+
+Every check runs at one numerical setting, the named constants below (and
+the circle rule's start, cap and stop in :mod:`~qortho.quad`); no function
+takes a tuning argument.  A function reads a constant when it is called, so
+a test may monkeypatch it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ NEAR_SINGULAR_TOL = 1e-12
 # the rounding of its head factors; also the |w q^k| floor of the denominator screens.
 PRODUCT_TOL = 1e-14
 _TAIL_BOUND = PRODUCT_TOL ** (1.0 / 3.0)
+
+# The most factors in a product's head (:func:`tail_start`) and terms in a
+# series (:func:`qortho.hyper.phi_series`); beyond it, :class:`TruncationExceeded`.
+MAX_TERMS = 10000
 
 
 def finite_complex(name: str, value) -> complex:
@@ -120,21 +129,6 @@ class QBase(Record):
         return cls(complex(q))
 
 
-class TruncationPolicy(Record):
-    """``max_terms`` caps the factors of an infinite product, whose depth
-    PRODUCT_TOL fixes (:func:`tail_start`), and the terms of a series, which
-    stops on a proven tail bound (:func:`qortho.hyper.phi_series`).  Beyond
-    it, :class:`TruncationExceeded` is raised."""
-
-    _fields = ("max_terms",)
-
-    def __init__(self, max_terms: int = 10000) -> None:
-        self._set(max_terms=as_degree("max_terms", max_terms, positive=True))
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
 class ParamSet4(Record):
     """The quadruple (alpha, beta, gamma, delta) with gamma, delta != 0 and
     |alpha/gamma| <= 1, |beta/delta| <= 1.
@@ -194,27 +188,6 @@ class ReducedParams(Record):
         self._set(a=a, b=b)
 
 
-class QuadratureSpec(Record):
-    """Node counts and refinement rule for the periodic quadrature."""
-
-    _fields = ("nodes", "max_nodes", "rel_tol")
-
-    def __init__(self, nodes: int = 64, max_nodes: int = 8192, rel_tol: float = 1e-10) -> None:
-        nodes = as_degree("nodes", nodes)
-        max_nodes = as_degree("max_nodes", max_nodes)
-        if nodes < 16:
-            raise DomainError("nodes must be >= 16")
-        if nodes % 2:
-            raise DomainError(f"nodes must be even, got {nodes}")
-        if max_nodes < nodes:
-            raise DomainError("max_nodes must be >= nodes")
-        if not 0.0 < rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-        self._set(nodes=nodes, max_nodes=max_nodes, rel_tol=rel_tol)
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
 TWO_PI = 2.0 * math.pi
 FULL_PERIOD = (0.0, TWO_PI)
 HALF_PERIOD = (0.0, math.pi)
@@ -263,13 +236,13 @@ def _head_rows(q: complex, kmax: int) -> list[complex]:
     return [*rows[:-1], rows[-1] * plus, rows[-1] * minus]
 
 
-def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
+def tail_start(a, q) -> int:
     """Smallest K with |a| |q|^K <= (1-|q|) PRODUCT_TOL^(1/3): the head depth
     of (a;q)_oo.  The factors from K on are replaced by the two
     :func:`closing_factors` of y = a q^K, which leaves a relative error
     O(|y/(1-q)|^3), of the order of PRODUCT_TOL.  Raises
-    :class:`TruncationExceeded` when K exceeds ``policy.max_terms``, and
-    when |a| is infinite or NaN."""
+    :class:`TruncationExceeded` when K exceeds MAX_TERMS, and when |a| is
+    infinite or NaN."""
     mag = abs(complex(a))
     qmag = abs(complex(q) if not isinstance(q, QBase) else q.q)
     bound = (1.0 - qmag) * _TAIL_BOUND
@@ -281,21 +254,21 @@ def tail_start(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
     # the ratio underflows for |a| beyond about 1e300; then take it in logs
     log_ratio = math.log(ratio) if ratio > 0.0 else math.log(bound) - math.log(mag)
     depth = log_ratio / math.log(qmag)
-    if not depth <= policy.max_terms:  # also an infinite or NaN |a|
+    if not depth <= MAX_TERMS:  # also an infinite or NaN |a|
         needed = math.ceil(depth) if math.isfinite(depth) else depth
         raise TruncationExceeded(
-            f"a product of |a| = {mag:.6g} needs {needed} factors, cap is {policy.max_terms}"
+            f"a product of |a| = {mag:.6g} needs {needed} factors, cap is {MAX_TERMS}"
         )
     return max(math.ceil(depth), 0)
 
 
-def quotient_depth(coefs, q, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
+def quotient_depth(coefs, q) -> int:
     """The head depth K of a product quotient with coefficients ``coefs``:
     the :func:`tail_start` of the largest one, and its errors."""
-    return tail_start(max(map(abs, coefs)), q, policy)
+    return tail_start(max(map(abs, coefs)), q)
 
 
-def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def qpoch_infinite(a, q) -> complex:
     """Infinite product (a;q)_oo: the :func:`tail_start` factors 1 - a q^k,
     then the two :func:`closing_factors` of the rest, which leave a relative
     truncation error of the order of PRODUCT_TOL.
@@ -303,11 +276,12 @@ def qpoch_infinite(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     Returns exactly 0 when :func:`min_factor_abs` finds a factor within
     EXACT_ZERO_FACTOR (1e-15) of 0 (a = q^-k), so quotient formulas can
     detect the singular symbols downstream; only factors with |a q^k| >= 1/2
-    can be that small.  :class:`TruncationExceeded` comes first.
+    can be that small.  :class:`TruncationExceeded`, for a head beyond
+    MAX_TERMS, comes first.
     """
     qb = QBase.coerce(q)
     q = qb.q
-    nterms = tail_start(a, qb, policy)
+    nterms = tail_start(a, qb)
     w = complex(a)
     if min_factor_abs(w, q, 0.5)[0] < EXACT_ZERO_FACTOR:
         return 0.0 + 0.0j

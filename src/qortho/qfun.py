@@ -55,14 +55,12 @@ from itertools import accumulate, repeat
 from .errors import DomainError, NearSingular
 from .hyper import PhiSpec, phi_series
 from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re-exported
-    DEFAULT_POLICY,
     NEAR_SINGULAR_TOL,
     PRODUCT_TOL,
     TWO_PI,
     ParamSet4,
     QBase,
     ReducedParams,
-    TruncationPolicy,
     as_degree,
     big_c_coeffs,
     connection_coeffs,
@@ -120,7 +118,7 @@ def weight_min_denominator(p: ParamSet4, q) -> float:
     )
 
 
-def weight_omega_many(thetas, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def weight_omega_many(thetas, p: ParamSet4, q):
     """Weight values at an array of angles (kernel-backed: this loads numpy).
 
     The denominator is screened analytically first: a symbol with
@@ -130,10 +128,10 @@ def weight_omega_many(thetas, p: ParamSet4, q, policy: TruncationPolicy = DEFAUL
 
     if weight_min_denominator(p, q) < NEAR_SINGULAR_TOL:
         raise NearSingular("weight denominator can vanish on the circle")
-    return kernels.product_quotient(*weight_symbols(p), q, policy)(thetas)
+    return kernels.product_quotient(*weight_symbols(p), q)(thetas)
 
 
-def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def h_norm(n: int, a, q) -> complex:
     """Diagonal normalization of the single-parameter family:
 
         h_n(a|q) = (q, a^2; q)_oo (q;q)_n (1 - a q^n)
@@ -144,11 +142,11 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     n = as_degree("n", n)
     if abs(a) >= 1.0:
         raise DomainError(f"|a| must be < 1, got {abs(a):.6g}")
-    den_inf = qpoch_infinite(a, qb, policy) * qpoch_infinite(a * qb.q, qb, policy)
+    den_inf = qpoch_infinite(a, qb) * qpoch_infinite(a * qb.q, qb)
     screen_denominator({"a": a, "aq": a * qb.q}, qb, den_inf)
     num = (
-        qpoch_infinite(qb.q, qb, policy)
-        * qpoch_infinite(a * a, qb, policy)
+        qpoch_infinite(qb.q, qb)
+        * qpoch_infinite(a * a, qb)
         * qpoch_finite(qb.q, qb, n)
         * (1.0 - a * qb.q ** n)
     )
@@ -156,18 +154,18 @@ def h_norm(n: int, a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     return num / den
 
 
-def diagonal_prefactor(p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def diagonal_prefactor(p: ParamSet4, q) -> complex:
     """2 pi (ra, rb; q)_oo / (q, ra*rb; q)_oo with ra = alpha/gamma,
     rb = beta/delta: the factor in front of both closed diagonals
     (:func:`diag_rhs_thm11` and :func:`thm_1_2_rhs_series`)."""
     qb = QBase.coerce(q)
     ra, rb = p.ratio_a, p.ratio_b
-    den_inf = qpoch_infinite(qb.q, qb, policy) * qpoch_infinite(ra * rb, qb, policy)
+    den_inf = qpoch_infinite(qb.q, qb) * qpoch_infinite(ra * rb, qb)
     screen_denominator({"q": qb.q, "ra*rb": ra * rb}, qb, den_inf)
-    return TWO_PI * qpoch_infinite(ra, qb, policy) * qpoch_infinite(rb, qb, policy) / den_inf
+    return TWO_PI * qpoch_infinite(ra, qb) * qpoch_infinite(rb, qb) / den_inf
 
 
-def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def diag_rhs_thm11(n: int, p: ParamSet4, q) -> complex:
     """Closed form of the diagonal full-period integral of C_n^2 against the
     weight:
 
@@ -181,12 +179,11 @@ def diag_rhs_thm11(n: int, p: ParamSet4, q, policy: TruncationPolicy = DEFAULT_P
     n = as_degree("n", n)
     ra, rb = p.ratio_a, p.ratio_b
     qn = qb.q ** n
-    return (diagonal_prefactor(p, qb, policy) * (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn))
+    return (diagonal_prefactor(p, qb) * (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn))
             * qpoch_finite(ra * rb, qb, n) / qpoch_finite(qb.q, qb, n) * int_power(p.gd, n))
 
 
-def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q) -> complex:
     """THM_1_2's right-hand side, the generating series sum_n h_n (s t)^n of
     THM_1_1's closed diagonal h_n (:func:`diag_rhs_thm11`).  With c = (ra + rb)/2,
     1/(1 - ra q^n) + 1/(1 - rb q^n) = 2 (1 - c q^n) / ((1 - ra q^n)(1 - rb q^n)),
@@ -197,19 +194,18 @@ def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q,
     ra, rb = p.ratio_a, p.ratio_b
     c = 0.5 * (ra + rb)
     spec = PhiSpec((ra * rb, ra, rb, c * qb.q), (ra * qb.q, rb * qb.q, c), qb, p.gd * s * t)
-    return (diagonal_prefactor(p, qb, policy) * (2.0 * (1.0 - c) / ((1.0 - ra) * (1.0 - rb)))
-            * phi_series(spec, policy, growth_test=False))
+    return (diagonal_prefactor(p, qb) * (2.0 * (1.0 - c) / ((1.0 - ra) * (1.0 - rb)))
+            * phi_series(spec, growth_test=False))
 
 
-def thm_1_3_rhs(r: ReducedParams, gamma, delta, q, m: int, n: int,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def thm_1_3_rhs(r: ReducedParams, gamma, delta, q, m: int, n: int) -> complex:
     """THM_1_3's closed form for m >= n, m = n (mod 2): (gamma delta)^n times
     the degree-n connection coefficient of degree m (:func:`connection_coeffs`)
     over :func:`h_norm` h_n(a|q); zero for opposite parities."""
     if (m - n) % 2 != 0:
         return 0.0 + 0.0j
     gd = complex(gamma) * complex(delta)
-    return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q, policy)
+    return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q)
 
 
 def growth_root(n: int, p: ParamSet4, q) -> float:
@@ -226,8 +222,7 @@ def growth_root(n: int, p: ParamSet4, q) -> float:
     return scale * abs(laurent_at(big_c_coeffs(n, unit, q), n, 0.0)) ** (1.0 / n)
 
 
-def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QBase,
-                  policy: TruncationPolicy) -> complex:
+def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QBase) -> complex:
     """sum_k q^k f(e q^k) for the integrand
 
         f(z) = (q z/e, q z/o; q)_oo z^n / (u z/e, v z/e; q)_oo
@@ -241,20 +236,13 @@ def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QB
     the 2phi1 summed by :func:`~qortho.hyper.phi_series` without a growth test."""
     q = qb.q
     w = q * e / o
-    k_e = qpoch_infinite(q, qb, policy) * qpoch_infinite(w, qb, policy) / (
-        qpoch_infinite(u, qb, policy) * qpoch_infinite(v, qb, policy))
+    k_e = qpoch_infinite(q, qb) * qpoch_infinite(w, qb) / (
+        qpoch_infinite(u, qb) * qpoch_infinite(v, qb))
     spec = PhiSpec((u, v), (w,), qb, q ** (n + 1))
-    return k_e * int_power(e, n) * phi_series(spec, policy, growth_test=False)
+    return k_e * int_power(e, n) * phi_series(spec, growth_test=False)
 
 
-def phi_qintegral_repr(
-    n: int,
-    x,
-    y,
-    p: ParamSet4,
-    q,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
+def phi_qintegral_repr(n: int, x, y, p: ParamSet4, q) -> complex:
     """Lattice-integral representation of Phi_n(x, y):
 
         (ra*rb;q)_n (ra, rb, beta y/(gamma x), alpha x/(delta y); q)_oo
@@ -298,15 +286,15 @@ def phi_qintegral_repr(
 
     prefactor_num = qpoch_finite(ra * rb, qb, n)
     for arg in (ra, rb, by_gx, ax_dy):
-        prefactor_num *= qpoch_infinite(arg, qb, policy)
+        prefactor_num *= qpoch_infinite(arg, qb)
     prefactor_den = (1.0 - qb.q) * dy
     for arg in (qb.q, ra * rb, gx / dy, qb.q * dy / gx):
-        prefactor_den *= qpoch_infinite(arg, qb, policy)
+        prefactor_den *= qpoch_infinite(arg, qb)
     if abs(prefactor_den) < NEAR_SINGULAR_TOL:
         raise NearSingular("prefactor denominator product is near zero")
 
     # the integrand's denominator symbols are (u z/e, v z/e; q)_oo with
     # u = beta e/(gamma delta x) and v = alpha e/(gamma delta y) at endpoint e
-    integral = (1.0 - qb.q) * (dy * _lattice_side(dy, gx, by_gx, ra, n, qb, policy)
-                               - gx * _lattice_side(gx, dy, rb, ax_dy, n, qb, policy))
+    integral = (1.0 - qb.q) * (dy * _lattice_side(dy, gx, by_gx, ra, n, qb)
+                               - gx * _lattice_side(gx, dy, rb, ax_dy, n, qb))
     return prefactor_num / prefactor_den * integral

@@ -6,13 +6,16 @@ Full-period integrals use the equispaced rule
 
 which for 2pi-periodic analytic integrands converges geometrically in N and
 is exact for trigonometric polynomials of degree < N.  Refinement doubles N,
-reusing previous evaluations, until successive values agree, the doubled N
-would exceed the node cap, or the values stop being finite.  It starts at 64
-nodes: the analytic integrands checked here settle by 128-256 (at 128 for
-93% of the default sweep draws at degrees up to 6, with the pole correction
-below), and a level's fixed cost, not its node count, dominates: one 16-node
-call costs 55-81% of a default check, and on 3000 benchmark checks (2 vCPUs)
-a 32-node start ran 3537-4094 checks/s against 4048-4858 from 64.  The first
+reusing previous evaluations, until successive values agree to REL_TOL
+(1e-10), the doubled N would exceed MAX_NODES (8192), or the values stop
+being finite.  These two and the start grid, START_NODES (64), are the
+rule's one setting, which :func:`periodic_integral` reads when called.  It
+starts at 64 nodes: the analytic integrands checked here settle by 128-256
+(at 128 for 93% of the default sweep draws at degrees up to 6, with the pole
+correction below), and a level's fixed cost, not its node count, dominates:
+one 16-node call costs 55-81% of a default check, and on 3000 benchmark
+checks (2 vCPUs) a 32-node start ran 3537-4094 checks/s against 4048-4858
+from 64.  The first
 two levels come from one integrand call on the 2N-point grid 2 pi j / 2N:
 its even nodes are the N-point start grid and its odd nodes that grid's
 midpoints, bit for bit, since the two differ only by scalings by powers of
@@ -71,13 +74,13 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import angle_table
-from .qcore import (  # the quadrature types are re-exported from here
-    DEFAULT_QUADRATURE,
-    FULL_PERIOD,
-    HALF_PERIOD,
-    TWO_PI,
-    QuadratureSpec,
-)
+from .qcore import FULL_PERIOD, HALF_PERIOD, TWO_PI  # the periods are re-exported from here
+
+# The rule's start grid, its node cap and the agreement of two successive
+# levels at which it stops.
+START_NODES = 64
+MAX_NODES = 8192
+REL_TOL = 1e-10
 
 
 class QuadResult(NamedTuple):
@@ -113,20 +116,18 @@ def _moment_table(n: int) -> np.ndarray:
 def periodic_integral(
     f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     *,
     poles: tuple[complex, complex] = (0.0, 0.0),
 ) -> QuadResult:
     """Integrate a periodic analytic integrand over a full or half period.
 
     ``f`` must accept an ndarray of angles and return an ndarray of values.
-    Its first call gets the 2N-point grid 2 pi j / 2N, N = ``spec.nodes``,
-    which holds the start grid and its midpoints (only the N-point grid when
-    ``spec.max_nodes`` is below 2N); each later call gets the midpoints of
-    the grid so far, and no call takes the node count past
-    ``spec.max_nodes``.  Each array it gets is read-only, has an even
-    length M and holds theta_j + pi at index j + M/2 for every j < M/2, so
-    ``f`` may compute a pi-periodic factor on the first half and repeat it.
+    Its first call gets the 2N-point grid 2 pi j / 2N, N = START_NODES,
+    which holds the start grid and its midpoints; each later call gets the
+    midpoints of the grid so far, and no call takes the node count past
+    MAX_NODES.  Each array it gets is read-only, has an even length M and
+    holds theta_j + pi at index j + M/2 for every j < M/2, so ``f`` may
+    compute a pi-periodic factor on the first half and repeat it.
     ``interval`` is ``FULL_PERIOD`` or ``HALF_PERIOD``; the half-period mode
     evaluates over the whole period and halves, see the module docstring.
 
@@ -139,8 +140,8 @@ def periodic_integral(
     (0, 0) is the plain rule.
 
     Never raises on slow convergence: the result carries ``converged=False``
-    when no further doubling fits in ``max_nodes`` and the residual is still
-    above ``rel_tol``.  A call that returns a value that is not finite, or
+    when no further doubling fits in MAX_NODES and the residual is still
+    above REL_TOL.  A call that returns a value that is not finite, or
     a level whose sum is not, ends the refinement: the result is then the
     plain sum over every node evaluated, with ``converged=False`` and
     ``est_error`` infinite.
@@ -166,9 +167,8 @@ def periodic_integral(
         return factor * TWO_PI / n * (s0 - tail)
 
     # the values of the nodes so far, in the order of the grid 2 pi j / len(values)
-    n = spec.nodes
-    values = np.asarray(f(_grid(2 * n if 2 * n <= spec.max_nodes else n, False)),
-                        dtype=np.complex128)
+    n = START_NODES
+    values = np.asarray(f(_grid(2 * n, False)), dtype=np.complex128)
     fmax = float(abs(values).max())
     estimate, est_error, converged = None, math.inf, False
     while math.isfinite(fmax):
@@ -177,9 +177,9 @@ def periodic_integral(
             break
         if estimate is not None:
             est_error = abs(refined - estimate)
-            converged = est_error <= spec.rel_tol * max(abs(refined), fmax * length)
+            converged = est_error <= REL_TOL * max(abs(refined), fmax * length)
         estimate = refined
-        if converged or 2 * n > spec.max_nodes:
+        if converged or 2 * n > MAX_NODES:
             return QuadResult(complex(estimate), n, converged, est_error, fmax * length)
         if values.shape[0] == n:
             mid = np.asarray(f(_grid(n, True)), dtype=np.complex128)
@@ -194,5 +194,4 @@ def periodic_integral(
                       fmax * length)
 
 
-__all__ = ["FULL_PERIOD", "HALF_PERIOD", "QuadratureSpec", "DEFAULT_QUADRATURE", "QuadResult",
-           "periodic_integral"]
+__all__ = ["FULL_PERIOD", "HALF_PERIOD", "QuadResult", "periodic_integral"]

@@ -16,9 +16,11 @@ product and extra symbols are evaluated on the whole grid.
 :data:`REGISTRY` describes each identity once: its default tolerance, sweep
 box and drawer; :func:`draw_params` and :func:`run_sweep` read it.  The
 identity's parameters are those of its checker ``check_<identity>``: its
-positional parameters other than ``qspec``, ``policy`` and ``tolerance``,
-from which ``qortho verify`` builds its flags.  :class:`IdentityId` says in
-one line what each identity checks.
+positional parameters other than ``tolerance``, from which ``qortho verify``
+builds its flags.  No checker takes a tuning argument: every check runs at
+the one numerical setting, the constants of :mod:`~qortho.qcore` and
+:mod:`~qortho.quad`.  :class:`IdentityId` says in one line what each
+identity checks.
 
 Importing this module loads no numpy, and neither do the checks off the
 circle.  A function imports the modules it calls where it calls them:
@@ -38,18 +40,14 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import DivergentSeries, DomainError, NearSingular, TruncationExceeded
 from .qcore import (
-    DEFAULT_POLICY,
-    DEFAULT_QUADRATURE,
     FULL_PERIOD,
     HALF_PERIOD,
     NEAR_SINGULAR_TOL,
     TWO_PI,
     ParamSet4,
     QBase,
-    QuadratureSpec,
     Record,
     ReducedParams,
-    TruncationPolicy,
     as_degree,
     big_c_coeffs,
     connection_coeffs,
@@ -234,7 +232,7 @@ def _check(identity_id, inputs, tolerance, lhs, rhs) -> VerificationReport:
 
 
 def _circle_check(
-    identity_id, inputs, tolerance, weight: ParamSet4, qb: QBase, policy, qspec, interval,
+    identity_id, inputs, tolerance, weight: ParamSet4, qb: QBase, interval,
     laurent: Sequence[tuple[Sequence[complex], int]], rhs: Callable[[], complex],
     symbols: tuple[tuple, tuple, tuple] = ((), (), ()),
 ) -> VerificationReport:
@@ -242,11 +240,11 @@ def _circle_check(
     once, integrate over ``interval`` C_m C_n, from the (coefficients, degree)
     pairs ``laurent`` holds (none for THM_1_2), times the product quotient of the
     (numerators, denominators, exponents) ``symbols`` and the weight's, both
-    at the depth of all their coefficients; flag slow quadrature of a
-    finite integral (an overflow fails the report unflagged), then evaluate
-    ``rhs()``.  A weight pole on the circle or a depth beyond
-    ``policy.max_terms`` is flagged before any quadrature runs.  The C_n sums
-    are multiplied once per check into one Laurent polynomial (the
+    at the depth of all their coefficients; flag a finite integral that the
+    rule leaves unsettled at :data:`~qortho.quad.MAX_NODES` (an overflow fails
+    the report unflagged), then evaluate ``rhs()``.  A weight pole on the circle or a depth beyond
+    :data:`~qortho.qcore.MAX_TERMS` is flagged before any quadrature runs.
+    The C_n sums are multiplied once per check into one Laurent polynomial (the
     convolution of their coefficients, degree the sum of theirs), so each
     integrand call makes one Laurent evaluation and one kernel call per
     quotient.  The weight's two denominator symbols, inside the circle for
@@ -266,11 +264,11 @@ def _circle_check(
         flags.append("NearSingular")
     else:
         kmax = _evaluate(lambda: quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]),
-                                                qb, policy), flags)
+                                                qb), flags)
     if flags:
         return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance, flags=flags)
-    weight_quotient = kernels.product_quotient(*own, qb, policy, kmax)
-    quotient = kernels.product_quotient(*symbols, qb, policy, kmax) if symbols[0] else None
+    weight_quotient = kernels.product_quotient(*own, qb, kmax)
+    quotient = kernels.product_quotient(*symbols, qb, kmax) if symbols[0] else None
     if laurent:
         (c_m, m), (c_n, n) = laurent
         coefs, degree = np.convolve(c_m, c_n), m + n
@@ -286,7 +284,7 @@ def _circle_check(
 
     # the k = 0 factors of the weight's denominator hold the poles nearest the circle
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        result = quad.periodic_integral(integrand, interval, qspec, poles=own[1])
+        result = quad.periodic_integral(integrand, interval, poles=own[1])
     if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
@@ -313,8 +311,6 @@ def check_thm_1_1(
     q,
     m: int,
     n: int,
-    qspec: QuadratureSpec = DEFAULT_QUADRATURE,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Full-period orthogonality: quadrature of C_m C_n against the weight vs.
@@ -326,9 +322,9 @@ def check_thm_1_1(
     _require(_weight_moduli(p))
     return _circle_check(
         IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
-        p, qb, policy, qspec, FULL_PERIOD,
+        p, qb, FULL_PERIOD,
         [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
-        lambda: qfun.diag_rhs_thm11(n, p, qb, policy) if m == n else 0.0 + 0.0j,
+        lambda: qfun.diag_rhs_thm11(n, p, qb) if m == n else 0.0 + 0.0j,
     )
 
 
@@ -350,8 +346,6 @@ def check_thm_1_2(
     s,
     t,
     q,
-    qspec: QuadratureSpec = DEFAULT_QUADRATURE,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Seven-parameter product integral: quadrature of the 12-product
@@ -367,8 +361,8 @@ def check_thm_1_2(
     _require(_thm_1_2_moduli(p, s, t, qb) | _weight_moduli(p))
     return _circle_check(
         IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
-        p, qb, policy, qspec, FULL_PERIOD,
-        [], lambda: qfun.thm_1_2_rhs_series(p, s, t, qb, policy),
+        p, qb, FULL_PERIOD,
+        [], lambda: qfun.thm_1_2_rhs_series(p, s, t, qb),
         ((p.alpha * t, p.beta * t, p.alpha * s, p.beta * s),
          (p.gamma * t, p.delta * t, p.gamma * s, p.delta * s), (1, -1, 1, -1)),
     )
@@ -386,8 +380,6 @@ def check_thm_1_3(
     q,
     m: int,
     n: int,
-    qspec: QuadratureSpec = DEFAULT_QUADRATURE,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Half-period bi-orthogonality: degree m of the b-family against degree n
@@ -407,9 +399,9 @@ def check_thm_1_3(
     _require(_thm_1_3_moduli(r.a, gamma, delta))
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}
     return _circle_check(
-        IdentityId.THM_1_3, inputs, tolerance, p_a, qb, policy, qspec, HALF_PERIOD,
+        IdentityId.THM_1_3, inputs, tolerance, p_a, qb, HALF_PERIOD,
         [(big_c_coeffs(m, p_b, qb), m), (big_c_coeffs(n, p_a, qb), n)],
-        lambda: qfun.thm_1_3_rhs(r, gamma, delta, qb, m, n, policy),
+        lambda: qfun.thm_1_3_rhs(r, gamma, delta, qb, m, n),
     )
 
 
@@ -455,8 +447,6 @@ def check_ultra_ortho(
     q,
     m: int,
     n: int,
-    qspec: QuadratureSpec = DEFAULT_QUADRATURE,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Half-period orthogonality of the single-parameter family under the
@@ -470,9 +460,9 @@ def check_ultra_ortho(
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
         IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,
-        p, qb, policy, qspec, HALF_PERIOD,
+        p, qb, HALF_PERIOD,
         [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
-        lambda: 1.0 / qfun.h_norm(n, beta, qb, policy) if m == n else 0.0 + 0.0j,
+        lambda: 1.0 / qfun.h_norm(n, beta, qb) if m == n else 0.0 + 0.0j,
     )
 
 
@@ -570,7 +560,6 @@ def check_prop_2_4(
     n: int,
     x,
     y,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Lattice-integral representation vs. the double-sum evaluation of Phi_n."""
@@ -581,7 +570,7 @@ def check_prop_2_4(
     y = finite_complex("y", y)
     return _check(
         IdentityId.PROP_2_4, _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y}, tolerance,
-        lambda: qfun.phi_qintegral_repr(n, x, y, p, qb, policy),
+        lambda: qfun.phi_qintegral_repr(n, x, y, p, qb),
         lambda: qfun.phi_eval(n, x, y, p, qb),
     )
 
@@ -592,7 +581,6 @@ def check_rogers_6w5(
     c,
     d,
     q,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Very-well-poised six-parameter sum at z = a q/(b c d) vs. its closed
@@ -602,8 +590,8 @@ def check_rogers_6w5(
     z = rogers_6w5_argument(a, b, c, d, qb.q)
     return _check(
         IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q}, tolerance,
-        lambda: very_well_poised(a, [b, c, d], qb, z, policy),
-        lambda: rogers_6w5_rhs(a, b, c, d, qb, policy),
+        lambda: very_well_poised(a, [b, c, d], qb, z),
+        lambda: rogers_6w5_rhs(a, b, c, d, qb),
     )
 
 
@@ -611,7 +599,6 @@ def check_qbinomial(
     a,
     z,
     q,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Binomial series sum_n (a;q)_n z^n/(q;q)_n vs. (az;q)_oo/(z;q)_oo."""
@@ -620,8 +607,8 @@ def check_qbinomial(
     z = finite_complex("z", z)
     return _check(
         IdentityId.QBINOMIAL, {"a": a, "z": z, "q": qb.q}, tolerance,
-        lambda: phi_series(PhiSpec((a,), (), qb, z), policy),
-        lambda: qbinomial_product_ratio(a, z, qb, policy),
+        lambda: phi_series(PhiSpec((a,), (), qb, z)),
+        lambda: qbinomial_product_ratio(a, z, qb),
     )
 
 
@@ -634,14 +621,17 @@ class SweepSpec(Record):
     """Seeded randomized sweep: ``box`` entries override the identity's
     default parameter ranges (see the ``box`` of each :data:`REGISTRY`
     record for the keys it reads; None is a new empty box); degree draws are
-    capped by m_max / n_max."""
+    capped by m_max / n_max.  The seed and the counts are nonnegative
+    integers (:func:`~qortho.qcore.as_degree`), so a sweep never draws from
+    OS entropy."""
 
     _fields = ("seed", "draws", "box", "m_max", "n_max")
 
     def __init__(self, seed: int, draws: int,
                  box: Mapping[str, tuple[float, float]] | None = None,
                  m_max: int = 6, n_max: int = 6) -> None:
-        self._set(seed=seed, draws=as_degree("draws", draws), box={} if box is None else box,
+        self._set(seed=as_degree("seed", seed), draws=as_degree("draws", draws),
+                  box={} if box is None else box,
                   m_max=as_degree("m_max", m_max), n_max=as_degree("n_max", n_max))
 
 
@@ -744,8 +734,8 @@ def _draw_ultra_ortho(rng, box, q, spec) -> dict | None:
 
 class Identity(Record):
     """Everything the package states about one identity besides its checker,
-    whose positional parameters (other than ``qspec``, ``policy`` and
-    ``tolerance``) are the identity's parameters.  ``draw(rng, box, q, spec)``
+    whose positional parameters (other than ``tolerance``) are the
+    identity's parameters.  ``draw(rng, box, q, spec)``
     returns checker arguments for one sweep draw from ``box``, this ``box``
     with overrides, or None to reject the attempt."""
 

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from qortho import ParamSet4, QuadratureSpec, TruncationPolicy
-
-
-@pytest.fixture
-def policy():
-    return TruncationPolicy()
-
-
-@pytest.fixture
-def qspec():
-    return QuadratureSpec()
+from qortho import ParamSet4
 
 
 @pytest.fixture

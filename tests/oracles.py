@@ -14,7 +14,7 @@ from operator import mul
 import mpmath
 import numpy as np
 
-from qortho.qcore import DEFAULT_POLICY, QBase, qpoch_finite, qpoch_infinite
+from qortho.qcore import QBase, qpoch_finite, qpoch_infinite
 
 
 def poch_poly(c, q, order, tol=1e-18):
@@ -92,14 +92,12 @@ def ultra_recurrence_oracle(n, theta, beta, q):
     return cur
 
 
-def weight_oracle(theta, p, q, policy=DEFAULT_POLICY):
+def weight_oracle(theta, p, q):
     """The weight at one angle as the quotient of four scalar infinite
     products, each truncated at its own depth; no denominator screen."""
     e2 = cmath.exp(2j * theta)
-    num = qpoch_infinite(p.gamma / p.delta * e2, q, policy) * qpoch_infinite(
-        p.delta / p.gamma / e2, q, policy)
-    den = qpoch_infinite(p.alpha / p.delta * e2, q, policy) * qpoch_infinite(
-        p.beta / p.gamma / e2, q, policy)
+    num = qpoch_infinite(p.gamma / p.delta * e2, q) * qpoch_infinite(p.delta / p.gamma / e2, q)
+    den = qpoch_infinite(p.alpha / p.delta * e2, q) * qpoch_infinite(p.beta / p.gamma / e2, q)
     return num / den
 
 
@@ -190,7 +188,7 @@ def mp_very_well_poised_6w5(a, b, c, d, q, z):
     return total
 
 
-def lattice_repr_oracle(n, x, y, p, q, policy=DEFAULT_POLICY):
+def lattice_repr_oracle(n, x, y, p, q):
     """The lattice representation of Phi_n node by node: the integrand
 
         (q z/(gamma x), q z/(delta y); q)_oo z^n
@@ -207,16 +205,15 @@ def lattice_repr_oracle(n, x, y, p, q, policy=DEFAULT_POLICY):
     ra, rb = p.ratio_a, p.ratio_b
     num = qpoch_finite(ra * rb, qb, n)
     for arg in (ra, rb, p.beta * y / gx, p.alpha * x / dy):
-        num *= qpoch_infinite(arg, qb, policy)
+        num *= qpoch_infinite(arg, qb)
     den = (1.0 - q) * dy
     for arg in (q, ra * rb, gx / dy, q * dy / gx):
-        den *= qpoch_infinite(arg, qb, policy)
+        den *= qpoch_infinite(arg, qb)
     gdx, gdy = p.gamma * p.delta * x, p.gamma * p.delta * y
 
     def f(z):
-        upper = qpoch_infinite(q * z / gx, qb, policy) * qpoch_infinite(q * z / dy, qb, policy)
-        lower = qpoch_infinite(p.beta * z / gdx, qb, policy) * qpoch_infinite(
-            p.alpha * z / gdy, qb, policy)
+        upper = qpoch_infinite(q * z / gx, qb) * qpoch_infinite(q * z / dy, qb)
+        lower = qpoch_infinite(p.beta * z / gdx, qb) * qpoch_infinite(p.alpha * z / gdy, qb)
         return upper / lower * z ** n
 
     def side(e):  # e S(e)

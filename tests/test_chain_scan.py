@@ -11,9 +11,8 @@ import random
 
 import pytest
 
-from qortho import DomainError, PhiSpec, QBase, TruncationExceeded, TruncationPolicy, qpoch_infinite
-from qortho.qcore import (DEFAULT_POLICY, EXACT_ZERO_FACTOR, NEAR_SINGULAR_TOL, closing_factors,
-                          tail_start)
+from qortho import DomainError, PhiSpec, QBase, TruncationExceeded, qcore, qpoch_infinite
+from qortho.qcore import EXACT_ZERO_FACTOR, NEAR_SINGULAR_TOL, closing_factors, tail_start
 
 CHAINS_PER_KIND = 700
 KINDS = ("real", "negative", "complex", "q_power", "half", "special")
@@ -60,12 +59,12 @@ def reference_phispec(numerators, denominators, q, z):
     return min(stops) if stops else None
 
 
-def reference_qpoch_infinite(a, q, policy=DEFAULT_POLICY):
+def reference_qpoch_infinite(a, q):
     """(a;q)_oo by two loops: the head factors with |a q^k| > 1/2, each tested
     for an exact zero, then the rest of the head untested."""
     qb = QBase.coerce(q)
     q = qb.q
-    nterms = tail_start(a, qb, policy)
+    nterms = tail_start(a, qb)
     prod = 1.0 + 0.0j
     w = complex(a)
     k = 0
@@ -148,7 +147,11 @@ def test_phispec_terminates_and_refuses_as_the_zero_index_loop(kind):
             assert got == outcome(reference_phispec, *args), (a, q, args)
 
 
-def test_truncation_comes_before_an_exact_zero():
-    # a = 0.5^-3 zeroes the factor k = 3, but the head needs about 20 factors
+def test_truncation_comes_before_an_exact_zero(monkeypatch):
+    # a = q^-3 zeroes the factor k = 3, but at q = 0.9999 the head needs
+    # about 2e5 factors, beyond MAX_TERMS
+    q = 0.9999
     with pytest.raises(TruncationExceeded):
-        qpoch_infinite(0.5 ** -3, 0.5, TruncationPolicy(max_terms=5))
+        qpoch_infinite(q ** -3, q)
+    monkeypatch.setattr(qcore, "MAX_TERMS", 10 ** 6)
+    assert qpoch_infinite(q ** -3, q) == 0

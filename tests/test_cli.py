@@ -79,9 +79,10 @@ class TestEval:
         assert complex(rec["value_re"], rec["value_im"]) == pytest.approx(expected, rel=1e-12)
 
     def test_weight_depth_beyond_max_terms_exits_2(self, capsys):
-        code, _, err = run_cli(["eval", "weight", "--max-terms", "5", *self.WEIGHT], capsys)
+        # at q = 0.9999 the weight's head needs about 2e5 factors
+        code, _, err = run_cli(["eval", "weight", *self.WEIGHT[:-2], "--q", "0.9999"], capsys)
         assert code == EXIT_INVALID
-        assert "cap is 5" in err
+        assert "cap is 10000" in err
 
     def test_weight_with_an_overflowing_symbol_exits_2(self):
         # alpha/delta = 1e300 / 1e-300 overflows to inf: the screen must end
@@ -179,14 +180,6 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "|beta/gamma| < 1" in err
 
-    def test_odd_node_count_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", "--nodes", "17", *BOX],
-            capsys,
-        )
-        assert code == EXIT_INVALID
-        assert "nodes must be even" in err
-
     def test_thm_1_3_zero_a_exits_2(self, capsys):
         code, _, err = run_cli(
             ["verify", "--identity", "THM_1_3", "--a-re", "0", "--b-re", "0.3",
@@ -232,10 +225,11 @@ class TestVerify:
         assert rep.passed and rep.identity_id == "THM_1_1"
 
     def test_a_flagged_json_report_reads_back(self, capsys):
-        # the CLI writes the flagged report's NaN sides and infinite residuals as null
+        # the CLI writes the flagged report's NaN sides and infinite residuals as null;
+        # at q = 0.999 the weight's head needs more factors than MAX_TERMS
         code, out, _ = run_cli(
-            ["verify", "--identity", "THM_1_1", "--m", "2", "--n", "2", "--max-terms", "3",
-             *BOX], capsys)
+            ["verify", "--identity", "THM_1_1", "--m", "2", "--n", "2", *BOX[:-2],
+             "--q", "0.999"], capsys)
         assert code == EXIT_FAIL
         rep = VerificationReport.from_record(json.loads(out))
         assert rep.passed is False and rep.flags == ("TruncationExceeded",)
@@ -268,7 +262,7 @@ class TestVerify:
 
 
     def test_truncation_trouble_exits_1_not_2(self, capsys):
-        # valid input whose product side needs more factors than max_terms
+        # valid input whose product side needs more factors than MAX_TERMS
         code, out, _ = run_cli(
             ["verify", "--identity", "QBINOMIAL", "--a-re", "0.5", "--z-re", "0.5",
              "--q", "0.999"],
@@ -276,6 +270,16 @@ class TestVerify:
         )
         assert code == EXIT_FAIL
         assert "TruncationExceeded" in json.loads(out)["flags"]
+
+    def test_quadrature_that_does_not_settle_exits_1(self, capsys):
+        # its levels stay 1e-8 apart up to the 8192-node cap (tests/test_verify.py)
+        code, out, _ = run_cli(
+            ["verify", "--identity", "ULTRA_ORTHO", "--beta-re", "-0.9239", "--q", "0.8026",
+             "--m", "6", "--n", "6"],
+            capsys,
+        )
+        assert code == EXIT_FAIL
+        assert json.loads(out)["flags"] == ["NoConvergence"]
 
     def test_k_reaches_prop_2_2(self, capsys):
         code, out, _ = run_cli(["verify", "--identity", "PROP_2_2", "--k", "2", *BOX], capsys)
@@ -321,13 +325,13 @@ OPTION_STRINGS = {
     "eval": ["-h", "--help", "--q", "--n", "--theta", "--alpha-re", "--alpha-im", "--beta-re",
              "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--x-re",
              "--x-im", "--y-re", "--y-im", "--a-re", "--a-im", "--z-re", "--z-im",
-             "--max-terms", "--inf", "--num", "--den", "--out"],
+             "--inf", "--num", "--den", "--out"],
     "verify": ["-h", "--help", "--identity", "--alpha-re", "--alpha-im", "--beta-re",
                "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--q",
                "--m", "--n", "--s-re", "--s-im", "--t-re", "--t-im", "--a-re", "--a-im",
                "--b-re", "--b-im", "--theta", "--k", "--x-re", "--x-im", "--y-re", "--y-im",
-               "--c-re", "--c-im", "--d-re", "--d-im", "--z-re", "--z-im", "--tol", "--nodes",
-               "--max-nodes", "--max-terms", "--format", "--out"],
+               "--c-re", "--c-im", "--d-re", "--d-im", "--z-re", "--z-im", "--tol", "--format",
+               "--out"],
     "sweep": ["-h", "--help", "--identity", "--draws", "--seed", "--m-max", "--n-max", "--tol",
               "--format", "--out"],
     "table": ["-h", "--help", "--q", "--m", "--alpha-re", "--alpha-im", "--beta-re",
@@ -349,18 +353,9 @@ class TestUnreadFlags:
         "argv",
         [
             ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--alpha-re", "5"],
-            ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--nodes", "16"],
-            ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1",
-             "--max-terms", "1"],
             ["eval", "big_c", "--n", "0", "--theta", "0.3", "--tol", "1", *BOX],
-            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--nodes", "64", *BOX],
-            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--max-nodes", "64", *BOX],
             ["eval", "big_c", "--n", "0", "--theta", "0.3", "--m", "1", *BOX],
             ["verify", "--identity", "THM_1_1", "--m", "0", "--n", "1", "--k", "2", *BOX],
-            ["verify", "--identity", "PROP_2_2", "--nodes", "512", *BOX],
-            ["verify", "--identity", "PROP_2_1_2", "--n", "1", "--max-terms", "5", *BOX],
-            ["verify", "--identity", "PROP_3_1", "--a-re", "0.3", "--b-re", "0.2",
-             "--gamma-re", "1", "--delta-re", "1", "--q", "0.5", "--m", "3", "--max-terms", "1"],
             # flags of another eval or table function
             ["table", "big_c", "--n-max", "1", *BOX, "--m", "7", "--a-re", "3"],
             ["eval", "big_c", "--n", "1", "--theta", "0", *BOX, "--x-re", "9", "--z-re", "4"],
@@ -378,31 +373,32 @@ EVAL_METADATA = [
     (["phi", "--n", "1", "--x-re", "0.7", "--y-re", "0.9", *BOX], {}),
     (["ultra", "--n", "1", "--theta", "0", "--beta-re", "0.3", "--q", "0.5"], {}),
     (["qpoch", "--a-re", "0.5", "--n", "3", "--q", "0.5"], {}),
-    (["qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], {"max_terms": 10000}),
-    (["h", "--n", "1", "--a-re", "0.3", "--q", "0.5", "--max-terms", "500"], {"max_terms": 500}),
-    (["weight", "--theta", "0.3", *BOX, "--max-terms", "500"], {"max_terms": 500}),
-    (["phi_series", "--num", "0.3", "--q", "0.5", "--z-re", "0.4", "--max-terms", "80"],
-     {"max_terms": 80, "numerators": 1, "denominators": 0}),
+    (["qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], {}),
+    (["h", "--n", "1", "--a-re", "0.3", "--q", "0.5"], {}),
+    (["weight", "--theta", "0.3", *BOX], {}),
+    (["phi_series", "--num", "0.3", "--q", "0.5", "--z-re", "0.4"],
+     {"numerators": 1, "denominators": 0}),
 ]
 
 
 @pytest.mark.parametrize("argv, fields", EVAL_METADATA)
-def test_eval_metadata_holds_the_policy_fields_read(argv, fields, capsys):
+def test_eval_metadata_holds_only_the_series_parameter_counts(argv, fields, capsys):
     code, out, _ = run_cli(["eval", *argv], capsys)
     assert code == EXIT_PASS
     assert json.loads(out)["metadata"] == fields
 
 
+@pytest.mark.parametrize("flag", ["--rel-tol", "--max-terms", "--nodes", "--max-nodes"])
 @pytest.mark.parametrize("argv", [
     ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", *BOX],
     *(["eval", *argv] for argv, _ in EVAL_METADATA),
 ])
-def test_rel_tol_is_not_a_flag(argv, capsys):
-    # a product's depth is fixed (qcore.PRODUCT_TOL), so no command takes a
-    # truncation tolerance: verify and every eval function reject --rel-tol
-    code, out, err = run_cli([*argv, "--rel-tol", "1e-10"], capsys)
+def test_tuning_flags_are_not_flags(flag, argv, capsys):
+    # every check runs at one numerical setting (the constants of qcore and
+    # quad): verify and every eval function reject the flags that tuned it
+    code, out, err = run_cli([*argv, flag, "500"], capsys)
     assert code == EXIT_INVALID and out == ""
-    assert "unrecognized arguments: --rel-tol 1e-10" in err and "Traceback" not in err
+    assert f"unrecognized arguments: {flag} 500" in err and "Traceback" not in err
 
 
 class TestSweep:
@@ -574,6 +570,12 @@ class TestExitCodeContract:
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_INVALID and out == ""
         assert "_max must be a nonnegative integer" in err
+
+    def test_a_negative_seed_exits_2_naming_it(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "-1"], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert "seed must be a nonnegative integer, got -1" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--identity", "QBINOMIAL", "--a-re", "0.5", "--z-re", "0.5", "--q", "0.5"],

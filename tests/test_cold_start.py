@@ -287,20 +287,17 @@ def test_parameters_of_functions_with_and_without_defaults():
     # PROP_2_1_3's n has a default, so --n is optional
     (["--identity", "PROP_2_1_3", "--alpha-re", "0.2", "--beta-re", "0.1", "--gamma-re", "0.8",
       "--delta-re", "0.9", "--q", "0.5"], 0, ""),
-    # ROGERS_6W5 takes a policy but no quadrature spec
     (["--identity", "ROGERS_6W5", "--a-re", "0.1", "--b-re", "0.5", "--c-re", "0.6",
-      "--d-re", "0.7", "--q", "0.5", "--max-terms", "500"], 0, ""),
+      "--d-re", "0.7", "--q", "0.5"], 0, ""),
+    # a flag of another identity's parameter
     (["--identity", "ROGERS_6W5", "--a-re", "0.1", "--b-re", "0.5", "--c-re", "0.6",
-      "--d-re", "0.7", "--q", "0.5", "--nodes", "32"], 2, "does not read --nodes"),
+      "--d-re", "0.7", "--q", "0.5", "--m", "3"], 2, "does not read --m"),
     (["--identity", "ROGERS_6W5", "--a-re", "0.1", "--b-re", "0.5", "--c-re", "0.6",
       "--q", "0.5"], 2, "missing required flag --d-re"),
-    # PROP_3_1 takes neither
     (["--identity", "PROP_3_1", "--a-re", "0.3", "--b-re", "0.2", "--gamma-re", "0.9",
-      "--delta-re", "1.1", "--q", "0.5", "--m", "3", "--max-terms", "500"], 2,
-     "does not read --max-terms"),
+      "--delta-re", "1.1", "--q", "0.5", "--m", "3", "--n", "1"], 2, "does not read --n"),
     (["--identity", "THM_1_1", "--alpha-re", "0.2", "--beta-re", "0.1", "--gamma-re", "0.8",
-      "--delta-re", "0.9", "--q", "0.5", "--m", "1", "--n", "1", "--nodes", "32",
-      "--max-terms", "500"], 0, ""),
+      "--delta-re", "0.9", "--q", "0.5", "--m", "1", "--n", "1"], 0, ""),
 ])
 def test_verify_through_a_wrapped_checker_reads_the_same_flags(monkeypatch, capsys, argv, code,
                                                                 message):

@@ -49,8 +49,7 @@ def test_moved_coefficient_builders_keep_their_qfun_path(name):
     assert name not in qortho.__all__ or getattr(qortho, name) is getattr(qcore, name)
 
 
-@pytest.mark.parametrize("name", ["QuadratureSpec", "DEFAULT_QUADRATURE", "FULL_PERIOD",
-                                  "HALF_PERIOD"])
+@pytest.mark.parametrize("name", ["FULL_PERIOD", "HALF_PERIOD"])
 def test_moved_quadrature_types_keep_their_quad_path(name):
     assert getattr(quad, name) is getattr(qcore, name) is getattr(qortho, name)
 

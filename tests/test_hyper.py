@@ -10,8 +10,8 @@ from qortho import (
     QBase,
     SweepSpec,
     TruncationExceeded,
-    TruncationPolicy,
     phi_series,
+    qcore,
     qbinomial_product_ratio,
     qpoch_infinite,
     rogers_6w5_rhs,
@@ -96,20 +96,23 @@ class TestPhiSeries:
     @pytest.mark.parametrize("nums, dens, q", [
         ((0.4,), (), 0.6), ((0.3, 0.5), (0.2,), 0.7), ((0.9,), (), 0.9), ((0.5, 0.8), (0.95,), 0.5),
     ])
-    def test_the_true_tail_after_the_stop_is_within_the_bound(self, nums, dens, q):
+    def test_the_true_tail_after_the_stop_is_within_the_bound(self, monkeypatch, nums, dens,
+                                                               q):
         # every term is positive at z = 0.65, so the terms after the stop are
-        # the whole truncation error; the stop is the least max_terms that
+        # the whole truncation error; the stop is the least MAX_TERMS that
         # does not raise
         spec = PhiSpec(nums, dens, QBase(q), 0.65)
 
         def stops_within(max_terms):
+            monkeypatch.setattr(qcore, "MAX_TERMS", max_terms)
             try:
-                phi_series(spec, TruncationPolicy(max_terms=max_terms))
+                phi_series(spec)
             except TruncationExceeded:
                 return False
             return True
 
         stop = next(k for k in range(1, 1000) if stops_within(k))
+        monkeypatch.undo()
         with mpmath.workdps(40):
             terms = mp_phi_terms(nums, dens, q, 0.65, 400)
             assert terms[-1] < mpmath.mpf(10) ** -60
@@ -132,7 +135,7 @@ class TestPhiSeries:
         # huge numerator parameter keeps the term ratio above 1 for many k
         spec = PhiSpec((1e6,), (), QBase(0.99), 0.9)
         with pytest.raises(DivergentSeries):
-            phi_series(spec, TruncationPolicy(max_terms=100000))
+            phi_series(spec)
 
     def test_without_the_growth_test_a_convergent_rise_is_summed(self):
         # sum z^k / (q;q)_k = 1/(z;q)_oo; its ratio z/(1 - q^{k+1}) stays

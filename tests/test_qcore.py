@@ -14,7 +14,6 @@ from qortho import (
     ParamSet4,
     QBase,
     TruncationExceeded,
-    TruncationPolicy,
     qpoch_finite,
     qpoch_infinite,
 )
@@ -52,18 +51,6 @@ class TestQBase:
 def test_a_param_set_with_beta_over_delta_beyond_1_is_a_domain_error():
     with pytest.raises(DomainError, match=r"\|beta/delta\| must be <= 1, got 1.5"):
         ParamSet4(0.2, 1.5, 1.0, 1.0)
-
-
-class TestPolicy:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            TruncationPolicy(max_terms=0)
-
-    @pytest.mark.parametrize("max_terms", [2.5, 10.0, "10", None])
-    def test_non_integral_max_terms_rejected(self, max_terms):
-        # range(max_terms) would raise TypeError inside a check
-        with pytest.raises(DomainError, match="max_terms must be a positive integer"):
-            TruncationPolicy(max_terms=max_terms)
 
 
 def full_scan_min_factor_abs(a, q, floor):
@@ -154,8 +141,9 @@ class TestQpochInfinite:
         assert qpoch_infinite(0.5, 0.5) == pytest.approx(QPOCH_HALF_HALF, rel=3e-14)
 
     def test_truncation_cap(self):
-        with pytest.raises(TruncationExceeded):
-            qpoch_infinite(0.5, 0.9999, TruncationPolicy(max_terms=100))
+        # the head of (0.5; 0.9999)_oo needs 192617 factors, beyond MAX_TERMS
+        with pytest.raises(TruncationExceeded, match="needs 192617 factors, cap is 10000"):
+            qpoch_infinite(0.5, 0.9999)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -170,13 +158,13 @@ class TestQpochInfinite:
         assert whole == pytest.approx(split, rel=1e-13, abs=1e-250)
 
 
-def qpoch_infinite_every_factor_screened(a, q, policy=TruncationPolicy()):
+def qpoch_infinite_every_factor_screened(a, q):
     """The product loop that tests every factor of the head for an exact
     zero, closed by the same pair as ``qpoch_infinite``."""
     qb = QBase.coerce(q)
     prod = 1.0 + 0.0j
     w = complex(a)
-    for _ in range(tail_start(a, qb, policy)):
+    for _ in range(tail_start(a, qb)):
         factor = 1.0 - w
         if abs(factor) < 1e-15:
             return 0.0 + 0.0j

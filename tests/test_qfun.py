@@ -12,7 +12,6 @@ from qortho import (
     QBase,
     ReducedParams,
     SweepSpec,
-    TruncationPolicy,
     big_c_coeffs,
     connection_coeffs,
     diag_rhs_thm11,
@@ -25,6 +24,7 @@ from qortho import (
     weight_omega_many,
 )
 from qortho.kernels import big_c_at_one, laurent_eval, product_quotient
+from qortho.qcore import tail_start
 from qortho.qfun import diagonal_prefactor, expansion_weights, thm_1_2_rhs_series, weight_symbols
 from qortho.verify import IdentityId, draw_params
 
@@ -277,10 +277,11 @@ class TestDenominatorScreens:
             diagonal_prefactor(ParamSet4(0.8, 0.9, 0.8, 0.9), 0.5)
 
     def test_underflowed_product_is_flagged(self, box_params):
-        # (q;q)_oo at q = 0.999 is about e^-1645: 0 in double precision,
-        # although no factor is below 1e-12
+        # (q;q)_oo at q = 0.998 is about e^-822: 0 in double precision,
+        # although no factor is below 1e-12; its head has 8471 factors
+        assert tail_start(0.998, 0.998) == 8471
         with pytest.raises(NearSingular, match="exactly 0"):
-            diagonal_prefactor(box_params, 0.999, TruncationPolicy(max_terms=50000))
+            diagonal_prefactor(box_params, 0.998)
 
 
 class TestHNorm:

@@ -11,32 +11,38 @@ from qortho import (
     NearSingular,
     ParamSet4,
     QuadResult,
-    QuadratureSpec,
     TruncationExceeded,
-    TruncationPolicy,
     periodic_integral,
     phi_eval,
     phi_qintegral_repr,
     weight_omega_many,
 )
+from qortho import qcore, quad
 from qortho.quad import _grid, _moment_table
 from qortho.verify import IdentityId, SweepSpec, draw_params
 
 from oracles import lattice_repr_oracle, mp_phi_terms
 
 
-def one_call_per_level_integral(f, interval, spec):
+def rule_setting(monkeypatch, start, cap, stop=quad.REL_TOL):
+    """Set the circle rule's start grid, node cap and stop for one test."""
+    monkeypatch.setattr(quad, "START_NODES", start)
+    monkeypatch.setattr(quad, "MAX_NODES", cap)
+    monkeypatch.setattr(quad, "REL_TOL", stop)
+
+
+def one_call_per_level_integral(f, interval):
     """The refinement loop with one integrand call per level: the start grid,
     then the midpoints of each grid so far."""
     factor = 1.0 if interval == FULL_PERIOD else 0.5
     length = 2 * math.pi * factor
-    n = spec.nodes
+    n = quad.START_NODES
     values = f(2 * math.pi * np.arange(n) / n)
     running_sum = values.sum()
     fmax = float(np.max(np.abs(values)))
     estimate = factor * 2 * math.pi / n * running_sum
     converged, est_error = False, math.inf
-    while 2 * n <= spec.max_nodes:
+    while 2 * n <= quad.MAX_NODES:
         new_values = f(2 * math.pi * (np.arange(n) + 0.5) / n)
         running_sum += new_values.sum()
         fmax = max(fmax, float(np.max(np.abs(new_values))))
@@ -44,36 +50,10 @@ def one_call_per_level_integral(f, interval, spec):
         refined = factor * 2 * math.pi / n * running_sum
         est_error = abs(refined - estimate)
         estimate = refined
-        if est_error <= spec.rel_tol * max(abs(estimate), fmax * length):
+        if est_error <= quad.REL_TOL * max(abs(estimate), fmax * length):
             converged = True
             break
     return QuadResult(complex(estimate), n, converged, est_error, fmax * length)
-
-
-class TestQuadratureSpec:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(nodes=8)
-        with pytest.raises(DomainError):
-            QuadratureSpec(nodes=256, max_nodes=128)
-
-    @pytest.mark.parametrize("counts", [{"nodes": 64.0}, {"max_nodes": 8192.5},
-                                        {"max_nodes": None}])
-    def test_non_integral_node_counts_rejected(self, counts):
-        with pytest.raises(DomainError, match="must be a nonnegative integer"):
-            QuadratureSpec(**counts)
-
-    def test_odd_node_count_rejected(self):
-        with pytest.raises(DomainError, match="even"):
-            QuadratureSpec(nodes=17)
-
-    def test_infinite_rel_tol_rejected(self):
-        # any error estimate would pass as converged
-        with pytest.raises(DomainError, match="finite"):
-            QuadratureSpec(rel_tol=math.inf)
-
-    def test_doubling_starts_at_64_nodes(self):
-        assert QuadratureSpec().nodes == 64
 
 
 class TestPeriodicIntegral:
@@ -107,18 +87,29 @@ class TestPeriodicIntegral:
             periodic_integral(lambda th: th, (0.0, 1.0))
 
     def test_no_convergence_flag(self):
-        # a sharply peaked analytic integrand cannot settle with 16 nodes
-        f = lambda th: 1.0 / (1.0005 - np.cos(th))
-        res = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=16, max_nodes=32))
+        # poles at theta = +-i t, cosh t = 1 + 1e-7: the rule's error falls
+        # like e^{-N t}, t about 4.5e-4, so no grid of up to 8192 nodes settles it
+        grids = []
+
+        def f(th):
+            grids.append(th.shape[0])
+            return 1.0 / (1.0 + 1e-7 - np.cos(th)) + 0j
+
+        res = periodic_integral(f, FULL_PERIOD)
         assert not res.converged
+        assert res.nodes == sum(grids) == quad.MAX_NODES == 8192
+        assert math.isfinite(res.est_error)
+
+    def test_the_default_rule(self):
+        assert (quad.START_NODES, quad.MAX_NODES, quad.REL_TOL) == (64, 8192, 1e-10)
 
     @pytest.mark.parametrize("start, max_nodes, counts", [
-        (16, 24, [16]),
         (16, 63, [32]),
         (16, 64, [32, 32]),
         (64, 8192, [128, 128, 256, 512, 1024, 2048, 4096]),
     ])
-    def test_no_grid_takes_the_node_count_past_max_nodes(self, start, max_nodes, counts):
+    def test_no_grid_takes_the_node_count_past_max_nodes(self, monkeypatch, start, max_nodes,
+                                                         counts):
         grids = []
 
         def f(th):
@@ -126,16 +117,16 @@ class TestPeriodicIntegral:
             return 1.0 / (1.0005 - np.cos(th)) + 0j
 
         # a tolerance no estimate meets, so the rule refines as far as it may
-        spec = QuadratureSpec(nodes=start, max_nodes=max_nodes, rel_tol=1e-300)
-        res = periodic_integral(f, FULL_PERIOD, spec)
+        rule_setting(monkeypatch, start, max_nodes, 1e-300)
+        res = periodic_integral(f, FULL_PERIOD)
         assert grids == counts
         assert res.nodes == sum(counts) <= max_nodes
         assert not res.converged
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("bad_call, counts", [(0, [128]), (2, [128, 128, 256])])
-    def test_refinement_stops_at_the_first_level_that_is_not_finite(self, bad, bad_call,
-                                                                     counts):
+    def test_refinement_stops_at_the_first_level_that_is_not_finite(self, monkeypatch, bad,
+                                                                     bad_call, counts):
         # no finer grid settles an overflow: refining would double up to
         # max_nodes on NaN, and inf against an infinite scale reads as converged
         grids = []
@@ -147,14 +138,14 @@ class TestPeriodicIntegral:
             grids.append(th.shape[0])
             return values
 
-        spec = QuadratureSpec(nodes=64, max_nodes=8192, rel_tol=1e-300)
-        res = periodic_integral(f, FULL_PERIOD, spec)
+        monkeypatch.setattr(quad, "REL_TOL", 1e-300)
+        res = periodic_integral(f, FULL_PERIOD)
         assert grids == counts
         assert res.nodes == sum(counts)
         assert not res.converged and res.est_error == math.inf
         assert not np.isfinite(res.value)
 
-    def test_a_level_whose_sums_overflow_ends_the_refinement(self):
+    def test_a_level_whose_sums_overflow_ends_the_refinement(self, monkeypatch):
         # every value is finite, but their sum is not: no finer grid helps
         grids = []
 
@@ -162,23 +153,24 @@ class TestPeriodicIntegral:
             grids.append(th.shape[0])
             return np.full(th.shape, 1e308 + 0j)
 
-        spec = QuadratureSpec(nodes=64, max_nodes=8192, rel_tol=1e-300)
+        monkeypatch.setattr(quad, "REL_TOL", 1e-300)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = periodic_integral(f, FULL_PERIOD, spec)
+            res = periodic_integral(f, FULL_PERIOD)
         assert grids == [128]
         assert res.nodes == 128
         assert not res.converged and res.est_error == math.inf
         assert not np.isfinite(res.value)
 
     @pytest.mark.parametrize("start", [16, 64, 66])
-    def test_every_grid_pairs_theta_with_theta_plus_pi(self, start):
+    def test_every_grid_pairs_theta_with_theta_plus_pi(self, monkeypatch, start):
         grids = []
 
         def f(th):
             grids.append(th)
             return 1.0 / (1.0005 - np.cos(th)) + 0j  # too peaked to settle by 8x
 
-        periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=start, max_nodes=start * 8))
+        rule_setting(monkeypatch, start, start * 8)
+        periodic_integral(f, FULL_PERIOD)
         # the first call covers the first two levels on one 2N-point grid
         assert [th.shape[0] for th in grids] == [2 * start, 2 * start, 4 * start]
         for th in grids:
@@ -186,40 +178,27 @@ class TestPeriodicIntegral:
             assert th.shape[0] == 2 * half
             assert np.max(np.abs(th[half:] - th[:half] - math.pi)) < 1e-14
 
-    def test_start_grid_alone_when_nodes_is_max_nodes(self):
-        grids = []
-
-        def f(th):
-            grids.append(th)
-            return np.cos(th) ** 2 + 0j
-
-        res = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=32, max_nodes=32))
-        assert [th.shape[0] for th in grids] == [32]
-        assert res.nodes == 32
-        assert res.value == pytest.approx(math.pi, rel=1e-14)
-
     @pytest.mark.parametrize("interval", [FULL_PERIOD, HALF_PERIOD])
-    @pytest.mark.parametrize("start, max_nodes",
-                             [(16, 24), (16, 32), (16, 128), (64, 8192), (66, 528)])
+    @pytest.mark.parametrize("start, max_nodes", [(16, 32), (16, 128), (64, 8192), (66, 528)])
     @pytest.mark.parametrize("peak", [1.5, 1.05, 1.0005])
-    def test_matches_one_call_per_level(self, interval, start, max_nodes, peak):
+    def test_matches_one_call_per_level(self, monkeypatch, interval, start, max_nodes, peak):
         f = lambda th: 1.0 / (peak - np.cos(th)) + np.exp(1j * th) / (peak + np.sin(th))
-        spec = QuadratureSpec(nodes=start, max_nodes=max_nodes, rel_tol=1e-12)
-        got = periodic_integral(f, interval, spec)
-        assert periodic_integral(f, interval, spec, poles=(0.0, 0.0)) == got
-        want = one_call_per_level_integral(f, interval, spec)
+        rule_setting(monkeypatch, start, max_nodes, 1e-12)
+        got = periodic_integral(f, interval)
+        assert periodic_integral(f, interval, poles=(0.0, 0.0)) == got
+        want = one_call_per_level_integral(f, interval)
         assert (got.nodes, got.converged, got.fscale) == (want.nodes, want.converged, want.fscale)
         assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
-        # inf when the start grid alone fits in max_nodes
-        assert (got.est_error == want.est_error
-                or abs(got.est_error - want.est_error) <= 1e-15 * want.fscale)
+        assert abs(got.est_error - want.est_error) <= 1e-15 * want.fscale
 
-    def test_spectral_accuracy_on_weight_integrand(self):
+    def test_spectral_accuracy_on_weight_integrand(self, monkeypatch):
         # default box weight: nodes >= 128 already at the refinement plateau
         p = ParamSet4(0.2, 0.1, 0.8, 0.9)
         f = lambda th: weight_omega_many(th, p, 0.6)
-        small = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=128, max_nodes=256))
-        big = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=512, max_nodes=8192))
+        rule_setting(monkeypatch, 128, 256)
+        small = periodic_integral(f, FULL_PERIOD)
+        rule_setting(monkeypatch, 512, 8192)
+        big = periodic_integral(f, FULL_PERIOD)
         assert small.value == pytest.approx(big.value, rel=1e-10)
         assert small.converged and big.converged
 
@@ -249,18 +228,21 @@ class TestPoleCorrectedRule:
     @pytest.mark.parametrize("poles", POLES)
     @pytest.mark.parametrize("nodes, degree", [(64, 31), (66, 32), (18, 8)])
     def test_exact_for_a_polynomial_of_degree_below_half_the_grid_times_r(
-            self, poles, nodes, degree, rng):
+            self, monkeypatch, poles, nodes, degree, rng):
         # 66 and 18 are 2 mod 4, where sigma = z^ceil(n/4) is not +-1 on the grid
         coefs = rng.normal(size=2 * degree + 1) + 1j * rng.normal(size=2 * degree + 1)
         f, exact = pole_pair_integrand(coefs, poles)
-        one_grid = QuadratureSpec(nodes=nodes, max_nodes=nodes)
-        got = periodic_integral(f, FULL_PERIOD, one_grid, poles=poles)
+        # the rule's last level is the one on the grid of ``nodes`` points
+        rule_setting(monkeypatch, nodes // 2, nodes)
+        got = periodic_integral(f, FULL_PERIOD, poles=poles)
+        assert got.nodes == nodes
         assert abs(got.value - exact) <= 1e-14 * got.fscale
         # the plain rule on that grid is far off, and settles only by 1024 nodes
-        plain = periodic_integral(f, FULL_PERIOD, one_grid)
+        plain = periodic_integral(f, FULL_PERIOD)
         assert abs(plain.value - exact) > 1e-4 * plain.fscale
-        assert periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=nodes)).nodes >= 1024
-        refined = periodic_integral(f, FULL_PERIOD, QuadratureSpec(nodes=nodes), poles=poles)
+        rule_setting(monkeypatch, nodes, 8192)
+        assert periodic_integral(f, FULL_PERIOD).nodes >= 1024
+        refined = periodic_integral(f, FULL_PERIOD, poles=poles)
         assert refined.converged and refined.nodes == 2 * nodes
         assert abs(refined.value - exact) <= 1e-14 * refined.fscale
 
@@ -281,7 +263,7 @@ class TestPoleCorrectedRule:
         assert np.max(np.abs(table - want)) <= 1e-13
         assert _moment_table(n) is table
 
-    def test_a_refined_level_is_the_one_grid_rule_on_its_nodes(self):
+    def test_a_refined_level_is_the_one_grid_rule_on_its_nodes(self, monkeypatch):
         # 32 + 32 nodes in the first call and 64 midpoints later give the
         # 128-node grid, and level 128 reads them in its order
         poles = (0.9, 0.8)
@@ -290,11 +272,13 @@ class TestPoleCorrectedRule:
             z = np.exp(2j * th)
             return np.exp(np.cos(3 * th) + 0.5j * np.sin(th)) / ((1 - 0.9 * z) * (1 - 0.8 / z))
 
-        refined = periodic_integral(
-            f, FULL_PERIOD, QuadratureSpec(nodes=32, max_nodes=128, rel_tol=1e-300), poles=poles)
-        one_grid = periodic_integral(
-            f, FULL_PERIOD, QuadratureSpec(nodes=128, max_nodes=128), poles=poles)
-        assert (refined.nodes, refined.converged) == (128, False)
+        rule_setting(monkeypatch, 32, 128, 1e-300)
+        refined = periodic_integral(f, FULL_PERIOD, poles=poles)
+        # one call on the 128-point grid, whose last level is 128
+        rule_setting(monkeypatch, 64, 128, 1e-300)
+        one_grid = periodic_integral(f, FULL_PERIOD, poles=poles)
+        assert (refined.nodes, refined.converged) == (one_grid.nodes, one_grid.converged) == (
+            128, False)
         assert refined.value == one_grid.value
 
     @pytest.mark.parametrize("poles", [(1.0, 0.0), (0.0, -1j), (0.6, 1.2), (math.nan, 0.0)])
@@ -349,15 +333,17 @@ class TestPhiQIntegralRepr:
             got = phi_qintegral_repr(d["n"], x, y, d["p"], d["q"])
             assert abs(got - want) <= 1e-12 * scale, (d, x, y)
 
-    def test_a_lattice_sum_beyond_max_terms_is_truncation(self):
+    def test_a_lattice_sum_beyond_max_terms_is_truncation(self, monkeypatch):
         # every product fits in 48 factors at q = 0.5, the n = 0 sums do not;
         # the sums stop at t_54, the first term after which the true tail is
         # within 2^-53 (next test), so 53 raises too
         p = ParamSet4(0.2, 0.1, 0.8, 0.9)
         for cap in (48, 53):
+            monkeypatch.setattr(qcore, "MAX_TERMS", cap)
             with pytest.raises(TruncationExceeded, match="tail bound"):
-                phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=cap))
-        phi_qintegral_repr(0, 1.0, 0.6, p, 0.5, TruncationPolicy(max_terms=54))
+                phi_qintegral_repr(0, 1.0, 0.6, p, 0.5)
+        monkeypatch.setattr(qcore, "MAX_TERMS", 54)
+        phi_qintegral_repr(0, 1.0, 0.6, p, 0.5)
 
     def test_no_2_53_stop_of_those_lattice_sums_comes_before_t_54(self):
         # each one-sided sum is K e^n 2phi1(u, v; w; q, q^{n+1}), u and v the

@@ -1,10 +1,10 @@
-"""The semantics of the nine immutable records: construction by position and
+"""The semantics of the seven immutable records: construction by position and
 by keyword with their defaults, equality, hash, repr, and no assignment."""
 
 import pytest
 
-from qortho import (DomainError, ParamSet4, PhiSpec, QBase, QuadratureSpec, ReducedParams,
-                    SweepSpec, TruncationPolicy, VerificationReport)
+from qortho import (DomainError, ParamSet4, PhiSpec, QBase, ReducedParams, SweepSpec,
+                    VerificationReport)
 from qortho.verify import REGISTRY, Identity, IdentityId
 
 
@@ -16,9 +16,6 @@ def _draw(rng, box, q, spec):
 # in order, the repr text).  Each pair of constructions builds equal records.
 CASES = {
     "QBase": (lambda: QBase(0.5), lambda: QBase(q=0.5), (0.5,), "QBase(q=0.5)"),
-    "TruncationPolicy": (
-        lambda: TruncationPolicy(10000), lambda: TruncationPolicy(max_terms=10000),
-        (10000,), "TruncationPolicy(max_terms=10000)"),
     "ParamSet4": (
         lambda: ParamSet4(0.2, 0.1, 0.8, 0.9),
         lambda: ParamSet4(delta=0.9, gamma=0.8, beta=0.1, alpha=0.2),
@@ -27,9 +24,6 @@ CASES = {
     "ReducedParams": (
         lambda: ReducedParams(0.3, 0.2j), lambda: ReducedParams(b=0.2j, a=0.3),
         (0.3 + 0j, 0.2j), "ReducedParams(a=(0.3+0j), b=0.2j)"),
-    "QuadratureSpec": (
-        lambda: QuadratureSpec(64, 8192, 1e-10), lambda: QuadratureSpec(),
-        (64, 8192, 1e-10), "QuadratureSpec(nodes=64, max_nodes=8192, rel_tol=1e-10)"),
     "PhiSpec": (
         lambda: PhiSpec((0.3,), [0.5], 0.5, 0.4),
         lambda: PhiSpec(z=0.4, q=QBase(0.5 + 0j), denominators=(0.5,), numerators=[0.3]),
@@ -58,10 +52,8 @@ CASES = {
 }
 FIELDS = {
     "QBase": ("q",),
-    "TruncationPolicy": ("max_terms",),
     "ParamSet4": ("alpha", "beta", "gamma", "delta"),
     "ReducedParams": ("a", "b"),
-    "QuadratureSpec": ("nodes", "max_nodes", "rel_tol"),
     "PhiSpec": ("numerators", "denominators", "q", "z", "terminates_at"),
     "VerificationReport": ("identity_id", "inputs", "lhs", "rhs", "abs_residual",
                            "rel_residual", "tolerance", "passed", "flags"),
@@ -114,7 +106,6 @@ def test_equality_needs_the_same_class(name):
 
 def test_records_differing_in_one_field_differ():
     assert QBase(0.5) != QBase(0.25)
-    assert TruncationPolicy(max_terms=9) != TruncationPolicy()
     assert ParamSet4(0.2, 0.1, 0.8, 0.9) != ParamSet4(0.2, 0.1, 0.8, 0.95)
     assert SweepSpec(1, 2) != SweepSpec(1, 2, n_max=5)
     assert REGISTRY[IdentityId.THM_1_1] != REGISTRY[IdentityId.THM_1_2]
@@ -142,9 +133,9 @@ def test_missing_or_extra_arguments_are_type_errors():
     with pytest.raises(TypeError):
         QBase()
     with pytest.raises(TypeError):
-        TruncationPolicy(1e-14, 10, 3)
+        ReducedParams(0.3, 0.2, 0.1)
     with pytest.raises(TypeError):
-        QuadratureSpec(bogus=1)
+        SweepSpec(1, 2, bogus=1)
 
 
 def test_validation_still_runs_in_the_constructor():
@@ -155,8 +146,14 @@ def test_validation_still_runs_in_the_constructor():
     with pytest.raises(DomainError):
         ReducedParams(0.3, 1.0)
     with pytest.raises(DomainError):
-        QuadratureSpec(nodes=62, max_nodes=60)
-    with pytest.raises(DomainError):
         SweepSpec(1, -1)
     with pytest.raises(DomainError):
         PhiSpec((0.3,), (), 0.5, 1.5)
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+def test_a_sweep_seed_is_a_nonnegative_integer(seed):
+    # None would draw from OS entropy, and numpy rejects -1 and 1.5 with its
+    # own ValueError and TypeError
+    with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+        SweepSpec(seed=seed, draws=1)

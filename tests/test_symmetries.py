@@ -1,5 +1,5 @@
-"""References with a known answer for the circle checks, at complex
-parameters: a classical closed form and an exact symmetry of THM_1_1.
+"""References with a known answer for the circle checks and the diagonal
+norms, at complex parameters: classical closed forms and exact symmetries.
 
 - At alpha = beta = 0 the weight is (c w, 1/(c w); q)_oo with c = gamma/delta
   and w = e^{2i theta}.  By the Jacobi triple product (Gasper & Rahman,
@@ -8,7 +8,15 @@ parameters: a classical closed form and an exact symmetry of THM_1_1.
   phases of gamma and delta are.
 - The rotation (alpha e^{i phi}, beta e^{-i phi}, gamma e^{i phi},
   delta e^{-i phi}) turns C_n(e^{i theta}) into C_n(e^{i(theta + phi)}) and
-  shifts the weight by phi, so no full-period integral changes.
+  shifts the weight by phi, so no full-period integral changes: neither
+  THM_1_1's nor THM_1_2's, whose extra symbols alpha t e^{i theta},
+  beta t e^{-i theta}, ... shift the same way.
+- Scaling all four parameters by lambda multiplies C_n by lambda^n and
+  leaves the weight alone, so THM_1_1's integral scales by lambda^{m+n}.
+- At (beta, beta, 1, 1) the weight is the Rogers weight, and 1/h_n is
+  Gasper & Rahman (7.4.15):
+  2 pi (beta, beta q; q)_oo (1 - beta) (beta^2; q)_n
+  / ((q, beta^2; q)_oo (1 - beta q^n) (q; q)_n).
 
 Each reference is computed here with its own plain loop, not with ``qfun``'s
 products."""
@@ -18,19 +26,21 @@ import math
 
 import numpy as np
 
-from qortho import ParamSet4, SweepSpec, check_thm_1_1
+from qortho import ParamSet4, SweepSpec, check_thm_1_1, check_thm_1_2, h_norm
 from qortho.qfun import diag_rhs_thm11
 from qortho.verify import IdentityId, draw_params
 
 DRAWS = 200
 
 
-def q_q_infinity(q: float) -> float:
-    """(q;q)_oo, by multiplying its factors until they are 1 in double."""
-    product, qk = 1.0, q
-    while abs(qk) > 1e-18:
-        product *= 1.0 - qk
-        qk *= q
+def poch(a, q, n=None):
+    """(a;q)_n, or with n None (a;q)_oo, by multiplying its factors until
+    they are 1 in double."""
+    product, w, k = 1.0, a, 0
+    while (k < n) if n is not None else abs(w) > 1e-18:
+        product *= 1.0 - w
+        w *= q
+        k += 1
     return product
 
 
@@ -42,7 +52,7 @@ def test_the_weight_at_alpha_beta_zero_integrates_to_the_jacobi_triple_product()
         delta = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-math.pi, math.pi))
         q = rng.uniform(0.0, 0.7)
         report = check_thm_1_1(ParamSet4(0, 0, gamma, delta), q, 0, 0)
-        reference = 4.0 * math.pi / q_q_infinity(q)
+        reference = 4.0 * math.pi / poch(q, q)
         assert report.passed and not report.flags, (gamma, delta, q)
         worst = max(worst, abs(report.lhs - reference) / reference)
     # 1.8e-15 measured
@@ -66,3 +76,53 @@ def test_a_rotation_of_the_parameters_leaves_thm_1_1_unchanged():
         worst = max(worst, abs(turned.lhs - report.lhs) / h)
     # 7.2e-14 measured; swapping the weight's two denominator symbols moves it to 156
     assert worst <= 1e-12
+
+
+def test_scaling_the_parameters_scales_thm_1_1_by_lambda_to_the_m_plus_n():
+    rng = np.random.default_rng(5)
+    spec = SweepSpec(seed=5, draws=100)
+    worst = 0.0
+    for _ in range(spec.draws):
+        draw = draw_params(IdentityId.THM_1_1, rng, spec)
+        p, q, m, n = draw["p"], draw["q"], draw["m"], draw["n"]
+        lam = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        scaled = ParamSet4(p.alpha * lam, p.beta * lam, p.gamma * lam, p.delta * lam)
+        report, grown = check_thm_1_1(p, q, m, n), check_thm_1_1(scaled, q, m, n)
+        assert grown.flags == report.flags, draw
+        h = max(abs(diag_rhs_thm11(m, p, q)), abs(diag_rhs_thm11(n, p, q)))
+        power = lam ** (m + n)
+        worst = max(worst, abs(grown.lhs - power * report.lhs) / (h * abs(power)))
+    # 1.6e-14 measured
+    assert worst <= 1e-12
+
+
+def test_a_rotation_of_the_parameters_leaves_thm_1_2_unchanged():
+    rng = np.random.default_rng(5)
+    spec = SweepSpec(seed=5, draws=100)
+    worst_lhs = worst_rhs = 0.0
+    for _ in range(spec.draws):
+        draw = draw_params(IdentityId.THM_1_2, rng, spec)
+        p, s, t, q = draw["p"], draw["s"], draw["t"], draw["q"]
+        turn = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        rotated = ParamSet4(p.alpha * turn, p.beta / turn, p.gamma * turn, p.delta / turn)
+        report, turned = check_thm_1_2(p, s, t, q), check_thm_1_2(rotated, s, t, q)
+        assert (turned.passed, turned.flags) == (report.passed, report.flags), draw
+        worst_lhs = max(worst_lhs, abs(turned.lhs - report.lhs) / abs(report.lhs))
+        worst_rhs = max(worst_rhs, abs(turned.rhs - report.rhs) / abs(report.rhs))
+    # 1.4e-15 and 6.3e-16 measured
+    assert worst_lhs <= 1e-13 and worst_rhs <= 1e-13
+
+
+def test_the_rogers_norm_is_gasper_rahman_7_4_15():
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(200):
+        beta = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(-math.pi, math.pi))
+        q = rng.uniform(0.0, 0.95)
+        n = int(rng.integers(0, 11))
+        reference = (2.0 * math.pi * poch(beta, q) * poch(beta * q, q) * (1.0 - beta)
+                     * poch(beta * beta, q, n)
+                     / (poch(q, q) * poch(beta * beta, q) * (1.0 - beta * q ** n) * poch(q, q, n)))
+        worst = max(worst, abs(1.0 / h_norm(n, beta, q) - reference) / abs(reference))
+    # 7.1e-15 measured
+    assert worst <= 1e-13

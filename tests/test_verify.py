@@ -7,13 +7,10 @@ import numpy as np
 import pytest
 
 from qortho import (
-    DEFAULT_QUADRATURE,
     DomainError,
     ParamSet4,
-    QuadratureSpec,
     ReducedParams,
     SweepSpec,
-    TruncationPolicy,
     VerificationReport,
     big_c_coeffs,
     check_prop_2_1_2,
@@ -387,13 +384,13 @@ class TestCircleIntegrand:
             seen["laurent"].append((n, len(thetas)))
             return laurent(coefs, n, thetas)
 
-        def spy_integral(f, interval, spec, *, poles):
+        def spy_integral(f, interval, *, poles):
             def counted(thetas):
                 seen["grid"].append(len(thetas))
                 return f(thetas)
 
             seen["poles"].append(poles)
-            result = periodic_integral(counted, interval, spec, poles=poles)
+            result = periodic_integral(counted, interval, poles=poles)
             seen["result"].append(result)
             return result
 
@@ -412,7 +409,7 @@ class TestCircleIntegrand:
         assert check(*args).passed
         grids = seen["grid"]
         # the first grid holds the first two quadrature levels
-        assert grids[0] == 2 * DEFAULT_QUADRATURE.nodes
+        assert grids[0] == 2 * quad.START_NODES
         # one quotient call per grid, numerator and denominator together,
         # on the first half of the grid
         assert [n for _, n in seen["poch"]] == [n // 2 for n in grids]
@@ -432,22 +429,21 @@ class TestCircleIntegrand:
         assert [n for _, n in seen["poch"]] == [64]
         assert seen["laurent"] == [(5, 128)]
 
-    def test_node_cap_below_twice_the_start_grid_is_kept(self, monkeypatch):
+    def test_a_check_that_no_8192_node_rule_settles_is_flagged(self, monkeypatch):
+        # |beta| = 0.9239, beyond the sweep box, and q = 0.8026: from 512
+        # nodes on, successive levels differ by 1.5e-8 to 1.5e-7 of the value,
+        # rounding that no finer grid removes, so none meets the stop
         seen = self.spy_grids(monkeypatch)
-        rep = check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, 3,
-                            QuadratureSpec(nodes=16, max_nodes=24))
-        # the 16-node start grid alone: a doubling would need 32 nodes
-        assert seen["grid"] == [16]
-        assert seen["result"][0].nodes == 16
-        assert rep.flags == ("NoConvergence",)
+        rep = check_ultra_ortho(-0.9239, 0.8026, 6, 6)
+        assert rep.flags == ("NoConvergence",) and not rep.passed
+        assert seen["result"][0].nodes == sum(seen["grid"]) == quad.MAX_NODES == 8192
+        assert not seen["result"][0].converged
 
     @pytest.mark.parametrize("check, args", [
         (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.999, 2, 2)),
         (check_thm_1_2, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.4, 0.5, 0.999)),
         (check_thm_1_3, (ReducedParams(0.5, 0.3), 0.9, 1.1, 0.999, 2, 2)),
         (check_ultra_ortho, (0.5, 0.999, 2, 2)),
-        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1, 1, QuadratureSpec(),
-                         TruncationPolicy(max_terms=10))),
     ])
     def test_depth_beyond_max_terms_is_flagged_before_quadrature(self, monkeypatch, check,
                                                                  args):
@@ -526,8 +522,8 @@ class TestCircleIntegrand:
         assert corrected.passed
         assert seen["result"][0].nodes == 128
 
-        def plain(f, interval, spec, *, poles):
-            seen["result"].append(periodic_integral(f, interval, spec))
+        def plain(f, interval, *, poles):
+            seen["result"].append(periodic_integral(f, interval))
             return seen["result"][-1]
 
         monkeypatch.setattr(quad, "periodic_integral", plain)
@@ -546,17 +542,21 @@ class TestCircleIntegrand:
     @pytest.mark.parametrize("identity", ["THM_1_1", "THM_1_3", "ULTRA_ORTHO"])
     def test_high_degrees_agree_with_a_fixed_2048_node_rule(self, monkeypatch, identity):
         # doubling from 64 nodes must not stop early on C_m C_n of degree up
-        # to 60: the default spec against 2048 nodes, no refinement
+        # to 60: the default rule against the 2048-node one, which the rule
+        # started at 1024 nodes and capped at 2048 ends on
         seen = self.spy_grids(monkeypatch)
         record = verify.REGISTRY[IdentityId(identity)]
         rng = np.random.default_rng(5)
         spec = SweepSpec(5, 6, m_max=30, n_max=30)
         draws = [verify.draw_params(record.id, rng, spec) for _ in range(6)]
-        fixed = QuadratureSpec(nodes=2048, max_nodes=2048)
         for args in draws + [draws[0] | {"m": 30, "n": 30}]:
             rep = record.checker(**args)
             scale = max(abs(rep.lhs), abs(rep.rhs), seen["result"][-1].fscale)
-            exact = record.checker(**args, qspec=fixed)
+            with monkeypatch.context() as fixed:
+                fixed.setattr(quad, "START_NODES", 1024)
+                fixed.setattr(quad, "MAX_NODES", 2048)
+                exact = record.checker(**args)
+            assert seen["result"][-1].nodes == 2048
             assert rep.passed, (args, rep.rel_residual)
             assert abs(rep.lhs - exact.lhs) <= 1e-12 * scale, args
 
