@@ -31,7 +31,7 @@ from qortho import (
     qpoch_infinite,
     run_sweep,
 )
-from qortho import kernels, qfun, quad, verify
+from qortho import kernels, qcore, qfun, quad, verify
 from qortho.qfun import thm_1_2_rhs_series, thm_1_3_rhs
 from qortho.quad import periodic_integral
 from qortho.verify import IdentityId
@@ -462,6 +462,39 @@ class TestCircleIntegrand:
         assert not rep.passed
         assert elapsed < 0.1
         assert caught == []
+
+    @pytest.mark.parametrize("check, args", [
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1, 1)),
+        (check_thm_1_2, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.4, 0.5, 0.5)),
+        (check_thm_1_3, (ReducedParams(0.5, 0.3), 0.9, 1.1, 0.5, 2, 2)),
+        (check_ultra_ortho, (0.5, 0.5, 2, 2)),
+    ])
+    def test_a_check_reads_max_terms_when_it_is_called(self, monkeypatch, check, args):
+        # each passes at the default cap; at q = 0.5 its widest product needs
+        # more than 10 head factors, so a cap of 10 set after import flags it
+        assert check(*args).passed
+
+        def no_quadrature(*_):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(qcore, "MAX_TERMS", 10)
+        monkeypatch.setattr(quad, "periodic_integral", no_quadrature)
+        rep = check(*args)
+        assert rep.flags == ("TruncationExceeded",)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("cap, grids", [(128, [128]), (256, [128, 128]),
+                                            (1024, [128, 128, 256, 512])])
+    def test_a_check_reads_the_node_cap_when_it_is_called(self, monkeypatch, cap, grids):
+        # a stop no level meets, so the rule refines up to the cap it reads
+        seen = self.spy_grids(monkeypatch)
+        monkeypatch.setattr(quad, "MAX_NODES", cap)
+        monkeypatch.setattr(quad, "REL_TOL", 1e-300)
+        rep = check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, 3)
+        assert rep.flags == ("NoConvergence",) and not rep.passed
+        assert seen["grid"] == grids
+        assert seen["result"][0].nodes == sum(grids) == cap
+        assert not seen["result"][0].converged
 
     def test_thm_1_2_extra_symbols_stay_on_the_whole_grid(self, monkeypatch):
         seen = self.spy_grids(monkeypatch)
