@@ -6,8 +6,9 @@ sum_k c_k e^{i(2k-n)theta} over all quadrature nodes, and evaluating infinite
 products prod_c (w_c; q)_oo with node-dependent arguments
 w_c = coef_c * e^{i s_c theta}, or a quotient of two such products.  A circle
 integrand is one Laurent sum (the C_n factors multiplied into one
-polynomial) times quotients of such products at a shared head depth K
-(:func:`product_quotient`), each quotient one call with ``split``.  The
+polynomial) times quotients of such products at a shared head depth K,
+each one :func:`poch_product_many` call, written once in its layout: the
+numerator coefficients, then as many denominator ones, ``split`` between.  The
 weight's symbols have s_c = +-2, so a circle check evaluates their quotient
 at only the first half of each quadrature grid (the second half repeats it);
 the Laurent sum and any s_c = +-1 symbols get the whole grid.  Both kernels
@@ -65,7 +66,7 @@ import sys
 
 import numpy as np
 
-from .qcore import ParamSet4, QBase, _head_rows, _poch_row, quotient_depth
+from .qcore import ParamSet4, QBase, _head_rows, _poch_row
 
 BACKEND = "numpy"
 
@@ -154,20 +155,6 @@ def laurent_eval(coefs, n, thetas):
     powers = angle_table(("laurent", thetas.shape, thetas.tobytes(), n, coefs.shape[0]),
                          lambda: _laurent_powers(thetas, n, coefs.shape[0]))
     return powers @ coefs
-
-
-def product_quotient(num, den, exps, q, kmax: int | None = None):
-    """The map theta -> prod_c (num_c e^{i exps_c theta}; q)_oo
-    / prod_c (den_c e^{i exps_c theta}; q)_oo over arrays of angles, one
-    :func:`poch_product_many` call per array.  One head depth K serves every
-    symbol: ``kmax``, by default the
-    :func:`~qortho.qcore.quotient_depth` of these symbols."""
-    qb = QBase.coerce(q)
-    if kmax is None:
-        kmax = quotient_depth((*num, *den), qb)
-    coefs = np.array((*num, *den), dtype=np.complex128)
-    all_exps = np.array((*exps, *exps), dtype=np.float64)
-    return lambda thetas: poch_product_many(coefs, all_exps, qb.q, kmax, thetas, len(num))
 
 
 def big_c_at_one(count: int, p: ParamSet4, q) -> np.ndarray:

@@ -204,8 +204,12 @@ def _poch_row(a: complex, q: complex, n: int) -> list[complex]:
 
 
 def qpoch_finite(a, q, n: int) -> complex:
-    """Finite product (a;q)_n. Total for any complex a and n >= 0."""
-    return _poch_row(a, QBase.coerce(q).q, as_degree("n", n))[-1]
+    """Finite product (a;q)_n. Total for any complex a and n >= 0: the last
+    entry of :func:`_poch_row` by the same multiplications, in O(1) memory."""
+    q, n, w, prod = QBase.coerce(q).q, as_degree("n", n), complex(a), 1.0 + 0.0j
+    for _ in range(n):
+        prod, w = prod * (1.0 - w), w * q
+    return prod
 
 
 def closing_factors(q) -> tuple[complex, complex]:

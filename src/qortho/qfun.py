@@ -28,9 +28,9 @@ The weight against which the family is orthogonal over a full period is
                    / ((alpha/delta) e^{2i theta}, (beta/gamma) e^{-2i theta}; q)_oo.
 
 Every circle integrand is a product of C_n's times quotients of infinite
-products (:func:`~qortho.kernels.product_quotient`): one of any extra
-symbols and one of the :func:`weight_symbols`, at one shared head depth.  The
-single-parameter cosine family sum_k w_k cos((n-2k) theta),
+products, each one :func:`~qortho.kernels.poch_product_many` call: one of
+any extra symbols and one of the :func:`weight_symbols`, at one shared head
+depth.  The single-parameter cosine family sum_k w_k cos((n-2k) theta),
 w = :func:`expansion_weights` at (beta, beta), is C_n at (beta, beta, 1, 1).
 One value of any of them is :func:`laurent_at` of its coefficients.
 
@@ -69,6 +69,7 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     min_factor_abs,
     qpoch_finite,
     qpoch_infinite,
+    quotient_depth,
     screen_denominator,
 )
 
@@ -101,10 +102,11 @@ def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
 
 
 def weight_symbols(p: ParamSet4):
-    """(numerator coefficients, denominator coefficients, exponents) of the
-    weight quotient, in the form :func:`~qortho.kernels.product_quotient`
-    takes."""
-    return (p.gamma / p.delta, p.delta / p.gamma), (p.alpha / p.delta, p.beta / p.gamma), (2, -2)
+    """(coefficients, exponents) of the weight quotient in the layout of
+    :func:`~qortho.kernels.poch_product_many` with split 2: numerators
+    gamma/delta, delta/gamma, then denominators alpha/delta, beta/gamma."""
+    coefs = p.gamma / p.delta, p.delta / p.gamma, p.alpha / p.delta, p.beta / p.gamma
+    return coefs, (2, -2, 2, -2)
 
 
 def weight_min_denominator(p: ParamSet4, q) -> float:
@@ -112,10 +114,7 @@ def weight_min_denominator(p: ParamSet4, q) -> float:
     for the two denominator symbols.  The exact minimum over theta of
     |1 - c e^{2i theta}| is |1 - |c||, so only moduli enter."""
     qmag = abs(QBase.coerce(q).q)
-    return min(
-        min_factor_abs(abs(w), qmag, PRODUCT_TOL)[0]
-        for w in (p.alpha / p.delta, p.beta / p.gamma)
-    )
+    return min(min_factor_abs(abs(w), qmag, PRODUCT_TOL)[0] for w in weight_symbols(p)[0][2:])
 
 
 def weight_omega_many(thetas, p: ParamSet4, q):
@@ -126,9 +125,11 @@ def weight_omega_many(thetas, p: ParamSet4, q):
     that check is sharper than any node scan."""
     from . import kernels
 
-    if weight_min_denominator(p, q) < NEAR_SINGULAR_TOL:
+    qb = QBase.coerce(q)
+    if weight_min_denominator(p, qb) < NEAR_SINGULAR_TOL:
         raise NearSingular("weight denominator can vanish on the circle")
-    return kernels.product_quotient(*weight_symbols(p), q)(thetas)
+    coefs, exps = weight_symbols(p)
+    return kernels.poch_product_many(coefs, exps, qb.q, quotient_depth(coefs, qb), thetas, 2)
 
 
 def h_norm(n: int, a, q) -> complex:
@@ -201,8 +202,10 @@ def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q) -> complex:
 def thm_1_3_rhs(r: ReducedParams, gamma, delta, q, m: int, n: int) -> complex:
     """THM_1_3's closed form for m >= n, m = n (mod 2): (gamma delta)^n times
     the degree-n connection coefficient of degree m (:func:`connection_coeffs`)
-    over :func:`h_norm` h_n(a|q); zero for opposite parities."""
-    if (m - n) % 2 != 0:
+    over :func:`h_norm` h_n(a|q).  Zero for opposite parities, and for m < n:
+    the b-family's degree m expands in a-family degrees <= m (PROP_3_1), each
+    orthogonal to degree n."""
+    if (m - n) % 2 != 0 or m < n:
         return 0.0 + 0.0j
     gd = complex(gamma) * complex(delta)
     return int_power(gd, n) * connection_coeffs(m, r, gd, q)[n] / h_norm(n, r.a, q)

@@ -6,8 +6,9 @@ code paths, then assembles an immutable :class:`VerificationReport`.  Numeric
 trouble (near-singular denominators, truncation caps, divergent series, slow
 quadrature) is surfaced as report flags, never as exceptions escaping a
 checker.  The four circle checkers hand their integrand to one path as data:
-C_n factors and extra product symbols; the weight is screened, the
-truncation depth chosen and the C_n factors multiplied into one Laurent
+the coefficients of C_m and C_n, or THM_1_2's extra product symbols in the
+layout of :func:`~qortho.kernels.poch_product_many`; the weight is screened,
+the truncation depth chosen and C_m C_n multiplied into one Laurent
 polynomial once per check.  The weight depends on theta only through
 e^{2i theta}, so it is evaluated on the first half of each quadrature grid
 and repeated on the second, whose angles are the first's plus pi; the C_n
@@ -233,16 +234,18 @@ def _check(identity_id, inputs, tolerance, lhs, rhs) -> VerificationReport:
 
 def _circle_check(
     identity_id, inputs, tolerance, weight: ParamSet4, qb: QBase, interval,
-    laurent: Sequence[tuple[Sequence[complex], int]], rhs: Callable[[], complex],
-    symbols: tuple[tuple, tuple, tuple] = ((), (), ()),
+    c_m_n: tuple[Sequence[complex], Sequence[complex]] | None, rhs: Callable[[], complex],
+    extra: Sequence[complex] | None = None,
 ) -> VerificationReport:
     """The path every circle identity shares: screen the weight of ``weight``
-    once, integrate over ``interval`` C_m C_n, from the (coefficients, degree)
-    pairs ``laurent`` holds (none for THM_1_2), times the product quotient of the
-    (numerators, denominators, exponents) ``symbols`` and the weight's, both
-    at the depth of all their coefficients; flag a finite integral that the
-    rule leaves unsettled at :data:`~qortho.quad.MAX_NODES` (an overflow fails
-    the report unflagged), then evaluate ``rhs()``.  A weight pole on the circle or a depth beyond
+    once, integrate over ``interval`` C_m C_n, from the coefficient lists
+    ``c_m_n`` (None for THM_1_2), times the product quotient of the weight's
+    :func:`~qortho.qfun.weight_symbols` and of the ``extra`` table (THM_1_2's
+    alpha t, beta t, alpha s, beta s over gamma t, delta t, gamma s, delta s,
+    on e^{+-i theta}), both at the depth of all their coefficients; flag a
+    finite integral that the rule leaves unsettled at
+    :data:`~qortho.quad.MAX_NODES` (an overflow fails the report unflagged),
+    then evaluate ``rhs()``.  A weight pole on the circle or a depth beyond
     :data:`~qortho.qcore.MAX_TERMS` is flagged before any quadrature runs.
     The C_n sums are multiplied once per check into one Laurent polynomial (the
     convolution of their coefficients, degree the sum of theirs), so each
@@ -258,33 +261,33 @@ def _circle_check(
     import numpy as np
     from . import kernels, qfun, quad
 
-    own = qfun.weight_symbols(weight)
+    coefs, exps = qfun.weight_symbols(weight)
     flags: list[str] = []
     if qfun.weight_min_denominator(weight, qb) < NEAR_SINGULAR_TOL:
         flags.append("NearSingular")
     else:
-        kmax = _evaluate(lambda: quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]),
-                                                qb), flags)
+        kmax = _evaluate(lambda: quotient_depth((*(extra or ()), *coefs), qb), flags)
     if flags:
         return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance, flags=flags)
-    weight_quotient = kernels.product_quotient(*own, qb, kmax)
-    quotient = kernels.product_quotient(*symbols, qb, kmax) if symbols[0] else None
-    if laurent:
-        (c_m, m), (c_n, n) = laurent
-        coefs, degree = np.convolve(c_m, c_n), m + n
+    own = np.array(coefs, dtype=np.complex128), np.array(exps, dtype=np.float64)
+    if extra is not None:
+        extra_arrays = (np.array(extra, dtype=np.complex128),
+                        np.array((1, -1) * 4, dtype=np.float64))
+    if c_m_n is not None:
+        laurent = np.convolve(*c_m_n), len(c_m_n[0]) + len(c_m_n[1]) - 2
 
     def integrand(thetas):
-        half = weight_quotient(thetas[: thetas.shape[0] // 2])
+        half = kernels.poch_product_many(*own, qb.q, kmax, thetas[: thetas.shape[0] // 2], 2)
         values = np.concatenate((half, half))
-        if laurent:
-            values *= kernels.laurent_eval(coefs, degree, thetas)
-        if quotient is not None:
-            values *= quotient(thetas)
+        if c_m_n is not None:
+            values *= kernels.laurent_eval(*laurent, thetas)
+        if extra is not None:
+            values *= kernels.poch_product_many(*extra_arrays, qb.q, kmax, thetas, 4)
         return values
 
     # the k = 0 factors of the weight's denominator hold the poles nearest the circle
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        result = quad.periodic_integral(integrand, interval, poles=own[1])
+        result = quad.periodic_integral(integrand, interval, poles=coefs[2:])
     if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
@@ -323,7 +326,7 @@ def check_thm_1_1(
     return _circle_check(
         IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
         p, qb, FULL_PERIOD,
-        [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
+        (big_c_coeffs(m, p, qb), big_c_coeffs(n, p, qb)),
         lambda: qfun.diag_rhs_thm11(n, p, qb) if m == n else 0.0 + 0.0j,
     )
 
@@ -362,9 +365,9 @@ def check_thm_1_2(
     return _circle_check(
         IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
         p, qb, FULL_PERIOD,
-        [], lambda: qfun.thm_1_2_rhs_series(p, s, t, qb),
-        ((p.alpha * t, p.beta * t, p.alpha * s, p.beta * s),
-         (p.gamma * t, p.delta * t, p.gamma * s, p.delta * s), (1, -1, 1, -1)),
+        None, lambda: qfun.thm_1_2_rhs_series(p, s, t, qb),
+        (p.alpha * t, p.beta * t, p.alpha * s, p.beta * s,
+         p.gamma * t, p.delta * t, p.gamma * s, p.delta * s),
     )
 
 
@@ -383,8 +386,9 @@ def check_thm_1_3(
     tolerance: float | None = None,
 ) -> VerificationReport:
     """Half-period bi-orthogonality: degree m of the b-family against degree n
-    of the a-family under the a-family weight.  Zero when m and n have
-    opposite parity; otherwise the closed form requires m >= n, and a != 0."""
+    of the a-family under the a-family weight, against
+    :func:`~qortho.qfun.thm_1_3_rhs`: zero when m and n have opposite parity
+    or m < n, the closed form otherwise.  The closed form needs a != 0."""
     from . import qfun
 
     qb = QBase.coerce(q)
@@ -392,15 +396,13 @@ def check_thm_1_3(
     delta = finite_complex("delta", delta)
     if r.a == 0:
         raise DomainError("the closed form divides by a; a must be nonzero")
-    if (m - n) % 2 == 0 and m < n:
-        raise DomainError("the closed form's product indices (m-n)/2 require m >= n")
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)  # gamma, delta != 0
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
     _require(_thm_1_3_moduli(r.a, gamma, delta))
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}
     return _circle_check(
         IdentityId.THM_1_3, inputs, tolerance, p_a, qb, HALF_PERIOD,
-        [(big_c_coeffs(m, p_b, qb), m), (big_c_coeffs(n, p_a, qb), n)],
+        (big_c_coeffs(m, p_b, qb), big_c_coeffs(n, p_a, qb)),
         lambda: qfun.thm_1_3_rhs(r, gamma, delta, qb, m, n),
     )
 
@@ -461,7 +463,7 @@ def check_ultra_ortho(
     return _circle_check(
         IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,
         p, qb, HALF_PERIOD,
-        [(big_c_coeffs(m, p, qb), m), (big_c_coeffs(n, p, qb), n)],
+        (big_c_coeffs(m, p, qb), big_c_coeffs(n, p, qb)),
         lambda: 1.0 / qfun.h_norm(n, beta, qb) if m == n else 0.0 + 0.0j,
     )
 
@@ -694,6 +696,8 @@ def _draw_thm_1_3(rng, box, q, spec) -> dict | None:
     gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
     if _admits(_thm_1_3_moduli(a, gamma, delta)):
         m, n = _degrees(rng, spec).values()
+        # same-parity m < n draws check the closed form's zero too, but the
+        # swap keeps every seeded sweep's draws as they were
         if (m - n) % 2 == 0 and m < n:
             m, n = n, m
         return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta, "q": q, "m": m, "n": n}

@@ -14,6 +14,7 @@ from operator import mul
 import mpmath
 import numpy as np
 
+from qortho.hyper import PhiSpec, phi_series
 from qortho.qcore import QBase, qpoch_finite, qpoch_infinite
 
 
@@ -99,6 +100,41 @@ def weight_oracle(theta, p, q):
     num = qpoch_infinite(p.gamma / p.delta * e2, q) * qpoch_infinite(p.delta / p.gamma / e2, q)
     den = qpoch_infinite(p.alpha / p.delta * e2, q) * qpoch_infinite(p.beta / p.gamma / e2, q)
     return num / den
+
+
+def weight_moment(J, p, q):
+    """The w^J coefficient mu_J of the weight, w = e^{2i theta}: with
+    a = alpha/delta, b = beta/gamma, c = gamma/delta and d = delta/gamma the
+    weight is (c w, d/w; q)_oo / (a w, b/w; q)_oo, and the q-binomial theorem
+    (Gasper & Rahman, section 1.3) on each of its two quotients gives, for
+    J >= 0,
+
+        mu_J = (c/a; q)_J a^J / (q; q)_J 2phi1(c q^J/a, d/b; q^{J+1}; q, ab),
+
+    one :func:`~qortho.hyper.phi_series` call; J < 0 swaps (a, c) with
+    (b, d).  No quadrature, and no product kernel."""
+    a, b = p.alpha / p.delta, p.beta / p.gamma
+    c, d = p.gamma / p.delta, p.delta / p.gamma
+    if J < 0:
+        a, b, c, d, J = b, a, d, c, -J
+    qb = QBase.coerce(q)
+    head = qpoch_finite(c / a, qb, J) * a ** J / qpoch_finite(qb.q, qb, J)
+    spec = PhiSpec((c * qb.q ** J / a, d / b), (qb.q ** (J + 1),), qb, a * b)
+    return head * phi_series(spec, growth_test=False)
+
+
+def circle_lhs_from_moments(c_m, c_n, p, q):
+    """The full-period integral of C_m C_n against the weight of ``p``, from
+    the coefficient lists ``c_m`` and ``c_n``: the Laurent sum
+    sum_k c_k e^{i(2k-D)theta} of their product, D = m + n, meets the
+    weight's harmonic mu_J w^J only at J = D/2 - k, so the integral is
+    2 pi sum_k c_k mu_{D/2-k}, and exactly 0 at odd D."""
+    coefs = np.convolve(c_m, c_n)
+    degree = len(coefs) - 1
+    if degree % 2:
+        return 0.0 + 0.0j
+    return 2 * math.pi * sum(c * weight_moment(degree // 2 - k, p, q)
+                             for k, c in enumerate(coefs))
 
 
 def mp_qpoch(a, q):

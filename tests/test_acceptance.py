@@ -119,7 +119,7 @@ def test_criterion_04_half_period_biorthogonality():
                     worst_parity = max(worst_parity, rep.rel_residual)
                     if not rep.passed:
                         report_line(4, False, f"parity m={m} n={n} inputs={rep.inputs}")
-                elif m >= n:
+                else:  # the closed form at m >= n, its zero at m < n
                     rep = check_thm_1_3(r, gamma, delta, q, m, n, tolerance=1e-8)
                     worst_closed = max(worst_closed, rep.rel_residual)
                     if not rep.passed:

@@ -57,7 +57,7 @@ def test_moved_quadrature_types_keep_their_quad_path(name):
 def test_a_check_calls_the_functions_of_the_modules_that_define_them(monkeypatch):
     # a function patched where it is defined is the one a check calls
     called = []
-    for module, name in ((qfun, "diag_rhs_thm11"), (kernels, "product_quotient"),
+    for module, name in ((qfun, "diag_rhs_thm11"), (kernels, "poch_product_many"),
                          (quad, "periodic_integral")):
         def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
             called.append(_name)
@@ -65,4 +65,4 @@ def test_a_check_calls_the_functions_of_the_modules_that_define_them(monkeypatch
 
         monkeypatch.setattr(module, name, spy)
     assert verify.check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1, 1).passed
-    assert set(called) == {"diag_rhs_thm11", "product_quotient", "periodic_integral"}
+    assert set(called) == {"diag_rhs_thm11", "poch_product_many", "periodic_integral"}

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -18,7 +19,7 @@ from qortho import (
     qpoch_infinite,
 )
 from qortho.kernels import poch_product_many
-from qortho.qcore import PRODUCT_TOL, closing_factors, min_factor_abs, tail_start
+from qortho.qcore import PRODUCT_TOL, _poch_row, closing_factors, min_factor_abs, tail_start
 from qortho.qfun import expansion_weights
 
 # frozen reference: partial products of (0.5; 0.5)_oo until the tail bound
@@ -126,6 +127,28 @@ class TestQpochFinite:
         lhs = qpoch_finite(a, q, n + 1)
         rhs = qpoch_finite(a, q, n) * (1.0 - a * q ** n)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-300)
+
+    def test_the_running_product_is_the_last_entry_of_the_row(self):
+        # the same multiplications as the whole row, so the same bits; q = 0
+        # and a = q^-k (an exact zero factor) included
+        rng = random.Random(20261020)
+        cases = [(0.4 + 0.3j, 0.0, 7), (2.0, 0.5, 9), (8.0, 0.5, 3), (2.0, 0.5, 1)]
+        for _ in range(3000):
+            a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            q = cmath.rect(rng.uniform(0, 0.99), rng.uniform(-math.pi, math.pi))
+            cases.append((a, q, rng.randint(0, 300)))
+        for a, q, n in cases:
+            assert repr(qpoch_finite(a, q, n)) == repr(_poch_row(a, complex(q), n)[-1])
+
+    def test_memory_does_not_grow_with_n(self):
+        # the whole row of 10^6 entries took 38.6 MB
+        tracemalloc.start()
+        try:
+            qpoch_finite(0.3 + 0.1j, 0.999, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestQpochInfinite:

@@ -23,8 +23,8 @@ from qortho import (
     qpoch_infinite,
     weight_omega_many,
 )
-from qortho.kernels import big_c_at_one, laurent_eval, product_quotient
-from qortho.qcore import tail_start
+from qortho.kernels import big_c_at_one, laurent_eval, poch_product_many
+from qortho.qcore import quotient_depth, tail_start
 from qortho.qfun import diagonal_prefactor, expansion_weights, thm_1_2_rhs_series, weight_symbols
 from qortho.verify import IdentityId, draw_params
 
@@ -227,22 +227,25 @@ class TestWeight:
         rhs = weight_at(theta, swapped, 0.5)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
-    def test_product_quotient_of_the_weight_symbols_is_the_weight(self, box_params):
+    def test_the_kernel_on_the_weight_symbols_is_the_weight(self, box_params):
         thetas = np.linspace(0, 2 * math.pi, 7)
-        vals = product_quotient(*weight_symbols(box_params), 0.5)(thetas)
+        coefs, exps = weight_symbols(box_params)
+        vals = poch_product_many(coefs, exps, 0.5, quotient_depth(coefs, 0.5), thetas, 2)
         for theta, val in zip(thetas, vals):
             assert val == pytest.approx(weight_oracle(theta, box_params, 0.5), rel=1e-13)
 
-    def test_product_quotient_with_extra_symbols(self, box_params):
-        # (c e^{i theta}; q)_oo / (d e^{i theta}; q)_oo ahead of the weight symbols
+    def test_the_kernel_with_extra_symbols(self, box_params):
+        # (c e^{i theta}; q)_oo / (d e^{i theta}; q)_oo beside the weight symbols
         c, d, q = 0.7, 0.4 + 0.2j, 0.5
-        num, den, exps = weight_symbols(box_params)
-        quotient = product_quotient((c, *num), (d, *den), (1, *exps), q)
+        coefs, exps = weight_symbols(box_params)
+        both = (c, *coefs[:2], d, *coefs[2:])
+        both_exps = (1, *exps[:2], 1, *exps[2:])
         for theta in (0.0, 1.1, 4.0):
             z = complex(math.cos(theta), math.sin(theta))
             expected = (weight_oracle(theta, box_params, q) * qpoch_infinite(c * z, q)
                         / qpoch_infinite(d * z, q))
-            assert quotient(np.array([theta]))[0] == pytest.approx(expected, rel=1e-13)
+            got = poch_product_many(both, both_exps, q, quotient_depth(both, q), [theta], 3)
+            assert got[0] == pytest.approx(expected, rel=1e-13)
 
     def test_near_singular_weight_detected(self):
         # alpha/delta = 1: the denominator symbol vanishes at theta = 0

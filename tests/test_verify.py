@@ -209,9 +209,11 @@ class TestThm13:
         with pytest.raises(DomainError, match="a must be nonzero"):
             check_thm_1_3(ReducedParams(0.0, 0.3), 1.0, 1.0, 0.5, 2, 0)
 
-    def test_m_below_n_same_parity_rejected(self):
-        with pytest.raises(DomainError):
-            check_thm_1_3(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 0, 2)
+    def test_m_below_n_same_parity_checks_the_zero(self):
+        # the b-family's degree 0 expands in a-family degrees <= 0, each
+        # orthogonal to degree 2, so the closed side is exactly 0
+        rep = check_thm_1_3(ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 0, 2)
+        assert rep.passed and rep.rhs == 0
 
     def test_weight_regularity_guard(self):
         # |a gamma/delta| >= 1 is outside the weight's regular domain
@@ -571,6 +573,42 @@ class TestCircleIntegrand:
         for _ in range(3):
             assert record.checker(**verify.draw_params(record.id, rng, SweepSpec(0, 3))).passed
         assert [(r.converged, r.nodes <= 256) for r in seen["result"]] == [(True, True)] * 3
+
+    def test_the_kernel_gets_the_arrays_of_the_triple_packing_bit_for_bit(self, monkeypatch):
+        # the symbols were once (numerators, denominators, exponents) triples,
+        # packed into one call as below; the one layout must hand the kernel
+        # the same arrays, head depth and split
+        def packed(num, den, exps):
+            return (np.array((*num, *den), dtype=np.complex128),
+                    np.array((*exps, *exps), dtype=np.float64), len(num))
+
+        calls = []
+        poch = kernels.poch_product_many
+
+        def spy(coefs, exps, q, kmax, thetas, split=None):
+            calls.append((coefs, exps, q, kmax, split))
+            return poch(coefs, exps, q, kmax, thetas, split)
+
+        monkeypatch.setattr(kernels, "poch_product_many", spy)
+        record = verify.REGISTRY[IdentityId.THM_1_2]
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            args = verify.draw_params(record.id, rng, SweepSpec(33, 200))
+            p, s, t, q = args["p"], args["s"], args["t"], qcore.QBase.coerce(args["q"])
+            own = (p.gamma / p.delta, p.delta / p.gamma), (p.alpha / p.delta, p.beta / p.gamma)
+            symbols = ((p.alpha * t, p.beta * t, p.alpha * s, p.beta * s),
+                       (p.gamma * t, p.delta * t, p.gamma * s, p.delta * s))
+            weight, extra = packed(*own, (2, -2)), packed(*symbols, (1, -1, 1, -1))
+            kmax = qcore.quotient_depth((*symbols[0], *symbols[1], *own[0], *own[1]), q)
+            calls.clear()
+            record.checker(**args)
+            assert {split for *_, split in calls} == {2, 4}
+            for coefs, exps, q_arg, kmax_arg, split in calls:
+                want = weight if split == 2 else extra
+                assert (coefs.dtype, exps.dtype) == (want[0].dtype, want[1].dtype)
+                assert coefs.tobytes() == want[0].tobytes()
+                assert exps.tobytes() == want[1].tobytes()
+                assert (q_arg, kmax_arg, split) == (q.q, kmax, want[2])
 
     @pytest.mark.parametrize("identity", ["THM_1_1", "THM_1_3", "ULTRA_ORTHO"])
     def test_high_degrees_agree_with_a_fixed_2048_node_rule(self, monkeypatch, identity):
