@@ -11,10 +11,11 @@ Exit codes: 0 = pass, 1 = a check verified false, 2 = invalid input
 (hypothesis violation, malformed arguments, a flag the command does not
 read, or an ``--out`` path that cannot be written).  ``verify`` takes the
 flags of the chosen identity's parameters, the positional parameters of its
-checker other than ``tolerance``; no command takes a quadrature or truncation
-flag, since every check runs at one numerical setting.  :data:`_SPELLING` says
-how each parameter name is spelled as flags; complex parameters are entered
-as two flags (--alpha-re / --alpha-im, imaginary part defaulting to 0).
+checker; no command takes a quadrature, truncation or tolerance flag, since
+every check runs at one numerical setting and is judged at its identity's
+registry tolerance.  :data:`_SPELLING` says how each parameter name is
+spelled as flags; complex parameters are entered as two flags (--alpha-re /
+--alpha-im, imaginary part defaulting to 0).
 Reports serialize to JSON or RFC-4180 CSV with complex values split into
 _re/_im fields.
 """
@@ -62,7 +63,7 @@ _SPELLING = {
 }
 
 # Positional parameters that are not spelled as flags.
-_UNSPELLED = {"qfun", "tolerance"}
+_UNSPELLED = {"qfun"}
 
 # eval functions f(qfun, parameters...), handed the function family,
 # which only they need; of them only "weight" loads numpy, to evaluate a
@@ -89,7 +90,6 @@ _TABLE = {
 
 _HELP = {
     "q": "base q (real, |q| < 1)",
-    "tol": "tolerance override",
     "n_max": "degree cap",
 }
 
@@ -107,13 +107,13 @@ def _dests(name: str) -> dict[str, type]:
     return {f"{part}_{half}": float for part in parts for half in ("re", "im")}
 
 
-def _add_flags(parser: argparse.ArgumentParser, names, extra: dict[str, type]) -> None:
-    """Add each flag of the parameters ``names`` and of ``extra`` once;
-    every one defaults to None, meaning unset."""
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    """Add each flag of the parameters ``names`` once; every one defaults to
+    None, meaning unset."""
     dests: dict[str, type] = {}
     for name in names:
         dests |= _dests(name)
-    for dest, type_ in (dests | extra).items():
+    for dest, type_ in dests.items():
         parser.add_argument(_flag(dest), type=type_, help=_HELP.get(dest))
 
 
@@ -138,9 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         "function",
         choices=("big_c", "phi", "ultra", "weight", "h", "qpoch", "phi_series"),
     )
-    _add_flags(
-        p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)), "a", "z"), {}
-    )
+    _add_flags(p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)),
+                        "a", "z"))
     p_eval.add_argument("--inf", action="store_true", default=None,
                         help="qpoch: infinite product")
     p_eval.add_argument("--num", action="append",
@@ -151,10 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one identity check", allow_abbrev=False)
     p_verify.add_argument("--identity", required=True, choices=identities)
-    _add_flags(
-        p_verify, [name for record in REGISTRY.values() for name in _spelled(record.checker)],
-        {"tol": float},
-    )
+    _add_flags(p_verify,
+               [name for record in REGISTRY.values() for name in _spelled(record.checker)])
     _add_output_flags(p_verify, formats=True)
 
     p_sweep = sub.add_parser("sweep", help="run a seeded randomized sweep", allow_abbrev=False)
@@ -163,12 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--m-max", type=int, default=6)
     p_sweep.add_argument("--n-max", type=int, default=6)
-    _add_flags(p_sweep, (), {"tol": float})
     _add_output_flags(p_sweep, formats=True)
 
     p_table = sub.add_parser("table", help="tabulate coefficients as CSV", allow_abbrev=False)
     p_table.add_argument("what", choices=tuple(_TABLE))
-    _add_flags(p_table, ("q", "m", "p", "r", "n_max"), {})
+    _add_flags(p_table, ("q", "m", "p", "r", "n_max"))
     _add_output_flags(p_table, formats=False)
 
     return parser
@@ -228,7 +224,7 @@ def _kwargs(func, args) -> tuple[dict, set[str]]:
 def _reject_unread(args, read: set[str], what: str) -> None:
     """:class:`DomainError` naming every set flag (one not None) whose
     destination is not in ``read`` and does not choose or format the work."""
-    read = read | {"command", "identity", "function", "what", "format", "out", "tol"}
+    read = read | {"command", "identity", "function", "what", "format", "out"}
     unread = [_flag(dest) for dest, value in vars(args).items()
               if value is not None and dest not in read]
     if unread:
@@ -342,7 +338,7 @@ def _cmd_verify(args) -> int:
     checker = record.checker
     kwargs, read = _kwargs(checker, args)
     _reject_unread(args, read, record.id.value)
-    report = checker(**kwargs, tolerance=args.tol)
+    report = checker(**kwargs)
     if args.format == "csv":
         _emit(_reports_csv([report]), args.out)
     else:
@@ -360,7 +356,7 @@ def _cmd_sweep(args) -> int:
 
     identity = IdentityId(args.identity)
     spec = SweepSpec(seed=args.seed, draws=args.draws, m_max=args.m_max, n_max=args.n_max)
-    reports = run_sweep(identity, spec, tolerance=args.tol)
+    reports = run_sweep(identity, spec)
     all_passed = all(r.passed for r in reports)
     if args.format == "csv":
         _emit(_reports_csv(reports), args.out)

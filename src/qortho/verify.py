@@ -14,13 +14,14 @@ e^{2i theta}, so it is evaluated on the first half of each quadrature grid
 and repeated on the second, whose angles are the first's plus pi; the C_n
 product and extra symbols are evaluated on the whole grid.
 
-:data:`REGISTRY` describes each identity once: its default tolerance, sweep
-box and drawer; :func:`draw_params` and :func:`run_sweep` read it.  The
-identity's parameters are those of its checker ``check_<identity>``: its
-positional parameters other than ``tolerance``, from which ``qortho verify``
-builds its flags.  No checker takes a tuning argument: every check runs at
-the one numerical setting, the constants of :mod:`~qortho.qcore` and
-:mod:`~qortho.quad`.  :class:`IdentityId` says in one line what each
+:data:`REGISTRY` describes each identity once: its tolerance, sweep box and
+drawer; :meth:`VerificationReport.build`, :func:`draw_params` and
+:func:`run_sweep` read it when they are called.  The identity's parameters
+are the positional parameters of its checker ``check_<identity>``, from which
+``qortho verify`` builds its flags.  No checker takes a tuning argument or a
+tolerance: every check runs at the one numerical setting, the constants of
+:mod:`~qortho.qcore` and :mod:`~qortho.quad`, and is judged at its
+identity's tolerance.  :class:`IdentityId` says in one line what each
 identity checks.
 
 Importing this module loads no numpy, and neither do the checks off the
@@ -84,10 +85,11 @@ _NUMERIC_ERRORS = (NearSingular, TruncationExceeded, DivergentSeries)
 class VerificationReport(Record):
     """One identity check: inputs, both sides, residuals, verdict.
 
-    ``passed`` is true iff the flags are empty and the residual criterion
-    holds: relative residual <= tolerance when |rhs| > tolerance, else
-    absolute residual <= tolerance * scale (so expected-zero sides are judged
-    against the problem's magnitude, not against zero)."""
+    ``tolerance`` is the identity's :data:`REGISTRY` tolerance, and ``passed``
+    is true iff the flags are empty and rel_residual <= tolerance, where
+    rel_residual = abs_residual / scale and scale is the largest of |lhs|,
+    |rhs| and the problem's magnitude (so an expected-zero side is judged
+    against the problem, not against zero)."""
 
     _fields = ("identity_id", "inputs", "lhs", "rhs", "abs_residual", "rel_residual",
                "tolerance", "passed", "flags")
@@ -106,23 +108,15 @@ class VerificationReport(Record):
         inputs: Mapping[str, object],
         lhs: complex,
         rhs: complex,
-        tolerance: float | None,
         scale: float = 0.0,
         flags: Sequence[str] = (),
     ) -> "VerificationReport":
-        """``tolerance=None`` takes the identity's default from the registry;
-        any other must be positive and finite (:class:`DomainError`)."""
+        """The report of ``lhs`` against ``rhs`` at the identity's tolerance,
+        read from :data:`REGISTRY` on each call; ``scale`` is the problem's
+        magnitude, ``flags`` names of :data:`_FLAG_ORDER`."""
         identity_id = IdentityId(identity_id)
-        if tolerance is None:
-            tolerance = REGISTRY[identity_id].tolerance
-        elif not 0.0 < tolerance < math.inf:
-            raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
-        flags = tuple(
-            sorted(
-                set(flags),
-                key=lambda f: (_FLAG_ORDER.index(f) if f in _FLAG_ORDER else len(_FLAG_ORDER), f),
-            )
-        )
+        tolerance = REGISTRY[identity_id].tolerance
+        flags = tuple(sorted(set(flags), key=_FLAG_ORDER.index))
         if flags:
             abs_residual = math.inf
             rel_residual = math.inf
@@ -131,10 +125,7 @@ class VerificationReport(Record):
             abs_residual = abs(lhs - rhs)
             scale = max(abs(lhs), abs(rhs), scale, 1e-300)
             rel_residual = abs_residual / scale
-            if abs(rhs) > tolerance:
-                passed = rel_residual <= tolerance
-            else:
-                passed = abs_residual <= tolerance * scale
+            passed = rel_residual <= tolerance
         return cls(
             identity_id=identity_id.value,
             inputs=dict(inputs),
@@ -223,17 +214,16 @@ def _evaluate(side: Callable[[], object], flags: list[str]):
         return NAN
 
 
-def _check(identity_id, inputs, tolerance, lhs, rhs) -> VerificationReport:
+def _check(identity_id, inputs, lhs, rhs) -> VerificationReport:
     """Report from ``lhs()`` and then ``rhs()``, two plain values."""
     flags: list[str] = []
     lhs_value = _evaluate(lhs, flags)
     rhs_value = _evaluate(rhs, flags)
-    return VerificationReport.build(identity_id, inputs, lhs_value, rhs_value, tolerance,
-                                    flags=flags)
+    return VerificationReport.build(identity_id, inputs, lhs_value, rhs_value, flags=flags)
 
 
 def _circle_check(
-    identity_id, inputs, tolerance, weight: ParamSet4, qb: QBase, interval,
+    identity_id, inputs, weight: ParamSet4, qb: QBase, interval,
     c_m_n: tuple[Sequence[complex], Sequence[complex]] | None, rhs: Callable[[], complex],
     extra: Sequence[complex] | None = None,
 ) -> VerificationReport:
@@ -268,7 +258,7 @@ def _circle_check(
     else:
         kmax = _evaluate(lambda: quotient_depth((*(extra or ()), *coefs), qb), flags)
     if flags:
-        return VerificationReport.build(identity_id, inputs, NAN, NAN, tolerance, flags=flags)
+        return VerificationReport.build(identity_id, inputs, NAN, NAN, flags=flags)
     own = np.array(coefs, dtype=np.complex128), np.array(exps, dtype=np.float64)
     if extra is not None:
         extra_arrays = (np.array(extra, dtype=np.complex128),
@@ -292,7 +282,7 @@ def _circle_check(
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
     return VerificationReport.build(
-        identity_id, inputs, result.value, rhs_value, tolerance, scale=result.fscale, flags=flags
+        identity_id, inputs, result.value, rhs_value, scale=result.fscale, flags=flags
     )
 
 
@@ -309,13 +299,7 @@ def _weight_moduli(p: ParamSet4) -> dict[str, float]:
     return {"|alpha/delta|": abs(p.alpha / p.delta), "|beta/gamma|": abs(p.beta / p.gamma)}
 
 
-def check_thm_1_1(
-    p: ParamSet4,
-    q,
-    m: int,
-    n: int,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_thm_1_1(p: ParamSet4, q, m: int, n: int) -> VerificationReport:
     """Full-period orthogonality: quadrature of C_m C_n against the weight vs.
     the closed diagonal (zero off the diagonal).  The weight's denominator
     symbols need |alpha/delta| < 1 and |beta/gamma| < 1."""
@@ -324,7 +308,7 @@ def check_thm_1_1(
     qb = QBase.coerce(q)
     _require(_weight_moduli(p))
     return _circle_check(
-        IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n}, tolerance,
+        IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n},
         p, qb, FULL_PERIOD,
         (big_c_coeffs(m, p, qb), big_c_coeffs(n, p, qb)),
         lambda: qfun.diag_rhs_thm11(n, p, qb) if m == n else 0.0 + 0.0j,
@@ -344,13 +328,7 @@ def _thm_1_2_moduli(p: ParamSet4, s: complex, t: complex, q: QBase) -> dict[str,
     }
 
 
-def check_thm_1_2(
-    p: ParamSet4,
-    s,
-    t,
-    q,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_thm_1_2(p: ParamSet4, s, t, q) -> VerificationReport:
     """Seven-parameter product integral: quadrature of the 12-product
     integrand, whose extra products generate the C_m t^m and C_n s^n, vs.
     sum_n h_n (s t)^n over THM_1_1's closed diagonal h_n.  The weight's
@@ -363,7 +341,7 @@ def check_thm_1_2(
     t = finite_complex("t", t)
     _require(_thm_1_2_moduli(p, s, t, qb) | _weight_moduli(p))
     return _circle_check(
-        IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t}, tolerance,
+        IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t},
         p, qb, FULL_PERIOD,
         None, lambda: qfun.thm_1_2_rhs_series(p, s, t, qb),
         (p.alpha * t, p.beta * t, p.alpha * s, p.beta * s,
@@ -376,15 +354,7 @@ def _thm_1_3_moduli(a, gamma, delta) -> dict[str, float]:
     return {"|a*gamma/delta|": abs(a * gamma / delta), "|a*delta/gamma|": abs(a * delta / gamma)}
 
 
-def check_thm_1_3(
-    r: ReducedParams,
-    gamma,
-    delta,
-    q,
-    m: int,
-    n: int,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_thm_1_3(r: ReducedParams, gamma, delta, q, m: int, n: int) -> VerificationReport:
     """Half-period bi-orthogonality: degree m of the b-family against degree n
     of the a-family under the a-family weight, against
     :func:`~qortho.qfun.thm_1_3_rhs`: zero when m and n have opposite parity
@@ -401,20 +371,13 @@ def check_thm_1_3(
     _require(_thm_1_3_moduli(r.a, gamma, delta))
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}
     return _circle_check(
-        IdentityId.THM_1_3, inputs, tolerance, p_a, qb, HALF_PERIOD,
+        IdentityId.THM_1_3, inputs, p_a, qb, HALF_PERIOD,
         (big_c_coeffs(m, p_b, qb), big_c_coeffs(n, p_a, qb)),
         lambda: qfun.thm_1_3_rhs(r, gamma, delta, qb, m, n),
     )
 
 
-def check_prop_3_1(
-    r: ReducedParams,
-    gamma,
-    delta,
-    q,
-    m: int,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_prop_3_1(r: ReducedParams, gamma, delta, q, m: int) -> VerificationReport:
     """Connection expansion: degree m of the b-family equals the parity-matched
     combination of a-family degrees n <= m.  Both sides are Laurent
     polynomials of degree m, compared coefficient by coefficient: the
@@ -436,7 +399,7 @@ def check_prop_3_1(
             rhs[k + shift] += coeffs[nn] * c
     worst = max(range(len(lhs)), key=lambda k: (math.isnan(d := abs(lhs[k] - rhs[k])), d))
     return VerificationReport.build(IdentityId.PROP_3_1, inputs, lhs[worst], rhs[worst],
-                                    tolerance, scale=max(map(abs, lhs)))
+                                    scale=max(map(abs, lhs)))
 
 
 def _ultra_ortho_moduli(beta) -> dict[str, float]:
@@ -444,13 +407,7 @@ def _ultra_ortho_moduli(beta) -> dict[str, float]:
     return {"|beta|": abs(beta)}
 
 
-def check_ultra_ortho(
-    beta,
-    q,
-    m: int,
-    n: int,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_ultra_ortho(beta, q, m: int, n: int) -> VerificationReport:
     """Half-period orthogonality of the single-parameter family under the
     (beta, beta, 1, 1) specialization of the weight, which needs |beta| < 1;
     diagonal 1/h_n."""
@@ -461,20 +418,14 @@ def check_ultra_ortho(
     _require(_ultra_ortho_moduli(beta))
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
-        IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n}, tolerance,
+        IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n},
         p, qb, HALF_PERIOD,
         (big_c_coeffs(m, p, qb), big_c_coeffs(n, p, qb)),
         lambda: 1.0 / qfun.h_norm(n, beta, qb) if m == n else 0.0 + 0.0j,
     )
 
 
-def check_prop_2_1_2(
-    p: ParamSet4,
-    q,
-    n: int,
-    theta: float = 0.0,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_prop_2_1_2(p: ParamSet4, q, n: int, theta: float = 0.0) -> VerificationReport:
     """Phi at (e^{i theta}, e^{-i theta}) equals (q;q)_n C_n(e^{i theta}),
     for a real angle theta."""
     from . import qfun
@@ -487,24 +438,18 @@ def check_prop_2_1_2(
     x = complex(math.cos(theta), math.sin(theta))
     return _check(
         IdentityId.PROP_2_1_2, _paramset_inputs(p, qb) | {"n": n, "theta": theta},
-        tolerance,
         lambda: qfun.phi_eval(n, x, x.conjugate(), p, qb),
         lambda: qpoch_finite(qb.q, qb, n) * qfun.laurent_at(big_c_coeffs(n, p, qb), n, theta),
     )
 
 
-def check_prop_2_1_3(
-    p: ParamSet4,
-    q,
-    n: int = 200,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_prop_2_1_3(p: ParamSet4, q, n: int = 200) -> VerificationReport:
     """Growth-root diagnostic |C_n(1)|^{1/n} against max(|gamma|, |delta|)."""
     from . import qfun
 
     qb = QBase.coerce(q)
     return _check(
-        IdentityId.PROP_2_1_3, _paramset_inputs(p, qb) | {"n": n}, tolerance,
+        IdentityId.PROP_2_1_3, _paramset_inputs(p, qb) | {"n": n},
         lambda: complex(qfun.growth_root(n, p, qb)),
         lambda: complex(max(abs(p.gamma), abs(p.delta))),
     )
@@ -514,12 +459,7 @@ def check_prop_2_1_3(
 PROP_2_2_MAJORANT = {"t_fraction": 0.9, "partial_terms": 200, "tail_terms": 100}
 
 
-def check_prop_2_2(
-    p: ParamSet4,
-    q,
-    k: int = 0,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_prop_2_2(p: ParamSet4, q, k: int = 0) -> VerificationReport:
     """Majorant Cauchy check for the diagonal generating sum: with
     |t| = t_fraction * min(1/|gamma|, 1/|delta|), the tail of
 
@@ -552,18 +492,11 @@ def check_prop_2_2(
         tn *= t_abs
     partial, tail = sum(terms[:partial_terms]), sum(terms[partial_terms:])
     return VerificationReport.build(
-        IdentityId.PROP_2_2, inputs, complex(tail), 0.0 + 0.0j, tolerance, scale=partial
+        IdentityId.PROP_2_2, inputs, complex(tail), 0.0 + 0.0j, scale=partial
     )
 
 
-def check_prop_2_4(
-    p: ParamSet4,
-    q,
-    n: int,
-    x,
-    y,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_prop_2_4(p: ParamSet4, q, n: int, x, y) -> VerificationReport:
     """Lattice-integral representation vs. the double-sum evaluation of Phi_n."""
     from . import qfun
 
@@ -571,44 +504,32 @@ def check_prop_2_4(
     x = finite_complex("x", x)
     y = finite_complex("y", y)
     return _check(
-        IdentityId.PROP_2_4, _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y}, tolerance,
+        IdentityId.PROP_2_4, _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y},
         lambda: qfun.phi_qintegral_repr(n, x, y, p, qb),
         lambda: qfun.phi_eval(n, x, y, p, qb),
     )
 
 
-def check_rogers_6w5(
-    a,
-    b,
-    c,
-    d,
-    q,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_rogers_6w5(a, b, c, d, q) -> VerificationReport:
     """Very-well-poised six-parameter sum at z = a q/(b c d) vs. its closed
     product form."""
     qb = QBase.coerce(q)
     a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
     z = rogers_6w5_argument(a, b, c, d, qb.q)
     return _check(
-        IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q}, tolerance,
+        IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q},
         lambda: very_well_poised(a, [b, c, d], qb, z),
         lambda: rogers_6w5_rhs(a, b, c, d, qb),
     )
 
 
-def check_qbinomial(
-    a,
-    z,
-    q,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def check_qbinomial(a, z, q) -> VerificationReport:
     """Binomial series sum_n (a;q)_n z^n/(q;q)_n vs. (az;q)_oo/(z;q)_oo."""
     qb = QBase.coerce(q)
     a = finite_complex("a", a)
     z = finite_complex("z", z)
     return _check(
-        IdentityId.QBINOMIAL, {"a": a, "z": z, "q": qb.q}, tolerance,
+        IdentityId.QBINOMIAL, {"a": a, "z": z, "q": qb.q},
         lambda: phi_series(PhiSpec((a,), (), qb, z)),
         lambda: qbinomial_product_ratio(a, z, qb),
     )
@@ -738,8 +659,8 @@ def _draw_ultra_ortho(rng, box, q, spec) -> dict | None:
 
 class Identity(Record):
     """Everything the package states about one identity besides its checker,
-    whose positional parameters (other than ``tolerance``) are the
-    identity's parameters.  ``draw(rng, box, q, spec)``
+    whose positional parameters are the identity's parameters.  Every report
+    of the identity is judged at ``tolerance``.  ``draw(rng, box, q, spec)``
     returns checker arguments for one sweep draw from ``box``, this ``box``
     with overrides, or None to reject the attempt."""
 
@@ -806,11 +727,7 @@ def draw_params(identity_id: IdentityId, rng: np.random.Generator, spec: SweepSp
                       f"in {_MAX_REJECTS} attempts")
 
 
-def run_sweep(
-    identity_id: IdentityId | str,
-    spec: SweepSpec,
-    tolerance: float | None = None,
-) -> list[VerificationReport]:
+def run_sweep(identity_id: IdentityId | str, spec: SweepSpec) -> list[VerificationReport]:
     """Run ``spec.draws`` seeded checks of one identity.  Deterministic given
     the seed; individual failures and flags land in the reports.  The sweep
     aborts only with the :class:`DomainError` of :func:`draw_params`, for a
@@ -820,7 +737,4 @@ def run_sweep(
     record = REGISTRY[IdentityId(identity_id)]
     rng = np.random.default_rng(spec.seed)
     checker = record.checker
-    return [
-        checker(**draw_params(record.id, rng, spec), tolerance=tolerance)
-        for _ in range(spec.draws)
-    ]
+    return [checker(**draw_params(record.id, rng, spec)) for _ in range(spec.draws)]

@@ -29,7 +29,7 @@ from qortho import (
     run_sweep,
 )
 from qortho.qfun import thm_1_2_rhs_series
-from qortho.verify import IdentityId, draw_params
+from qortho.verify import REGISTRY, IdentityId, draw_params
 
 SEED = 20260809
 
@@ -46,6 +46,12 @@ def thm_1_1_param_draws(count, seed=SEED):
     return [draw_params(IdentityId.THM_1_1, rng, spec) for _ in range(count)]
 
 
+def test_the_quadrature_criteria_are_judged_at_1e_8():
+    # criteria 1, 2, 4, 11 and 12 check these identities at their registry tolerance
+    circle = (IdentityId.THM_1_1, IdentityId.THM_1_3, IdentityId.ULTRA_ORTHO)
+    assert {i: REGISTRY[i].tolerance for i in circle} == dict.fromkeys(circle, 1e-8)
+
+
 def test_criterion_01_full_period_off_diagonal():
     t0 = time.perf_counter()
     worst = 0.0
@@ -53,7 +59,7 @@ def test_criterion_01_full_period_off_diagonal():
         p, q = params["p"], params["q"]
         for m in range(7):
             for n in range(m + 1, 7):
-                rep = check_thm_1_1(p, q, m, n, tolerance=1e-8)
+                rep = check_thm_1_1(p, q, m, n)
                 assert rep.rhs == 0
                 worst = max(worst, rep.abs_residual / max(abs(rep.lhs), 1e-300))
                 if not rep.passed:
@@ -71,7 +77,7 @@ def test_criterion_02_full_period_diagonal_and_exponent_discrimination():
     for params in thm_1_1_param_draws(20):
         p, q = params["p"], params["q"]
         for n in range(7):
-            rep = check_thm_1_1(p, q, n, n, tolerance=1e-8)
+            rep = check_thm_1_1(p, q, n, n)
             worst = max(worst, rep.rel_residual)
             if not rep.passed:
                 report_line(2, False, f"diagonal n={n} inputs={rep.inputs}")
@@ -83,7 +89,7 @@ def test_criterion_02_full_period_diagonal_and_exponent_discrimination():
         q = 0.5
         gd = gamma * delta
         for n in (0, 1, 3):
-            rep = check_thm_1_1(p, q, n, n, tolerance=1e-8)
+            rep = check_thm_1_1(p, q, n, n)
             assert rep.passed
             wrong = diag_rhs_thm11(n, p, q) / gd ** n * gd ** 2
             mismatch = abs(rep.lhs - wrong) / abs(wrong)
@@ -115,19 +121,19 @@ def test_criterion_04_half_period_biorthogonality():
         for m in range(6):
             for n in range(6):
                 if (m - n) % 2 == 1:
-                    rep = check_thm_1_3(r, gamma, delta, q, m, n, tolerance=1e-8)
+                    rep = check_thm_1_3(r, gamma, delta, q, m, n)
                     worst_parity = max(worst_parity, rep.rel_residual)
                     if not rep.passed:
                         report_line(4, False, f"parity m={m} n={n} inputs={rep.inputs}")
                 else:  # the closed form at m >= n, its zero at m < n
-                    rep = check_thm_1_3(r, gamma, delta, q, m, n, tolerance=1e-8)
+                    rep = check_thm_1_3(r, gamma, delta, q, m, n)
                     worst_closed = max(worst_closed, rep.rel_residual)
                     if not rep.passed:
                         report_line(4, False, f"closed m={m} n={n} inputs={rep.inputs}")
         # b = a diagonal against (gamma delta)^n / h_n
         same = ReducedParams(r.a, r.a)
         for n in range(4):
-            rep = check_thm_1_3(same, gamma, delta, q, n, n, tolerance=1e-8)
+            rep = check_thm_1_3(same, gamma, delta, q, n, n)
             expected = (gamma * delta) ** n / h_norm(n, r.a, q)
             assert rep.rhs == pytest.approx(expected, rel=1e-12)
             if not rep.passed:
@@ -210,7 +216,7 @@ def test_criterion_11_single_parameter_orthogonality():
     for beta in (0.1, 0.3, 0.6):
         for m in range(6):
             for n in range(6):
-                rep = check_ultra_ortho(beta, 0.5, m, n, tolerance=1e-8)
+                rep = check_ultra_ortho(beta, 0.5, m, n)
                 worst = max(worst, rep.rel_residual if m == n else 0.0)
                 if not rep.passed:
                     report_line(11, False, f"beta={beta} m={m} n={n}")
@@ -224,7 +230,7 @@ def test_criterion_12_reduction_consistency():
     q = 0.5
     p_unit = ParamSet4(0.25, 0.4, 1.0, 1.0)
     for m, n in ((0, 0), (1, 1), (0, 3), (2, 2)):
-        rep = check_thm_1_1(p_unit, q, m, n, tolerance=1e-8)
+        rep = check_thm_1_1(p_unit, q, m, n)
         if not rep.passed:
             report_line(12, False, f"gamma=delta=1 case m={m} n={n}")
 
@@ -234,7 +240,7 @@ def test_criterion_12_reduction_consistency():
     p_red = ParamSet4.from_reduced(a, gamma, delta)
     worst = 0.0
     for n in range(4):
-        rep = check_thm_1_1(p_red, q, n, n, tolerance=1e-8)
+        rep = check_thm_1_1(p_red, q, n, n)
         display = (
             4 * math.pi * qpoch_infinite(a, q) ** 2 * qpoch_finite(a * a, q, n)
             * (gamma * delta) ** n

@@ -161,15 +161,6 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "finite" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_invalid_tolerance_exits_2(self, tol, capsys):
-        code, _, err = run_cli(
-            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", "--tol", tol, *BOX],
-            capsys,
-        )
-        assert code == EXIT_INVALID
-        assert "invalid input" in err and "tolerance" in err
-
     def test_thm_1_1_outside_the_weight_domain_exits_2(self, capsys):
         # |beta/gamma| = 1.11
         code, _, err = run_cli(
@@ -250,12 +241,11 @@ class TestVerify:
         assert json.loads(row["inputs"])["m"] == 0
         assert json.loads(row["flags"]) == []
 
-    def test_failing_check_exits_1(self, capsys):
-        # impossible tolerance forces a verified-false outcome
+    def test_failing_check_exits_1(self, set_tolerance, capsys):
+        # an impossible registry tolerance forces a verified-false outcome
+        set_tolerance("THM_1_1", 1e-300)
         code, out, _ = run_cli(
-            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1",
-             "--tol", "1e-18", *BOX],
-            capsys,
+            ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", *BOX], capsys
         )
         assert code == EXIT_FAIL
         assert json.loads(out)["passed"] is False
@@ -330,9 +320,8 @@ OPTION_STRINGS = {
                "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--q",
                "--m", "--n", "--s-re", "--s-im", "--t-re", "--t-im", "--a-re", "--a-im",
                "--b-re", "--b-im", "--theta", "--k", "--x-re", "--x-im", "--y-re", "--y-im",
-               "--c-re", "--c-im", "--d-re", "--d-im", "--z-re", "--z-im", "--tol", "--format",
-               "--out"],
-    "sweep": ["-h", "--help", "--identity", "--draws", "--seed", "--m-max", "--n-max", "--tol",
+               "--c-re", "--c-im", "--d-re", "--d-im", "--z-re", "--z-im", "--format", "--out"],
+    "sweep": ["-h", "--help", "--identity", "--draws", "--seed", "--m-max", "--n-max",
               "--format", "--out"],
     "table": ["-h", "--help", "--q", "--m", "--alpha-re", "--alpha-im", "--beta-re",
               "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--a-re",
@@ -388,14 +377,16 @@ def test_eval_metadata_holds_only_the_series_parameter_counts(argv, fields, caps
     assert json.loads(out)["metadata"] == fields
 
 
-@pytest.mark.parametrize("flag", ["--rel-tol", "--max-terms", "--nodes", "--max-nodes"])
+@pytest.mark.parametrize("flag", ["--rel-tol", "--max-terms", "--nodes", "--max-nodes", "--tol"])
 @pytest.mark.parametrize("argv", [
     ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", *BOX],
+    ["sweep", "--identity", "QBINOMIAL", "--draws", "1", "--seed", "1"],
     *(["eval", *argv] for argv, _ in EVAL_METADATA),
 ])
 def test_tuning_flags_are_not_flags(flag, argv, capsys):
     # every check runs at one numerical setting (the constants of qcore and
-    # quad): verify and every eval function reject the flags that tuned it
+    # quad) and is judged at its identity's registry tolerance: verify, sweep
+    # and every eval function reject the flags that tuned it
     code, out, err = run_cli([*argv, flag, "500"], capsys)
     assert code == EXIT_INVALID and out == ""
     assert f"unrecognized arguments: {flag} 500" in err and "Traceback" not in err
@@ -430,21 +421,14 @@ class TestSweep:
         assert [row["identity"] for row in rows] == ["QBINOMIAL"] * 3
         assert all(row["passed"] == "True" for row in rows)
 
-    def test_a_failing_sweep_exits_1_naming_its_first_failing_draw(self, capsys):
+    def test_a_failing_sweep_exits_1_naming_its_first_failing_draw(self, set_tolerance,
+                                                                    capsys):
+        set_tolerance("QBINOMIAL", 1e-300)
         code, out, err = run_cli(
-            ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1",
-             "--tol", "1e-300"], capsys)
+            ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1"], capsys)
         assert code == EXIT_FAIL
         assert json.loads(out)["all_passed"] is False
         assert err.startswith("draw 0 failed: inputs {")
-
-    def test_invalid_tolerance_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1", "--tol", "nan"],
-            capsys,
-        )
-        assert code == EXIT_INVALID
-        assert "tolerance" in err
 
     def test_same_seed_byte_identical_modulo_timestamp(self, capsys):
         argv = ["sweep", "--identity", "QBINOMIAL", "--draws", "5", "--seed", "9"]

@@ -17,6 +17,10 @@ norms, at complex parameters: classical closed forms and exact symmetries.
   Gasper & Rahman (7.4.15):
   2 pi (beta, beta q; q)_oo (1 - beta) (beta^2; q)_n
   / ((q, beta^2; q)_oo (1 - beta q^n) (q; q)_n).
+- At beta = 0 it is the continuous q-Hermite weight (e^{2i theta},
+  e^{-2i theta}; q)_oo, and C_n = H_n / (q;q)_n, so over the half period
+  C_n C_n integrates to 2 pi / ((q;q)_n (q;q)_oo) (Gasper & Rahman (7.4.15)
+  at beta = 0) and C_m C_n, m != n, to 0.
 
 Each reference is computed here with its own plain loop, not with ``qfun``'s
 products."""
@@ -26,7 +30,8 @@ import math
 
 import numpy as np
 
-from qortho import ParamSet4, SweepSpec, check_thm_1_1, check_thm_1_2, h_norm
+from qortho import (ParamSet4, SweepSpec, check_thm_1_1, check_thm_1_2, check_ultra_ortho,
+                    h_norm)
 from qortho.qfun import diag_rhs_thm11
 from qortho.verify import IdentityId, draw_params
 
@@ -126,3 +131,23 @@ def test_the_rogers_norm_is_gasper_rahman_7_4_15():
         worst = max(worst, abs(1.0 / h_norm(n, beta, q) - reference) / abs(reference))
     # 7.1e-15 measured
     assert worst <= 1e-13
+
+
+def test_the_continuous_q_hermite_case_has_its_closed_norm():
+    # q stays at most 0.8: at q = 0.938, n = 8 the rule ends NoConvergence
+    rng = np.random.default_rng(5)
+    worst_lhs = worst_rhs = 0.0
+    for _ in range(300):
+        q = rng.uniform(0.0, 0.8)
+        m, n = (int(degree) for degree in rng.integers(0, 11, size=2))
+        reference = 2.0 * math.pi / (poch(q, q, n) * poch(q, q))
+        diagonal = check_ultra_ortho(0.0, q, n, n)
+        assert diagonal.passed and not diagonal.flags, (q, n)
+        worst_lhs = max(worst_lhs, abs(diagonal.lhs - reference) / reference)
+        worst_rhs = max(worst_rhs, abs(diagonal.rhs - reference) / reference)
+        if m != n:
+            off = check_ultra_ortho(0.0, q, m, n)
+            assert off.passed and not off.flags and off.rhs == 0, (q, m, n)
+    # 6.1e-11 (at q = 0.799, n = 10; the rule stops at quad.REL_TOL = 1e-10 of
+    # the integrand's scale) and 2.7e-15 measured
+    assert worst_lhs <= 1e-10 and worst_rhs <= 1e-13

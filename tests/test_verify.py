@@ -38,27 +38,54 @@ from qortho.verify import IdentityId
 
 
 class TestReportMechanics:
-    def test_passed_rule_relative_branch(self):
-        rep = VerificationReport.build("THM_1_1", {}, 10.0 + 0j, 10.0 + 1e-9j, 1e-8)
-        assert rep.passed and rep.rel_residual <= 1e-8
+    # THM_1_1's registry tolerance is 1e-8
+    def test_passed_rule_is_one_relative_test_with_rhs_above_tolerance(self):
+        rep = VerificationReport.build("THM_1_1", {}, 10.0 + 0j, 10.0 + 1e-9j)
+        assert rep.tolerance == 1e-8
+        assert rep.passed and rep.rel_residual == pytest.approx(1e-10)
+        rep = VerificationReport.build("THM_1_1", {}, 10.0 + 0j, 10.0 + 1e-6j)
+        assert not rep.passed and rep.rel_residual == pytest.approx(1e-7)
 
-    def test_passed_rule_absolute_branch_for_expected_zero(self):
-        # |rhs| <= tolerance: judged by abs residual against the scale
-        rep = VerificationReport.build("THM_1_1", {}, 1e-10 + 0j, 0.0 + 0j, 1e-8, scale=50.0)
-        assert rep.passed
-        rep = VerificationReport.build("THM_1_1", {}, 1e-5 + 0j, 0.0 + 0j, 1e-8, scale=50.0)
-        assert not rep.passed
+    def test_passed_rule_is_one_relative_test_with_rhs_below_tolerance(self):
+        # an expected-zero side is judged against the scale, not against zero
+        rep = VerificationReport.build("THM_1_1", {}, 1e-10 + 0j, 0.0 + 0j, scale=50.0)
+        assert rep.passed and rep.rel_residual == 1e-10 / 50.0
+        rep = VerificationReport.build("THM_1_1", {}, 1e-5 + 0j, 0.0 + 0j, scale=50.0)
+        assert not rep.passed and rep.rel_residual == 1e-5 / 50.0
 
     def test_flags_force_failure(self):
         rep = VerificationReport.build(
-            "THM_1_1", {}, 1.0 + 0j, 1.0 + 0j, 1e-8, flags=["NearSingular"]
+            "THM_1_1", {}, 1.0 + 0j, 1.0 + 0j, flags=["NearSingular"]
         )
         assert not rep.passed and rep.flags == ("NearSingular",)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-8])
-    def test_tolerance_must_be_positive_and_finite(self, tolerance):
-        with pytest.raises(DomainError, match="tolerance"):
-            VerificationReport.build("THM_1_1", {}, 1.0 + 0j, 1.0 + 0j, tolerance)
+    def test_flags_sort_in_flag_order(self):
+        rep = VerificationReport.build(
+            "THM_1_1", {}, verify.NAN, verify.NAN,
+            flags=["DivergentSeries", "NearSingular", "DivergentSeries"]
+        )
+        assert rep.flags == ("NearSingular", "DivergentSeries")
+
+    @pytest.mark.parametrize("identity", list(IdentityId))
+    def test_a_check_reads_its_identitys_tolerance_when_it_is_called(self, set_tolerance,
+                                                                     identity):
+        # seed 2's first draw of every identity passes with a nonzero residual
+        record = verify.REGISTRY[identity]
+        args = verify.draw_params(identity, np.random.default_rng(2), SweepSpec(seed=2, draws=1))
+        before = record.checker(**args)
+        assert before.passed and before.tolerance == record.tolerance
+        assert before.rel_residual > 0.0
+        for tolerance, passed in ((before.rel_residual / 2, False),
+                                  (before.rel_residual * 2, True)):
+            set_tolerance(identity, tolerance)
+            rep = record.checker(**args)
+            assert (rep.tolerance, rep.passed) == (tolerance, passed)
+            assert rep.rel_residual == before.rel_residual
+
+    def test_an_overflowed_side_fails_unflagged(self):
+        rep = VerificationReport.build("THM_1_1", {}, complex(math.inf, 0.0), 0.0 + 0j,
+                                       scale=50.0)
+        assert rep.flags == () and not rep.passed
 
     def test_record_round_trip(self, box_params):
         rep = check_thm_1_1(box_params, 0.5, 1, 1)
