@@ -19,7 +19,7 @@ _EXPORTS = {
     "errors": ("QOrthoError", "DomainError", "TruncationExceeded", "DivergentSeries",
                "NearSingular"),
     # core types and products
-    "qcore": ("QBase", "qpoch_finite", "qpoch_infinite", "ParamSet4", "ReducedParams",
+    "qcore": ("qpoch_finite", "qpoch_infinite", "ParamSet4", "ReducedParams",
               "FULL_PERIOD", "HALF_PERIOD", "big_c_coeffs", "connection_coeffs"),
     # series
     "hyper": ("PhiSpec", "phi_series", "very_well_poised", "rogers_6w5_rhs",

@@ -32,7 +32,6 @@ from .errors import DomainError, QOrthoError
 from .hyper import PhiSpec, phi_series
 from .qcore import (
     ParamSet4,
-    QBase,
     ReducedParams,
     as_degree,
     big_c_coeffs,
@@ -84,7 +83,7 @@ _TABLE = {
     "big_c": lambda q, n_max, p: {n: big_c_coeffs(n, p, q)
                                   for n in range(as_degree("n_max", n_max) + 1)},
     "connection": lambda q, m, r, gamma, delta: {m: connection_coeffs(m, r, gamma * delta, q)},
-    "ultra": lambda q, n_max, beta: {n: expansion_weights(n, beta, beta, QBase.coerce(q))
+    "ultra": lambda q, n_max, beta: {n: expansion_weights(n, beta, beta, q)
                                      for n in range(as_degree("n_max", n_max) + 1)},
 }
 
@@ -312,7 +311,7 @@ def _cmd_eval(args) -> int:
         nums = tuple(_parse_listed_complex(v) for v in args.num or ())
         dens = tuple(_parse_listed_complex(v) for v in args.den or ())
         z = _arg(args, "z")
-        value = phi_series(PhiSpec(nums, dens, QBase.coerce(_arg(args, "q")), z))
+        value = phi_series(PhiSpec(nums, dens, _arg(args, "q"), z))
         metadata = {"numerators": len(nums), "denominators": len(dens)}
 
     record = {

@@ -29,8 +29,9 @@ from . import qcore
 from .errors import DivergentSeries, DomainError, TruncationExceeded
 from .qcore import (
     NEAR_SINGULAR_TOL,
-    QBase,
     Record,
+    as_base,
+    finite_complex,
     min_factor_abs,
     qpoch_infinite,
     screen_denominator,
@@ -42,9 +43,11 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 class PhiSpec(Record):
     """Parameter set for one series evaluation: numerators a_1..a_{r+1},
-    denominators b_1..b_r, base q, argument z.  ``terminates_at`` is not an
-    argument: it is the index m of the first numerator of the form q^{-m}
-    (the series ends at term m), or None.  Both q^{-m} tests are the scan
+    denominators b_1..b_r, base q, argument z, all finite (else
+    :class:`DomainError`); q is checked first, by :func:`~qortho.qcore.as_base`,
+    which also needs |q| < 1.  ``terminates_at`` is not an argument: it is
+    the index m of the first numerator of the form q^{-m} (the series ends
+    at term m), or None.  Both q^{-m} tests are the scan
     :func:`~qortho.qcore.min_factor_abs` over |w q^k| >= 1 - NEAR_SINGULAR_TOL:
     a parameter is q^{-m} when its gap is below NEAR_SINGULAR_TOL, and m is
     where the gap occurs.  For |q| >= 1 - 2 NEAR_SINGULAR_TOL two factors can
@@ -52,20 +55,20 @@ class PhiSpec(Record):
 
     _fields = ("numerators", "denominators", "q", "z", "terminates_at")
 
-    def __init__(self, numerators: tuple, denominators: tuple, q: QBase, z: complex) -> None:
-        numerators = tuple(complex(a) for a in numerators)
-        denominators = tuple(complex(b) for b in denominators)
-        q = QBase.coerce(q)
-        z = complex(z)
+    def __init__(self, numerators: tuple, denominators: tuple, q: complex, z: complex) -> None:
+        q = as_base(q)
+        numerators = tuple(finite_complex("numerator parameter", a) for a in numerators)
+        denominators = tuple(finite_complex("denominator parameter", b) for b in denominators)
+        z = finite_complex("z", z)
         floor = 1.0 - NEAR_SINGULAR_TOL
         for b in denominators:
-            gap, m = min_factor_abs(b, q.q, floor)
+            gap, m = min_factor_abs(b, q, floor)
             if gap < NEAR_SINGULAR_TOL:
                 raise DomainError(
                     f"denominator parameter {b} is q^-{m} to within "
                     f"{NEAR_SINGULAR_TOL}; it would zero a product factor"
                 )
-        stops = [m for gap, m in (min_factor_abs(a, q.q, floor) for a in numerators)
+        stops = [m for gap, m in (min_factor_abs(a, q, floor) for a in numerators)
                  if gap < NEAR_SINGULAR_TOL]
         if not stops and abs(z) >= 1.0:
             raise DomainError(
@@ -78,7 +81,7 @@ class PhiSpec(Record):
 def _ratio_majorant(spec: PhiSpec, qk_mag: float) -> float:
     """rho_k = |z| prod_i (1 + |a_i| |q|^k) / ((1 - |q|^{k+1}) prod_j (1 - |b_j| |q|^k))
     at qk_mag = |q|^k, or inf while some |b_j| |q|^k >= 1."""
-    rho = abs(spec.z) / (1.0 - qk_mag * abs(spec.q.q))
+    rho = abs(spec.z) / (1.0 - qk_mag * abs(spec.q))
     for a in spec.numerators:
         rho *= 1.0 + abs(a) * qk_mag
     for b in spec.denominators:
@@ -103,7 +106,7 @@ def phi_series(spec: PhiSpec, *, growth_test: bool = True) -> complex:
     convergent series near |z| = 1 and q = 1 rises that long, its early
     ratios carrying 1/(1 - q^{k+1}).
     """
-    q = spec.q.q
+    q = spec.q
     growth_cap = max(20, len(spec.denominators)) if growth_test else math.inf
     stop = spec.terminates_at
     last = qcore.MAX_TERMS if stop is None else min(stop, qcore.MAX_TERMS)
@@ -146,11 +149,11 @@ def very_well_poised(a1, rest, q, z) -> complex:
     symmetrically."""
     a1 = complex(a1)
     rest = [complex(a) for a in rest]
-    qb = QBase.coerce(q)
+    q = as_base(q)
     root = cmath.sqrt(a1)
-    nums = [a1, qb.q * root, -qb.q * root, *rest]
-    dens = [root, -root, *(qb.q * a1 / a for a in rest)]
-    return phi_series(PhiSpec(tuple(nums), tuple(dens), qb, z))
+    nums = [a1, q * root, -q * root, *rest]
+    dens = [root, -root, *(q * a1 / a for a in rest)]
+    return phi_series(PhiSpec(tuple(nums), tuple(dens), q, z))
 
 
 def rogers_6w5_argument(a, b, c, d, q: complex) -> complex:
@@ -173,27 +176,27 @@ def rogers_6w5_rhs(a, b, c, d, q) -> complex:
         (aq/b, aq/c, aq/d, aq/bcd; q)_oo
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    qb = QBase.coerce(q)
-    z = rogers_6w5_argument(a, b, c, d, qb.q)
-    aq = a * qb.q
+    q = as_base(q)
+    z = rogers_6w5_argument(a, b, c, d, q)
+    aq = a * q
     num = 1.0 + 0.0j
     for arg in (aq, aq / (b * c), aq / (b * d), aq / (c * d)):
-        num *= qpoch_infinite(arg, qb)
+        num *= qpoch_infinite(arg, q)
     symbols = {"aq/b": aq / b, "aq/c": aq / c, "aq/d": aq / d, "aq/bcd": z}
     den = 1.0 + 0.0j
     for arg in symbols.values():
-        den *= qpoch_infinite(arg, qb)
-    screen_denominator(symbols, qb, den)
+        den *= qpoch_infinite(arg, q)
+    screen_denominator(symbols, q, den)
     return num / den
 
 
 def qbinomial_product_ratio(a, z, q) -> complex:
     """(a z; q)_oo / (z; q)_oo, the product side of the binomial-series
     identity sum_n (a;q)_n z^n / (q;q)_n for |z| < 1."""
-    qb = QBase.coerce(q)
-    den = qpoch_infinite(z, qb)
-    screen_denominator({"z": complex(z)}, qb, den)
-    return qpoch_infinite(complex(a) * complex(z), qb) / den
+    q = as_base(q)
+    den = qpoch_infinite(z, q)
+    screen_denominator({"z": complex(z)}, q, den)
+    return qpoch_infinite(complex(a) * complex(z), q) / den
 
 
 __all__ = [

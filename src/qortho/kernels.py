@@ -66,7 +66,7 @@ import sys
 
 import numpy as np
 
-from .qcore import ParamSet4, QBase, _head_rows, _poch_row
+from .qcore import ParamSet4, _head_rows, _poch_row, as_base
 
 BACKEND = "numpy"
 
@@ -161,9 +161,9 @@ def big_c_at_one(count: int, p: ParamSet4, q) -> np.ndarray:
     """[C_0(1), ..., C_{count-1}(1)] as one convolution: C_n(1) =
     sum_k A_k B_{n-k} with A_k = (ra;q)_k gamma^k / (q;q)_k and
     B_j = (rb;q)_j delta^j / (q;q)_j."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     k = np.arange(count + 1)
-    pq = np.array(_poch_row(qb.q, qb.q, count))
-    row_a = np.array(_poch_row(p.ratio_a, qb.q, count)) / pq * p.gamma ** k
-    row_b = np.array(_poch_row(p.ratio_b, qb.q, count)) / pq * p.delta ** k
+    pq = np.array(_poch_row(q, q, count))
+    row_a = np.array(_poch_row(p.ratio_a, q, count)) / pq * p.gamma ** k
+    row_b = np.array(_poch_row(p.ratio_b, q, count)) / pq * p.delta ** k
     return np.convolve(row_a, row_b)[:count]

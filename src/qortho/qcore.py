@@ -6,13 +6,14 @@ Everything in this module is built from the shifted factorial
 
 together with its infinite extension (a;q)_oo = prod_{k>=0} (1 - a q^k),
 which converges for |q| < 1 because the factors approach 1 geometrically.
-All functions accept complex scalars; ``q`` may be passed as a plain number
-or wrapped in :class:`QBase`.  The parameter types (:class:`ParamSet4`,
-:class:`ReducedParams`), :class:`Record`, the base of the package's immutable
-records, and the coefficient rows of
-the function family (:func:`expansion_weights`, :func:`big_c_coeffs`,
-:func:`connection_coeffs`, as lists of complex) live here too, so that the
-series checks, PROP_3_1 and the command line run without importing numpy.
+All functions accept complex scalars.  The base ``q`` is a plain number,
+which each public function checks with :func:`as_base` and hands on as a
+complex.  The parameter types (:class:`ParamSet4`, :class:`ReducedParams`),
+:class:`Record`, the base of the package's immutable records, and the
+coefficient rows of the function family (:func:`expansion_weights`,
+:func:`big_c_coeffs`, :func:`connection_coeffs`, as lists of complex) live
+here too, so that the series checks, PROP_3_1 and the command line run
+without importing numpy.
 
 Every check runs at one numerical setting, the named constants below (and
 the circle rule's start, cap and stop in :mod:`~qortho.quad`); no function
@@ -56,6 +57,15 @@ def finite_complex(name: str, value) -> complex:
     if not cmath.isfinite(z):
         raise DomainError(f"{name} must be finite, got {z!r}")
     return z
+
+
+def as_base(q) -> complex:
+    """The base ``q`` of all q-products as a complex number;
+    :class:`DomainError` unless it is finite and |q| < 1 strictly."""
+    q = finite_complex("q", q)
+    if abs(q) >= 1.0:
+        raise DomainError(f"|q| must be < 1, got |q| = {abs(q):.6g}")
+    return q
 
 
 def int_power(z: complex, n: int) -> complex:
@@ -110,23 +120,6 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class QBase(Record):
-    """The base of all q-products. Construction requires |q| < 1 strictly."""
-
-    _fields = ("q",)
-
-    def __init__(self, q: complex) -> None:
-        if abs(finite_complex("q", q)) >= 1.0:
-            raise DomainError(f"|q| must be < 1, got |q| = {abs(q):.6g}")
-        self._set(q=q)
-
-    @classmethod
-    def coerce(cls, q) -> "QBase":
-        if isinstance(q, QBase):
-            return q
-        return cls(complex(q))
 
 
 class ParamSet4(Record):
@@ -206,7 +199,7 @@ def _poch_row(a: complex, q: complex, n: int) -> list[complex]:
 def qpoch_finite(a, q, n: int) -> complex:
     """Finite product (a;q)_n. Total for any complex a and n >= 0: the last
     entry of :func:`_poch_row` by the same multiplications, in O(1) memory."""
-    q, n, w, prod = QBase.coerce(q).q, as_degree("n", n), complex(a), 1.0 + 0.0j
+    q, n, w, prod = as_base(q), as_degree("n", n), complex(a), 1.0 + 0.0j
     for _ in range(n):
         prod, w = prod * (1.0 - w), w * q
     return prod
@@ -246,9 +239,10 @@ def tail_start(a, q) -> int:
     :func:`closing_factors` of y = a q^K, which leaves a relative error
     O(|y/(1-q)|^3), of the order of PRODUCT_TOL.  Raises
     :class:`TruncationExceeded` when K exceeds MAX_TERMS, and when |a| is
-    infinite or NaN."""
+    infinite or NaN.  ``q`` is a base that the caller has checked
+    (:func:`as_base`)."""
     mag = abs(complex(a))
-    qmag = abs(complex(q) if not isinstance(q, QBase) else q.q)
+    qmag = abs(q)
     bound = (1.0 - qmag) * _TAIL_BOUND
     if mag <= bound:
         return 0
@@ -283,9 +277,8 @@ def qpoch_infinite(a, q) -> complex:
     can be that small.  :class:`TruncationExceeded`, for a head beyond
     MAX_TERMS, comes first.
     """
-    qb = QBase.coerce(q)
-    q = qb.q
-    nterms = tail_start(a, qb)
+    q = as_base(q)
+    nterms = tail_start(a, q)
     w = complex(a)
     if min_factor_abs(w, q, 0.5)[0] < EXACT_ZERO_FACTOR:
         return 0.0 + 0.0j
@@ -319,14 +312,15 @@ def min_factor_abs(a, q, floor: float) -> tuple[float, int | None]:
     return smallest, where
 
 
-def screen_denominator(symbols, qb: QBase, product: complex) -> None:
+def screen_denominator(symbols, q: complex, product: complex) -> None:
     """Raise :class:`NearSingular` when some factor 1 - w q^k of a symbol
     (name -> w) of the denominator ``product`` = prod_w (w;q)_oo with
     |w q^k| >= PRODUCT_TOL is below NEAR_SINGULAR_TOL, or when the product is
     exactly 0.  Its magnitude alone says nothing: at q = 0.95, (q;q)_oo is
-    about 1e-13 with every factor >= 0.05."""
+    about 1e-13 with every factor >= 0.05.  ``q`` is the complex base that
+    the caller has checked (:func:`as_base`)."""
     for name, w in symbols.items():
-        smallest, _ = min_factor_abs(w, qb.q, PRODUCT_TOL)
+        smallest, _ = min_factor_abs(w, q, PRODUCT_TOL)
         if smallest < NEAR_SINGULAR_TOL:
             raise NearSingular(
                 f"({name};q)_oo has a factor of magnitude {smallest:.3g}, "
@@ -339,11 +333,11 @@ def screen_denominator(symbols, qb: QBase, product: complex) -> None:
 def expansion_weights(n: int, ra: complex, rb: complex, q) -> list[complex]:
     """The n+1 coefficients (ra;q)_k (rb;q)_{n-k} / ((q;q)_k (q;q)_{n-k}),
     k = 0..n; NaN where (q;q)_k or (q;q)_{n-k} underflows to 0 (q near 1)."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     n = as_degree("n", n)
-    pa = _poch_row(ra, qb.q, n)
-    pb = _poch_row(rb, qb.q, n)
-    pq = [x or cmath.nan for x in _poch_row(qb.q, qb.q, n)]
+    pa = _poch_row(ra, q, n)
+    pb = _poch_row(rb, q, n)
+    pq = [x or cmath.nan for x in _poch_row(q, q, n)]
     return [pa[k] / pq[k] * (pb[n - k] / pq[n - k]) for k in range(n + 1)]
 
 
@@ -367,17 +361,17 @@ def connection_coeffs(m: int, r: ReducedParams, gamma_delta, q) -> list[complex]
     if r.a == 0:
         raise DomainError("connection coefficients need a != 0")
     m = as_degree("m", m)
-    qb = QBase.coerce(q)
+    q = as_base(q)
     gd = complex(gamma_delta)
     out = [0.0 + 0.0j] * (m + 1)
     for n in range(m % 2, m + 1, 2):
         j = (m - n) // 2
         half_sum = (m + n) // 2
         out[n] = (
-            (1.0 - r.a * qb.q ** n)
-            * qpoch_finite(r.b / r.a, qb, j)
-            * qpoch_finite(r.b, qb, half_sum)
-            / (qpoch_finite(qb.q, qb, j) * qpoch_finite(r.a, qb, half_sum + 1))
+            (1.0 - r.a * q ** n)
+            * qpoch_finite(r.b / r.a, q, j)
+            * qpoch_finite(r.b, q, half_sum)
+            / (qpoch_finite(q, q, j) * qpoch_finite(r.a, q, half_sum + 1))
             * int_power(r.a * gd, j)
         )
     return out

@@ -59,8 +59,8 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     PRODUCT_TOL,
     TWO_PI,
     ParamSet4,
-    QBase,
     ReducedParams,
+    as_base,
     as_degree,
     big_c_coeffs,
     connection_coeffs,
@@ -93,12 +93,12 @@ def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
     """Phi_n(x, y) at general complex x, y: the (q;q)_n-scaled double sum in
     powers of (gamma x) and (delta y), formed as running products (they
     overflow to inf).  On the unit circle it reduces to (q;q)_n * C_n."""
-    qb = QBase.coerce(q)
-    weights = expansion_weights(n, p.ratio_a, p.ratio_b, qb)
+    q = as_base(q)
+    weights = expansion_weights(n, p.ratio_a, p.ratio_b, q)
     gx_k = list(accumulate(repeat(p.gamma * complex(x), n), operator.mul, initial=1.0 + 0.0j))
     dy_k = list(accumulate(repeat(p.delta * complex(y), n), operator.mul, initial=1.0 + 0.0j))
     total = sum(w * gx_k[k] * dy_k[n - k] for k, w in enumerate(weights))
-    return qpoch_finite(qb.q, qb, n) * total
+    return qpoch_finite(q, q, n) * total
 
 
 def weight_symbols(p: ParamSet4):
@@ -113,7 +113,7 @@ def weight_min_denominator(p: ParamSet4, q) -> float:
     """min over theta and k (|w q^k| >= PRODUCT_TOL) of |1 - w q^k e^{+-2i theta}|
     for the two denominator symbols.  The exact minimum over theta of
     |1 - c e^{2i theta}| is |1 - |c||, so only moduli enter."""
-    qmag = abs(QBase.coerce(q).q)
+    qmag = abs(as_base(q))
     return min(min_factor_abs(abs(w), qmag, PRODUCT_TOL)[0] for w in weight_symbols(p)[0][2:])
 
 
@@ -125,11 +125,11 @@ def weight_omega_many(thetas, p: ParamSet4, q):
     that check is sharper than any node scan."""
     from . import kernels
 
-    qb = QBase.coerce(q)
-    if weight_min_denominator(p, qb) < NEAR_SINGULAR_TOL:
+    q = as_base(q)
+    if weight_min_denominator(p, q) < NEAR_SINGULAR_TOL:
         raise NearSingular("weight denominator can vanish on the circle")
     coefs, exps = weight_symbols(p)
-    return kernels.poch_product_many(coefs, exps, qb.q, quotient_depth(coefs, qb), thetas, 2)
+    return kernels.poch_product_many(coefs, exps, q, quotient_depth(coefs, q), thetas, 2)
 
 
 def h_norm(n: int, a, q) -> complex:
@@ -139,19 +139,19 @@ def h_norm(n: int, a, q) -> complex:
                    / (2 pi (a, a q; q)_oo (a^2; q)_n (1 - a)).
     """
     a = complex(a)
-    qb = QBase.coerce(q)
+    q = as_base(q)
     n = as_degree("n", n)
     if abs(a) >= 1.0:
         raise DomainError(f"|a| must be < 1, got {abs(a):.6g}")
-    den_inf = qpoch_infinite(a, qb) * qpoch_infinite(a * qb.q, qb)
-    screen_denominator({"a": a, "aq": a * qb.q}, qb, den_inf)
+    den_inf = qpoch_infinite(a, q) * qpoch_infinite(a * q, q)
+    screen_denominator({"a": a, "aq": a * q}, q, den_inf)
     num = (
-        qpoch_infinite(qb.q, qb)
-        * qpoch_infinite(a * a, qb)
-        * qpoch_finite(qb.q, qb, n)
-        * (1.0 - a * qb.q ** n)
+        qpoch_infinite(q, q)
+        * qpoch_infinite(a * a, q)
+        * qpoch_finite(q, q, n)
+        * (1.0 - a * q ** n)
     )
-    den = TWO_PI * den_inf * qpoch_finite(a * a, qb, n) * (1.0 - a)
+    den = TWO_PI * den_inf * qpoch_finite(a * a, q, n) * (1.0 - a)
     return num / den
 
 
@@ -159,11 +159,11 @@ def diagonal_prefactor(p: ParamSet4, q) -> complex:
     """2 pi (ra, rb; q)_oo / (q, ra*rb; q)_oo with ra = alpha/gamma,
     rb = beta/delta: the factor in front of both closed diagonals
     (:func:`diag_rhs_thm11` and :func:`thm_1_2_rhs_series`)."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     ra, rb = p.ratio_a, p.ratio_b
-    den_inf = qpoch_infinite(qb.q, qb) * qpoch_infinite(ra * rb, qb)
-    screen_denominator({"q": qb.q, "ra*rb": ra * rb}, qb, den_inf)
-    return TWO_PI * qpoch_infinite(ra, qb) * qpoch_infinite(rb, qb) / den_inf
+    den_inf = qpoch_infinite(q, q) * qpoch_infinite(ra * rb, q)
+    screen_denominator({"q": q, "ra*rb": ra * rb}, q, den_inf)
+    return TWO_PI * qpoch_infinite(ra, q) * qpoch_infinite(rb, q) / den_inf
 
 
 def diag_rhs_thm11(n: int, p: ParamSet4, q) -> complex:
@@ -176,12 +176,12 @@ def diag_rhs_thm11(n: int, p: ParamSet4, q) -> complex:
 
     with ra = alpha/gamma, rb = beta/delta: :func:`diagonal_prefactor` times
     one closed term."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     n = as_degree("n", n)
     ra, rb = p.ratio_a, p.ratio_b
-    qn = qb.q ** n
-    return (diagonal_prefactor(p, qb) * (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn))
-            * qpoch_finite(ra * rb, qb, n) / qpoch_finite(qb.q, qb, n) * int_power(p.gd, n))
+    qn = q ** n
+    return (diagonal_prefactor(p, q) * (1.0 / (1.0 - ra * qn) + 1.0 / (1.0 - rb * qn))
+            * qpoch_finite(ra * rb, q, n) / qpoch_finite(q, q, n) * int_power(p.gd, n))
 
 
 def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q) -> complex:
@@ -191,11 +191,11 @@ def thm_1_2_rhs_series(p: ParamSet4, s: complex, t: complex, q) -> complex:
     1 - c q^n = (1 - c) (cq;q)_n / (c;q)_n and 1/(1 - r q^n) = (r;q)_n / ((1 - r) (rq;q)_n),
     so, summed without a growth test, it is :func:`diagonal_prefactor` times
     2 (1 - c) / ((1 - ra)(1 - rb)) 4phi3(ra*rb, ra, rb, cq; ra q, rb q, c; q, gamma delta s t)."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     ra, rb = p.ratio_a, p.ratio_b
     c = 0.5 * (ra + rb)
-    spec = PhiSpec((ra * rb, ra, rb, c * qb.q), (ra * qb.q, rb * qb.q, c), qb, p.gd * s * t)
-    return (diagonal_prefactor(p, qb) * (2.0 * (1.0 - c) / ((1.0 - ra) * (1.0 - rb)))
+    spec = PhiSpec((ra * rb, ra, rb, c * q), (ra * q, rb * q, c), q, p.gd * s * t)
+    return (diagonal_prefactor(p, q) * (2.0 * (1.0 - c) / ((1.0 - ra) * (1.0 - rb)))
             * phi_series(spec, growth_test=False))
 
 
@@ -225,7 +225,7 @@ def growth_root(n: int, p: ParamSet4, q) -> float:
     return scale * abs(laurent_at(big_c_coeffs(n, unit, q), n, 0.0)) ** (1.0 / n)
 
 
-def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QBase) -> complex:
+def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, q: complex) -> complex:
     """sum_k q^k f(e q^k) for the integrand
 
         f(z) = (q z/e, q z/o; q)_oo z^n / (u z/e, v z/e; q)_oo
@@ -237,11 +237,10 @@ def _lattice_side(e: complex, o: complex, u: complex, v: complex, n: int, qb: QB
         K = (q, w; q)_oo / (u, v; q)_oo,
 
     the 2phi1 summed by :func:`~qortho.hyper.phi_series` without a growth test."""
-    q = qb.q
     w = q * e / o
-    k_e = qpoch_infinite(q, qb) * qpoch_infinite(w, qb) / (
-        qpoch_infinite(u, qb) * qpoch_infinite(v, qb))
-    spec = PhiSpec((u, v), (w,), qb, q ** (n + 1))
+    k_e = qpoch_infinite(q, q) * qpoch_infinite(w, q) / (
+        qpoch_infinite(u, q) * qpoch_infinite(v, q))
+    spec = PhiSpec((u, v), (w,), q, q ** (n + 1))
     return k_e * int_power(e, n) * phi_series(spec, growth_test=False)
 
 
@@ -258,7 +257,7 @@ def phi_qintegral_repr(n: int, x, y, p: ParamSet4, q) -> complex:
     :func:`phi_eval`; raises :class:`NearSingular` when any
     denominator symbol has a factor within 1e-12 of zero.
     """
-    qb = QBase.coerce(q)
+    q = as_base(q)
     n = as_degree("n", n)
     x = complex(x)
     y = complex(y)
@@ -280,24 +279,24 @@ def phi_qintegral_repr(n: int, x, y, p: ParamSet4, q) -> complex:
     # chains, which reduce to the last four.  Screened before any product is
     # formed, so the product passed is 1.
     screen_denominator({
-        "q": qb.q, "ra*rb": ra * rb, "gx/dy": gx / dy, "q*dy/gx": qb.q * dy / gx,
+        "q": q, "ra*rb": ra * rb, "gx/dy": gx / dy, "q*dy/gx": q * dy / gx,
         "rb": rb,  # beta z/(gamma delta x) at z = gx q^k
         "beta*y/gx": by_gx,  # ... at z = dy q^k
         "alpha*x/dy": ax_dy,  # alpha z/(gamma delta y) at z = gx q^k
         "ra": ra,  # ... at z = dy q^k
-    }, qb, 1.0)
+    }, q, 1.0)
 
-    prefactor_num = qpoch_finite(ra * rb, qb, n)
+    prefactor_num = qpoch_finite(ra * rb, q, n)
     for arg in (ra, rb, by_gx, ax_dy):
-        prefactor_num *= qpoch_infinite(arg, qb)
-    prefactor_den = (1.0 - qb.q) * dy
-    for arg in (qb.q, ra * rb, gx / dy, qb.q * dy / gx):
-        prefactor_den *= qpoch_infinite(arg, qb)
+        prefactor_num *= qpoch_infinite(arg, q)
+    prefactor_den = (1.0 - q) * dy
+    for arg in (q, ra * rb, gx / dy, q * dy / gx):
+        prefactor_den *= qpoch_infinite(arg, q)
     if abs(prefactor_den) < NEAR_SINGULAR_TOL:
         raise NearSingular("prefactor denominator product is near zero")
 
     # the integrand's denominator symbols are (u z/e, v z/e; q)_oo with
     # u = beta e/(gamma delta x) and v = alpha e/(gamma delta y) at endpoint e
-    integral = (1.0 - qb.q) * (dy * _lattice_side(dy, gx, by_gx, ra, n, qb)
-                               - gx * _lattice_side(gx, dy, rb, ax_dy, n, qb))
+    integral = (1.0 - q) * (dy * _lattice_side(dy, gx, by_gx, ra, n, q)
+                            - gx * _lattice_side(gx, dy, rb, ax_dy, n, q))
     return prefactor_num / prefactor_den * integral

@@ -47,9 +47,9 @@ from .qcore import (
     NEAR_SINGULAR_TOL,
     TWO_PI,
     ParamSet4,
-    QBase,
     Record,
     ReducedParams,
+    as_base,
     as_degree,
     big_c_coeffs,
     connection_coeffs,
@@ -195,8 +195,8 @@ def _unflatten_inputs(flat: Mapping[str, object]) -> dict:
     return out
 
 
-def _paramset_inputs(p: ParamSet4, q: QBase) -> dict:
-    return dict(zip(p._fields, p._values()), q=q.q)
+def _paramset_inputs(p: ParamSet4, q: complex) -> dict:
+    return dict(zip(p._fields, p._values()), q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def _check(identity_id, inputs, lhs, rhs) -> VerificationReport:
 
 
 def _circle_check(
-    identity_id, inputs, weight: ParamSet4, qb: QBase, interval,
+    identity_id, inputs, weight: ParamSet4, q: complex, interval,
     c_m_n: tuple[Sequence[complex], Sequence[complex]] | None, rhs: Callable[[], complex],
     extra: Sequence[complex] | None = None,
 ) -> VerificationReport:
@@ -253,10 +253,10 @@ def _circle_check(
 
     coefs, exps = qfun.weight_symbols(weight)
     flags: list[str] = []
-    if qfun.weight_min_denominator(weight, qb) < NEAR_SINGULAR_TOL:
+    if qfun.weight_min_denominator(weight, q) < NEAR_SINGULAR_TOL:
         flags.append("NearSingular")
     else:
-        kmax = _evaluate(lambda: quotient_depth((*(extra or ()), *coefs), qb), flags)
+        kmax = _evaluate(lambda: quotient_depth((*(extra or ()), *coefs), q), flags)
     if flags:
         return VerificationReport.build(identity_id, inputs, NAN, NAN, flags=flags)
     own = np.array(coefs, dtype=np.complex128), np.array(exps, dtype=np.float64)
@@ -267,12 +267,12 @@ def _circle_check(
         laurent = np.convolve(*c_m_n), len(c_m_n[0]) + len(c_m_n[1]) - 2
 
     def integrand(thetas):
-        half = kernels.poch_product_many(*own, qb.q, kmax, thetas[: thetas.shape[0] // 2], 2)
+        half = kernels.poch_product_many(*own, q, kmax, thetas[: thetas.shape[0] // 2], 2)
         values = np.concatenate((half, half))
         if c_m_n is not None:
             values *= kernels.laurent_eval(*laurent, thetas)
         if extra is not None:
-            values *= kernels.poch_product_many(*extra_arrays, qb.q, kmax, thetas, 4)
+            values *= kernels.poch_product_many(*extra_arrays, q, kmax, thetas, 4)
         return values
 
     # the k = 0 factors of the weight's denominator hold the poles nearest the circle
@@ -305,20 +305,20 @@ def check_thm_1_1(p: ParamSet4, q, m: int, n: int) -> VerificationReport:
     symbols need |alpha/delta| < 1 and |beta/gamma| < 1."""
     from . import qfun
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     _require(_weight_moduli(p))
     return _circle_check(
-        IdentityId.THM_1_1, _paramset_inputs(p, qb) | {"m": m, "n": n},
-        p, qb, FULL_PERIOD,
-        (big_c_coeffs(m, p, qb), big_c_coeffs(n, p, qb)),
-        lambda: qfun.diag_rhs_thm11(n, p, qb) if m == n else 0.0 + 0.0j,
+        IdentityId.THM_1_1, _paramset_inputs(p, q) | {"m": m, "n": n},
+        p, q, FULL_PERIOD,
+        (big_c_coeffs(m, p, q), big_c_coeffs(n, p, q)),
+        lambda: qfun.diag_rhs_thm11(n, p, q) if m == n else 0.0 + 0.0j,
     )
 
 
-def _thm_1_2_moduli(p: ParamSet4, s: complex, t: complex, q: QBase) -> dict[str, float]:
+def _thm_1_2_moduli(p: ParamSet4, s: complex, t: complex, q: complex) -> dict[str, float]:
     """The seven moduli of the q-beta integral's hypothesis."""
     return {
-        "|q|": abs(q.q),
+        "|q|": abs(q),
         "|alpha/gamma|": abs(p.ratio_a),
         "|beta/delta|": abs(p.ratio_b),
         "|gamma*s|": abs(p.gamma * s),
@@ -336,14 +336,14 @@ def check_thm_1_2(p: ParamSet4, s, t, q) -> VerificationReport:
     :func:`check_thm_1_1`."""
     from . import qfun
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     s = finite_complex("s", s)
     t = finite_complex("t", t)
-    _require(_thm_1_2_moduli(p, s, t, qb) | _weight_moduli(p))
+    _require(_thm_1_2_moduli(p, s, t, q) | _weight_moduli(p))
     return _circle_check(
-        IdentityId.THM_1_2, _paramset_inputs(p, qb) | {"s": s, "t": t},
-        p, qb, FULL_PERIOD,
-        None, lambda: qfun.thm_1_2_rhs_series(p, s, t, qb),
+        IdentityId.THM_1_2, _paramset_inputs(p, q) | {"s": s, "t": t},
+        p, q, FULL_PERIOD,
+        None, lambda: qfun.thm_1_2_rhs_series(p, s, t, q),
         (p.alpha * t, p.beta * t, p.alpha * s, p.beta * s,
          p.gamma * t, p.delta * t, p.gamma * s, p.delta * s),
     )
@@ -361,7 +361,7 @@ def check_thm_1_3(r: ReducedParams, gamma, delta, q, m: int, n: int) -> Verifica
     or m < n, the closed form otherwise.  The closed form needs a != 0."""
     from . import qfun
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
     if r.a == 0:
@@ -369,11 +369,11 @@ def check_thm_1_3(r: ReducedParams, gamma, delta, q, m: int, n: int) -> Verifica
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)  # gamma, delta != 0
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
     _require(_thm_1_3_moduli(r.a, gamma, delta))
-    inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m, "n": n}
+    inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": q, "m": m, "n": n}
     return _circle_check(
-        IdentityId.THM_1_3, inputs, p_a, qb, HALF_PERIOD,
-        (big_c_coeffs(m, p_b, qb), big_c_coeffs(n, p_a, qb)),
-        lambda: qfun.thm_1_3_rhs(r, gamma, delta, qb, m, n),
+        IdentityId.THM_1_3, inputs, p_a, q, HALF_PERIOD,
+        (big_c_coeffs(m, p_b, q), big_c_coeffs(n, p_a, q)),
+        lambda: qfun.thm_1_3_rhs(r, gamma, delta, q, m, n),
     )
 
 
@@ -384,18 +384,18 @@ def check_prop_3_1(r: ReducedParams, gamma, delta, q, m: int) -> VerificationRep
     coefficients of C_n shift by (m - n)/2 into those of degree m.  The report
     carries both sides at the worst coefficient (a NaN residual counts as the
     worst), against the largest coefficient of the b-family side."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
-    inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": qb.q, "m": m}
-    coeffs = connection_coeffs(m, r, gamma * delta, qb)
-    lhs = big_c_coeffs(m, p_b, qb)
+    inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": q, "m": m}
+    coeffs = connection_coeffs(m, r, gamma * delta, q)
+    lhs = big_c_coeffs(m, p_b, q)
     rhs = [0.0 + 0.0j] * len(lhs)
     for nn in range(m % 2, m + 1, 2):
         shift = (m - nn) // 2
-        for k, c in enumerate(big_c_coeffs(nn, p_a, qb)):
+        for k, c in enumerate(big_c_coeffs(nn, p_a, q)):
             rhs[k + shift] += coeffs[nn] * c
     worst = max(range(len(lhs)), key=lambda k: (math.isnan(d := abs(lhs[k] - rhs[k])), d))
     return VerificationReport.build(IdentityId.PROP_3_1, inputs, lhs[worst], rhs[worst],
@@ -413,15 +413,15 @@ def check_ultra_ortho(beta, q, m: int, n: int) -> VerificationReport:
     diagonal 1/h_n."""
     from . import qfun
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     beta = finite_complex("beta", beta)
     _require(_ultra_ortho_moduli(beta))
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
-        IdentityId.ULTRA_ORTHO, {"beta": beta, "q": qb.q, "m": m, "n": n},
-        p, qb, HALF_PERIOD,
-        (big_c_coeffs(m, p, qb), big_c_coeffs(n, p, qb)),
-        lambda: 1.0 / qfun.h_norm(n, beta, qb) if m == n else 0.0 + 0.0j,
+        IdentityId.ULTRA_ORTHO, {"beta": beta, "q": q, "m": m, "n": n},
+        p, q, HALF_PERIOD,
+        (big_c_coeffs(m, p, q), big_c_coeffs(n, p, q)),
+        lambda: 1.0 / qfun.h_norm(n, beta, q) if m == n else 0.0 + 0.0j,
     )
 
 
@@ -430,16 +430,16 @@ def check_prop_2_1_2(p: ParamSet4, q, n: int, theta: float = 0.0) -> Verificatio
     for a real angle theta."""
     from . import qfun
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     theta = finite_complex("theta", theta)
     if theta.imag:
         raise DomainError(f"theta must be real, got {theta!r}")
     theta = theta.real
     x = complex(math.cos(theta), math.sin(theta))
     return _check(
-        IdentityId.PROP_2_1_2, _paramset_inputs(p, qb) | {"n": n, "theta": theta},
-        lambda: qfun.phi_eval(n, x, x.conjugate(), p, qb),
-        lambda: qpoch_finite(qb.q, qb, n) * qfun.laurent_at(big_c_coeffs(n, p, qb), n, theta),
+        IdentityId.PROP_2_1_2, _paramset_inputs(p, q) | {"n": n, "theta": theta},
+        lambda: qfun.phi_eval(n, x, x.conjugate(), p, q),
+        lambda: qpoch_finite(q, q, n) * qfun.laurent_at(big_c_coeffs(n, p, q), n, theta),
     )
 
 
@@ -447,10 +447,10 @@ def check_prop_2_1_3(p: ParamSet4, q, n: int = 200) -> VerificationReport:
     """Growth-root diagnostic |C_n(1)|^{1/n} against max(|gamma|, |delta|)."""
     from . import qfun
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     return _check(
-        IdentityId.PROP_2_1_3, _paramset_inputs(p, qb) | {"n": n},
-        lambda: complex(qfun.growth_root(n, p, qb)),
+        IdentityId.PROP_2_1_3, _paramset_inputs(p, q) | {"n": n},
+        lambda: complex(qfun.growth_root(n, p, q)),
         lambda: complex(max(abs(p.gamma), abs(p.delta))),
     )
 
@@ -472,23 +472,23 @@ def check_prop_2_2(p: ParamSet4, q, k: int = 0) -> VerificationReport:
     import numpy as np
     from . import kernels
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     as_degree("k", k)
     ra_rb = p.ratio_a * p.ratio_b
     if ra_rb == 1.0:
         raise DomainError("ra*rb = (alpha/gamma)(beta/delta) must not be 1")
     t_fraction, partial_terms, tail_terms = PROP_2_2_MAJORANT.values()
-    inputs = _paramset_inputs(p, qb) | {"k": k} | PROP_2_2_MAJORANT
+    inputs = _paramset_inputs(p, q) | {"k": k} | PROP_2_2_MAJORANT
     t_abs = t_fraction * min(1.0 / abs(p.gamma), 1.0 / abs(p.delta))
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        c_at_one = np.abs(kernels.big_c_at_one(partial_terms + tail_terms + k, p, qb)).tolist()
-    poch_ratio = abs(qpoch_finite(qb.q, qb, k) / qpoch_finite(ra_rb, qb, k))
+        c_at_one = np.abs(kernels.big_c_at_one(partial_terms + tail_terms + k, p, q)).tolist()
+    poch_ratio = abs(qpoch_finite(q, q, k) / qpoch_finite(ra_rb, q, k))
     tn = 1.0
     terms = []
     for nn in range(partial_terms + tail_terms):
         terms.append(c_at_one[nn + k] * c_at_one[nn] * poch_ratio * tn)
-        poch_ratio *= abs((1.0 - qb.q ** (nn + k + 1)) / (1.0 - ra_rb * qb.q ** (nn + k)))
+        poch_ratio *= abs((1.0 - q ** (nn + k + 1)) / (1.0 - ra_rb * q ** (nn + k)))
         tn *= t_abs
     partial, tail = sum(terms[:partial_terms]), sum(terms[partial_terms:])
     return VerificationReport.build(
@@ -500,38 +500,38 @@ def check_prop_2_4(p: ParamSet4, q, n: int, x, y) -> VerificationReport:
     """Lattice-integral representation vs. the double-sum evaluation of Phi_n."""
     from . import qfun
 
-    qb = QBase.coerce(q)
+    q = as_base(q)
     x = finite_complex("x", x)
     y = finite_complex("y", y)
     return _check(
-        IdentityId.PROP_2_4, _paramset_inputs(p, qb) | {"n": n, "x": x, "y": y},
-        lambda: qfun.phi_qintegral_repr(n, x, y, p, qb),
-        lambda: qfun.phi_eval(n, x, y, p, qb),
+        IdentityId.PROP_2_4, _paramset_inputs(p, q) | {"n": n, "x": x, "y": y},
+        lambda: qfun.phi_qintegral_repr(n, x, y, p, q),
+        lambda: qfun.phi_eval(n, x, y, p, q),
     )
 
 
 def check_rogers_6w5(a, b, c, d, q) -> VerificationReport:
     """Very-well-poised six-parameter sum at z = a q/(b c d) vs. its closed
     product form."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
-    z = rogers_6w5_argument(a, b, c, d, qb.q)
+    z = rogers_6w5_argument(a, b, c, d, q)
     return _check(
-        IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": qb.q},
-        lambda: very_well_poised(a, [b, c, d], qb, z),
-        lambda: rogers_6w5_rhs(a, b, c, d, qb),
+        IdentityId.ROGERS_6W5, {"a": a, "b": b, "c": c, "d": d, "q": q},
+        lambda: very_well_poised(a, [b, c, d], q, z),
+        lambda: rogers_6w5_rhs(a, b, c, d, q),
     )
 
 
 def check_qbinomial(a, z, q) -> VerificationReport:
     """Binomial series sum_n (a;q)_n z^n/(q;q)_n vs. (az;q)_oo/(z;q)_oo."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     a = finite_complex("a", a)
     z = finite_complex("z", z)
     return _check(
-        IdentityId.QBINOMIAL, {"a": a, "z": z, "q": qb.q},
-        lambda: phi_series(PhiSpec((a,), (), qb, z)),
-        lambda: qbinomial_product_ratio(a, z, qb),
+        IdentityId.QBINOMIAL, {"a": a, "z": z, "q": q},
+        lambda: phi_series(PhiSpec((a,), (), q, z)),
+        lambda: qbinomial_product_ratio(a, z, q),
     )
 
 
@@ -608,7 +608,7 @@ def _draw_thm_1_2(rng, box, q, spec) -> dict | None:
     biggest = max(abs(p.gamma), abs(p.delta))
     s = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
     t = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
-    if _admits(_thm_1_2_moduli(p, s, t, QBase.coerce(q)), 0.7):
+    if _admits(_thm_1_2_moduli(p, s, t, q), 0.7):
         return {"p": p, "s": s, "t": t, "q": q}
 
 

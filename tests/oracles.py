@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 
 from qortho.hyper import PhiSpec, phi_series
-from qortho.qcore import QBase, qpoch_finite, qpoch_infinite
+from qortho.qcore import as_base, qpoch_finite, qpoch_infinite
 
 
 def poch_poly(c, q, order, tol=1e-18):
@@ -117,9 +117,9 @@ def weight_moment(J, p, q):
     c, d = p.gamma / p.delta, p.delta / p.gamma
     if J < 0:
         a, b, c, d, J = b, a, d, c, -J
-    qb = QBase.coerce(q)
-    head = qpoch_finite(c / a, qb, J) * a ** J / qpoch_finite(qb.q, qb, J)
-    spec = PhiSpec((c * qb.q ** J / a, d / b), (qb.q ** (J + 1),), qb, a * b)
+    q = as_base(q)
+    head = qpoch_finite(c / a, q, J) * a ** J / qpoch_finite(q, q, J)
+    spec = PhiSpec((c * q ** J / a, d / b), (q ** (J + 1),), q, a * b)
     return head * phi_series(spec, growth_test=False)
 
 
@@ -235,21 +235,20 @@ def lattice_repr_oracle(n, x, y, p, q):
     below 1e-20 of the partial sum, far below double precision; no screen.
     Returns the value and |prefactor| (1-q) max(|dy S(dy)|, |gx S(gx)|), the
     size of the two one-sided terms that cancel in it."""
-    qb = QBase.coerce(q)
-    q, x, y = qb.q, complex(x), complex(y)
+    q, x, y = as_base(q), complex(x), complex(y)
     gx, dy = p.gamma * x, p.delta * y
     ra, rb = p.ratio_a, p.ratio_b
-    num = qpoch_finite(ra * rb, qb, n)
+    num = qpoch_finite(ra * rb, q, n)
     for arg in (ra, rb, p.beta * y / gx, p.alpha * x / dy):
-        num *= qpoch_infinite(arg, qb)
+        num *= qpoch_infinite(arg, q)
     den = (1.0 - q) * dy
     for arg in (q, ra * rb, gx / dy, q * dy / gx):
-        den *= qpoch_infinite(arg, qb)
+        den *= qpoch_infinite(arg, q)
     gdx, gdy = p.gamma * p.delta * x, p.gamma * p.delta * y
 
     def f(z):
-        upper = qpoch_infinite(q * z / gx, qb) * qpoch_infinite(q * z / dy, qb)
-        lower = qpoch_infinite(p.beta * z / gdx, qb) * qpoch_infinite(p.alpha * z / gdy, qb)
+        upper = qpoch_infinite(q * z / gx, q) * qpoch_infinite(q * z / dy, q)
+        lower = qpoch_infinite(p.beta * z / gdx, q) * qpoch_infinite(p.alpha * z / gdy, q)
         return upper / lower * z ** n
 
     def side(e):  # e S(e)

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from qortho import DomainError, PhiSpec, QBase, TruncationExceeded, qcore, qpoch_infinite
-from qortho.qcore import EXACT_ZERO_FACTOR, NEAR_SINGULAR_TOL, closing_factors, tail_start
+from qortho import DomainError, PhiSpec, TruncationExceeded, qcore, qpoch_infinite
+from qortho.qcore import (EXACT_ZERO_FACTOR, NEAR_SINGULAR_TOL, as_base, closing_factors,
+                          finite_complex, tail_start)
 
 CHAINS_PER_KIND = 700
 KINDS = ("real", "negative", "complex", "q_power", "half", "special")
@@ -41,20 +42,24 @@ def reference_poch_zero_index(value, q, tol):
 
 def reference_phispec(numerators, denominators, q, z):
     """``terminates_at`` of PhiSpec(numerators, denominators, q, z), or the
-    DomainError it raises, each parameter tested by its own zero-index loop."""
-    q = QBase.coerce(q)
-    for b in map(complex, denominators):
-        m = reference_poch_zero_index(b, q.q, NEAR_SINGULAR_TOL)
+    DomainError it raises: a bad base or a non-finite argument first, then
+    each parameter tested by its own zero-index loop."""
+    q = as_base(q)
+    numerators = [finite_complex("numerator parameter", a) for a in numerators]
+    denominators = [finite_complex("denominator parameter", b) for b in denominators]
+    z = finite_complex("z", z)
+    for b in denominators:
+        m = reference_poch_zero_index(b, q, NEAR_SINGULAR_TOL)
         if m is not None:
             raise DomainError(
                 f"denominator parameter {b} is q^-{m} to within "
                 f"{NEAR_SINGULAR_TOL}; it would zero a product factor"
             )
     stops = [m for a in numerators
-             if (m := reference_poch_zero_index(a, q.q, NEAR_SINGULAR_TOL)) is not None]
-    if not stops and abs(complex(z)) >= 1.0:
+             if (m := reference_poch_zero_index(a, q, NEAR_SINGULAR_TOL)) is not None]
+    if not stops and abs(z) >= 1.0:
         raise DomainError(
-            f"non-terminating series needs |z| < 1, got |z| = {abs(complex(z)):.6g}"
+            f"non-terminating series needs |z| < 1, got |z| = {abs(z):.6g}"
         )
     return min(stops) if stops else None
 
@@ -62,9 +67,8 @@ def reference_phispec(numerators, denominators, q, z):
 def reference_qpoch_infinite(a, q):
     """(a;q)_oo by two loops: the head factors with |a q^k| > 1/2, each tested
     for an exact zero, then the rest of the head untested."""
-    qb = QBase.coerce(q)
-    q = qb.q
-    nterms = tail_start(a, qb)
+    q = as_base(q)
+    nterms = tail_start(a, q)
     prod = 1.0 + 0.0j
     w = complex(a)
     k = 0

@@ -339,22 +339,40 @@ def test_option_strings_are_pinned(command):
 
 class TestUnreadFlags:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, unread",
         [
-            ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--alpha-re", "5"],
-            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--tol", "1", *BOX],
-            ["eval", "big_c", "--n", "0", "--theta", "0.3", "--m", "1", *BOX],
-            ["verify", "--identity", "THM_1_1", "--m", "0", "--n", "1", "--k", "2", *BOX],
+            (["verify", "--identity", "THM_1_1", "--m", "0", "--n", "1", "--k", "2", *BOX],
+             "--k"),
             # flags of another eval or table function
-            ["table", "big_c", "--n-max", "1", *BOX, "--m", "7", "--a-re", "3"],
-            ["eval", "big_c", "--n", "1", "--theta", "0", *BOX, "--x-re", "9", "--z-re", "4"],
-            ["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--inf", "--n", "3", "--theta", "1"],
+            (["table", "big_c", "--n-max", "1", *BOX, "--m", "7", "--a-re", "3"],
+             "--m, --a-re"),
+            (["eval", "big_c", "--n", "1", "--theta", "0", *BOX, "--x-re", "9", "--z-re", "4"],
+             "--x-re, --z-re"),
+            (["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--inf", "--n", "3",
+              "--theta", "1"], "--n, --theta"),
         ],
     )
-    def test_unread_flag_exits_2(self, argv, capsys):
-        code, _, err = run_cli(argv, capsys)
-        assert code == EXIT_INVALID
-        assert "--" in err
+    def test_unread_flag_exits_2(self, argv, unread, capsys):
+        # the command parses the flag, and refuses it because it does not read it
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert f"does not read {unread}\n" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--alpha-re", "5"],
+             "--alpha-re 5"),
+            (["eval", "big_c", "--n", "0", "--theta", "0.3", "--tol", "1", *BOX], "--tol 1"),
+            (["eval", "big_c", "--n", "0", "--theta", "0.3", "--m", "1", *BOX], "--m 1"),
+        ],
+    )
+    def test_a_flag_the_subcommand_lacks_is_unrecognized(self, argv, flag, capsys):
+        # no function of the subcommand has the flag, so argparse refuses it
+        # before any function is chosen
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert f"unrecognized arguments: {flag}" in err and "does not read" not in err
 
 
 EVAL_METADATA = [

@@ -7,7 +7,6 @@ from qortho import (
     DomainError,
     NearSingular,
     PhiSpec,
-    QBase,
     SweepSpec,
     TruncationExceeded,
     phi_series,
@@ -28,33 +27,44 @@ class TestPhiSpec:
     def test_forbidden_denominator_parameter(self):
         # b = q^{-1} would zero (b;q)_k for k >= 2
         with pytest.raises(DomainError):
-            PhiSpec((0.3,), (2.0,), QBase(0.5), 0.1)
+            PhiSpec((0.3,), (2.0,), 0.5, 0.1)
 
     def test_nonterminating_needs_small_z(self):
         with pytest.raises(DomainError):
-            PhiSpec((0.3,), (0.2,), QBase(0.5), 1.1)
+            PhiSpec((0.3,), (0.2,), 0.5, 1.1)
 
     def test_terminating_allows_large_z(self):
         # numerator q^{-3} terminates the series, |z| >= 1 is then fine
-        spec = PhiSpec((0.5 ** -3,), (0.2,), QBase(0.5), 2.0)
+        spec = PhiSpec((0.5 ** -3,), (0.2,), 0.5, 2.0)
         assert spec.terminates_at == 3
+
+    @pytest.mark.parametrize("nums, dens, z, name", [
+        ((0.3,), (), float("nan"), "z"),
+        ((float("inf"),), (), 0.5, "numerator parameter"),
+        ((0.3,), (float("nan"),), 0.5, "denominator parameter"),
+    ])
+    def test_non_finite_parameters_and_argument_are_domain_errors(self, nums, dens, z, name):
+        # a NaN or an infinity slips through every modulus test; unchecked,
+        # the series would run to MAX_TERMS and raise TruncationExceeded
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            phi_series(PhiSpec(nums, dens, 0.5, z))
 
 
 class TestPhiSeries:
     def test_z_zero_gives_one(self):
-        spec = PhiSpec((0.3, 0.4), (0.2,), QBase(0.5), 0.0)
+        spec = PhiSpec((0.3, 0.4), (0.2,), 0.5, 0.0)
         assert phi_series(spec) == 1.0
 
     def test_numerator_one_truncates_immediately(self):
         # (1;q)_k = 0 for k >= 1, so only the k=0 term survives
-        spec = PhiSpec((1.0, 0.3), (0.2,), QBase(0.5), 0.5)
+        spec = PhiSpec((1.0, 0.3), (0.2,), 0.5, 0.5)
         assert phi_series(spec) == 1.0
 
     def test_terminating_matches_finite_sum(self):
         # numerator q^{-2}: sum_k (q^{-2};q)_k (0.3;q)_k z^k / ((q;q)_k (0.2;q)_k)
         q, z = 0.5, 1.3
         a = q ** -2
-        spec = PhiSpec((a, 0.3), (0.2,), QBase(q), z)
+        spec = PhiSpec((a, 0.3), (0.2,), q, z)
         expected = 0.0
         for k in range(3):
             num = np.prod([(1 - a * q ** j) * (1 - 0.3 * q ** j) for j in range(k)])
@@ -67,20 +77,20 @@ class TestPhiSeries:
         # the sum must stop after term 2 before the terms grow;
         # (q^-2 z; q)_2 = (1 - 8)(1 - 4) at z = 2
         q = 0.5
-        spec = PhiSpec((q ** -2 * (1 + 1e-13),), (), QBase(q), 2.0)
+        spec = PhiSpec((q ** -2 * (1 + 1e-13),), (), q, 2.0)
         assert spec.terminates_at == 2
         assert phi_series(spec) == pytest.approx(21.0, rel=1e-11)
 
     def test_growth_heuristic_still_fires_before_a_late_termination(self):
         # terminates at k = 30, but terms grow for the first 20
-        spec = PhiSpec((0.9 ** -30,), (), QBase(0.9), 0.5)
+        spec = PhiSpec((0.9 ** -30,), (), 0.9, 0.5)
         with pytest.raises(DivergentSeries, match="k=20"):
             phi_series(spec)
 
     def test_qbinomial_identity_spot(self):
         # single numerator, no denominators: equals (a z;q)_oo / (z;q)_oo
         a, q, z = 0.3, 0.5, 0.4
-        lhs = phi_series(PhiSpec((a,), (), QBase(q), z))
+        lhs = phi_series(PhiSpec((a,), (), q, z))
         rhs = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -89,7 +99,7 @@ class TestPhiSeries:
             a = rng.uniform(-0.9, 0.9)
             z = rng.uniform(-0.7, 0.7)
             q = rng.uniform(0.1, 0.8)
-            lhs = phi_series(PhiSpec((a,), (), QBase(q), z))
+            lhs = phi_series(PhiSpec((a,), (), q, z))
             rhs = qbinomial_product_ratio(a, z, q)
             assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
@@ -101,7 +111,7 @@ class TestPhiSeries:
         # every term is positive at z = 0.65, so the terms after the stop are
         # the whole truncation error; the stop is the least MAX_TERMS that
         # does not raise
-        spec = PhiSpec(nums, dens, QBase(q), 0.65)
+        spec = PhiSpec(nums, dens, q, 0.65)
 
         def stops_within(max_terms):
             monkeypatch.setattr(qcore, "MAX_TERMS", max_terms)
@@ -128,12 +138,12 @@ class TestPhiSeries:
         q, b, z = 0.5, 2.0 ** 10 * (1 + 1e-11), 0.0145
         with mpmath.workdps(40):
             expected = float(mpmath.fsum(mp_phi_terms((0.9 * b,), (b,), q, z, 80)))
-        got = phi_series(PhiSpec((0.9 * b,), (b,), QBase(q), z))
+        got = phi_series(PhiSpec((0.9 * b,), (b,), q, z))
         assert got == pytest.approx(expected, rel=1e-15)
 
     def test_divergence_detection(self):
         # huge numerator parameter keeps the term ratio above 1 for many k
-        spec = PhiSpec((1e6,), (), QBase(0.99), 0.9)
+        spec = PhiSpec((1e6,), (), 0.99, 0.9)
         with pytest.raises(DivergentSeries):
             phi_series(spec)
 
@@ -142,7 +152,7 @@ class TestPhiSeries:
         # above 1 for k = 0..27, which the growth test takes for divergence;
         # the running product's rounding leaves 2.2e-15
         q, z = 0.9, 0.95
-        spec = PhiSpec((0.0,), (), QBase(q), z)
+        spec = PhiSpec((0.0,), (), q, z)
         with pytest.raises(DivergentSeries, match="k=20"):
             phi_series(spec)
         with mpmath.workdps(40):
@@ -163,7 +173,7 @@ class TestVeryWellPoised:
             root = np.sqrt(a1)
             nums = (a1, q * root, -q * root, *rest)
             dens = (root, -root, *(q * a1 / r for r in rest))
-            direct = phi_series(PhiSpec(nums, dens, QBase(q), z))
+            direct = phi_series(PhiSpec(nums, dens, q, z))
             assert very_well_poised(a1, rest, q, z) == pytest.approx(direct, rel=1e-14)
 
 

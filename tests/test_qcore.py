@@ -5,48 +5,103 @@ import random
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_qpoch
+import qortho
 from qortho import (
     DomainError,
     ParamSet4,
-    QBase,
+    ReducedParams,
+    SweepSpec,
     TruncationExceeded,
+    qfun,
     qpoch_finite,
     qpoch_infinite,
 )
 from qortho.kernels import poch_product_many
-from qortho.qcore import PRODUCT_TOL, _poch_row, closing_factors, min_factor_abs, tail_start
+from qortho.qcore import (PRODUCT_TOL, _poch_row, as_base, closing_factors, min_factor_abs,
+                          tail_start)
 from qortho.qfun import expansion_weights
+from qortho.verify import REGISTRY, IdentityId, draw_params
 
 # frozen reference: partial products of (0.5; 0.5)_oo until the tail bound
 # drops below 1e-16 (30-digit arithmetic)
 QPOCH_HALF_HALF = 0.28878809508660242128
 
 
-class TestQBase:
+class TestAsBase:
     def test_rejects_modulus_one_and_above(self):
-        with pytest.raises(DomainError):
-            QBase(1.0)
-        with pytest.raises(DomainError):
-            QBase(1.2 + 0.1j)
+        with pytest.raises(DomainError, match=r"\|q\| must be < 1, got \|q\| = 1$"):
+            as_base(1.0)
+        with pytest.raises(DomainError, match=r"\|q\| must be < 1"):
+            as_base(1.2 + 0.1j)
 
     @pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf"),
                                    complex(0.5, float("nan"))])
     def test_rejects_non_finite(self, q):
-        with pytest.raises(DomainError, match="finite"):
-            QBase(q)
+        with pytest.raises(DomainError, match="q must be finite"):
+            as_base(q)
 
     def test_accepts_complex_inside_disk(self):
-        assert QBase(0.3 + 0.4j).q == 0.3 + 0.4j
+        q = as_base(0.3 + 0.4j)
+        assert type(q) is complex and q == 0.3 + 0.4j
+        assert type(as_base(0.5)) is complex and as_base(0.5) == 0.5
 
-    def test_coerce_passthrough(self):
-        qb = QBase(0.5)
-        assert QBase.coerce(qb) is qb
-        assert QBase.coerce(0.5) == qb
+
+P = ParamSet4(0.2, 0.1, 0.8, 0.9)
+R = ReducedParams(0.3, 0.2)
+# Every public function that takes the base q, as a call at valid arguments
+# but for q.  thm_1_3_rhs at m = n = 2: at opposite parities it returns 0
+# before it reads q.
+TAKES_Q = {
+    "qpoch_finite": lambda q: qpoch_finite(0.3, q, 3),
+    "qpoch_infinite": lambda q: qpoch_infinite(0.3, q),
+    "expansion_weights": lambda q: expansion_weights(3, 0.2, 0.3, q),
+    "big_c_coeffs": lambda q: qortho.big_c_coeffs(3, P, q),
+    "connection_coeffs": lambda q: qortho.connection_coeffs(3, R, 0.72, q),
+    "PhiSpec": lambda q: qortho.PhiSpec((0.3,), (0.2,), q, 0.5),
+    "very_well_poised": lambda q: qortho.very_well_poised(0.3, [0.6, 0.7, 0.8], q, 0.2),
+    "rogers_6w5_rhs": lambda q: qortho.rogers_6w5_rhs(0.3, 0.6, 0.7, 0.8, q),
+    "qbinomial_product_ratio": lambda q: qortho.qbinomial_product_ratio(0.3, 0.5, q),
+    "phi_eval": lambda q: qortho.phi_eval(2, 0.7, 1.3, P, q),
+    "weight_omega_many": lambda q: qortho.weight_omega_many([0.1], P, q),
+    "h_norm": lambda q: qortho.h_norm(2, 0.3, q),
+    "diag_rhs_thm11": lambda q: qortho.diag_rhs_thm11(2, P, q),
+    "thm_1_2_rhs_series": lambda q: qfun.thm_1_2_rhs_series(P, 0.3, 0.4, q),
+    "thm_1_3_rhs": lambda q: qfun.thm_1_3_rhs(R, 0.8, 0.9, q, 2, 2),
+    "growth_root": lambda q: qortho.growth_root(5, P, q),
+    "phi_qintegral_repr": lambda q: qortho.phi_qintegral_repr(2, 0.7, 1.3, P, q),
+}
+
+
+def _checker_at(identity):
+    """A call of the identity's checker on its seed-1 draw, q replaced."""
+    def call(q):
+        args = draw_params(identity, np.random.default_rng(1), SweepSpec(1, 1))
+        return REGISTRY[identity].checker(**args | {"q": q})
+    return call
+
+
+TAKES_Q |= {f"check_{identity.value.lower()}": _checker_at(identity) for identity in IdentityId}
+
+
+@pytest.mark.parametrize("q", [1.0, -1.0, 1.2 + 0.1j, math.nan, math.inf,
+                               complex(0.5, math.nan)])
+@pytest.mark.parametrize("name", TAKES_Q)
+def test_every_function_that_takes_q_refuses_a_bad_base(name, q):
+    # q is a plain number, so each function checks it (as_base) itself
+    with pytest.raises(DomainError, match=r"^(q must be finite|\|q\| must be < 1), got "):
+        TAKES_Q[name](q)
+
+
+def test_the_bad_base_functions_take_their_good_arguments():
+    # the same calls at q = 0.5 run, so each refusal above is for q alone
+    for call in TAKES_Q.values():
+        call(0.5)
 
 
 def test_a_param_set_with_beta_over_delta_beyond_1_is_a_domain_error():
@@ -184,16 +239,16 @@ class TestQpochInfinite:
 def qpoch_infinite_every_factor_screened(a, q):
     """The product loop that tests every factor of the head for an exact
     zero, closed by the same pair as ``qpoch_infinite``."""
-    qb = QBase.coerce(q)
+    q = as_base(q)
     prod = 1.0 + 0.0j
     w = complex(a)
-    for _ in range(tail_start(a, qb)):
+    for _ in range(tail_start(a, q)):
         factor = 1.0 - w
         if abs(factor) < 1e-15:
             return 0.0 + 0.0j
         prod *= factor
-        w *= qb.q
-    plus, minus = closing_factors(qb.q)
+        w *= q
+    plus, minus = closing_factors(q)
     return prod * (1.0 - plus * w) * (1.0 - minus * w)
 
 

@@ -9,7 +9,6 @@ from qortho import (
     DomainError,
     NearSingular,
     ParamSet4,
-    QBase,
     ReducedParams,
     SweepSpec,
     big_c_coeffs,

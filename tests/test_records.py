@@ -1,10 +1,9 @@
-"""The semantics of the seven immutable records: construction by position and
+"""The semantics of the six immutable records: construction by position and
 by keyword with their defaults, equality, hash, repr, and no assignment."""
 
 import pytest
 
-from qortho import (DomainError, ParamSet4, PhiSpec, QBase, ReducedParams, SweepSpec,
-                    VerificationReport)
+from qortho import DomainError, ParamSet4, PhiSpec, ReducedParams, SweepSpec, VerificationReport
 from qortho.verify import REGISTRY, Identity, IdentityId
 
 
@@ -15,7 +14,6 @@ def _draw(rng, box, q, spec):
 # Per record: (positional construction, keyword construction, the field values
 # in order, the repr text).  Each pair of constructions builds equal records.
 CASES = {
-    "QBase": (lambda: QBase(0.5), lambda: QBase(q=0.5), (0.5,), "QBase(q=0.5)"),
     "ParamSet4": (
         lambda: ParamSet4(0.2, 0.1, 0.8, 0.9),
         lambda: ParamSet4(delta=0.9, gamma=0.8, beta=0.1, alpha=0.2),
@@ -26,9 +24,9 @@ CASES = {
         (0.3 + 0j, 0.2j), "ReducedParams(a=(0.3+0j), b=0.2j)"),
     "PhiSpec": (
         lambda: PhiSpec((0.3,), [0.5], 0.5, 0.4),
-        lambda: PhiSpec(z=0.4, q=QBase(0.5 + 0j), denominators=(0.5,), numerators=[0.3]),
-        ((0.3 + 0j,), (0.5 + 0j,), QBase(0.5), 0.4 + 0j, None),
-        "PhiSpec(numerators=((0.3+0j),), denominators=((0.5+0j),), q=QBase(q=(0.5+0j)), "
+        lambda: PhiSpec(z=0.4, q=0.5 + 0j, denominators=(0.5,), numerators=[0.3]),
+        ((0.3 + 0j,), (0.5 + 0j,), 0.5 + 0j, 0.4 + 0j, None),
+        "PhiSpec(numerators=((0.3+0j),), denominators=((0.5+0j),), q=(0.5+0j), "
         "z=(0.4+0j), terminates_at=None)"),
     "VerificationReport": (
         lambda: VerificationReport("QBINOMIAL", {"a": 0.5}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-11,
@@ -51,7 +49,6 @@ CASES = {
         f"draw={_draw!r})"),
 }
 FIELDS = {
-    "QBase": ("q",),
     "ParamSet4": ("alpha", "beta", "gamma", "delta"),
     "ReducedParams": ("a", "b"),
     "PhiSpec": ("numerators", "denominators", "q", "z", "terminates_at"),
@@ -105,7 +102,7 @@ def test_equality_needs_the_same_class(name):
 
 
 def test_records_differing_in_one_field_differ():
-    assert QBase(0.5) != QBase(0.25)
+    assert PhiSpec((0.3,), (), 0.5, 0.4) != PhiSpec((0.3,), (), 0.25, 0.4)
     assert ParamSet4(0.2, 0.1, 0.8, 0.9) != ParamSet4(0.2, 0.1, 0.8, 0.95)
     assert SweepSpec(1, 2) != SweepSpec(1, 2, n_max=5)
     assert REGISTRY[IdentityId.THM_1_1] != REGISTRY[IdentityId.THM_1_2]
@@ -131,7 +128,7 @@ def test_missing_or_extra_arguments_are_type_errors():
     with pytest.raises(TypeError):
         ParamSet4(0.2, 0.1, 0.8)
     with pytest.raises(TypeError):
-        QBase()
+        PhiSpec((0.3,), (), 0.5)
     with pytest.raises(TypeError):
         ReducedParams(0.3, 0.2, 0.1)
     with pytest.raises(TypeError):
@@ -140,7 +137,7 @@ def test_missing_or_extra_arguments_are_type_errors():
 
 def test_validation_still_runs_in_the_constructor():
     with pytest.raises(DomainError):
-        QBase(1.0)
+        PhiSpec((0.3,), (), 1.0, 0.4)
     with pytest.raises(DomainError):
         ParamSet4(1.0, 0.1, 0.8, 0.9)
     with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qortho import DomainError, ParamSet4, QBase, ReducedParams, SweepSpec
+from qortho import DomainError, ParamSet4, ReducedParams, SweepSpec
 from qortho.cli import _SPELLING, _spelled
 from qortho.hyper import rogers_6w5_argument
 from qortho.verify import (
@@ -215,7 +215,7 @@ _WEIGHT_BOUND = 1.0 - WEIGHT_MARGIN
 DOMAINS = {
     IdentityId.THM_1_1: lambda d: [(_weight_moduli(d["p"]), _WEIGHT_BOUND)],
     IdentityId.THM_1_2: lambda d: [
-        (_thm_1_2_moduli(d["p"], d["s"], d["t"], QBase(d["q"])), 0.7),
+        (_thm_1_2_moduli(d["p"], d["s"], d["t"], d["q"]), 0.7),
         (_weight_moduli(d["p"]), _WEIGHT_BOUND),
     ],
     IdentityId.THM_1_3: lambda d: [
