@@ -175,8 +175,8 @@ def rogers_6w5_rhs(a, b, c, d, q) -> complex:
         -------------------------------------
         (aq/b, aq/c, aq/d, aq/bcd; q)_oo
     """
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     q = as_base(q)
+    a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
     z = rogers_6w5_argument(a, b, c, d, q)
     aq = a * q
     num = 1.0 + 0.0j
@@ -194,9 +194,11 @@ def qbinomial_product_ratio(a, z, q) -> complex:
     """(a z; q)_oo / (z; q)_oo, the product side of the binomial-series
     identity sum_n (a;q)_n z^n / (q;q)_n for |z| < 1."""
     q = as_base(q)
+    a = finite_complex("a", a)
+    z = finite_complex("z", z)
     den = qpoch_infinite(z, q)
-    screen_denominator({"z": complex(z)}, q, den)
-    return qpoch_infinite(complex(a) * complex(z), q) / den
+    screen_denominator({"z": z}, q, den)
+    return qpoch_infinite(a * z, q) / den
 
 
 __all__ = [

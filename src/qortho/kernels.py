@@ -102,13 +102,6 @@ def angle_table(key, build):
     return table
 
 
-def clear_tables() -> None:
-    """Drop every angle table."""
-    global _held
-    _tables.clear()
-    _held = 0
-
-
 def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
     """prod_c (coef_c e^{i exps_c theta}; q)_oo at each theta, as ``kmax``
     head factors closed by the :func:`~qortho.qcore.closing_factors` pair, one

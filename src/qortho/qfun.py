@@ -65,6 +65,7 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     big_c_coeffs,
     connection_coeffs,
     expansion_weights,
+    finite_complex,
     int_power,
     min_factor_abs,
     qpoch_finite,
@@ -138,8 +139,8 @@ def h_norm(n: int, a, q) -> complex:
         h_n(a|q) = (q, a^2; q)_oo (q;q)_n (1 - a q^n)
                    / (2 pi (a, a q; q)_oo (a^2; q)_n (1 - a)).
     """
-    a = complex(a)
     q = as_base(q)
+    a = finite_complex("a", a)
     n = as_degree("n", n)
     if abs(a) >= 1.0:
         raise DomainError(f"|a| must be < 1, got {abs(a):.6g}")

@@ -15,12 +15,13 @@ and repeated on the second, whose angles are the first's plus pi; the C_n
 product and extra symbols are evaluated on the whole grid.
 
 :data:`REGISTRY` describes each identity once: its tolerance, sweep box and
-drawer; :meth:`VerificationReport.build`, :func:`draw_params` and
-:func:`run_sweep` read it when they are called.  The identity's parameters
-are the positional parameters of its checker ``check_<identity>``, from which
-``qortho verify`` builds its flags.  No checker takes a tuning argument or a
-tolerance: every check runs at the one numerical setting, the constants of
-:mod:`~qortho.qcore` and :mod:`~qortho.quad`, and is judged at its
+drawer; a :class:`VerificationReport`, built from its two sides alone, reads
+it when it is built, and :func:`draw_params` and :func:`run_sweep` when they
+are called.  The identity's parameters are the positional parameters of its
+checker ``check_<identity>``, from which ``qortho verify`` builds its flags;
+a checker records its degrees as ints.  No checker takes a tuning argument
+or a tolerance: every check runs at the one numerical setting, the constants
+of :mod:`~qortho.qcore` and :mod:`~qortho.quad`, and is judged at its
 identity's tolerance.  :class:`IdentityId` says in one line what each
 identity checks.
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import sys
 from typing import Callable, Mapping, Sequence
 
 from .errors import DivergentSeries, DomainError, NearSingular, TruncationExceeded
@@ -83,37 +83,22 @@ _NUMERIC_ERRORS = (NearSingular, TruncationExceeded, DivergentSeries)
 
 
 class VerificationReport(Record):
-    """One identity check: inputs, both sides, residuals, verdict.
+    """One identity check: inputs, both sides, residuals, verdict, built from
+    the two sides alone, with ``scale``, the problem's magnitude, and
+    ``flags``, names of :data:`_FLAG_ORDER`.
 
-    ``tolerance`` is the identity's :data:`REGISTRY` tolerance, and ``passed``
-    is true iff the flags are empty and rel_residual <= tolerance, where
-    rel_residual = abs_residual / scale and scale is the largest of |lhs|,
-    |rhs| and the problem's magnitude (so an expected-zero side is judged
-    against the problem, not against zero)."""
+    ``tolerance`` is the identity's :data:`REGISTRY` tolerance, read when the
+    report is built, and ``passed`` is true iff the flags are empty and
+    rel_residual <= tolerance, where rel_residual = abs_residual / scale and
+    scale is the largest of |lhs|, |rhs| and the problem's magnitude (so an
+    expected-zero side is judged against the problem, not against zero)."""
 
     _fields = ("identity_id", "inputs", "lhs", "rhs", "abs_residual", "rel_residual",
                "tolerance", "passed", "flags")
 
-    def __init__(self, identity_id: str, inputs: Mapping[str, object], lhs: complex,
-                 rhs: complex, abs_residual: float, rel_residual: float, tolerance: float,
-                 passed: bool, flags: tuple[str, ...] = ()) -> None:
-        self._set(identity_id=identity_id, inputs=inputs, lhs=lhs, rhs=rhs,
-                  abs_residual=abs_residual, rel_residual=rel_residual, tolerance=tolerance,
-                  passed=passed, flags=flags)
-
-    @classmethod
-    def build(
-        cls,
-        identity_id: IdentityId | str,
-        inputs: Mapping[str, object],
-        lhs: complex,
-        rhs: complex,
-        scale: float = 0.0,
-        flags: Sequence[str] = (),
-    ) -> "VerificationReport":
-        """The report of ``lhs`` against ``rhs`` at the identity's tolerance,
-        read from :data:`REGISTRY` on each call; ``scale`` is the problem's
-        magnitude, ``flags`` names of :data:`_FLAG_ORDER`."""
+    def __init__(self, identity_id: IdentityId | str, inputs: Mapping[str, object],
+                 lhs: complex, rhs: complex, scale: float = 0.0,
+                 flags: Sequence[str] = ()) -> None:
         identity_id = IdentityId(identity_id)
         tolerance = REGISTRY[identity_id].tolerance
         flags = tuple(sorted(set(flags), key=_FLAG_ORDER.index))
@@ -126,17 +111,9 @@ class VerificationReport(Record):
             scale = max(abs(lhs), abs(rhs), scale, 1e-300)
             rel_residual = abs_residual / scale
             passed = rel_residual <= tolerance
-        return cls(
-            identity_id=identity_id.value,
-            inputs=dict(inputs),
-            lhs=complex(lhs),
-            rhs=complex(rhs),
-            abs_residual=abs_residual,
-            rel_residual=rel_residual,
-            tolerance=tolerance,
-            passed=passed,
-            flags=flags,
-        )
+        self._set(identity_id=identity_id.value, inputs=dict(inputs), lhs=complex(lhs),
+                  rhs=complex(rhs), abs_residual=abs_residual, rel_residual=rel_residual,
+                  tolerance=tolerance, passed=passed, flags=flags)
 
     def to_record(self) -> dict:
         """Flat record with complex values split into _re/_im fields."""
@@ -148,51 +125,16 @@ class VerificationReport(Record):
             "tolerance": self.tolerance, "passed": self.passed, "flags": list(self.flags),
         }
 
-    @classmethod
-    def from_record(cls, rec: Mapping[str, object]) -> "VerificationReport":
-        """The report of :meth:`to_record`'s ``rec``, or of the JSON the CLI
-        writes, where every non-finite number is null: a null reads back as NaN."""
-        num = {key: math.nan if value is None else value for key, value in rec.items()}
-        return cls(
-            identity_id=str(rec["identity"]),
-            inputs=_unflatten_inputs(rec["inputs"]),
-            lhs=complex(num["lhs_re"], num["lhs_im"]),
-            rhs=complex(num["rhs_re"], num["rhs_im"]),
-            abs_residual=float(num["abs_residual"]),
-            rel_residual=float(num["rel_residual"]),
-            tolerance=float(num["tolerance"]),
-            passed=bool(rec["passed"]),
-            flags=tuple(rec["flags"]),
-        )
-
 
 def _flatten_inputs(inputs: Mapping[str, object]) -> dict:
-    numpy = sys.modules.get("numpy")  # no value is a numpy one unless it is loaded
     flat: dict = {}
     for key, value in inputs.items():
         if isinstance(value, complex):
             flat[f"{key}_re"] = value.real
             flat[f"{key}_im"] = value.imag
-        elif numpy and isinstance(value, numpy.integer):
-            flat[key] = int(value)
-        elif numpy and isinstance(value, numpy.floating):
-            flat[key] = float(value)
         else:
             flat[key] = value
     return flat
-
-
-def _unflatten_inputs(flat: Mapping[str, object]) -> dict:
-    out: dict = {}
-    seen_im = {k[:-3] for k in flat if k.endswith("_im")}
-    for key, value in flat.items():
-        if key.endswith("_re") and key[:-3] in seen_im:
-            out[key[:-3]] = complex(value, flat[key[:-3] + "_im"])
-        elif key.endswith("_im") and key[:-3] in seen_im:
-            continue
-        else:
-            out[key] = value
-    return out
 
 
 def _paramset_inputs(p: ParamSet4, q: complex) -> dict:
@@ -219,7 +161,7 @@ def _check(identity_id, inputs, lhs, rhs) -> VerificationReport:
     flags: list[str] = []
     lhs_value = _evaluate(lhs, flags)
     rhs_value = _evaluate(rhs, flags)
-    return VerificationReport.build(identity_id, inputs, lhs_value, rhs_value, flags=flags)
+    return VerificationReport(identity_id, inputs, lhs_value, rhs_value, flags=flags)
 
 
 def _circle_check(
@@ -258,7 +200,7 @@ def _circle_check(
     else:
         kmax = _evaluate(lambda: quotient_depth((*(extra or ()), *coefs), q), flags)
     if flags:
-        return VerificationReport.build(identity_id, inputs, NAN, NAN, flags=flags)
+        return VerificationReport(identity_id, inputs, NAN, NAN, flags=flags)
     own = np.array(coefs, dtype=np.complex128), np.array(exps, dtype=np.float64)
     if extra is not None:
         extra_arrays = (np.array(extra, dtype=np.complex128),
@@ -281,9 +223,7 @@ def _circle_check(
     if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
     rhs_value = _evaluate(rhs, flags)
-    return VerificationReport.build(
-        identity_id, inputs, result.value, rhs_value, scale=result.fscale, flags=flags
-    )
+    return VerificationReport(identity_id, inputs, result.value, rhs_value, result.fscale, flags)
 
 
 def _require(moduli: Mapping[str, float]) -> None:
@@ -306,6 +246,7 @@ def check_thm_1_1(p: ParamSet4, q, m: int, n: int) -> VerificationReport:
     from . import qfun
 
     q = as_base(q)
+    m, n = as_degree("m", m), as_degree("n", n)
     _require(_weight_moduli(p))
     return _circle_check(
         IdentityId.THM_1_1, _paramset_inputs(p, q) | {"m": m, "n": n},
@@ -364,6 +305,7 @@ def check_thm_1_3(r: ReducedParams, gamma, delta, q, m: int, n: int) -> Verifica
     q = as_base(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
+    m, n = as_degree("m", m), as_degree("n", n)
     if r.a == 0:
         raise DomainError("the closed form divides by a; a must be nonzero")
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)  # gamma, delta != 0
@@ -387,6 +329,7 @@ def check_prop_3_1(r: ReducedParams, gamma, delta, q, m: int) -> VerificationRep
     q = as_base(q)
     gamma = finite_complex("gamma", gamma)
     delta = finite_complex("delta", delta)
+    m = as_degree("m", m)
     p_a = ParamSet4.from_reduced(r.a, gamma, delta)
     p_b = ParamSet4.from_reduced(r.b, gamma, delta)
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": q, "m": m}
@@ -398,8 +341,8 @@ def check_prop_3_1(r: ReducedParams, gamma, delta, q, m: int) -> VerificationRep
         for k, c in enumerate(big_c_coeffs(nn, p_a, q)):
             rhs[k + shift] += coeffs[nn] * c
     worst = max(range(len(lhs)), key=lambda k: (math.isnan(d := abs(lhs[k] - rhs[k])), d))
-    return VerificationReport.build(IdentityId.PROP_3_1, inputs, lhs[worst], rhs[worst],
-                                    scale=max(map(abs, lhs)))
+    return VerificationReport(IdentityId.PROP_3_1, inputs, lhs[worst], rhs[worst],
+                              scale=max(map(abs, lhs)))
 
 
 def _ultra_ortho_moduli(beta) -> dict[str, float]:
@@ -415,6 +358,7 @@ def check_ultra_ortho(beta, q, m: int, n: int) -> VerificationReport:
 
     q = as_base(q)
     beta = finite_complex("beta", beta)
+    m, n = as_degree("m", m), as_degree("n", n)
     _require(_ultra_ortho_moduli(beta))
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
@@ -431,6 +375,7 @@ def check_prop_2_1_2(p: ParamSet4, q, n: int, theta: float = 0.0) -> Verificatio
     from . import qfun
 
     q = as_base(q)
+    n = as_degree("n", n)
     theta = finite_complex("theta", theta)
     if theta.imag:
         raise DomainError(f"theta must be real, got {theta!r}")
@@ -448,6 +393,7 @@ def check_prop_2_1_3(p: ParamSet4, q, n: int = 200) -> VerificationReport:
     from . import qfun
 
     q = as_base(q)
+    n = as_degree("n", n, positive=True)
     return _check(
         IdentityId.PROP_2_1_3, _paramset_inputs(p, q) | {"n": n},
         lambda: complex(qfun.growth_root(n, p, q)),
@@ -473,7 +419,7 @@ def check_prop_2_2(p: ParamSet4, q, k: int = 0) -> VerificationReport:
     from . import kernels
 
     q = as_base(q)
-    as_degree("k", k)
+    k = as_degree("k", k)
     ra_rb = p.ratio_a * p.ratio_b
     if ra_rb == 1.0:
         raise DomainError("ra*rb = (alpha/gamma)(beta/delta) must not be 1")
@@ -491,9 +437,7 @@ def check_prop_2_2(p: ParamSet4, q, k: int = 0) -> VerificationReport:
         poch_ratio *= abs((1.0 - q ** (nn + k + 1)) / (1.0 - ra_rb * q ** (nn + k)))
         tn *= t_abs
     partial, tail = sum(terms[:partial_terms]), sum(terms[partial_terms:])
-    return VerificationReport.build(
-        IdentityId.PROP_2_2, inputs, complex(tail), 0.0 + 0.0j, scale=partial
-    )
+    return VerificationReport(IdentityId.PROP_2_2, inputs, complex(tail), 0.0 + 0.0j, partial)
 
 
 def check_prop_2_4(p: ParamSet4, q, n: int, x, y) -> VerificationReport:
@@ -501,6 +445,7 @@ def check_prop_2_4(p: ParamSet4, q, n: int, x, y) -> VerificationReport:
     from . import qfun
 
     q = as_base(q)
+    n = as_degree("n", n)
     x = finite_complex("x", x)
     y = finite_complex("y", y)
     return _check(

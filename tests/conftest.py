@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qortho import ParamSet4, verify
+from qortho import ParamSet4, kernels, verify
 
 
 @pytest.fixture
@@ -24,3 +24,11 @@ def set_tolerance(monkeypatch):
         monkeypatch.setitem(verify.REGISTRY, record.id,
                             verify.Identity(record.id, tolerance, record.box, record.draw))
     return swap
+
+
+@pytest.fixture
+def cleared_tables(monkeypatch):
+    """No angle table held (:func:`~qortho.kernels.angle_table`) for one
+    test; the warm tables come back after it."""
+    monkeypatch.setattr(kernels, "_tables", {})
+    monkeypatch.setattr(kernels, "_held", 0)

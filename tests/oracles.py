@@ -264,3 +264,15 @@ def lattice_repr_oracle(n, x, y, p, q):
     outer, inner = side(dy), side(gx)
     value = num / den * ((1.0 - q) * (outer - inner))
     return value, abs(num / den * (1.0 - q)) * max(abs(outer), abs(inner))
+
+
+def json_nulls(record):
+    """``record`` as its JSON reads back, where every NaN and infinity is
+    written as null."""
+    if isinstance(record, float) and not math.isfinite(record):
+        return None
+    if isinstance(record, dict):
+        return {key: json_nulls(value) for key, value in record.items()}
+    if isinstance(record, list):
+        return [json_nulls(value) for value in record]
+    return record

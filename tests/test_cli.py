@@ -1,4 +1,3 @@
-import cmath
 import csv
 import io
 import json
@@ -12,11 +11,11 @@ import pytest
 
 import numpy as np
 
-from qortho import ParamSet4, VerificationReport, qpoch_finite
+from qortho import ParamSet4, check_thm_1_1, qpoch_finite
 from qortho.cli import _SPELLING, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _spelled, build_parser, main
 from qortho.verify import REGISTRY, IdentityId, SweepSpec, draw_params
 
-from oracles import c_series_oracle, ultra_recurrence_oracle, weight_oracle
+from oracles import c_series_oracle, json_nulls, ultra_recurrence_oracle, weight_oracle
 
 BOX = [
     "--alpha-re", "0.2", "--beta-re", "0.1",
@@ -180,6 +179,13 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "a must be nonzero" in err
 
+    @pytest.mark.parametrize("m, n, named", [("-1", "2", "m"), ("2", "-1", "n")])
+    def test_a_negative_degree_is_named(self, capsys, m, n, named):
+        code, out, err = run_cli(
+            ["verify", "--identity", "THM_1_1", "--m", m, "--n", n, *BOX], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert f"{named} must be a nonnegative integer, got -1" in err
+
     def test_prop_2_4_zero_x_exits_2(self, capsys):
         code, _, err = run_cli(
             ["verify", "--identity", "PROP_2_4", "--n", "3", "--x-re", "0", "--y-re", "0.9",
@@ -207,24 +213,27 @@ class TestVerify:
         assert code == EXIT_PASS
         assert json.loads(out)["passed"] is True
 
-    def test_json_report_round_trips(self, capsys):
+    def test_json_report_is_the_record(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", *BOX], capsys
         )
         assert code == EXIT_PASS
-        rep = VerificationReport.from_record(json.loads(out))
-        assert rep.passed and rep.identity_id == "THM_1_1"
+        rep = check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 1, 1)
+        assert rep.passed and json.loads(out) == rep.to_record()
 
-    def test_a_flagged_json_report_reads_back(self, capsys):
+    def test_a_flagged_json_report_is_the_record_with_nulls(self, capsys):
         # the CLI writes the flagged report's NaN sides and infinite residuals as null;
         # at q = 0.999 the weight's head needs more factors than MAX_TERMS
         code, out, _ = run_cli(
             ["verify", "--identity", "THM_1_1", "--m", "2", "--n", "2", *BOX[:-2],
              "--q", "0.999"], capsys)
         assert code == EXIT_FAIL
-        rep = VerificationReport.from_record(json.loads(out))
-        assert rep.passed is False and rep.flags == ("TruncationExceeded",)
-        assert cmath.isnan(rep.lhs) and math.isnan(rep.abs_residual)
+        rep = check_thm_1_1(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.999, 2, 2)
+        assert rep.flags == ("TruncationExceeded",)
+        rec = json.loads(out)
+        assert rec == json_nulls(rep.to_record())
+        assert rec["passed"] is False and rec["flags"] == ["TruncationExceeded"]
+        assert rec["lhs_re"] is None and rec["abs_residual"] is None
 
     def test_csv_format_parses_back(self, capsys):
         code, out, _ = run_cli(

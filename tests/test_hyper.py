@@ -9,6 +9,7 @@ from qortho import (
     PhiSpec,
     SweepSpec,
     TruncationExceeded,
+    h_norm,
     phi_series,
     qcore,
     qbinomial_product_ratio,
@@ -281,3 +282,21 @@ class TestQBinomialProductRatio:
     def test_small_denominator_factor_is_flagged(self):
         with pytest.raises(NearSingular, match=r"\(z;q\)_oo has a factor"):
             qbinomial_product_ratio(0.3, 1 - 1e-13, 0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("side, args, name", [
+    (rogers_6w5_rhs, (NAN, 0.6, 0.7, 0.8, 0.5), "a"),
+    (rogers_6w5_rhs, (0.2, 0.6, INF, 0.8, 0.5), "c"),
+    (qbinomial_product_ratio, (INF, 0.5, 0.5), "a"),
+    (qbinomial_product_ratio, (0.3, NAN, 0.5), "z"),
+    (h_norm, (2, NAN, 0.5), "a"),
+    (h_norm, (2, complex(0.3, INF), 0.5), "a"),
+])
+def test_a_closed_side_refuses_a_non_finite_parameter(side, args, name):
+    # a NaN or an infinity slips through every modulus test; unchecked, the
+    # products would ask for more than MAX_TERMS factors (TruncationExceeded)
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        side(*args)

@@ -261,13 +261,13 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("angles", list(ANGLE_ARRAYS))
 @pytest.mark.parametrize("kmax, split", [(0, None), (12, 2), (300, 3)])
-def test_warm_product_tables_give_the_uncached_values_bit_for_bit(angles, kmax, split, rng):
+def test_warm_product_tables_give_the_uncached_values_bit_for_bit(angles, kmax, split, rng,
+                                                                  cleared_tables):
     # kmax 300 takes more than one depth chunk
     thetas = ANGLE_ARRAYS[angles]()
     coefs = random_coefs(rng, 4)
     exps = np.array([2.0, -2.0, 1.0, -1.0])
     want = uncached_poch(coefs, exps, 0.6 + 0.1j, kmax, thetas, split)
-    kernels.clear_tables()
     for _ in range(2):  # cold, then warm
         got = kernels.poch_product_many(coefs, exps, 0.6 + 0.1j, kmax, thetas, split)
         assert same_bits(got, want)
@@ -275,10 +275,10 @@ def test_warm_product_tables_give_the_uncached_values_bit_for_bit(angles, kmax, 
 
 @pytest.mark.parametrize("angles", list(ANGLE_ARRAYS))
 @pytest.mark.parametrize("degree", [0, 12])
-def test_warm_power_tables_give_the_uncached_values_bit_for_bit(angles, degree, rng):
+def test_warm_power_tables_give_the_uncached_values_bit_for_bit(angles, degree, rng,
+                                                                cleared_tables):
     thetas = ANGLE_ARRAYS[angles]()
     coefs = random_coefs(rng, degree + 1)
-    kernels.clear_tables()
     for _ in range(2):
         assert same_bits(kernels.laurent_eval(coefs, degree, thetas),
                          uncached_laurent(coefs, degree, thetas))
@@ -304,10 +304,9 @@ def test_a_returned_table_is_read_only():
         quad._grid(64, False)[0] = 1.0
 
 
-def test_the_tables_hold_at_most_table_bytes():
+def test_the_tables_hold_at_most_table_bytes(cleared_tables):
     # 24 distinct grids of 8192 angles, each with a 1.7 MB power matrix, and
     # a degree-60 matrix (8 MB) that alone exceeds the bound and is not kept
-    kernels.clear_tables()
     coefs = np.ones(13)
     for shift in range(24):
         thetas = nodes(8192) + shift * 1e-3
@@ -323,10 +322,9 @@ def test_the_tables_hold_at_most_table_bytes():
 
 
 @pytest.mark.parametrize("identity", list(PINNED_LHS))
-def test_sweep_records_are_the_same_with_cleared_and_with_warm_tables(identity):
+def test_sweep_records_are_the_same_with_cleared_and_with_warm_tables(identity, cleared_tables):
     def records():
         return [r.to_record() for r in run_sweep(identity, SweepSpec(seed=1, draws=20))]
 
-    kernels.clear_tables()
     cold = records()
     assert records() == cold

@@ -29,11 +29,9 @@ CASES = {
         "PhiSpec(numerators=((0.3+0j),), denominators=((0.5+0j),), q=(0.5+0j), "
         "z=(0.4+0j), terminates_at=None)"),
     "VerificationReport": (
-        lambda: VerificationReport("QBINOMIAL", {"a": 0.5}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-11,
-                                   True),
-        lambda: VerificationReport(identity_id="QBINOMIAL", inputs={"a": 0.5}, lhs=1 + 0j,
-                                   rhs=1 + 0j, abs_residual=0.0, rel_residual=0.0,
-                                   tolerance=1e-11, passed=True, flags=()),
+        lambda: VerificationReport("QBINOMIAL", {"a": 0.5}, 1 + 0j, 1 + 0j, 0.0, ()),
+        lambda: VerificationReport(flags=[], scale=0.0, rhs=1, lhs=1 + 0j, inputs={"a": 0.5},
+                                   identity_id=IdentityId.QBINOMIAL),
         ("QBINOMIAL", {"a": 0.5}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-11, True, ()),
         "VerificationReport(identity_id='QBINOMIAL', inputs={'a': 0.5}, lhs=(1+0j), "
         "rhs=(1+0j), abs_residual=0.0, rel_residual=0.0, tolerance=1e-11, passed=True, "
@@ -133,6 +131,19 @@ def test_missing_or_extra_arguments_are_type_errors():
         ReducedParams(0.3, 0.2, 0.1)
     with pytest.raises(TypeError):
         SweepSpec(1, 2, bogus=1)
+    with pytest.raises(TypeError):
+        VerificationReport("QBINOMIAL", {}, 1 + 0j)
+
+
+@pytest.mark.parametrize("verdict", [{"passed": True}, {"rel_residual": 0.0},
+                                     {"tolerance": 1.0}, {"abs_residual": 0.0}])
+def test_a_report_takes_no_verdict(verdict):
+    # a report computes its residuals, tolerance and verdict from its sides,
+    # so none of them can disagree with the others
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        VerificationReport("QBINOMIAL", {}, 1 + 0j, 2 + 0j, **verdict)
+    with pytest.raises(TypeError, match="positional arguments"):
+        VerificationReport("QBINOMIAL", {}, 1 + 0j, 2 + 0j, 0.0, (), *verdict.values())
 
 
 def test_validation_still_runs_in_the_constructor():

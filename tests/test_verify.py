@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import time
 import warnings
@@ -32,35 +33,36 @@ from qortho import (
     run_sweep,
 )
 from qortho import kernels, qcore, qfun, quad, verify
+from qortho.cli import _report_json
 from qortho.qfun import thm_1_2_rhs_series, thm_1_3_rhs
 from qortho.quad import periodic_integral
 from qortho.verify import IdentityId
+
+from oracles import json_nulls
 
 
 class TestReportMechanics:
     # THM_1_1's registry tolerance is 1e-8
     def test_passed_rule_is_one_relative_test_with_rhs_above_tolerance(self):
-        rep = VerificationReport.build("THM_1_1", {}, 10.0 + 0j, 10.0 + 1e-9j)
+        rep = VerificationReport("THM_1_1", {}, 10.0 + 0j, 10.0 + 1e-9j)
         assert rep.tolerance == 1e-8
         assert rep.passed and rep.rel_residual == pytest.approx(1e-10)
-        rep = VerificationReport.build("THM_1_1", {}, 10.0 + 0j, 10.0 + 1e-6j)
+        rep = VerificationReport("THM_1_1", {}, 10.0 + 0j, 10.0 + 1e-6j)
         assert not rep.passed and rep.rel_residual == pytest.approx(1e-7)
 
     def test_passed_rule_is_one_relative_test_with_rhs_below_tolerance(self):
         # an expected-zero side is judged against the scale, not against zero
-        rep = VerificationReport.build("THM_1_1", {}, 1e-10 + 0j, 0.0 + 0j, scale=50.0)
+        rep = VerificationReport("THM_1_1", {}, 1e-10 + 0j, 0.0 + 0j, scale=50.0)
         assert rep.passed and rep.rel_residual == 1e-10 / 50.0
-        rep = VerificationReport.build("THM_1_1", {}, 1e-5 + 0j, 0.0 + 0j, scale=50.0)
+        rep = VerificationReport("THM_1_1", {}, 1e-5 + 0j, 0.0 + 0j, scale=50.0)
         assert not rep.passed and rep.rel_residual == 1e-5 / 50.0
 
     def test_flags_force_failure(self):
-        rep = VerificationReport.build(
-            "THM_1_1", {}, 1.0 + 0j, 1.0 + 0j, flags=["NearSingular"]
-        )
+        rep = VerificationReport("THM_1_1", {}, 1.0 + 0j, 1.0 + 0j, flags=["NearSingular"])
         assert not rep.passed and rep.flags == ("NearSingular",)
 
     def test_flags_sort_in_flag_order(self):
-        rep = VerificationReport.build(
+        rep = VerificationReport(
             "THM_1_1", {}, verify.NAN, verify.NAN,
             flags=["DivergentSeries", "NearSingular", "DivergentSeries"]
         )
@@ -83,25 +85,47 @@ class TestReportMechanics:
             assert rep.rel_residual == before.rel_residual
 
     def test_an_overflowed_side_fails_unflagged(self):
-        rep = VerificationReport.build("THM_1_1", {}, complex(math.inf, 0.0), 0.0 + 0j,
-                                       scale=50.0)
+        rep = VerificationReport("THM_1_1", {}, complex(math.inf, 0.0), 0.0 + 0j, scale=50.0)
         assert rep.flags == () and not rep.passed
 
-    def test_record_round_trip(self, box_params):
+    def test_record_reads_back_from_json(self, box_params):
+        # the CLI writes to_record() as JSON, every non-finite number as null
         rep = check_thm_1_1(box_params, 0.5, 1, 1)
-        again = VerificationReport.from_record(rep.to_record())
-        assert again == rep
+        assert json.loads(_report_json(rep)) == rep.to_record()
+        # at q = 0.999 the weight's head needs more factors than MAX_TERMS
+        flagged = check_thm_1_1(box_params, 0.999, 2, 2)
+        assert flagged.flags == ("TruncationExceeded",)
+        rec = json.loads(_report_json(flagged))
+        assert rec == json_nulls(flagged.to_record())
+        for key in ("lhs_re", "rhs_re", "abs_residual", "rel_residual"):
+            assert rec[key] is None, key
 
-    def test_flattened_inputs_are_those_of_the_numpy_bound_version(self):
-        # the records written while verify imported numpy at load time
-        inputs = {"c": 1 + 2j, "npc": np.complex128(0.5 - 1j), "i": np.int64(3),
-                  "f": np.float64(0.25), "n": 4, "x": 0.5, "tag": "k"}
-        flat = verify._flatten_inputs(inputs)
-        assert flat == {"c_re": 1.0, "c_im": 2.0, "npc_re": 0.5, "npc_im": -1.0, "i": 3,
-                        "f": 0.25, "n": 4, "x": 0.5, "tag": "k"}
-        assert {key: type(value) for key, value in flat.items()} == {
-            "c_re": float, "c_im": float, "npc_re": np.float64, "npc_im": np.float64,
-            "i": int, "f": float, "n": int, "x": float, "tag": str}
+    def test_flattened_inputs_are_those_of_the_numpy_bound_version(self, box_params):
+        # the records written while verify imported numpy at load time: a
+        # checker records numpy degrees as ints
+        rep = check_thm_1_1(box_params, np.float64(0.5), np.int64(1), np.int64(3))
+        assert type(rep.inputs["m"]) is type(rep.inputs["n"]) is int
+        flat = rep.to_record()["inputs"]
+        assert flat == {"alpha_re": 0.2, "alpha_im": 0.0, "beta_re": 0.1, "beta_im": 0.0,
+                        "gamma_re": 0.8, "gamma_im": 0.0, "delta_re": 0.9, "delta_im": 0.0,
+                        "q_re": 0.5, "q_im": 0.0, "m": 1, "n": 3}
+        assert [type(value) for value in flat.values()] == [float] * 10 + [int] * 2
+
+    @pytest.mark.parametrize("checker, args, degree", [
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, -1, 2), "m"),
+        (check_thm_1_1, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 2, -1), "n"),
+        (check_thm_1_3, (ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, -1, 2), "m"),
+        (check_thm_1_3, (ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 2, -1), "n"),
+        (check_ultra_ortho, (0.3, 0.5, -1, 2), "m"),
+        (check_ultra_ortho, (0.3, 0.5, 2, 1.0), "n"),
+        (check_prop_3_1, (ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, -1), "m"),
+        (check_prop_2_1_2, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, -1), "n"),
+        (check_prop_2_4, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, -1, 0.7, 0.8), "n"),
+        (check_prop_2_2, (ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, -1), "k"),
+    ])
+    def test_a_bad_degree_is_named(self, checker, args, degree):
+        with pytest.raises(DomainError, match=f"^{degree} must be a nonnegative integer"):
+            checker(*args)
 
     def test_prop_3_1_record_holds_the_degree_and_no_angles(self):
         rec = check_prop_3_1(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, 3).to_record()
