@@ -20,7 +20,7 @@ _EXPORTS = {
                "NearSingular"),
     # core types and products
     "qcore": ("qpoch_finite", "qpoch_infinite", "ParamSet4", "ReducedParams",
-              "FULL_PERIOD", "HALF_PERIOD", "big_c_coeffs", "connection_coeffs"),
+              "big_c_coeffs", "connection_coeffs"),
     # series
     "hyper": ("PhiSpec", "phi_series", "very_well_poised", "rogers_6w5_rhs",
               "qbinomial_product_ratio"),

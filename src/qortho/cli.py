@@ -67,8 +67,8 @@ _UNSPELLED = {"qfun"}
 # eval functions f(qfun, parameters...), handed the function family,
 # which only they need; of them only "weight" loads numpy, to evaluate a
 # one-angle grid.  "ultra" sums the (beta, beta) expansion weights directly, so
-# any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.  qpoch
-# and phi_series have their own branches.
+# any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.  "qpoch"
+# without --n is (a;q)_oo.  phi_series reads its repeatable --num/--den itself.
 _EVAL = {
     "big_c": lambda qfun, n, theta, p, q: qfun.laurent_at(big_c_coeffs(n, p, q), n, theta),
     "phi": lambda qfun, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
@@ -76,6 +76,8 @@ _EVAL = {
         qfun.laurent_at(expansion_weights(n, beta, beta, q), n, theta),
     "weight": lambda qfun, theta, p, q: qfun.weight_omega_many([theta], p, q)[0],
     "h": lambda qfun, n, a, q: qfun.h_norm(n, a, q),
+    "qpoch": lambda qfun, a, q, n=None:
+        qpoch_infinite(a, q) if n is None else qpoch_finite(a, q, n),
 }
 
 # table functions f(parameters...) -> {degree: coefficients}.
@@ -128,19 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qortho",
         description="Evaluate and numerically verify q-orthogonal function identities.",
     )
-    # No abbreviated flags: "--m" must not silently stand for "--m-max".
+    # No abbreviated flags: "--n" must not silently stand for "--n-max".
     sub = parser.add_subparsers(dest="command", required=True)
     identities = [i.value for i in IdentityId]
 
     p_eval = sub.add_parser("eval", help="evaluate one function", allow_abbrev=False)
-    p_eval.add_argument(
-        "function",
-        choices=("big_c", "phi", "ultra", "weight", "h", "qpoch", "phi_series"),
-    )
+    p_eval.add_argument("function", choices=(*_EVAL, "phi_series"))
     _add_flags(p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)),
-                        "a", "z"))
-    p_eval.add_argument("--inf", action="store_true", default=None,
-                        help="qpoch: infinite product")
+                        "z"))
     p_eval.add_argument("--num", action="append",
                         help="phi_series numerator parameter RE[,IM] (repeatable)")
     p_eval.add_argument("--den", action="append",
@@ -157,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--identity", required=True, choices=identities)
     p_sweep.add_argument("--draws", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, required=True)
-    p_sweep.add_argument("--m-max", type=int, default=6)
-    p_sweep.add_argument("--n-max", type=int, default=6)
+    p_sweep.add_argument("--degree-max", type=int, default=6)
     _add_output_flags(p_sweep, formats=True)
 
     p_table = sub.add_parser("table", help="tabulate coefficients as CSV", allow_abbrev=False)
@@ -301,11 +297,6 @@ def _cmd_eval(args) -> int:
         kwargs, read = _kwargs(_EVAL[fn], args)
         _reject_unread(args, read, f"eval {fn}")
         value = complex(_EVAL[fn](qfun, **kwargs))
-    elif fn == "qpoch":
-        _reject_unread(args, {"q", "a_re", "a_im", "inf", *(() if args.inf else ("n",))},
-                       "eval qpoch")
-        a, q = _arg(args, "a"), _arg(args, "q")
-        value = qpoch_infinite(a, q) if args.inf else qpoch_finite(a, q, _arg(args, "n"))
     else:  # phi_series
         _reject_unread(args, {"q", "z_re", "z_im", "num", "den"}, "eval phi_series")
         nums = tuple(_parse_listed_complex(v) for v in args.num or ())
@@ -354,7 +345,7 @@ def _cmd_sweep(args) -> int:
     from datetime import datetime, timezone
 
     identity = IdentityId(args.identity)
-    spec = SweepSpec(seed=args.seed, draws=args.draws, m_max=args.m_max, n_max=args.n_max)
+    spec = SweepSpec(seed=args.seed, draws=args.draws, degree_max=args.degree_max)
     reports = run_sweep(identity, spec)
     all_passed = all(r.passed for r in reports)
     if args.format == "csv":

@@ -158,7 +158,9 @@ def very_well_poised(a1, rest, q, z) -> complex:
 
 def rogers_6w5_argument(a, b, c, d, q: complex) -> complex:
     """z = a q/(b c d), where :func:`rogers_6w5_rhs` holds: it divides by b c, b d,
-    c d and b c d (0 also when one underflows) and needs |z| < 1 (:class:`DomainError`)."""
+    c d and b c d (0 also when one underflows) and needs finite a, b, c, d and
+    |z| < 1 (:class:`DomainError`); ``q`` is a base that the caller has checked."""
+    a, b, c, d = (finite_complex(name, v) for name, v in zip("abcd", (a, b, c, d)))
     if 0 in (b * c, b * d, c * d, b * c * d):
         raise DomainError(f"aq/(bcd) needs b, c, d and their products nonzero, got {b}, {c}, {d}")
     z = a * q / (b * c * d)

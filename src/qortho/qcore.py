@@ -182,8 +182,6 @@ class ReducedParams(Record):
 
 
 TWO_PI = 2.0 * math.pi
-FULL_PERIOD = (0.0, TWO_PI)
-HALF_PERIOD = (0.0, math.pi)
 
 
 def _poch_row(a: complex, q: complex, n: int) -> list[complex]:
@@ -197,9 +195,9 @@ def _poch_row(a: complex, q: complex, n: int) -> list[complex]:
 
 
 def qpoch_finite(a, q, n: int) -> complex:
-    """Finite product (a;q)_n. Total for any complex a and n >= 0: the last
-    entry of :func:`_poch_row` by the same multiplications, in O(1) memory."""
-    q, n, w, prod = as_base(q), as_degree("n", n), complex(a), 1.0 + 0.0j
+    """Finite product (a;q)_n. Total for any finite complex a and n >= 0: the
+    last entry of :func:`_poch_row` by the same multiplications, in O(1) memory."""
+    q, n, w, prod = as_base(q), as_degree("n", n), finite_complex("a", a), 1.0 + 0.0j
     for _ in range(n):
         prod, w = prod * (1.0 - w), w * q
     return prod
@@ -335,8 +333,8 @@ def expansion_weights(n: int, ra: complex, rb: complex, q) -> list[complex]:
     k = 0..n; NaN where (q;q)_k or (q;q)_{n-k} underflows to 0 (q near 1)."""
     q = as_base(q)
     n = as_degree("n", n)
-    pa = _poch_row(ra, q, n)
-    pb = _poch_row(rb, q, n)
+    pa = _poch_row(finite_complex("ra", ra), q, n)
+    pb = _poch_row(finite_complex("rb", rb), q, n)
     pq = [x or cmath.nan for x in _poch_row(q, q, n)]
     return [pa[k] / pq[k] * (pb[n - k] / pq[n - k]) for k in range(n + 1)]
 
@@ -369,7 +367,7 @@ def connection_coeffs(m: int, r: ReducedParams, gamma_delta, q) -> list[complex]
         half_sum = (m + n) // 2
         out[n] = (
             (1.0 - r.a * q ** n)
-            * qpoch_finite(r.b / r.a, q, j)
+            * _poch_row(r.b / r.a, q, j)[-1]  # unchecked: b/a overflows for a tiny a
             * qpoch_finite(r.b, q, half_sum)
             / (qpoch_finite(q, q, j) * qpoch_finite(r.a, q, half_sum + 1))
             * int_power(r.a * gd, j)

@@ -80,7 +80,7 @@ def laurent_at(coefs, n: int, theta) -> complex:
     for the coefficients :func:`big_c_coeffs`.  The phases are a running
     product from e^{-in theta} by e^{2i theta}, as
     :func:`~qortho.kernels.laurent_eval` forms them on arrays."""
-    theta = float(theta)
+    theta = finite_complex("theta", float(theta)).real
     step = cmath.exp(2j * theta)
     phase = cmath.exp(-1j * n * theta)
     total = 0.0 + 0.0j
@@ -95,9 +95,10 @@ def phi_eval(n: int, x, y, p: ParamSet4, q) -> complex:
     powers of (gamma x) and (delta y), formed as running products (they
     overflow to inf).  On the unit circle it reduces to (q;q)_n * C_n."""
     q = as_base(q)
+    x, y = finite_complex("x", x), finite_complex("y", y)
     weights = expansion_weights(n, p.ratio_a, p.ratio_b, q)
-    gx_k = list(accumulate(repeat(p.gamma * complex(x), n), operator.mul, initial=1.0 + 0.0j))
-    dy_k = list(accumulate(repeat(p.delta * complex(y), n), operator.mul, initial=1.0 + 0.0j))
+    gx_k = list(accumulate(repeat(p.gamma * x, n), operator.mul, initial=1.0 + 0.0j))
+    dy_k = list(accumulate(repeat(p.delta * y, n), operator.mul, initial=1.0 + 0.0j))
     total = sum(w * gx_k[k] * dy_k[n - k] for k, w in enumerate(weights))
     return qpoch_finite(q, q, n) * total
 
@@ -206,6 +207,7 @@ def thm_1_3_rhs(r: ReducedParams, gamma, delta, q, m: int, n: int) -> complex:
     over :func:`h_norm` h_n(a|q).  Zero for opposite parities, and for m < n:
     the b-family's degree m expands in a-family degrees <= m (PROP_3_1), each
     orthogonal to degree n."""
+    m, n = as_degree("m", m), as_degree("n", n)
     if (m - n) % 2 != 0 or m < n:
         return 0.0 + 0.0j
     gd = complex(gamma) * complex(delta)

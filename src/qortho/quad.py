@@ -1,6 +1,6 @@
-"""The circle rule: numerical integration over a full or half period.
+"""The circle rule: numerical integration over one period.
 
-Full-period integrals use the equispaced rule
+Integrals over [0, 2 pi) use the equispaced rule
 
     integral_0^{2pi} f  ~  (2 pi / N) sum_{j<N} f(2 pi j / N),
 
@@ -53,13 +53,6 @@ multiplies those of its N nodes by one read-only N x 5 table of the columns
 1, sigma, sigma/z, 1/sigma, z/sigma, built once per N.  Without poles
 (a = b = 0) the correction is zero and the rule the plain one.
 
-Half-period integrals apply the same rule and halve the result.  That equals
-the plain [0, pi] integral whenever the integrand's odd circle harmonics
-cancel, which THM_1_3's do not at odd m + n and gamma != delta: there the
-halved value is 0 by f(theta + pi) = -f(theta) alone, and
-check_thm_1_3(ReducedParams(0.3, 0.5), 0.7, 1.2, 0.4, 3, 2) passes with a lhs
-near 1e-15 while the [0, pi] integral of its integrand is about 0.2476i.
-
 With :mod:`~qortho.kernels`, this is the package's only numpy code; the
 lattice integral of PROP_2_4 needs no array and lives in :mod:`~qortho.qfun`.
 """
@@ -74,7 +67,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import angle_table
-from .qcore import FULL_PERIOD, HALF_PERIOD, TWO_PI  # the periods are re-exported from here
+from .qcore import TWO_PI
 
 # The rule's start grid, its node cap and the agreement of two successive
 # levels at which it stops.
@@ -88,7 +81,7 @@ class QuadResult(NamedTuple):
     nodes: int
     converged: bool
     est_error: float
-    fscale: float  # max |f| over evaluated nodes times interval length
+    fscale: float  # max |f| over evaluated nodes times 2 pi
 
 
 def _grid(n: int, midpoints: bool) -> np.ndarray:
@@ -113,13 +106,9 @@ def _moment_table(n: int) -> np.ndarray:
     return angle_table(("moments", n), build)
 
 
-def periodic_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    interval: tuple[float, float],
-    *,
-    poles: tuple[complex, complex] = (0.0, 0.0),
-) -> QuadResult:
-    """Integrate a periodic analytic integrand over a full or half period.
+def periodic_integral(f: Callable[[np.ndarray], np.ndarray], *,
+                      poles: tuple[complex, complex] = (0.0, 0.0)) -> QuadResult:
+    """Integrate a 2 pi-periodic analytic integrand over [0, 2 pi).
 
     ``f`` must accept an ndarray of angles and return an ndarray of values.
     Its first call gets the 2N-point grid 2 pi j / 2N, N = START_NODES,
@@ -128,8 +117,6 @@ def periodic_integral(
     MAX_NODES.  Each array it gets is read-only, has an even length M and
     holds theta_j + pi at index j + M/2 for every j < M/2, so ``f`` may
     compute a pi-periodic factor on the first half and repeat it.
-    ``interval`` is ``FULL_PERIOD`` or ``HALF_PERIOD``; the half-period mode
-    evaluates over the whole period and halves, see the module docstring.
 
     ``poles`` = (a, b), |a|, |b| < 1, says that f carries the factor
     r = 1/((1 - a e^{2i theta})(1 - b e^{-2i theta})).  Each level's sum
@@ -146,16 +133,9 @@ def periodic_integral(
     plain sum over every node evaluated, with ``converged=False`` and
     ``est_error`` infinite.
     """
-    if interval == FULL_PERIOD:
-        factor = 1.0
-    elif interval == HALF_PERIOD:
-        factor = 0.5
-    else:
-        raise DomainError(f"interval must be FULL_PERIOD or HALF_PERIOD, got {interval}")
     a, b = map(complex, poles)
     if not (abs(a) < 1.0 and abs(b) < 1.0):
         raise DomainError(f"poles must lie inside the unit circle, got {poles}")
-    length = TWO_PI * factor
 
     def rule(n):
         """The corrected n-point rule on every (len(values) / n)-th value."""
@@ -164,7 +144,7 @@ def periodic_integral(
         e = -(-n // 4)
         tail = (a ** e * (sigma - b * sigma_over_z)
                 + b ** e * (over_sigma - a * z_over_sigma)) / (1.0 - a * b)
-        return factor * TWO_PI / n * (s0 - tail)
+        return TWO_PI / n * (s0 - tail)
 
     # the values of the nodes so far, in the order of the grid 2 pi j / len(values)
     n = START_NODES
@@ -177,10 +157,10 @@ def periodic_integral(
             break
         if estimate is not None:
             est_error = abs(refined - estimate)
-            converged = est_error <= REL_TOL * max(abs(refined), fmax * length)
+            converged = est_error <= REL_TOL * max(abs(refined), fmax * TWO_PI)
         estimate = refined
         if converged or 2 * n > MAX_NODES:
-            return QuadResult(complex(estimate), n, converged, est_error, fmax * length)
+            return QuadResult(complex(estimate), n, converged, est_error, fmax * TWO_PI)
         if values.shape[0] == n:
             mid = np.asarray(f(_grid(n, True)), dtype=np.complex128)
             fmax = max(float(abs(mid).max()), fmax)  # a NaN first stays NaN
@@ -190,8 +170,7 @@ def periodic_integral(
         n *= 2
     # an overflowing integrand: no finer grid settles it
     count = values.shape[0]
-    return QuadResult(factor * TWO_PI / count * complex(values.sum()), count, False, math.inf,
-                      fmax * length)
+    return QuadResult(TWO_PI / count * complex(values.sum()), count, False, math.inf, fmax * TWO_PI)
 
 
-__all__ = ["FULL_PERIOD", "HALF_PERIOD", "QuadResult", "periodic_integral"]
+__all__ = ["QuadResult", "periodic_integral"]

@@ -42,8 +42,6 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import DivergentSeries, DomainError, NearSingular, TruncationExceeded
 from .qcore import (
-    FULL_PERIOD,
-    HALF_PERIOD,
     NEAR_SINGULAR_TOL,
     TWO_PI,
     ParamSet4,
@@ -165,16 +163,19 @@ def _check(identity_id, inputs, lhs, rhs) -> VerificationReport:
 
 
 def _circle_check(
-    identity_id, inputs, weight: ParamSet4, q: complex, interval,
+    identity_id, inputs, weight: ParamSet4, q: complex, half: bool,
     c_m_n: tuple[Sequence[complex], Sequence[complex]] | None, rhs: Callable[[], complex],
     extra: Sequence[complex] | None = None,
 ) -> VerificationReport:
     """The path every circle identity shares: screen the weight of ``weight``
-    once, integrate over ``interval`` C_m C_n, from the coefficient lists
+    once, integrate over the period C_m C_n, from the coefficient lists
     ``c_m_n`` (None for THM_1_2), times the product quotient of the weight's
     :func:`~qortho.qfun.weight_symbols` and of the ``extra`` table (THM_1_2's
     alpha t, beta t, alpha s, beta s over gamma t, delta t, gamma s, delta s,
-    on e^{+-i theta}), both at the depth of all their coefficients; flag a
+    on e^{+-i theta}), both at the depth of the weight's coefficients, the
+    larger (a weight numerator, gamma/delta or delta/gamma, has modulus >= 1;
+    THM_1_2's hypothesis puts every extra symbol below 1); with ``half``,
+    report half the integral and half its scale (exact: a power of two); flag a
     finite integral that the rule leaves unsettled at
     :data:`~qortho.quad.MAX_NODES` (an overflow fails the report unflagged),
     then evaluate ``rhs()``.  A weight pole on the circle or a depth beyond
@@ -198,7 +199,7 @@ def _circle_check(
     if qfun.weight_min_denominator(weight, q) < NEAR_SINGULAR_TOL:
         flags.append("NearSingular")
     else:
-        kmax = _evaluate(lambda: quotient_depth((*(extra or ()), *coefs), q), flags)
+        kmax = _evaluate(lambda: quotient_depth(coefs, q), flags)
     if flags:
         return VerificationReport(identity_id, inputs, NAN, NAN, flags=flags)
     own = np.array(coefs, dtype=np.complex128), np.array(exps, dtype=np.float64)
@@ -219,11 +220,14 @@ def _circle_check(
 
     # the k = 0 factors of the weight's denominator hold the poles nearest the circle
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the report
-        result = quad.periodic_integral(integrand, interval, poles=coefs[2:])
+        result = quad.periodic_integral(integrand, poles=coefs[2:])
     if not result.converged and cmath.isfinite(result.value):  # an overflow fails unflagged
         flags.append("NoConvergence")
+    lhs, scale = result.value, result.fscale
+    if half:  # part by part, so that a part that is not finite stays as the rule left it
+        lhs, scale = complex(lhs.real / 2, lhs.imag / 2), scale / 2
     rhs_value = _evaluate(rhs, flags)
-    return VerificationReport(identity_id, inputs, result.value, rhs_value, result.fscale, flags)
+    return VerificationReport(identity_id, inputs, lhs, rhs_value, scale, flags)
 
 
 def _require(moduli: Mapping[str, float]) -> None:
@@ -250,7 +254,7 @@ def check_thm_1_1(p: ParamSet4, q, m: int, n: int) -> VerificationReport:
     _require(_weight_moduli(p))
     return _circle_check(
         IdentityId.THM_1_1, _paramset_inputs(p, q) | {"m": m, "n": n},
-        p, q, FULL_PERIOD,
+        p, q, False,
         (big_c_coeffs(m, p, q), big_c_coeffs(n, p, q)),
         lambda: qfun.diag_rhs_thm11(n, p, q) if m == n else 0.0 + 0.0j,
     )
@@ -283,7 +287,7 @@ def check_thm_1_2(p: ParamSet4, s, t, q) -> VerificationReport:
     _require(_thm_1_2_moduli(p, s, t, q) | _weight_moduli(p))
     return _circle_check(
         IdentityId.THM_1_2, _paramset_inputs(p, q) | {"s": s, "t": t},
-        p, q, FULL_PERIOD,
+        p, q, False,
         None, lambda: qfun.thm_1_2_rhs_series(p, s, t, q),
         (p.alpha * t, p.beta * t, p.alpha * s, p.beta * s,
          p.gamma * t, p.delta * t, p.gamma * s, p.delta * s),
@@ -299,7 +303,13 @@ def check_thm_1_3(r: ReducedParams, gamma, delta, q, m: int, n: int) -> Verifica
     """Half-period bi-orthogonality: degree m of the b-family against degree n
     of the a-family under the a-family weight, against
     :func:`~qortho.qfun.thm_1_3_rhs`: zero when m and n have opposite parity
-    or m < n, the closed form otherwise.  The closed form needs a != 0."""
+    or m < n, the closed form otherwise.  The closed form needs a != 0.
+
+    The lhs is half the full-period integral, the [0, pi] integral only when
+    the integrand's odd circle harmonics cancel.  At odd m + n and gamma !=
+    delta they do not: f(theta + pi) = -f(theta) makes the lhs 0, and
+    check_thm_1_3(ReducedParams(0.3, 0.5), 0.7, 1.2, 0.4, 3, 2) passes with a
+    lhs near 1e-15 while the [0, pi] integral of its integrand is about 0.2476i."""
     from . import qfun
 
     q = as_base(q)
@@ -313,7 +323,7 @@ def check_thm_1_3(r: ReducedParams, gamma, delta, q, m: int, n: int) -> Verifica
     _require(_thm_1_3_moduli(r.a, gamma, delta))
     inputs = {"a": r.a, "b": r.b, "gamma": gamma, "delta": delta, "q": q, "m": m, "n": n}
     return _circle_check(
-        IdentityId.THM_1_3, inputs, p_a, q, HALF_PERIOD,
+        IdentityId.THM_1_3, inputs, p_a, q, True,
         (big_c_coeffs(m, p_b, q), big_c_coeffs(n, p_a, q)),
         lambda: qfun.thm_1_3_rhs(r, gamma, delta, q, m, n),
     )
@@ -363,7 +373,7 @@ def check_ultra_ortho(beta, q, m: int, n: int) -> VerificationReport:
     p = ParamSet4(beta, beta, 1.0, 1.0)
     return _circle_check(
         IdentityId.ULTRA_ORTHO, {"beta": beta, "q": q, "m": m, "n": n},
-        p, q, HALF_PERIOD,
+        p, q, True,
         (big_c_coeffs(m, p, q), big_c_coeffs(n, p, q)),
         lambda: 1.0 / qfun.h_norm(n, beta, q) if m == n else 0.0 + 0.0j,
     )
@@ -488,19 +498,19 @@ def check_qbinomial(a, z, q) -> VerificationReport:
 class SweepSpec(Record):
     """Seeded randomized sweep: ``box`` entries override the identity's
     default parameter ranges (see the ``box`` of each :data:`REGISTRY`
-    record for the keys it reads; None is a new empty box); degree draws are
-    capped by m_max / n_max.  The seed and the counts are nonnegative
-    integers (:func:`~qortho.qcore.as_degree`), so a sweep never draws from
-    OS entropy."""
+    record for the keys it reads; None is a new empty box); every degree
+    draw is capped by ``degree_max``.  The seed and the counts are
+    nonnegative integers (:func:`~qortho.qcore.as_degree`), so a sweep never
+    draws from OS entropy."""
 
-    _fields = ("seed", "draws", "box", "m_max", "n_max")
+    _fields = ("seed", "draws", "box", "degree_max")
 
     def __init__(self, seed: int, draws: int,
                  box: Mapping[str, tuple[float, float]] | None = None,
-                 m_max: int = 6, n_max: int = 6) -> None:
+                 degree_max: int = 6) -> None:
         self._set(seed=as_degree("seed", seed), draws=as_degree("draws", draws),
                   box={} if box is None else box,
-                  m_max=as_degree("m_max", m_max), n_max=as_degree("n_max", n_max))
+                  degree_max=as_degree("degree_max", degree_max))
 
 
 # All default sweeps draw real parameters; q stays within (0, 0.8].  A drawer
@@ -527,8 +537,8 @@ def _uniform(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:
     return float(rng.uniform(*lo_hi))
 
 
-def _degrees(rng: np.random.Generator, spec: SweepSpec) -> dict:
-    return {"m": int(rng.integers(0, spec.m_max + 1)), "n": int(rng.integers(0, spec.n_max + 1))}
+def _degree(rng: np.random.Generator, spec: SweepSpec) -> int:
+    return int(rng.integers(0, spec.degree_max + 1))
 
 
 def _draw_paramset(rng, box) -> ParamSet4:
@@ -561,7 +571,7 @@ def _draw_thm_1_3(rng, box, q, spec) -> dict | None:
     a, b = _uniform(rng, box["ab"]), _uniform(rng, box["ab"])
     gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
     if _admits(_thm_1_3_moduli(a, gamma, delta)):
-        m, n = _degrees(rng, spec).values()
+        m, n = _degree(rng, spec), _degree(rng, spec)
         # same-parity m < n draws check the closed form's zero too, but the
         # swap keeps every seeded sweep's draws as they were
         if (m - n) % 2 == 0 and m < n:
@@ -574,7 +584,7 @@ def _draw_prop_3_1(rng, box, q, spec) -> dict:
     b = _uniform(rng, box["ab"])
     gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
     return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta,
-            "q": q, "m": int(rng.integers(0, spec.m_max + 1))}
+            "q": q, "m": _degree(rng, spec)}
 
 
 def _draw_prop_2_4(rng, box, q, spec) -> dict | None:
@@ -584,7 +594,7 @@ def _draw_prop_2_4(rng, box, q, spec) -> dict | None:
     # endpoints must be distinct and the quotient clear of the q-chain
     if (1.0 / 3.0 <= gx_over_dy <= 3.0 and _chain_clear(gx_over_dy, q)
             and _chain_clear(1.0 / gx_over_dy, q)):
-        return {"p": p, "q": q, "n": int(rng.integers(0, spec.n_max + 1)), "x": x, "y": y}
+        return {"p": p, "q": q, "n": _degree(rng, spec), "x": x, "y": y}
 
 
 def _draw_rogers_6w5(rng, box, q, spec) -> dict | None:
@@ -599,7 +609,7 @@ def _draw_rogers_6w5(rng, box, q, spec) -> dict | None:
 def _draw_ultra_ortho(rng, box, q, spec) -> dict | None:
     beta = _uniform(rng, box["beta"])
     if _admits(_ultra_ortho_moduli(beta)):
-        return {"beta": beta, "q": q, **_degrees(rng, spec)}
+        return {"beta": beta, "q": q, "m": _degree(rng, spec), "n": _degree(rng, spec)}
 
 
 class Identity(Record):
@@ -631,12 +641,12 @@ _REDUCED_BOX = {"q": (0.1, 0.7), "ab": (0.1, 0.6), "scale": (0.5, 1.5)}
 REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
     Identity(IdentityId.THM_1_1, 1e-8, _PARAM_BOX,
              lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
-                                        **_degrees(rng, spec)}),
+                                        "m": _degree(rng, spec), "n": _degree(rng, spec)}),
     Identity(IdentityId.THM_1_2, 1e-8, _PARAM_BOX | {"st_fraction": (0.1, 1.0)}, _draw_thm_1_2),
     Identity(IdentityId.THM_1_3, 1e-8, _REDUCED_BOX, _draw_thm_1_3),
     Identity(IdentityId.PROP_2_1_2, 1e-12, _PARAM_BOX,
              lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
-                                        "n": int(rng.integers(0, spec.n_max + 1)),
+                                        "n": _degree(rng, spec),
                                         "theta": _uniform(rng, (0.0, TWO_PI))}),
     Identity(IdentityId.PROP_2_1_3, 0.05, _PARAM_BOX,
              lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q}),

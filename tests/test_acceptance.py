@@ -157,14 +157,14 @@ def test_criterion_06_binomial_series():
 
 
 def test_criterion_07_lattice_integral_representation():
-    reports = run_sweep(IdentityId.PROP_2_4, SweepSpec(seed=SEED, draws=50, n_max=10))
+    reports = run_sweep(IdentityId.PROP_2_4, SweepSpec(seed=SEED, draws=50, degree_max=10))
     worst = max(r.rel_residual for r in reports)
     report_line(7, all(r.passed for r in reports) and worst <= 1e-10,
                 f"50 draws n <= 10, rel <= 1e-10 (worst {worst:.2e})")
 
 
 def test_criterion_08_circle_reduction():
-    reports = run_sweep(IdentityId.PROP_2_1_2, SweepSpec(seed=SEED, draws=20, n_max=12))
+    reports = run_sweep(IdentityId.PROP_2_1_2, SweepSpec(seed=SEED, draws=20, degree_max=12))
     worst = max(r.rel_residual for r in reports)
     report_line(8, all(r.passed for r in reports) and worst <= 1e-12,
                 f"20 draws n <= 12, rel <= 1e-12 (worst {worst:.2e})")
@@ -192,7 +192,7 @@ def test_criterion_09_growth_root():
 def test_criterion_10_connection_expansion():
     # all m+1 Laurent coefficients of degree m of the b-family against the
     # shifted coefficients of the a-family degrees, recomputed here
-    reports = run_sweep(IdentityId.PROP_3_1, SweepSpec(seed=SEED, draws=10, m_max=6))
+    reports = run_sweep(IdentityId.PROP_3_1, SweepSpec(seed=SEED, draws=10, degree_max=6))
     worst = 0.0
     for rep in reports:
         i = rep.inputs

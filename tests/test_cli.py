@@ -11,9 +11,9 @@ import pytest
 
 import numpy as np
 
-from qortho import ParamSet4, check_thm_1_1, qpoch_finite
+from qortho import ParamSet4, check_thm_1_1, qpoch_finite, qpoch_infinite
 from qortho.cli import _SPELLING, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _spelled, build_parser, main
-from qortho.verify import REGISTRY, IdentityId, SweepSpec, draw_params
+from qortho.verify import REGISTRY, IdentityId, SweepSpec, draw_params, run_sweep
 
 from oracles import c_series_oracle, json_nulls, ultra_recurrence_oracle, weight_oracle
 
@@ -104,9 +104,17 @@ class TestEval:
         assert "vanish on the circle" in err
 
     def test_qpoch_vanishing_infinite_product(self, capsys):
-        code, out, _ = run_cli(["eval", "qpoch", "--a-re", "1", "--q", "0.5", "--inf"], capsys)
+        code, out, _ = run_cli(["eval", "qpoch", "--a-re", "1", "--q", "0.5"], capsys)
         assert code == EXIT_PASS
         assert json.loads(out)["value_re"] == 0.0
+
+    @pytest.mark.parametrize("a", [0.5, 0.3 - 0.7j, -2.5 + 1j])
+    def test_qpoch_without_n_is_the_infinite_product(self, a, capsys):
+        code, out, _ = run_cli(["eval", "qpoch", "--a-re", str(a.real), "--a-im", str(a.imag),
+                                "--q", "0.6"], capsys)
+        assert code == EXIT_PASS
+        rec = json.loads(out)
+        assert complex(rec["value_re"], rec["value_im"]) == qpoch_infinite(a, 0.6)
 
     def test_qpoch_finite_product(self, capsys):
         code, out, _ = run_cli(["eval", "qpoch", "--a-re", "0.5", "--n", "3", "--q", "0.5"],
@@ -324,14 +332,14 @@ OPTION_STRINGS = {
     "eval": ["-h", "--help", "--q", "--n", "--theta", "--alpha-re", "--alpha-im", "--beta-re",
              "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--x-re",
              "--x-im", "--y-re", "--y-im", "--a-re", "--a-im", "--z-re", "--z-im",
-             "--inf", "--num", "--den", "--out"],
+             "--num", "--den", "--out"],
     "verify": ["-h", "--help", "--identity", "--alpha-re", "--alpha-im", "--beta-re",
                "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--q",
                "--m", "--n", "--s-re", "--s-im", "--t-re", "--t-im", "--a-re", "--a-im",
                "--b-re", "--b-im", "--theta", "--k", "--x-re", "--x-im", "--y-re", "--y-im",
                "--c-re", "--c-im", "--d-re", "--d-im", "--z-re", "--z-im", "--format", "--out"],
-    "sweep": ["-h", "--help", "--identity", "--draws", "--seed", "--m-max", "--n-max",
-              "--format", "--out"],
+    "sweep": ["-h", "--help", "--identity", "--draws", "--seed", "--degree-max", "--format",
+              "--out"],
     "table": ["-h", "--help", "--q", "--m", "--alpha-re", "--alpha-im", "--beta-re",
               "--beta-im", "--gamma-re", "--gamma-im", "--delta-re", "--delta-im", "--a-re",
               "--a-im", "--b-re", "--b-im", "--n-max", "--out"],
@@ -357,8 +365,9 @@ class TestUnreadFlags:
              "--m, --a-re"),
             (["eval", "big_c", "--n", "1", "--theta", "0", *BOX, "--x-re", "9", "--z-re", "4"],
              "--x-re, --z-re"),
-            (["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--inf", "--n", "3",
-              "--theta", "1"], "--n, --theta"),
+            (["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--theta", "1"], "--theta"),
+            (["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--n", "3", "--x-re", "1"],
+             "--x-re"),
         ],
     )
     def test_unread_flag_exits_2(self, argv, unread, capsys):
@@ -374,6 +383,8 @@ class TestUnreadFlags:
              "--alpha-re 5"),
             (["eval", "big_c", "--n", "0", "--theta", "0.3", "--tol", "1", *BOX], "--tol 1"),
             (["eval", "big_c", "--n", "0", "--theta", "0.3", "--m", "1", *BOX], "--m 1"),
+            # the removed flag: the infinite product is qpoch without --n
+            (["eval", "qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], "--inf"),
         ],
     )
     def test_a_flag_the_subcommand_lacks_is_unrecognized(self, argv, flag, capsys):
@@ -389,7 +400,7 @@ EVAL_METADATA = [
     (["phi", "--n", "1", "--x-re", "0.7", "--y-re", "0.9", *BOX], {}),
     (["ultra", "--n", "1", "--theta", "0", "--beta-re", "0.3", "--q", "0.5"], {}),
     (["qpoch", "--a-re", "0.5", "--n", "3", "--q", "0.5"], {}),
-    (["qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], {}),
+    (["qpoch", "--a-re", "0.5", "--q", "0.5"], {}),
     (["h", "--n", "1", "--a-re", "0.3", "--q", "0.5"], {}),
     (["weight", "--theta", "0.3", *BOX], {}),
     (["phi_series", "--num", "0.3", "--q", "0.5", "--z-re", "0.4"],
@@ -431,6 +442,19 @@ class TestSweep:
         payload = json.loads(out_path.read_text())
         assert payload["all_passed"] is True
         assert len(payload["reports"]) == 20
+
+    @pytest.mark.parametrize("identity", ["THM_1_3", "PROP_2_1_2"])
+    def test_one_degree_cap_bounds_every_degree(self, identity, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--identity", identity, "--draws", "8", "--seed", "3",
+             "--degree-max", "30"], capsys)
+        assert code == EXIT_PASS
+        reports = json.loads(out)["reports"]
+        spec = SweepSpec(seed=3, draws=8, degree_max=30)
+        want = run_sweep(identity, spec)
+        assert reports == json.loads(json.dumps([r.to_record() for r in want]))
+        degrees = [r["inputs"][k] for r in reports for k in ("m", "n") if k in r["inputs"]]
+        assert max(degrees) > 6 and max(degrees) <= 30
 
     def test_zero_draws(self, capsys):
         code, out, _ = run_cli(
@@ -574,7 +598,7 @@ class TestExitCodeContract:
         assert "must be finite" in err
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--m-max", "-1"],
+        ["sweep", "--identity", "THM_1_1", "--draws", "2", "--seed", "1", "--degree-max", "-1"],
         ["table", "big_c", "--n-max", "-1", *BOX],
     ])
     def test_a_negative_degree_cap_exits_2(self, argv, capsys):

@@ -115,7 +115,7 @@ def test_cold_sweep_stamps_its_output():
 
 
 @pytest.mark.parametrize("argv, value", [
-    (["qpoch", "--a-re", "0.5", "--q", "0.5", "--inf"], lambda: qpoch_infinite(0.5, 0.5)),
+    (["qpoch", "--a-re", "0.5", "--q", "0.5"], lambda: qpoch_infinite(0.5, 0.5)),
     (["phi_series", "--num", "0.3", "--z-re", "0.4", "--q", "0.5"],
      lambda: phi_series(PhiSpec((0.3,), (), 0.5, 0.4))),
 ])

@@ -49,11 +49,6 @@ def test_moved_coefficient_builders_keep_their_qfun_path(name):
     assert name not in qortho.__all__ or getattr(qortho, name) is getattr(qcore, name)
 
 
-@pytest.mark.parametrize("name", ["FULL_PERIOD", "HALF_PERIOD"])
-def test_moved_quadrature_types_keep_their_quad_path(name):
-    assert getattr(quad, name) is getattr(qcore, name) is getattr(qortho, name)
-
-
 def test_a_check_calls_the_functions_of_the_modules_that_define_them(monkeypatch):
     # a function patched where it is defined is the one a check calls
     called = []

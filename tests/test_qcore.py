@@ -26,6 +26,7 @@ from qortho.kernels import poch_product_many
 from qortho.qcore import (PRODUCT_TOL, _poch_row, as_base, closing_factors, min_factor_abs,
                           tail_start)
 from qortho.qfun import expansion_weights
+from qortho.hyper import rogers_6w5_argument
 from qortho.verify import REGISTRY, IdentityId, draw_params
 
 # frozen reference: partial products of (0.5; 0.5)_oo until the tail bound
@@ -102,6 +103,48 @@ def test_the_bad_base_functions_take_their_good_arguments():
     # the same calls at q = 0.5 run, so each refusal above is for q alone
     for call in TAKES_Q.values():
         call(0.5)
+
+
+# Public functions that took a NaN parameter other than q and returned NaN:
+# each call at valid arguments but for that parameter, and its name.
+TAKES_A_FINITE_PARAMETER = {
+    "qpoch_finite a": (lambda v: qpoch_finite(v, 0.5, 3), "a"),
+    "phi_eval x": (lambda v: qortho.phi_eval(2, v, 0.5, P, 0.5), "x"),
+    "phi_eval y": (lambda v: qortho.phi_eval(2, 0.7, v, P, 0.5), "y"),
+    "laurent_at theta": (lambda v: qortho.laurent_at([1, 2], 1, v), "theta"),
+    "expansion_weights ra": (lambda v: expansion_weights(2, v, 0.1, 0.5)[1], "ra"),
+    "expansion_weights rb": (lambda v: expansion_weights(2, 0.2, v, 0.5)[1], "rb"),
+    "rogers_6w5_argument a": (lambda v: rogers_6w5_argument(v, 0.6, 0.7, 0.8, 0.5), "a"),
+    "rogers_6w5_argument d": (lambda v: rogers_6w5_argument(0.2, 0.6, 0.7, v, 0.5), "d"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", TAKES_A_FINITE_PARAMETER)
+def test_a_non_finite_parameter_is_a_domain_error_not_a_nan(case, value):
+    call, name = TAKES_A_FINITE_PARAMETER[case]
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+        call(value)
+    assert cmath.isfinite(call(0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qpoch_infinite(math.nan, 0.5),
+    lambda: qortho.phi_qintegral_repr(2, math.nan, 0.5, P, 0.5),
+])
+def test_a_product_argument_that_is_not_finite_is_truncation(call):
+    # README's numerical policy: a product whose argument is inf or NaN
+    # needs more than MAX_TERMS factors
+    with pytest.raises(TruncationExceeded, match="needs nan factors"):
+        call()
+
+
+def test_an_internal_overflow_is_not_a_domain_error():
+    # b/a overflows to inf for a tiny a, and (b/a;q)_j takes it unchecked:
+    # the coefficients and the report come back, and no DomainError escapes
+    assert len(qortho.connection_coeffs(3, ReducedParams(1e-310, 0.5), 0.72, 0.5)) == 4
+    report = qortho.check_prop_3_1(ReducedParams(1e-310, 0.5), 0.9, 0.8, 0.5, 3)
+    assert report.identity_id == "PROP_3_1"
 
 
 def test_a_param_set_with_beta_over_delta_beyond_1_is_a_domain_error():

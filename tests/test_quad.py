@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -6,8 +7,6 @@ import pytest
 
 from qortho import (
     DomainError,
-    FULL_PERIOD,
-    HALF_PERIOD,
     NearSingular,
     ParamSet4,
     QuadResult,
@@ -31,23 +30,22 @@ def rule_setting(monkeypatch, start, cap, stop=quad.REL_TOL):
     monkeypatch.setattr(quad, "REL_TOL", stop)
 
 
-def one_call_per_level_integral(f, interval):
+def one_call_per_level_integral(f):
     """The refinement loop with one integrand call per level: the start grid,
     then the midpoints of each grid so far."""
-    factor = 1.0 if interval == FULL_PERIOD else 0.5
-    length = 2 * math.pi * factor
+    length = 2 * math.pi
     n = quad.START_NODES
     values = f(2 * math.pi * np.arange(n) / n)
     running_sum = values.sum()
     fmax = float(np.max(np.abs(values)))
-    estimate = factor * 2 * math.pi / n * running_sum
+    estimate = length / n * running_sum
     converged, est_error = False, math.inf
     while 2 * n <= quad.MAX_NODES:
         new_values = f(2 * math.pi * (np.arange(n) + 0.5) / n)
         running_sum += new_values.sum()
         fmax = max(fmax, float(np.max(np.abs(new_values))))
         n *= 2
-        refined = factor * 2 * math.pi / n * running_sum
+        refined = length / n * running_sum
         est_error = abs(refined - estimate)
         estimate = refined
         if est_error <= quad.REL_TOL * max(abs(estimate), fmax * length):
@@ -58,33 +56,36 @@ def one_call_per_level_integral(f, interval):
 
 class TestPeriodicIntegral:
     def test_pure_harmonic_integrates_to_zero(self):
-        res = periodic_integral(lambda th: np.exp(3j * th), FULL_PERIOD)
+        res = periodic_integral(lambda th: np.exp(3j * th))
         assert abs(res.value) < 1e-14
         assert res.converged
 
     def test_constant(self):
-        res = periodic_integral(lambda th: np.ones_like(th, dtype=complex), FULL_PERIOD)
+        res = periodic_integral(lambda th: np.ones_like(th, dtype=complex))
         assert res.value == pytest.approx(2 * math.pi, rel=1e-15)
 
     def test_cosine_squared(self):
         # antiderivative (th + sin th cos th)/2 over [0, 2pi] gives pi
-        res = periodic_integral(lambda th: np.cos(th) ** 2 + 0j, FULL_PERIOD)
+        res = periodic_integral(lambda th: np.cos(th) ** 2 + 0j)
         assert res.value == pytest.approx(math.pi, rel=1e-14)
 
     def test_half_period_even_integrand(self):
-        res = periodic_integral(lambda th: np.cos(th) ** 2 + 0j, HALF_PERIOD)
-        assert res.value == pytest.approx(math.pi / 2, rel=1e-14)
+        # pi-periodic, so half the full-period value is the [0, pi] integral
+        res = periodic_integral(lambda th: np.cos(th) ** 2 + 0j)
+        assert 0.5 * res.value == pytest.approx(math.pi / 2, rel=1e-14)
 
     def test_half_period_even_harmonics(self):
         # f = 3 + e^{2i th} + e^{-2i th}: half-period integral is 3 pi
-        res = periodic_integral(
-            lambda th: 3.0 + np.exp(2j * th) + np.exp(-2j * th), HALF_PERIOD
-        )
-        assert res.value == pytest.approx(3 * math.pi, rel=1e-13)
+        res = periodic_integral(lambda th: 3.0 + np.exp(2j * th) + np.exp(-2j * th))
+        assert 0.5 * res.value == pytest.approx(3 * math.pi, rel=1e-13)
 
-    def test_unknown_interval_rejected(self):
-        with pytest.raises(DomainError):
-            periodic_integral(lambda th: th, (0.0, 1.0))
+    def test_the_rule_takes_no_interval(self):
+        # one period, [0, 2 pi); a half-period identity halves the value itself
+        params = inspect.signature(periodic_integral).parameters
+        assert list(params) == ["f", "poles"]
+        assert params["poles"].kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            periodic_integral(lambda th: th, (0.0, math.pi))
 
     def test_no_convergence_flag(self):
         # poles at theta = +-i t, cosh t = 1 + 1e-7: the rule's error falls
@@ -95,7 +96,7 @@ class TestPeriodicIntegral:
             grids.append(th.shape[0])
             return 1.0 / (1.0 + 1e-7 - np.cos(th)) + 0j
 
-        res = periodic_integral(f, FULL_PERIOD)
+        res = periodic_integral(f)
         assert not res.converged
         assert res.nodes == sum(grids) == quad.MAX_NODES == 8192
         assert math.isfinite(res.est_error)
@@ -118,7 +119,7 @@ class TestPeriodicIntegral:
 
         # a tolerance no estimate meets, so the rule refines as far as it may
         rule_setting(monkeypatch, start, max_nodes, 1e-300)
-        res = periodic_integral(f, FULL_PERIOD)
+        res = periodic_integral(f)
         assert grids == counts
         assert res.nodes == sum(counts) <= max_nodes
         assert not res.converged
@@ -139,7 +140,7 @@ class TestPeriodicIntegral:
             return values
 
         monkeypatch.setattr(quad, "REL_TOL", 1e-300)
-        res = periodic_integral(f, FULL_PERIOD)
+        res = periodic_integral(f)
         assert grids == counts
         assert res.nodes == sum(counts)
         assert not res.converged and res.est_error == math.inf
@@ -155,7 +156,7 @@ class TestPeriodicIntegral:
 
         monkeypatch.setattr(quad, "REL_TOL", 1e-300)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = periodic_integral(f, FULL_PERIOD)
+            res = periodic_integral(f)
         assert grids == [128]
         assert res.nodes == 128
         assert not res.converged and res.est_error == math.inf
@@ -170,7 +171,7 @@ class TestPeriodicIntegral:
             return 1.0 / (1.0005 - np.cos(th)) + 0j  # too peaked to settle by 8x
 
         rule_setting(monkeypatch, start, start * 8)
-        periodic_integral(f, FULL_PERIOD)
+        periodic_integral(f)
         # the first call covers the first two levels on one 2N-point grid
         assert [th.shape[0] for th in grids] == [2 * start, 2 * start, 4 * start]
         for th in grids:
@@ -178,15 +179,14 @@ class TestPeriodicIntegral:
             assert th.shape[0] == 2 * half
             assert np.max(np.abs(th[half:] - th[:half] - math.pi)) < 1e-14
 
-    @pytest.mark.parametrize("interval", [FULL_PERIOD, HALF_PERIOD])
     @pytest.mark.parametrize("start, max_nodes", [(16, 32), (16, 128), (64, 8192), (66, 528)])
     @pytest.mark.parametrize("peak", [1.5, 1.05, 1.0005])
-    def test_matches_one_call_per_level(self, monkeypatch, interval, start, max_nodes, peak):
+    def test_matches_one_call_per_level(self, monkeypatch, start, max_nodes, peak):
         f = lambda th: 1.0 / (peak - np.cos(th)) + np.exp(1j * th) / (peak + np.sin(th))
         rule_setting(monkeypatch, start, max_nodes, 1e-12)
-        got = periodic_integral(f, interval)
-        assert periodic_integral(f, interval, poles=(0.0, 0.0)) == got
-        want = one_call_per_level_integral(f, interval)
+        got = periodic_integral(f)
+        assert periodic_integral(f, poles=(0.0, 0.0)) == got
+        want = one_call_per_level_integral(f)
         assert (got.nodes, got.converged, got.fscale) == (want.nodes, want.converged, want.fscale)
         assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
         assert abs(got.est_error - want.est_error) <= 1e-15 * want.fscale
@@ -196,9 +196,9 @@ class TestPeriodicIntegral:
         p = ParamSet4(0.2, 0.1, 0.8, 0.9)
         f = lambda th: weight_omega_many(th, p, 0.6)
         rule_setting(monkeypatch, 128, 256)
-        small = periodic_integral(f, FULL_PERIOD)
+        small = periodic_integral(f)
         rule_setting(monkeypatch, 512, 8192)
-        big = periodic_integral(f, FULL_PERIOD)
+        big = periodic_integral(f)
         assert small.value == pytest.approx(big.value, rel=1e-10)
         assert small.converged and big.converged
 
@@ -234,24 +234,24 @@ class TestPoleCorrectedRule:
         f, exact = pole_pair_integrand(coefs, poles)
         # the rule's last level is the one on the grid of ``nodes`` points
         rule_setting(monkeypatch, nodes // 2, nodes)
-        got = periodic_integral(f, FULL_PERIOD, poles=poles)
+        got = periodic_integral(f, poles=poles)
         assert got.nodes == nodes
         assert abs(got.value - exact) <= 1e-14 * got.fscale
         # the plain rule on that grid is far off, and settles only by 1024 nodes
-        plain = periodic_integral(f, FULL_PERIOD)
+        plain = periodic_integral(f)
         assert abs(plain.value - exact) > 1e-4 * plain.fscale
         rule_setting(monkeypatch, nodes, 8192)
-        assert periodic_integral(f, FULL_PERIOD).nodes >= 1024
-        refined = periodic_integral(f, FULL_PERIOD, poles=poles)
+        assert periodic_integral(f).nodes >= 1024
+        refined = periodic_integral(f, poles=poles)
         assert refined.converged and refined.nodes == 2 * nodes
         assert abs(refined.value - exact) <= 1e-14 * refined.fscale
 
     def test_half_period_halves_the_corrected_rule(self, rng):
         coefs = rng.normal(size=41) + 0j
         f, exact = pole_pair_integrand(coefs, (0.9, 0.8))
-        got = periodic_integral(f, HALF_PERIOD, poles=(0.9, 0.8))
+        got = periodic_integral(f, poles=(0.9, 0.8))
         assert got.nodes == 128
-        assert abs(got.value - exact / 2) <= 1e-14 * got.fscale
+        assert abs(0.5 * got.value - exact / 2) <= 1e-14 * (0.5 * got.fscale)
 
     @pytest.mark.parametrize("n", [16, 18, 64, 66])
     def test_moment_table_holds_the_five_columns_of_the_grid(self, n):
@@ -273,10 +273,10 @@ class TestPoleCorrectedRule:
             return np.exp(np.cos(3 * th) + 0.5j * np.sin(th)) / ((1 - 0.9 * z) * (1 - 0.8 / z))
 
         rule_setting(monkeypatch, 32, 128, 1e-300)
-        refined = periodic_integral(f, FULL_PERIOD, poles=poles)
+        refined = periodic_integral(f, poles=poles)
         # one call on the 128-point grid, whose last level is 128
         rule_setting(monkeypatch, 64, 128, 1e-300)
-        one_grid = periodic_integral(f, FULL_PERIOD, poles=poles)
+        one_grid = periodic_integral(f, poles=poles)
         assert (refined.nodes, refined.converged) == (one_grid.nodes, one_grid.converged) == (
             128, False)
         assert refined.value == one_grid.value
@@ -284,8 +284,7 @@ class TestPoleCorrectedRule:
     @pytest.mark.parametrize("poles", [(1.0, 0.0), (0.0, -1j), (0.6, 1.2), (math.nan, 0.0)])
     def test_poles_on_or_outside_the_circle_rejected(self, poles):
         with pytest.raises(DomainError, match="inside the unit circle"):
-            periodic_integral(lambda th: np.ones_like(th, dtype=complex), FULL_PERIOD,
-                              poles=poles)
+            periodic_integral(lambda th: np.ones_like(th, dtype=complex), poles=poles)
 
 
 class TestPhiQIntegralRepr:
@@ -317,13 +316,14 @@ class TestPhiQIntegralRepr:
             assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
             count += 1
 
-    @pytest.mark.parametrize("seed, n_max, rotate", [(1, 6, False), (2, 10, False), (3, 6, True)])
-    def test_matches_the_node_by_node_sum_on_sweep_draws(self, seed, n_max, rotate):
+    @pytest.mark.parametrize("seed, degree_max, rotate",
+                             [(1, 6, False), (2, 10, False), (3, 6, True)])
+    def test_matches_the_node_by_node_sum_on_sweep_draws(self, seed, degree_max, rotate):
         # the one-sided sums cancel each other, so the error is measured
         # against the larger of them, not against the value; ``rotate`` turns
         # x and y by random phases
         rng = np.random.default_rng(seed)
-        spec = SweepSpec(seed=seed, draws=120, n_max=n_max)
+        spec = SweepSpec(seed=seed, draws=120, degree_max=degree_max)
         for _ in range(spec.draws):
             d = draw_params(IdentityId.PROP_2_4, rng, spec)
             x, y = d["x"], d["y"]

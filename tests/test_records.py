@@ -37,8 +37,8 @@ CASES = {
         "rhs=(1+0j), abs_residual=0.0, rel_residual=0.0, tolerance=1e-11, passed=True, "
         "flags=())"),
     "SweepSpec": (
-        lambda: SweepSpec(1, 2, {}, 6, 6), lambda: SweepSpec(seed=1, draws=2),
-        (1, 2, {}, 6, 6), "SweepSpec(seed=1, draws=2, box={}, m_max=6, n_max=6)"),
+        lambda: SweepSpec(1, 2, {}, 6), lambda: SweepSpec(seed=1, draws=2),
+        (1, 2, {}, 6), "SweepSpec(seed=1, draws=2, box={}, degree_max=6)"),
     "Identity": (
         lambda: Identity(IdentityId.QBINOMIAL, 1e-11, {}, _draw),
         lambda: Identity(draw=_draw, box={}, tolerance=1e-11, id=IdentityId.QBINOMIAL),
@@ -52,7 +52,7 @@ FIELDS = {
     "PhiSpec": ("numerators", "denominators", "q", "z", "terminates_at"),
     "VerificationReport": ("identity_id", "inputs", "lhs", "rhs", "abs_residual",
                            "rel_residual", "tolerance", "passed", "flags"),
-    "SweepSpec": ("seed", "draws", "box", "m_max", "n_max"),
+    "SweepSpec": ("seed", "draws", "box", "degree_max"),
     "Identity": ("id", "tolerance", "box", "draw"),
 }
 # Records with a dict field, which makes them unhashable.
@@ -102,7 +102,7 @@ def test_equality_needs_the_same_class(name):
 def test_records_differing_in_one_field_differ():
     assert PhiSpec((0.3,), (), 0.5, 0.4) != PhiSpec((0.3,), (), 0.25, 0.4)
     assert ParamSet4(0.2, 0.1, 0.8, 0.9) != ParamSet4(0.2, 0.1, 0.8, 0.95)
-    assert SweepSpec(1, 2) != SweepSpec(1, 2, n_max=5)
+    assert SweepSpec(1, 2) != SweepSpec(1, 2, degree_max=5)
     assert REGISTRY[IdentityId.THM_1_1] != REGISTRY[IdentityId.THM_1_2]
     assert REGISTRY[IdentityId.THM_1_1] == REGISTRY[IdentityId.THM_1_1]
 

@@ -235,7 +235,7 @@ def test_every_draw_lies_in_its_checkers_domain_within_the_drawers_bound(identit
     for seed in (1, 2):
         for cap in (6, 30):
             rng = np.random.default_rng(seed)
-            spec = SweepSpec(seed=seed, draws=2000, m_max=cap, n_max=cap)
+            spec = SweepSpec(seed=seed, draws=2000, degree_max=cap)
             for _ in range(2000):
                 draw = draw_params(identity, rng, spec)
                 for moduli, bound in DOMAINS[identity](draw):

@@ -10,6 +10,7 @@ import pytest
 from qortho import (
     DomainError,
     ParamSet4,
+    TruncationExceeded,
     ReducedParams,
     SweepSpec,
     VerificationReport,
@@ -271,6 +272,13 @@ class TestThm13:
         with pytest.raises(DomainError, match="a\\*gamma/delta"):
             check_thm_1_3(ReducedParams(0.6, 0.2), 1.5, 0.5, 0.5, 1, 1)
 
+    @pytest.mark.parametrize("m, n, named", [(2.5, 0.5, "m"), (2, -2, "n"), (4, 2.0, "n"),
+                                             ("2", 0, "m")])
+    def test_the_closed_form_checks_its_degrees(self, m, n, named):
+        # a float degree used to reach int_power as a TypeError
+        with pytest.raises(DomainError, match=f"^{named} must be a nonnegative integer"):
+            thm_1_3_rhs(ReducedParams(0.3, 0.2), 0.9, 1.1, 0.5, m, n)
+
 
 class TestProp31:
     def test_degree_zero_identity(self):
@@ -437,13 +445,13 @@ class TestCircleIntegrand:
             seen["laurent"].append((n, len(thetas)))
             return laurent(coefs, n, thetas)
 
-        def spy_integral(f, interval, *, poles):
+        def spy_integral(f, *, poles):
             def counted(thetas):
                 seen["grid"].append(len(thetas))
                 return f(thetas)
 
             seen["poles"].append(poles)
-            result = periodic_integral(counted, interval, poles=poles)
+            result = periodic_integral(counted, poles=poles)
             seen["result"].append(result)
             return result
 
@@ -562,6 +570,60 @@ class TestCircleIntegrand:
         assert seen["laurent"] == []
         assert len(seen["kmax"]) == 1  # one truncation depth for all symbols
 
+    @pytest.mark.parametrize("check, args, nodes", [
+        (check_thm_1_3, (ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 2, 0), 128),
+        # odd m + n: the halved value is 0 by f(theta + pi) = -f(theta) alone
+        (check_thm_1_3, (ReducedParams(0.3, 0.5), 0.7, 1.2, 0.4, 3, 2), 128),
+        (check_thm_1_3, (ReducedParams(-0.4, 0.6), 0.8, 1.3, 0.6, 6, 4), 256),
+        (check_ultra_ortho, (0.3, 0.5, 2, 2), 128),
+        (check_ultra_ortho, (-0.6, 0.7, 5, 3), 256),
+        (check_ultra_ortho, (0.85, 0.6, 7, 7), 256),
+    ])
+    def test_a_half_period_check_reports_half_the_full_period_rule(self, monkeypatch, check,
+                                                                    args, nodes):
+        # the rule integrates over [0, 2 pi); the half-period identities
+        # report half its value and half its scale, exactly
+        seen = self.spy_grids(monkeypatch)
+        rep = check(*args)
+        (result,) = seen["result"]
+        assert rep.passed and result.converged and result.nodes == nodes
+        assert (rep.lhs.real, rep.lhs.imag) == (result.value.real / 2, result.value.imag / 2)
+        scale = max(abs(rep.lhs), abs(rep.rhs), result.fscale / 2)
+        assert result.fscale / 2 > max(abs(rep.lhs), abs(rep.rhs))
+        assert rep.rel_residual == rep.abs_residual / scale
+
+    def test_thm_1_2_extra_symbols_never_set_the_depth(self):
+        # one weight numerator, gamma/delta or delta/gamma, has modulus >= 1,
+        # while the hypothesis puts every extra symbol below 1, since
+        # |alpha t| = |alpha/gamma| |gamma t|: so the weight's coefficients
+        # alone give the depth of the whole integrand, up to the moduli's edge
+        rng = np.random.default_rng(37)
+        edge = 1.0 - 1e-9
+        modulus = lambda: edge if rng.random() < 0.5 else rng.uniform(0.0, edge)
+        phase = lambda: cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+
+        def depth(symbols, q):
+            # a |q| at the edge needs more than MAX_TERMS factors
+            try:
+                return qcore.quotient_depth(symbols, q)
+            except TruncationExceeded as exc:
+                return str(exc)
+
+        depths = []
+        for _ in range(2000):
+            gamma, delta = rng.uniform(0.2, 3.0) * phase(), rng.uniform(0.2, 3.0) * phase()
+            p = ParamSet4(modulus() * phase() * gamma, modulus() * phase() * delta, gamma, delta)
+            big = max(abs(gamma), abs(delta))
+            s, t = modulus() / big * phase(), modulus() / big * phase()
+            q = qcore.as_base(modulus() * phase())
+            assert max(verify._thm_1_2_moduli(p, s, t, q).values()) < 1.0
+            coefs, _ = qfun.weight_symbols(p)
+            extra = (p.alpha * t, p.beta * t, p.alpha * s, p.beta * s,
+                     p.gamma * t, p.delta * t, p.gamma * s, p.delta * s)
+            depths.append(depth(coefs, q))
+            assert depths[-1] == depth((*extra, *coefs), q)
+        assert len({d for d in depths if isinstance(d, int)}) > 100
+
     @pytest.mark.parametrize("check, args, poles", [
         (check_thm_1_1, (ParamSet4(0.92, 0.3, 1.0, 1.0), 0.3, 3, 3), (0.92, 0.3)),
         (check_thm_1_3, (ReducedParams(0.3, 0.5), 0.9, 1.1, 0.5, 2, 0), (0.3 * 0.9 / 1.1,
@@ -608,8 +670,8 @@ class TestCircleIntegrand:
         assert corrected.passed
         assert seen["result"][0].nodes == 128
 
-        def plain(f, interval, *, poles):
-            seen["result"].append(periodic_integral(f, interval))
+        def plain(f, *, poles):
+            seen["result"].append(periodic_integral(f))
             return seen["result"][-1]
 
         monkeypatch.setattr(quad, "periodic_integral", plain)
@@ -670,7 +732,7 @@ class TestCircleIntegrand:
         seen = self.spy_grids(monkeypatch)
         record = verify.REGISTRY[IdentityId(identity)]
         rng = np.random.default_rng(5)
-        spec = SweepSpec(5, 6, m_max=30, n_max=30)
+        spec = SweepSpec(5, 6, degree_max=30)
         draws = [verify.draw_params(record.id, rng, spec) for _ in range(6)]
         for args in draws + [draws[0] | {"m": 30, "n": 30}]:
             rep = record.checker(**args)
@@ -807,10 +869,10 @@ class TestSweep:
         with pytest.raises(DomainError):
             SweepSpec(seed=0, draws=-1)
 
-    @pytest.mark.parametrize("cap", [{"m_max": -1}, {"n_max": 2.0}])
+    @pytest.mark.parametrize("cap", [-1, 2.0])
     def test_degree_caps_must_be_nonnegative_integers(self, cap):
-        with pytest.raises(DomainError, match="_max must be a nonnegative integer"):
-            SweepSpec(seed=0, draws=2, **cap)
+        with pytest.raises(DomainError, match="degree_max must be a nonnegative integer"):
+            SweepSpec(seed=0, draws=2, degree_max=cap)
 
     @pytest.mark.parametrize("identity, box, message", [
         # every |beta| lies beyond the drawer's bound 1 - WEIGHT_MARGIN
