@@ -25,11 +25,10 @@ _EXPORTS = {
     "hyper": ("PhiSpec", "phi_series", "very_well_poised", "rogers_6w5_rhs",
               "qbinomial_product_ratio"),
     # verification
-    "verify": ("IdentityId", "VerificationReport", "SweepSpec",
-               "check_thm_1_1", "check_thm_1_2", "check_thm_1_3",
-               "check_prop_2_1_2", "check_prop_2_1_3", "check_prop_2_2", "check_prop_2_4",
-               "check_prop_3_1", "check_rogers_6w5", "check_qbinomial", "check_ultra_ortho",
-               "run_sweep"),
+    "verify": ("IdentityId", "VerificationReport", "check_thm_1_1", "check_thm_1_2",
+               "check_thm_1_3", "check_prop_2_1_2", "check_prop_2_1_3", "check_prop_2_2",
+               "check_prop_2_4", "check_prop_3_1", "check_rogers_6w5", "check_qbinomial",
+               "check_ultra_ortho", "run_sweep"),
     # the function family
     "qfun": ("laurent_at", "phi_eval", "weight_omega_many", "h_norm", "diag_rhs_thm11",
              "growth_root", "phi_qintegral_repr"),

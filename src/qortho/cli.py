@@ -28,6 +28,8 @@ import json
 import math
 import sys
 
+import qortho
+
 from .errors import DomainError, QOrthoError
 from .hyper import PhiSpec, phi_series
 from .qcore import (
@@ -41,7 +43,7 @@ from .qcore import (
     qpoch_finite,
     qpoch_infinite,
 )
-from .verify import REGISTRY, IdentityId, SweepSpec, VerificationReport, run_sweep
+from .verify import REGISTRY, IdentityId, VerificationReport, run_sweep
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -61,22 +63,19 @@ _SPELLING = {
     "m": int, "n": int, "k": int, "n_max": int,
 }
 
-# Positional parameters that are not spelled as flags.
-_UNSPELLED = {"qfun"}
-
-# eval functions f(qfun, parameters...), handed the function family,
-# which only they need; of them only "weight" loads numpy, to evaluate a
-# one-angle grid.  "ultra" sums the (beta, beta) expansion weights directly, so
-# any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.  "qpoch"
-# without --n is (a;q)_oo.  phi_series reads its repeatable --num/--den itself.
+# eval functions f(parameters...), which call the function family by the
+# package's lazily bound names; of them only "weight" loads numpy, to evaluate
+# a one-angle grid.  "ultra" sums the (beta, beta) expansion weights directly,
+# so any complex beta is admitted, not only |beta| <= 1 as in ParamSet4.
+# "qpoch" without --n is (a;q)_oo.  phi_series reads its --num/--den itself.
 _EVAL = {
-    "big_c": lambda qfun, n, theta, p, q: qfun.laurent_at(big_c_coeffs(n, p, q), n, theta),
-    "phi": lambda qfun, n, x, y, p, q: qfun.phi_eval(n, x, y, p, q),
-    "ultra": lambda qfun, n, theta, beta, q:
-        qfun.laurent_at(expansion_weights(n, beta, beta, q), n, theta),
-    "weight": lambda qfun, theta, p, q: qfun.weight_omega_many([theta], p, q)[0],
-    "h": lambda qfun, n, a, q: qfun.h_norm(n, a, q),
-    "qpoch": lambda qfun, a, q, n=None:
+    "big_c": lambda n, theta, p, q: qortho.laurent_at(big_c_coeffs(n, p, q), n, theta),
+    "phi": lambda n, x, y, p, q: qortho.phi_eval(n, x, y, p, q),
+    "ultra": lambda n, theta, beta, q:
+        qortho.laurent_at(expansion_weights(n, beta, beta, q), n, theta),
+    "weight": lambda theta, p, q: qortho.weight_omega_many([theta], p, q)[0],
+    "h": lambda n, a, q: qortho.h_norm(n, a, q),
+    "qpoch": lambda a, q, n=None:
         qpoch_infinite(a, q) if n is None else qpoch_finite(a, q, n),
 }
 
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one function", allow_abbrev=False)
     p_eval.add_argument("function", choices=(*_EVAL, "phi_series"))
-    _add_flags(p_eval, ("q", *(name for func in _EVAL.values() for name in _spelled(func)),
+    _add_flags(p_eval, ("q", *(name for func in _EVAL.values() for name in _parameters(func)),
                         "z"))
     p_eval.add_argument("--num", action="append",
                         help="phi_series numerator parameter RE[,IM] (repeatable)")
@@ -147,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run one identity check", allow_abbrev=False)
     p_verify.add_argument("--identity", required=True, choices=identities)
     _add_flags(p_verify,
-               [name for record in REGISTRY.values() for name in _spelled(record.checker)])
+               [name for record in REGISTRY.values() for name in _parameters(record.checker)])
     _add_output_flags(p_verify, formats=True)
 
     p_sweep = sub.add_parser("sweep", help="run a seeded randomized sweep", allow_abbrev=False)
@@ -197,18 +196,11 @@ def _parameters(func) -> dict[str, bool]:
     return {name: i >= first_default for i, name in enumerate(names)}
 
 
-def _spelled(func) -> dict[str, bool]:
-    """The entries of :func:`_parameters` that are spelled as flags."""
-    return {name: has_default for name, has_default in _parameters(func).items()
-            if name not in _UNSPELLED}
-
-
 def _kwargs(func, args) -> tuple[dict, set[str]]:
     """The keyword arguments of ``func`` from the flags, and the flag
-    destinations read: those of its spelled parameters, one with a default
-    omitted when its flags are unset."""
+    destinations read; a parameter with a default is omitted when its flags are unset."""
     kwargs, read = {}, set()
-    for name, has_default in _spelled(func).items():
+    for name, has_default in _parameters(func).items():
         read |= _dests(name).keys()
         value = _arg(args, name, required=not has_default)
         if value is not None:
@@ -292,11 +284,9 @@ def _cmd_eval(args) -> int:
     metadata = {}
 
     if fn in _EVAL:
-        from . import qfun
-
         kwargs, read = _kwargs(_EVAL[fn], args)
         _reject_unread(args, read, f"eval {fn}")
-        value = complex(_EVAL[fn](qfun, **kwargs))
+        value = complex(_EVAL[fn](**kwargs))
     else:  # phi_series
         _reject_unread(args, {"q", "z_re", "z_im", "num", "den"}, "eval phi_series")
         nums = tuple(_parse_listed_complex(v) for v in args.num or ())
@@ -345,8 +335,7 @@ def _cmd_sweep(args) -> int:
     from datetime import datetime, timezone
 
     identity = IdentityId(args.identity)
-    spec = SweepSpec(seed=args.seed, draws=args.draws, degree_max=args.degree_max)
-    reports = run_sweep(identity, spec)
+    reports = run_sweep(identity, args.seed, args.draws, args.degree_max)
     all_passed = all(r.passed for r in reports)
     if args.format == "csv":
         _emit(_reports_csv(reports), args.out)

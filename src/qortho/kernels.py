@@ -102,13 +102,12 @@ def angle_table(key, build):
     return table
 
 
-def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
-    """prod_c (coef_c e^{i exps_c theta}; q)_oo at each theta, as ``kmax``
-    head factors closed by the :func:`~qortho.qcore.closing_factors` pair, one
-    factor per row of :func:`~qortho.qcore._head_rows`
-    (``kmax`` from :func:`~qortho.qcore.tail_start` of the largest |coef_c|);
-    with ``split``, the product of the first ``split`` symbols over the
-    product of the rest."""
+def poch_product_many(coefs, exps, q, kmax, thetas, split):
+    """prod_{c < split} (w_c; q)_oo / prod_{c >= split} (w_c; q)_oo at each
+    theta, w_c = coef_c e^{i exps_c theta}; each infinite product is ``kmax``
+    head factors closed by the :func:`~qortho.qcore.closing_factors` pair,
+    one factor per row of :func:`~qortho.qcore._head_rows` (``kmax`` from
+    :func:`~qortho.qcore.tail_start` of the largest |coef_c|)."""
     thetas = np.asarray(thetas, dtype=np.float64)
     coefs = np.asarray(coefs, dtype=np.complex128)
     exps = np.asarray(exps, dtype=np.float64)
@@ -127,8 +126,6 @@ def poch_product_many(coefs, exps, q, kmax, thetas, split=None):
             per_symbol = rows.prod(axis=0)
         else:
             per_symbol *= rows.prod(axis=0)
-    if split is None:
-        return per_symbol.prod(axis=0)
     return per_symbol[:split].prod(axis=0) / per_symbol[split:].prod(axis=0)
 
 

@@ -68,6 +68,14 @@ def as_base(q) -> complex:
     return q
 
 
+def as_angle(theta) -> float:
+    """``theta`` as a float; :class:`DomainError` unless it is finite and real."""
+    theta = finite_complex("theta", theta)
+    if theta.imag:
+        raise DomainError(f"theta must be real, got {theta!r}")
+    return theta.real
+
+
 def int_power(z: complex, n: int) -> complex:
     """z^n for an int n >= 0, as a running product: it overflows to inf,
     where ``**`` on a complex raises :class:`OverflowError`."""

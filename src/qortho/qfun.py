@@ -60,6 +60,7 @@ from .qcore import (  # ParamSet4, ReducedParams and the coefficient rows are re
     TWO_PI,
     ParamSet4,
     ReducedParams,
+    as_angle,
     as_base,
     as_degree,
     big_c_coeffs,
@@ -80,7 +81,7 @@ def laurent_at(coefs, n: int, theta) -> complex:
     for the coefficients :func:`big_c_coeffs`.  The phases are a running
     product from e^{-in theta} by e^{2i theta}, as
     :func:`~qortho.kernels.laurent_eval` forms them on arrays."""
-    theta = finite_complex("theta", float(theta)).real
+    theta = as_angle(theta)
     step = cmath.exp(2j * theta)
     phase = cmath.exp(-1j * n * theta)
     total = 0.0 + 0.0j

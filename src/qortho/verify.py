@@ -47,6 +47,7 @@ from .qcore import (
     ParamSet4,
     Record,
     ReducedParams,
+    as_angle,
     as_base,
     as_degree,
     big_c_coeffs,
@@ -386,10 +387,7 @@ def check_prop_2_1_2(p: ParamSet4, q, n: int, theta: float = 0.0) -> Verificatio
 
     q = as_base(q)
     n = as_degree("n", n)
-    theta = finite_complex("theta", theta)
-    if theta.imag:
-        raise DomainError(f"theta must be real, got {theta!r}")
-    theta = theta.real
+    theta = as_angle(theta)
     x = complex(math.cos(theta), math.sin(theta))
     return _check(
         IdentityId.PROP_2_1_2, _paramset_inputs(p, q) | {"n": n, "theta": theta},
@@ -495,24 +493,6 @@ def check_qbinomial(a, z, q) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-class SweepSpec(Record):
-    """Seeded randomized sweep: ``box`` entries override the identity's
-    default parameter ranges (see the ``box`` of each :data:`REGISTRY`
-    record for the keys it reads; None is a new empty box); every degree
-    draw is capped by ``degree_max``.  The seed and the counts are
-    nonnegative integers (:func:`~qortho.qcore.as_degree`), so a sweep never
-    draws from OS entropy."""
-
-    _fields = ("seed", "draws", "box", "degree_max")
-
-    def __init__(self, seed: int, draws: int,
-                 box: Mapping[str, tuple[float, float]] | None = None,
-                 degree_max: int = 6) -> None:
-        self._set(seed=as_degree("seed", seed), draws=as_degree("draws", draws),
-                  box={} if box is None else box,
-                  degree_max=as_degree("degree_max", degree_max))
-
-
 # All default sweeps draw real parameters; q stays within (0, 0.8].  A drawer
 # admits the moduli its checker requires below 1 up to a bound: 0.7 for
 # THM_1_2's seven, 1 - WEIGHT_MARGIN for the weight's, which keeps each factor
@@ -537,8 +517,8 @@ def _uniform(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:
     return float(rng.uniform(*lo_hi))
 
 
-def _degree(rng: np.random.Generator, spec: SweepSpec) -> int:
-    return int(rng.integers(0, spec.degree_max + 1))
+def _degree(rng: np.random.Generator, degree_max: int) -> int:
+    return int(rng.integers(0, degree_max + 1))
 
 
 def _draw_paramset(rng, box) -> ParamSet4:
@@ -553,12 +533,12 @@ def _draw_paramset(rng, box) -> ParamSet4:
                       f"{' and '.join(weight)} <= {1.0 - WEIGHT_MARGIN:g}")
 
 
-# Drawers longer than one expression.  Each takes (rng, box, q, spec), q
+# Drawers longer than one expression.  Each takes (rng, box, q, degree_max), q
 # already drawn, and returns checker arguments, or None to reject the
 # attempt; values are drawn in the order written.
 
 
-def _draw_thm_1_2(rng, box, q, spec) -> dict | None:
+def _draw_thm_1_2(rng, box, q, degree_max) -> dict | None:
     p = _draw_paramset(rng, box)
     biggest = max(abs(p.gamma), abs(p.delta))
     s = _uniform(rng, box["st_fraction"]) * 0.7 / biggest
@@ -567,11 +547,11 @@ def _draw_thm_1_2(rng, box, q, spec) -> dict | None:
         return {"p": p, "s": s, "t": t, "q": q}
 
 
-def _draw_thm_1_3(rng, box, q, spec) -> dict | None:
+def _draw_thm_1_3(rng, box, q, degree_max) -> dict | None:
     a, b = _uniform(rng, box["ab"]), _uniform(rng, box["ab"])
     gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
     if _admits(_thm_1_3_moduli(a, gamma, delta)):
-        m, n = _degree(rng, spec), _degree(rng, spec)
+        m, n = _degree(rng, degree_max), _degree(rng, degree_max)
         # same-parity m < n draws check the closed form's zero too, but the
         # swap keeps every seeded sweep's draws as they were
         if (m - n) % 2 == 0 and m < n:
@@ -579,25 +559,25 @@ def _draw_thm_1_3(rng, box, q, spec) -> dict | None:
         return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta, "q": q, "m": m, "n": n}
 
 
-def _draw_prop_3_1(rng, box, q, spec) -> dict:
+def _draw_prop_3_1(rng, box, q, degree_max) -> dict:
     a = _uniform(rng, (max(box["ab"][0], 0.05), box["ab"][1]))
     b = _uniform(rng, box["ab"])
     gamma, delta = _uniform(rng, box["scale"]), _uniform(rng, box["scale"])
     return {"r": ReducedParams(a, b), "gamma": gamma, "delta": delta,
-            "q": q, "m": _degree(rng, spec)}
+            "q": q, "m": _degree(rng, degree_max)}
 
 
-def _draw_prop_2_4(rng, box, q, spec) -> dict | None:
+def _draw_prop_2_4(rng, box, q, degree_max) -> dict | None:
     p = _draw_paramset(rng, box)
     x, y = _uniform(rng, box["xy"]), _uniform(rng, box["xy"])
     gx_over_dy = abs(p.gamma * x / (p.delta * y))
     # endpoints must be distinct and the quotient clear of the q-chain
     if (1.0 / 3.0 <= gx_over_dy <= 3.0 and _chain_clear(gx_over_dy, q)
             and _chain_clear(1.0 / gx_over_dy, q)):
-        return {"p": p, "q": q, "n": _degree(rng, spec), "x": x, "y": y}
+        return {"p": p, "q": q, "n": _degree(rng, degree_max), "x": x, "y": y}
 
 
-def _draw_rogers_6w5(rng, box, q, spec) -> dict | None:
+def _draw_rogers_6w5(rng, box, q, degree_max) -> dict | None:
     b, c, d = (_uniform(rng, box["bcd"]) for _ in range(3))
     a = _uniform(rng, box["z"]) * b * c * d / q
     z = rogers_6w5_argument(a, b, c, d, q)
@@ -606,18 +586,18 @@ def _draw_rogers_6w5(rng, box, q, spec) -> dict | None:
         return {"a": a, "b": b, "c": c, "d": d, "q": q}
 
 
-def _draw_ultra_ortho(rng, box, q, spec) -> dict | None:
+def _draw_ultra_ortho(rng, box, q, degree_max) -> dict | None:
     beta = _uniform(rng, box["beta"])
     if _admits(_ultra_ortho_moduli(beta)):
-        return {"beta": beta, "q": q, "m": _degree(rng, spec), "n": _degree(rng, spec)}
+        return {"beta": beta, "q": q, "m": _degree(rng, degree_max), "n": _degree(rng, degree_max)}
 
 
 class Identity(Record):
     """Everything the package states about one identity besides its checker,
     whose positional parameters are the identity's parameters.  Every report
-    of the identity is judged at ``tolerance``.  ``draw(rng, box, q, spec)``
-    returns checker arguments for one sweep draw from ``box``, this ``box``
-    with overrides, or None to reject the attempt."""
+    of the identity is judged at ``tolerance``.  ``draw(rng, box, q, degree_max)``
+    returns checker arguments for one sweep draw from this ``box``, or None
+    to reject the attempt."""
 
     _fields = ("id", "tolerance", "box", "draw")
 
@@ -640,19 +620,20 @@ _REDUCED_BOX = {"q": (0.1, 0.7), "ab": (0.1, 0.6), "scale": (0.5, 1.5)}
 # hold tighter.
 REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
     Identity(IdentityId.THM_1_1, 1e-8, _PARAM_BOX,
-             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
-                                        "m": _degree(rng, spec), "n": _degree(rng, spec)}),
+             lambda rng, box, q, degree_max: {"p": _draw_paramset(rng, box), "q": q,
+                                              "m": _degree(rng, degree_max),
+                                              "n": _degree(rng, degree_max)}),
     Identity(IdentityId.THM_1_2, 1e-8, _PARAM_BOX | {"st_fraction": (0.1, 1.0)}, _draw_thm_1_2),
     Identity(IdentityId.THM_1_3, 1e-8, _REDUCED_BOX, _draw_thm_1_3),
     Identity(IdentityId.PROP_2_1_2, 1e-12, _PARAM_BOX,
-             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
-                                        "n": _degree(rng, spec),
-                                        "theta": _uniform(rng, (0.0, TWO_PI))}),
+             lambda rng, box, q, degree_max: {"p": _draw_paramset(rng, box), "q": q,
+                                              "n": _degree(rng, degree_max),
+                                              "theta": _uniform(rng, (0.0, TWO_PI))}),
     Identity(IdentityId.PROP_2_1_3, 0.05, _PARAM_BOX,
-             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q}),
+             lambda rng, box, q, degree_max: {"p": _draw_paramset(rng, box), "q": q}),
     Identity(IdentityId.PROP_2_2, 1e-10, _PARAM_BOX | {"scale": (0.5, 0.9)},
-             lambda rng, box, q, spec: {"p": _draw_paramset(rng, box), "q": q,
-                                        "k": int(rng.integers(0, 4))}),
+             lambda rng, box, q, degree_max: {"p": _draw_paramset(rng, box), "q": q,
+                                              "k": int(rng.integers(0, 4))}),
     Identity(IdentityId.PROP_2_4, 1e-10,
              {"q": (0.1, 0.7), "ratio": (0.05, 0.5), "scale": (0.5, 1.2), "xy": (0.4, 1.1)},
              _draw_prop_2_4),
@@ -660,36 +641,40 @@ REGISTRY: Mapping[IdentityId, Identity] = {record.id: record for record in (
     Identity(IdentityId.ROGERS_6W5, 1e-9, {"q": (0.2, 0.7), "bcd": (0.3, 0.8), "z": (0.05, 0.65)},
              _draw_rogers_6w5),
     Identity(IdentityId.QBINOMIAL, 1e-11, {"q": (0.1, 0.8), "a": (-0.9, 0.9), "z": (-0.7, 0.7)},
-             lambda rng, box, q, spec: {"a": _uniform(rng, box["a"]),
-                                        "z": _uniform(rng, box["z"]), "q": q}),
+             lambda rng, box, q, degree_max: {"a": _uniform(rng, box["a"]),
+                                              "z": _uniform(rng, box["z"]), "q": q}),
     Identity(IdentityId.ULTRA_ORTHO, 1e-8, {"q": (0.1, 0.7), "beta": (0.05, 0.7)},
              _draw_ultra_ortho),
 )}
 
 
-def draw_params(identity_id: IdentityId, rng: np.random.Generator, spec: SweepSpec) -> dict:
-    """One deterministic parameter draw for the given identity from its box with
-    ``spec.box`` overrides: q, then its drawer's attempts until one is admitted
-    (:func:`_admits` its moduli, and its margins hold); :class:`DomainError`
-    naming the identity and the box if none of ``_MAX_REJECTS`` is."""
+def draw_params(identity_id: IdentityId, rng: np.random.Generator, degree_max: int) -> dict:
+    """One deterministic parameter draw for the given identity from its box,
+    every degree at most ``degree_max``: q, then its drawer's attempts until
+    one is admitted (:func:`_admits` its moduli, and its margins hold);
+    :class:`DomainError` naming the identity and the box if none of
+    ``_MAX_REJECTS`` is."""
     record = REGISTRY[IdentityId(identity_id)]
-    box = dict(record.box) | dict(spec.box)
-    q = _uniform(rng, box["q"])
+    q = _uniform(rng, record.box["q"])
     for _ in range(_MAX_REJECTS):
-        if (params := record.draw(rng, box, q, spec)) is not None:
+        if (params := record.draw(rng, record.box, q, degree_max)) is not None:
             return params
-    raise DomainError(f"no {record.id.value} draw from the box {box} is admissible "
+    raise DomainError(f"no {record.id.value} draw from the box {record.box} is admissible "
                       f"in {_MAX_REJECTS} attempts")
 
 
-def run_sweep(identity_id: IdentityId | str, spec: SweepSpec) -> list[VerificationReport]:
-    """Run ``spec.draws`` seeded checks of one identity.  Deterministic given
-    the seed; individual failures and flags land in the reports.  The sweep
-    aborts only with the :class:`DomainError` of :func:`draw_params`, for a
-    box that holds no admissible draw."""
+def run_sweep(identity_id: IdentityId | str, seed: int, draws: int,
+              degree_max: int = 6) -> list[VerificationReport]:
+    """Run ``draws`` seeded checks of one identity, every degree drawn at most
+    ``degree_max``.  The seed and the counts are nonnegative integers
+    (:func:`~qortho.qcore.as_degree`), so a sweep never draws from OS entropy,
+    and it is deterministic given them; individual failures and flags land in
+    the reports.  The sweep aborts only with the :class:`DomainError` of
+    :func:`draw_params`, for a box that holds no admissible draw."""
     import numpy as np
 
     record = REGISTRY[IdentityId(identity_id)]
-    rng = np.random.default_rng(spec.seed)
-    checker = record.checker
-    return [checker(**draw_params(record.id, rng, spec)) for _ in range(spec.draws)]
+    seed, draws = as_degree("seed", seed), as_degree("draws", draws)
+    degree_max = as_degree("degree_max", degree_max)
+    rng = np.random.default_rng(seed)
+    return [record.checker(**draw_params(record.id, rng, degree_max)) for _ in range(draws)]

@@ -16,13 +16,14 @@ def rng():
 
 
 @pytest.fixture
-def set_tolerance(monkeypatch):
-    """``set_tolerance(identity, tolerance)`` swaps in, for one test, the
-    identity's :data:`~qortho.verify.REGISTRY` record with another tolerance."""
-    def swap(identity, tolerance):
+def swap_identity(monkeypatch):
+    """``swap_identity(identity, **fields)`` swaps in, for one test, the
+    identity's :data:`~qortho.verify.REGISTRY` record with the given fields
+    (``tolerance``, ``box``, ...) replaced."""
+    def swap(identity, **fields):
         record = verify.REGISTRY[verify.IdentityId(identity)]
-        monkeypatch.setitem(verify.REGISTRY, record.id,
-                            verify.Identity(record.id, tolerance, record.box, record.draw))
+        values = dict(zip(record._fields, record._values())) | fields
+        monkeypatch.setitem(verify.REGISTRY, record.id, verify.Identity(**values))
     return swap
 
 

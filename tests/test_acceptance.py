@@ -15,7 +15,6 @@ import pytest
 from qortho import (
     ParamSet4,
     ReducedParams,
-    SweepSpec,
     big_c_coeffs,
     check_prop_2_1_3,
     check_thm_1_1,
@@ -42,8 +41,7 @@ def report_line(number, passed, detail):
 
 def thm_1_1_param_draws(count, seed=SEED):
     rng = np.random.default_rng(seed)
-    spec = SweepSpec(seed=seed, draws=count)
-    return [draw_params(IdentityId.THM_1_1, rng, spec) for _ in range(count)]
+    return [draw_params(IdentityId.THM_1_1, rng, 6) for _ in range(count)]
 
 
 def test_the_quadrature_criteria_are_judged_at_1e_8():
@@ -100,7 +98,7 @@ def test_criterion_02_full_period_diagonal_and_exponent_discrimination():
 
 
 def test_criterion_03_seven_parameter_integral():
-    reports = run_sweep(IdentityId.THM_1_2, SweepSpec(seed=SEED, draws=10))
+    reports = run_sweep(IdentityId.THM_1_2, SEED, 10)
     worst = max(r.rel_residual for r in reports)
     ok = all(r.passed for r in reports) and worst <= 1e-8
     # s <-> t swap leaves the closed side untouched
@@ -112,11 +110,10 @@ def test_criterion_03_seven_parameter_integral():
 
 def test_criterion_04_half_period_biorthogonality():
     rng = np.random.default_rng(SEED)
-    spec = SweepSpec(seed=SEED, draws=6)
     worst_parity = 0.0
     worst_closed = 0.0
     for _ in range(6):
-        drawn = draw_params(IdentityId.THM_1_3, rng, spec)
+        drawn = draw_params(IdentityId.THM_1_3, rng, 6)
         r, gamma, delta, q = drawn["r"], drawn["gamma"], drawn["delta"], drawn["q"]
         for m in range(6):
             for n in range(6):
@@ -143,28 +140,28 @@ def test_criterion_04_half_period_biorthogonality():
 
 
 def test_criterion_05_very_well_poised_summation():
-    reports = run_sweep(IdentityId.ROGERS_6W5, SweepSpec(seed=SEED, draws=50))
+    reports = run_sweep(IdentityId.ROGERS_6W5, SEED, 50)
     worst = max(r.rel_residual for r in reports)
     report_line(5, all(r.passed for r in reports) and worst <= 1e-9,
                 f"50 draws rel <= 1e-9 (worst {worst:.2e})")
 
 
 def test_criterion_06_binomial_series():
-    reports = run_sweep(IdentityId.QBINOMIAL, SweepSpec(seed=SEED, draws=100))
+    reports = run_sweep(IdentityId.QBINOMIAL, SEED, 100)
     worst = max(r.rel_residual for r in reports)
     report_line(6, all(r.passed for r in reports) and worst <= 1e-11,
                 f"100 draws rel <= 1e-11 (worst {worst:.2e})")
 
 
 def test_criterion_07_lattice_integral_representation():
-    reports = run_sweep(IdentityId.PROP_2_4, SweepSpec(seed=SEED, draws=50, degree_max=10))
+    reports = run_sweep(IdentityId.PROP_2_4, SEED, 50, 10)
     worst = max(r.rel_residual for r in reports)
     report_line(7, all(r.passed for r in reports) and worst <= 1e-10,
                 f"50 draws n <= 10, rel <= 1e-10 (worst {worst:.2e})")
 
 
 def test_criterion_08_circle_reduction():
-    reports = run_sweep(IdentityId.PROP_2_1_2, SweepSpec(seed=SEED, draws=20, degree_max=12))
+    reports = run_sweep(IdentityId.PROP_2_1_2, SEED, 20, 12)
     worst = max(r.rel_residual for r in reports)
     report_line(8, all(r.passed for r in reports) and worst <= 1e-12,
                 f"20 draws n <= 12, rel <= 1e-12 (worst {worst:.2e})")
@@ -192,7 +189,7 @@ def test_criterion_09_growth_root():
 def test_criterion_10_connection_expansion():
     # all m+1 Laurent coefficients of degree m of the b-family against the
     # shifted coefficients of the a-family degrees, recomputed here
-    reports = run_sweep(IdentityId.PROP_3_1, SweepSpec(seed=SEED, draws=10, degree_max=6))
+    reports = run_sweep(IdentityId.PROP_3_1, SEED, 10, 6)
     worst = 0.0
     for rep in reports:
         i = rep.inputs

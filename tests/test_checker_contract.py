@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qortho import DomainError, ParamSet4, ReducedParams, VerificationReport
-from qortho.cli import _spelled
+from qortho.cli import _parameters
 from qortho.verify import REGISTRY, IdentityId
 
 
@@ -52,7 +52,7 @@ def test_a_checker_returns_a_report_or_raises_domain_error(identity, data):
     checker = REGISTRY[identity].checker
     args = {}
     try:
-        for name, has_default in _spelled(checker).items():
+        for name, has_default in _parameters(checker).items():
             strategy = BY_NAME.get(name, COMPLEX)
             if has_default:
                 strategy = st.none() | strategy

@@ -12,8 +12,9 @@ import pytest
 import numpy as np
 
 from qortho import ParamSet4, check_thm_1_1, qpoch_finite, qpoch_infinite
-from qortho.cli import _SPELLING, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _spelled, build_parser, main
-from qortho.verify import REGISTRY, IdentityId, SweepSpec, draw_params, run_sweep
+from qortho.cli import (_SPELLING, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _parameters, build_parser,
+                        main)
+from qortho.verify import REGISTRY, IdentityId, draw_params, run_sweep
 
 from oracles import c_series_oracle, json_nulls, ultra_recurrence_oracle, weight_oracle
 
@@ -258,9 +259,9 @@ class TestVerify:
         assert json.loads(row["inputs"])["m"] == 0
         assert json.loads(row["flags"]) == []
 
-    def test_failing_check_exits_1(self, set_tolerance, capsys):
+    def test_failing_check_exits_1(self, swap_identity, capsys):
         # an impossible registry tolerance forces a verified-false outcome
-        set_tolerance("THM_1_1", 1e-300)
+        swap_identity("THM_1_1", tolerance=1e-300)
         code, out, _ = run_cli(
             ["verify", "--identity", "THM_1_1", "--m", "1", "--n", "1", *BOX], capsys
         )
@@ -297,9 +298,9 @@ class TestVerify:
     def test_every_schema_parameter_has_a_flag(self, identity, capsys):
         # a sweep draw passed as flags gives the same report as the checker
         record = REGISTRY[identity]
-        draw = draw_params(identity, np.random.default_rng(0), SweepSpec(seed=0, draws=1))
+        draw = draw_params(identity, np.random.default_rng(0), 6)
         argv = ["verify", "--identity", identity.value]
-        for name in _spelled(record.checker):
+        for name in _parameters(record.checker):
             if name not in draw:
                 continue
             value = draw[name]
@@ -450,8 +451,7 @@ class TestSweep:
              "--degree-max", "30"], capsys)
         assert code == EXIT_PASS
         reports = json.loads(out)["reports"]
-        spec = SweepSpec(seed=3, draws=8, degree_max=30)
-        want = run_sweep(identity, spec)
+        want = run_sweep(identity, 3, 8, 30)
         assert reports == json.loads(json.dumps([r.to_record() for r in want]))
         degrees = [r["inputs"][k] for r in reports for k in ("m", "n") if k in r["inputs"]]
         assert max(degrees) > 6 and max(degrees) <= 30
@@ -463,6 +463,12 @@ class TestSweep:
         assert code == EXIT_PASS
         assert json.loads(out)["reports"] == []
 
+    def test_negative_draws_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--identity", "QBINOMIAL", "--draws", "-1", "--seed", "1"], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "invalid input: draws must be a nonnegative integer, got -1\n"
+
     def test_csv_format_has_one_row_per_draw(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1",
@@ -472,9 +478,9 @@ class TestSweep:
         assert [row["identity"] for row in rows] == ["QBINOMIAL"] * 3
         assert all(row["passed"] == "True" for row in rows)
 
-    def test_a_failing_sweep_exits_1_naming_its_first_failing_draw(self, set_tolerance,
+    def test_a_failing_sweep_exits_1_naming_its_first_failing_draw(self, swap_identity,
                                                                     capsys):
-        set_tolerance("QBINOMIAL", 1e-300)
+        swap_identity("QBINOMIAL", tolerance=1e-300)
         code, out, err = run_cli(
             ["sweep", "--identity", "QBINOMIAL", "--draws", "3", "--seed", "1"], capsys)
         assert code == EXIT_FAIL

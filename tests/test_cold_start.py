@@ -29,10 +29,10 @@ from pathlib import Path
 import pytest
 
 import qortho
-from qortho import (ParamSet4, PhiSpec, ReducedParams, SweepSpec, check_prop_2_1_2,
-                    check_prop_2_1_3, check_prop_2_4, check_prop_3_1, check_qbinomial,
-                    check_rogers_6w5, h_norm, laurent_at, phi_eval, phi_series,
-                    qpoch_infinite, run_sweep, verify)
+from qortho import (ParamSet4, PhiSpec, ReducedParams, check_prop_2_1_2, check_prop_2_1_3,
+                    check_prop_2_4, check_prop_3_1, check_qbinomial, check_rogers_6w5,
+                    h_norm, laurent_at, phi_eval, phi_series, qpoch_infinite, run_sweep,
+                    verify)
 from qortho.cli import _parameters, main
 from qortho.qcore import big_c_coeffs, expansion_weights
 from qortho.qfun import thm_1_2_rhs_series, thm_1_3_rhs
@@ -110,7 +110,7 @@ def test_cold_sweep_stamps_its_output():
     assert proc.returncode == 0, proc.stderr[-2000:]
     payload = json.loads(proc.stdout)
     assert datetime.fromisoformat(payload["generated_at"]).tzinfo is not None
-    expected = run_sweep("QBINOMIAL", SweepSpec(seed=4, draws=3))
+    expected = run_sweep("QBINOMIAL", 4, 3)
     assert payload["reports"] == json.loads(json.dumps([r.to_record() for r in expected]))
 
 

@@ -32,6 +32,12 @@ def test_unknown_name_raises_attribute_error():
         getattr(verify, "no_such_name")
 
 
+def test_a_sweep_takes_its_numbers_not_a_spec_record():
+    with pytest.raises(AttributeError, match="SweepSpec"):
+        qortho.SweepSpec
+    assert not hasattr(verify, "SweepSpec")
+
+
 def test_a_lazy_name_is_bound_in_the_package_once_resolved():
     assert qortho.h_norm is qfun.h_norm
     assert vars(qortho)["h_norm"] is qfun.h_norm

@@ -15,7 +15,6 @@ import pytest
 from oracles import circle_lhs_from_moments, weight_moment, weight_oracle
 from qortho import (
     ParamSet4,
-    SweepSpec,
     big_c_coeffs,
     check_thm_1_1,
     check_thm_1_3,
@@ -78,10 +77,9 @@ def test_the_moments_agree_with_the_closed_side_and_the_rule(identity, draws, si
     # 3.5e-13 against the rule for THM_1_1, 5.5e-13 and 5.2e-13 for
     # ULTRA_ORTHO, 1.4e-13 and 1.4e-13 for THM_1_3
     rng = np.random.default_rng(3)
-    spec = SweepSpec(seed=3, draws=draws)
     start = time.perf_counter()
     for _ in range(draws):
-        args = draw_params(identity, rng, spec)
+        args = draw_params(identity, rng, 6)
         moments, report, scale = sides(**args)
         assert report.passed, args
         assert abs(moments - report.rhs) <= 1e-12 * scale, args
@@ -103,9 +101,8 @@ def test_thm_1_3_below_the_diagonal_is_zero_by_the_moments_too():
     # same parity and m < n: the closed side is exactly 0, and the moments
     # find the integral 0 as well, independently of the rule
     rng = np.random.default_rng(3)
-    spec = SweepSpec(seed=3, draws=50)
     for _ in range(50):
-        args = draw_params(IdentityId.THM_1_3, rng, spec)
+        args = draw_params(IdentityId.THM_1_3, rng, 6)
         for m, n in ((0, 2), (1, 3), (0, 6), (2, 4), (3, 5), (4, 6)):
             moments, report, scale = thm_1_3_sides(**args | {"m": m, "n": n})
             assert report.passed and report.rhs == 0, args

@@ -16,15 +16,14 @@ from qortho import (
     DomainError,
     ParamSet4,
     ReducedParams,
-    SweepSpec,
     TruncationExceeded,
     qfun,
     qpoch_finite,
     qpoch_infinite,
 )
 from qortho.kernels import poch_product_many
-from qortho.qcore import (PRODUCT_TOL, _poch_row, as_base, closing_factors, min_factor_abs,
-                          tail_start)
+from qortho.qcore import (PRODUCT_TOL, _poch_row, as_angle, as_base, closing_factors,
+                          min_factor_abs, tail_start)
 from qortho.qfun import expansion_weights
 from qortho.hyper import rogers_6w5_argument
 from qortho.verify import REGISTRY, IdentityId, draw_params
@@ -51,6 +50,34 @@ class TestAsBase:
         q = as_base(0.3 + 0.4j)
         assert type(q) is complex and q == 0.3 + 0.4j
         assert type(as_base(0.5)) is complex and as_base(0.5) == 0.5
+
+
+
+class TestAsAngle:
+    # laurent_at and check_prop_2_1_2 read their angle through as_angle;
+    # laurent_at raised TypeError from float() at a complex angle
+    @pytest.mark.parametrize("call", [
+        as_angle,
+        lambda theta: qfun.laurent_at([1, 2], 1, theta),
+        lambda theta: qortho.check_prop_2_1_2(ParamSet4(0.2, 0.1, 0.8, 0.9), 0.5, 3, theta),
+    ], ids=["as_angle", "laurent_at", "check_prop_2_1_2"])
+    @pytest.mark.parametrize("theta, message", [
+        (1j, r"theta must be real, got 1j$"), (0.5 + 1e-300j, "theta must be real"),
+        (float("nan"), "theta must be finite"),
+        (complex(0.3, float("inf")), "theta must be finite"),
+    ], ids=["imaginary", "tiny_imaginary_part", "nan", "infinite_imaginary_part"])
+    def test_a_complex_or_non_finite_angle_is_a_domain_error(self, call, theta, message):
+        with pytest.raises(DomainError, match=message):
+            call(theta)
+
+    @pytest.mark.parametrize("theta, want", [(0.3, 0.3), (-0.0, -0.0), (7, 7.0),
+                                             (np.float64(2.5), 2.5), (0.5 + 0j, 0.5),
+                                             (-1e300, -1e300)])
+    def test_a_real_angle_keeps_its_value(self, theta, want):
+        got = as_angle(theta)
+        assert type(got) is float and got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert qfun.laurent_at([1, 2], 1, theta) == qfun.laurent_at([1, 2], 1, want)
 
 
 P = ParamSet4(0.2, 0.1, 0.8, 0.9)
@@ -82,7 +109,7 @@ TAKES_Q = {
 def _checker_at(identity):
     """A call of the identity's checker on its seed-1 draw, q replaced."""
     def call(q):
-        args = draw_params(identity, np.random.default_rng(1), SweepSpec(1, 1))
+        args = draw_params(identity, np.random.default_rng(1), 6)
         return REGISTRY[identity].checker(**args | {"q": q})
     return call
 
@@ -358,7 +385,8 @@ class TestFortyDigitReference:
         self.assert_close(qpoch_infinite)
 
     def test_kernel_product(self):
-        self.assert_close(lambda a, q: poch_product_many([a], [0], q, tail_start(a, q), [0.0])[0])
+        self.assert_close(
+            lambda a, q: poch_product_many([a], [0], q, tail_start(a, q), [0.0], 1)[0])
 
     def test_head_depth_is_pinned(self):
         # |a| |q|^K <= (1 - |q|) PRODUCT_TOL^(1/3) first at K = 37
@@ -388,7 +416,7 @@ class TestQpochMulti:
 
     @staticmethod
     def product(values, q, kmax):
-        return poch_product_many(values, [0] * len(values), q, kmax, [0.0])[0]
+        return poch_product_many(values, [0] * len(values), q, kmax, [0.0], len(values))[0]
 
     def test_zeros(self):
         assert self.product([0.0, 0.0], 0.5, 60) == 1.0

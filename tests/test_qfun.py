@@ -10,7 +10,6 @@ from qortho import (
     NearSingular,
     ParamSet4,
     ReducedParams,
-    SweepSpec,
     big_c_coeffs,
     connection_coeffs,
     diag_rhs_thm11,
@@ -327,10 +326,10 @@ class TestDiagRhs:
     def test_within_1e_14_of_the_40_digit_product_form(self):
         # the closed term against products multiplied out at 40 digits,
         # over default-box draws at degrees up to 30
-        rng, spec = np.random.default_rng(2025), SweepSpec(seed=0, draws=1)
+        rng = np.random.default_rng(2025)
         worst = 0.0
         for _ in range(200):
-            params = draw_params(IdentityId.THM_1_1, rng, spec)
+            params = draw_params(IdentityId.THM_1_1, rng, 6)
             p, q = params["p"], params["q"]
             with mpmath.workdps(40):
                 expected = [complex(h) for h in mp_diag_rhs(30, p, q)]
@@ -340,9 +339,9 @@ class TestDiagRhs:
 
     def test_thm_1_2_series_is_the_generating_series_of_the_diagonal(self):
         # sum_n h_n (s t)^n; |gamma delta s t| <= 0.49, so 80 terms reach 1e-24
-        rng, spec = np.random.default_rng(2026), SweepSpec(seed=0, draws=1)
+        rng = np.random.default_rng(2026)
         for _ in range(20):
-            params = draw_params(IdentityId.THM_1_2, rng, spec)
+            params = draw_params(IdentityId.THM_1_2, rng, 6)
             p, s, t, q = (params[name] for name in ("p", "s", "t", "q"))
             expected = sum(diag_rhs_thm11(n, p, q) * (s * t) ** n for n in range(80))
             assert thm_1_2_rhs_series(p, s, t, q) == pytest.approx(expected, rel=1e-13, abs=0)
@@ -350,10 +349,10 @@ class TestDiagRhs:
     def test_thm_1_2_series_within_4e_15_of_its_40_digit_sum(self):
         # the 4phi3 against sum_n h_n (s t)^n at 40 digits, over 200 seed-1
         # default-box draws; the worst measured is 1.9e-15, about half the bound
-        rng, spec = np.random.default_rng(1), SweepSpec(seed=1, draws=200)
+        rng = np.random.default_rng(1)
         worst = 0.0
-        for _ in range(spec.draws):
-            p, s, t, q = draw_params(IdentityId.THM_1_2, rng, spec).values()
+        for _ in range(200):
+            p, s, t, q = draw_params(IdentityId.THM_1_2, rng, 6).values()
             with mpmath.workdps(40):
                 expected = complex(mp_thm_1_2_rhs(p, s, t, q))
             worst = max(worst, abs(thm_1_2_rhs_series(p, s, t, q) - expected) / abs(expected))

@@ -18,7 +18,7 @@ from qortho import (
 )
 from qortho import qcore, quad
 from qortho.quad import _grid, _moment_table
-from qortho.verify import IdentityId, SweepSpec, draw_params
+from qortho.verify import IdentityId, draw_params
 
 from oracles import lattice_repr_oracle, mp_phi_terms
 
@@ -323,9 +323,8 @@ class TestPhiQIntegralRepr:
         # against the larger of them, not against the value; ``rotate`` turns
         # x and y by random phases
         rng = np.random.default_rng(seed)
-        spec = SweepSpec(seed=seed, draws=120, degree_max=degree_max)
-        for _ in range(spec.draws):
-            d = draw_params(IdentityId.PROP_2_4, rng, spec)
+        for _ in range(120):
+            d = draw_params(IdentityId.PROP_2_4, rng, degree_max)
             x, y = d["x"], d["y"]
             if rotate:
                 x, y = (v * np.exp(1j * rng.uniform(0.0, 2 * math.pi)) for v in (x, y))

@@ -1,13 +1,16 @@
-"""The semantics of the six immutable records: construction by position and
+"""The semantics of the five immutable records: construction by position and
 by keyword with their defaults, equality, hash, repr, and no assignment."""
+
+import importlib
 
 import pytest
 
-from qortho import DomainError, ParamSet4, PhiSpec, ReducedParams, SweepSpec, VerificationReport
+from qortho import DomainError, ParamSet4, PhiSpec, ReducedParams, VerificationReport
+from qortho.qcore import Record
 from qortho.verify import REGISTRY, Identity, IdentityId
 
 
-def _draw(rng, box, q, spec):
+def _draw(rng, box, q, degree_max):
     return {}
 
 
@@ -36,9 +39,6 @@ CASES = {
         "VerificationReport(identity_id='QBINOMIAL', inputs={'a': 0.5}, lhs=(1+0j), "
         "rhs=(1+0j), abs_residual=0.0, rel_residual=0.0, tolerance=1e-11, passed=True, "
         "flags=())"),
-    "SweepSpec": (
-        lambda: SweepSpec(1, 2, {}, 6), lambda: SweepSpec(seed=1, draws=2),
-        (1, 2, {}, 6), "SweepSpec(seed=1, draws=2, box={}, degree_max=6)"),
     "Identity": (
         lambda: Identity(IdentityId.QBINOMIAL, 1e-11, {}, _draw),
         lambda: Identity(draw=_draw, box={}, tolerance=1e-11, id=IdentityId.QBINOMIAL),
@@ -52,11 +52,10 @@ FIELDS = {
     "PhiSpec": ("numerators", "denominators", "q", "z", "terminates_at"),
     "VerificationReport": ("identity_id", "inputs", "lhs", "rhs", "abs_residual",
                            "rel_residual", "tolerance", "passed", "flags"),
-    "SweepSpec": ("seed", "draws", "box", "degree_max"),
     "Identity": ("id", "tolerance", "box", "draw"),
 }
 # Records with a dict field, which makes them unhashable.
-UNHASHABLE = {"VerificationReport", "SweepSpec", "Identity"}
+UNHASHABLE = {"VerificationReport", "Identity"}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -102,7 +101,6 @@ def test_equality_needs_the_same_class(name):
 def test_records_differing_in_one_field_differ():
     assert PhiSpec((0.3,), (), 0.5, 0.4) != PhiSpec((0.3,), (), 0.25, 0.4)
     assert ParamSet4(0.2, 0.1, 0.8, 0.9) != ParamSet4(0.2, 0.1, 0.8, 0.95)
-    assert SweepSpec(1, 2) != SweepSpec(1, 2, degree_max=5)
     assert REGISTRY[IdentityId.THM_1_1] != REGISTRY[IdentityId.THM_1_2]
     assert REGISTRY[IdentityId.THM_1_1] == REGISTRY[IdentityId.THM_1_1]
 
@@ -115,13 +113,6 @@ def test_phispec_terminates_at_is_computed_not_passed():
         PhiSpec((0.3,), (), 0.5, 0.4, 3)
 
 
-def test_each_sweepspec_gets_its_own_box():
-    first, second = SweepSpec(1, 2), SweepSpec(1, 2)
-    assert first.box == {} and first.box is not second.box
-    box = {"q": (0.1, 0.2)}
-    assert SweepSpec(1, 2, box).box is box
-
-
 def test_missing_or_extra_arguments_are_type_errors():
     with pytest.raises(TypeError):
         ParamSet4(0.2, 0.1, 0.8)
@@ -129,8 +120,6 @@ def test_missing_or_extra_arguments_are_type_errors():
         PhiSpec((0.3,), (), 0.5)
     with pytest.raises(TypeError):
         ReducedParams(0.3, 0.2, 0.1)
-    with pytest.raises(TypeError):
-        SweepSpec(1, 2, bogus=1)
     with pytest.raises(TypeError):
         VerificationReport("QBINOMIAL", {}, 1 + 0j)
 
@@ -154,14 +143,14 @@ def test_validation_still_runs_in_the_constructor():
     with pytest.raises(DomainError):
         ReducedParams(0.3, 1.0)
     with pytest.raises(DomainError):
-        SweepSpec(1, -1)
-    with pytest.raises(DomainError):
         PhiSpec((0.3,), (), 0.5, 1.5)
 
 
-@pytest.mark.parametrize("seed", [None, -1, 1.5])
-def test_a_sweep_seed_is_a_nonnegative_integer(seed):
-    # None would draw from OS entropy, and numpy rejects -1 and 1.5 with its
-    # own ValueError and TypeError
-    with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
-        SweepSpec(seed=seed, draws=1)
+def test_the_package_has_five_records():
+    # the parameter types, the series spec, the report and the registry record
+    for module in ("cli", "kernels", "qfun", "quad"):
+        importlib.import_module(f"qortho.{module}")
+    records = {cls.__name__ for cls in Record.__subclasses__()
+               if cls.__module__.startswith("qortho.")}
+    assert records == set(CASES) == set(FIELDS)
+    assert len(records) == 5

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from qortho import DomainError, ParamSet4, ReducedParams, SweepSpec
-from qortho.cli import _SPELLING, _spelled
+from qortho import DomainError, ParamSet4, ReducedParams
+from qortho.cli import _SPELLING, _parameters
 from qortho.hyper import rogers_6w5_argument
 from qortho.verify import (
     REGISTRY,
@@ -138,8 +138,8 @@ def test_every_checker_parameter_is_positional():
 @pytest.mark.parametrize("identity", list(IdentityId))
 def test_drawer_output_is_accepted_by_its_checker(identity):
     record = REGISTRY[identity]
-    draw = draw_params(identity, np.random.default_rng(0), SweepSpec(seed=0, draws=1))
-    assert set(draw) <= set(_spelled(record.checker))
+    draw = draw_params(identity, np.random.default_rng(0), 6)
+    assert set(draw) <= set(_parameters(record.checker))
     report = record.checker(**draw)
     assert report.identity_id == identity.value
     assert report.tolerance == record.tolerance
@@ -148,7 +148,7 @@ def test_drawer_output_is_accepted_by_its_checker(identity):
 SCALAR_PARAMS = [
     (identity, name)
     for identity, record in REGISTRY.items()
-    for name in _spelled(record.checker)
+    for name in _parameters(record.checker)
     if _SPELLING.get(name, complex) in (complex, float)
 ]
 
@@ -156,7 +156,7 @@ SCALAR_PARAMS = [
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("identity, name", SCALAR_PARAMS)
 def test_non_finite_scalar_parameter_is_a_domain_error(identity, name, bad):
-    draw = draw_params(identity, np.random.default_rng(0), SweepSpec(seed=0, draws=1))
+    draw = draw_params(identity, np.random.default_rng(0), 6)
     draw[name] = bad
     with pytest.raises(DomainError, match="finite"):
         REGISTRY[identity].checker(**draw)
@@ -166,8 +166,7 @@ def test_non_finite_scalar_parameter_is_a_domain_error(identity, name, bad):
 def test_first_draws_at_seed_zero_are_pinned(identity):
     keys, expected = PINNED_DRAWS[identity.value]
     rng = np.random.default_rng(0)
-    spec = SweepSpec(seed=0, draws=3)
-    draws = [draw_params(identity, rng, spec) for _ in range(3)]
+    draws = [draw_params(identity, rng, 6) for _ in range(3)]
     assert all(tuple(draw) == keys for draw in draws)
     assert [_flat_values(draw) for draw in draws] == expected
 
@@ -203,8 +202,7 @@ PINNED_DIGESTS = {
 def test_first_2000_draws_at_seeds_one_and_two_are_pinned(identity):
     for seed, expected in zip((1, 2), PINNED_DIGESTS[identity.value]):
         rng = np.random.default_rng(seed)
-        spec = SweepSpec(seed=seed, draws=2000)
-        draws = [draw_params(identity, rng, spec) for _ in range(2000)]
+        draws = [draw_params(identity, rng, 6) for _ in range(2000)]
         assert hashlib.sha256(repr(draws).encode()).hexdigest() == expected, seed
 
 
@@ -235,9 +233,8 @@ def test_every_draw_lies_in_its_checkers_domain_within_the_drawers_bound(identit
     for seed in (1, 2):
         for cap in (6, 30):
             rng = np.random.default_rng(seed)
-            spec = SweepSpec(seed=seed, draws=2000, degree_max=cap)
             for _ in range(2000):
-                draw = draw_params(identity, rng, spec)
+                draw = draw_params(identity, rng, cap)
                 for moduli, bound in DOMAINS[identity](draw):
                     assert max(moduli.values()) <= bound, (seed, cap, draw, moduli)
                     _require(moduli)

@@ -30,8 +30,7 @@ import math
 
 import numpy as np
 
-from qortho import (ParamSet4, SweepSpec, check_thm_1_1, check_thm_1_2, check_ultra_ortho,
-                    h_norm)
+from qortho import ParamSet4, check_thm_1_1, check_thm_1_2, check_ultra_ortho, h_norm
 from qortho.qfun import diag_rhs_thm11
 from qortho.verify import IdentityId, draw_params
 
@@ -66,10 +65,9 @@ def test_the_weight_at_alpha_beta_zero_integrates_to_the_jacobi_triple_product()
 
 def test_a_rotation_of_the_parameters_leaves_thm_1_1_unchanged():
     rng = np.random.default_rng(5)
-    spec = SweepSpec(seed=5, draws=DRAWS)
     worst = 0.0
     for _ in range(DRAWS):
-        draw = draw_params(IdentityId.THM_1_1, rng, spec)
+        draw = draw_params(IdentityId.THM_1_1, rng, 6)
         p, q, m, n = draw["p"], draw["q"], draw["m"], draw["n"]
         turn = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         rotated = ParamSet4(p.alpha * turn, p.beta / turn, p.gamma * turn, p.delta / turn)
@@ -85,10 +83,9 @@ def test_a_rotation_of_the_parameters_leaves_thm_1_1_unchanged():
 
 def test_scaling_the_parameters_scales_thm_1_1_by_lambda_to_the_m_plus_n():
     rng = np.random.default_rng(5)
-    spec = SweepSpec(seed=5, draws=100)
     worst = 0.0
-    for _ in range(spec.draws):
-        draw = draw_params(IdentityId.THM_1_1, rng, spec)
+    for _ in range(100):
+        draw = draw_params(IdentityId.THM_1_1, rng, 6)
         p, q, m, n = draw["p"], draw["q"], draw["m"], draw["n"]
         lam = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
         scaled = ParamSet4(p.alpha * lam, p.beta * lam, p.gamma * lam, p.delta * lam)
@@ -103,10 +100,9 @@ def test_scaling_the_parameters_scales_thm_1_1_by_lambda_to_the_m_plus_n():
 
 def test_a_rotation_of_the_parameters_leaves_thm_1_2_unchanged():
     rng = np.random.default_rng(5)
-    spec = SweepSpec(seed=5, draws=100)
     worst_lhs = worst_rhs = 0.0
-    for _ in range(spec.draws):
-        draw = draw_params(IdentityId.THM_1_2, rng, spec)
+    for _ in range(100):
+        draw = draw_params(IdentityId.THM_1_2, rng, 6)
         p, s, t, q = draw["p"], draw["s"], draw["t"], draw["q"]
         turn = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         rotated = ParamSet4(p.alpha * turn, p.beta / turn, p.gamma * turn, p.delta / turn)

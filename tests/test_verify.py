@@ -12,7 +12,6 @@ from qortho import (
     ParamSet4,
     TruncationExceeded,
     ReducedParams,
-    SweepSpec,
     VerificationReport,
     big_c_coeffs,
     check_prop_2_1_2,
@@ -70,17 +69,17 @@ class TestReportMechanics:
         assert rep.flags == ("NearSingular", "DivergentSeries")
 
     @pytest.mark.parametrize("identity", list(IdentityId))
-    def test_a_check_reads_its_identitys_tolerance_when_it_is_called(self, set_tolerance,
+    def test_a_check_reads_its_identitys_tolerance_when_it_is_called(self, swap_identity,
                                                                      identity):
         # seed 2's first draw of every identity passes with a nonzero residual
         record = verify.REGISTRY[identity]
-        args = verify.draw_params(identity, np.random.default_rng(2), SweepSpec(seed=2, draws=1))
+        args = verify.draw_params(identity, np.random.default_rng(2), 6)
         before = record.checker(**args)
         assert before.passed and before.tolerance == record.tolerance
         assert before.rel_residual > 0.0
         for tolerance, passed in ((before.rel_residual / 2, False),
                                   (before.rel_residual * 2, True)):
-            set_tolerance(identity, tolerance)
+            swap_identity(identity, tolerance=tolerance)
             rep = record.checker(**args)
             assert (rep.tolerance, rep.passed) == (tolerance, passed)
             assert rep.rel_residual == before.rel_residual
@@ -435,7 +434,7 @@ class TestCircleIntegrand:
                 "kmax": set(), "split": set()}
         poch, laurent = kernels.poch_product_many, kernels.laurent_eval
 
-        def spy_poch(coefs, exps, q, kmax, thetas, split=None):
+        def spy_poch(coefs, exps, q, kmax, thetas, split):
             seen["poch"].append((tuple(exps), len(thetas)))
             seen["kmax"].add(kmax)
             seen["split"].add(split)
@@ -658,7 +657,7 @@ class TestCircleIntegrand:
         # pins the cost of the rule: a change that spends more nodes on the
         # default sweep shows here even when every draw still passes
         seen = self.spy_grids(monkeypatch)
-        reports = run_sweep(identity, SweepSpec(seed=1, draws=300))
+        reports = run_sweep(identity, 1, 300)
         assert all(rep.passed for rep in reports)
         assert sum(result.nodes for result in seen["result"]) == nodes
 
@@ -684,7 +683,7 @@ class TestCircleIntegrand:
         record = verify.REGISTRY[IdentityId.THM_1_1]
         rng = np.random.default_rng(0)
         for _ in range(3):
-            assert record.checker(**verify.draw_params(record.id, rng, SweepSpec(0, 3))).passed
+            assert record.checker(**verify.draw_params(record.id, rng, 6)).passed
         assert [(r.converged, r.nodes <= 256) for r in seen["result"]] == [(True, True)] * 3
 
     def test_the_kernel_gets_the_arrays_of_the_triple_packing_bit_for_bit(self, monkeypatch):
@@ -698,7 +697,7 @@ class TestCircleIntegrand:
         calls = []
         poch = kernels.poch_product_many
 
-        def spy(coefs, exps, q, kmax, thetas, split=None):
+        def spy(coefs, exps, q, kmax, thetas, split):
             calls.append((coefs, exps, q, kmax, split))
             return poch(coefs, exps, q, kmax, thetas, split)
 
@@ -706,7 +705,7 @@ class TestCircleIntegrand:
         record = verify.REGISTRY[IdentityId.THM_1_2]
         rng = np.random.default_rng(33)
         for _ in range(200):
-            args = verify.draw_params(record.id, rng, SweepSpec(33, 200))
+            args = verify.draw_params(record.id, rng, 6)
             p, s, t, q = args["p"], args["s"], args["t"], qcore.as_base(args["q"])
             own = (p.gamma / p.delta, p.delta / p.gamma), (p.alpha / p.delta, p.beta / p.gamma)
             symbols = ((p.alpha * t, p.beta * t, p.alpha * s, p.beta * s),
@@ -732,8 +731,7 @@ class TestCircleIntegrand:
         seen = self.spy_grids(monkeypatch)
         record = verify.REGISTRY[IdentityId(identity)]
         rng = np.random.default_rng(5)
-        spec = SweepSpec(5, 6, degree_max=30)
-        draws = [verify.draw_params(record.id, rng, spec) for _ in range(6)]
+        draws = [verify.draw_params(record.id, rng, 30) for _ in range(6)]
         for args in draws + [draws[0] | {"m": 30, "n": 30}]:
             rep = record.checker(**args)
             scale = max(abs(rep.lhs), abs(rep.rhs), seen["result"][-1].fscale)
@@ -846,33 +844,38 @@ def test_an_overflowing_circle_integrand_fails_unflagged_after_one_grid(monkeypa
 
 class TestSweep:
     def test_zero_draws(self):
-        assert run_sweep("THM_1_1", SweepSpec(seed=1, draws=0)) == []
+        assert run_sweep("THM_1_1", 1, 0) == []
 
     def test_determinism(self):
-        a = run_sweep("THM_1_1", SweepSpec(seed=42, draws=6))
-        b = run_sweep("THM_1_1", SweepSpec(seed=42, draws=6))
+        a = run_sweep("THM_1_1", 42, 6)
+        b = run_sweep("THM_1_1", 42, 6)
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_sweep("QBINOMIAL", SweepSpec(seed=1, draws=3))
-        b = run_sweep("QBINOMIAL", SweepSpec(seed=2, draws=3))
+        a = run_sweep("QBINOMIAL", 1, 3)
+        b = run_sweep("QBINOMIAL", 2, 3)
         assert a != b
 
     @pytest.mark.parametrize("identity", [i.value for i in IdentityId])
     def test_default_box_draws_pass(self, identity):
-        reports = run_sweep(identity, SweepSpec(seed=7, draws=4))
+        reports = run_sweep(identity, 7, 4)
         assert len(reports) == 4
         for rep in reports:
             assert rep.passed, (identity, rep.inputs, rep.flags, rep.rel_residual)
 
-    def test_negative_draws_rejected(self):
-        with pytest.raises(DomainError):
-            SweepSpec(seed=0, draws=-1)
+    @pytest.mark.parametrize("argument", ["seed", "draws", "degree_max"])
+    @pytest.mark.parametrize("value", [None, -1, 1.5, 2.0])
+    def test_the_seed_and_counts_are_nonnegative_integers(self, argument, value):
+        # a None seed would draw from OS entropy, and numpy rejects -1 and 1.5
+        # with its own ValueError and TypeError
+        numbers = {"seed": 1, "draws": 2, "degree_max": 6} | {argument: value}
+        with pytest.raises(DomainError, match=f"^{argument} must be a nonnegative integer"):
+            run_sweep("QBINOMIAL", **numbers)
 
-    @pytest.mark.parametrize("cap", [-1, 2.0])
-    def test_degree_caps_must_be_nonnegative_integers(self, cap):
-        with pytest.raises(DomainError, match="degree_max must be a nonnegative integer"):
-            SweepSpec(seed=0, draws=2, degree_max=cap)
+    def test_a_sweep_takes_no_box(self):
+        # a sweep draws from its identity's registry box
+        with pytest.raises(TypeError, match="box"):
+            run_sweep("QBINOMIAL", 1, 2, box={"q": (0.1, 0.2)})
 
     @pytest.mark.parametrize("identity, box, message", [
         # every |beta| lies beyond the drawer's bound 1 - WEIGHT_MARGIN
@@ -881,6 +884,8 @@ class TestSweep:
         ("THM_1_1", {"ratio": (0.95, 1.0), "scale": (1.0, 1.0)},
          r"\|alpha/delta\| and \|beta/gamma\| <= 0.92"),
     ])
-    def test_a_box_with_no_admissible_draw_is_a_domain_error(self, identity, box, message):
+    def test_a_box_with_no_admissible_draw_is_a_domain_error(self, swap_identity, identity,
+                                                             box, message):
+        swap_identity(identity, box=verify.REGISTRY[identity].box | box)
         with pytest.raises(DomainError, match=message):
-            run_sweep(identity, SweepSpec(seed=1, draws=2, box=box))
+            run_sweep(identity, 1, 2)
